@@ -256,6 +256,22 @@ class PointData:
     t0_lead_exp: Fraction  # t0 = r1 * w^(e1) * (1 + u)
     t0_lead_coef: Fraction
     u: SurrealNF  # exact infinitesimal tilt (finite normal form)
+    _u_powers: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def u_powers(self, n: int) -> tuple[SurrealNF, ...]:
+        """(u^0, ..., u^m) with m >= n, computed once and shared by every caller.
+
+        A longer tuple is built locally and then published whole, so threads
+        pulling different streams of one value never see a half-grown list.
+        """
+        powers = self._u_powers
+        if len(powers) <= n:
+            grown = list(powers) or [one()]
+            while len(grown) <= n:
+                grown.append(grown[-1] * self.u)
+            powers = tuple(grown)
+            self._u_powers = powers
+        return powers
 
 
 def analyze_point(nu: SurrealNF, *, crit_coef: Fraction = Fraction(1), crit_power: Fraction = Fraction(1)) -> PointData:
@@ -284,7 +300,7 @@ def analyze_point(nu: SurrealNF, *, crit_coef: Fraction = Fraction(1), crit_powe
                 "fractional critical powers need s = 0 in the evaluation point"
             )
         u_base = SurrealNF.monomial(SurrealNF.from_rational(-1), s / r)  # s/(r w)
-        u = _binomial_expand_finite(u_base, int(crit_power)) - one()
+        u = (one() + u_base) ** int(crit_power) - one()
         lead_coef = r ** int(crit_power)
     if lead_coef.denominator != 1 and crit_power.denominator != 1:
         raise UnsupportedPointError("critical leader coefficient is irrational")
@@ -302,22 +318,23 @@ def _rational_pow(base: Fraction, q: Fraction) -> Fraction:
     return root**q.numerator
 
 
-def _binomial_expand_finite(u: SurrealNF, n: int) -> SurrealNF:
-    return (one() + u) ** n
+def binomial_tilt(pt: PointData, q: Fraction, window: int) -> SurrealNF:
+    """(1 + u)^q expanded through u^window, exact (u strictly infinitesimal).
 
-
-def binomial_tilt(u: SurrealNF, q: Fraction, window: int) -> SurrealNF:
-    """(1 + u)^q expanded through u^window, exact (u strictly infinitesimal)."""
-    if u.is_zero():
+    One normalized sum of binom(q, j) * u^j over the powers of u the point
+    shares across every series index, window widening and value group.
+    """
+    if pt.u.is_zero():
         return one()
-    acc = SurrealNF.zero()
-    uk = one()
+    if q.denominator == 1 and 0 <= q < window:
+        window = int(q)  # binom(q, j) vanishes for j > q
+    powers = pt.u_powers(window)
+    terms = []
     binom = Fraction(1)
     for j in range(window + 1):
-        acc = acc + uk * binom
-        uk = uk * u
+        terms.extend((e, c * binom) for e, c in powers[j].terms)
         binom *= (q - j) / (j + 1)
-    return acc
+    return SurrealNF(terms)
 
 
 def eval_series_at(ps: PowerSeries, pt: PointData, offset: Fraction, min_terms: int) -> tuple[Prefactor, LazyNF]:
@@ -350,7 +367,7 @@ def eval_series_at(ps: PowerSeries, pt: PointData, offset: Fraction, min_terms: 
             q = offset - l
             if not (q.denominator == 1 and 0 <= q <= tilt_window):
                 exact_tilts = False  # the binomial series for (1+u)^q is infinite
-            tilt = binomial_tilt(pt.u, q, tilt_window)
+            tilt = binomial_tilt(pt, q, tilt_window)
             total = total + SurrealNF.monomial(SurrealNF.from_rational(e1 * q), c * b**-l) * tilt
         if exhausted and (pt.u.is_zero() or exact_tilts):
             return list(total.terms), True
@@ -379,7 +396,7 @@ def tau_eval_group(mu: Fraction, offset: Fraction, ps: PowerSeries, pt: PointDat
         # exp(mu * t0): t0 is an exact polynomial in w, so its exponential is
         # a monomial times an e^(rational) tag via the imported identities
         arg = SurrealNF.monomial(SurrealNF.from_rational(pt.t0_lead_exp), mu * pt.t0_lead_coef) * binomial_tilt(
-            pt.u, Fraction(1), terms + WINDOW_SLACK
+            pt, Fraction(1), terms + WINDOW_SLACK
         )
         grp = exp_nf(arg)
         pref = pref * grp.prefactor
@@ -444,9 +461,7 @@ def tau_eval(
         value = value + SurrealValue.from_nf(_poly_at(lp.Q, t0))
         rsum = SurrealNF.zero()
         for l in range(1, len(lp.R) + 1):
-            rsum = rsum + SurrealNF.monomial(SurrealNF.from_rational(-l), lp.r_coeff(l)) * _nf_pow_rational(
-                pt.t0_lead_coef, -l
-            )
+            rsum = rsum + SurrealNF.monomial(SurrealNF.from_rational(-l), lp.r_coeff(l) * pt.t0_lead_coef**-l)
         value = value + SurrealValue.from_nf(rsum)
     if ln2pi_coef:
         value = value + SurrealValue(
@@ -463,6 +478,3 @@ def _poly_at(coeffs, t0: SurrealNF) -> SurrealNF:
         power = power * t0
     return out
 
-
-def _nf_pow_rational(base: Fraction, n: int) -> SurrealNF:
-    return SurrealNF.from_rational(base**n)

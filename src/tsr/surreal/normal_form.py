@@ -4,6 +4,13 @@ A :class:`SurrealNF` is a finite sequence of (exponent, coefficient) terms
 with exponents again normal forms, strictly decreasing, and nonzero rational
 coefficients.  Arithmetic is polynomial-style with w^x * w^y = w^(x+y);
 comparison is lexicographic on the term sequence, highest exponent first.
+
+A normal form is immutable (``__setattr__`` raises), so its hash never
+changes once computed: ``__hash__`` computes it on first use and caches it in
+a slot.  Like terms are collected by hashing exponents, equal forms have
+equal hashes, and ``==`` rejects a pair with different hashes before it
+compares terms.  The cache needs no lock: two threads that race to fill it
+compute the same integer.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -26,7 +33,7 @@ def _rat(x: RationalLike) -> Fraction:
 class SurrealNF:
     """Normal form sum(w^y_i * r_i) with strictly decreasing exponents y_i."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Iterable[tuple["SurrealNF", Fraction]] = (), *, _normalized=False):
         terms = tuple(terms)
@@ -88,10 +95,19 @@ class SurrealNF:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SurrealNF) and self.terms == other.terms
+        if self is other:
+            return True
+        if not isinstance(other, SurrealNF) or hash(self) != hash(other):
+            return False
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.terms)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __lt__(self, other: "SurrealNF") -> bool:
         return nf_cmp(self, other) == LT
@@ -179,20 +195,17 @@ def _coerce(x) -> SurrealNF:
     return NotImplemented
 
 
-def _normalize(terms: Sequence[tuple[SurrealNF, Fraction]]) -> tuple:
+_BY_EXPONENT = functools.cmp_to_key(lambda a, b: nf_cmp(a[0], b[0]))
+
+
+def _normalize(terms: Iterable[tuple[SurrealNF, Fraction]]) -> tuple:
     """Collect equal exponents, drop zeros, sort strictly decreasing."""
-    bucket: list[list] = []
+    collected: dict[SurrealNF, Fraction] = {}
     for e, c in terms:
-        c = _rat(c)
-        for pair in bucket:
-            if pair[0] == e:
-                pair[1] += c
-                break
-        else:
-            bucket.append([e, c])
-    bucket = [(e, c) for e, c in bucket if c != 0]
-    bucket.sort(key=functools.cmp_to_key(lambda a, b: nf_cmp(a[0], b[0])), reverse=True)
-    return tuple((e, c) for e, c in bucket)
+        collected[e] = collected.get(e, 0) + _rat(c)
+    out = [(e, c) for e, c in collected.items() if c != 0]
+    out.sort(key=_BY_EXPONENT, reverse=True)
+    return tuple(out)
 
 
 def one() -> SurrealNF:
@@ -210,6 +223,8 @@ def omega_map(y: SurrealNF) -> SurrealNF:
 
 def nf_cmp(a: SurrealNF, b: SurrealNF) -> int:
     """Lexicographic comparison: decide at the highest differing exponent."""
+    if a is b:
+        return EQ
     ia, ib = 0, 0
     ta, tb = a.terms, b.terms
     while ia < len(ta) and ib < len(tb):
@@ -258,17 +273,9 @@ def nf_add(a: SurrealNF, b: SurrealNF) -> SurrealNF:
     return SurrealNF(tuple(out), _normalized=True)
 
 
-def nf_neg(a: SurrealNF) -> SurrealNF:
-    return -a
-
-
 def nf_mul(a: SurrealNF, b: SurrealNF) -> SurrealNF:
-    """Cauchy-style product with exponent addition."""
-    terms = []
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
-            terms.append((nf_add(ea, eb), ca * cb))
-    return SurrealNF(terms)
+    """Cauchy-style product with exponent addition, normalized once."""
+    return SurrealNF((nf_add(ea, eb), ca * cb) for ea, ca in a.terms for eb, cb in b.terms)
 
 
 def nf_inv_of_monomial(a: SurrealNF) -> SurrealNF:
@@ -296,25 +303,3 @@ def decompose(a: SurrealNF) -> tuple[SurrealNF, Fraction, SurrealNF]:
         real,
         SurrealNF(tuple(small), _normalized=True),
     )
-
-
-def is_purely_infinite(a: SurrealNF) -> bool:
-    return all(nf_cmp(e, _ZERO) == GT for e, _ in a.terms)
-
-
-def is_infinitesimal(a: SurrealNF) -> bool:
-    return all(nf_cmp(e, _ZERO) == LT for e, _ in a.terms)
-
-
-def nf_from_sign_expansion(x) -> SurrealNF:
-    """Embed a finite-birthday surreal (a dyadic) as a normal form."""
-    from .signs import sign_value
-
-    return SurrealNF.from_rational(sign_value(x))
-
-
-def nf_to_sign_expansion(a: SurrealNF):
-    """Inverse embedding; requires a dyadic-rational value."""
-    from .signs import sign_expansion_of
-
-    return sign_expansion_of(a.as_rational())

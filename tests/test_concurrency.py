@@ -1,5 +1,7 @@
 """Shared immutable values: concurrent demand of memoized streams is safe."""
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -33,3 +35,60 @@ def test_lazy_nf_concurrent_pull():
         results = list(pool.map(lambda _: lazy.terms(12), range(16)))
     assert all(r == results[0] for r in results)
     assert [c for _, c in results[0][:5]] == [1, 1, 2, 6, 24]
+
+
+def test_value_groups_share_tilt_powers_across_threads():
+    from tsr.operators import tau_eval
+    from tsr.surreal import parse_nf
+
+    ts = ts_antidiff(ts_parse("exp(x)/x + exp(-x)/x"))
+    point = parse_nf("2*w+1")
+    serial = [g.stream.terms(40) for g in tau_eval(ts, point, 1).groups]
+    assert len(serial) >= 2
+
+    # one fresh value: its groups share the point's powers of the tilt u,
+    # which grow while the threads pull (each starts on a different group)
+    groups = tau_eval(ts, point, 1).groups
+    start = threading.Barrier(4, timeout=60)
+
+    def pull(k: int):
+        start.wait()
+        order = groups[k % len(groups) :] + groups[: k % len(groups)]
+        got = {id(g): g.stream.terms(40) for g in order}
+        return [got[id(g)] for g in groups]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches inside the shared code
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(pull, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4 and all(r == serial for r in results)
+
+
+def test_tilt_powers_grow_race_free():
+    from tsr.operators import analyze_point
+    from tsr.surreal import parse_nf
+
+    # 2w+1 with critical power 2: the tilt u = w^-1 + 1/4 w^-2 has two terms
+    make = lambda: analyze_point(parse_nf("2*w+1"), crit_power=F(2))  # noqa: E731
+    expected = make().u_powers(30)
+    pt = make()
+    start = threading.Barrier(6, timeout=60)
+
+    def grow(k: int):
+        start.wait()
+        return [pt.u_powers(n)[: n + 1] for n in range(k % 3, 31, 3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(6) as pool:
+            results = list(pool.map(grow, range(6), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 6
+    for prefixes in results:
+        for got in prefixes:
+            assert list(got) == list(expected[: len(got)])

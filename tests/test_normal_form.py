@@ -3,7 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tsr.operators.tau import PointData, binomial_tilt
 from tsr.surreal import (
     EQ,
     GT,
@@ -137,3 +140,103 @@ class TestRendering:
         for _ in range(100):
             a = random_nf(rng)
             assert SurrealNF.from_json(a.to_json()) == a
+
+
+# -- property tests -------------------------------------------------------------
+# Deterministic and bounded, so they cost the same on every run.
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+
+
+def nf_terms(depth: int = 2, exponents=None):
+    """Lists of (exponent, coefficient) terms, exponents nested to ``depth``."""
+    if exponents is None:
+        exponents = st.builds(SurrealNF.from_rational, rationals)
+        if depth > 0:
+            exponents = st.one_of(exponents, nfs(depth - 1))
+    return st.lists(st.tuples(exponents, rationals), max_size=3)
+
+
+def nfs(depth: int = 2):
+    return nf_terms(depth).map(SurrealNF)
+
+
+def _negative(e: SurrealNF) -> SurrealNF:
+    if nf_cmp(e, SurrealNF.zero()) == LT:
+        return e
+    return -e if not e.is_zero() else rat(-1)
+
+
+NF = nfs()
+#: strictly infinitesimal tilts: every exponent below zero
+TILT = nf_terms(exponents=nfs(1).map(_negative)).map(SurrealNF).filter(lambda u: not u.is_zero())
+
+
+def tilt_by_repeated_multiplication(u: SurrealNF, q: F, window: int) -> SurrealNF:
+    """(1 + u)^q through u^window, one add-and-multiply round per order."""
+    acc, uk, binom = SurrealNF.zero(), one(), F(1)
+    for j in range(window + 1):
+        acc = acc + uk * binom
+        uk = uk * u
+        binom *= (q - j) / (j + 1)
+    return acc
+
+
+class TestProperties:
+    @PROPERTY
+    @given(NF, NF, NF)
+    def test_add_associative_commutative(self, a, b, c):
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+
+    @PROPERTY
+    @given(NF, NF, NF)
+    def test_mul_associative_commutative_distributive(self, a, b, c):
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+
+    @PROPERTY
+    @given(NF, NF, NF)
+    def test_cmp_total_order_compatible_with_add(self, a, b, c):
+        ab = nf_cmp(a, b)
+        assert ab == -nf_cmp(b, a)
+        assert (ab == EQ) == (a == b)
+        if ab != GT and nf_cmp(b, c) != GT:
+            assert nf_cmp(a, c) != GT
+        assert nf_cmp(a + c, b + c) == ab
+
+    @PROPERTY
+    @given(NF, NF)
+    def test_equal_forms_hash_equal(self, a, b):
+        rebuilt = (SurrealNF.from_json(a.to_json()), parse_nf(render_nf(a)), a * one() + SurrealNF.zero())
+        for twin in rebuilt:
+            assert twin == a and hash(twin) == hash(a)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @PROPERTY
+    @given(nf_terms(), st.data())
+    def test_construction_ignores_order_and_split_terms(self, terms, data):
+        a = SurrealNF(terms)
+        assert SurrealNF(data.draw(st.permutations(terms))) == a
+        if terms:
+            i = data.draw(st.integers(0, len(terms) - 1))
+            e, c = terms[i]
+            part = data.draw(rationals)
+            split = terms[:i] + [(e, part), (e, c - part)] + terms[i + 1 :]
+            assert SurrealNF(split) == a
+            assert render_nf(SurrealNF(split)) == render_nf(a)
+
+    @PROPERTY
+    @given(TILT, st.lists(st.tuples(st.one_of(st.integers(-4, 8).map(F), rationals), st.integers(0, 6)), min_size=1, max_size=4))
+    def test_binomial_tilt_matches_repeated_multiplication(self, u, requests):
+        # one point serves every (q, window), so its shared powers of u grow between calls
+        pt = PointData(r=F(1), s=F(0), t0_lead_exp=F(1), t0_lead_coef=F(1), u=u)
+        for q, window in requests:
+            got = binomial_tilt(pt, q, window)
+            want = tilt_by_repeated_multiplication(u, q, window)
+            assert got == want
+            assert render_nf(got) == render_nf(want)
