@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
 
 from ..transseries.series import PowerSeries
 
@@ -85,16 +84,4 @@ def p_integrate_poly(b: BorelPoly, m: int = 1) -> BorelPoly:
     out = b
     for _ in range(m):
         out = BorelPoly((Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(out.coeffs)))
-    return out
-
-
-def cauchy_product_series(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Physical-plane product oracle used against the convolution identity."""
-    return a.mul(b)
-
-
-def poly_eval_coeffs(coeffs: Sequence[Fraction], p):
-    out = 0
-    for c in reversed(list(coeffs)):
-        out = out * p + c
     return out

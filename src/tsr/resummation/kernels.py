@@ -52,10 +52,14 @@ class BorelFunction:
         return mp.mpc(self.value(p))
 
     def averaged(self, p):
-        """Half-sum of the lateral continuations (single-ray average)."""
-        hi = self.lateral(p, +1)
-        lo = self.lateral(p, -1)
-        return (hi + lo).real / 2
+        """Half-sum of the lateral continuations (single-ray average).
+
+        A kernel that keeps the default ``lateral`` is single-valued, so both
+        continuations are mpc(value(p)) and their half-sum is value(p) exactly
+        ((v + v) / 2 == v in binary floating point): one evaluation instead
+        of two.  Kernels with a cut override ``lateral`` and ``averaged``.
+        """
+        return self.value(p)
 
     def p_integral(self, m: int = 1) -> "BorelFunction":
         raise NotRegularizableError(f"{type(self).__name__} has no P rule")
@@ -246,9 +250,6 @@ class ClosedFormKernel(BorelFunction):
                 total += _c2mp(t.coef) * _c2mp(self.s)
         return total
 
-    def worst_exponent(self) -> Optional[Fraction]:
-        return min((t.a for t in self.terms), default=None)
-
     def p_integral(self, m: int = 1) -> "ClosedFormKernel":
         if m == 0:
             return self
@@ -298,7 +299,16 @@ def _vpow_taylor(a: Fraction, b: int, K: int) -> list[Fraction]:
 
 
 class PadeKernel(BorelFunction):
-    """Rational approximant; detected positive real poles become singularities."""
+    """Rational approximant; detected positive real poles become singularities.
+
+    A rational function is single-valued, so ``averaged`` is ``value``.  The
+    exact ``num`` and ``den`` are converted to mpf once per working precision
+    (keyed by ``mp.mp.prec``) and kept on the instance, because a Laplace
+    integral evaluates the kernel at thousands of nodes.  This is safe: the
+    coefficients are immutable and each mpf is a pure function of
+    (coefficient, precision), so a lost race between threads writes equal
+    lists.
+    """
 
     def __init__(self, num: Sequence[Fraction], den: Sequence[Fraction], growth=(2.0, 1.0), name: str = ""):
         self.num = tuple(Fraction(c) for c in num)
@@ -306,6 +316,15 @@ class PadeKernel(BorelFunction):
         self.growth = growth
         self.name = name
         self._poles: Optional[list] = None
+        self._mp_coeffs: dict[int, tuple[list, list]] = {}
+
+    def _coeffs_at_prec(self) -> tuple[list, list]:
+        """num and den as mpf at the working precision, converted on first use."""
+        prec = mp.mp.prec
+        out = self._mp_coeffs.get(prec)
+        if out is None:
+            out = self._mp_coeffs[prec] = ([_c2mp(c) for c in self.num], [_c2mp(c) for c in self.den])
+        return out
 
     def real_positive_poles(self) -> list:
         if self._poles is None:
@@ -338,29 +357,28 @@ class PadeKernel(BorelFunction):
 
     def value(self, p):
         p = mp.mpf(p)
-        num = _horner(self.num, p)
-        den = _horner(self.den, p)
+        num_mp, den_mp = self._coeffs_at_prec()
+        num = _horner(num_mp, p)
+        den = _horner(den_mp, p)
         if den == 0:
             raise SingularPointError(f"Pade pole at p = {p}")
         return num / den
 
-    def lateral(self, p, side: int):
-        return mp.mpc(self.value(p))
-
     def pv_residue(self, s):
         # F ~ A/(s-p): A = -num(s)/den'(s)
         s = _c2mp(Fraction(s)) if isinstance(s, Fraction) else mp.mpf(s)
-        num = _horner(self.num, s)
-        dden = _horner(tuple((k + 1) * c for k, c in enumerate(self.den[1:])), s)
+        num = _horner(self._coeffs_at_prec()[0], s)
+        dden = _horner([_c2mp((k + 1) * c) for k, c in enumerate(self.den[1:])], s)
         if dden == 0:
             raise DegenerateTableError("double pole in Pade denominator")
         return num / dden * -1
 
 
 def _horner(coeffs, p):
+    """Horner's rule over mpf coefficients, lowest degree first."""
     out = mp.mpf(0)
     for c in reversed(coeffs):
-        out = out * p + (_c2mp(c) if isinstance(c, Fraction) else c)
+        out = out * p + c
     return out
 
 
@@ -383,6 +401,9 @@ class ScaledKernel(BorelFunction):
 
     def lateral(self, p, side):
         return _c2mp(self.c) * self.inner.lateral(p, side)
+
+    def averaged(self, p):
+        return _c2mp(self.c) * self.inner.averaged(p)
 
     def pv_residue(self, s):
         return _c2mp(self.c) * self.inner.pv_residue(s)
@@ -419,30 +440,36 @@ def log_kernel(location=1, scale=1) -> ClosedFormKernel:
     )
 
 
-def coth_kernel() -> EntireSeriesKernel:
-    """(p coth(p/2) - 2) / (2 p^2): the Binet kernel of log Gamma."""
-    from ..coefficients import coth_kernel_coeff
+class CothKernel(EntireSeriesKernel):
+    """(p coth(p/2) - 2) / (2 p^2): the Binet kernel of log Gamma.
 
-    k = EntireSeriesKernel(coth_kernel_coeff, growth=(1.0, 0.0), name="coth")
-    k.value = _coth_value  # type: ignore[method-assign]
-    return k
+    Its Taylor coefficients come from ``coth_kernel_coeff``; values use the
+    closed form, or the even Taylor polynomial near 0 where the closed form
+    cancels.
+    """
 
-
-def _coth_value(p):
-    p = mp.mpf(p)
-    if abs(p) < mp.mpf("0.05"):
-        # Taylor near 0 avoids cancellation
+    def __init__(self):
         from ..coefficients import coth_kernel_coeff
 
-        total = mp.mpf(0)
-        for k in range(0, 24, 2):
-            c = coth_kernel_coeff(k)
-            total += _c2mp(c) * p**k
-        return total
-    return (p * mp.coth(p / 2) - 2) / (2 * p**2)
+        super().__init__(coth_kernel_coeff, growth=(1.0, 0.0), name="coth")
+
+    def value(self, p):
+        p = mp.mpf(p)
+        if abs(p) < mp.mpf("0.05"):
+            # Taylor near 0 avoids cancellation
+            total = mp.mpf(0)
+            for k in range(0, 24, 2):
+                total += _c2mp(self.coeff_fn(k)) * p**k
+            return total
+        return (p * mp.coth(p / 2) - 2) / (2 * p**2)
 
 
-def pade_continue(b: BorelPoly, degrees: tuple[int, int], *, tol: Fraction = Fraction(0)) -> PadeKernel:
+def coth_kernel() -> CothKernel:
+    """The Binet kernel of log Gamma (see :class:`CothKernel`)."""
+    return CothKernel()
+
+
+def pade_continue(b: BorelPoly, degrees: tuple[int, int]) -> PadeKernel:
     """Exact-rational (m, n) Pade approximant to the polynomial b.
 
     Solves the Toeplitz system for the denominator over the rationals and

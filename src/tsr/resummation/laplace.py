@@ -74,10 +74,6 @@ def average_eval(f: BorelFunction, p, *, weights: WeightFamily = catalan_weight,
         return total
 
 
-def _avg(f: BorelFunction, p):
-    return f.averaged(p)
-
-
 def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, mp.mpf]:
     """integral(e^(-xp) avg(f)(p), p = 0..inf) with an error estimate."""
     cfg = cfg or QuadratureConfig()
@@ -117,7 +113,7 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
             v, e = mp.quad(fn, pts, error=True, maxdegree=maxdeg, method=method)
             return v, e
 
-        integrand = lambda p: mp.e ** (-x * p) * _avg(f, p)
+        integrand = lambda p: mp.e ** (-x * p) * f.averaged(p)
 
         edges = [mp.mpf(0)]
         windows = []

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from math import factorial
 
 from tsr.resummation import BorelPoly, borel_transform, convolve, p_integrate, unit
-from tsr.resummation.borel import cauchy_product_series, inverse_borel
+from tsr.resummation.borel import inverse_borel
 from tsr.transseries import PowerSeries
 
 
@@ -46,7 +46,7 @@ class TestConvolution:
     def test_homomorphism_randomized(self, rng):
         for _ in range(40):
             s, t = random_series(rng), random_series(rng)
-            lhs = borel_transform(cauchy_product_series(s, t), 18)
+            lhs = borel_transform(s.mul(t), 18)
             rhs = convolve(borel_transform(s, 18), borel_transform(t, 18))
             assert [lhs.coeff(k) for k in range(19)] == [rhs.coeff(k) for k in range(19)]
 

@@ -92,3 +92,36 @@ def test_tilt_powers_grow_race_free():
     for prefixes in results:
         for got in prefixes:
             assert list(got) == list(expected[: len(got)])
+
+
+
+def test_pade_coefficients_convert_race_free():
+    import mpmath as mp
+
+    from tsr.resummation import resolve_default
+    from tsr.transseries import groups_of
+
+    # the generic (11, 11) Pade kernel of the Airy series, as `tsr sum` fits
+    # it: 24 rationals of up to 337 digits, poles from p = 2.02 on
+    series = groups_of(ts_parse("#airy_u"))[0].series
+    points = [mp.mpf(k) / 32 for k in range(64)]
+    with mp.workdps(30):  # one precision for every thread
+        serial = [resolve_default(series).kernel.value(p) for p in points]
+        for _ in range(5):  # the race is at first use: a fresh kernel each round
+            kernel = resolve_default(series).kernel
+            start = threading.Barrier(4, timeout=60)
+
+            def evaluate(k: int):
+                start.wait()
+                shift = k * len(points) // 4  # each thread starts elsewhere
+                got = {i: kernel.value(points[i]) for i in [*range(shift, len(points)), *range(shift)]}
+                return [got[i] for i in range(len(points))]
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(4) as pool:
+                    results = list(pool.map(evaluate, range(4), timeout=120))
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(results) == 4 and all(r == serial for r in results)

@@ -5,13 +5,18 @@ from math import factorial
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tsr.errors import DegenerateTableError, GrowthBoundViolated, SingularPointError
 from tsr.resummation import (
     BorelPoly,
+    EntireSeriesKernel,
     KernelEntry,
+    PadeKernel,
     PolyKernel,
     QuadratureConfig,
+    ScaledKernel,
     average_eval,
     borel_transform,
     catalan_weight,
@@ -206,3 +211,98 @@ class TestL1Norms:
             lhs = norm(convolve(f, g))
             rhs = norm(f) * norm(g)
             assert lhs <= rhs * (1 + mp.mpf(1e-20)) + mp.mpf(1e-12)
+
+
+# -- property tests -------------------------------------------------------------
+# Deterministic and bounded; values are compared with ==, bit for bit.
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+#: big rationals, so every mpf conversion rounds and depends on the precision
+big_rationals = st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**30))
+DIGITS = st.permutations([15, 30, 60, 100])
+POINTS = st.floats(0, 12, allow_nan=False)
+
+
+def pade_kernels():
+    num = st.lists(big_rationals, min_size=1, max_size=6)
+    den = st.lists(big_rationals, min_size=0, max_size=5).map(lambda tail: [F(1)] + tail)
+    return st.builds(PadeKernel, num, den)
+
+
+def fraction_horner(coeffs, p):
+    """Horner over Fraction coefficients, each converted at the precision in force."""
+    out = mp.mpf(0)
+    for c in reversed(coeffs):
+        out = out * p + mp.mpf(c.numerator) / c.denominator
+    return out
+
+
+def half_sum(f, p):
+    return (f.lateral(p, +1) + f.lateral(p, -1)).real / 2
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(pade_kernels(), DIGITS, st.lists(POINTS, min_size=1, max_size=3))
+    def test_pade_value_follows_the_precision_in_force(self, k, digits, points):
+        # one instance evaluated at every precision in turn: converted
+        # coefficients kept from an earlier precision must never be reused
+        for dps in digits + digits[::-1]:
+            with mp.workdps(dps):
+                for x in points:
+                    p = mp.mpf(x)
+                    den = fraction_horner(k.den, p)
+                    assume(den != 0)
+                    assert k.value(p) == fraction_horner(k.num, p) / den
+
+    @PROPERTY
+    @given(pade_kernels(), st.sampled_from([15, 30, 60]), POINTS)
+    def test_averaged_is_half_sum_of_laterals(self, pade, dps, x):
+        poly = PolyKernel(BorelPoly(tuple(pade.num)))
+        with mp.workdps(dps):
+            p = mp.mpf(x)
+            assume(fraction_horner(pade.den, p) != 0)
+            exp = EntireSeriesKernel(lambda k: F(1, factorial(k)))
+            for f in (pade, poly, coth_kernel(), exp):
+                assert f.averaged(p) == half_sum(f, p)
+
+    @PROPERTY
+    @given(big_rationals, pade_kernels(), st.sampled_from([15, 30, 60]), st.floats(0, 3, allow_nan=False))
+    def test_scaled_averaged_is_scaled_inner(self, c, pade, dps, x):
+        with mp.workdps(dps):
+            p = mp.mpf(x)
+            assume(fraction_horner(pade.den, p) != 0 and x != 1)
+            for inner in (pade, pole_kernel(1), sqrt_branch_kernel(1, F(1, 2)), log_kernel(1)):
+                scaled = ScaledKernel(c, inner)
+                assert scaled.averaged(p) == mp.mpf(c.numerator) / c.denominator * inner.averaged(p)
+            # for a single-valued inner it is still the half-sum of the laterals
+            assert ScaledKernel(c, pade).averaged(p) == half_sum(ScaledKernel(c, pade), p)
+
+    @PROPERTY
+    @given(pade_kernels(), DIGITS, st.fractions(0, 12, max_denominator=64))
+    def test_pv_residue_unchanged(self, k, digits, s):
+        for dps in digits:
+            with mp.workdps(dps):
+                k.value(mp.mpf(1) / 3)  # fills the converted coefficients at dps
+                at = mp.mpf(s.numerator) / s.denominator
+                dden = fraction_horner([(j + 1) * c for j, c in enumerate(k.den[1:])], at)
+                if dden == 0:
+                    continue
+                assert k.pv_residue(s) == fraction_horner(k.num, at) / dden * -1
+
+    def test_coth_value_is_closed_form_or_taylor(self):
+        from tsr.coefficients import coth_kernel_coeff
+
+        k = coth_kernel()
+        with mp.workdps(40):
+            for p in (mp.mpf("0.01"), mp.mpf("-0.03"), mp.mpf("0.05"), mp.mpf(3), mp.mpf(17)):
+                if abs(p) < mp.mpf("0.05"):
+                    ref = mp.mpf(0)
+                    for j in range(0, 24, 2):
+                        c = coth_kernel_coeff(j)
+                        ref += mp.mpf(c.numerator) / c.denominator * p**j
+                else:
+                    ref = (p * mp.coth(p / 2) - 2) / (2 * p**2)
+                assert k.value(p) == ref
+                assert k.averaged(p) == ref
