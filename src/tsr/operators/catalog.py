@@ -36,6 +36,7 @@ from ..resummation import (
     resolve_default,
     sqrt_branch_kernel,
 )
+from ..stream import Stream
 from ..transseries import (
     LogPart,
     PowerSeries,
@@ -97,8 +98,9 @@ class CatalogFunction:
         if self.compose_exp_of is not None:
             base = catalog()[self.compose_exp_of]
             inner, err = base.eb_value(x, cfg)
-            val = mp.exp(inner)
-            return val, abs(val) * err
+            with mp.workdps(cfg.precision):
+                val = mp.exp(inner)
+                return val, abs(val) * err
         with mp.workdps(cfg.precision):
             t = self.critical_time(x)
             val, err = eb_sum(self.transseries, t, cfg, resolver=self.resolver)
@@ -207,10 +209,11 @@ def gamma_oracle(x):
 # -- derivative facilities --------------------------------------------------------
 
 
-def _exp_taylor(x0, k) -> TaylorTerm:
+def _to_mpf(x0):
+    """x0 at the working precision; a Fraction converts exactly (no float)."""
     if isinstance(x0, Fraction):
-        return ("exact", Prefactor.of(1, e=x0), Fraction(1, factorial(k)))
-    return ("num", mp.exp(mp.mpf(x0)) / mp.factorial(k))
+        return mp.mpf(x0.numerator) / x0.denominator
+    return mp.mpf(x0)
 
 
 def _laurent_diff(q: dict) -> dict:
@@ -229,136 +232,94 @@ def _laurent_add(a: dict, b: dict) -> dict:
     return {j: c for j, c in out.items() if c}
 
 
+def _laurent_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for i, c in a.items():
+        out = _laurent_add(out, {i + j: c * d for j, d in b.items()})
+    return out
+
+
 def _laurent_eval(q: dict, x0):
-    total = 0 if isinstance(x0, Fraction) else mp.mpf(0)
+    total = Fraction(0) if isinstance(x0, Fraction) else mp.mpf(0)
     for j, c in q.items():
         cc = c if isinstance(x0, Fraction) else mp.mpf(c.numerator) / c.denominator
         total += cc * x0**j
     return total
 
 
-def _make_exp_rational_taylor(base: dict, exponent_shift: Callable, oracle):
-    """Taylor facility for an antiderivative F with F^(k) = e^phi * q_(k-1).
+def exp_poly_taylor(phi: dict, q0: dict) -> Callable:
+    """Taylor facility of f = e^phi * q0, phi a polynomial and q0 a Laurent one.
 
-    ``base`` is the polynomial of the FIRST derivative (F' = e^phi * q_1);
-    F itself comes from the oracle.  The sign of phi' enters via
-    ``exponent_shift`` (q -> q for phi = x, q -> -q for phi = -x).
+    f^(k) = e^phi * q_k with q_(k+1) = q_k' + phi' * q_k.  A term is exact at
+    a Fraction x0 unless x0 = 0 and q_k has a negative power.
     """
-    cache = [dict(base)]
+    dphi = _laurent_diff(phi)
 
-    def polys(k: int) -> dict:
-        while len(cache) < k:
-            q = cache[-1]
-            cache.append(_laurent_add(_laurent_diff(q), exponent_shift(q)))
-        return cache[k - 1]
+    def polys():
+        q = q0
+        while True:
+            yield q
+            q = _laurent_add(_laurent_diff(q), _laurent_mul(dphi, q))
+
+    qs = Stream(polys)
 
     def taylor(x0, k) -> TaylorTerm:
-        if k == 0:
-            return ("num", oracle(x0 if not isinstance(x0, Fraction) else mp.mpf(x0.numerator) / x0.denominator))
-        q = polys(k)
-        if isinstance(x0, Fraction) and x0 != 0:
-            return ("exact", Prefactor.of(1, e=x0), _laurent_eval(q, x0) / factorial(k))
-        x0m = mp.mpf(x0) if not isinstance(x0, Fraction) else mp.mpf(x0.numerator) / x0.denominator
-        return ("num", mp.exp(x0m) * _laurent_eval(q, x0m) / mp.factorial(k))
+        q = qs[k]
+        if isinstance(x0, Fraction) and (x0 != 0 or min(q, default=0) >= 0):
+            return ("exact", Prefactor.of(1, e=_laurent_eval(phi, x0)), _laurent_eval(q, x0) / factorial(k))
+        x = _to_mpf(x0)
+        return ("num", mp.exp(_laurent_eval(phi, x)) * _laurent_eval(q, x) / mp.factorial(k))
 
     return taylor
 
 
-def _exp_laurent_taylor(base: dict, sign: int):
-    """Taylor facility for f = e^(sign*x) * base(x): f^(k) = e^(sign*x) q_k."""
-    cache = [dict(base)]
+def shifted_taylor(derivative: Callable, oracle: Callable, exact_value: Optional[Callable]) -> Callable:
+    """Taylor facility of an antiderivative F from that of F' (a shift by one).
 
-    def polys(k: int) -> dict:
-        while len(cache) <= k:
-            q = cache[-1]
-            shifted = {j: sign * c for j, c in q.items()}
-            cache.append(_laurent_add(_laurent_diff(q), shifted))
-        return cache[k]
-
-    def taylor(x0, k) -> TaylorTerm:
-        q = polys(k)
-        if isinstance(x0, Fraction) and x0 != 0:
-            return ("exact", Prefactor.of(1, e=sign * x0), _laurent_eval(q, x0) / factorial(k))
-        x0m = mp.mpf(x0) if not isinstance(x0, Fraction) else mp.mpf(x0.numerator) / x0.denominator
-        return ("num", mp.exp(sign * x0m) * _laurent_eval(q, x0m) / mp.factorial(k))
-
-    return taylor
-
-
-def _ei_taylor():
-    # Ei' = e^x/x; (e^x q)' = e^x (q + q')
-    return _make_exp_rational_taylor({-1: Fraction(1)}, lambda q: q, ei_oracle)
-
-
-def _erfi_taylor():
-    # f' = e^(x^2); (e^(x^2) h)' = e^(x^2) (h' + 2x h)
-    cache = [{0: Fraction(1)}]
-
-    def polys(k: int) -> dict:
-        while len(cache) < k:
-            h = cache[-1]
-            two_x_h = {j + 1: 2 * c for j, c in h.items()}
-            cache.append(_laurent_add(_laurent_diff(h), two_x_h))
-        return cache[k - 1]
+    F^(k)(x0)/k! = (F')^(k-1)(x0)/(k-1)! / k for k >= 1; F(x0) itself is
+    ``exact_value`` where that gives a value, else the oracle.
+    """
 
     def taylor(x0, k) -> TaylorTerm:
         if k == 0:
-            if isinstance(x0, Fraction) and x0 == 0:
-                return ("exact", Prefactor.one(), Fraction(0))
-            return ("num", erfi_integral_oracle(mp.mpf(float(x0))))
-        h = polys(k)
-        if isinstance(x0, Fraction):
-            return ("exact", Prefactor.of(1, e=x0 * x0), _laurent_eval(h, x0) / factorial(k))
-        x0m = mp.mpf(x0)
-        return ("num", mp.exp(x0m**2) * _laurent_eval(h, x0m) / mp.factorial(k))
+            hit = exact_value(x0) if exact_value is not None and isinstance(x0, Fraction) else None
+            return ("exact", *hit) if hit is not None else ("num", oracle(_to_mpf(x0)))
+        t = derivative(x0, k - 1)
+        if t[0] == "exact":
+            return ("exact", t[1], t[2] / k)
+        return ("num", t[1] / k)
 
     return taylor
 
 
 def _airy_taylor(kind: str):
     # y^(k) = a_k y + b_k y' with a_(k+1) = a_k' + z b_k, b_(k+1) = a_k + b_k'
-    cache = [({0: Fraction(1)}, {})]
-
-    def pair(k: int):
-        while len(cache) <= k:
-            a, b = cache[-1]
+    def pairs():
+        a, b = {0: Fraction(1)}, {}
+        while True:
+            yield a, b
             zb = {j + 1: c for j, c in b.items()}
-            cache.append((_laurent_add(_laurent_diff(a), zb), _laurent_add(a, _laurent_diff(b))))
-        return cache[k]
+            a, b = _laurent_add(_laurent_diff(a), zb), _laurent_add(a, _laurent_diff(b))
+
+    ab = Stream(pairs)
 
     def taylor(x0, k) -> TaylorTerm:
-        a, b = pair(k)
-        x0m = mp.mpf(float(x0))
-        y, dy = _airy_pair(kind, x0m)
-        return ("num", (_laurent_eval(a, x0m) * y + _laurent_eval(b, x0m) * dy) / mp.factorial(k))
+        a, b = ab[k]
+        x = _to_mpf(x0)
+        y, dy = _airy_pair(kind, x)
+        return ("num", (_laurent_eval(a, x) * y + _laurent_eval(b, x) * dy) / mp.factorial(k))
 
     return taylor
 
 
 def _loggamma_taylor(x0, k) -> TaylorTerm:
-    x0m = mp.mpf(float(x0))
+    x0m = _to_mpf(x0)
     if k == 0:
         return ("num", loggamma_oracle(x0m))
     return ("num", mp.psi(k - 1, x0m) / mp.factorial(k))
 
 
-def _monomial_taylor(n: int):
-    def taylor(x0, k) -> TaylorTerm:
-        if k > n:
-            return ("exact", Prefactor.one(), Fraction(0))
-        coef = Fraction(factorial(n), factorial(k) * factorial(n - k))
-        if isinstance(x0, Fraction):
-            return ("exact", Prefactor.one(), coef * x0 ** (n - k))
-        return ("num", coef.numerator / coef.denominator * mp.mpf(x0) ** (n - k))
-
-    return taylor
-
-
 # -- entry construction ------------------------------------------------------------
-
-
-def _series(name: str) -> PowerSeries:
-    return named_series(name)
 
 
 def _exp_entry() -> CatalogFunction:
@@ -367,7 +328,7 @@ def _exp_entry() -> CatalogFunction:
         name="exp",
         transseries=ts,
         oracle=lambda x: mp.exp(mp.mpf(x)),
-        taylor_term=_exp_taylor,
+        taylor_term=exp_poly_taylor({1: Fraction(1)}, {0: Fraction(1)}),
         domain_c=None,
         tolerance=1e-24,
         tail_constants=(1.0, 1.0, 0.0),
@@ -383,7 +344,7 @@ def _exp_neg_entry() -> CatalogFunction:
         name="exp_neg",
         transseries=ts,
         oracle=lambda x: mp.exp(-mp.mpf(x)),
-        taylor_term=_exp_laurent_taylor({0: Fraction(1)}, -1),
+        taylor_term=exp_poly_taylor({1: Fraction(-1)}, {0: Fraction(1)}),
         domain_c=None,
         tolerance=1e-24,
         tail_constants=(1.0, 1.0, 0.0),
@@ -397,7 +358,7 @@ def _ei_integrand_entry() -> CatalogFunction:
         name="ei_integrand",
         transseries=ts,
         oracle=lambda x: mp.exp(mp.mpf(x)) / mp.mpf(x),
-        taylor_term=_exp_laurent_taylor({-1: Fraction(1)}, +1),
+        taylor_term=exp_poly_taylor({1: Fraction(1)}, {-1: Fraction(1)}),
         domain_c=0.0,
         tolerance=1e-24,
         tail_constants=(1.0, 1.0, 0.0),
@@ -405,12 +366,12 @@ def _ei_integrand_entry() -> CatalogFunction:
 
 
 def _ei_entry() -> CatalogFunction:
-    ts = from_plus_term(1, 0, _series("ei"))
+    ts = from_plus_term(1, 0, named_series("ei"))
     return CatalogFunction(
         name="ei",
         transseries=ts,
         oracle=ei_oracle,
-        taylor_term=_ei_taylor(),
+        taylor_term=shifted_taylor(_ei_integrand_entry().taylor_term, ei_oracle, None),
         kernels={"ei": KernelEntry(pole_kernel(1), m=1)},
         domain_c=0.0,
         tolerance=1e-10,
@@ -428,41 +389,22 @@ def _erfi_integrand_entry() -> CatalogFunction:
         transseries=ts,
         crit_power=Fraction(2),
         oracle=lambda x: mp.exp(mp.mpf(x) ** 2),
-        taylor_term=_erfi_integrand_taylor(),
+        taylor_term=exp_poly_taylor({2: Fraction(1)}, {0: Fraction(1)}),
         domain_c=None,
         tolerance=1e-24,
         tail_constants=(1.0, 1.0, 0.0),
     )
 
 
-def _erfi_integrand_taylor():
-    cache = [{0: Fraction(1)}]
-
-    def polys(k: int) -> dict:
-        while len(cache) <= k:
-            h = cache[-1]
-            two_x_h = {j + 1: 2 * c for j, c in h.items()}
-            cache.append(_laurent_add(_laurent_diff(h), two_x_h))
-        return cache[k]
-
-    def taylor(x0, k) -> TaylorTerm:
-        h = polys(k)
-        if isinstance(x0, Fraction):
-            return ("exact", Prefactor.of(1, e=x0 * x0), _laurent_eval(h, x0) / factorial(k))
-        x0m = mp.mpf(x0)
-        return ("num", mp.exp(x0m**2) * _laurent_eval(h, x0m) / mp.factorial(k))
-
-    return taylor
-
-
 def _erfi_integral_entry() -> CatalogFunction:
-    ts = from_plus_term(1, Fraction(1, 2), _series("erfi"))
+    ts = from_plus_term(1, Fraction(1, 2), named_series("erfi"))
+    at_zero = lambda q: (Prefactor.one(), Fraction(0)) if q == 0 else None  # noqa: E731
     return CatalogFunction(
         name="erfi_integral",
         transseries=ts,
         crit_power=Fraction(2),
         oracle=erfi_integral_oracle,
-        taylor_term=_erfi_taylor(),
+        taylor_term=shifted_taylor(_erfi_integrand_entry().taylor_term, erfi_integral_oracle, at_zero),
         kernels={"erfi": KernelEntry(sqrt_branch_kernel(1, Fraction(1, 2)), m=0)},
         domain_c=None,
         tolerance=1e-12,
@@ -470,7 +412,7 @@ def _erfi_integral_entry() -> CatalogFunction:
         tail_constants=(1.0, 1.0, 0.0),
         antiderivative_of="erfi_integrand",
         derivative_name="erfi_integrand",
-        exact_value=lambda q: (Prefactor.one(), Fraction(0)) if q == 0 else None,
+        exact_value=at_zero,
     )
 
 
@@ -505,7 +447,7 @@ def _airy_entry(kind: str) -> CatalogFunction:
 
 def _loggamma_entry() -> CatalogFunction:
     ts = assemble(
-        [Group(Fraction(0), Fraction(0), _series("stirling"))],
+        [Group(Fraction(0), Fraction(0), named_series("stirling"))],
         LogPart(P=(Fraction(-1, 2), Fraction(1)), Q=(Fraction(0), Fraction(-1))),
     )
     return CatalogFunction(
@@ -535,7 +477,7 @@ def _gamma_entry() -> CatalogFunction:
 
 
 def _gamma_taylor(x0, k) -> TaylorTerm:
-    x0m = mp.mpf(float(x0))
+    x0m = _to_mpf(x0)
     return ("num", mp.diff(mp.gamma, x0m, k) / mp.factorial(k))
 
 
@@ -549,7 +491,7 @@ def monomial_entry(n: int) -> CatalogFunction:
         name=f"monomial_{n}",
         transseries=ts,
         oracle=lambda x, n=n: mp.mpf(x) ** n,
-        taylor_term=_monomial_taylor(n),
+        taylor_term=exp_poly_taylor({}, {n: Fraction(1)}),
         domain_c=None,
         tolerance=1e-24,
         tail_constants=(1.0, 1.0, 0.0),
@@ -563,7 +505,7 @@ def _exp_neg_over_x_entry() -> CatalogFunction:
         name="exp_neg_over_x",
         transseries=ts,
         oracle=lambda x: mp.exp(-mp.mpf(x)) / mp.mpf(x),
-        taylor_term=_exp_laurent_taylor({-1: Fraction(1)}, -1),
+        taylor_term=exp_poly_taylor({1: Fraction(-1)}, {-1: Fraction(1)}),
         domain_c=0.0,
         tolerance=1e-24,
         tail_constants=(1.0, 1.0, 0.0),

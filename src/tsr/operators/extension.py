@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, takewhile
 from typing import Optional, Union
 
 import mpmath as mp
@@ -21,7 +22,7 @@ from ..errors import UnsupportedPointError
 from ..resummation import QuadratureConfig
 from ..surreal import LazyNF, SurrealNF, nf_cmp
 from ..transseries import TransseriesT1, ts_antidiff
-from .catalog import CatalogFunction, catalog, monomial_entry
+from .catalog import CatalogFunction, catalog, monomial_entry, shifted_taylor
 from .prefactor import Prefactor
 from .tau import SurrealPoint, SurrealValue, ValueGroup, tau_eval
 
@@ -110,10 +111,8 @@ def _extend_finite(f: CatalogFunction, point: SurrealPoint, terms: int, cfg: Qua
     """Taylor series in the infinitesimal part, Conway-convergent by design."""
     x0, zeta = point.real, point.zeta
     f.check_domain(float(x0))
-    probe = f.taylor_term(x0, 0)
-    exact = probe[0] == "exact"
     kinds = [f.taylor_term(x0, k) for k in range(terms + 2)]
-    if exact and all(t[0] == "exact" for t in kinds):
+    if all(t[0] == "exact" for t in kinds):
         prefs = {t[1] for t in kinds if t[2] != 0}
         if len(prefs) <= 1:
             pref = prefs.pop() if prefs else Prefactor.one()
@@ -179,18 +178,10 @@ def exp_surreal_value(v: SurrealValue) -> SurrealValue:
         return SurrealValue([ValueGroup(pref, LazyNF.from_nf(one()))])
 
     # split the stream: purely infinite head must be finite, the rest splits
-    head_terms = []
-    i = 0
-    while True:
-        t = main.term(i)
-        if t is None:
-            break
-        if nf_cmp(t[0], SurrealNF.zero()) != 1:
-            break
-        head_terms.append(t)
-        i += 1
-        if i > 64:
-            raise UnsupportedPointError("purely infinite part does not terminate")
+    head_terms = list(takewhile(lambda t: nf_cmp(t[0], SurrealNF.zero()) == 1, islice(main, 65)))
+    if len(head_terms) > 64:
+        raise UnsupportedPointError("purely infinite part does not terminate")
+    i = len(head_terms)
     real_t = main.term(i)
     real = Fraction(0)
     if real_t is not None and real_t[0].is_zero():
@@ -203,18 +194,7 @@ def exp_surreal_value(v: SurrealValue) -> SurrealValue:
     if real:
         pref = pref * exp_prefactor(real)
 
-    tail_start = i
-
-    def small_gen():
-        j = tail_start
-        while True:
-            t = main.term(j)
-            if t is None:
-                return
-            yield t
-            j += 1
-
-    small = LazyNF(small_gen)
+    small = LazyNF(lambda: islice(main, i, None))
     if small.term(0) is None:
         return SurrealValue([ValueGroup(pref, LazyNF.from_nf(SurrealNF.monomial(lead)))])
     stream = exp_lazy_infinitesimal(small).shift(lead)
@@ -234,27 +214,17 @@ def exp_lazy_infinitesimal(z: LazyNF) -> LazyNF:
             zn = z.truncate(n)
             nxt = z.term(n)
             if zn.is_zero():
-                yield from iter(LazyNF.from_nf(SurrealNF.from_rational(1)))
+                yield from SurrealNF.from_rational(1).terms
                 return
-            stream = exp_infinitesimal(zn)
+            # the first `emitted` terms are final: this longer truncation repeats them
+            rest = islice(exp_infinitesimal(zn), emitted, None)
             if nxt is None:
-                i = 0
-                while True:
-                    t = stream.term(i)
-                    if t is None:
-                        return
-                    yield t
-                    i += 1
+                yield from rest
+                return
             # terms above the first dropped exponent are final
-            cutoff = nxt[0]
-            idx = emitted
-            while True:
-                t = stream.term(idx)
-                if t is None or nf_cmp(t[0], cutoff) != 1:
-                    break
+            for t in takewhile(lambda t: nf_cmp(t[0], nxt[0]) == 1, rest):
                 yield t
-                idx += 1
-            emitted = idx
+                emitted += 1
             n *= 2
 
     return LazyNF(gen)
@@ -361,7 +331,7 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
         name=f"antidiff({f.name})",
         transseries=anti_ts,
         oracle=oracle,
-        taylor_term=_shifted_taylor(f, oracle),
+        taylor_term=shifted_taylor(f.taylor_term, oracle, None),
         kernels=dict(f.kernels),
         domain_c=f.domain_c,
         tolerance=max(f.tolerance, 1e-9),
@@ -369,18 +339,6 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
         derivative_name=f.name,
     )
     return anti_entry
-
-
-def _shifted_taylor(f: CatalogFunction, oracle):
-    def taylor(x0, k):
-        if k == 0:
-            return ("num", oracle(mp.mpf(float(x0))))
-        t = f.taylor_term(x0, k - 1)
-        if t[0] == "exact":
-            return ("exact", t[1], t[2] / k)
-        return ("num", t[1] / k)
-
-    return taylor
 
 
 def scale_entry(f: CatalogFunction, c: Fraction) -> CatalogFunction:

@@ -298,13 +298,3 @@ def integral_laws(
         report.record("g_positive", val > 0 and _mixed_sign(surreal) >= 0)
     return report
 
-
-def existint_suite(
-    f: CatalogFunction = None,
-    g: CatalogFunction = None,
-    a: float = 2.0,
-    b: float = 4.0,
-    cfg: QuadratureConfig = None,
-) -> LawReport:
-    """Integral-operator checks for a pair of entries, bundled as a report."""
-    return integral_laws(cfg, f=f, g=g, a=a, b=b)

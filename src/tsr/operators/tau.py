@@ -17,9 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterator, Optional
 
 from ..errors import UnsupportedPointError
+from ..stream import Stream
 from ..surreal import (
     GT,
     LT,
@@ -256,22 +259,14 @@ class PointData:
     t0_lead_exp: Fraction  # t0 = r1 * w^(e1) * (1 + u)
     t0_lead_coef: Fraction
     u: SurrealNF  # exact infinitesimal tilt (finite normal form)
-    _u_powers: tuple = field(default=(), init=False, repr=False, compare=False)
+    _u_powers: Stream = field(init=False, repr=False, compare=False)
 
-    def u_powers(self, n: int) -> tuple[SurrealNF, ...]:
-        """(u^0, ..., u^m) with m >= n, computed once and shared by every caller.
+    def __post_init__(self):
+        self._u_powers = Stream(lambda: accumulate(repeat(self.u), mul, initial=one()))
 
-        A longer tuple is built locally and then published whole, so threads
-        pulling different streams of one value never see a half-grown list.
-        """
-        powers = self._u_powers
-        if len(powers) <= n:
-            grown = list(powers) or [one()]
-            while len(grown) <= n:
-                grown.append(grown[-1] * self.u)
-            powers = tuple(grown)
-            self._u_powers = powers
-        return powers
+    def u_powers(self, n: int) -> list[SurrealNF]:
+        """(u^0, ..., u^n), computed once per point and shared by every caller."""
+        return self._u_powers.head(n + 1)
 
 
 def analyze_point(nu: SurrealNF, *, crit_coef: Fraction = Fraction(1), crit_power: Fraction = Fraction(1)) -> PointData:

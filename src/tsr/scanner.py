@@ -1,0 +1,68 @@
+"""The text scanner shared by the normal-form and transseries grammars."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .errors import ExpressionSyntaxError
+
+
+class Scanner:
+    """A cursor over ``text`` that skips whitespace before every token."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        """The next character, or "" at the end of the text."""
+        self.skip()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def startswith(self, word: str) -> bool:
+        self.skip()
+        return self.text.startswith(word, self.pos)
+
+    def take(self, word: str) -> bool:
+        if self.startswith(word):
+            self.pos += len(word)
+            return True
+        return False
+
+    def expect(self, word: str):
+        if not self.take(word):
+            raise ExpressionSyntaxError(f"expected {word!r}", self.pos)
+
+    def rational(self) -> Fraction:
+        """An optionally signed integer, or n/d when a digit follows the slash."""
+        self.skip()
+        start = self.pos
+        if self.text.startswith(("+", "-"), self.pos):
+            self.pos += 1
+        digits = self.pos
+        self._skip_digits()
+        if self.pos == digits:
+            raise ExpressionSyntaxError("expected number", self.pos)
+        num = int(self.text[start : self.pos])
+        slash = self.pos
+        if self.text.startswith("/", slash):
+            self.pos += 1
+            self._skip_digits()
+            if self.pos > slash + 1:
+                return Fraction(num, int(self.text[slash + 1 : self.pos]))
+            self.pos = slash  # a division, not part of the number
+        return Fraction(num)
+
+    def finish(self):
+        """Raise unless only whitespace is left."""
+        self.skip()
+        if self.pos != len(self.text):
+            raise ExpressionSyntaxError("trailing input", self.pos)
+
+    def _skip_digits(self):
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1

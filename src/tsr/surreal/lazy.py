@@ -11,12 +11,12 @@ schedule; an observed change raises :class:`NotStabilizedError`.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from ..errors import NotStabilizedError
-from .normal_form import LT, SurrealNF, nf_cmp
+from ..stream import Stream
+from .normal_form import GT, LT, SurrealNF, nf_cmp
 
 Term = tuple[SurrealNF, Fraction]
 
@@ -29,11 +29,7 @@ class LazyNF:
     """
 
     def __init__(self, gen_fn: Callable[[], Iterator[Term]]):
-        self._gen_fn = gen_fn
-        self._cache: list[Term] = []
-        self._iter: Iterator[Term] | None = None
-        self._done = False
-        self._lock = threading.RLock()  # generators are not re-entrant
+        self._terms = Stream(lambda: _checked(gen_fn()))
 
     @classmethod
     def from_nf(cls, a: SurrealNF) -> "LazyNF":
@@ -44,47 +40,24 @@ class LazyNF:
         terms = list(terms)
         return cls(lambda: iter(terms))
 
-    def _ensure(self, n: int) -> None:
-        if self._done or len(self._cache) >= n:
-            return
-        with self._lock:
-            if self._iter is None:
-                self._iter = self._gen_fn()
-            while not self._done and len(self._cache) < n:
-                try:
-                    e, c = next(self._iter)
-                except StopIteration:
-                    self._done = True
-                    return
-                if c == 0:
-                    continue
-                if self._cache and nf_cmp(e, self._cache[-1][0]) != LT:
-                    raise ValueError(f"exponents not strictly decreasing at term {len(self._cache)}")
-                self._cache.append((e, Fraction(c)))
-
     def term(self, i: int) -> Term | None:
-        self._ensure(i + 1)
-        return self._cache[i] if i < len(self._cache) else None
+        try:
+            return self._terms[i]
+        except IndexError:
+            return None
 
     def terms(self, n: int) -> list[Term]:
-        self._ensure(n)
-        return list(self._cache[:n])
+        return self._terms.head(n)
 
     def truncate(self, n: int) -> SurrealNF:
         """First n terms as an exact normal form."""
         return SurrealNF(tuple(self.terms(n)), _normalized=True)
 
     def is_finite_known(self) -> bool:
-        return self._done
+        return self._terms.done
 
     def __iter__(self) -> Iterator[Term]:
-        i = 0
-        while True:
-            t = self.term(i)
-            if t is None:
-                return
-            yield t
-            i += 1
+        return iter(self._terms)
 
     def scale(self, c: Fraction) -> "LazyNF":
         c = Fraction(c)
@@ -98,23 +71,19 @@ class LazyNF:
 
     def __add__(self, other: "LazyNF") -> "LazyNF":
         def gen():
-            ia, ib = 0, 0
-            while True:
-                ta, tb = self.term(ia), other.term(ib)
-                if ta is None and tb is None:
-                    return
-                if tb is None or (ta is not None and nf_cmp(ta[0], tb[0]) == 1):
+            a, b = iter(self), iter(other)
+            ta, tb = next(a, None), next(b, None)
+            while ta or tb:
+                order = LT if ta is None else GT if tb is None else nf_cmp(ta[0], tb[0])
+                if order == GT:
                     yield ta
-                    ia += 1
-                elif ta is None or nf_cmp(ta[0], tb[0]) == LT:
+                    ta = next(a, None)
+                elif order == LT:
                     yield tb
-                    ib += 1
-                else:
-                    s = ta[1] + tb[1]
-                    if s != 0:
-                        yield (ta[0], s)
-                    ia += 1
-                    ib += 1
+                    tb = next(b, None)
+                else:  # a zero sum is dropped by the stream
+                    yield (ta[0], ta[1] + tb[1])
+                    ta, tb = next(a, None), next(b, None)
 
         return LazyNF(gen)
 
@@ -129,6 +98,18 @@ class LazyNF:
         if self.term(n_terms) is not None:
             text += " + ..."
         return text
+
+
+def _checked(terms: Iterator[Term]) -> Iterator[Term]:
+    """Drop zero coefficients and insist on strictly decreasing exponents."""
+    prev, n = None, 0
+    for e, c in terms:
+        if c == 0:
+            continue
+        if n and nf_cmp(e, prev) != LT:
+            raise ValueError(f"exponents not strictly decreasing at term {n}")
+        prev, n = e, n + 1
+        yield (e, Fraction(c))
 
 
 Schedule = Iterable[tuple[SurrealNF, int]]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import ExpressionSyntaxError
+from ..scanner import Scanner
 from .normal_form import SurrealNF
 
 
@@ -55,63 +56,14 @@ def render_nf(a: SurrealNF, *, compact: bool = False) -> str:
     return "".join(parts)
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise ExpressionSyntaxError(f"expected {ch!r}", self.pos)
-
-    def number(self) -> Fraction:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits0 = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits0:
-            raise ExpressionSyntaxError("expected number", self.pos)
-        num = int(self.text[start : self.pos])
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            save = self.pos
-            self.pos += 1
-            d0 = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == d0:
-                self.pos = save
-                return Fraction(num)
-            return Fraction(num, int(self.text[d0 : self.pos]))
-        return Fraction(num)
-
-
 def parse_nf(text: str) -> SurrealNF:
-    sc = _Scanner(text)
+    sc = Scanner(text)
     value = _parse_sum(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ExpressionSyntaxError("trailing input", sc.pos)
+    sc.finish()
     return value
 
 
-def _parse_sum(sc: _Scanner) -> SurrealNF:
+def _parse_sum(sc: Scanner) -> SurrealNF:
     negate = False
     if sc.take("-"):
         negate = True
@@ -129,11 +81,11 @@ def _parse_sum(sc: _Scanner) -> SurrealNF:
             return total
 
 
-def _parse_term(sc: _Scanner) -> SurrealNF:
+def _parse_term(sc: Scanner) -> SurrealNF:
     ch = sc.peek()
     if ch == "w":
         return _parse_monomial(sc, Fraction(1))
-    coef = sc.number()
+    coef = sc.rational()
     if sc.take("*"):
         if sc.peek() != "w":
             raise ExpressionSyntaxError("expected w after *", sc.pos)
@@ -141,7 +93,7 @@ def _parse_term(sc: _Scanner) -> SurrealNF:
     return SurrealNF.from_rational(coef)
 
 
-def _parse_monomial(sc: _Scanner, coef: Fraction) -> SurrealNF:
+def _parse_monomial(sc: Scanner, coef: Fraction) -> SurrealNF:
     sc.expect("w")
     if not sc.take("^"):
         return SurrealNF.monomial(SurrealNF.from_rational(1), coef)
@@ -154,9 +106,9 @@ def _parse_monomial(sc: _Scanner, coef: Fraction) -> SurrealNF:
         sc.expect("w")
         expo = SurrealNF.monomial(SurrealNF.from_rational(1))
     else:
-        expo = SurrealNF.from_rational(sc.number())
+        expo = SurrealNF.from_rational(sc.rational())
     mono = SurrealNF.monomial(expo, coef)
     # allow coefficient written after the monomial, per the w^(E)*C shape
     if sc.take("*"):
-        mono = mono * SurrealNF.from_rational(sc.number())
+        mono = mono * SurrealNF.from_rational(sc.rational())
     return mono

@@ -69,9 +69,6 @@ class SignExpansion:
     def birthday(self) -> int:
         return len(self.signs)
 
-    def is_initial_segment_of(self, other: "SignExpansion") -> bool:
-        return len(self) < len(other) and other.signs[: len(self)] == self.signs
-
     def append(self, sign: int) -> "SignExpansion":
         return SignExpansion(self.signs + (sign,))
 
@@ -234,10 +231,6 @@ def _add(x: SignExpansion, y: SignExpansion) -> SignExpansion:
     right = [_add(xr, y) for xr in x.right_options()]
     right += [_add(x, yr) for yr in y.right_options()]
     return simplest_between(left, right)
-
-
-def genetic_neg(x: SignExpansion) -> SignExpansion:
-    return -x
 
 
 def genetic_mul(x: SignExpansion, y: SignExpansion) -> SignExpansion:

@@ -155,6 +155,9 @@ def _antidiff_group(g: Group) -> Group:
             return (y.coeff(l) + (l - 1 - b) * prev) / mu
 
         w = PowerSeries.from_recurrence(y.coeff(1) / mu, step)
+    if y.length is not None and b.denominator == 1 and b >= max(y.length, 1):
+        # the factor b - (l-1) vanishes at l = b+1 where y has ended: w stops there
+        w.length = int(b)
     return Group(mu, b, w)
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..errors import ExpressionSyntaxError, GridMergeError
+from ..scanner import Scanner
 from .grid import Group, GridMinus, LogPart, PlusTerm, TransseriesT1, assemble, groups_of
 from .series import PowerSeries
 
@@ -45,63 +46,14 @@ class _Raw:
         return _Raw(1 / self.coef, -self.mu, -self.pow, 0, None)
 
 
-class _Tok:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def startswith(self, word: str) -> bool:
-        self.skip()
-        return self.text.startswith(word, self.pos)
-
-    def take(self, word: str) -> bool:
-        if self.startswith(word):
-            self.pos += len(word)
-            return True
-        return False
-
-    def expect(self, word: str):
-        if not self.take(word):
-            raise ExpressionSyntaxError(f"expected {word!r}", self.pos)
-
-    def rational(self) -> Fraction:
-        self.skip()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        d0 = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == d0:
-            raise ExpressionSyntaxError("expected number", self.pos)
-        num = int(self.text[start : self.pos])
-        if self.pos < len(self.text) and self.text[self.pos] == "/" and self.pos + 1 < len(self.text) and self.text[self.pos + 1].isdigit():
-            self.pos += 1
-            d1 = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return Fraction(num, int(self.text[d1 : self.pos]))
-        return Fraction(num)
-
-
 def ts_parse(text: str, *, max_generators: int = 8) -> TransseriesT1:
-    tok = _Tok(text)
+    tok = Scanner(text)
     terms = _parse_sum(tok)
-    tok.skip()
-    if tok.pos != len(tok.text):
-        raise ExpressionSyntaxError("trailing input", tok.pos)
+    tok.finish()
     return _assemble_raw(terms, max_generators=max_generators)
 
 
-def _parse_sum(tok: _Tok) -> list[_Raw]:
+def _parse_sum(tok: Scanner) -> list[_Raw]:
     out: list[_Raw] = []
     sign = Fraction(-1) if tok.take("-") else Fraction(1)
     out += [replace(t, coef=t.coef * sign) for t in _parse_product(tok)]
@@ -114,7 +66,7 @@ def _parse_sum(tok: _Tok) -> list[_Raw]:
             return out
 
 
-def _parse_product(tok: _Tok) -> list[_Raw]:
+def _parse_product(tok: Scanner) -> list[_Raw]:
     terms = _parse_factor(tok)
     while True:
         if tok.take("*"):
@@ -133,7 +85,7 @@ def _cross(a: list[_Raw], b: list[_Raw]) -> list[_Raw]:
     return [ta.mul(tb) for ta in a for tb in b]
 
 
-def _parse_factor(tok: _Tok) -> list[_Raw]:
+def _parse_factor(tok: Scanner) -> list[_Raw]:
     terms = _parse_atom(tok)
     if tok.take("^"):
         pos = tok.pos
@@ -157,7 +109,7 @@ def _parse_factor(tok: _Tok) -> list[_Raw]:
     return terms
 
 
-def _parse_atom(tok: _Tok) -> list[_Raw]:
+def _parse_atom(tok: Scanner) -> list[_Raw]:
     ch = tok.peek()
     if ch == "(":
         tok.expect("(")
@@ -197,7 +149,7 @@ def _parse_atom(tok: _Tok) -> list[_Raw]:
     raise ExpressionSyntaxError("expected an atom", tok.pos)
 
 
-def _parse_linear_arg(tok: _Tok) -> Fraction:
+def _parse_linear_arg(tok: Scanner) -> Fraction:
     """The exp argument: r*x with optional rational r (including -x, x)."""
     if tok.take("x"):
         return Fraction(1)

@@ -7,11 +7,12 @@ All operations are exact; memoization is recomputation-safe.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Optional, Sequence
 
 from ..errors import UndecidableSupport
+from ..stream import Stream
 
 KIND_FINITE = "finite"
 KIND_CLOSED = "closed-form"
@@ -32,9 +33,7 @@ class PowerSeries:
         length: Optional[int] = None,
         known_order: Optional[int] = None,
     ):
-        self._fn = coeff_fn
-        self._cache: list[Fraction] = []
-        self._lock = threading.Lock()  # memoization is share-safe
+        self._coeffs = Stream(lambda: map(lambda l: Fraction(coeff_fn(l)), count(1)))
         self.kind = kind
         self.length = length  # greatest possibly-nonzero index for finite series
         self.known_order = known_order
@@ -74,11 +73,7 @@ class PowerSeries:
             raise IndexError("series indices start at 1")
         if self.length is not None and l > self.length:
             return Fraction(0)
-        if len(self._cache) < l:
-            with self._lock:
-                while len(self._cache) < l:
-                    self._cache.append(Fraction(self._fn(len(self._cache) + 1)))
-        return self._cache[l - 1]
+        return self._coeffs[l - 1]
 
     def coeffs(self, n: int) -> list[Fraction]:
         return [self.coeff(l) for l in range(1, n + 1)]
@@ -188,36 +183,12 @@ class PowerSeries:
         length = None if self.length is None else self.length + 1
         return PowerSeries(fn, kind=_join_kind(self), length=length)
 
-    def shift_argument(self, s: Fraction) -> "PowerSeries":
-        """Re-expansion of y(x + s) in powers of 1/x."""
-        s = Fraction(s)
-        if s == 0:
-            return self
-
-        def fn(j: int) -> Fraction:
-            # x^(-l) re-expands with binom(-l, i) s^i x^(-l-i)
-            total = Fraction(0)
-            for l in range(1, j + 1):
-                c = self.coeff(l)
-                if c == 0:
-                    continue
-                total += c * _binom_general(Fraction(-l), j - l) * s ** (j - l)
-            return total
-
-        return PowerSeries(fn, kind=_join_kind(self), length=None if self.length is None else None)
-
     @classmethod
     def from_recurrence(cls, first: Fraction, step: Callable[[int, Fraction], Fraction]) -> "PowerSeries":
         """w_1 = first, w_l = step(l, w_(l-1)) for l >= 2, memoized."""
-        cache = [Fraction(first)]
-
-        def fn(l: int) -> Fraction:
-            while len(cache) < l:
-                j = len(cache) + 1
-                cache.append(Fraction(step(j, cache[-1])))
-            return cache[l - 1]
-
-        return cls(fn, kind=KIND_RECURRENCE)
+        # w_(l-1) is already memoized when w_l is computed
+        series = cls(lambda l: first if l == 1 else step(l, series.coeff(l - 1)), kind=KIND_RECURRENCE)
+        return series
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs(4))
@@ -228,10 +199,3 @@ def _join_kind(*series: "PowerSeries") -> str:
     if all(s.kind == KIND_FINITE for s in series):
         return KIND_CLOSED  # derived, no longer a plain list
     return KIND_RECURRENCE if any(s.kind == KIND_RECURRENCE for s in series) else KIND_CLOSED
-
-
-def _binom_general(a: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= (a - i) / (i + 1)
-    return out

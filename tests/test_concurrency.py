@@ -125,3 +125,45 @@ def test_pade_coefficients_convert_race_free():
             finally:
                 sys.setswitchinterval(interval)
             assert len(results) == 4 and all(r == serial for r in results)
+
+
+def _pull_together(pull, workers: int = 4, interval: float = 1e-6) -> list:
+    """Run pull(0..workers-1) in threads released at once, with short switches."""
+    start = threading.Barrier(workers, timeout=60)
+
+    def run(k: int):
+        start.wait()
+        return pull(k)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(interval)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(run, range(workers), timeout=120))
+    finally:
+        sys.setswitchinterval(previous)
+    assert len(results) == workers
+    return results
+
+
+def test_taylor_facility_concurrent_pull():
+    from tsr.operators.catalog import _erfi_integrand_entry
+
+    half = F(1, 2)
+    serial = [_erfi_integrand_entry().taylor_term(half, k) for k in range(40)]
+    for _ in range(5):  # the race is in growing the polynomials: fresh each round
+        taylor = _erfi_integrand_entry().taylor_term
+        results = _pull_together(lambda _: [taylor(half, k) for k in range(40)])
+        assert all(r == serial for r in results)
+
+
+def test_recurrence_series_concurrent_pull():
+    def step(l: int, prev: F) -> F:
+        return (l * prev + 1) / (l + 1)
+
+    serial = PowerSeries.from_recurrence(F(1, 2), step).coeffs(60)
+    for _ in range(5):
+        series = PowerSeries.from_recurrence(F(1, 2), step)
+        # each thread starts at a different index, so they grow it together
+        results = _pull_together(lambda k: {l: series.coeff(l) for l in [*range(15 * k + 1, 61), *range(1, 15 * k + 1)]})
+        assert all([r[l] for l in range(1, 61)] == serial for r in results)

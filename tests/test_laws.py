@@ -18,10 +18,9 @@ def test_integral_laws():
     assert report.passed, report.summary()
 
 
-def test_existint_suite_with_explicit_entries():
+def test_integral_laws_with_explicit_entries():
     from tsr.operators import catalog
-    from tsr.operators.laws import existint_suite
 
     reg = catalog()
-    report = existint_suite(f=reg["exp"], g=reg["ei_integrand"], a=1.0, b=3.0)
+    report = integral_laws(f=reg["exp"], g=reg["ei_integrand"], a=1.0, b=3.0)
     assert report.passed, report.summary()

@@ -1,5 +1,7 @@
 """Extension operator, tau map, catalog entries, and A_No."""
 
+import contextlib
+import signal
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -159,6 +161,24 @@ class TestCatalog:
         assert man["airy_ai"]["critical_time"] == {"coef": "2/3", "power": "3/2"}
 
 
+    def test_gamma_eb_value_at_requested_precision(self):
+        gamma, loggamma = catalog()["gamma"], catalog()["loggamma"]
+        cfg = QuadratureConfig(precision=30)
+        val, err = gamma.eb_value(15.3, cfg)
+        assert val._mpf_[3] >= mp.libmp.dps_to_prec(30)  # mantissa bits
+        with mp.workdps(30):
+            assert val == mp.exp(loggamma.eb_value(15.3, cfg)[0])
+        with mp.workdps(40):
+            # the loggamma Pade sum it exponentiates is good to about 16 digits
+            assert abs(val / mp.gamma(mp.mpf(15.3)) - 1) < mp.mpf(10) ** -15 <= err
+
+    def test_erfi_integral_value_term_keeps_precision(self):
+        with mp.workdps(50):
+            kind, value = catalog()["erfi_integral"].taylor_term(F(1, 3), 0)
+            reference = catalog()["erfi_integral"].oracle(mp.mpf(1) / 3)
+            assert kind == "num" and abs(value - reference) < mp.mpf(10) ** -45 * abs(reference)
+
+
 class TestExtend:
     def test_real_point_oracle(self):
         v = extend(catalog()["ei"], F(5), 4)
@@ -264,3 +284,47 @@ class TestIntegrate:
             bc = integrate(f, 2, 3, 4)
             ac = integrate(f, 1, 3, 4)
             assert abs((ab + bc) - ac) < 1e-12
+
+
+@contextlib.contextmanager
+def time_budget(seconds: float):
+    """Raise TimeoutError in this (main) thread if the block runs too long."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "point, text",
+    [
+        ("w", "-w^(-w)"),
+        ("2*w+1", "e^(-1)*(-w^(-2*w))"),
+        ("w-3", "e^(3)*(-w^(-w))"),
+        ("1/2*w", "-w^(-1/2*w)"),
+    ],
+)
+def test_exp_neg_from_two_to_infinite_point_returns(point, text):
+    # A_No exp_neg = -e^(-x) has one term; its stream must end, not search on
+    with time_budget(10.0):
+        value = integrate(catalog()["exp_neg"], 2, parse_nf(point), 8)
+        assert value.render(8) == f"{text} + 0.135335283237"
+    assert abs(value.offset - mp.exp(-2)) < 1e-15
+
+
+def test_exp_of_lazy_infinitesimal_longer_than_first_window():
+    from tsr.operators.extension import exp_lazy_infinitesimal
+    from tsr.operators.tau import exp_infinitesimal
+    from tsr.surreal import LazyNF
+
+    # six terms: the first truncation (four terms) drops two, the next keeps all
+    z = SurrealNF([(SurrealNF.from_rational(-k), F(1)) for k in range(1, 7)])
+    got = exp_lazy_infinitesimal(LazyNF.from_nf(z)).truncate(12)
+    assert got == exp_infinitesimal(z).truncate(12)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from tsr.errors import ExpressionSyntaxError, GridMergeError
+from tsr.surreal import parse_nf
 from tsr.transseries import eq_to_order, ts_from_json, ts_parse, ts_print, ts_to_json
 
 
@@ -93,3 +94,25 @@ class TestJson:
         assert obj["plus"][0]["series"] == {"oracle": "ei", "order": 16}
         back = ts_from_json(obj)
         assert back.plus.terms[0].series.coeffs(5) == [1, 1, 2, 6, 24]
+
+
+@pytest.mark.parametrize(
+    "parse, text, pos",
+    [
+        (ts_parse, "x^", 2),
+        (ts_parse, "exp(x) + ", 9),
+        (ts_parse, "-", 1),
+        (ts_parse, "series![1,", 10),
+        (ts_parse, "x)", 1),
+        (parse_nf, "w^", 2),
+        (parse_nf, "w + ", 4),
+        (parse_nf, "w^(1", 4),
+        (parse_nf, "w)", 1),
+    ],
+)
+def test_parse_error_position_at_end_of_input(parse, text, pos):
+    # both grammars share one scanner: a missing number at the end of the
+    # text is reported at the end, not one past it
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(text)
+    assert err.value.pos == pos <= len(text)
