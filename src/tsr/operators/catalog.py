@@ -118,26 +118,49 @@ class CatalogFunction:
 # -- oracles --------------------------------------------------------------------
 
 
-def ei_oracle(x):
+def _expm1_over(ctx):
+    return lambda s: ctx.expm1(s) / s if s != 0 else ctx.mpf(1)
+
+
+class EiOracle:
     """Ei(x) = PV integral(e^s/s, s = -oo..x), by principal-value quadrature.
 
     Split: the PV over [-1, 1] is integral((e^s - 1)/s) since PV of 1/s
-    vanishes; the log endpoint contributes ln(x) for x < 1.
+    vanishes; the log endpoint contributes ln(x) for x < 1.  The two pieces
+    that do not depend on x, integral(-oo..-1) and the PV over [-1, 1], are
+    memoized per binary precision (a nested ``mp.quad`` works 20 bits
+    higher, so each nesting level has its own entry).  They are computed in
+    a private ``MPContext`` at the precision of the key, so a thread that
+    changes the global precision meanwhile cannot store a wrong value, and
+    threads that race on a cold key store equal values.
     """
-    x = mp.mpf(x)
-    if x <= 0:
-        raise DomainError("Ei oracle implemented for x > 0")
 
-    def expm1_over(s):
-        return mp.expm1(s) / s if s != 0 else mp.mpf(1)
+    def __init__(self):
+        self._constants: dict[int, tuple] = {}  # prec -> (left, mid)
 
-    left = mp.quad(lambda u: -mp.exp(-u) / u, [1, mp.inf])  # integral(-oo..-1)
-    if x >= 1:
-        mid = mp.quad(expm1_over, [-1, 0, 1])
-        right = mp.quad(lambda s: mp.exp(s) / s, [1, x]) if x > 1 else mp.mpf(0)
-        return left + mid + right
-    mid = mp.quad(expm1_over, [-1, 0, x])
-    return left + mid + mp.log(x)
+    def constants(self, prec: int) -> tuple:
+        hit = self._constants.get(prec)
+        if hit is None:
+            ctx = mp.MPContext()
+            ctx.prec = prec
+            left = ctx.quad(lambda u: -ctx.exp(-u) / u, [1, ctx.inf])  # integral(-oo..-1)
+            mid = ctx.quad(_expm1_over(ctx), [-1, 0, 1])
+            hit = self._constants.setdefault(prec, (mp.make_mpf(left._mpf_), mp.make_mpf(mid._mpf_)))
+        return hit
+
+    def __call__(self, x):
+        x = mp.mpf(x)
+        if x <= 0:
+            raise DomainError("Ei oracle implemented for x > 0")
+        left, mid = self.constants(mp.mp.prec)
+        if x >= 1:
+            right = mp.quad(lambda s: mp.exp(s) / s, [1, x]) if x > 1 else mp.mpf(0)
+            return left + mid + right
+        mid = mp.quad(_expm1_over(mp), [-1, 0, x])
+        return left + mid + mp.log(x)
+
+
+ei_oracle = EiOracle()
 
 
 def erfi_integral_oracle(x):
@@ -319,6 +342,26 @@ def _loggamma_taylor(x0, k) -> TaylorTerm:
     return ("num", mp.psi(k - 1, x0m) / mp.factorial(k))
 
 
+def exp_of_taylor(inner: Callable, oracle: Callable) -> Callable:
+    """Taylor facility of f = e^g from the numeric one of g and f's oracle.
+
+    With l_j = g^(j)(x0)/j!, f(x0 + h)/f(x0) = exp(sum_(j>=1) l_j h^j) has
+    coefficients b_0 = 1, b_n = (1/n) sum_(j=1..n) j l_j b_(n-j).
+    """
+
+    def taylor(x0, k) -> TaylorTerm:
+        x = _to_mpf(x0)
+        if k == 0:
+            return ("num", oracle(x))
+        ls = [inner(x, j)[1] for j in range(1, k + 1)]
+        bs = [mp.mpf(1)]
+        for n in range(1, k + 1):
+            bs.append(mp.fsum(j * ls[j - 1] * bs[n - j] for j in range(1, n + 1)) / n)
+        return ("num", oracle(x) * bs[k])
+
+    return taylor
+
+
 # -- entry construction ------------------------------------------------------------
 
 
@@ -469,16 +512,11 @@ def _gamma_entry() -> CatalogFunction:
         name="gamma",
         transseries=None,
         oracle=gamma_oracle,
-        taylor_term=_gamma_taylor,
+        taylor_term=exp_of_taylor(_loggamma_taylor, gamma_oracle),
         domain_c=0.0,
         tolerance=1e-10,
         compose_exp_of="loggamma",
     )
-
-
-def _gamma_taylor(x0, k) -> TaylorTerm:
-    x0m = _to_mpf(x0)
-    return ("num", mp.diff(mp.gamma, x0m, k) / mp.factorial(k))
 
 
 def monomial_entry(n: int) -> CatalogFunction:

@@ -289,7 +289,11 @@ def derive_antidiff_kernel(mu: Fraction, offset: Fraction, y: "PowerSeries", w: 
 
 
 def antidiff_no(f: CatalogFunction) -> CatalogFunction:
-    """A_No f: the antiderivative entry with zero constant at infinity."""
+    """A_No f: the antiderivative entry with zero constant at infinity.
+
+    Raises ``UnsupportedPointError`` for an entry with neither a stored
+    antiderivative nor a transseries to antidifferentiate (gamma).
+    """
     reg = catalog()
     table = {e.antiderivative_of: name for name, e in reg.items() if e.antiderivative_of}
     if f.name in table:
@@ -305,7 +309,7 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
         raise UnsupportedPointError(
             f"antidifferentiation of {f.name} needs a stored antiderivative (critical time change)"
         )
-    anti_ts = ts_antidiff(f.transseries)
+    anti_ts = ts_antidiff(transseriate(f))
     # attach exact Borel kernels where the derivation applies
     from ..transseries.grid import groups_of
 
@@ -416,20 +420,22 @@ def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFu
 
 def integrate(f: CatalogFunction, a, b, terms: int = 8, *, cfg: QuadratureConfig = None):
     """integral(f, a..b) = (A_No f)(b) - (A_No f)(a)."""
+    cfg = cfg or QuadratureConfig()
     anti = antidiff_no(f)
     hi = extend(anti, b, terms, cfg=cfg)
     lo = extend(anti, a, terms, cfg=cfg)
-    return value_difference(hi, lo)
+    return value_difference(hi, lo, cfg)
 
 
-def value_difference(hi, lo):
+def value_difference(hi, lo, cfg: QuadratureConfig):
+    """hi - lo; a decimal part keeps the precision ``cfg`` asks for."""
     if isinstance(hi, SurrealValue) and isinstance(lo, SurrealValue):
         return hi - lo
     if isinstance(hi, SurrealValue) and isinstance(lo, mp.mpf):
-        return DecoratedValue(hi, -lo)
+        return DecoratedValue(hi, mp.fneg(lo, exact=True))
     if isinstance(lo, SurrealValue) and isinstance(hi, mp.mpf):
         return DecoratedValue(lo.scale(-1), hi)
-    return hi - lo
+    return mp.fsub(hi, lo, dps=cfg.precision)
 
 
 @dataclass

@@ -103,7 +103,7 @@ def antidiff_laws(cfg: QuadratureConfig = None, rel_tol: float = 1e-6) -> LawRep
         xs = [2, 3, 5]
         vals = [anti.oracle(mp.mpf(x)) for x in xs]
         mono = all(b >= a for a, b in zip(vals, vals[1:]))
-        surreal_side = value_difference(extend(anti, omega(), 4, cfg=cfg), extend(anti, 2, 4, cfg=cfg))
+        surreal_side = value_difference(extend(anti, omega(), 4, cfg=cfg), extend(anti, 2, 4, cfg=cfg), cfg)
         pos = _mixed_sign(surreal_side) >= 0
         report.record("iii_monotone", mono and pos)
 

@@ -144,7 +144,7 @@ def _parse_atom(tok: Scanner) -> list[_Raw]:
     if ch == "x":
         tok.expect("x")
         return [_Raw(pow=Fraction(1))]
-    if ch.isdigit() or ch in "+-":
+    if ch and (ch.isdigit() or ch in "+-"):
         return [_Raw(coef=tok.rational())]
     raise ExpressionSyntaxError("expected an atom", tok.pos)
 

@@ -93,6 +93,13 @@ class TestErrors:
         code, _, err = cli("integrate", "nope", "0", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("upper", ["3", "5", "1/2", "omega"])
+    def test_integrate_gamma_is_unsupported(self, cli, upper):
+        # gamma has no transseries, so A_No has nothing to antidifferentiate
+        code, _, err = cli("integrate", "gamma", "2", upper)
+        assert code == 1
+        assert "UnsupportedPointError" in err
+
 
 class TestJsonRoundTrips:
     def test_transseries_json_reparses(self, cli):

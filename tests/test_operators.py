@@ -316,7 +316,16 @@ def test_exp_neg_from_two_to_infinite_point_returns(point, text):
     with time_budget(10.0):
         value = integrate(catalog()["exp_neg"], 2, parse_nf(point), 8)
         assert value.render(8) == f"{text} + 0.135335283237"
-    assert abs(value.offset - mp.exp(-2)) < 1e-15
+    with mp.workdps(40):
+        assert abs(value.offset - mp.exp(-2)) < mp.mpf(10) ** -28
+
+
+def test_real_endpoint_integral_at_requested_precision():
+    cfg = QuadratureConfig(precision=30)
+    value = integrate(catalog()["ei_integrand"], 2, 5, cfg=cfg)
+    with mp.workdps(40):
+        want = mp.ei(5) - mp.ei(2)
+        assert abs(value / want - 1) < mp.mpf(10) ** -28
 
 
 def test_exp_of_lazy_infinitesimal_longer_than_first_window():

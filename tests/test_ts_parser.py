@@ -116,3 +116,10 @@ def test_parse_error_position_at_end_of_input(parse, text, pos):
     with pytest.raises(ExpressionSyntaxError) as err:
         parse(text)
     assert err.value.pos == pos <= len(text)
+
+
+@pytest.mark.parametrize("text, pos", [("x*", 2), ("exp(x) + ", 9)])
+def test_end_of_text_expects_an_atom(text, pos):
+    with pytest.raises(ExpressionSyntaxError, match="expected an atom") as err:
+        ts_parse(text)
+    assert err.value.pos == pos
