@@ -25,7 +25,7 @@ from .resummation import (
     catalan_weight_literal,
     eb_sum,
 )
-from .surreal import omega, parse_nf
+from .surreal import parse_nf
 from .transseries import (
     ts_antidiff,
     ts_diff,
@@ -100,11 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _point(text: str):
-    text = text.strip()
-    if text in ("omega", "w"):
-        return omega()
-    if text in ("-omega", "-w"):
-        return -omega()
+    text = text.strip().replace("omega", "w")
     try:
         return Fraction(text)
     except ValueError:

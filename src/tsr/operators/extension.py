@@ -111,7 +111,11 @@ def _extend_finite(f: CatalogFunction, point: SurrealPoint, terms: int, cfg: Qua
     """Taylor series in the infinitesimal part, Conway-convergent by design."""
     x0, zeta = point.real, point.zeta
     f.check_domain(float(x0))
-    kinds = [f.taylor_term(x0, k) for k in range(terms + 2)]
+    # each term once, at the working precision; the exact stream reuses them
+    with mp.workdps(cfg.precision):
+        kinds = [f.taylor_term(x0, k) for k in range(terms)]
+        if all(t[0] == "exact" for t in kinds):
+            kinds += [f.taylor_term(x0, k) for k in range(terms, terms + 2)]
     if all(t[0] == "exact" for t in kinds):
         prefs = {t[1] for t in kinds if t[2] != 0}
         if len(prefs) <= 1:
@@ -124,7 +128,7 @@ def _extend_finite(f: CatalogFunction, point: SurrealPoint, terms: int, cfg: Qua
                 k = 0
                 top = zeta.terms[0][0]
                 while True:
-                    t = f.taylor_term(x0, k)
+                    t = kinds[k] if k < len(kinds) else f.taylor_term(x0, k)
                     total = total + zk * t[2]
                     zk = zk * zeta
                     k += 1
@@ -137,8 +141,7 @@ def _extend_finite(f: CatalogFunction, point: SurrealPoint, terms: int, cfg: Qua
             return SurrealValue([ValueGroup(pref, LazyNF(gen))])
     with mp.workdps(cfg.precision):
         coeffs = []
-        for k in range(terms):
-            t = f.taylor_term(x0, k)
+        for t in kinds[:terms]:
             if t[0] == "exact":
                 pref, q = t[1], t[2]
                 coeffs.append(pref.numeric() * mp.mpf(q.numerator) / q.denominator)
@@ -217,12 +220,12 @@ def exp_lazy_infinitesimal(z: LazyNF) -> LazyNF:
                 yield from SurrealNF.from_rational(1).terms
                 return
             # the first `emitted` terms are final: this longer truncation repeats them
-            rest = islice(exp_infinitesimal(zn), emitted, None)
             if nxt is None:
-                yield from rest
+                yield from islice(exp_infinitesimal(zn), emitted, None)
                 return
-            # terms above the first dropped exponent are final
-            for t in takewhile(lambda t: nf_cmp(t[0], nxt[0]) == 1, rest):
+            # terms above the first dropped exponent are final, and the rest
+            # of this truncation's exponential can never reach them
+            for t in islice(exp_infinitesimal(zn, nxt[0]), emitted, None):
                 yield t
                 emitted += 1
             n *= 2

@@ -6,23 +6,21 @@ Transmonomials map through two imported exponential identities,
     exp(r * w^a) = w^(r * w^a)   for rational a >= 1, and
     log w = w^(1/w)              (equivalently exp(r*w^(1/w)) = w^r),
 
-together with binomial re-expansion of (1 + u)^q for the infinitesimal tilt
-u that appears when s != 0 or the critical time is a proper power.  Every
-stream produced here is an exact Conway Limit whose stabilization schedule
-follows from the grid structure: the coefficient of a fixed leader is
-touched by finitely many (k, l, j) triples.
+together with binomial re-expansion of the infinitesimal tilt.  The critical
+time is t0 = b * w^p * (1 + u) with 1 + u = (1 + s/(r w))^p, so a series
+sum(c_l t0^(offset - l)) has a closed-form coefficient at each leader
+w^(p*offset - m): a finite sum over l <= m/p of binomial terms.  Every stream
+produced here is an exact Conway Limit emitted one leader at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
+from itertools import count, takewhile
 from typing import Iterator, Optional
 
-from ..errors import UnsupportedPointError
-from ..stream import Stream
+from ..errors import UndecidableSupport, UnsupportedPointError
 from ..surreal import (
     GT,
     LT,
@@ -34,11 +32,8 @@ from ..surreal import (
     one,
 )
 from ..transseries.grid import TransseriesT1, groups_of
-from ..transseries.series import PowerSeries
+from ..transseries.series import DEFAULT_ORDER_SCAN, PowerSeries
 from .prefactor import Prefactor, exp_prefactor, ln_prefactor
-
-#: exponent window (in leader count) kept ahead of the requested terms
-WINDOW_SLACK = 4
 
 
 @dataclass(frozen=True)
@@ -208,14 +203,20 @@ def exp_nf(a: SurrealNF) -> ValueGroup:
     return ValueGroup(pref, stream)
 
 
-def exp_infinitesimal(z: SurrealNF) -> LazyNF:
+def exp_infinitesimal(z: SurrealNF, floor: Optional[SurrealNF] = None) -> LazyNF:
     """exp(z) = sum z^k / k! for strictly infinitesimal z, exactly.
 
     Partial sums stabilize leader by leader: z^k only reaches exponents at or
     below k * (leading exponent of z), so every prefix becomes final after
-    finitely many factors.
+    finitely many factors.  With ``floor`` the stream holds only the terms
+    above w^floor: a term of z^k at or below it only has lower descendants,
+    so each power drops them, and the stream ends once k * (leading
+    exponent) is at or below it.
     """
     top = z.terms[0][0]  # leading (negative) exponent
+
+    def above_floor(t) -> bool:
+        return nf_cmp(t[0], floor) == GT
 
     def gen() -> Iterator:
         total = one()
@@ -226,13 +227,18 @@ def exp_infinitesimal(z: SurrealNF) -> LazyNF:
         while True:
             k += 1
             zk = zk * z
+            if floor is not None:
+                zk = SurrealNF(tuple(takewhile(above_floor, zk.terms)), _normalized=True)
             kfact *= k
             total = total + zk * (1 / kfact)
             horizon = (k + 1) * top
-            safe = [t for t in total.terms if nf_cmp(t[0], horizon) == GT]
+            final = floor is not None and nf_cmp(horizon, floor) != GT
+            safe = total.terms if final else [t for t in total.terms if nf_cmp(t[0], horizon) == GT]
             while emitted < len(safe):
                 yield safe[emitted]
                 emitted += 1
+            if final:
+                return
 
     return LazyNF(gen)
 
@@ -259,14 +265,6 @@ class PointData:
     t0_lead_exp: Fraction  # t0 = r1 * w^(e1) * (1 + u)
     t0_lead_coef: Fraction
     u: SurrealNF  # exact infinitesimal tilt (finite normal form)
-    _u_powers: Stream = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._u_powers = Stream(lambda: accumulate(repeat(self.u), mul, initial=one()))
-
-    def u_powers(self, n: int) -> list[SurrealNF]:
-        """(u^0, ..., u^n), computed once per point and shared by every caller."""
-        return self._u_powers.head(n + 1)
 
 
 def analyze_point(nu: SurrealNF, *, crit_coef: Fraction = Fraction(1), crit_power: Fraction = Fraction(1)) -> PointData:
@@ -313,97 +311,75 @@ def _rational_pow(base: Fraction, q: Fraction) -> Fraction:
     return root**q.numerator
 
 
-def binomial_tilt(pt: PointData, q: Fraction, window: int) -> SurrealNF:
-    """(1 + u)^q expanded through u^window, exact (u strictly infinitesimal).
-
-    One normalized sum of binom(q, j) * u^j over the powers of u the point
-    shares across every series index, window widening and value group.
-    """
-    if pt.u.is_zero():
-        return one()
-    if q.denominator == 1 and 0 <= q < window:
-        window = int(q)  # binom(q, j) vanishes for j > q
-    powers = pt.u_powers(window)
-    terms = []
-    binom = Fraction(1)
-    for j in range(window + 1):
-        terms.extend((e, c * binom) for e, c in powers[j].terms)
-        binom *= (q - j) / (j + 1)
-    return SurrealNF(terms)
-
-
-def eval_series_at(ps: PowerSeries, pt: PointData, offset: Fraction, min_terms: int) -> tuple[Prefactor, LazyNF]:
+def eval_series_at(ps: PowerSeries, pt: PointData, offset: Fraction) -> tuple[Prefactor, LazyNF]:
     """sum(c_l t0^(offset - l), l >= 1) as a prefactor-scaled descending stream.
 
     The leader coefficient b = t0_lead_coef enters each term as b^(offset - l)
     = b^offset * b^-l; the possibly irrational b^offset factors out as the
-    group prefactor while the stream stays rational.  The coefficient of any
-    fixed leader receives finitely many (l, j) contributions, which bounds
-    the materialization window exactly.
+    group prefactor while the stream stays rational.
+
+    With s = 0 the tilt is 1 and term l alone sits at w^(e1 (offset - l)).
+    Otherwise 1 + u = (1 + x/w)^p with x = s/r and the integer p = e1, so the
+    coefficient of w^(p offset - m) is exactly
+
+        sum(c_l b^-l binom(p (offset - l), m - p l) x^(m - p l), l = 1..m // p).
+
+    Each l keeps one running term, advanced by one factor per leader.  The
+    stream ends when the series is finite and every binomial has terminated;
+    an unbounded series that shows DEFAULT_ORDER_SCAN zero leaders in a row
+    raises UndecidableSupport.
     """
-    e1 = pt.t0_lead_exp
-    b = pt.t0_lead_coef
-    pref = Prefactor.rational_power(b, offset)
+    pref = Prefactor.rational_power(pt.t0_lead_coef, offset)
+    return pref, LazyNF(lambda: _series_leaders(ps, pt, offset))
 
-    def materialize(n_leaders: int) -> tuple[list, bool]:
-        total = SurrealNF.zero()
-        exhausted = False
-        exact_tilts = True
-        # widening the tilt window past e1*n keeps every later contribution
-        # strictly below the horizon (tilt exponents drop at least by 1 per order)
-        tilt_window = int(e1 * n_leaders) + 1 + WINDOW_SLACK
-        for l in range(1, n_leaders + 1):
-            if ps.length is not None and l > ps.length:
-                exhausted = True
-                break
+
+def _series_leaders(ps: PowerSeries, pt: PointData, offset: Fraction) -> Iterator:
+    b, x = pt.t0_lead_coef, pt.s / pt.r
+    # s = 0 is the same recurrence with p = 1, x = 0 and exponents scaled by e1
+    p, unit = (int(pt.t0_lead_exp), 1) if x else (1, pt.t0_lead_exp)
+    running = []  # [binomial upper index q_l, order j, term] per live l
+    zeros = 0
+    for m in count(p):
+        for t in running:
+            q, j, _ = t
+            t[1] = j + 1
+            t[2] *= (q - j) * x / (j + 1)
+        running = [t for t in running if t[2]]
+        l, rem = divmod(m, p)
+        if rem == 0 and (ps.length is None or l <= ps.length):
             c = ps.coeff(l)
-            if c == 0:
-                continue
-            q = offset - l
-            if not (q.denominator == 1 and 0 <= q <= tilt_window):
-                exact_tilts = False  # the binomial series for (1+u)^q is infinite
-            tilt = binomial_tilt(pt, q, tilt_window)
-            total = total + SurrealNF.monomial(SurrealNF.from_rational(e1 * q), c * b**-l) * tilt
-        if exhausted and (pt.u.is_zero() or exact_tilts):
-            return list(total.terms), True
-        horizon = e1 * (offset - n_leaders)
-        return [t for t in total.terms if nf_cmp(t[0], SurrealNF.from_rational(horizon)) == GT], False
-
-    def gen():
-        n = min_terms + WINDOW_SLACK
-        emitted = 0
-        while True:
-            safe, final = materialize(n)
-            while emitted < len(safe):
-                yield safe[emitted]
-                emitted += 1
-            if final:
-                return
-            n += max(min_terms, 4)
-
-    return pref, LazyNF(gen)
+            if c:
+                running.append([p * (offset - l), 0, c * b**-l])
+        elif ps.length is not None and l >= ps.length and not running:
+            return
+        coef = sum(t[2] for t in running)
+        if coef:
+            zeros = 0
+            yield (SurrealNF.from_rational(unit * (p * offset - m)), coef)
+        elif ps.length is None:
+            zeros += 1
+            if zeros >= DEFAULT_ORDER_SCAN:
+                raise UndecidableSupport(f"no nonzero leader within scan bound {DEFAULT_ORDER_SCAN}")
 
 
-def tau_eval_group(mu: Fraction, offset: Fraction, ps: PowerSeries, pt: PointData, terms: int) -> ValueGroup:
+def tau_eval_group(mu: Fraction, offset: Fraction, ps: PowerSeries, pt: PointData) -> ValueGroup:
     """One grid group x^offset e^(mu x) y(x) at the point's critical time."""
     pref = Prefactor.one()
     if mu != 0:
         # exp(mu * t0): t0 is an exact polynomial in w, so its exponential is
         # a monomial times an e^(rational) tag via the imported identities
-        arg = SurrealNF.monomial(SurrealNF.from_rational(pt.t0_lead_exp), mu * pt.t0_lead_coef) * binomial_tilt(
-            pt, Fraction(1), terms + WINDOW_SLACK
-        )
+        arg = SurrealNF.monomial(SurrealNF.from_rational(pt.t0_lead_exp), mu * pt.t0_lead_coef) * (one() + pt.u)
         grp = exp_nf(arg)
         pref = pref * grp.prefactor
         expstream = grp.stream
     else:
         expstream = LazyNF.from_nf(one())
-    series_pref, series_stream = eval_series_at(ps, pt, offset, terms + WINDOW_SLACK)
-    stream = _mul_streams(expstream, series_stream, terms)
+    series_pref, series_stream = eval_series_at(ps, pt, offset)
+    stream = _mul_streams(expstream, series_stream)
     return ValueGroup(pref * series_pref, stream)
 
 
-def _mul_streams(a: LazyNF, b: LazyNF, terms: int) -> LazyNF:
+def _mul_streams(a: LazyNF, b: LazyNF) -> LazyNF:
     """Product of two streams when one of them is finitely supported."""
     if a.is_finite_known() or a.term(64) is None:
         finite, lazy = a, b
@@ -439,7 +415,7 @@ def tau_eval(
     pt = analyze_point(nu, crit_coef=crit_coef, crit_power=crit_power)
     value = SurrealValue.zero()
     for grp in groups_of(ts):
-        vg = tau_eval_group(grp.mu, grp.offset, grp.series, pt, terms)
+        vg = tau_eval_group(grp.mu, grp.offset, grp.series, pt)
         value = value + SurrealValue([vg])
     lp = ts.log
     if not lp.is_zero():

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -28,3 +30,19 @@ def random_nf(rng: random.Random, depth: int = 2, max_terms: int = 3) -> Surreal
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@contextlib.contextmanager
+def time_budget(seconds: float):
+    """Raise TimeoutError in this (main) thread if the block runs too long."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -55,6 +55,12 @@ class TestVerbs:
         assert code == 0
         assert out.strip() == "w^(w-1) + w^(w-2) + 2*w^(w-3) + ..."
 
+    @pytest.mark.parametrize("point", ["2*omega+1", "omega-3"])
+    def test_omega_inside_a_normal_form(self, cli, point):
+        code, out, _ = cli("eval", "ei", point, "--terms", "4")
+        assert code == 0
+        assert (code, out) == cli("eval", "ei", point.replace("omega", "w"), "--terms", "4")[:2]
+
     def test_eval_real(self, cli):
         code, out, _ = cli("eval", "loggamma", "10")
         assert code == 0

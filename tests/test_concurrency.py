@@ -4,6 +4,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from math import factorial
 
 from tsr.surreal import omega
 from tsr.transseries import PowerSeries, ts_antidiff, ts_parse
@@ -46,8 +47,8 @@ def test_value_groups_share_tilt_powers_across_threads():
     serial = [g.stream.terms(40) for g in tau_eval(ts, point, 1).groups]
     assert len(serial) >= 2
 
-    # one fresh value: its groups share the point's powers of the tilt u,
-    # which grow while the threads pull (each starts on a different group)
+    # one fresh value: the threads pull its groups' streams, each thread
+    # starting on a different group
     groups = tau_eval(ts, point, 1).groups
     start = threading.Barrier(4, timeout=60)
 
@@ -67,32 +68,36 @@ def test_value_groups_share_tilt_powers_across_threads():
     assert len(results) == 4 and all(r == serial for r in results)
 
 
-def test_tilt_powers_grow_race_free():
+def test_series_stream_pulled_race_free():
     from tsr.operators import analyze_point
+    from tsr.operators.tau import eval_series_at
     from tsr.surreal import parse_nf
 
-    # 2w+1 with critical power 2: the tilt u = w^-1 + 1/4 w^-2 has two terms
-    make = lambda: analyze_point(parse_nf("2*w+1"), crit_power=F(2))  # noqa: E731
-    expected = make().u_powers(30)
-    pt = make()
-    start = threading.Barrier(6, timeout=60)
+    def make():
+        # Ei's series at 2w+1 with critical power 2: every leader sums running
+        # binomial terms, and a non-integer offset keeps all of them alive
+        ps = PowerSeries.from_fn(lambda l: F(factorial(l - 1)))
+        return eval_series_at(ps, analyze_point(parse_nf("2*w+1"), crit_power=F(2)), F(1, 2))[1]
 
-    def grow(k: int):
+    expected = make().terms(60)
+    stream = make()
+    start = threading.Barrier(4, timeout=60)
+
+    def pull(k: int):
         start.wait()
-        return [pt.u_powers(n)[: n + 1] for n in range(k % 3, 31, 3)]
+        return [stream.terms(n) for n in range(k % 3 + 1, 61, 3)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ThreadPoolExecutor(6) as pool:
-            results = list(pool.map(grow, range(6), timeout=120))
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(pull, range(4), timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert len(results) == 6
+    assert len(expected) == 60 and len(results) == 4
     for prefixes in results:
         for got in prefixes:
-            assert list(got) == list(expected[: len(got)])
-
+            assert got == expected[: len(got)]
 
 
 def test_pade_coefficients_convert_race_free():

@@ -1,12 +1,13 @@
 """Normal-form arithmetic, comparison, decomposition, rendering."""
 
 from fractions import Fraction as F
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsr.operators.tau import PointData, binomial_tilt
+from tsr.operators.tau import exp_infinitesimal
 from tsr.surreal import (
     EQ,
     GT,
@@ -174,16 +175,6 @@ NF = nfs()
 TILT = nf_terms(exponents=nfs(1).map(_negative)).map(SurrealNF).filter(lambda u: not u.is_zero())
 
 
-def tilt_by_repeated_multiplication(u: SurrealNF, q: F, window: int) -> SurrealNF:
-    """(1 + u)^q through u^window, one add-and-multiply round per order."""
-    acc, uk, binom = SurrealNF.zero(), one(), F(1)
-    for j in range(window + 1):
-        acc = acc + uk * binom
-        uk = uk * u
-        binom *= (q - j) / (j + 1)
-    return acc
-
-
 class TestProperties:
     @PROPERTY
     @given(NF, NF, NF)
@@ -231,12 +222,13 @@ class TestProperties:
             assert render_nf(SurrealNF(split)) == render_nf(a)
 
     @PROPERTY
-    @given(TILT, st.lists(st.tuples(st.one_of(st.integers(-4, 8).map(F), rationals), st.integers(0, 6)), min_size=1, max_size=4))
-    def test_binomial_tilt_matches_repeated_multiplication(self, u, requests):
-        # one point serves every (q, window), so its shared powers of u grow between calls
-        pt = PointData(r=F(1), s=F(0), t0_lead_exp=F(1), t0_lead_coef=F(1), u=u)
-        for q, window in requests:
-            got = binomial_tilt(pt, q, window)
-            want = tilt_by_repeated_multiplication(u, q, window)
-            assert got == want
-            assert render_nf(got) == render_nf(want)
+    @given(TILT, nfs(1).map(_negative))
+    def test_truncated_exp_is_the_exp_above_its_floor(self, z, floor):
+        full = exp_infinitesimal(z).terms(8)
+        above = list(takewhile(lambda t: nf_cmp(t[0], floor) == GT, full))
+        truncated = exp_infinitesimal(z, floor)
+        if len(above) < len(full):
+            # every term above the floor is out, and the stream ends there
+            assert truncated.terms(len(full)) == above
+        else:
+            assert truncated.terms(len(full)) == full

@@ -1,7 +1,5 @@
 """Extension operator, tau map, catalog entries, and A_No."""
 
-import contextlib
-import signal
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -25,6 +23,7 @@ from tsr.operators import (
 from tsr.resummation import QuadratureConfig
 from tsr.surreal import SurrealNF, omega, one, parse_nf
 from tsr.transseries import eq_to_order, ts_add, ts_diff, ts_parse, ts_scale
+from conftest import time_budget
 
 CFG = QuadratureConfig()
 W = omega()
@@ -284,22 +283,6 @@ class TestIntegrate:
             bc = integrate(f, 2, 3, 4)
             ac = integrate(f, 1, 3, 4)
             assert abs((ab + bc) - ac) < 1e-12
-
-
-@contextlib.contextmanager
-def time_budget(seconds: float):
-    """Raise TimeoutError in this (main) thread if the block runs too long."""
-
-    def on_alarm(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,162 @@
+"""The tau-map's series stream at r*w + s, against the window-and-horizon algorithm."""
+
+from fractions import Fraction as F
+from math import factorial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tsr.errors import UndecidableSupport
+from tsr.operators import analyze_point, catalog, extend
+from tsr.operators.tau import eval_series_at
+from tsr.surreal import GT, LazyNF, SurrealNF, nf_cmp, one, parse_nf
+from tsr.surreal import normal_form
+from tsr.transseries import PowerSeries
+from conftest import time_budget
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+#: leader-count slack of the reference algorithm's windows
+WINDOW_SLACK = 4
+
+
+def reference_tilt(u: SurrealNF, q: F, window: int) -> SurrealNF:
+    """(1 + u)^q through u^window, one add-and-multiply round per order."""
+    if u.is_zero():
+        return one()
+    if q.denominator == 1 and 0 <= q < window:
+        window = int(q)  # binom(q, j) vanishes for j > q
+    acc, uk, binom = SurrealNF.zero(), one(), F(1)
+    for j in range(window + 1):
+        acc = acc + uk * binom
+        uk = uk * u
+        binom *= (q - j) / (j + 1)
+    return acc
+
+
+def reference_series_stream(ps: PowerSeries, pt, offset: F, min_terms: int) -> LazyNF:
+    """sum(c_l t0^(offset - l)) by re-summing a widening window of l from 1.
+
+    The coefficient of a fixed leader receives finitely many (l, j)
+    contributions, so the terms above e1 * (offset - n) are final once the
+    first n series terms and enough powers of the tilt are summed.
+    """
+    e1 = pt.t0_lead_exp
+    b = pt.t0_lead_coef
+
+    def materialize(n_leaders: int) -> tuple[list, bool]:
+        total = SurrealNF.zero()
+        exhausted = False
+        exact_tilts = True
+        tilt_window = int(e1 * n_leaders) + 1 + WINDOW_SLACK
+        for l in range(1, n_leaders + 1):
+            if ps.length is not None and l > ps.length:
+                exhausted = True
+                break
+            c = ps.coeff(l)
+            if c == 0:
+                continue
+            q = offset - l
+            if not (q.denominator == 1 and 0 <= q <= tilt_window):
+                exact_tilts = False  # the binomial series for (1+u)^q is infinite
+            tilt = reference_tilt(pt.u, q, tilt_window)
+            total = total + SurrealNF.monomial(SurrealNF.from_rational(e1 * q), c * b**-l) * tilt
+        if exhausted and (pt.u.is_zero() or exact_tilts):
+            return list(total.terms), True
+        horizon = SurrealNF.from_rational(e1 * (offset - n_leaders))
+        return [t for t in total.terms if nf_cmp(t[0], horizon) == GT], False
+
+    def gen():
+        n = min_terms + WINDOW_SLACK
+        emitted = 0
+        while True:
+            safe, final = materialize(n)
+            while emitted < len(safe):
+                yield safe[emitted]
+                emitted += 1
+            if final:
+                return
+            n += max(min_terms, 4)
+
+    return LazyNF(gen)
+
+
+small = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+positive = st.builds(F, st.integers(1, 5), st.integers(1, 3))
+
+
+@st.composite
+def points(draw):
+    """(point, critical coefficient, critical power) with r*w + s in the grammar."""
+    s = draw(st.one_of(st.just(F(0)), small, small))
+    if s == 0 and draw(st.booleans()):
+        # a fractional power needs s = 0 and an integer r^p
+        r, p = draw(st.sampled_from([F(1), F(4)])), F(3, 2)
+    else:
+        r, p = draw(positive), F(draw(st.integers(1, 3)))
+    nu = SurrealNF.monomial(one(), r) + SurrealNF.from_rational(s)
+    return nu, draw(positive), p
+
+
+@st.composite
+def series(draw):
+    """Finite series, or divergent ones with short zero runs.
+
+    A rational generating function (a cycle of coefficients, say) can sum to
+    a finite normal form, whose end no algorithm can see: sum((w+1)^-l) = 1/w.
+    """
+    coeffs = draw(st.lists(small, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        return PowerSeries.from_coeffs(coeffs)
+    if not any(coeffs):
+        coeffs[0] = F(1)
+    return PowerSeries.from_fn(lambda l: coeffs[l % len(coeffs)] * factorial(l - 1))
+
+
+offsets = st.one_of(
+    st.integers(-2, 6).map(F),
+    st.builds(F, st.integers(-9, 9), st.sampled_from([2, 3, 4])).filter(lambda q: q.denominator != 1),
+)
+
+
+@PROPERTY
+@given(points(), series(), offsets, st.integers(1, 6))
+def test_leader_stream_matches_window_algorithm(point, ps, offset, n):
+    nu, coef, power = point
+    pt = analyze_point(nu, crit_coef=coef, crit_power=power)
+    pref, stream = eval_series_at(ps, pt, offset)
+    want = reference_series_stream(ps, pt, offset, n)
+    assert stream.terms(n + 1) == want.terms(n + 1)
+    assert pref == eval_series_at(ps, pt, offset)[0]
+
+
+def test_finite_series_stream_ends():
+    # t0 = w + 1: (w+1)^2 + 3(w+1) = w^2 + 5w + 4, and nothing after it
+    ps = PowerSeries.from_coeffs([F(1), F(3)])
+    _, stream = eval_series_at(ps, analyze_point(parse_nf("w+1")), F(3))
+    assert stream.render(8) == "w^2 + 5*w + 4"
+    assert stream.is_finite_known()
+
+
+def test_unbounded_series_with_finite_support_stops_searching():
+    ps = PowerSeries.from_fn(lambda l: 1 if l <= 2 else 0)
+    _, stream = eval_series_at(ps, analyze_point(parse_nf("w+1")), F(3))
+    with time_budget(10.0):
+        assert stream.truncate(3) == parse_nf("w^2 + 3*w + 2")
+        with pytest.raises(UndecidableSupport):
+            stream.render(8)
+
+
+def test_extend_work_does_not_grow_with_terms(monkeypatch):
+    ei, point = catalog()["ei"], parse_nf("w+1")
+    calls = []
+    real = normal_form.nf_mul
+    monkeypatch.setattr(normal_form, "nf_mul", lambda a, b: calls.append(1) or real(a, b))
+    counts = []
+    for n in (16, 64):
+        calls.clear()
+        (group,) = extend(ei, point, n).merged().groups
+        assert len(group.stream.terms(n)) == n
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
