@@ -3,6 +3,8 @@
 Everything here is a rational-number recurrence: factorial growth for the
 exponential-integral series, the binomial-halving erfi coefficients, the
 Airy u_k recurrence, Bernoulli numbers and the Stirling tail they generate.
+The registry maps each ``#name`` to its coefficients and Borel kernel;
+:func:`named_series` gives the series with that kernel attached.
 """
 
 from __future__ import annotations
@@ -10,7 +12,10 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import comb, factorial
+from typing import Optional
 
+from .resummation.kernels import BorelFunction, KernelEntry, coth_kernel, pole_kernel, sqrt_branch_kernel
+from .resummation.laplace import resolve_default
 from .transseries.series import KIND_CLOSED, PowerSeries
 
 
@@ -73,22 +78,36 @@ def coth_kernel_coeff(k: int) -> Fraction:
     return bernoulli(2 * n + 2) / Fraction(factorial(2 * n + 2))
 
 
-def named_series(name: str) -> PowerSeries:
-    try:
-        fn = _NAMED[name]
-    except KeyError:
-        raise KeyError(f"unknown series oracle #{name}") from None
-    ps = PowerSeries.from_fn(fn, kind=KIND_CLOSED, known_order=1)
-    ps.oracle_name = name
-    return ps
+def _airy_pade(name: str) -> BorelFunction:
+    """The exact (12, 12) Pade fit of the Airy u-series (no closed form used yet)."""
+    return resolve_default(named_series(name), order=26, degrees=(12, 12)).kernel
 
 
-_NAMED = {
-    "ei": ei_coeff,
-    "erfi": erfi_coeff,
-    "airy_u": airy_bi_coeff,
-    "airy_u_alt": airy_ai_coeff,
-    "stirling": stirling_coeff,
+#: name -> (coefficients, Borel kernel factory, P^m order).  The transforms
+#: known in closed form (Costin, *Asymptotics and Borel Summability*, ch. 5):
+#: B(#ei) = 1/(1-p), B(#erfi) = (1-p)^(-1/2)/2 and B(#stirling) =
+#: (p coth(p/2) - 2)/(2 p^2); the Airy series keep a Pade fit.
+_REGISTRY = {
+    "ei": (ei_coeff, lambda: pole_kernel(1), 0),
+    "erfi": (erfi_coeff, lambda: sqrt_branch_kernel(1, Fraction(1, 2)), 0),
+    "airy_u": (airy_bi_coeff, lambda: _airy_pade("airy_u"), 0),
+    "airy_u_alt": (airy_ai_coeff, lambda: _airy_pade("airy_u_alt"), 0),
+    "stirling": (stirling_coeff, coth_kernel, 0),
 }
 
-NAMED_SERIES = tuple(sorted(_NAMED))
+NAMED_SERIES = tuple(sorted(_REGISTRY))
+
+
+@functools.cache
+def named_series(name: str) -> PowerSeries:
+    """The series #name, one instance per process; its kernel is built on first read."""
+    try:
+        coeff, kernel, m = _REGISTRY[name]
+    except KeyError:
+        raise KeyError(f"unknown series oracle #{name}") from None
+    return PowerSeries.from_fn(coeff, kind=KIND_CLOSED, known_order=1, kernel=lambda: KernelEntry(kernel(), m))
+
+
+def series_name(ps: PowerSeries) -> Optional[str]:
+    """The name under which ``ps`` is registered, or None."""
+    return next((name for name in NAMED_SERIES if named_series(name) is ps), None)

@@ -1,41 +1,29 @@
 """The worked function catalog: transseries, Borel kernels, oracles.
 
-Each entry pairs a stored transseries (in its critical time) with closed-form
-Borel kernels for resummation, an independent high-precision oracle on the
-reals, an exact derivative facility for Taylor extensions at finite points,
-and documented tail constants.  Entries whose transseries would need an
-irrational global scale carry it as a symbolic prefactor; the erfi integral
-needs none because Gamma(n+1/2)/(2 sqrt(pi)) is rational.
+Each entry pairs a stored transseries (in its critical time) with an
+independent high-precision oracle on the reals, an exact derivative facility
+for Taylor extensions at finite points, and documented tail constants.  The
+Borel kernels travel with the series: each entry is built from the registered
+``#name`` series of ``tsr.coefficients``, whose closed-form kernel (or the
+Airy Pade fit) its resummation reads.  Entries whose transseries would need
+an irrational global scale carry it as a symbolic prefactor; the erfi
+integral needs none because Gamma(n+1/2)/(2 sqrt(pi)) is rational.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import factorial
 from typing import Callable, Optional
 
 import mpmath as mp
 
-from ..coefficients import (
-    airy_ai_coeff,
-    airy_bi_coeff,
-    airy_u,
-    ei_coeff,
-    erfi_coeff,
-    named_series,
-    stirling_coeff,
-)
+from ..coefficients import named_series, series_name
 from ..errors import DomainError
-from ..resummation import (
-    KernelEntry,
-    QuadratureConfig,
-    coth_kernel,
-    eb_sum,
-    pole_kernel,
-    resolve_default,
-    sqrt_branch_kernel,
-)
+from ..resummation import KernelEntry, QuadratureConfig, eb_sum, resolve_default
 from ..stream import Stream
 from ..transseries import (
     LogPart,
@@ -43,10 +31,10 @@ from ..transseries import (
     TransseriesT1,
     from_minus_term,
     from_plus_term,
-    ts_add,
     assemble,
+    ts_to_json,
 )
-from ..transseries.grid import Group
+from ..transseries.grid import Group, groups_of
 from .prefactor import Prefactor
 
 TaylorTerm = tuple  # ("exact", Prefactor, Fraction) | ("num", mpf)
@@ -62,7 +50,6 @@ class CatalogFunction:
     crit_power: Fraction = Fraction(1)
     prefactor: Prefactor = field(default_factory=Prefactor.one)
     ln2pi_coef: Fraction = Fraction(0)
-    kernels: dict = field(default_factory=dict)  # oracle name -> KernelEntry
     domain_c: Optional[float] = None
     tolerance: float = 1e-10
     tail_constants: tuple = (4.0, 1.0, 0.5)  # documented (c1, c2, c3)
@@ -75,22 +62,11 @@ class CatalogFunction:
     # -- numerics ---------------------------------------------------------
 
     def resolver(self, series: PowerSeries) -> Optional[KernelEntry]:
-        derived = getattr(series, "derived_kernel", None)
-        if derived is not None:
-            return derived
-        name = getattr(series, "oracle_name", None)
-        if name and name in self.kernels:
-            return self.kernels[name]
-        if series.is_finite():
-            return None  # finite sums are their own Borel sums
-        return resolve_default(series)
+        """The series' kernel; a Pade fit without one; None for a finite sum."""
+        return series.kernel or (None if series.is_finite() else resolve_default(series))
 
     def critical_time(self, x):
-        return (
-            mp.mpf(self.crit_coef.numerator)
-            / self.crit_coef.denominator
-            * mp.mpf(x) ** (mp.mpf(self.crit_power.numerator) / self.crit_power.denominator)
-        )
+        return _to_mpf(self.crit_coef) * mp.mpf(x) ** _to_mpf(self.crit_power)
 
     def eb_value(self, x, cfg: QuadratureConfig = None):
         """Resummation-side value: prefactor * eb_sum at the critical time."""
@@ -346,20 +322,26 @@ def exp_of_taylor(inner: Callable, oracle: Callable) -> Callable:
     """Taylor facility of f = e^g from the numeric one of g and f's oracle.
 
     With l_j = g^(j)(x0)/j!, f(x0 + h)/f(x0) = exp(sum_(j>=1) l_j h^j) has
-    coefficients b_0 = 1, b_n = (1/n) sum_(j=1..n) j l_j b_(n-j).
+    coefficients b_0 = 1, b_n = (1/n) sum_(j=1..n) j l_j b_(n-j).  The terms
+    at one (x0, precision) are one Stream, so term k computes only l_k; the
+    streams of the last few points are kept.
     """
 
-    def taylor(x0, k) -> TaylorTerm:
+    @functools.lru_cache(maxsize=8)
+    def terms(x0, prec) -> Stream:
         x = _to_mpf(x0)
-        if k == 0:
-            return ("num", oracle(x))
-        ls = [inner(x, j)[1] for j in range(1, k + 1)]
-        bs = [mp.mpf(1)]
-        for n in range(1, k + 1):
-            bs.append(mp.fsum(j * ls[j - 1] * bs[n - j] for j in range(1, n + 1)) / n)
-        return ("num", oracle(x) * bs[k])
 
-    return taylor
+        def gen():
+            fx, ls, bs = oracle(x), [], [mp.mpf(1)]
+            yield fx
+            for n in count(1):
+                ls.append(inner(x, n)[1])
+                bs.append(mp.fsum(j * ls[j - 1] * bs[n - j] for j in range(1, n + 1)) / n)
+                yield fx * bs[n]
+
+        return Stream(gen)
+
+    return lambda x0, k: ("num", terms(x0, mp.mp.prec)[k])
 
 
 # -- entry construction ------------------------------------------------------------
@@ -415,11 +397,10 @@ def _ei_entry() -> CatalogFunction:
         transseries=ts,
         oracle=ei_oracle,
         taylor_term=shifted_taylor(_ei_integrand_entry().taylor_term, ei_oracle, None),
-        kernels={"ei": KernelEntry(pole_kernel(1), m=1)},
         domain_c=0.0,
         tolerance=1e-10,
-        # |man P B y| = |log|1-p|| <= 4 e^(p/4) laterally; x above 1/4
-        tail_constants=(4.0, 1.0, 0.25),
+        # |man B y| = 1/|1-p| <= 4 off the principal-value window; any x > 0
+        tail_constants=(4.0, 1.0, 0.0),
         antiderivative_of="ei_integrand",
         derivative_name="ei_integrand",
     )
@@ -448,7 +429,6 @@ def _erfi_integral_entry() -> CatalogFunction:
         crit_power=Fraction(2),
         oracle=erfi_integral_oracle,
         taylor_term=shifted_taylor(_erfi_integrand_entry().taylor_term, erfi_integral_oracle, at_zero),
-        kernels={"erfi": KernelEntry(sqrt_branch_kernel(1, Fraction(1, 2)), m=0)},
         domain_c=None,
         tolerance=1e-12,
         # averaged kernel is supported on [0, 1]: c3 = 0
@@ -460,9 +440,8 @@ def _erfi_integral_entry() -> CatalogFunction:
 
 
 def _airy_entry(kind: str) -> CatalogFunction:
-    coeff = airy_ai_coeff if kind == "ai" else airy_bi_coeff
-    series = PowerSeries.from_fn(coeff, known_order=1)
-    series.oracle_name = f"airy_u_{kind}"
+    series = named_series("airy_u_alt" if kind == "ai" else "airy_u")
+    series.kernel  # the catalog fits its Pade kernel, as it always has
     if kind == "ai":
         ts = from_minus_term(1, Fraction(5, 6), series)
         pref = Prefactor.of(Fraction(1, 2), pi=Fraction(-1, 2)) * Prefactor.rational_power(
@@ -481,7 +460,6 @@ def _airy_entry(kind: str) -> CatalogFunction:
         prefactor=pref,
         oracle=oracle,
         taylor_term=_airy_taylor(kind),
-        kernels={f"airy_u_{kind}": resolve_default(series, order=26, degrees=(12, 12))},
         domain_c=None,
         tolerance=2e-6 if kind == "bi" else 1e-8,
         tail_constants=(2.0, 1.0, 1.0),
@@ -499,7 +477,6 @@ def _loggamma_entry() -> CatalogFunction:
         ln2pi_coef=Fraction(1, 2),
         oracle=loggamma_oracle,
         taylor_term=_loggamma_taylor,
-        kernels={"stirling": KernelEntry(coth_kernel(), m=0)},
         domain_c=0.0,
         tolerance=1e-10,
         # |(p coth(p/2) - 2)/(2 p^2)| <= 1/12 + 1/(2p): subexponential
@@ -576,17 +553,17 @@ def catalog() -> dict[str, CatalogFunction]:
 
 def catalog_manifest() -> dict:
     """JSON-ready manifest: per entry the kernels, constants, and tolerances."""
-    from ..transseries import ts_to_json
-
     out = {}
     for name, e in catalog().items():
+        named = {series_name(g.series): g.series.kernel for g in groups_of(e.transseries)} if e.transseries else {}
+        named.pop(None, None)
         out[name] = {
             "transseries": ts_to_json(e.transseries) if e.transseries is not None else None,
             "critical_time": {"coef": str(e.crit_coef), "power": str(e.crit_power)},
             "prefactor": e.prefactor.render(),
             "ln2pi_coef": str(e.ln2pi_coef),
-            "kernels": {k: type(v.kernel).__name__ for k, v in e.kernels.items()},
-            "regularization_m": {k: v.m for k, v in e.kernels.items()},
+            "kernels": {k: type(v.kernel).__name__ for k, v in named.items()},
+            "regularization_m": {k: v.m for k, v in named.items()},
             "tail_constants": list(e.tail_constants),
             "domain_c": e.domain_c,
             "tolerance": e.tolerance,

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, takewhile
+from itertools import accumulate, islice, takewhile
 from typing import Optional, Union
 
 import mpmath as mp
 
 from ..errors import UnsupportedPointError
-from ..resummation import QuadratureConfig
+from ..resummation import BorelPoly, ClosedFormKernel, KernelEntry, QuadratureConfig, borel_transform, p_integrate_poly
 from ..surreal import LazyNF, SurrealNF, nf_cmp
-from ..transseries import TransseriesT1, ts_antidiff
+from ..transseries import TransseriesT1, ts_add, ts_antidiff, ts_scale
 from .catalog import CatalogFunction, catalog, monomial_entry, shifted_taylor
 from .prefactor import Prefactor
 from .tau import SurrealPoint, SurrealValue, ValueGroup, tau_eval
@@ -236,8 +236,8 @@ def exp_lazy_infinitesimal(z: LazyNF) -> LazyNF:
 # -- antidifferentiation and the integral ----------------------------------------
 
 
-def derive_antidiff_kernel(mu: Fraction, offset: Fraction, y: "PowerSeries", w: "PowerSeries"):
-    """Closed-form Borel transform of the antiderivative series w.
+def derive_antidiff_kernel(g, w: "PowerSeries"):
+    """Closed-form Borel transform of the antiderivative series w of group g.
 
     For a group x^b e^(mu x) y with finite y and b in {0, 1}, the transform
     of the solution of w' + (mu + b/x) w = y is exact:
@@ -248,47 +248,29 @@ def derive_antidiff_kernel(mu: Fraction, offset: Fraction, y: "PowerSeries", w: 
     where Y is the polynomial Borel transform of y.  For decaying groups the
     reference point mu is negative, so W is analytic on the Laplace ray.
     """
-    from ..resummation import BorelPoly, ClosedFormKernel, KernelEntry, borel_transform
-    from ..resummation.kernels import ClosedFormKernel as CFK
-
+    y, offset, lam = g.series, g.offset, g.mu  # lam: reference point of the ratio
     if y.length is None or offset not in (0, 1):
         return None
-    K = y.length or 0
-    Y = borel_transform(y, K)
-    lam = Fraction(mu)  # reference point of the ratio
+    Y = borel_transform(y, y.length)
 
     def divide(poly: BorelPoly):
-        """poly(p) = Q(p) (lam - p) + r, by synthetic division."""
-        coeffs = list(poly.coeffs)
-        d = len(coeffs) - 1
-        if d < 0:
-            return BorelPoly(()), Fraction(0)
-        q = [Fraction(0)] * max(d, 0)
-        # matching coefficients of lam*Q - p*Q: q_(k-1) = lam q_k - c_k
-        carry = Fraction(0)  # q_d = 0
-        for k in range(d, 0, -1):
-            carry = lam * carry - coeffs[k]
-            q[k - 1] = carry
-        r = coeffs[0] - lam * q[0] if q else coeffs[0]
-        return BorelPoly(tuple(q)), r
+        """poly(p) = Q(p) (lam - p) + r, by synthetic division by p - lam.
+
+        Horner's partial sums at lam are -Q's coefficients, top first, and
+        the last one is r = poly(lam)."""
+        acc = list(accumulate(reversed(poly.coeffs), lambda a, c: a * lam + c))
+        return BorelPoly(tuple(-b for b in reversed(acc[:-1]))), acc[-1] if acc else Fraction(0)
 
     growth = (float(4 * (1 + sum(abs(c) for c in Y.coeffs))), 0.25 if lam > 0 else 0.0)
     if offset == 0:
-        Q, r = divide(Y)
+        poly, r = divide(Y)
         # W = Q(p) + (r/lam) v^-1, v = 1 - p/lam
-        terms = [(r / lam, Fraction(-1), 0)] if r else []
-        kernel = CFK(lam, terms, Q, growth, name=f"anti({lam})")
-        m = 1 if (lam > 0 and r != 0) else 0
-        return KernelEntry(kernel, m=m)
-    # offset == 1
-    dY = BorelPoly(tuple((k + 1) * c for k, c in enumerate(Y.coeffs[1:])))
-    Q, r = divide(dY)
-    from ..resummation import p_integrate_poly
-
-    poly = p_integrate_poly(Q, 1) + BorelPoly((Fraction(w.coeff(1)),))
-    terms = [(-r, Fraction(0), 1)] if r else []  # -r log v
-    kernel = CFK(lam, terms, poly, growth, name=f"anti({lam})")
-    return KernelEntry(kernel, m=0)
+        terms, m = ([(r / lam, Fraction(-1), 0)] if r else []), (1 if (lam > 0 and r != 0) else 0)
+    else:
+        Q, r = divide(BorelPoly(tuple((k + 1) * c for k, c in enumerate(Y.coeffs[1:]))))  # Y'
+        poly = p_integrate_poly(Q, 1) + BorelPoly((Fraction(w.coeff(1)),))
+        terms, m = ([(-r, Fraction(0), 1)] if r else []), 0  # -r log v
+    return KernelEntry(ClosedFormKernel(lam, terms, poly, growth, name=f"anti({lam})"), m=m)
 
 
 def antidiff_no(f: CatalogFunction) -> CatalogFunction:
@@ -305,24 +287,13 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
         return f
     if f.name.startswith("monomial_"):
         n = int(f.name.split("_")[1])
-        entry = monomial_entry(n + 1)
-        scaled = scale_entry(entry, Fraction(1, n + 1))
-        return scaled
+        return scale_entry(monomial_entry(n + 1), Fraction(1, n + 1))
     if f.crit_power != 1 or f.crit_coef != 1:
         raise UnsupportedPointError(
             f"antidifferentiation of {f.name} needs a stored antiderivative (critical time change)"
         )
-    anti_ts = ts_antidiff(transseriate(f))
-    # attach exact Borel kernels where the derivation applies
-    from ..transseries.grid import groups_of
-
-    src = {(g.mu, g.offset): g.series for g in groups_of(f.transseries)}
-    for g in groups_of(anti_ts):
-        y = src.get((g.mu, g.offset))
-        if y is not None and g.mu != 0:
-            entry = derive_antidiff_kernel(g.mu, g.offset, y, g.series)
-            if entry is not None:
-                g.series.derived_kernel = entry
+    # each exponential group's series carries its exact Borel kernel where the derivation applies
+    anti_ts = ts_antidiff(transseriate(f), kernel_of=derive_antidiff_kernel)
     decaying = not f.transseries.plus.terms and f.transseries.log.is_zero()
 
     def oracle(x, f=f):
@@ -339,7 +310,6 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
         transseries=anti_ts,
         oracle=oracle,
         taylor_term=shifted_taylor(f.taylor_term, oracle, None),
-        kernels=dict(f.kernels),
         domain_c=f.domain_c,
         tolerance=max(f.tolerance, 1e-9),
         tail_constants=f.tail_constants,
@@ -349,8 +319,6 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
 
 
 def scale_entry(f: CatalogFunction, c: Fraction) -> CatalogFunction:
-    from ..transseries import ts_scale
-
     c = Fraction(c)
 
     def taylor(x0, k, f=f):
@@ -368,7 +336,6 @@ def scale_entry(f: CatalogFunction, c: Fraction) -> CatalogFunction:
         crit_power=f.crit_power,
         prefactor=f.prefactor,
         ln2pi_coef=f.ln2pi_coef * c,
-        kernels=dict(f.kernels),
         domain_c=f.domain_c,
         tolerance=f.tolerance,
         tail_constants=f.tail_constants,
@@ -385,8 +352,6 @@ def _scale_exact(hit, c: Fraction):
 
 def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFunction:
     """ca*a + cb*b for entries sharing a critical time."""
-    from ..transseries import ts_add, ts_scale
-
     if (a.crit_coef, a.crit_power) != (b.crit_coef, b.crit_power):
         raise UnsupportedPointError("combining entries across critical times")
     if not a.prefactor.is_one() or not b.prefactor.is_one():
@@ -404,8 +369,6 @@ def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFu
             mp.mpf(ca.numerator) / ca.denominator * va + mp.mpf(cb.numerator) / cb.denominator * vb,
         )
 
-    kernels = dict(a.kernels)
-    kernels.update(b.kernels)
     return CatalogFunction(
         name=f"{ca}*{a.name}+{cb}*{b.name}",
         transseries=ts_add(ts_scale(ca, a.transseries), ts_scale(cb, b.transseries)),
@@ -414,7 +377,6 @@ def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFu
         crit_coef=a.crit_coef,
         crit_power=a.crit_power,
         ln2pi_coef=a.ln2pi_coef * ca + b.ln2pi_coef * cb,
-        kernels=kernels,
         domain_c=max(filter(lambda v: v is not None, [a.domain_c, b.domain_c]), default=None),
         tolerance=max(a.tolerance, b.tolerance),
         tail_constants=a.tail_constants,

@@ -15,6 +15,7 @@ from .kernels import (
     BorelFunction,
     ClosedFormKernel,
     EntireSeriesKernel,
+    KernelEntry,
     PadeKernel,
     PolyKernel,
     ScaledKernel,
@@ -26,7 +27,6 @@ from .kernels import (
     sqrt_branch_kernel,
 )
 from .laplace import (
-    KernelEntry,
     QuadratureConfig,
     WatsonReport,
     average_eval,

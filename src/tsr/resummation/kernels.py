@@ -9,6 +9,9 @@ Laplace machinery, and, where a rule exists, its antiderivative from 0
 
 around a single positive singularity s, plus a polynomial; that family is
 closed under P, which is how pole kernels regularize to logs.
+
+A series carries its kernel as a :class:`KernelEntry` (kernel, m).  Kernels
+keep the mpf constants a Laplace node needs once per working precision.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ class BorelFunction:
 
     #: (c1, c3) with |F| <= c1 exp(c3 p) laterally; c3 bounds the Laplace domain
     growth: tuple[float, float] = (1.0, 0.0)
+    #: the (c, kernel) pairs of a linear combination; empty for one kernel
+    parts: tuple = ()
 
     def singularities(self) -> list[Singularity]:
         return []
@@ -68,6 +73,18 @@ class BorelFunction:
         """A with F(p) ~ A/(s - p) near the simple pole s, else 0."""
         return mp.mpf(0)
 
+    def usub_value(self, u):
+        """F(s - u^2) * 2u at an inverse-square-root branch point s."""
+        raise NotImplementedError(f"{type(self).__name__} has no branch points")
+
+    def laplace_exact(self, x):
+        """The Laplace transform in closed form, or None when there is none."""
+        return None
+
+    def scaled(self, c: Fraction) -> "BorelFunction":
+        """c * self."""
+        return ScaledKernel([(c, self)])
+
 
 class PolyKernel(BorelFunction):
     def __init__(self, poly: BorelPoly, growth=(1.0, 0.0)):
@@ -86,9 +103,6 @@ class PolyKernel(BorelFunction):
             (_c2mp(c) * mp.factorial(k) / x ** (k + 1) for k, c in enumerate(self.poly.coeffs)),
             mp.mpf(0),
         )
-
-    def p_integral(self, m: int = 1) -> "PolyKernel":
-        return PolyKernel(p_integrate_poly(self.poly, m), self.growth)
 
 
 class EntireSeriesKernel(BorelFunction):
@@ -116,15 +130,6 @@ class EntireSeriesKernel(BorelFunction):
                 return total
         raise ArithmeticError("entire kernel summation did not converge")
 
-    def p_integral(self, m: int = 1) -> "EntireSeriesKernel":
-        if m == 0:
-            return self
-
-        def f(k: int) -> Fraction:
-            return Fraction(self.coeff_fn(k - 1)) / k if k >= 1 else Fraction(0)
-
-        return EntireSeriesKernel(f, self.growth, self.name and f"P({self.name})").p_integral(m - 1)
-
 
 @dataclass(frozen=True)
 class _Term:
@@ -134,7 +139,11 @@ class _Term:
 
 
 class ClosedFormKernel(BorelFunction):
-    """sum(c * v^a * log(v)^b) + polynomial, v = 1 - p/s, one singularity s."""
+    """sum(c * v^a * log(v)^b) + polynomial, v = 1 - p/s, one singularity s.
+
+    Integer and half-integer powers of v are integer powers of v or sqrt(v),
+    so a Laplace node costs no Fraction work and no mpf ** mpf.
+    """
 
     def __init__(self, s: Fraction, terms: Sequence[tuple], poly: BorelPoly = BorelPoly(()), growth=(2.0, 1.0), name: str = ""):
         self.s = Fraction(s)
@@ -146,91 +155,88 @@ class ClosedFormKernel(BorelFunction):
         self.poly = poly
         self.growth = growth
         self.name = name
+        self._has_log = any(t.b for t in self.terms)
+        self._mp_consts: dict[int, tuple] = {}
+
+    def _consts(self) -> tuple:
+        """(s, polynomial coefficients, per-term constants) as mpf."""
+        s = _c2mp(self.s)
+        terms = []
+        for t in self.terms:
+            a, c = _c2mp(t.a), _c2mp(t.coef)
+            # usub: c v^a 2u = (2 c s^-a) u^(2a+1)
+            ucoef = 2 * c * _power(-t.a)(s)
+            terms.append((c, _power(t.a), mp.cospi(a), mp.sinpi(a), t.b, ucoef, _power(2 * t.a + 1)))
+        return s, [_c2mp(c) for c in self.poly.coeffs], terms
 
     def singularities(self) -> list[Singularity]:
-        if self.s < 0:
-            return []  # v = 1 - p/s stays positive on the Laplace ray
         worst = min((t.a for t in self.terms if t.a < 0 or t.b), default=None)
-        if worst is None and not any(t.b for t in self.terms):
-            return []
-        if worst is not None and worst < 0:
-            kind = "pole" if worst.denominator == 1 else "branch"
-            return [Singularity(self.s, kind, worst)]
+        if self.s < 0 or worst is None:
+            return []  # for s < 0, v = 1 - p/s stays positive on the Laplace ray
+        if worst < 0:
+            return [Singularity(self.s, "pole" if worst.denominator == 1 else "branch", worst)]
         return [Singularity(self.s, "log", Fraction(0))]
 
     # -- values ---------------------------------------------------------------
 
-    def _v(self, p):
-        return 1 - mp.mpf(p) / _c2mp(self.s)
-
     def value(self, p):
-        v = self._v(p)
-        if v == 0:
-            raise SingularPointError(f"evaluation at the singularity p = {self.s}")
-        if v < 0:
-            return self.averaged(p)
-        out = mp.mpf(self.poly(mp.mpf(p)))
-        logv = mp.log(v) if any(t.b for t in self.terms) else None
-        for t in self.terms:
-            base = mp.mpf(v) ** _c2mp(t.a)
-            out += _c2mp(t.coef) * base * (logv ** t.b if t.b else 1)
-        return out
+        return self.averaged(p)
 
     def lateral(self, p, side: int):
         """v < 0 continuation: arg v = -side * pi (p + i0 pushes v below its cut)."""
-        v = self._v(p)
-        if v == 0:
-            raise SingularPointError(f"evaluation at the singularity p = {self.s}")
-        out = mp.mpc(self.poly(mp.mpf(p)))
-        if v > 0:
-            logv = mp.log(v)
-            for t in self.terms:
-                out += _c2mp(t.coef) * mp.mpf(v) ** _c2mp(t.a) * (logv ** t.b if t.b else 1)
-            return out
-        mag = abs(v)
-        logv = mp.log(mag) - side * mp.mpc(0, mp.pi)
-        for t in self.terms:
-            base = mp.mpf(mag) ** _c2mp(t.a) * mp.exp(-side * mp.mpc(0, mp.pi) * _c2mp(t.a))
-            out += _c2mp(t.coef) * base * (logv ** t.b if t.b else 1)
+        s, poly, terms = _at_prec(self._mp_consts, self._consts)
+        p = mp.mpf(p)
+        mag = p / s - 1
+        if mag <= 0:
+            return mp.mpc(self.averaged(p))
+        logv = mp.mpc(mp.log(mag), -side * mp.pi)
+        out = mp.mpc(_horner(poly, p))
+        for c, power, cos_a, sin_a, b, _, _ in terms:
+            term = c * power(mag) * mp.mpc(cos_a, -side * sin_a)
+            out += term * logv if b else term
         return out
 
     def averaged(self, p):
-        """Closed-form half-sum: the cos(pi a)/sin(pi a) weights are exact.
+        """The value below s; beyond it the closed-form half-sum of the laterals.
 
-        Evaluating Re((hi+lo)/2) numerically would multiply huge |v|^a values
-        by a rounded cos(pi a); computing the weights with cospi/sinpi keeps
-        vanishing averages (a = -1/2) exactly zero.
+        The half-sum's cos(pi a)/sin(pi a) weights are exact: evaluating
+        Re((hi+lo)/2) numerically would multiply huge |v|^a values by a
+        rounded cos(pi a), while cospi/sinpi keep vanishing averages
+        (a = -1/2) exactly zero.
         """
-        v = self._v(p)
+        s, poly, terms = _at_prec(self._mp_consts, self._consts)
+        p = mp.mpf(p)
+        v = 1 - p / s
         if v == 0:
             raise SingularPointError(f"evaluation at the singularity p = {self.s}")
+        out = _horner(poly, p)
         if v > 0:
-            return self.value(p)
-        mag = abs(v)
-        logm = mp.log(mag) if any(t.b for t in self.terms) else None
-        out = mp.mpf(self.poly(mp.mpf(p)))
-        for t in self.terms:
-            a = _c2mp(t.a)
-            base = mp.mpf(mag) ** a
-            if t.b == 0:
-                out += _c2mp(t.coef) * base * mp.cospi(a)
-            else:
-                out += _c2mp(t.coef) * base * (mp.cospi(a) * logm - mp.pi * mp.sinpi(a))
+            logv = mp.log(v) if self._has_log else None
+            for c, power, _, _, b, _, _ in terms:
+                term = c * power(v)
+                out += term * logv if b else term
+            return out
+        mag = -v
+        logm = mp.log(mag) if self._has_log else None
+        for c, power, cos_a, sin_a, b, _, _ in terms:
+            base = c * power(mag)
+            out += base * (cos_a * logm - mp.pi * sin_a) if b else base * cos_a
         return out
 
     def usub_value(self, u):
         """F(s - u^2) * 2u for the branch window substitution, cancellation-free."""
-        s = _c2mp(self.s)
-        p = s - u * u
-        out = mp.mpf(self.poly(p)) * 2 * u
-        v = u * u / s  # positive approach side
-        logv = mp.log(v) if any(t.b for t in self.terms) else None
-        for t in self.terms:
-            a = _c2mp(t.a)
-            # v^a * 2u = s^-a * u^(2a+1) * 2, grouped to avoid 1/u blowup
-            base = mp.mpf(s) ** (-a) * u ** (2 * a + 1) * 2
-            out += _c2mp(t.coef) * base * (logv ** t.b if t.b else 1)
+        s, poly, terms = _at_prec(self._mp_consts, self._consts)
+        out = _horner(poly, s - u * u) * 2 * u
+        logv = mp.log(u * u / s) if self._has_log else None  # v = u^2/s on the approach side
+        for _, _, _, _, b, ucoef, upow in terms:
+            term = ucoef * upow(u)  # grouped to avoid 1/u blowup
+            out += term * logv if b else term
         return out
+
+    def scaled(self, c: Fraction) -> "ClosedFormKernel":
+        terms = [(c * t.coef, t.a, t.b) for t in self.terms]
+        growth = (abs(float(c)) * self.growth[0], self.growth[1])
+        return ClosedFormKernel(self.s, terms, self.poly.scale(c), growth, self.name)
 
     def taylor(self, K: int) -> list[Fraction]:
         out = [self.poly.coeff(k) for k in range(K + 1)]
@@ -241,14 +247,9 @@ class ClosedFormKernel(BorelFunction):
         return out
 
     def pv_residue(self, s: Fraction):
-        if Fraction(s) != self.s:
-            return mp.mpf(0)
         # c * v^-1 = c * s / (s - p)
-        total = mp.mpf(0)
-        for t in self.terms:
-            if t.a == -1 and t.b == 0:
-                total += _c2mp(t.coef) * _c2mp(self.s)
-        return total
+        poles = [t for t in self.terms if t.a == -1 and t.b == 0] if Fraction(s) == self.s else []
+        return sum((_c2mp(t.coef) * _c2mp(self.s) for t in poles), mp.mpf(0))
 
     def p_integral(self, m: int = 1) -> "ClosedFormKernel":
         if m == 0:
@@ -280,6 +281,29 @@ class ClosedFormKernel(BorelFunction):
 
 def _c2mp(q: Fraction):
     return mp.mpf(q.numerator) / q.denominator
+
+
+def _at_prec(cache: dict, build: Callable):
+    """build()'s mpf constants, built once per working precision and kept in
+    ``cache``; a lost race between threads stores an equal value."""
+    prec = mp.mp.prec
+    out = cache.get(prec)
+    if out is None:
+        out = cache[prec] = build()
+    return out
+
+
+def _power(a: Fraction) -> Callable:
+    """v -> v^a at the working precision: an integer power of v for integer
+    a, of sqrt(v) for half-integer a."""
+    if a.denominator == 1:
+        n = int(a)
+        return lambda v: v**n
+    if a.denominator == 2:
+        n = int(2 * a)
+        return lambda v: mp.sqrt(v) ** n
+    a_mp = _c2mp(a)
+    return lambda v: v**a_mp
 
 
 def _vpow_taylor(a: Fraction, b: int, K: int) -> list[Fraction]:
@@ -320,21 +344,13 @@ class PadeKernel(BorelFunction):
 
     def _coeffs_at_prec(self) -> tuple[list, list]:
         """num and den as mpf at the working precision, converted on first use."""
-        prec = mp.mp.prec
-        out = self._mp_coeffs.get(prec)
-        if out is None:
-            out = self._mp_coeffs[prec] = ([_c2mp(c) for c in self.num], [_c2mp(c) for c in self.den])
-        return out
+        return _at_prec(self._mp_coeffs, lambda: ([_c2mp(c) for c in self.num], [_c2mp(c) for c in self.den]))
 
     def real_positive_poles(self) -> list:
         if self._poles is None:
             with mp.workdps(mp.mp.dps + 10):
                 roots = mp.polyroots([_c2mp(c) for c in reversed(self.den)], maxsteps=200, extraprec=80)
-            poles = []
-            for r in roots:
-                if abs(r.imag) < mp.mpf(10) ** (-15) and r.real > 0:
-                    poles.append(r.real)
-            self._poles = sorted(poles)
+            self._poles = sorted(r.real for r in roots if abs(r.imag) < mp.mpf(10) ** (-15) and r.real > 0)
         return self._poles
 
     def singularities(self) -> list[Singularity]:
@@ -383,33 +399,66 @@ def _horner(coeffs, p):
 
 
 class ScaledKernel(BorelFunction):
-    """c * inner, for exact rational prefactors."""
+    """sum(c_i * K_i) for exact rational c_i: one scaled kernel or a linear combination.
 
-    def __init__(self, c: Fraction, inner: BorelFunction):
-        self.c = Fraction(c)
-        self.inner = inner
-        self.growth = (abs(float(c)) * inner.growth[0], inner.growth[1])
+    Nested combinations flatten and a kernel that appears twice keeps one
+    part, so c*#ei + d*#ei is the single part (c + d) * pole.  ``laplace``
+    integrates part by part, because parts may have different kinds of
+    singularity at one point.
+    """
+
+    def __init__(self, parts: Sequence[tuple]):
+        merged: dict[int, list] = {}
+        for c, k in parts:
+            for ci, ki in k.parts or ((Fraction(1), k),):
+                merged.setdefault(id(ki), [Fraction(0), ki])[0] += Fraction(c) * ci
+        self.parts = tuple((c, k) for c, k in merged.values() if c)
+        self.growth = (
+            sum(abs(float(c)) * k.growth[0] for c, k in self.parts),
+            max((k.growth[1] for _, k in self.parts), default=0.0),
+        )
+
+    def _sum(self, values):
+        return sum((_c2mp(c) * v for (c, _), v in zip(self.parts, values)), mp.mpf(0))
 
     def singularities(self):
-        return self.inner.singularities()
+        found = {s.location: s for _, k in self.parts for s in k.singularities()}
+        return sorted(found.values(), key=lambda s: s.location)
 
     def taylor(self, K):
-        return [self.c * v for v in self.inner.taylor(K)]
+        out = [Fraction(0)] * (K + 1)
+        for c, k in self.parts:
+            out = [o + c * v for o, v in zip(out, k.taylor(K))]
+        return out
 
     def value(self, p):
-        return _c2mp(self.c) * self.inner.value(p)
+        return self._sum(k.value(p) for _, k in self.parts)
 
     def lateral(self, p, side):
-        return _c2mp(self.c) * self.inner.lateral(p, side)
+        return self._sum(k.lateral(p, side) for _, k in self.parts)
 
     def averaged(self, p):
-        return _c2mp(self.c) * self.inner.averaged(p)
-
-    def pv_residue(self, s):
-        return _c2mp(self.c) * self.inner.pv_residue(s)
+        return self._sum(k.averaged(p) for _, k in self.parts)
 
     def p_integral(self, m=1):
-        return ScaledKernel(self.c, self.inner.p_integral(m))
+        return ScaledKernel([(c, k.p_integral(m)) for c, k in self.parts])
+
+
+@dataclass(frozen=True)
+class KernelEntry:
+    """A Borel kernel and the order m of the P^m regularization its sum uses."""
+
+    kernel: BorelFunction
+    m: int = 0
+
+    def scale(self, c) -> "KernelEntry":
+        return KernelEntry(self.kernel.scaled(Fraction(c)), self.m)
+
+    def __add__(self, other: "KernelEntry") -> Optional["KernelEntry"]:
+        """The entry of a sum of series; None when their P^m orders differ."""
+        if self.m != other.m:
+            return None
+        return KernelEntry(ScaledKernel([(1, self.kernel), (1, other.kernel)]), self.m)
 
 
 # -- canonical kernels ---------------------------------------------------------
@@ -452,14 +501,23 @@ class CothKernel(EntireSeriesKernel):
         from ..coefficients import coth_kernel_coeff
 
         super().__init__(coth_kernel_coeff, growth=(1.0, 0.0), name="coth")
+        self._mp_taylor: dict[int, tuple] = {}
+
+    def _taylor(self) -> tuple:
+        """(0.05, [(k, f_k)]) as mpf: at least 12 even terms, and enough that
+        the first one left out is below the working precision at |p| = 0.05
+        (each term is about (0.05 / 2 pi)^2, 2^-13.9, times the one before)."""
+        n = max(12, mp.mp.prec // 13 + 1)
+        return mp.mpf("0.05"), [(k, _c2mp(self.coeff_fn(k))) for k in range(0, 2 * n, 2)]
 
     def value(self, p):
         p = mp.mpf(p)
-        if abs(p) < mp.mpf("0.05"):
+        near, coeffs = _at_prec(self._mp_taylor, self._taylor)
+        if abs(p) < near:
             # Taylor near 0 avoids cancellation
             total = mp.mpf(0)
-            for k in range(0, 24, 2):
-                total += _c2mp(self.coeff_fn(k)) * p**k
+            for k, c in coeffs:
+                total += c * p**k
             return total
         return (p * mp.coth(p / 2) - 2) / (2 * p**2)
 
@@ -480,16 +538,9 @@ def pade_continue(b: BorelPoly, degrees: tuple[int, int]) -> PadeKernel:
         raise DegenerateTableError(f"need {m + n + 1} coefficients, have {len(b.coeffs)}")
     c = [b.coeff(k) for k in range(m + n + 1)]
     # denominator: sum(d_j c_(m+i-j), j=0..n) = 0 for i = 1..n, d_0 = 1
-    rows = []
-    rhs = []
-    for i in range(1, n + 1):
-        rows.append([c[m + i - j] if 0 <= m + i - j <= m + n else Fraction(0) for j in range(1, n + 1)])
-        rhs.append(-c[m + i])
-    d_tail = _solve_exact(rows, rhs)
-    den = [Fraction(1)] + d_tail
-    num = []
-    for k in range(m + 1):
-        num.append(sum(den[j] * c[k - j] for j in range(0, min(k, n) + 1)))
+    rows = [[c[m + i - j] if 0 <= m + i - j else Fraction(0) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    den = [Fraction(1)] + _solve_exact(rows, [-c[m + i] for i in range(1, n + 1)])
+    num = [sum(den[j] * c[k - j] for j in range(0, min(k, n) + 1)) for k in range(m + 1)]
     return PadeKernel(num, den, name=f"pade({m},{n})")
 
 

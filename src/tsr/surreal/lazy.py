@@ -14,8 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from ..errors import NotStabilizedError
+from ..errors import NotStabilizedError, UndecidableSupport
 from ..stream import Stream
+from ..transseries.series import DEFAULT_ORDER_SCAN
 from .normal_form import GT, LT, SurrealNF, nf_cmp
 
 Term = tuple[SurrealNF, Fraction]
@@ -70,19 +71,27 @@ class LazyNF:
         return LazyNF(lambda: ((e + offset, r) for e, r in self))
 
     def __add__(self, other: "LazyNF") -> "LazyNF":
+        """The termwise sum; UndecidableSupport after DEFAULT_ORDER_SCAN
+        cancelling terms in a row (two infinite streams may cancel forever)."""
+
         def gen():
             a, b = iter(self), iter(other)
             ta, tb = next(a, None), next(b, None)
+            zeros = 0
             while ta or tb:
                 order = LT if ta is None else GT if tb is None else nf_cmp(ta[0], tb[0])
                 if order == GT:
                     yield ta
-                    ta = next(a, None)
+                    ta, zeros = next(a, None), 0
                 elif order == LT:
                     yield tb
-                    tb = next(b, None)
+                    tb, zeros = next(b, None), 0
                 else:  # a zero sum is dropped by the stream
-                    yield (ta[0], ta[1] + tb[1])
+                    c = ta[1] + tb[1]
+                    zeros = zeros + 1 if c == 0 else 0
+                    if zeros >= DEFAULT_ORDER_SCAN:
+                        raise UndecidableSupport(f"{zeros} terms in a row cancel; no nonzero term found")
+                    yield (ta[0], c)
                     ta, tb = next(a, None), next(b, None)
 
         return LazyNF(gen)

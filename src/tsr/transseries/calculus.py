@@ -140,29 +140,31 @@ def ts_diff(a: TransseriesT1) -> TransseriesT1:
     return assemble(groups, LogPart(P, tuple(Q), ()), seed=_seed_of(a))
 
 
-def _antidiff_group(g: Group) -> Group:
+def _antidiff_group(g: Group, kernel_of) -> Group:
     mu, b, y = g.mu, g.offset, g.series
+    kernel = (lambda: kernel_of(g, w)) if kernel_of is not None else None
     if mu < 0:
         a = -mu
 
         def step(l: int, prev: Fraction) -> Fraction:
             return ((b - (l - 1)) * prev - y.coeff(l)) / a
 
-        w = PowerSeries.from_recurrence(-y.coeff(1) / a, step)
+        w = PowerSeries.from_recurrence(-y.coeff(1) / a, step, kernel=kernel)
     else:
 
         def step(l: int, prev: Fraction) -> Fraction:
             return (y.coeff(l) + (l - 1 - b) * prev) / mu
 
-        w = PowerSeries.from_recurrence(y.coeff(1) / mu, step)
+        w = PowerSeries.from_recurrence(y.coeff(1) / mu, step, kernel=kernel)
     if y.length is not None and b.denominator == 1 and b >= max(y.length, 1):
         # the factor b - (l-1) vanishes at l = b+1 where y has ended: w stops there
         w.length = int(b)
     return Group(mu, b, w)
 
 
-def ts_antidiff(a: TransseriesT1) -> TransseriesT1:
-    """A_T: the antiderivative with zero constant term."""
+def ts_antidiff(a: TransseriesT1, kernel_of=None) -> TransseriesT1:
+    """A_T: the antiderivative with zero constant term.  The antiderivative
+    series w of an exponential group g carries the kernel kernel_of(g, w)."""
     groups: list[Group] = []
     P: list[Fraction] = []
     Q: list[Fraction] = []
@@ -179,7 +181,7 @@ def ts_antidiff(a: TransseriesT1) -> TransseriesT1:
 
     for g in groups_of(a):
         if g.mu != 0:
-            groups.append(_antidiff_group(g))
+            groups.append(_antidiff_group(g, kernel_of))
             continue
         # pure inverse powers: c_1/x integrates to log x, the tail termwise
         y = g.series

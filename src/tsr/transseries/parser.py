@@ -297,7 +297,9 @@ def ts_print(ts: TransseriesT1, truncation: int = 8) -> str:
 def _series_json(ps: PowerSeries, order: int):
     if ps.is_finite():
         return {"coeffs": [str(c) for c in ps.coeffs(ps.length or 0)]}
-    name = getattr(ps, "oracle_name", None)
+    from ..coefficients import series_name
+
+    name = series_name(ps)
     if name:
         return {"oracle": name, "order": order}
     return {"coeffs": [str(c) for c in ps.coeffs(order)], "truncated": True}
@@ -307,11 +309,8 @@ def _series_from_json(obj) -> PowerSeries:
     if "oracle" in obj:
         from ..coefficients import named_series
 
-        ps = named_series(obj["oracle"])
-        ps.oracle_name = obj["oracle"]
-        return ps
-    ps = PowerSeries.from_coeffs([Fraction(c) for c in obj["coeffs"]])
-    return ps
+        return named_series(obj["oracle"])
+    return PowerSeries.from_coeffs([Fraction(c) for c in obj["coeffs"]])
 
 
 def ts_to_json(ts: TransseriesT1, order: int = 16) -> dict:

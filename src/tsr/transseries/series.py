@@ -3,16 +3,22 @@
 Coefficients come from a memoized oracle, so recurrence-backed and
 closed-form series share one representation with explicit finite lists.
 All operations are exact; memoization is recomputation-safe.
+A series may carry the Borel kernel (a ``KernelEntry``, built on first
+read) its sum uses; ``scale``, negation and ``+`` carry it, all else drops it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..errors import UndecidableSupport
 from ..stream import Stream
+
+if TYPE_CHECKING:
+    from ..resummation.kernels import KernelEntry
 
 KIND_FINITE = "finite"
 KIND_CLOSED = "closed-form"
@@ -32,11 +38,18 @@ class PowerSeries:
         kind: str = KIND_CLOSED,
         length: Optional[int] = None,
         known_order: Optional[int] = None,
+        kernel: Optional[Callable[[], Optional["KernelEntry"]]] = None,
     ):
         self._coeffs = Stream(lambda: map(lambda l: Fraction(coeff_fn(l)), count(1)))
         self.kind = kind
         self.length = length  # greatest possibly-nonzero index for finite series
         self.known_order = known_order
+        self._kernel_fn = kernel or (lambda: None)
+
+    @cached_property
+    def kernel(self) -> Optional["KernelEntry"]:
+        """The Borel kernel entry this series is summed with, or None."""
+        return self._kernel_fn()
 
     # -- constructors --------------------------------------------------------
 
@@ -63,8 +76,8 @@ class PowerSeries:
         return cls.from_coeffs(coeffs)
 
     @classmethod
-    def from_fn(cls, fn: Callable[[int], Fraction], *, kind: str = KIND_CLOSED, known_order: Optional[int] = None) -> "PowerSeries":
-        return cls(fn, kind=kind, known_order=known_order)
+    def from_fn(cls, fn: Callable[[int], Fraction], *, kind: str = KIND_CLOSED, known_order: Optional[int] = None, kernel=None) -> "PowerSeries":
+        return cls(fn, kind=kind, known_order=known_order, kernel=kernel)
 
     # -- coefficient access ---------------------------------------------------
 
@@ -108,6 +121,10 @@ class PowerSeries:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
+        if other.length == 0:
+            return self
+        if self.length == 0:
+            return other
         length = None
         if self.length is not None and other.length is not None:
             length = max(self.length, other.length)
@@ -115,6 +132,7 @@ class PowerSeries:
             lambda l: self.coeff(l) + other.coeff(l),
             kind=_join_kind(self, other),
             length=length,
+            kernel=lambda: self.kernel and other.kernel and self.kernel + other.kernel,
         )
 
     def __neg__(self) -> "PowerSeries":
@@ -134,6 +152,7 @@ class PowerSeries:
             kind=self.kind,
             length=self.length,
             known_order=self.known_order,
+            kernel=lambda: self.kernel and self.kernel.scale(c),
         )
 
     def shift_down(self, d: int) -> "PowerSeries":
@@ -184,10 +203,10 @@ class PowerSeries:
         return PowerSeries(fn, kind=_join_kind(self), length=length)
 
     @classmethod
-    def from_recurrence(cls, first: Fraction, step: Callable[[int, Fraction], Fraction]) -> "PowerSeries":
+    def from_recurrence(cls, first: Fraction, step: Callable[[int, Fraction], Fraction], *, kernel=None) -> "PowerSeries":
         """w_1 = first, w_l = step(l, w_(l-1)) for l >= 2, memoized."""
         # w_(l-1) is already memoized when w_l is computed
-        series = cls(lambda l: first if l == 1 else step(l, series.coeff(l - 1)), kind=KIND_RECURRENCE)
+        series = cls(lambda l: first if l == 1 else step(l, series.coeff(l - 1)), kind=KIND_RECURRENCE, kernel=kernel)
         return series
 
     def __repr__(self) -> str:

@@ -5,7 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from tsr.operators.laws import antidiff_laws, extension_laws, integral_laws
+from tsr.resummation import QuadratureConfig
 from tsr.surreal import SurrealNF
+
+#: The stricter of the two configurations the law suites were checked at
+#: (acceptance criterion 10's); the defaults are abs 1e-12, rel 1e-10.
+STRICT_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-11)
 
 
 def random_rational(rng: random.Random, span: int = 6) -> F:
@@ -46,3 +52,13 @@ def time_budget(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="session")
+def law_reports() -> dict:
+    """Each operator-law suite's report, computed once per session at STRICT_CFG."""
+    return {
+        "antidiff": antidiff_laws(STRICT_CFG),
+        "extension": extension_laws(STRICT_CFG, samples=30),
+        "integral": integral_laws(STRICT_CFG),
+    }

@@ -10,12 +10,11 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from conftest import STRICT_CFG
 
 from tsr.coefficients import airy_u, stirling_coeff
 from tsr.operators import antidiff_no, catalog, extend, integrate
-from tsr.operators.laws import antidiff_laws, extension_laws, integral_laws
 from tsr.resummation import (
-    QuadratureConfig,
     all_addresses,
     average_consistency_check,
     borel_transform,
@@ -37,7 +36,7 @@ from tsr.surreal import (
 )
 from tsr.transseries import PowerSeries, eq_to_order, ts_antidiff, ts_diff, ts_parse
 
-CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-11)
+CFG = STRICT_CFG  # abs 1e-13, rel 1e-11; the law_reports fixture runs at it too
 
 
 def report(n: int, ok: bool, detail: str):
@@ -230,9 +229,9 @@ def test_criterion_9_averaging_consistency():
     )
 
 
-def test_criterion_10_operator_laws():
-    """Dd2 (i)-(vi), extension laws (i)-(iv), integral laws (a)-(g)."""
-    suites = [antidiff_laws(CFG), extension_laws(CFG, samples=30), integral_laws(CFG)]
+def test_criterion_10_operator_laws(law_reports):
+    """Dd2 (i)-(vi), extension laws (i)-(iv), integral laws (a)-(g), at CFG."""
+    suites = [law_reports["antidiff"], law_reports["extension"], law_reports["integral"]]
     ok = all(s.passed for s in suites)
     detail = "; ".join(
         f"{s.suite}: {sum(1 for _, good, _ in s.results if good)}/{len(s.results)}" for s in suites

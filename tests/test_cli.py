@@ -81,7 +81,7 @@ class TestVerbs:
     def test_catalog_manifest(self, cli):
         code, out, _ = cli("catalog", "--manifest")
         man = json.loads(out)
-        assert man["ei"]["regularization_m"] == {"ei": 1}
+        assert man["ei"]["regularization_m"] == {"ei": 0}
 
 
 class TestErrors:

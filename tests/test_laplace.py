@@ -274,10 +274,10 @@ class TestKernelProperties:
             p = mp.mpf(x)
             assume(fraction_horner(pade.den, p) != 0 and x != 1)
             for inner in (pade, pole_kernel(1), sqrt_branch_kernel(1, F(1, 2)), log_kernel(1)):
-                scaled = ScaledKernel(c, inner)
+                scaled = ScaledKernel([(c, inner)])
                 assert scaled.averaged(p) == mp.mpf(c.numerator) / c.denominator * inner.averaged(p)
             # for a single-valued inner it is still the half-sum of the laterals
-            assert ScaledKernel(c, pade).averaged(p) == half_sum(ScaledKernel(c, pade), p)
+            assert ScaledKernel([(c, pade)]).averaged(p) == half_sum(ScaledKernel([(c, pade)]), p)
 
     @PROPERTY
     @given(pade_kernels(), DIGITS, st.fractions(0, 12, max_denominator=64))

@@ -1,20 +1,24 @@
-"""Operator-law suites must pass end to end on the catalog."""
+"""Operator-law suites must pass end to end on the catalog.
 
-from tsr.operators.laws import antidiff_laws, extension_laws, integral_laws
+The suites run once per session, at the stricter configuration acceptance
+criterion 10 also reads (the ``law_reports`` fixture in conftest.py).
+"""
+
+from tsr.operators.laws import integral_laws
 
 
-def test_antidiff_laws():
-    report = antidiff_laws()
+def test_antidiff_laws(law_reports):
+    report = law_reports["antidiff"]
     assert report.passed, report.summary()
 
 
-def test_extension_laws():
-    report = extension_laws(samples=30)
+def test_extension_laws(law_reports):
+    report = law_reports["extension"]
     assert report.passed, report.summary()
 
 
-def test_integral_laws():
-    report = integral_laws()
+def test_integral_laws(law_reports):
+    report = law_reports["integral"]
     assert report.passed, report.summary()
 
 

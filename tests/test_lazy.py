@@ -1,11 +1,13 @@
 """LazyNF streams and Conway Limits with stabilization schedules."""
 
 from fractions import Fraction as F
+from itertools import count
 from math import factorial
 
 import pytest
+from conftest import time_budget
 
-from tsr.errors import NotStabilizedError
+from tsr.errors import NotStabilizedError, UndecidableSupport
 from tsr.surreal import LazyNF, SurrealNF, lim, omega, one, schedule_from_nf
 
 W = omega()
@@ -96,3 +98,14 @@ class TestLimLaws:
     def test_render_with_ellipsis(self):
         value = lim(factorial_seq, descending_schedule(12))
         assert value.render(3) == "w^(-1) + w^(-2) + 2*w^(-3) + ..."
+
+
+def test_cancelling_sum_stops_searching():
+    # two infinite streams that cancel term by term: no first term exists
+    a = LazyNF(lambda: ((SurrealNF.from_rational(-k), 1) for k in count(1)))
+    with time_budget(10.0):
+        with pytest.raises(UndecidableSupport):
+            (a + a.scale(-1)).term(0)
+        # a sum that cancels for a while and then differs still has its term
+        b = LazyNF(lambda: ((SurrealNF.from_rational(-k), -1 if k < 20 else 1) for k in count(1)))
+        assert (a + b).term(0) == (SurrealNF.from_rational(-20), 2)

@@ -154,7 +154,7 @@ class TestCatalog:
     def test_manifest_shape(self):
         man = catalog_manifest()
         assert man["ei"]["kernels"] == {"ei": "ClosedFormKernel"}
-        assert man["ei"]["regularization_m"] == {"ei": 1}
+        assert man["ei"]["regularization_m"] == {"ei": 0}
         assert man["erfi_integral"]["critical_time"] == {"coef": "1", "power": "2"}
         assert man["loggamma"]["ln2pi_coef"] == "1/2"
         assert man["airy_ai"]["critical_time"] == {"coef": "2/3", "power": "3/2"}

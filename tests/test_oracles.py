@@ -1,5 +1,7 @@
 """Real-line oracles: the Ei constants memo and Gamma's Taylor terms."""
 
+import contextlib
+import io
 import sys
 import threading
 from fractions import Fraction as F
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsr.cli import run
 from tsr.operators.catalog import EiOracle, catalog, gamma_oracle
 
 
@@ -101,3 +104,13 @@ def test_gamma_taylor_terms_match_numeric_derivatives(x0):
             want = mp.diff(mp.gamma, x, k) / mp.factorial(k)
             assert kind == "num"
             assert abs(got / want - 1) < mp.mpf(10) ** -45
+
+
+def test_gamma_taylor_computes_each_log_gamma_term_once(monkeypatch):
+    # terms 0..11 need psi(0..10) once each, not l_1..l_k again for every k
+    calls = []
+    psi = mp.psi
+    monkeypatch.setattr(mp, "psi", lambda m, x: calls.append(m) or psi(m, x))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["eval", "gamma", "29/8+w^-1", "--terms", "12", "--prec", "50"]) == 0
+    assert sorted(calls) == list(range(11))
