@@ -32,7 +32,6 @@ from ..transseries import (
     from_minus_term,
     from_plus_term,
     assemble,
-    ts_to_json,
 )
 from ..transseries.grid import Group, groups_of
 from .prefactor import Prefactor
@@ -66,7 +65,11 @@ class CatalogFunction:
         return series.kernel or (None if series.is_finite() else resolve_default(series))
 
     def critical_time(self, x):
-        return _to_mpf(self.crit_coef) * mp.mpf(x) ** _to_mpf(self.crit_power)
+        return (
+            mp.mpf(self.crit_coef.numerator)
+            / self.crit_coef.denominator
+            * mp.mpf(x) ** (mp.mpf(self.crit_power.numerator) / self.crit_power.denominator)
+        )
 
     def eb_value(self, x, cfg: QuadratureConfig = None):
         """Resummation-side value: prefactor * eb_sum at the critical time."""
@@ -553,6 +556,8 @@ def catalog() -> dict[str, CatalogFunction]:
 
 def catalog_manifest() -> dict:
     """JSON-ready manifest: per entry the kernels, constants, and tolerances."""
+    from ..transseries import ts_to_json
+
     out = {}
     for name, e in catalog().items():
         named = {series_name(g.series): g.series.kernel for g in groups_of(e.transseries)} if e.transseries else {}

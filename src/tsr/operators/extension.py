@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, takewhile
+from itertools import islice, takewhile
 from typing import Optional, Union
 
 import mpmath as mp
 
 from ..errors import UnsupportedPointError
-from ..resummation import BorelPoly, ClosedFormKernel, KernelEntry, QuadratureConfig, borel_transform, p_integrate_poly
+from ..resummation import QuadratureConfig
 from ..surreal import LazyNF, SurrealNF, nf_cmp
-from ..transseries import TransseriesT1, ts_add, ts_antidiff, ts_scale
+from ..transseries import TransseriesT1, ts_antidiff
 from .catalog import CatalogFunction, catalog, monomial_entry, shifted_taylor
 from .prefactor import Prefactor
 from .tau import SurrealPoint, SurrealValue, ValueGroup, tau_eval
@@ -236,43 +236,6 @@ def exp_lazy_infinitesimal(z: LazyNF) -> LazyNF:
 # -- antidifferentiation and the integral ----------------------------------------
 
 
-def derive_antidiff_kernel(g, w: "PowerSeries"):
-    """Closed-form Borel transform of the antiderivative series w of group g.
-
-    For a group x^b e^(mu x) y with finite y and b in {0, 1}, the transform
-    of the solution of w' + (mu + b/x) w = y is exact:
-
-        b = 0:  W = Y / (mu - p)            (partial fractions)
-        b = 1:  W = w_1 + int_0^p Y'(s)/(mu - s) ds   (a log plus a polynomial)
-
-    where Y is the polynomial Borel transform of y.  For decaying groups the
-    reference point mu is negative, so W is analytic on the Laplace ray.
-    """
-    y, offset, lam = g.series, g.offset, g.mu  # lam: reference point of the ratio
-    if y.length is None or offset not in (0, 1):
-        return None
-    Y = borel_transform(y, y.length)
-
-    def divide(poly: BorelPoly):
-        """poly(p) = Q(p) (lam - p) + r, by synthetic division by p - lam.
-
-        Horner's partial sums at lam are -Q's coefficients, top first, and
-        the last one is r = poly(lam)."""
-        acc = list(accumulate(reversed(poly.coeffs), lambda a, c: a * lam + c))
-        return BorelPoly(tuple(-b for b in reversed(acc[:-1]))), acc[-1] if acc else Fraction(0)
-
-    growth = (float(4 * (1 + sum(abs(c) for c in Y.coeffs))), 0.25 if lam > 0 else 0.0)
-    if offset == 0:
-        poly, r = divide(Y)
-        # W = Q(p) + (r/lam) v^-1, v = 1 - p/lam
-        terms, m = ([(r / lam, Fraction(-1), 0)] if r else []), (1 if (lam > 0 and r != 0) else 0)
-    else:
-        Q, r = divide(BorelPoly(tuple((k + 1) * c for k, c in enumerate(Y.coeffs[1:]))))  # Y'
-        poly = p_integrate_poly(Q, 1) + BorelPoly((Fraction(w.coeff(1)),))
-        terms, m = ([(-r, Fraction(0), 1)] if r else []), 0  # -r log v
-    return KernelEntry(ClosedFormKernel(lam, terms, poly, growth, name=f"anti({lam})"), m=m)
-
-
 def antidiff_no(f: CatalogFunction) -> CatalogFunction:
     """A_No f: the antiderivative entry with zero constant at infinity.
 
@@ -287,13 +250,14 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
         return f
     if f.name.startswith("monomial_"):
         n = int(f.name.split("_")[1])
-        return scale_entry(monomial_entry(n + 1), Fraction(1, n + 1))
+        entry = monomial_entry(n + 1)
+        scaled = scale_entry(entry, Fraction(1, n + 1))
+        return scaled
     if f.crit_power != 1 or f.crit_coef != 1:
         raise UnsupportedPointError(
             f"antidifferentiation of {f.name} needs a stored antiderivative (critical time change)"
         )
-    # each exponential group's series carries its exact Borel kernel where the derivation applies
-    anti_ts = ts_antidiff(transseriate(f), kernel_of=derive_antidiff_kernel)
+    anti_ts = ts_antidiff(transseriate(f))  # its series carry their derived kernels
     decaying = not f.transseries.plus.terms and f.transseries.log.is_zero()
 
     def oracle(x, f=f):
@@ -319,6 +283,8 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
 
 
 def scale_entry(f: CatalogFunction, c: Fraction) -> CatalogFunction:
+    from ..transseries import ts_scale
+
     c = Fraction(c)
 
     def taylor(x0, k, f=f):
@@ -352,6 +318,8 @@ def _scale_exact(hit, c: Fraction):
 
 def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFunction:
     """ca*a + cb*b for entries sharing a critical time."""
+    from ..transseries import ts_add, ts_scale
+
     if (a.crit_coef, a.crit_power) != (b.crit_coef, b.crit_power):
         raise UnsupportedPointError("combining entries across critical times")
     if not a.prefactor.is_one() or not b.prefactor.is_one():

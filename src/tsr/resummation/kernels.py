@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 
 from ..errors import DegenerateTableError, NotRegularizableError, SingularPointError
-from .borel import BorelPoly, p_integrate_poly
+from .borel import BorelPoly, borel_transform, p_integrate_poly
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,6 @@ class BorelFunction:
 
     #: (c1, c3) with |F| <= c1 exp(c3 p) laterally; c3 bounds the Laplace domain
     growth: tuple[float, float] = (1.0, 0.0)
-    #: the (c, kernel) pairs of a linear combination; empty for one kernel
-    parts: tuple = ()
 
     def singularities(self) -> list[Singularity]:
         return []
@@ -80,10 +78,6 @@ class BorelFunction:
     def laplace_exact(self, x):
         """The Laplace transform in closed form, or None when there is none."""
         return None
-
-    def scaled(self, c: Fraction) -> "BorelFunction":
-        """c * self."""
-        return ScaledKernel([(c, self)])
 
 
 class PolyKernel(BorelFunction):
@@ -170,11 +164,14 @@ class ClosedFormKernel(BorelFunction):
         return s, [_c2mp(c) for c in self.poly.coeffs], terms
 
     def singularities(self) -> list[Singularity]:
+        if self.s < 0:
+            return []  # v = 1 - p/s stays positive on the Laplace ray
         worst = min((t.a for t in self.terms if t.a < 0 or t.b), default=None)
-        if self.s < 0 or worst is None:
-            return []  # for s < 0, v = 1 - p/s stays positive on the Laplace ray
-        if worst < 0:
-            return [Singularity(self.s, "pole" if worst.denominator == 1 else "branch", worst)]
+        if worst is None and not any(t.b for t in self.terms):
+            return []
+        if worst is not None and worst < 0:
+            kind = "pole" if worst.denominator == 1 else "branch"
+            return [Singularity(self.s, kind, worst)]
         return [Singularity(self.s, "log", Fraction(0))]
 
     # -- values ---------------------------------------------------------------
@@ -233,11 +230,6 @@ class ClosedFormKernel(BorelFunction):
             out += term * logv if b else term
         return out
 
-    def scaled(self, c: Fraction) -> "ClosedFormKernel":
-        terms = [(c * t.coef, t.a, t.b) for t in self.terms]
-        growth = (abs(float(c)) * self.growth[0], self.growth[1])
-        return ClosedFormKernel(self.s, terms, self.poly.scale(c), growth, self.name)
-
     def taylor(self, K: int) -> list[Fraction]:
         out = [self.poly.coeff(k) for k in range(K + 1)]
         for t in self.terms:
@@ -247,9 +239,14 @@ class ClosedFormKernel(BorelFunction):
         return out
 
     def pv_residue(self, s: Fraction):
+        if Fraction(s) != self.s:
+            return mp.mpf(0)
         # c * v^-1 = c * s / (s - p)
-        poles = [t for t in self.terms if t.a == -1 and t.b == 0] if Fraction(s) == self.s else []
-        return sum((_c2mp(t.coef) * _c2mp(self.s) for t in poles), mp.mpf(0))
+        total = mp.mpf(0)
+        for t in self.terms:
+            if t.a == -1 and t.b == 0:
+                total += _c2mp(t.coef) * _c2mp(self.s)
+        return total
 
     def p_integral(self, m: int = 1) -> "ClosedFormKernel":
         if m == 0:
@@ -350,7 +347,11 @@ class PadeKernel(BorelFunction):
         if self._poles is None:
             with mp.workdps(mp.mp.dps + 10):
                 roots = mp.polyroots([_c2mp(c) for c in reversed(self.den)], maxsteps=200, extraprec=80)
-            self._poles = sorted(r.real for r in roots if abs(r.imag) < mp.mpf(10) ** (-15) and r.real > 0)
+            poles = []
+            for r in roots:
+                if abs(r.imag) < mp.mpf(10) ** (-15) and r.real > 0:
+                    poles.append(r.real)
+            self._poles = sorted(poles)
         return self._poles
 
     def singularities(self) -> list[Singularity]:
@@ -399,49 +400,47 @@ def _horner(coeffs, p):
 
 
 class ScaledKernel(BorelFunction):
-    """sum(c_i * K_i) for exact rational c_i: one scaled kernel or a linear combination.
+    """c * inner, for exact rational prefactors; scaling a scaled kernel
+    scales its inner kernel, so every multiple of one kernel shares it."""
 
-    Nested combinations flatten and a kernel that appears twice keeps one
-    part, so c*#ei + d*#ei is the single part (c + d) * pole.  ``laplace``
-    integrates part by part, because parts may have different kinds of
-    singularity at one point.
-    """
+    def __init__(self, c: Fraction, inner: BorelFunction):
+        if isinstance(inner, ScaledKernel):
+            c, inner = c * inner.c, inner.inner
+        self.c = Fraction(c)
+        self.inner = inner
+        self.growth = (abs(float(c)) * inner.growth[0], inner.growth[1])
+        self._mp_c: dict[int, mp.mpf] = {}
 
-    def __init__(self, parts: Sequence[tuple]):
-        merged: dict[int, list] = {}
-        for c, k in parts:
-            for ci, ki in k.parts or ((Fraction(1), k),):
-                merged.setdefault(id(ki), [Fraction(0), ki])[0] += Fraction(c) * ci
-        self.parts = tuple((c, k) for c, k in merged.values() if c)
-        self.growth = (
-            sum(abs(float(c)) * k.growth[0] for c, k in self.parts),
-            max((k.growth[1] for _, k in self.parts), default=0.0),
-        )
-
-    def _sum(self, values):
-        return sum((_c2mp(c) * v for (c, _), v in zip(self.parts, values)), mp.mpf(0))
+    def _c(self):
+        return _at_prec(self._mp_c, lambda: _c2mp(self.c))
 
     def singularities(self):
-        found = {s.location: s for _, k in self.parts for s in k.singularities()}
-        return sorted(found.values(), key=lambda s: s.location)
+        return self.inner.singularities()
 
     def taylor(self, K):
-        out = [Fraction(0)] * (K + 1)
-        for c, k in self.parts:
-            out = [o + c * v for o, v in zip(out, k.taylor(K))]
-        return out
+        return [self.c * v for v in self.inner.taylor(K)]
 
     def value(self, p):
-        return self._sum(k.value(p) for _, k in self.parts)
+        return self._c() * self.inner.value(p)
 
     def lateral(self, p, side):
-        return self._sum(k.lateral(p, side) for _, k in self.parts)
+        return self._c() * self.inner.lateral(p, side)
 
     def averaged(self, p):
-        return self._sum(k.averaged(p) for _, k in self.parts)
+        return self._c() * self.inner.averaged(p)
+
+    def pv_residue(self, s):
+        return self._c() * self.inner.pv_residue(s)
+
+    def usub_value(self, u):
+        return self._c() * self.inner.usub_value(u)
+
+    def laplace_exact(self, x):
+        exact = self.inner.laplace_exact(x)
+        return None if exact is None else self._c() * exact
 
     def p_integral(self, m=1):
-        return ScaledKernel([(c, k.p_integral(m)) for c, k in self.parts])
+        return ScaledKernel(self.c, self.inner.p_integral(m))
 
 
 @dataclass(frozen=True)
@@ -452,13 +451,65 @@ class KernelEntry:
     m: int = 0
 
     def scale(self, c) -> "KernelEntry":
-        return KernelEntry(self.kernel.scaled(Fraction(c)), self.m)
+        return KernelEntry(ScaledKernel(Fraction(c), self.kernel), self.m)
 
     def __add__(self, other: "KernelEntry") -> Optional["KernelEntry"]:
-        """The entry of a sum of series; None when their P^m orders differ."""
-        if self.m != other.m:
+        """The entry of a sum of series: (c + d) * K for c * K + d * K, else
+        None (a sum of different kernels is left to the Pade fallback)."""
+        a, b = (e.kernel if isinstance(e.kernel, ScaledKernel) else ScaledKernel(1, e.kernel) for e in (self, other))
+        if a.inner is not b.inner or self.m != other.m:
             return None
-        return KernelEntry(ScaledKernel([(1, self.kernel), (1, other.kernel)]), self.m)
+        return KernelEntry(ScaledKernel(a.c + b.c, a.inner), self.m)
+
+
+def derive_antidiff_kernel(mu: Fraction, offset: Fraction, y, w) -> Optional[KernelEntry]:
+    """Closed-form Borel transform of the antiderivative series w.
+
+    For a group x^b e^(mu x) y with finite y and b in {0, 1}, the transform
+    of the solution of w' + (mu + b/x) w = y is exact:
+
+        b = 0:  W = Y / (mu - p)            (partial fractions)
+        b = 1:  W = w_1 + int_0^p Y'(s)/(mu - s) ds   (a log plus a polynomial)
+
+    where Y is the polynomial Borel transform of y.  For decaying groups the
+    reference point mu is negative, so W is analytic on the Laplace ray.
+    """
+    if y.length is None or offset not in (0, 1):
+        return None
+    K = y.length or 0
+    Y = borel_transform(y, K)
+    lam = Fraction(mu)  # reference point of the ratio
+
+    def divide(poly: BorelPoly):
+        """poly(p) = Q(p) (lam - p) + r, by synthetic division."""
+        coeffs = list(poly.coeffs)
+        d = len(coeffs) - 1
+        if d < 0:
+            return BorelPoly(()), Fraction(0)
+        q = [Fraction(0)] * max(d, 0)
+        # matching coefficients of lam*Q - p*Q: q_(k-1) = lam q_k - c_k
+        carry = Fraction(0)  # q_d = 0
+        for k in range(d, 0, -1):
+            carry = lam * carry - coeffs[k]
+            q[k - 1] = carry
+        r = coeffs[0] - lam * q[0] if q else coeffs[0]
+        return BorelPoly(tuple(q)), r
+
+    growth = (float(4 * (1 + sum(abs(c) for c in Y.coeffs))), 0.25 if lam > 0 else 0.0)
+    if offset == 0:
+        Q, r = divide(Y)
+        # W = Q(p) + (r/lam) v^-1, v = 1 - p/lam
+        terms = [(r / lam, Fraction(-1), 0)] if r else []
+        kernel = ClosedFormKernel(lam, terms, Q, growth, name=f"anti({lam})")
+        m = 1 if (lam > 0 and r != 0) else 0
+        return KernelEntry(kernel, m=m)
+    # offset == 1
+    dY = BorelPoly(tuple((k + 1) * c for k, c in enumerate(Y.coeffs[1:])))
+    Q, r = divide(dY)
+    poly = p_integrate_poly(Q, 1) + BorelPoly((Fraction(w.coeff(1)),))
+    terms = [(-r, Fraction(0), 1)] if r else []  # -r log v
+    kernel = ClosedFormKernel(lam, terms, poly, growth, name=f"anti({lam})")
+    return KernelEntry(kernel, m=0)
 
 
 # -- canonical kernels ---------------------------------------------------------
@@ -538,9 +589,16 @@ def pade_continue(b: BorelPoly, degrees: tuple[int, int]) -> PadeKernel:
         raise DegenerateTableError(f"need {m + n + 1} coefficients, have {len(b.coeffs)}")
     c = [b.coeff(k) for k in range(m + n + 1)]
     # denominator: sum(d_j c_(m+i-j), j=0..n) = 0 for i = 1..n, d_0 = 1
-    rows = [[c[m + i - j] if 0 <= m + i - j else Fraction(0) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    den = [Fraction(1)] + _solve_exact(rows, [-c[m + i] for i in range(1, n + 1)])
-    num = [sum(den[j] * c[k - j] for j in range(0, min(k, n) + 1)) for k in range(m + 1)]
+    rows = []
+    rhs = []
+    for i in range(1, n + 1):
+        rows.append([c[m + i - j] if 0 <= m + i - j <= m + n else Fraction(0) for j in range(1, n + 1)])
+        rhs.append(-c[m + i])
+    d_tail = _solve_exact(rows, rhs)
+    den = [Fraction(1)] + d_tail
+    num = []
+    for k in range(m + 1):
+        num.append(sum(den[j] * c[k - j] for j in range(0, min(k, n) + 1)))
     return PadeKernel(num, den, name=f"pade({m},{n})")
 
 

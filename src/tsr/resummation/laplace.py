@@ -6,18 +6,17 @@ principal-value window with the residue term subtracted exactly (its PV over
 the window is zero), inverse-square-root branch points get the u = sqrt(s-p)
 substitution on the approach side, log endpoints are left to tanh-sinh
 panels, and the far tail is bounded by the kernel's exponential growth
-constants.  A linear combination of kernels is integrated part by part.
-Working precision, tolerances, and window sizes come from
+constants.  Working precision, tolerances, and window sizes come from
 :class:`QuadratureConfig`.
 
 ``eb_sum`` sums each series through the kernel it carries (the registered
-closed form of a ``#name``, see ``tsr.coefficients``, kept through scaling
-and sums, or one derived by ``antidiff_no``), else an exact Pade fit.
+closed form of a ``#name``, see ``tsr.coefficients``, kept through scaling,
+or the one ``ts_antidiff`` derives), else through an exact Pade fit.
 """
 
 from __future__ import annotations
 
-import contextlib
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -25,7 +24,6 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 
 from ..errors import (
-    DegenerateTableError,
     GrowthBoundViolated,
     NotRegularizableError,
     SingularPointError,
@@ -36,7 +34,7 @@ from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import PowerSeries
 from .averaging import WeightFamily, all_addresses, catalan_weight
 from .borel import borel_transform
-from .kernels import BorelFunction, KernelEntry, _c2mp, pade_continue
+from .kernels import BorelFunction, KernelEntry, pade_continue
 
 
 @dataclass
@@ -64,16 +62,19 @@ def average_eval(f: BorelFunction, p, *, weights: WeightFamily = catalan_weight,
     """
     cfg = cfg or QuadratureConfig()
     with mp.workdps(cfg.precision):
-        p = _c2mp(p) if isinstance(p, Fraction) else mp.mpf(p)
-        locs = [mp.mpf(float(s.location)) for s in f.singularities()]
-        if p in locs:
-            raise SingularPointError(f"p = {p} is a singularity")
-        n = sum(1 for loc in locs if loc < p)
-        if not n:
+        p = _q2mp(p) if isinstance(p, Fraction) else mp.mpf(p)
+        sings = [s for s in f.singularities() if mp.mpf(float(s.location)) < p]
+        for s in f.singularities():
+            if mp.mpf(float(s.location)) == p:
+                raise SingularPointError(f"p = {p} is a singularity")
+        if not sings:
             return f.value(p)
+        n = len(sings)
         total = mp.mpf(0)
         for address in all_addresses(n):
-            total += _c2mp(weights(address)) * f.lateral(p, address.eps[-1]).real
+            w = weights(address)
+            lateral = f.lateral(p, address.eps[-1])
+            total += mp.mpf(w.numerator) / w.denominator * lateral.real
         return total
 
 
@@ -81,19 +82,12 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
     """integral(e^(-xp) avg(f)(p), p = 0..inf) with an error estimate."""
     cfg = cfg or QuadratureConfig()
     with mp.workdps(cfg.precision):
-        x = _c2mp(x) if isinstance(x, Fraction) else mp.mpf(x)
+        x = _q2mp(x) if isinstance(x, Fraction) else mp.mpf(x)
         c1, c3 = (mp.mpf(g) for g in f.growth)
         if x <= c3:
             raise GrowthBoundViolated(f"need x > {c3}, got {x}")
         abs_tol = mp.mpf(cfg.abs_tol)
 
-        if f.parts:  # L is linear; each part keeps its own windows
-            total, err = mp.mpf(0), mp.mpf(0)
-            for c, k in f.parts:
-                v, e = laplace(k, x, cfg)
-                total += _c2mp(c) * v
-                err += abs(_c2mp(c)) * e
-            return total, err
         exact = f.laplace_exact(x)
         if exact is not None:
             return exact, mp.mpf(0)
@@ -113,25 +107,38 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
             T = max(T, locs[-1] + 2 * w + 1)
         T = max(T, mp.mpf(2))
 
-        total, err = mp.mpf(0), mp.mpf(0)
+        total = mp.mpf(0)
+        err = mp.mpf(0)
 
         def quad(fn, pts, method="tanh-sinh"):
-            """Add one quadrature's value and error estimate to the totals."""
-            nonlocal total, err
             # Gauss-Legendre node sets grow exponentially with the degree and
             # dominate setup cost; analytic window integrands converge by 6.
             maxdeg = 6 if method == "gauss-legendre" else 8
             v, e = mp.quad(fn, pts, error=True, maxdegree=maxdeg, method=method)
-            total += v
-            err += abs(e)
+            return v, e
 
         integrand = lambda p: mp.e ** (-x * p) * f.averaged(p)
 
-        windows = [(s, loc - w, loc + w) for s, loc in zip(sings, locs)]
-        edges = [mp.mpf(0)] + [e for _, lo, hi in windows for e in (lo, hi)] + [T]
-        for a, b in zip(edges[::2], edges[1::2]):  # smooth spans between windows
-            if b > a:
-                quad(integrand, _split_span(a, b, cfg.max_panels))
+        edges = [mp.mpf(0)]
+        windows = []
+        for s, loc in zip(sings, locs):
+            windows.append((s, loc - w, loc + w))
+            edges += [loc - w, loc + w]
+        edges.append(T)
+
+        # smooth spans between windows
+        spans = [(edges[0], edges[1])] if locs else [(mp.mpf(0), T)]
+        for i in range(1, len(locs)):
+            spans.append((edges[2 * i], edges[2 * i + 1]))
+        if locs:
+            spans.append((edges[-2], T))
+        for a, b in spans:
+            if b <= a:
+                continue
+            pieces = _split_span(a, b, cfg.max_panels)
+            v, e = quad(integrand, pieces)
+            total += v
+            err += abs(e)
 
         for s, lo, hi in windows:
             loc = mp.mpf(float(s.location))
@@ -146,21 +153,35 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
                 def h(p, loc=loc, shift=shift):
                     return integrand(p) - shift / (loc - p)
 
-                quad(h, [lo, loc, hi], method="gauss-legendre")
-                continue
-            if s.kind == "branch" and s.exponent <= -1:
-                raise NotRegularizableError(
-                    f"branch exponent {s.exponent} is not integrable; apply p_integrate first"
-                )
-            if s.kind == "branch" and s.exponent == Fraction(-1, 2):
-                # u = sqrt(s - p) removes the singularity exactly
-                def left(u, loc=loc):
-                    return mp.e ** (-x * (loc - u * u)) * f.usub_value(u)
+                v, e = quad(h, [lo, loc, hi], method="gauss-legendre")
+                total += v
+                err += abs(e)
+            elif s.kind == "branch":
+                expo = Fraction(s.exponent)
+                if expo <= -1:
+                    raise NotRegularizableError(
+                        f"branch exponent {expo} is not integrable; apply p_integrate first"
+                    )
+                if expo == Fraction(-1, 2):
+                    # u = sqrt(s - p) removes the singularity exactly
+                    def left(u, loc=loc):
+                        return mp.e ** (-x * (loc - u * u)) * f.usub_value(u)
 
-                quad(left, [0, mp.sqrt(loc - lo)])
-            else:  # other branches and log endpoints: tanh-sinh handles both sides
-                quad(integrand, [lo, loc])
-            quad(integrand, [loc, hi])
+                    v, e = quad(left, [0, mp.sqrt(loc - lo)])
+                else:
+                    v, e = quad(integrand, [lo, loc])
+                total += v
+                err += abs(e)
+                v, e = quad(integrand, [loc, hi])
+                total += v
+                err += abs(e)
+            else:  # log endpoint: integrable, tanh-sinh handles both sides
+                v, e = quad(integrand, [lo, loc])
+                total += v
+                err += abs(e)
+                v, e = quad(integrand, [loc, hi])
+                total += v
+                err += abs(e)
 
         # exponential tail bound for p > T
         err += c1 * mp.e ** (-(x - c3) * T) / (x - c3)
@@ -177,10 +198,14 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
 def _split_span(a, b, max_panels: int):
     """Geometric panelization toward a = 0 plus linear steps; caps panel count."""
     n = min(max(int(mp.ceil((b - a))), 1), max(max_panels // 4, 4))
-    return [a + (b - a) * mp.mpf(i) / n for i in range(n + 1)]
+    pts = [a + (b - a) * mp.mpf(i) / n for i in range(n + 1)]
+    return pts
 
 
 # -- Ecalle-Borel summation ------------------------------------------------------
+
+
+KernelResolver = Callable[[PowerSeries], Optional[KernelEntry]]
 
 
 def resolve_default(series: PowerSeries, *, order: int = 24, degrees=(11, 11)) -> KernelEntry:
@@ -189,11 +214,16 @@ def resolve_default(series: PowerSeries, *, order: int = 24, degrees=(11, 11)) -
     Degenerate Pade blocks (rank-deficient Toeplitz systems) are resolved by
     stepping down to the largest solvable balanced table entry.
     """
+    from ..errors import DegenerateTableError
+
     poly = borel_transform(series, order)
     m, n = degrees
-    for step in range(n):
-        with contextlib.suppress(DegenerateTableError):
-            return KernelEntry(pade_continue(poly, (m - step, n - step)), m=0)
+    while n >= 1:
+        try:
+            return KernelEntry(pade_continue(poly, (m, n)), m=0)
+        except DegenerateTableError:
+            m -= 1
+            n -= 1
     raise DegenerateTableError("no solvable Pade entry down to (1, 1)")
 
 
@@ -211,7 +241,7 @@ def eb_sum(
     x,
     cfg: QuadratureConfig = None,
     *,
-    resolver: Optional[Callable[[PowerSeries], Optional[KernelEntry]]] = None,
+    resolver: KernelResolver = None,
     tail_constants: Optional[tuple[float, float, float]] = None,
 ) -> tuple[mp.mpf, mp.mpf]:
     """Numeric Ecalle-Borel sum of a T1 transseries at real x.
@@ -231,11 +261,11 @@ def eb_sum(
         if not lp.is_zero():
             lx = mp.log(x)
             for i, c in enumerate(lp.P):
-                total += _c2mp(c) * x**i * lx
+                total += _q2mp(c) * x**i * lx
             for i, c in enumerate(lp.Q):
-                total += _c2mp(c) * x**i
+                total += _q2mp(c) * x**i
             for l in range(1, len(lp.R) + 1):
-                total += _c2mp(lp.r_coeff(l)) * x ** (-l)
+                total += _q2mp(lp.r_coeff(l)) * x ** (-l)
 
         if ts.minus.support_iter is not None and tail_constants is None:
             raise TruncationBoundUnavailable(
@@ -246,7 +276,7 @@ def eb_sum(
             series = grp.series
             if series.is_finite() and not (series.length or 0):
                 continue
-            pre = x ** _c2mp(grp.offset) * mp.e ** (_c2mp(grp.mu) * x)
+            pre = x ** _q2mp(grp.offset) * mp.e ** (_q2mp(grp.mu) * x)
             if tail_constants is not None and grp.mu < 0:
                 c1, c2, c3 = (mp.mpf(v) for v in tail_constants)
                 bound = c1 * abs(pre) / (x - c3)
@@ -254,17 +284,23 @@ def eb_sum(
                     err += bound
                     continue
             entry = resolver(series) if resolver is not None else series.kernel
-            if entry is None and series.is_finite():
-                # finite sums are their own Borel sums
-                val = mp.mpf(0)
-                for l in range(1, (series.length or 0) + 1):
-                    val += _c2mp(series.coeff(l)) * x ** (-l)
-                total += pre * val
-                continue
-            val, lerr = hat_lb(series, x, cfg, entry)  # no entry: a Pade fit
+            if entry is None:
+                if series.is_finite():
+                    # finite sums are their own Borel sums
+                    val = mp.mpf(0)
+                    for l in range(1, (series.length or 0) + 1):
+                        val += _q2mp(series.coeff(l)) * x ** (-l)
+                    total += pre * val
+                    continue
+                entry = resolve_default(series)
+            val, lerr = hat_lb(series, x, cfg, entry)
             total += pre * val
             err += abs(pre) * lerr
         return total, err
+
+
+def _q2mp(q: Fraction):
+    return mp.mpf(q.numerator) / q.denominator
 
 
 # -- Watson's Lemma diagnostic ---------------------------------------------------
@@ -314,7 +350,7 @@ def watson_check(
             partial = mp.mpf(0)
             for k in range(K + 1):
                 fk = taylor[k * a + b]
-                partial += _c2mp(fk) * mp.factorial(k * a + b) * x ** (-(k * a + b + 1))
+                partial += _q2mp(fk) * mp.factorial(k * a + b) * x ** (-(k * a + b + 1))
             diff = abs(val - partial)
             diffs.append(diff)
             ratio = diff * x**power

@@ -140,9 +140,14 @@ def ts_diff(a: TransseriesT1) -> TransseriesT1:
     return assemble(groups, LogPart(P, tuple(Q), ()), seed=_seed_of(a))
 
 
-def _antidiff_group(g: Group, kernel_of) -> Group:
+def _antidiff_group(g: Group) -> Group:
     mu, b, y = g.mu, g.offset, g.series
-    kernel = (lambda: kernel_of(g, w)) if kernel_of is not None else None
+
+    def kernel():  # w's Borel kernel, where it is known in closed form
+        from ..resummation.kernels import derive_antidiff_kernel
+
+        return derive_antidiff_kernel(mu, b, y, w)
+
     if mu < 0:
         a = -mu
 
@@ -162,9 +167,9 @@ def _antidiff_group(g: Group, kernel_of) -> Group:
     return Group(mu, b, w)
 
 
-def ts_antidiff(a: TransseriesT1, kernel_of=None) -> TransseriesT1:
-    """A_T: the antiderivative with zero constant term.  The antiderivative
-    series w of an exponential group g carries the kernel kernel_of(g, w)."""
+def ts_antidiff(a: TransseriesT1) -> TransseriesT1:
+    """A_T: the antiderivative with zero constant term.  Each exponential
+    group's series carries its derived Borel kernel (built on first read)."""
     groups: list[Group] = []
     P: list[Fraction] = []
     Q: list[Fraction] = []
@@ -181,7 +186,7 @@ def ts_antidiff(a: TransseriesT1, kernel_of=None) -> TransseriesT1:
 
     for g in groups_of(a):
         if g.mu != 0:
-            groups.append(_antidiff_group(g, kernel_of))
+            groups.append(_antidiff_group(g))
             continue
         # pure inverse powers: c_1/x integrates to log x, the tail termwise
         y = g.series

@@ -4,7 +4,8 @@ Coefficients come from a memoized oracle, so recurrence-backed and
 closed-form series share one representation with explicit finite lists.
 All operations are exact; memoization is recomputation-safe.
 A series may carry the Borel kernel (a ``KernelEntry``, built on first
-read) its sum uses; ``scale``, negation and ``+`` carry it, all else drops it.
+read) its sum uses; ``scale`` and negation carry it, ``+`` carries it for
+two multiples of one kernel, and all else drops it.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from tsr.resummation import (
     log_kernel,
     pade_continue,
     pole_kernel,
+    resolve_default,
     sqrt_branch_kernel,
     watson_check,
 )
@@ -178,8 +179,8 @@ class TestEbSum:
         assert mpf_close(val, ref, 1e-10)
 
     def test_ei_generic_pade_route(self):
-        ei_ts = ts_antidiff(ts_parse("exp(x)/x"))
-        val, err = eb_sum(ei_ts, 8, CFG)
+        ei_ts = ts_antidiff(ts_parse("exp(x)/x"))  # its series carries a derived kernel
+        val, err = eb_sum(ei_ts, 8, CFG, resolver=resolve_default)
         assert mpf_close(val, mp.ei(8), 1e-9)
 
     def test_monomial_fixed_point(self):
@@ -274,10 +275,10 @@ class TestKernelProperties:
             p = mp.mpf(x)
             assume(fraction_horner(pade.den, p) != 0 and x != 1)
             for inner in (pade, pole_kernel(1), sqrt_branch_kernel(1, F(1, 2)), log_kernel(1)):
-                scaled = ScaledKernel([(c, inner)])
+                scaled = ScaledKernel(c, inner)
                 assert scaled.averaged(p) == mp.mpf(c.numerator) / c.denominator * inner.averaged(p)
             # for a single-valued inner it is still the half-sum of the laterals
-            assert ScaledKernel([(c, pade)]).averaged(p) == half_sum(ScaledKernel([(c, pade)]), p)
+            assert ScaledKernel(c, pade).averaged(p) == half_sum(ScaledKernel(c, pade), p)
 
     @PROPERTY
     @given(pade_kernels(), DIGITS, st.fractions(0, 12, max_denominator=64))
