@@ -26,7 +26,7 @@ from tsr.resummation import (
     sqrt_branch_kernel,
 )
 from tsr.resummation.kernels import CothKernel
-from tsr.transseries import ts_from_json, ts_parse, ts_to_json
+from tsr.transseries import ts_antidiff, ts_from_json, ts_parse, ts_to_json
 from tsr.transseries.grid import groups_of
 
 NAMED_KERNELS = {
@@ -83,6 +83,15 @@ def test_antiderivative_groups_carry_derived_kernels():
     anti = antidiff_no(catalog()["exp_neg_over_x"])
     assert kernel_classes(anti.transseries) == [ClosedFormKernel]
     assert groups_of(anti.transseries)[0].series.kernel.kernel.name == "anti(-1)"
+
+
+def test_ts_antidiff_attaches_the_derived_kernel():
+    (group,) = groups_of(ts_antidiff(ts_parse("exp(x)/x")))
+    assert "kernel" not in vars(group.series)  # built on first read only
+    assert (group.series.kernel.kernel.name, group.series.kernel.m) == ("anti(1)", 1)
+    val, err = eb_sum(ts_antidiff(ts_parse("exp(x)/x")), 10, QuadratureConfig(precision=30))
+    with mp.workdps(30):
+        assert abs(val - mp.ei(10)) <= max(err, mp.mpf(10) ** -10 * mp.ei(10))
 
 
 def test_scaled_series_share_the_registered_kernel():
