@@ -9,6 +9,16 @@ panels, and the far tail is bounded by the kernel's exponential growth
 constants.  Working precision, tolerances, and window sizes come from
 :class:`QuadratureConfig`.
 
+The absolute tolerance governs the work, not the working precision.  Each
+panel is summed by tanh-sinh (Gauss-Legendre in a pole's window) at rising
+degree until two successive levels differ by at most ``abs_tol/100``, or by
+the working precision's floor if that is coarser, and the tail is cut where
+its bound falls to ``abs_tol/10``.  The error reported with a value (the
+CLI's "(error <= E)"; its ``--tol T`` sets ``rel_tol = T`` and
+``abs_tol = T/100``) is the sum of those last level differences, one per
+panel, and the tail bound.  A level difference estimates a panel's error;
+it is not a proof, and the error of a Pade fit is not part of it.
+
 ``eb_sum`` sums each series through the kernel it carries (the registered
 closed form of a ``#name``, see ``tsr.coefficients``, kept through scaling,
 or the one ``ts_antidiff`` derives), else through an exact Pade fit.
@@ -16,12 +26,14 @@ or the one ``ts_antidiff`` derives), else through an exact Pade fit.
 
 from __future__ import annotations
 
-import math
+import functools
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
+from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 
 from ..errors import (
     GrowthBoundViolated,
@@ -109,15 +121,22 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
 
         total = mp.mpf(0)
         err = mp.mpf(0)
+        # each panel stops refining at a hundredth of the absolute tolerance,
+        # or at the working precision's floor if that is coarser
+        eps = max(abs_tol / 100, mp.eps / 8)
+        prec = mp.mp.prec
 
         def quad(fn, pts, method="tanh-sinh"):
-            # Gauss-Legendre node sets grow exponentially with the degree and
-            # dominate setup cost; analytic window integrands converge by 6.
-            maxdeg = 6 if method == "gauss-legendre" else 8
-            v, e = mp.quad(fn, pts, error=True, maxdegree=maxdeg, method=method)
-            return v, e
+            v = e = mp.mpf(0)
+            with mp.workprec(prec + 20):  # guard bits for the node sums
+                for a, b in zip(pts, pts[1:]):
+                    if a != b:
+                        pv, pe = _panel(fn, a, b, method, eps, prec)
+                        v += pv
+                        e += pe
+            return +v, e
 
-        integrand = lambda p: mp.e ** (-x * p) * f.averaged(p)
+        integrand = lambda p: mp.exp(-x * p) * f.averaged(p)
 
         edges = [mp.mpf(0)]
         windows = []
@@ -148,7 +167,7 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
                 # Gauss-Legendre keeps nodes polynomially away from loc, so
                 # the subtraction loses only a few digits of the working 50.
                 A = f.pv_residue(s.location)
-                shift = A * mp.e ** (-x * loc)
+                shift = A * mp.exp(-x * loc)
 
                 def h(p, loc=loc, shift=shift):
                     return integrand(p) - shift / (loc - p)
@@ -165,7 +184,7 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
                 if expo == Fraction(-1, 2):
                     # u = sqrt(s - p) removes the singularity exactly
                     def left(u, loc=loc):
-                        return mp.e ** (-x * (loc - u * u)) * f.usub_value(u)
+                        return mp.exp(-x * (loc - u * u)) * f.usub_value(u)
 
                     v, e = quad(left, [0, mp.sqrt(loc - lo)])
                 else:
@@ -184,7 +203,7 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
                 err += abs(e)
 
         # exponential tail bound for p > T
-        err += c1 * mp.e ** (-(x - c3) * T) / (x - c3)
+        err += c1 * mp.exp(-(x - c3) * T) / (x - c3)
 
         bound = max(abs_tol, mp.mpf(cfg.rel_tol) * abs(total))
         if err > bound:
@@ -196,10 +215,56 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
 
 
 def _split_span(a, b, max_panels: int):
-    """Geometric panelization toward a = 0 plus linear steps; caps panel count."""
+    """Edges of equal panels over [a, b]: one per unit of length, at least
+    one and at most max(max_panels // 4, 4)."""
     n = min(max(int(mp.ceil((b - a))), 1), max(max_panels // 4, 4))
     pts = [a + (b - a) * mp.mpf(i) / n for i in range(n + 1)]
     return pts
+
+
+# -- panel quadrature ------------------------------------------------------------
+
+#: Each rule with its highest degree.  Gauss-Legendre node sets grow
+#: exponentially with the degree and dominate setup cost; analytic window
+#: integrands converge by 6.
+_NODE_CTX = mp.MPContext()
+_RULES = {"tanh-sinh": (TanhSinh(_NODE_CTX), 8), "gauss-legendre": (GaussLegendre(_NODE_CTX), 6)}
+_NODE_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=None)
+def _standard_nodes(method: str, degree: int, prec: int) -> tuple:
+    """The (node, weight) pairs of one degree of a rule on [-1, 1], for sums
+    at ``prec`` bits, computed once as mpmath's ``quad`` computes them.
+
+    They are computed in a private context, so no other thread's precision
+    can change them, and handed out as mpf of the global context.  The cache
+    holds one entry per (rule, degree, precision) in use, as mpmath's own
+    node cache does; nothing in it depends on a panel.
+    """
+    with _NODE_LOCK:
+        _NODE_CTX.prec = prec + 20
+        nodes = _RULES[method][0].calc_nodes(degree, prec)
+    make = mp.mp.make_mpf
+    return tuple((make(t._mpf_), make(w._mpf_)) for t, w in nodes)
+
+
+def _panel(fn, a, b, method: str, eps, prec: int):
+    """integral(fn, a..b) by one rule, raising its degree until two successive
+    levels I_k, I_(k-1) differ by at most eps; |I_k - I_(k-1)| is the error.
+
+    A tanh-sinh level halves the step, so it adds only the new nodes to half
+    the level below; a Gauss-Legendre level is a fresh rule of 3 * 2^(k-1)
+    nodes.  The standard nodes are mapped onto [a, b] here.
+    """
+    half, mid = (b - a) / 2, (b + a) / 2
+    level = mp.mpf(0)
+    for degree in range(1, _RULES[method][1] + 1):
+        s = half * mp.fdot((w, fn(mid + half * t)) for t, w in _standard_nodes(method, degree, prec))
+        prev, level = level, (mp.ldexp(s, -degree) + level / 2 if method == "tanh-sinh" else s)
+        if degree > 1 and abs(level - prev) <= eps:
+            break
+    return level, abs(level - prev)
 
 
 # -- Ecalle-Borel summation ------------------------------------------------------
@@ -276,7 +341,7 @@ def eb_sum(
             series = grp.series
             if series.is_finite() and not (series.length or 0):
                 continue
-            pre = x ** _q2mp(grp.offset) * mp.e ** (_q2mp(grp.mu) * x)
+            pre = x ** _q2mp(grp.offset) * mp.exp(_q2mp(grp.mu) * x)
             if tail_constants is not None and grp.mu < 0:
                 c1, c2, c3 = (mp.mpf(v) for v in tail_constants)
                 bound = c1 * abs(pre) / (x - c3)

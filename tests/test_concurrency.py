@@ -172,3 +172,21 @@ def test_recurrence_series_concurrent_pull():
         # each thread starts at a different index, so they grow it together
         results = _pull_together(lambda k: {l: series.coeff(l) for l in [*range(15 * k + 1, 61), *range(1, 15 * k + 1)]})
         assert all([r[l] for l in range(1, 61)] == serial for r in results)
+
+
+def test_quadrature_nodes_race_free():
+    import importlib
+
+    import mpmath as mp
+
+    nodes = importlib.import_module("tsr.resummation.laplace")._standard_nodes
+    # cold keys: precisions no other test sums at, one per thread; tanh-sinh
+    # only, whose node loop is bounded (Gauss-Legendre's Newton iteration may
+    # not end at a precision another thread set)
+    keys = [("tanh-sinh", degree, 211 + 6 * k) for k in range(4) for degree in range(1, 6)]
+    prec = mp.mp.prec
+    results = _pull_together(lambda k: [nodes(*key) for key in keys[k::4] + keys])
+    assert mp.mp.prec == prec  # building nodes leaves the global precision alone
+    serial = [nodes.__wrapped__(*key) for key in keys]
+    for k, got in enumerate(results):
+        assert got == [nodes.__wrapped__(*key) for key in keys[k::4]] + serial

@@ -1,5 +1,6 @@
 """Averaged Laplace numerics: PV poles, branch points, Pade, Watson, eb_sum."""
 
+import importlib
 from fractions import Fraction as F
 from math import factorial
 
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsr.errors import DegenerateTableError, GrowthBoundViolated, SingularPointError
+from tsr.operators import catalog
 from tsr.resummation import (
     BorelPoly,
     EntireSeriesKernel,
@@ -193,6 +195,101 @@ class TestEbSum:
         val, _ = eb_sum(ts, 7, CFG)
         ref = 49 * mp.log(7) + 3 - mp.mpf(2) / 7
         assert mpf_close(val, ref, 1e-25)
+
+
+# -- the panel stopping rule ------------------------------------------------------
+# Each panel refines until two successive levels differ by at most abs_tol/100,
+# and reports that difference as its error.
+
+_laplace_mod = importlib.import_module("tsr.resummation.laplace")
+
+
+def named_closed_form(name: str, x):
+    """The Borel sum of #name at x, from mpmath at the working precision."""
+    if name == "ei":
+        return mp.exp(-x) * mp.ei(x)
+    if name == "erfi":
+        return mp.exp(-x) * mp.sqrt(mp.pi / x) * mp.erfi(mp.sqrt(x)) / 2
+    # #stirling is log Gamma less its Stirling head
+    return mp.loggamma(x) - ((x - mp.mpf(1) / 2) * mp.log(x) - x + mp.log(2 * mp.pi) / 2)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.fractions(-20, 20, max_denominator=12).filter(bool),
+    st.sampled_from(("ei", "erfi", "stirling")),
+    st.floats(4.5, 16, allow_nan=False),
+    st.sampled_from((15, 30, 50, 100)),
+)
+def test_named_sum_is_within_its_reported_error(c, name, x, digits):
+    cfg = QuadratureConfig(precision=digits)
+    val, err = eb_sum(ts_parse(f"{c}*#{name}"), x, cfg)
+    with mp.workdps(digits + 20):
+        ref = mp.mpf(c.numerator) / c.denominator * named_closed_form(name, mp.mpf(x))
+        assert abs(val - ref) <= err <= max(cfg.abs_tol, cfg.rel_tol * abs(val))
+
+
+class CountingKernel:
+    """Forwards to a kernel and counts its evaluations."""
+
+    def __init__(self, inner, counter):
+        self._inner, self._counter = inner, counter
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name not in ("value", "lateral", "averaged", "usub_value"):
+            return attr
+
+        def counted(*args):
+            self._counter[0] += 1
+            return attr(*args)
+
+        return counted
+
+
+@pytest.mark.parametrize("name", ["ei", "erfi", "stirling"])
+def test_work_does_not_grow_with_the_precision(monkeypatch, name):
+    # the panels stop at the tolerance, so 100 digits cost about what 30 do
+    plain = _laplace_mod.laplace
+    counter = [0]
+    monkeypatch.setattr(_laplace_mod, "laplace", lambda f, *a: plain(CountingKernel(f, counter), *a))
+    evals = {}
+    for digits in (30, 100):
+        counter[0] = 0
+        eb_sum(ts_parse(f"#{name}"), 10, QuadratureConfig(precision=digits))
+        evals[digits] = counter[0]
+    assert evals[100] <= 1.5 * evals[30]
+
+
+def test_erfi_integral_at_high_precision_meets_its_tolerance():
+    # 100 digits stop at the same tolerance as 30, and the reported error
+    # (level differences, not an extrapolated estimate) still covers the value
+    f = catalog()["erfi_integral"]
+    val, err = f.eb_value(15.42, QuadratureConfig(precision=100))
+    with mp.workdps(120):
+        ref = mp.sqrt(mp.pi) / 2 * mp.erfi(mp.mpf(15.42))
+        assert abs(val - ref) <= min(err, f.tolerance * abs(ref))
+
+
+@pytest.mark.parametrize("name, x", [("airy_bi", 5), ("airy_bi", 8), ("airy_bi", 15), ("erfi_integral", 8), ("erfi_integral", 15)])
+def test_catalog_value_is_within_its_reported_error(name, x):
+    # airy_bi at 3 is left out: the error of its (12, 12) Pade fit, not of the
+    # quadrature, dominates there and is not part of the report
+    val, err = catalog()[name].eb_value(x, QuadratureConfig(precision=30))
+    with mp.workdps(60):
+        x = mp.mpf(x)
+        ref = mp.airybi(x) if name == "airy_bi" else mp.sqrt(mp.pi) / 2 * mp.erfi(x)
+        assert abs(val - ref) <= err
+
+
+def test_laplace_leaves_mpmath_node_caches_alone():
+    rules = (mp.mp._tanh_sinh, mp.mp._gauss_legendre)
+    sizes = [(len(r.interval_count), len(r.transformed_cache)) for r in rules]
+    cfg = QuadratureConfig(precision=15)
+    for i in range(50):
+        # #ei has a Gauss-Legendre PV window, #stirling only tanh-sinh panels
+        eb_sum(ts_parse("#stirling" if i % 2 else "#ei"), 5 + mp.mpf(i) / 7, cfg)
+    assert [(len(r.interval_count), len(r.transformed_cache)) for r in rules] == sizes
 
 
 class TestL1Norms:
