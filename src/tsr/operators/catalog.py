@@ -3,16 +3,22 @@
 Each entry pairs a stored transseries (in its critical time) with an
 independent high-precision oracle on the reals, an exact derivative facility
 for Taylor extensions at finite points, and documented tail constants.  The
-Borel kernels travel with the series: each entry is built from the registered
-``#name`` series of ``tsr.coefficients``, whose closed-form kernel (or the
-Airy Pade fit) its resummation reads.  Entries whose transseries would need
-an irrational global scale carry it as a symbolic prefactor; the erfi
-integral needs none because Gamma(n+1/2)/(2 sqrt(pi)) is rational.
+Ei and erfi-integral oracles sum their convergent series, DLMF 6.6.1 and
+7.6.4 (O(x) terms for Ei, O(x^2) for erfi), and the Airy oracles step
+y'' = z y by Taylor series, all in raw ``mpmath.libmp`` arithmetic at an
+explicit working precision; none uses quadrature or mpmath's own Ei and erfi,
+which serve as references in the tests.  The Borel kernels travel with the
+series: each entry is built from the registered ``#name`` series of
+``tsr.coefficients``, whose closed-form kernel (or the Airy Pade fit) its
+resummation reads.  Entries whose transseries would need an irrational
+global scale carry it as a symbolic prefactor; the erfi integral needs none
+because Gamma(n+1/2)/(2 sqrt(pi)) is rational.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -20,6 +26,7 @@ from math import factorial
 from typing import Callable, Optional
 
 import mpmath as mp
+from mpmath import libmp
 
 from ..coefficients import named_series, series_name
 from ..errors import DomainError
@@ -95,93 +102,129 @@ class CatalogFunction:
 
 
 # -- oracles --------------------------------------------------------------------
+#
+# The Ei, erfi-integral and Airy oracles sum convergent series in raw
+# ``mpmath.libmp`` arithmetic at an explicit working precision, the caller's
+# ``mp.mp.prec`` plus guard bits, and round once to the caller's precision.
+# They never write the global precision and keep no memo, so threads may call
+# them at once.
+
+_GUARD = 20  # bits above the caller's precision
+_RND = libmp.round_nearest
 
 
-def _expm1_over(ctx):
-    return lambda s: ctx.expm1(s) / s if s != 0 else ctx.mpf(1)
+def _mag(v) -> int:
+    """e with |v| < 2^e for a raw mpf; a very small number for zero."""
+    return v[2] + v[3] if v[1] else -(1 << 62)
 
 
-class EiOracle:
-    """Ei(x) = PV integral(e^s/s, s = -oo..x), by principal-value quadrature.
+def _series(first, step, k, weight, wp):
+    """sum(p_j / weight(j), j >= k) with p_k = first and p_j = p_(j-1) * step / j.
 
-    Split: the PV over [-1, 1] is integral((e^s - 1)/s) since PV of 1/s
-    vanishes; the log endpoint contributes ln(x) for x < 1.  The two pieces
-    that do not depend on x, integral(-oo..-1) and the PV over [-1, 1], are
-    memoized per binary precision (a nested ``mp.quad`` works 20 bits
-    higher, so each nesting level has its own entry).  They are computed in
-    a private ``MPContext`` at the precision of the key, so a thread that
-    changes the global precision meanwhile cannot store a wrong value, and
-    threads that race on a cold key store equal values.
+    The terms share one sign; the sum stops at the first term that no longer
+    changes it (each term past the peak is far below the previous one).
     """
-
-    def __init__(self):
-        self._constants: dict[int, tuple] = {}  # prec -> (left, mid)
-
-    def constants(self, prec: int) -> tuple:
-        hit = self._constants.get(prec)
-        if hit is None:
-            ctx = mp.MPContext()
-            ctx.prec = prec
-            left = ctx.quad(lambda u: -ctx.exp(-u) / u, [1, ctx.inf])  # integral(-oo..-1)
-            mid = ctx.quad(_expm1_over(ctx), [-1, 0, 1])
-            hit = self._constants.setdefault(prec, (mp.make_mpf(left._mpf_), mp.make_mpf(mid._mpf_)))
-        return hit
-
-    def __call__(self, x):
-        x = mp.mpf(x)
-        if x <= 0:
-            raise DomainError("Ei oracle implemented for x > 0")
-        left, mid = self.constants(mp.mp.prec)
-        if x >= 1:
-            right = mp.quad(lambda s: mp.exp(s) / s, [1, x]) if x > 1 else mp.mpf(0)
-            return left + mid + right
-        mid = mp.quad(_expm1_over(mp), [-1, 0, x])
-        return left + mid + mp.log(x)
+    p = first
+    total = libmp.mpf_div(p, libmp.from_int(weight(k)), wp)
+    while True:
+        k += 1
+        p = libmp.mpf_div(libmp.mpf_mul(p, step, wp), libmp.from_int(k), wp)
+        new = libmp.mpf_add(total, libmp.mpf_div(p, libmp.from_int(weight(k)), wp), wp)
+        if new == total:
+            return total
+        total = new
 
 
-ei_oracle = EiOracle()
+def ei_oracle(x):
+    """Ei(x) = gamma + ln x + sum(x^k / (k k!), k >= 1) for x > 0 (DLMF 6.6.1).
+
+    O(x) terms.  Near the zero of Ei (x = 0.3725...) the three parts cancel;
+    the sum is redone with as many more bits as the cancellation took.
+    """
+    x = mp.mpf(x)
+    if x <= 0:
+        raise DomainError("Ei oracle implemented for x > 0")
+    prec, v = mp.mp.prec, x._mpf_
+    wp = prec + _GUARD
+    while True:
+        parts = (libmp.mpf_euler(wp), libmp.mpf_log(v, wp), _series(v, v, 1, lambda k: k, wp))
+        out = libmp.mpf_add(libmp.mpf_add(parts[0], parts[1], wp), parts[2], wp)
+        lost = max(map(_mag, parts)) - _mag(out)
+        if wp - lost >= prec + _GUARD // 2:
+            return mp.make_mpf(libmp.mpf_pos(out, prec, _RND))
+        wp = prec + _GUARD + lost
 
 
 def erfi_integral_oracle(x):
+    """integral(e^(s^2), s = 0..x) = sum(x^(2k+1) / (k! (2k+1)), k >= 0) (DLMF 7.6.4).
+
+    Every term has the sign of x; O(x^2) terms.
+    """
     x = mp.mpf(x)
-    if x == 0:
-        return mp.mpf(0)
-    return mp.quad(lambda s: mp.exp(s * s), [0, x])
+    prec, v = mp.mp.prec, x._mpf_
+    wp = prec + _GUARD
+    total = _series(v, libmp.mpf_mul(v, v, wp), 0, lambda k: 2 * k + 1, wp)
+    return mp.make_mpf(libmp.mpf_pos(total, prec, _RND))
 
 
-def _airy_series_step(y0, y1, z0, h, n_terms=60):
-    """Taylor step for y'' = z y from z0 to z0 + h."""
+def _airy_series_step(y0, y1, z0, h, wp):
+    """Taylor step for y'' = z y from z0 to z0 + h, raw mpf at wp bits.
+
+    The coefficients c_(n+2) = (z0 c_n + c_(n-1)) / ((n+1)(n+2)) are taken
+    until two successive terms c_n h^n fall below 2^-wp of the step's scale
+    |y0| + |h y1|; value and derivative are then summed by Horner.
+    """
+    lh = math.log2(h[1]) + h[2]  # log2 |h|
+    floor = max(_mag(y0), _mag(y1) + lh) - wp
     c = [y0, y1]
-    for n in range(n_terms):
-        prev = c[n - 1] if n >= 1 else mp.mpf(0)
-        c.append((z0 * c[n] + prev) / ((n + 1) * (n + 2)))
-    val = mp.mpf(0)
-    dval = mp.mpf(0)
+    small = 0
+    while small < 2:
+        n = len(c) - 2
+        prev = c[n - 1] if n >= 1 else libmp.fzero
+        nxt = libmp.mpf_add(libmp.mpf_mul(z0, c[n], wp), prev, wp)
+        c.append(libmp.mpf_div(nxt, libmp.from_int((n + 1) * (n + 2)), wp))
+        small = small + 1 if _mag(c[-1]) + (n + 2) * lh < floor else 0
+    val = dval = libmp.fzero
     for n in reversed(range(len(c))):
-        val = val * h + c[n]
+        val = libmp.mpf_add(libmp.mpf_mul(val, h, wp), c[n], wp)
         if n >= 1:
-            dval = dval * h + n * c[n]
+            dval = libmp.mpf_add(libmp.mpf_mul(dval, h, wp), libmp.mpf_mul_int(c[n], n, wp), wp)
     return val, dval
 
 
+def _airy_at_zero(kind: str, wp):
+    """(y(0), y'(0)) of Ai or Bi as raw mpf at wp bits (DLMF 9.2.3-9.2.6)."""
+    cbrt3 = libmp.mpf_cbrt(libmp.from_int(3), wp)
+    g13 = libmp.mpf_gamma(libmp.from_rational(1, 3, wp), wp)
+    g23 = libmp.mpf_gamma(libmp.from_rational(2, 3, wp), wp)
+    if kind == "ai":  # 3^(-2/3) / Gamma(2/3), -3^(-1/3) / Gamma(1/3)
+        y = libmp.mpf_div(libmp.fone, libmp.mpf_mul(libmp.mpf_mul(cbrt3, cbrt3, wp), g23, wp), wp)
+        return y, libmp.mpf_neg(libmp.mpf_div(libmp.fone, libmp.mpf_mul(cbrt3, g13, wp), wp))
+    root6 = libmp.mpf_sqrt(cbrt3, wp)  # 3^(-1/6) / Gamma(2/3), 3^(1/6) / Gamma(1/3)
+    return libmp.mpf_div(libmp.fone, libmp.mpf_mul(root6, g23, wp), wp), libmp.mpf_div(root6, g13, wp)
+
+
 def _airy_pair(kind: str, z):
-    """(y, y') for Ai or Bi at real z, by Taylor-series ODE integration."""
+    """(y, y') for Ai or Bi at real z, by Taylor-series ODE integration from 0.
+
+    Steps of at most 1/2.  Ai is the recessive solution for z > 0: stepping it
+    forward loses about 2 zeta log2(e) bits, zeta = 2/3 z^(3/2), so those bits
+    are added to the working precision.
+    """
     z = mp.mpf(z)
-    if kind == "ai":
-        y = mp.mpf(3) ** mp.mpf("-2/3") / mp.gamma(mp.mpf(2) / 3)
-        dy = -(mp.mpf(3) ** mp.mpf("-1/3")) / mp.gamma(mp.mpf(1) / 3)
-    else:
-        y = mp.mpf(3) ** mp.mpf("-1/6") / mp.gamma(mp.mpf(2) / 3)
-        dy = mp.mpf(3) ** mp.mpf("1/6") / mp.gamma(mp.mpf(1) / 3)
-    z0 = mp.mpf(0)
-    step = mp.mpf("0.5")
-    remaining = z - z0
-    while abs(remaining) > 0:
-        h = min(step, abs(remaining)) * mp.sign(remaining)
-        y, dy = _airy_series_step(y, dy, z0, h)
-        z0 += h
-        remaining = z - z0
-    return y, dy
+    prec, target = mp.mp.prec, z._mpf_
+    wp = prec + _GUARD
+    if kind == "ai" and z > 0:
+        wp += math.ceil(4 * float(z) ** 1.5 / (3 * math.log(2)))
+    y, dy = _airy_at_zero(kind, wp)
+    z0, half = libmp.fzero, libmp.from_rational(1, 2, 2)
+    while z0 != target:
+        h = libmp.mpf_sub(target, z0)  # exact: z0 is a multiple of 1/2
+        if libmp.mpf_gt(libmp.mpf_abs(h), half):
+            h = half if h[0] == 0 else libmp.mpf_neg(half)
+        y, dy = _airy_series_step(y, dy, z0, h, wp)
+        z0 = libmp.mpf_add(z0, h)
+    return mp.make_mpf(libmp.mpf_pos(y, prec, _RND)), mp.make_mpf(libmp.mpf_pos(dy, prec, _RND))
 
 
 def airy_ai_oracle(z):

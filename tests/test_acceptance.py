@@ -45,7 +45,7 @@ def report(n: int, ok: bool, detail: str):
 
 
 def test_criterion_1_ei_resummation():
-    """e^-x eb_sum(Ei) vs the PV-quadrature oracle at x in {4, 8, 16}."""
+    """e^-x eb_sum(Ei) vs the series oracle (gamma + ln x + sum x^k/(k k!)) at x in {4, 8, 16}."""
     ei = catalog()["ei"]
     worst = mp.mpf(0)
     slowest = 0.0

@@ -190,3 +190,22 @@ def test_quadrature_nodes_race_free():
     serial = [nodes.__wrapped__(*key) for key in keys]
     for k, got in enumerate(results):
         assert got == [nodes.__wrapped__(*key) for key in keys[k::4]] + serial
+
+
+def test_real_line_oracles_thread_safe():
+    import mpmath as mp
+
+    from tsr.operators.catalog import airy_ai_oracle, airy_bi_oracle, ei_oracle, erfi_integral_oracle
+
+    # 40 points each, inside every oracle's domain
+    calls = [
+        (oracle, [mp.mpf(k) / 4 + shift for k in range(40)])
+        for oracle, shift in ((ei_oracle, mp.mpf(1) / 64), (erfi_integral_oracle, -5), (airy_ai_oracle, -3), (airy_bi_oracle, -3))
+    ]
+    with mp.workdps(30):  # set once; no thread touches the global precision
+        serial = [[oracle(x) for x in xs] for oracle, xs in calls]
+        # each thread starts at a different oracle, so all four run at once
+        results = _pull_together(lambda k: [[oracle(x) for x in xs] for oracle, xs in calls[k:] + calls[:k]])
+        assert mp.mp.prec == 103
+    for k, got in enumerate(results):
+        assert [[v._mpf_ for v in vs] for vs in got] == [[v._mpf_ for v in vs] for vs in serial[k:] + serial[:k]]

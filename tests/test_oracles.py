@@ -1,9 +1,7 @@
-"""Real-line oracles: the Ei constants memo and Gamma's Taylor terms."""
+"""Real-line oracles: the convergent-series oracles and Gamma's Taylor terms."""
 
 import contextlib
 import io
-import sys
-import threading
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -12,85 +10,94 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsr.cli import run
-from tsr.operators.catalog import EiOracle, catalog, gamma_oracle
+from tsr.operators.catalog import (
+    airy_ai_oracle,
+    airy_bi_oracle,
+    catalog,
+    ei_oracle,
+    erfi_integral_oracle,
+    gamma_oracle,
+)
+
+#: (digits, extra bits): the extra bits are the precisions a nested mp.quad
+#: integrand runs at, 20 bits per level
+PRECISIONS = st.tuples(st.sampled_from((15, 30, 50, 100)), st.sampled_from((0, 20, 40)))
 
 
-def uncached_ei(x):
-    """The Ei oracle's formula with every quadrature done on each call."""
-    x = mp.mpf(x)
-
-    def expm1_over(s):
-        return mp.expm1(s) / s if s != 0 else mp.mpf(1)
-
-    left = mp.quad(lambda u: -mp.exp(-u) / u, [1, mp.inf])
-    if x >= 1:
-        mid = mp.quad(expm1_over, [-1, 0, 1])
-        right = mp.quad(lambda s: mp.exp(s) / s, [1, x]) if x > 1 else mp.mpf(0)
-        return left + mid + right
-    mid = mp.quad(expm1_over, [-1, 0, x])
-    return left + mid + mp.log(x)
+def grid(lo: int, hi: int, den: int):
+    """Points n/den for n in [lo, hi], as Fractions."""
+    return st.integers(lo, hi).map(lambda n: F(n, den))
 
 
-def nested_in_quad(fn, x):
-    """fn(x) evaluated once from inside an mp.quad integrand (20 bits higher)."""
-    got = []
-
-    def integrand(s):
-        if not got:
-            got.append(fn(x))
-        return s
-
-    mp.quad(integrand, [0, 1])
-    return got[0]
+def _mpf(q: F):
+    return mp.mpf(q.numerator) / q.denominator
 
 
-# x on the 1/64 grid in (0, 20], half of the draws in the x <= 1 branch
-POINTS = st.one_of(st.integers(1, 64), st.integers(65, 20 * 64)).map(lambda n: F(n, 64))
-PRECISIONS = st.lists(st.tuples(st.sampled_from((15, 30, 50)), st.sampled_from((0, 20, 40))), min_size=1, max_size=3)
+def _ulps(got, ref) -> float:
+    """|got - ref| in units of the last place of a value of ref's size."""
+    return float(abs(got - ref) / mp.ldexp(1, mp.mag(ref) - mp.mp.prec))
 
 
-@settings(max_examples=8, deadline=None, derandomize=True)
-@given(xs=st.lists(POINTS, min_size=1, max_size=3), precisions=PRECISIONS)
-@example(xs=[F(1)], precisions=[(30, 20)])  # x = 1: no per-call quadrature at all
-def test_ei_oracle_bit_identical_to_uncached_formula(xs, precisions):
-    ei_oracle = EiOracle()  # a cold memo, filled in this example's order
-    for dps, extra in precisions:
-        with mp.workdps(dps):
-            mp.mp.prec += extra
-            for q in xs:
-                x = mp.mpf(q.numerator) / q.denominator
-                assert ei_oracle(x)._mpf_ == uncached_ei(x)._mpf_
-            q = xs[0]
-            x = mp.mpf(q.numerator) / q.denominator
-            assert nested_in_quad(ei_oracle, x)._mpf_ == nested_in_quad(uncached_ei, x)._mpf_
+def _reference(fn, x):
+    """fn(x) evaluated 40 digits above the working precision."""
+    with mp.workdps(mp.mp.dps + 40):
+        return fn(x)
 
 
-def test_ei_constants_cold_memo_race_matches_serial():
-    prec = mp.libmp.dps_to_prec(30)
-    serial = tuple(v._mpf_ for v in EiOracle().constants(prec))
-    oracle = EiOracle()
-    start = threading.Barrier(4)
-    results = [None] * 4
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    precision=PRECISIONS,
+    ei_xs=st.lists(grid(1, 20 * 64, 64), min_size=1, max_size=3),
+    erfi_xs=st.lists(grid(-12 * 64, 12 * 64, 64), min_size=1, max_size=3),
+    airy_zs=st.lists(grid(-8 * 64, 16 * 64, 64), min_size=1, max_size=2),
+)
+@example(precision=(100, 40), ei_xs=[F(24, 64), F(20)], erfi_xs=[F(0), F(-12)], airy_zs=[F(16), F(-8)])
+def test_oracles_agree_with_mpmath(precision, ei_xs, erfi_xs, airy_zs):
+    # Ei and the erfi integral within 1 ulp; Ai and Bi within 2^(4 - prec)
+    # relative (x = 24/64 is the grid point nearest the zero of Ei)
+    dps, extra = precision
+    with mp.workdps(dps):
+        mp.mp.prec += extra
+        for q in ei_xs:
+            x = _mpf(q)
+            assert _ulps(ei_oracle(x), _reference(mp.ei, x)) <= 1, q
+        for q in erfi_xs:
+            x = _mpf(q)
+            got, ref = erfi_integral_oracle(x), _reference(lambda s: mp.sqrt(mp.pi) / 2 * mp.erfi(s), x)
+            assert got == 0 if q == 0 else _ulps(got, ref) <= 1, q
+        bound = mp.ldexp(1, 4 - mp.mp.prec)
+        for q in airy_zs:
+            z = _mpf(q)
+            assert abs(airy_ai_oracle(z) / _reference(mp.airyai, z) - 1) <= bound, q
+            assert abs(airy_bi_oracle(z) / _reference(mp.airybi, z) - 1) <= bound, q
 
-    def worker(i):
-        start.wait()
-        mp.mp.prec = 53 + 30 * i  # the threads move the global precision meanwhile
-        results[i] = tuple(v._mpf_ for v in oracle.constants(prec))
 
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with mp.workprec(53):  # restores the global precision the threads changed
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [serial] * 4
-    assert tuple(v._mpf_ for v in oracle.constants(prec)) == serial
+@pytest.mark.parametrize("dps", [15, 30, 50, 100])
+def test_ei_oracle_at_its_zero(dps):
+    # at the mpf nearest the zero of Ei the three parts of the sum cancel
+    # to about the working precision; the value still lies within 1 ulp.
+    # mp.ei cancels as well, so the reference works twice as many digits.
+    with mp.workdps(2 * dps + 40):
+        root = mp.findroot(mp.ei, mp.mpf("0.3725"))
+        x = mp.mpf(mp.libmp.mpf_pos(root._mpf_, mp.libmp.dps_to_prec(dps), "n"))
+        ref = mp.ei(x)
+    with mp.workdps(dps):
+        assert _ulps(ei_oracle(x), ref) <= 1
+
+
+def test_series_oracles_make_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.quad called")
+
+    monkeypatch.setattr(mp, "quad", refuse)
+    monkeypatch.setattr(mp.mp, "quad", refuse)
+    with mp.workdps(30):
+        for x in ("0.25", "1", "7.5", "20"):
+            ei_oracle(mp.mpf(x))
+            erfi_integral_oracle(-mp.mpf(x))
+    # Ei and its Taylor facility at a finite point, through the CLI
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["eval", "ei", "5/2+w^-1", "--terms", "4", "--prec", "30"]) == 0
 
 
 @pytest.mark.parametrize("x0", [F(5, 2), F(3), F(47, 16)])
