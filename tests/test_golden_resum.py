@@ -2,10 +2,14 @@
 
 The corpus in ``golden/resum_values.json`` pins the exact mpf results of the
 numeric resummation path: sums of scaled Ei series through the registered
-pole kernel, catalog ``eb_value`` through the Airy Pade fit (airy_ai) and
-the closed-form kernels (ei, loggamma, gamma), and the stdout of one
-``tsr sum`` through the coth kernel.  Each value also lies within its
-reported error, and within its tolerance, of an mpmath reference.  Values and error estimates are stored as raw
+pole kernel, catalog ``eb_value`` through the Airy Pade fits (airy_ai;
+airy_bi at x = 8, whose Pade has many positive poles, so its Laplace
+integral has many windows with smooth spans between them) and the
+closed-form kernels (ei, loggamma, gamma, and erfi_integral's square-root
+branch), ``laplace`` of the log and square-root branch kernels, and the
+stdout of one ``tsr sum`` through the coth kernel.  Each value also lies
+within its reported error, and within its tolerance, of an mpmath
+reference.  Values and error estimates are stored as raw
 ``(sign, man, exp, bc)`` tuples, not as decimal text, because an mpf's repr
 depends on the precision in force when it is printed.  Regenerate the corpus
 (only when an output change is intended) with
@@ -25,14 +29,26 @@ import mpmath as mp
 
 from tsr.cli import run
 from tsr.operators import catalog
-from tsr.resummation import QuadratureConfig, eb_sum
+from tsr.resummation import QuadratureConfig, eb_sum, laplace, log_kernel, sqrt_branch_kernel
 from tsr.transseries import ts_parse
 
 GOLDEN = Path(__file__).with_name("golden") / "resum_values.json"
+KERNELS = {"log": log_kernel, "sqrt_branch": sqrt_branch_kernel}
 
 CASES = (
     [("eb_sum", expr, 10.0, 30) for expr in ("2*#ei", "1/3*#ei", "5/4*#ei")]
-    + [("eb_value", name, x, 30) for name, x in (("airy_ai", 15.0), ("loggamma", 10.0), ("gamma", 15.0), ("ei", 10.0))]
+    + [
+        ("eb_value", name, x, 30)
+        for name, x in (
+            ("airy_ai", 15.0),
+            ("loggamma", 10.0),
+            ("gamma", 15.0),
+            ("ei", 10.0),
+            ("erfi_integral", 3.0),
+            ("airy_bi", 8.0),
+        )
+    ]
+    + [("laplace", name, 3.0, 30) for name in ("log", "sqrt_branch")]
     + [("cli", "sum", "#stirling", "10.25", "--prec", "50")]
 )
 
@@ -57,6 +73,8 @@ def _record(case):
     cfg = QuadratureConfig(precision=prec)
     if kind == "eb_sum":
         val, err = eb_sum(ts_parse(what), x, cfg)
+    elif kind == "laplace":
+        val, err = laplace(KERNELS[what](1), x, cfg)
     else:
         val, err = catalog()[what].eb_value(x, cfg)
     return {"value": _raw(val), "err": _raw(err)}
@@ -86,8 +104,24 @@ def _reference(case):
         ref = scale.numerator * mp.exp(-x) * mp.ei(x) / scale.denominator
         return ref, max(c.abs_tol, c.rel_tol * abs(ref))
     if kind == "eb_value":
-        ref = {"ei": mp.ei, "loggamma": mp.loggamma, "gamma": mp.gamma, "airy_ai": mp.airyai}[what](x)
+        ref = {
+            "ei": mp.ei,
+            "loggamma": mp.loggamma,
+            "gamma": mp.gamma,
+            "airy_ai": mp.airyai,
+            "airy_bi": mp.airybi,
+            "erfi_integral": lambda t: mp.sqrt(mp.pi) / 2 * mp.erfi(t),
+        }[what](x)
         return ref, catalog()[what].tolerance * max(1, abs(ref))
+    if kind == "laplace":
+        # L[-log|1-p|](x) = e^(-x) Ei(x) / x, and
+        # L[(1-p)^(-1/2) / 2](x) = e^(-x) x^(-1/2) int_0^sqrt(x) e^(s^2) ds
+        if what == "log":
+            ref = mp.exp(-x) * mp.ei(x) / x
+        else:
+            ref = mp.exp(-x) * mp.sqrt(mp.pi / x) / 2 * mp.erfi(mp.sqrt(x))
+        c = QuadratureConfig()
+        return ref, max(c.abs_tol, c.rel_tol * abs(ref))
     # #stirling is log Gamma less its Stirling head
     ref = mp.loggamma(x) - ((x - mp.mpf(1) / 2) * mp.log(x) - x + mp.log(2 * mp.pi) / 2)
     return ref, QuadratureConfig().abs_tol
