@@ -294,6 +294,10 @@ def _run_checks(ns, cfg: QuadratureConfig) -> int:
 
 
 def main() -> None:
+    # exact values print with all their digits, past the 4300 that Python
+    # (3.10.7 on) allows an int-to-str conversion by default
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run())
 
 

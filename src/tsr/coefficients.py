@@ -16,7 +16,7 @@ from typing import Optional
 
 from .resummation.kernels import BorelFunction, KernelEntry, coth_kernel, pole_kernel, sqrt_branch_kernel
 from .resummation.laplace import resolve_default
-from .transseries.series import KIND_CLOSED, PowerSeries
+from .transseries.series import PowerSeries
 
 
 @functools.lru_cache(maxsize=None)
@@ -105,7 +105,7 @@ def named_series(name: str) -> PowerSeries:
         coeff, kernel, m = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown series oracle #{name}") from None
-    return PowerSeries.from_fn(coeff, kind=KIND_CLOSED, known_order=1, kernel=lambda: KernelEntry(kernel(), m))
+    return PowerSeries.from_fn(coeff, known_order=1, kernel=lambda: KernelEntry(kernel(), m))
 
 
 def series_name(ps: PowerSeries) -> Optional[str]:

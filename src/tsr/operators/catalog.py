@@ -61,7 +61,6 @@ class CatalogFunction:
     tail_constants: tuple = (4.0, 1.0, 0.5)  # documented (c1, c2, c3)
     exact_value: Optional[Callable] = None  # x0 -> (Prefactor, Fraction) | None
     antiderivative_of: Optional[str] = None
-    derivative_name: Optional[str] = None
     reflected_name: Optional[str] = None
     compose_exp_of: Optional[str] = None  # entry computed as exp(other entry)
 
@@ -97,7 +96,8 @@ class CatalogFunction:
             return out, abs(scale) * err
 
     def check_domain(self, x):
-        if self.domain_c is not None and not mp.mpf(x) > self.domain_c:
+        """Raise DomainError unless x (an mpf or an exact Fraction) lies in the domain."""
+        if self.domain_c is not None and not x > self.domain_c:
             raise DomainError(f"{self.name} is defined on ({self.domain_c}, oo); got {x}")
 
 
@@ -404,7 +404,6 @@ def _exp_entry() -> CatalogFunction:
         tolerance=1e-24,
         tail_constants=(1.0, 1.0, 0.0),
         exact_value=lambda q: (Prefactor.of(1, e=q), Fraction(1)),
-        derivative_name="exp",
         reflected_name="exp_neg",
     )
 
@@ -448,7 +447,6 @@ def _ei_entry() -> CatalogFunction:
         # |man B y| = 1/|1-p| <= 4 off the principal-value window; any x > 0
         tail_constants=(4.0, 1.0, 0.0),
         antiderivative_of="ei_integrand",
-        derivative_name="ei_integrand",
     )
 
 
@@ -480,7 +478,6 @@ def _erfi_integral_entry() -> CatalogFunction:
         # averaged kernel is supported on [0, 1]: c3 = 0
         tail_constants=(1.0, 1.0, 0.0),
         antiderivative_of="erfi_integrand",
-        derivative_name="erfi_integrand",
         exact_value=at_zero,
     )
 

@@ -73,7 +73,7 @@ def extend(f: CatalogFunction, point, terms: int = 8, *, cfg: QuadratureConfig =
         point = SurrealPoint.from_nf(point)
 
     if point.kind == "real":
-        f.check_domain(float(point.real))
+        f.check_domain(point.real)
         if f.exact_value is not None:
             hit = f.exact_value(point.real)
             if hit is not None:
@@ -110,7 +110,7 @@ def extend(f: CatalogFunction, point, terms: int = 8, *, cfg: QuadratureConfig =
 def _extend_finite(f: CatalogFunction, point: SurrealPoint, terms: int, cfg: QuadratureConfig):
     """Taylor series in the infinitesimal part, Conway-convergent by design."""
     x0, zeta = point.real, point.zeta
-    f.check_domain(float(x0))
+    f.check_domain(x0)
     # each term once, at the working precision; the exact stream reuses them
     with mp.workdps(cfg.precision):
         kinds = [f.taylor_term(x0, k) for k in range(terms)]
@@ -277,7 +277,6 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
         domain_c=f.domain_c,
         tolerance=max(f.tolerance, 1e-9),
         tail_constants=f.tail_constants,
-        derivative_name=f.name,
     )
     return anti_entry
 

@@ -105,22 +105,21 @@ _ONE = Prefactor()
 
 
 def _exact_root(q: Fraction, n: int) -> Fraction | None:
-    """The exact n-th root of q, if rational."""
+    """The exact n-th root of q > 0, if rational.
 
-    def iroot(v: int) -> int | None:
-        if v == 0:
-            return 0
-        r = round(v ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**n == v:
-                return cand
-        return None
+    Each integer root comes from Newton's method on integers, which falls
+    from 2^ceil(bits/n) to floor(v^(1/n)); no float is formed, so q may have
+    any size.
+    """
 
-    a = iroot(q.numerator)
-    b = iroot(q.denominator)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
+    def iroot(v: int) -> int:
+        r = 1 << -(-v.bit_length() // n)
+        while r > 0 and (s := ((n - 1) * r + v // r ** (n - 1)) // n) < r:
+            r = s
+        return r
+
+    a, b = iroot(q.numerator), iroot(q.denominator)
+    return Fraction(a, b) if a**n == q.numerator and b**n == q.denominator else None
 
 
 def exp_prefactor(q: Fraction) -> Prefactor:

@@ -31,7 +31,6 @@ from .laplace import (
     WatsonReport,
     average_eval,
     eb_sum,
-    hat_lb,
     laplace,
     resolve_default,
     watson_check,
@@ -78,7 +77,6 @@ __all__ = [
     "WatsonReport",
     "average_eval",
     "eb_sum",
-    "hat_lb",
     "laplace",
     "resolve_default",
     "watson_check",

@@ -6,8 +6,10 @@ principal-value window with the residue term subtracted exactly (its PV over
 the window is zero), inverse-square-root branch points get the u = sqrt(s-p)
 substitution on the approach side, log endpoints are left to tanh-sinh
 panels, and the far tail is bounded by the kernel's exponential growth
-constants.  Working precision, tolerances, and window sizes come from
-:class:`QuadratureConfig`.
+constants.  Working precision and tolerances come from
+:class:`QuadratureConfig`; window and panel sizes are fixed (``PV_WINDOW``,
+``_SPAN_PANELS``), because each panel refines itself to the tolerance, so
+they decide where the work goes, not how accurate the sum is.
 
 The absolute tolerance governs the work, not the working precision.  Each
 panel is summed by tanh-sinh (Gauss-Legendre in a pole's window) at rising
@@ -46,23 +48,25 @@ from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import PowerSeries
 from .averaging import WeightFamily, all_addresses, catalan_weight
 from .borel import borel_transform
-from .kernels import BorelFunction, KernelEntry, pade_continue
+from .kernels import BorelFunction, KernelEntry, _c2mp, pade_continue
+
+
+#: Half-width of a singularity's window, narrowed to half the first
+#: singularity's distance from 0 and to a third of each gap between two.
+PV_WINDOW = 0.25
+#: Most equal panels a smooth span between windows is cut into.
+_SPAN_PANELS = 16
 
 
 @dataclass
 class QuadratureConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_panels: int = 64
-    pv_window: float = 0.25
-    tail_cutoff: Optional[float] = None
     precision: int = 50
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.pv_window <= 0:
-            raise ValueError("pv_window must be positive")
 
 
 def average_eval(f: BorelFunction, p, *, weights: WeightFamily = catalan_weight, cfg: QuadratureConfig = None):
@@ -74,7 +78,7 @@ def average_eval(f: BorelFunction, p, *, weights: WeightFamily = catalan_weight,
     """
     cfg = cfg or QuadratureConfig()
     with mp.workdps(cfg.precision):
-        p = _q2mp(p) if isinstance(p, Fraction) else mp.mpf(p)
+        p = _c2mp(p) if isinstance(p, Fraction) else mp.mpf(p)
         sings = [s for s in f.singularities() if mp.mpf(float(s.location)) < p]
         for s in f.singularities():
             if mp.mpf(float(s.location)) == p:
@@ -91,10 +95,12 @@ def average_eval(f: BorelFunction, p, *, weights: WeightFamily = catalan_weight,
 
 
 def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, mp.mpf]:
-    """integral(e^(-xp) avg(f)(p), p = 0..inf) with an error estimate."""
+    """integral(e^(-xp) avg(f)(p), p = 0..inf) with an error estimate, summed
+    over one list of (integrand, panel edges, rule) pieces: the smooth spans
+    between windows first, then each singularity's window."""
     cfg = cfg or QuadratureConfig()
     with mp.workdps(cfg.precision):
-        x = _q2mp(x) if isinstance(x, Fraction) else mp.mpf(x)
+        x = _c2mp(x) if isinstance(x, Fraction) else mp.mpf(x)
         c1, c3 = (mp.mpf(g) for g in f.growth)
         if x <= c3:
             raise GrowthBoundViolated(f"need x > {c3}, got {x}")
@@ -106,101 +112,55 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
 
         sings = sorted(f.singularities(), key=lambda s: s.location)
         locs = [mp.mpf(float(s.location)) for s in sings]
-        gaps = [b - a for a, b in zip(locs, locs[1:])]
-        w = mp.mpf(cfg.pv_window)
+        w = mp.mpf(PV_WINDOW)
         if locs:
-            w = min([w, min(locs) / 2] + [g / 3 for g in gaps])
-
-        tail = cfg.tail_cutoff
-        if tail is None:
-            tail = float(mp.log(10 * c1 / (abs_tol * (x - c3))) / (x - c3))
-        T = mp.mpf(tail)
+            w = min([w, min(locs) / 2] + [(b - a) / 3 for a, b in zip(locs, locs[1:])])
+        # the cutoff is rounded through float, as it always has been
+        T = mp.mpf(float(mp.log(10 * c1 / (abs_tol * (x - c3))) / (x - c3)))
         if locs:
             T = max(T, locs[-1] + 2 * w + 1)
         T = max(T, mp.mpf(2))
 
-        total = mp.mpf(0)
-        err = mp.mpf(0)
-        # each panel stops refining at a hundredth of the absolute tolerance,
-        # or at the working precision's floor if that is coarser
-        eps = max(abs_tol / 100, mp.eps / 8)
-        prec = mp.mp.prec
-
-        def quad(fn, pts, method="tanh-sinh"):
-            v = e = mp.mpf(0)
-            with mp.workprec(prec + 20):  # guard bits for the node sums
-                for a, b in zip(pts, pts[1:]):
-                    if a != b:
-                        pv, pe = _panel(fn, a, b, method, eps, prec)
-                        v += pv
-                        e += pe
-            return +v, e
-
         integrand = lambda p: mp.exp(-x * p) * f.averaged(p)
-
-        edges = [mp.mpf(0)]
-        windows = []
+        edges = [mp.mpf(0)] + [e for loc in locs for e in (loc - w, loc + w)] + [T]
+        pieces = [(integrand, _split_span(a, b), "tanh-sinh") for a, b in zip(edges[::2], edges[1::2]) if a < b]
         for s, loc in zip(sings, locs):
-            windows.append((s, loc - w, loc + w))
-            edges += [loc - w, loc + w]
-        edges.append(T)
-
-        # smooth spans between windows
-        spans = [(edges[0], edges[1])] if locs else [(mp.mpf(0), T)]
-        for i in range(1, len(locs)):
-            spans.append((edges[2 * i], edges[2 * i + 1]))
-        if locs:
-            spans.append((edges[-2], T))
-        for a, b in spans:
-            if b <= a:
-                continue
-            pieces = _split_span(a, b, cfg.max_panels)
-            v, e = quad(integrand, pieces)
-            total += v
-            err += abs(e)
-
-        for s, lo, hi in windows:
-            loc = mp.mpf(float(s.location))
+            lo, hi = loc - w, loc + w
             if s.kind == "pole":
                 # symmetric excision: the residue term has zero PV over the
                 # window, so subtracting it leaves an analytic integrand.
                 # Gauss-Legendre keeps nodes polynomially away from loc, so
                 # the subtraction loses only a few digits of the working 50.
-                A = f.pv_residue(s.location)
-                shift = A * mp.exp(-x * loc)
+                shift = f.pv_residue(s.location) * mp.exp(-x * loc)
+                h = lambda p, loc=loc, shift=shift: integrand(p) - shift / (loc - p)
+                pieces.append((h, [lo, loc, hi], "gauss-legendre"))
+                continue
+            branch = s.kind == "branch"
+            if branch and s.exponent <= -1:
+                raise NotRegularizableError(f"branch exponent {s.exponent} is not integrable; apply p_integrate first")
+            if branch and s.exponent == Fraction(-1, 2):
+                # u = sqrt(s - p) removes the singularity exactly
+                left = lambda u, loc=loc: mp.exp(-x * (loc - u * u)) * f.usub_value(u)
+                pieces.append((left, [0, mp.sqrt(loc - lo)], "tanh-sinh"))
+            else:  # other branches and log endpoints: tanh-sinh handles them
+                pieces.append((integrand, [lo, loc], "tanh-sinh"))
+            pieces.append((integrand, [loc, hi], "tanh-sinh"))
 
-                def h(p, loc=loc, shift=shift):
-                    return integrand(p) - shift / (loc - p)
-
-                v, e = quad(h, [lo, loc, hi], method="gauss-legendre")
-                total += v
-                err += abs(e)
-            elif s.kind == "branch":
-                expo = Fraction(s.exponent)
-                if expo <= -1:
-                    raise NotRegularizableError(
-                        f"branch exponent {expo} is not integrable; apply p_integrate first"
-                    )
-                if expo == Fraction(-1, 2):
-                    # u = sqrt(s - p) removes the singularity exactly
-                    def left(u, loc=loc):
-                        return mp.exp(-x * (loc - u * u)) * f.usub_value(u)
-
-                    v, e = quad(left, [0, mp.sqrt(loc - lo)])
-                else:
-                    v, e = quad(integrand, [lo, loc])
-                total += v
-                err += abs(e)
-                v, e = quad(integrand, [loc, hi])
-                total += v
-                err += abs(e)
-            else:  # log endpoint: integrable, tanh-sinh handles both sides
-                v, e = quad(integrand, [lo, loc])
-                total += v
-                err += abs(e)
-                v, e = quad(integrand, [loc, hi])
-                total += v
-                err += abs(e)
+        total = err = mp.mpf(0)
+        # each panel stops refining at a hundredth of the absolute tolerance,
+        # or at the working precision's floor if that is coarser
+        eps = max(abs_tol / 100, mp.eps / 8)
+        prec = mp.mp.prec
+        for fn, pts, rule in pieces:
+            v = e = mp.mpf(0)
+            with mp.workprec(prec + 20):  # guard bits for the node sums
+                for a, b in zip(pts, pts[1:]):
+                    if a != b:
+                        pv, pe = _panel(fn, a, b, rule, eps, prec)
+                        v += pv
+                        e += pe
+            total += +v
+            err += abs(e)
 
         # exponential tail bound for p > T
         err += c1 * mp.exp(-(x - c3) * T) / (x - c3)
@@ -214,12 +174,11 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
         return total, err
 
 
-def _split_span(a, b, max_panels: int):
+def _split_span(a, b):
     """Edges of equal panels over [a, b]: one per unit of length, at least
-    one and at most max(max_panels // 4, 4)."""
-    n = min(max(int(mp.ceil((b - a))), 1), max(max_panels // 4, 4))
-    pts = [a + (b - a) * mp.mpf(i) / n for i in range(n + 1)]
-    return pts
+    one and at most _SPAN_PANELS."""
+    n = min(max(int(mp.ceil((b - a))), 1), _SPAN_PANELS)
+    return [a + (b - a) * mp.mpf(i) / n for i in range(n + 1)]
 
 
 # -- panel quadrature ------------------------------------------------------------
@@ -292,15 +251,6 @@ def resolve_default(series: PowerSeries, *, order: int = 24, degrees=(11, 11)) -
     raise DegenerateTableError("no solvable Pade entry down to (1, 1)")
 
 
-def hat_lb(series: PowerSeries, x, cfg: QuadratureConfig, entry: KernelEntry = None) -> tuple[mp.mpf, mp.mpf]:
-    """x^m L[man P^m B y](x): the regularized Ecalle-Borel sum of one series."""
-    entry = entry or resolve_default(series)
-    kernel = entry.kernel.p_integral(entry.m) if entry.m else entry.kernel
-    val, err = laplace(kernel, x, cfg)
-    scale = mp.mpf(x) ** entry.m
-    return scale * val, scale * err
-
-
 def eb_sum(
     ts: TransseriesT1,
     x,
@@ -311,10 +261,12 @@ def eb_sum(
 ) -> tuple[mp.mpf, mp.mpf]:
     """Numeric Ecalle-Borel sum of a T1 transseries at real x.
 
-    Each grid series is summed through its Borel kernel (resolver-supplied,
-    else the series' own, else a generic Pade fit) and weighted by its
-    transmonomial; the log part evaluates exactly.  Infinite minus supports
-    need (c1, c2, c3) tail constants.
+    Each grid series y is summed through its Borel kernel (resolver-supplied,
+    else the series' own, else a generic Pade fit), as x^m L[man P^m B y](x):
+    the Laplace integral of the kernel's m-fold P-integral, times x^m.  Each
+    sum is weighted by its transmonomial; finite series and the log part
+    evaluate exactly.  Infinite minus supports need (c1, c2, c3) tail
+    constants.
     """
     cfg = cfg or QuadratureConfig()
     with mp.workdps(cfg.precision):
@@ -326,11 +278,11 @@ def eb_sum(
         if not lp.is_zero():
             lx = mp.log(x)
             for i, c in enumerate(lp.P):
-                total += _q2mp(c) * x**i * lx
+                total += _c2mp(c) * x**i * lx
             for i, c in enumerate(lp.Q):
-                total += _q2mp(c) * x**i
+                total += _c2mp(c) * x**i
             for l in range(1, len(lp.R) + 1):
-                total += _q2mp(lp.r_coeff(l)) * x ** (-l)
+                total += _c2mp(lp.r_coeff(l)) * x ** (-l)
 
         if ts.minus.support_iter is not None and tail_constants is None:
             raise TruncationBoundUnavailable(
@@ -341,7 +293,7 @@ def eb_sum(
             series = grp.series
             if series.is_finite() and not (series.length or 0):
                 continue
-            pre = x ** _q2mp(grp.offset) * mp.exp(_q2mp(grp.mu) * x)
+            pre = x ** _c2mp(grp.offset) * mp.exp(_c2mp(grp.mu) * x)
             if tail_constants is not None and grp.mu < 0:
                 c1, c2, c3 = (mp.mpf(v) for v in tail_constants)
                 bound = c1 * abs(pre) / (x - c3)
@@ -354,18 +306,16 @@ def eb_sum(
                     # finite sums are their own Borel sums
                     val = mp.mpf(0)
                     for l in range(1, (series.length or 0) + 1):
-                        val += _q2mp(series.coeff(l)) * x ** (-l)
+                        val += _c2mp(series.coeff(l)) * x ** (-l)
                     total += pre * val
                     continue
                 entry = resolve_default(series)
-            val, lerr = hat_lb(series, x, cfg, entry)
-            total += pre * val
-            err += abs(pre) * lerr
+            # x^m L[man P^m B y](x): the regularized sum of one series
+            kernel = entry.kernel.p_integral(entry.m) if entry.m else entry.kernel
+            val, lerr = laplace(kernel, x, cfg)
+            total += pre * (x**entry.m * val)
+            err += abs(pre) * (x**entry.m * lerr)
         return total, err
-
-
-def _q2mp(q: Fraction):
-    return mp.mpf(q.numerator) / q.denominator
 
 
 # -- Watson's Lemma diagnostic ---------------------------------------------------
@@ -415,7 +365,7 @@ def watson_check(
             partial = mp.mpf(0)
             for k in range(K + 1):
                 fk = taylor[k * a + b]
-                partial += _q2mp(fk) * mp.factorial(k * a + b) * x ** (-(k * a + b + 1))
+                partial += _c2mp(fk) * mp.factorial(k * a + b) * x ** (-(k * a + b + 1))
             diff = abs(val - partial)
             diffs.append(diff)
             ratio = diff * x**power

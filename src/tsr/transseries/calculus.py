@@ -197,7 +197,6 @@ def ts_antidiff(a: TransseriesT1) -> TransseriesT1:
             add_P(0, c1)
         tail = PowerSeries(
             lambda l, y=y: -y.coeff(l + 1) / l,
-            kind=y.kind,
             length=None if y.length is None else max(y.length - 1, 0),
         )
         groups.append(Group(Fraction(0), Fraction(0), tail))
@@ -225,9 +224,7 @@ def ts_decompose(a: TransseriesT1, m: int) -> tuple[GridMinus, LogPart, GridPlus
     k0 = (0,) * g.n
     y0 = g.series_at(k0)
     R = tuple(y0.coeff(l) + a.log.r_coeff(l) for l in range(1, m + 1))
-    tail = PowerSeries.from_fn(
-        lambda l, y0=y0, m=m: y0.coeff(l) if l > m else Fraction(0), kind=y0.kind
-    )
+    tail = PowerSeries.from_fn(lambda l, y0=y0, m=m: y0.coeff(l) if l > m else Fraction(0))
     if y0.is_finite():
         tail = PowerSeries.from_coeffs([Fraction(0)] * m + [y0.coeff(l) for l in range(m + 1, (y0.length or 0) + 1)])
     series = dict(g.series)
@@ -269,10 +266,6 @@ def _dominant_key(a: TransseriesT1, scan: int = SIGN_SCAN_ORDER) -> Optional[tup
             l0 = None
         if l0 is not None:
             offer((-g.rate(k), g.offset(k) - l0, 0), s.coeff(l0))
-            if g.support_iter is None:
-                # finite supports are sorted; later k cannot beat this one
-                # unless their rate ties, which the sort already orders.
-                pass
     if g.support_iter is not None and best is None:
         raise UndecidableSupport("lazy minus support produced no nonzero term in the window")
     return best

@@ -23,7 +23,7 @@ from .series import PowerSeries
 
 MultiIndex = tuple[int, ...]
 
-#: default cap on merged grid generators
+#: cap on merged grid generators
 MAX_GENERATORS = 8
 #: window used for bounded nonresonance validation
 RESONANCE_WINDOW = 16
@@ -252,7 +252,6 @@ def assemble(
     groups: Iterable[Group],
     log: LogPart = None,
     *,
-    max_generators: int = MAX_GENERATORS,
     seed: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = ((), ()),
 ) -> TransseriesT1:
     """Build a normalized TransseriesT1 from raw groups plus a log part.
@@ -310,7 +309,7 @@ def assemble(
     for l in range(1, len(log.R) + 1):
         inverse[l] = inverse.get(l, Fraction(0)) + log.r_coeff(l)
 
-    minus = _assemble_minus(minus_raw, max_generators=max_generators, seed=seed)
+    minus = _assemble_minus(minus_raw, seed=seed)
     k0 = _zero_index(minus.n)
     base = minus.series.get(k0, PowerSeries.zero())
     if inverse:
@@ -329,7 +328,6 @@ def _shift_up(s: PowerSeries, d: int) -> PowerSeries:
     """Multiply by x^d, dropping the (assumed consumed) head: c_l <- c_(l+d)."""
     return PowerSeries(
         lambda l: s.coeff(l + d),
-        kind=s.kind,
         length=None if s.length is None else max(s.length - d, 0),
     )
 
@@ -337,7 +335,6 @@ def _shift_up(s: PowerSeries, d: int) -> PowerSeries:
 def _assemble_minus(
     raw: list[Group],
     *,
-    max_generators: int,
     seed: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = ((), ()),
 ) -> GridMinus:
     """Pick generators and multi-indices for decaying groups, greedily."""
@@ -389,8 +386,8 @@ def _assemble_minus(
         if k is None:
             lam.append(rate)
             beta.append(grp.offset)
-            if len(lam) > max_generators:
-                raise GridMergeError(f"merged grid needs more than {max_generators} generators")
+            if len(lam) > MAX_GENERATORS:
+                raise GridMergeError(f"merged grid needs more than {MAX_GENERATORS} generators")
             slots = {key + (0,): val for key, val in slots.items()}
             k = (0,) * (len(lam) - 1) + (1,)
             slots[k] = (grp.offset, grp.series)

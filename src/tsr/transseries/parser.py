@@ -46,11 +46,11 @@ class _Raw:
         return _Raw(1 / self.coef, -self.mu, -self.pow, 0, None)
 
 
-def ts_parse(text: str, *, max_generators: int = 8) -> TransseriesT1:
+def ts_parse(text: str) -> TransseriesT1:
     tok = Scanner(text)
     terms = _parse_sum(tok)
     tok.finish()
-    return _assemble_raw(terms, max_generators=max_generators)
+    return _assemble_raw(terms)
 
 
 def _parse_sum(tok: Scanner) -> list[_Raw]:
@@ -162,7 +162,7 @@ def _parse_linear_arg(tok: Scanner) -> Fraction:
     return r
 
 
-def _assemble_raw(terms: list[_Raw], *, max_generators: int) -> TransseriesT1:
+def _assemble_raw(terms: list[_Raw]) -> TransseriesT1:
     groups: list[Group] = []
     P: list[Fraction] = []
     for t in terms:
@@ -182,7 +182,7 @@ def _assemble_raw(terms: list[_Raw], *, max_generators: int) -> TransseriesT1:
             groups.append(Group(t.mu, t.pow + 1, PowerSeries.from_coeffs([t.coef])))
         else:
             groups.append(Group(t.mu, t.pow, t.series.scale(t.coef)))
-    return assemble(groups, LogPart(tuple(P), (), ()), max_generators=max_generators)
+    return assemble(groups, LogPart(tuple(P), (), ()))
 
 
 # -- printing ------------------------------------------------------------------

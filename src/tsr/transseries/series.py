@@ -21,10 +21,6 @@ from ..stream import Stream
 if TYPE_CHECKING:
     from ..resummation.kernels import KernelEntry
 
-KIND_FINITE = "finite"
-KIND_CLOSED = "closed-form"
-KIND_RECURRENCE = "recurrence-backed"
-
 #: scan bound used when a series of unknown order must reveal a nonzero term
 DEFAULT_ORDER_SCAN = 64
 
@@ -36,13 +32,11 @@ class PowerSeries:
         self,
         coeff_fn: Callable[[int], Fraction],
         *,
-        kind: str = KIND_CLOSED,
         length: Optional[int] = None,
         known_order: Optional[int] = None,
         kernel: Optional[Callable[[], Optional["KernelEntry"]]] = None,
     ):
         self._coeffs = Stream(lambda: map(lambda l: Fraction(coeff_fn(l)), count(1)))
-        self.kind = kind
         self.length = length  # greatest possibly-nonzero index for finite series
         self.known_order = known_order
         self._kernel_fn = kernel or (lambda: None)
@@ -56,7 +50,7 @@ class PowerSeries:
 
     @classmethod
     def zero(cls) -> "PowerSeries":
-        return cls(lambda l: Fraction(0), kind=KIND_FINITE, length=0, known_order=None)
+        return cls(lambda l: Fraction(0), length=0, known_order=None)
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[Fraction]) -> "PowerSeries":
@@ -65,7 +59,6 @@ class PowerSeries:
         order = next((i + 1 for i, c in enumerate(coeffs) if c != 0), None)
         return cls(
             lambda l: coeffs[l - 1] if 1 <= l <= len(coeffs) else Fraction(0),
-            kind=KIND_FINITE,
             length=len(coeffs),
             known_order=order,
         )
@@ -77,8 +70,8 @@ class PowerSeries:
         return cls.from_coeffs(coeffs)
 
     @classmethod
-    def from_fn(cls, fn: Callable[[int], Fraction], *, kind: str = KIND_CLOSED, known_order: Optional[int] = None, kernel=None) -> "PowerSeries":
-        return cls(fn, kind=kind, known_order=known_order, kernel=kernel)
+    def from_fn(cls, fn: Callable[[int], Fraction], *, known_order: Optional[int] = None, kernel=None) -> "PowerSeries":
+        return cls(fn, known_order=known_order, kernel=kernel)
 
     # -- coefficient access ---------------------------------------------------
 
@@ -131,7 +124,6 @@ class PowerSeries:
             length = max(self.length, other.length)
         return PowerSeries(
             lambda l: self.coeff(l) + other.coeff(l),
-            kind=_join_kind(self, other),
             length=length,
             kernel=lambda: self.kernel and other.kernel and self.kernel + other.kernel,
         )
@@ -150,7 +142,6 @@ class PowerSeries:
             return self
         return PowerSeries(
             lambda l: c * self.coeff(l),
-            kind=self.kind,
             length=self.length,
             known_order=self.known_order,
             kernel=lambda: self.kernel and self.kernel.scale(c),
@@ -162,7 +153,6 @@ class PowerSeries:
             return self
         return PowerSeries(
             lambda l: self.coeff(l - d) if l > d else Fraction(0),
-            kind=self.kind,
             length=None if self.length is None else self.length + d,
             known_order=None if self.known_order is None else self.known_order + d,
         )
@@ -179,13 +169,12 @@ class PowerSeries:
                 Fraction(0),
             )
 
-        return PowerSeries(fn, kind=_join_kind(self, other), length=length)
+        return PowerSeries(fn, length=length)
 
     def derivative(self) -> "PowerSeries":
         """Termwise d/dx: c_l x^-l maps to -l c_l x^-(l+1)."""
         return PowerSeries(
             lambda l: -(l - 1) * self.coeff(l - 1) if l >= 2 else Fraction(0),
-            kind=self.kind,
             length=None if self.length is None else self.length + 1,
         )
 
@@ -201,21 +190,16 @@ class PowerSeries:
             return out
 
         length = None if self.length is None else self.length + 1
-        return PowerSeries(fn, kind=_join_kind(self), length=length)
+        return PowerSeries(fn, length=length)
 
     @classmethod
     def from_recurrence(cls, first: Fraction, step: Callable[[int, Fraction], Fraction], *, kernel=None) -> "PowerSeries":
         """w_1 = first, w_l = step(l, w_(l-1)) for l >= 2, memoized."""
         # w_(l-1) is already memoized when w_l is computed
-        series = cls(lambda l: first if l == 1 else step(l, series.coeff(l - 1)), kind=KIND_RECURRENCE, kernel=kernel)
+        series = cls(lambda l: first if l == 1 else step(l, series.coeff(l - 1)), kernel=kernel)
         return series
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs(4))
         return f"PowerSeries[{head}, ...]"
 
-
-def _join_kind(*series: "PowerSeries") -> str:
-    if all(s.kind == KIND_FINITE for s in series):
-        return KIND_CLOSED  # derived, no longer a plain list
-    return KIND_RECURRENCE if any(s.kind == KIND_RECURRENCE for s in series) else KIND_CLOSED

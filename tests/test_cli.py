@@ -1,10 +1,11 @@
 """CLI behavior: verbs, output stability, JSON round trips, exit codes."""
 
 import json
+import sys
 
 import pytest
 
-from tsr.cli import run
+from tsr.cli import main, run
 from tsr.surreal import parse_nf
 from tsr.transseries import eq_to_order, ts_from_json, ts_parse
 
@@ -105,6 +106,40 @@ class TestErrors:
         code, _, err = cli("integrate", "gamma", "2", upper)
         assert code == 1
         assert "UnsupportedPointError" in err
+
+
+class TestHugeRationalPoints:
+    """Points far beyond float range are exact rationals, never floats."""
+
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize("point", [BIG, BIG + "+w^-1"], ids=["real", "finite"])
+    def test_exp_neg(self, cli, point):
+        code, out, _ = cli("eval", "exp_neg", point)
+        assert code == 0
+        assert out.startswith(f"e^(-{self.BIG})")
+
+    def test_erfi_integral_beyond_the_digit_limit(self, capsys, monkeypatch):
+        # the w^-15 coefficient has about 4500 digits, past Python's default
+        # int-to-str limit, which the tsr command lifts
+        r = 10**300
+        monkeypatch.setattr(sys, "argv", ["tsr", "eval", "erfi_integral", f"{r}*w"])
+        limit = sys.get_int_max_str_digits()
+        try:
+            with pytest.raises(SystemExit) as done:
+                main()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith(f"1/{2 * r}*w^({r * r}*w^2-1) + ")
+
+    def test_erfi_integral_square_gives_rational_prefactor(self, cli):
+        # sqrt(r^2) is r exactly, so the prefactor folds into the coefficients
+        r = 10**33 + 12345
+        code, out, _ = cli("eval", "erfi_integral", f"{r}*w")
+        assert code == 0
+        assert out.startswith(f"1/{2 * r}*w^({r * r}*w^2-1) + ")
+        assert "sqrt" not in out
 
 
 class TestJsonRoundTrips:

@@ -23,6 +23,13 @@ class TestAlgebra:
         assert Prefactor.rational_power(F(8, 27), F(1, 3)) == Prefactor.of(F(2, 3))
         assert Prefactor.rational_power(F(4), F(3, 2)) == Prefactor.of(8)
 
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_exact_root_of_huge_powers(self, n):
+        # an integer root: a float root would overflow or miss by more than 1
+        for r in (F(10**33 + 12345), F(10**300), F(3**250, 10**41 + 7)):
+            assert Prefactor.rational_power(r**n, F(1, n)) == Prefactor.of(r)
+            assert Prefactor.rational_power(r**n + 1, F(1, n)).powers  # no rational root
+
     def test_surd_stays_symbolic(self):
         p = Prefactor.rational_power(F(2, 3), F(1, 6))
         assert p.powers == (("rat:2/3", F(1, 6)),)
