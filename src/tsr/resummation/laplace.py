@@ -96,8 +96,7 @@ def average_eval(f: BorelFunction, p, *, weights: WeightFamily = catalan_weight,
 
 def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, mp.mpf]:
     """integral(e^(-xp) avg(f)(p), p = 0..inf) with an error estimate, summed
-    over one list of (integrand, panel edges, rule) pieces: the smooth spans
-    between windows first, then each singularity's window."""
+    in one loop over the pieces ``_pieces`` lays out."""
     cfg = cfg or QuadratureConfig()
     with mp.workdps(cfg.precision):
         x = _c2mp(x) if isinstance(x, Fraction) else mp.mpf(x)
@@ -115,43 +114,18 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
         w = mp.mpf(PV_WINDOW)
         if locs:
             w = min([w, min(locs) / 2] + [(b - a) / 3 for a, b in zip(locs, locs[1:])])
-        # the cutoff is rounded through float, as it always has been
+        # T is rounded through a float; the pinned golden values depend on it
         T = mp.mpf(float(mp.log(10 * c1 / (abs_tol * (x - c3))) / (x - c3)))
         if locs:
             T = max(T, locs[-1] + 2 * w + 1)
         T = max(T, mp.mpf(2))
-
-        integrand = lambda p: mp.exp(-x * p) * f.averaged(p)
-        edges = [mp.mpf(0)] + [e for loc in locs for e in (loc - w, loc + w)] + [T]
-        pieces = [(integrand, _split_span(a, b), "tanh-sinh") for a, b in zip(edges[::2], edges[1::2]) if a < b]
-        for s, loc in zip(sings, locs):
-            lo, hi = loc - w, loc + w
-            if s.kind == "pole":
-                # symmetric excision: the residue term has zero PV over the
-                # window, so subtracting it leaves an analytic integrand.
-                # Gauss-Legendre keeps nodes polynomially away from loc, so
-                # the subtraction loses only a few digits of the working 50.
-                shift = f.pv_residue(s.location) * mp.exp(-x * loc)
-                h = lambda p, loc=loc, shift=shift: integrand(p) - shift / (loc - p)
-                pieces.append((h, [lo, loc, hi], "gauss-legendre"))
-                continue
-            branch = s.kind == "branch"
-            if branch and s.exponent <= -1:
-                raise NotRegularizableError(f"branch exponent {s.exponent} is not integrable; apply p_integrate first")
-            if branch and s.exponent == Fraction(-1, 2):
-                # u = sqrt(s - p) removes the singularity exactly
-                left = lambda u, loc=loc: mp.exp(-x * (loc - u * u)) * f.usub_value(u)
-                pieces.append((left, [0, mp.sqrt(loc - lo)], "tanh-sinh"))
-            else:  # other branches and log endpoints: tanh-sinh handles them
-                pieces.append((integrand, [lo, loc], "tanh-sinh"))
-            pieces.append((integrand, [loc, hi], "tanh-sinh"))
 
         total = err = mp.mpf(0)
         # each panel stops refining at a hundredth of the absolute tolerance,
         # or at the working precision's floor if that is coarser
         eps = max(abs_tol / 100, mp.eps / 8)
         prec = mp.mp.prec
-        for fn, pts, rule in pieces:
+        for fn, pts, rule in _pieces(f, x, sings, locs, w, T):
             v = e = mp.mpf(0)
             with mp.workprec(prec + 20):  # guard bits for the node sums
                 for a, b in zip(pts, pts[1:]):
@@ -172,6 +146,39 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
                 achieved=float(err),
             )
         return total, err
+
+
+def _pieces(f: BorelFunction, x, sings, locs, w, T):
+    """The (integrand, panel edges, rule) pieces of a Laplace integral, in
+    the order they are summed: the smooth spans between windows, then each
+    singularity's window.  Each is built only when the one before has been
+    summed, so the first piece to fail is the one that raises."""
+    integrand = lambda p: mp.exp(-x * p) * f.averaged(p)
+    edges = [mp.mpf(0)] + [e for loc in locs for e in (loc - w, loc + w)] + [T]
+    for a, b in zip(edges[::2], edges[1::2]):
+        if a < b:
+            yield integrand, _split_span(a, b), "tanh-sinh"
+    for s, loc in zip(sings, locs):
+        lo, hi = loc - w, loc + w
+        if s.kind == "pole":
+            # symmetric excision: the residue term has zero PV over the
+            # window, so subtracting it leaves an analytic integrand.
+            # Gauss-Legendre keeps nodes polynomially away from loc, so
+            # the subtraction loses only a few digits of the working 50.
+            shift = f.pv_residue(s.location) * mp.exp(-x * loc)
+            h = lambda p, loc=loc, shift=shift: integrand(p) - shift / (loc - p)
+            yield h, [lo, loc, hi], "gauss-legendre"
+            continue
+        branch = s.kind == "branch"
+        if branch and s.exponent <= -1:
+            raise NotRegularizableError(f"branch exponent {s.exponent} is not integrable; apply p_integrate first")
+        if branch and s.exponent == Fraction(-1, 2):
+            # u = sqrt(s - p) removes the singularity exactly
+            left = lambda u, loc=loc: mp.exp(-x * (loc - u * u)) * f.usub_value(u)
+            yield left, [0, mp.sqrt(loc - lo)], "tanh-sinh"
+        else:  # other branches and log endpoints: tanh-sinh handles them
+            yield integrand, [lo, loc], "tanh-sinh"
+        yield integrand, [loc, hi], "tanh-sinh"
 
 
 def _split_span(a, b):

@@ -202,4 +202,3 @@ class PowerSeries:
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs(4))
         return f"PowerSeries[{head}, ...]"
-
