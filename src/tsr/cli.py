@@ -176,7 +176,7 @@ def _dispatch(ns, cfg: QuadratureConfig) -> int:
             ts = ts_parse(src)
         val, err = eb_sum(ts, ns.x, cfg)
         payload = {"value": float(val), "error_estimate": float(err)}
-        _emit_value(ns, payload, f"{mp.nstr(val, 20)}  (error <= {mp.nstr(err, 3)})")
+        _emit_value(ns, payload, f"{mp.nstr(val, _digits(cfg))}  (error <= {mp.nstr(err, 3)})")
         return 0
 
     if verb == "eval":
@@ -185,14 +185,14 @@ def _dispatch(ns, cfg: QuadratureConfig) -> int:
         entry = _entry(ns.name)
         point = _point(ns.point)
         result = extend(entry, point, ns.terms, cfg=cfg)
-        return _print_result(ns, result)
+        return _print_result(ns, cfg, result)
 
     if verb == "integrate":
         from .operators import integrate
 
         entry = _entry(ns.name)
         result = integrate(entry, _point(ns.lower), _point(ns.upper), ns.terms, cfg=cfg)
-        return _print_result(ns, result)
+        return _print_result(ns, cfg, result)
 
     if verb == "check":
         return _run_checks(ns, cfg)
@@ -221,7 +221,12 @@ def _entry(name: str):
     raise errors.DomainError(f"unknown catalog entry {name!r}; see `tsr catalog`")
 
 
-def _print_result(ns, result) -> int:
+def _digits(cfg: QuadratureConfig) -> int:
+    """Digits printed for a decimal value: 20, or fewer at a lower precision."""
+    return min(20, cfg.precision)
+
+
+def _print_result(ns, cfg: QuadratureConfig, result) -> int:
     from .operators import DecoratedValue, NumericTaylor, SurrealValue
 
     if isinstance(result, SurrealValue):
@@ -245,7 +250,7 @@ def _print_result(ns, result) -> int:
         else:
             print(result.render(ns.terms))
         return 0
-    _emit_value(ns, {"value": float(result), "error_estimate": 0.0}, mp.nstr(result, 20))
+    _emit_value(ns, {"value": float(result), "error_estimate": 0.0}, mp.nstr(result, _digits(cfg)))
     return 0
 
 
@@ -267,12 +272,12 @@ def _run_checks(ns, cfg: QuadratureConfig) -> int:
             print(lit.summary())
         ok = ok and rep.passed and not lit.passed
     if ns.suite in ("all", "watson"):
-        from .resummation import coth_kernel, sqrt_branch_kernel, watson_check
+        from .resummation import CothKernel, sqrt_branch_kernel, watson_check
 
         results["watson"] = []
         for label, kernel, a, b in [
             ("sqrt-branch", sqrt_branch_kernel(1, 1), 1, 0),
-            ("coth", coth_kernel(), 2, 0),
+            ("coth", CothKernel(), 2, 0),
         ]:
             rep = watson_check(kernel, a=a, b=b, K=3, cfg=cfg)
             results["watson"].append({"kernel": label, "passed": rep.passed, "fitted_C": rep.fitted_C})

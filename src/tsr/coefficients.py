@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional
 
-from .resummation.kernels import BorelFunction, KernelEntry, coth_kernel, pole_kernel, sqrt_branch_kernel
+from .resummation.kernels import BorelFunction, CothKernel, KernelEntry, pole_kernel, sqrt_branch_kernel
 from .resummation.laplace import resolve_default
 from .transseries.series import PowerSeries
 
@@ -92,7 +92,7 @@ _REGISTRY = {
     "erfi": (erfi_coeff, lambda: sqrt_branch_kernel(1, Fraction(1, 2)), 0),
     "airy_u": (airy_bi_coeff, lambda: _airy_pade("airy_u"), 0),
     "airy_u_alt": (airy_ai_coeff, lambda: _airy_pade("airy_u_alt"), 0),
-    "stirling": (stirling_coeff, coth_kernel, 0),
+    "stirling": (stirling_coeff, CothKernel, 0),
 }
 
 NAMED_SERIES = tuple(sorted(_REGISTRY))

@@ -1,14 +1,14 @@
 """The worked function catalog: transseries, Borel kernels, oracles.
 
 Each entry pairs a stored transseries (in its critical time) with an
-independent high-precision oracle on the reals, an exact derivative facility
-for Taylor extensions at finite points, and documented tail constants.  The
-Ei and erfi-integral oracles sum their convergent series, DLMF 6.6.1 and
-7.6.4 (O(x) terms for Ei, O(x^2) for erfi), and the Airy oracles step
-y'' = z y by Taylor series, all in raw ``mpmath.libmp`` arithmetic at an
-explicit working precision; none uses quadrature or mpmath's own Ei and erfi,
-which serve as references in the tests.  The Borel kernels travel with the
-series: each entry is built from the registered ``#name`` series of
+independent high-precision oracle on the reals and an exact derivative
+facility for Taylor extensions at finite points.  The Ei and erfi-integral
+oracles sum their convergent series, DLMF 6.6.1 and 7.6.4 (O(x) terms for
+Ei, O(x^2) for erfi; past the working bits Ei sums its asymptotic series,
+DLMF 6.12.2, instead), and the Airy oracles step y'' = z y by Taylor series,
+all in raw ``mpmath.libmp`` arithmetic at an explicit working precision;
+none uses quadrature or mpmath's own Ei and erfi, which serve as references
+in the tests.  The Borel kernels travel with the series: each entry is built from the registered ``#name`` series of
 ``tsr.coefficients``, whose closed-form kernel (or the Airy Pade fit) its
 resummation reads.  Entries whose transseries would need an irrational
 global scale carry it as a symbolic prefactor; the erfi integral needs none
@@ -58,7 +58,6 @@ class CatalogFunction:
     ln2pi_coef: Fraction = Fraction(0)
     domain_c: Optional[float] = None
     tolerance: float = 1e-10
-    tail_constants: tuple = (4.0, 1.0, 0.5)  # documented (c1, c2, c3)
     exact_value: Optional[Callable] = None  # x0 -> (Prefactor, Fraction) | None
     antiderivative_of: Optional[str] = None
     reflected_name: Optional[str] = None
@@ -139,13 +138,17 @@ def ei_oracle(x):
     """Ei(x) = gamma + ln x + sum(x^k / (k k!), k >= 1) for x > 0 (DLMF 6.6.1).
 
     O(x) terms.  Near the zero of Ei (x = 0.3725...) the three parts cancel;
-    the sum is redone with as many more bits as the cancellation took.
+    the sum is redone with as many more bits as the cancellation took.  Past
+    x = wp, the working bits, the asymptotic series takes over (see
+    ``_ei_asymptotic``), so the work stays bounded at any x.
     """
     x = mp.mpf(x)
     if x <= 0:
         raise DomainError("Ei oracle implemented for x > 0")
     prec, v = mp.mp.prec, x._mpf_
     wp = prec + _GUARD
+    if x > wp:
+        return mp.make_mpf(libmp.mpf_pos(_ei_asymptotic(v, wp), prec, _RND))
     while True:
         parts = (libmp.mpf_euler(wp), libmp.mpf_log(v, wp), _series(v, v, 1, lambda k: k, wp))
         out = libmp.mpf_add(libmp.mpf_add(parts[0], parts[1], wp), parts[2], wp)
@@ -153,6 +156,22 @@ def ei_oracle(x):
         if wp - lost >= prec + _GUARD // 2:
             return mp.make_mpf(libmp.mpf_pos(out, prec, _RND))
         wp = prec + _GUARD + lost
+
+
+def _ei_asymptotic(v, wp):
+    """Ei(x) = e^x / x * sum(k! / x^k, k >= 0) for x > wp (DLMF 6.12.2).
+
+    The terms fall while k < x, to about e^-x sqrt(2 pi x) at k = x, which
+    for x > wp is far below 2^-wp; the sum stops at the first term below
+    2^-wp of it.
+    """
+    term = total = libmp.fone
+    k = 0
+    while _mag(term) > _mag(total) - wp:
+        k += 1
+        term = libmp.mpf_div(libmp.mpf_mul_int(term, k, wp), v, wp)
+        total = libmp.mpf_add(total, term, wp)
+    return libmp.mpf_div(libmp.mpf_mul(libmp.mpf_exp(v, wp), total, wp), v, wp)
 
 
 def erfi_integral_oracle(x):
@@ -402,7 +421,6 @@ def _exp_entry() -> CatalogFunction:
         taylor_term=exp_poly_taylor({1: Fraction(1)}, {0: Fraction(1)}),
         domain_c=None,
         tolerance=1e-24,
-        tail_constants=(1.0, 1.0, 0.0),
         exact_value=lambda q: (Prefactor.of(1, e=q), Fraction(1)),
         reflected_name="exp_neg",
     )
@@ -417,7 +435,6 @@ def _exp_neg_entry() -> CatalogFunction:
         taylor_term=exp_poly_taylor({1: Fraction(-1)}, {0: Fraction(1)}),
         domain_c=None,
         tolerance=1e-24,
-        tail_constants=(1.0, 1.0, 0.0),
         exact_value=lambda q: (Prefactor.of(1, e=-q), Fraction(1)),
     )
 
@@ -431,7 +448,6 @@ def _ei_integrand_entry() -> CatalogFunction:
         taylor_term=exp_poly_taylor({1: Fraction(1)}, {-1: Fraction(1)}),
         domain_c=0.0,
         tolerance=1e-24,
-        tail_constants=(1.0, 1.0, 0.0),
     )
 
 
@@ -444,8 +460,6 @@ def _ei_entry() -> CatalogFunction:
         taylor_term=shifted_taylor(_ei_integrand_entry().taylor_term, ei_oracle, None),
         domain_c=0.0,
         tolerance=1e-10,
-        # |man B y| = 1/|1-p| <= 4 off the principal-value window; any x > 0
-        tail_constants=(4.0, 1.0, 0.0),
         antiderivative_of="ei_integrand",
     )
 
@@ -460,7 +474,6 @@ def _erfi_integrand_entry() -> CatalogFunction:
         taylor_term=exp_poly_taylor({2: Fraction(1)}, {0: Fraction(1)}),
         domain_c=None,
         tolerance=1e-24,
-        tail_constants=(1.0, 1.0, 0.0),
     )
 
 
@@ -475,8 +488,6 @@ def _erfi_integral_entry() -> CatalogFunction:
         taylor_term=shifted_taylor(_erfi_integrand_entry().taylor_term, erfi_integral_oracle, at_zero),
         domain_c=None,
         tolerance=1e-12,
-        # averaged kernel is supported on [0, 1]: c3 = 0
-        tail_constants=(1.0, 1.0, 0.0),
         antiderivative_of="erfi_integrand",
         exact_value=at_zero,
     )
@@ -505,7 +516,6 @@ def _airy_entry(kind: str) -> CatalogFunction:
         taylor_term=_airy_taylor(kind),
         domain_c=None,
         tolerance=2e-6 if kind == "bi" else 1e-8,
-        tail_constants=(2.0, 1.0, 1.0),
     )
 
 
@@ -522,8 +532,6 @@ def _loggamma_entry() -> CatalogFunction:
         taylor_term=_loggamma_taylor,
         domain_c=0.0,
         tolerance=1e-10,
-        # |(p coth(p/2) - 2)/(2 p^2)| <= 1/12 + 1/(2p): subexponential
-        tail_constants=(1.0, 1.0, 0.0),
     )
 
 
@@ -552,7 +560,6 @@ def monomial_entry(n: int) -> CatalogFunction:
         taylor_term=exp_poly_taylor({}, {n: Fraction(1)}),
         domain_c=None,
         tolerance=1e-24,
-        tail_constants=(1.0, 1.0, 0.0),
         exact_value=lambda q, n=n: (Prefactor.one(), q**n),
     )
 
@@ -566,7 +573,6 @@ def _exp_neg_over_x_entry() -> CatalogFunction:
         taylor_term=exp_poly_taylor({1: Fraction(-1)}, {-1: Fraction(1)}),
         domain_c=0.0,
         tolerance=1e-24,
-        tail_constants=(1.0, 1.0, 0.0),
     )
 
 
@@ -595,7 +601,8 @@ def catalog() -> dict[str, CatalogFunction]:
 
 
 def catalog_manifest() -> dict:
-    """JSON-ready manifest: per entry the kernels, constants, and tolerances."""
+    """JSON-ready manifest: per entry the kernels, their growth constants
+    (c1, c3), with which ``laplace`` bounds the tail, and the tolerances."""
     from ..transseries import ts_to_json
 
     out = {}
@@ -609,7 +616,7 @@ def catalog_manifest() -> dict:
             "ln2pi_coef": str(e.ln2pi_coef),
             "kernels": {k: type(v.kernel).__name__ for k, v in named.items()},
             "regularization_m": {k: v.m for k, v in named.items()},
-            "tail_constants": list(e.tail_constants),
+            "growth": {k: list(v.kernel.growth) for k, v in named.items()},
             "domain_c": e.domain_c,
             "tolerance": e.tolerance,
             "composes": e.compose_exp_of,

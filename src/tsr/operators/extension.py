@@ -24,7 +24,7 @@ from ..surreal import LazyNF, SurrealNF, nf_cmp
 from ..transseries import TransseriesT1, ts_antidiff
 from .catalog import CatalogFunction, catalog, monomial_entry, shifted_taylor
 from .prefactor import Prefactor
-from .tau import SurrealPoint, SurrealValue, ValueGroup, tau_eval
+from .tau import SurrealPoint, SurrealValue, ValueGroup, conway_sum, tau_eval
 
 
 def transseriate(f: CatalogFunction) -> TransseriesT1:
@@ -100,7 +100,6 @@ def extend(f: CatalogFunction, point, terms: int = 8, *, cfg: QuadratureConfig =
     return tau_eval(
         f.transseries,
         point.nf,
-        terms,
         crit_coef=f.crit_coef,
         crit_power=f.crit_power,
         ln2pi_coef=f.ln2pi_coef,
@@ -121,24 +120,10 @@ def _extend_finite(f: CatalogFunction, point: SurrealPoint, terms: int, cfg: Qua
         if len(prefs) <= 1:
             pref = prefs.pop() if prefs else Prefactor.one()
 
-            def gen():
-                total = SurrealNF.zero()
-                zk = SurrealNF.from_rational(1)
-                emitted = 0
-                k = 0
-                top = zeta.terms[0][0]
-                while True:
-                    t = kinds[k] if k < len(kinds) else f.taylor_term(x0, k)
-                    total = total + zk * t[2]
-                    zk = zk * zeta
-                    k += 1
-                    horizon = k * top
-                    safe = [u for u in total.terms if nf_cmp(u[0], horizon) == 1]
-                    while emitted < len(safe):
-                        yield safe[emitted]
-                        emitted += 1
+            def coeff(k):
+                return (kinds[k] if k < len(kinds) else f.taylor_term(x0, k))[2]
 
-            return SurrealValue([ValueGroup(pref, LazyNF(gen))])
+            return SurrealValue([ValueGroup(pref, conway_sum(coeff, zeta))])
     with mp.workdps(cfg.precision):
         coeffs = []
         for t in kinds[:terms]:
@@ -276,7 +261,6 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
         taylor_term=shifted_taylor(f.taylor_term, oracle, None),
         domain_c=f.domain_c,
         tolerance=max(f.tolerance, 1e-9),
-        tail_constants=f.tail_constants,
     )
     return anti_entry
 
@@ -303,7 +287,6 @@ def scale_entry(f: CatalogFunction, c: Fraction) -> CatalogFunction:
         ln2pi_coef=f.ln2pi_coef * c,
         domain_c=f.domain_c,
         tolerance=f.tolerance,
-        tail_constants=f.tail_constants,
         exact_value=(lambda q, f=f, c=c: _scale_exact(f.exact_value(q), c)) if f.exact_value else None,
     )
 
@@ -346,7 +329,6 @@ def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFu
         ln2pi_coef=a.ln2pi_coef * ca + b.ln2pi_coef * cb,
         domain_c=max(filter(lambda v: v is not None, [a.domain_c, b.domain_c]), default=None),
         tolerance=max(a.tolerance, b.tolerance),
-        tail_constants=a.tail_constants,
     )
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, takewhile
-from typing import Iterator, Optional
+from math import factorial
+from typing import Callable, Iterator, Optional
 
 from ..errors import UndecidableSupport, UnsupportedPointError
 from ..surreal import (
@@ -203,15 +204,15 @@ def exp_nf(a: SurrealNF) -> ValueGroup:
     return ValueGroup(pref, stream)
 
 
-def exp_infinitesimal(z: SurrealNF, floor: Optional[SurrealNF] = None) -> LazyNF:
-    """exp(z) = sum z^k / k! for strictly infinitesimal z, exactly.
+def conway_sum(coeff: Callable[[int], Fraction], z: SurrealNF, floor: Optional[SurrealNF] = None) -> LazyNF:
+    """sum(coeff(k) z^k, k >= 0) for strictly infinitesimal z, exactly.
 
     Partial sums stabilize leader by leader: z^k only reaches exponents at or
-    below k * (leading exponent of z), so every prefix becomes final after
-    finitely many factors.  With ``floor`` the stream holds only the terms
-    above w^floor: a term of z^k at or below it only has lower descendants,
-    so each power drops them, and the stream ends once k * (leading
-    exponent) is at or below it.
+    below k * (leading exponent of z), so once c_k z^k is added, the terms
+    above (k + 1) * top are final.  With ``floor`` the stream holds only the
+    terms above w^floor: a term of z^k at or below it only has lower
+    descendants, so each power drops them, and the stream ends once
+    (k + 1) * top is at or below it.
     """
     top = z.terms[0][0]  # leading (negative) exponent
 
@@ -219,18 +220,15 @@ def exp_infinitesimal(z: SurrealNF, floor: Optional[SurrealNF] = None) -> LazyNF
         return nf_cmp(t[0], floor) == GT
 
     def gen() -> Iterator:
-        total = one()
+        total = SurrealNF.zero()
         zk = one()
-        kfact = Fraction(1)
         emitted = 0
-        k = 0
-        while True:
-            k += 1
-            zk = zk * z
-            if floor is not None:
-                zk = SurrealNF(tuple(takewhile(above_floor, zk.terms)), _normalized=True)
-            kfact *= k
-            total = total + zk * (1 / kfact)
+        for k in count():
+            if k:
+                zk = zk * z
+                if floor is not None:
+                    zk = SurrealNF(tuple(takewhile(above_floor, zk.terms)), _normalized=True)
+            total = total + zk * coeff(k)
             horizon = (k + 1) * top
             final = floor is not None and nf_cmp(horizon, floor) != GT
             safe = total.terms if final else [t for t in total.terms if nf_cmp(t[0], horizon) == GT]
@@ -241,6 +239,11 @@ def exp_infinitesimal(z: SurrealNF, floor: Optional[SurrealNF] = None) -> LazyNF
                 return
 
     return LazyNF(gen)
+
+
+def exp_infinitesimal(z: SurrealNF, floor: Optional[SurrealNF] = None) -> LazyNF:
+    """exp(z) = sum z^k / k! for strictly infinitesimal z (see ``conway_sum``)."""
+    return conway_sum(lambda k: Fraction(1, factorial(k)), z, floor)
 
 
 def log_of_leader(y1: SurrealNF, r1: Fraction) -> tuple[SurrealNF, Optional[Prefactor]]:
@@ -405,7 +408,6 @@ def _mul_streams(a: LazyNF, b: LazyNF) -> LazyNF:
 def tau_eval(
     ts: TransseriesT1,
     nu: SurrealNF,
-    terms: int = 8,
     *,
     crit_coef: Fraction = Fraction(1),
     crit_power: Fraction = Fraction(1),

@@ -14,13 +14,11 @@ from .averaging import (
 from .kernels import (
     BorelFunction,
     ClosedFormKernel,
-    EntireSeriesKernel,
+    CothKernel,
     KernelEntry,
     PadeKernel,
-    PolyKernel,
     ScaledKernel,
     Singularity,
-    coth_kernel,
     log_kernel,
     pade_continue,
     pole_kernel,
@@ -62,12 +60,10 @@ __all__ = [
     "half_half_weight",
     "BorelFunction",
     "ClosedFormKernel",
-    "EntireSeriesKernel",
+    "CothKernel",
     "PadeKernel",
-    "PolyKernel",
     "ScaledKernel",
     "Singularity",
-    "coth_kernel",
     "log_kernel",
     "pade_continue",
     "pole_kernel",

@@ -1,4 +1,4 @@
-"""Borel-plane functions: closed-form kernels, entire sums, Pade approximants.
+"""Borel-plane functions: closed-form kernels, the Binet kernel, Pade approximants.
 
 A kernel provides exact small-p Taylor coefficients, lateral values above
 and below the positive axis, the averaged (half-sum) value used by the
@@ -74,55 +74,6 @@ class BorelFunction:
     def usub_value(self, u):
         """F(s - u^2) * 2u at an inverse-square-root branch point s."""
         raise NotImplementedError(f"{type(self).__name__} has no branch points")
-
-    def laplace_exact(self, x):
-        """The Laplace transform in closed form, or None when there is none."""
-        return None
-
-
-class PolyKernel(BorelFunction):
-    def __init__(self, poly: BorelPoly, growth=(1.0, 0.0)):
-        self.poly = poly
-        self.growth = growth
-
-    def taylor(self, K: int) -> list[Fraction]:
-        return [self.poly.coeff(k) for k in range(K + 1)]
-
-    def value(self, p):
-        return mp.mpf(self.poly(mp.mpf(p)))
-
-    def laplace_exact(self, x):
-        """L[sum b_k p^k] = sum b_k k! / x^(k+1), exactly."""
-        return sum(
-            (_c2mp(c) * mp.factorial(k) / x ** (k + 1) for k, c in enumerate(self.poly.coeffs)),
-            mp.mpf(0),
-        )
-
-
-class EntireSeriesKernel(BorelFunction):
-    """Convergent Borel transform evaluated by direct summation."""
-
-    def __init__(self, coeff_fn: Callable[[int], Fraction], growth=(1.0, 1.0), name: str = ""):
-        self.coeff_fn = coeff_fn
-        self.growth = growth
-        self.name = name
-
-    def taylor(self, K: int) -> list[Fraction]:
-        return [Fraction(self.coeff_fn(k)) for k in range(K + 1)]
-
-    def value(self, p):
-        p = mp.mpf(p)
-        total = mp.mpf(0)
-        term_bound = mp.mpf(10) ** (-mp.mp.dps - 5)
-        pk = mp.mpf(1)
-        for k in range(10000):
-            c = self.coeff_fn(k)
-            t = mp.mpf(c.numerator) / c.denominator * pk if isinstance(c, Fraction) else c * pk
-            total += t
-            pk *= p
-            if k > 4 and abs(t) < term_bound * (1 + abs(total)):
-                return total
-        raise ArithmeticError("entire kernel summation did not converge")
 
 
 @dataclass(frozen=True)
@@ -435,10 +386,6 @@ class ScaledKernel(BorelFunction):
     def usub_value(self, u):
         return self._c() * self.inner.usub_value(u)
 
-    def laplace_exact(self, x):
-        exact = self.inner.laplace_exact(x)
-        return None if exact is None else self._c() * exact
-
     def p_integral(self, m=1):
         return ScaledKernel(self.c, self.inner.p_integral(m))
 
@@ -540,7 +487,7 @@ def log_kernel(location=1, scale=1) -> ClosedFormKernel:
     )
 
 
-class CothKernel(EntireSeriesKernel):
+class CothKernel(BorelFunction):
     """(p coth(p/2) - 2) / (2 p^2): the Binet kernel of log Gamma.
 
     Its Taylor coefficients come from ``coth_kernel_coeff``; values use the
@@ -548,18 +495,23 @@ class CothKernel(EntireSeriesKernel):
     cancels.
     """
 
+    growth = (1.0, 0.0)
+    name = "coth"
+
     def __init__(self):
+        self._mp_taylor: dict[int, tuple] = {}
+
+    def taylor(self, K: int) -> list[Fraction]:
         from ..coefficients import coth_kernel_coeff
 
-        super().__init__(coth_kernel_coeff, growth=(1.0, 0.0), name="coth")
-        self._mp_taylor: dict[int, tuple] = {}
+        return [coth_kernel_coeff(k) for k in range(K + 1)]
 
     def _taylor(self) -> tuple:
         """(0.05, [(k, f_k)]) as mpf: at least 12 even terms, and enough that
         the first one left out is below the working precision at |p| = 0.05
         (each term is about (0.05 / 2 pi)^2, 2^-13.9, times the one before)."""
         n = max(12, mp.mp.prec // 13 + 1)
-        return mp.mpf("0.05"), [(k, _c2mp(self.coeff_fn(k))) for k in range(0, 2 * n, 2)]
+        return mp.mpf("0.05"), [(k, _c2mp(c)) for k, c in enumerate(self.taylor(2 * n - 2)) if k % 2 == 0]
 
     def value(self, p):
         p = mp.mpf(p)
@@ -571,11 +523,6 @@ class CothKernel(EntireSeriesKernel):
                 total += c * p**k
             return total
         return (p * mp.coth(p / 2) - 2) / (2 * p**2)
-
-
-def coth_kernel() -> CothKernel:
-    """The Binet kernel of log Gamma (see :class:`CothKernel`)."""
-    return CothKernel()
 
 
 def pade_continue(b: BorelPoly, degrees: tuple[int, int]) -> PadeKernel:

@@ -105,10 +105,6 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
             raise GrowthBoundViolated(f"need x > {c3}, got {x}")
         abs_tol = mp.mpf(cfg.abs_tol)
 
-        exact = f.laplace_exact(x)
-        if exact is not None:
-            return exact, mp.mpf(0)
-
         sings = sorted(f.singularities(), key=lambda s: s.location)
         locs = [mp.mpf(float(s.location)) for s in sings]
         w = mp.mpf(PV_WINDOW)

@@ -15,13 +15,13 @@ from conftest import STRICT_CFG
 from tsr.coefficients import airy_u, stirling_coeff
 from tsr.operators import antidiff_no, catalog, extend, integrate
 from tsr.resummation import (
+    CothKernel,
     all_addresses,
     average_consistency_check,
     borel_transform,
     catalan_weight,
     catalan_weight_literal,
     convolve,
-    coth_kernel,
     laplace,
     sqrt_branch_kernel,
 )
@@ -125,7 +125,7 @@ def test_criterion_4_loggamma():
     with mp.workdps(CFG.precision):
         for x in (5, 10):
             x = mp.mpf(x)
-            tail, _ = laplace(coth_kernel(), x, CFG)
+            tail, _ = laplace(CothKernel(), x, CFG)
             val = x * (mp.log(x) - 1) - mp.log(x / (2 * mp.pi)) / 2 + tail
             exact = mp.log(mp.factorial(int(x) - 1))
             worst = max(worst, abs(val - exact) / max(1, abs(exact)))

@@ -133,6 +133,25 @@ class TestHugeRationalPoints:
         assert done.value.code == 0
         assert capsys.readouterr().out.startswith(f"1/{2 * r}*w^({r * r}*w^2-1) + ")
 
+    def test_ei_at_a_huge_real_point_finishes(self):
+        # the asymptotic series bounds the Ei oracle's work; run in a child
+        # process so that a regression fails on its timeout instead of hanging
+        import os
+        import subprocess
+
+        import tsr
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsr.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "tsr.cli", "eval", "ei", "1" + "0" * 300],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("4.8215611947629661412e+4342944819032518276511")
+
     def test_erfi_integral_square_gives_rational_prefactor(self, cli):
         # sqrt(r^2) is r exactly, so the prefactor folds into the coefficients
         r = 10**33 + 12345
@@ -195,6 +214,13 @@ class TestConfig:
         code, out, _ = cli("eval", "loggamma", "7")
         assert code == 0
         assert len(out.strip().split(".")[-1]) <= 25  # nstr at lower working dps
+
+    def test_decimal_output_stops_at_the_working_precision(self, cli):
+        code, out, _ = cli("sum", "#ei", "10", "--prec", "10")
+        assert code == 0
+        value = out.split()[0]
+        assert value == "0.1131470205"
+        assert len(value.replace("0.", "", 1).lstrip("0")) == 10
 
     def test_check_averaging_json(self, cli):
         code, out, _ = cli("check", "averaging", "--json")

@@ -30,7 +30,7 @@ def test_lazy_nf_concurrent_pull():
     stream = ts_antidiff(ts_parse("exp(x)/x"))
     from tsr.operators import tau_eval
 
-    value = tau_eval(stream, omega(), 6)
+    value = tau_eval(stream, omega())
     lazy = value.merged().groups[0].stream
     with ThreadPoolExecutor(8) as pool:
         results = list(pool.map(lambda _: lazy.terms(12), range(16)))
@@ -44,12 +44,12 @@ def test_value_groups_share_tilt_powers_across_threads():
 
     ts = ts_antidiff(ts_parse("exp(x)/x + exp(-x)/x"))
     point = parse_nf("2*w+1")
-    serial = [g.stream.terms(40) for g in tau_eval(ts, point, 1).groups]
+    serial = [g.stream.terms(40) for g in tau_eval(ts, point).groups]
     assert len(serial) >= 2
 
     # one fresh value: the threads pull its groups' streams, each thread
     # starting on a different group
-    groups = tau_eval(ts, point, 1).groups
+    groups = tau_eval(ts, point).groups
     start = threading.Barrier(4, timeout=60)
 
     def pull(k: int):

@@ -84,8 +84,9 @@ class TestTauWindowStability:
 
         W = omega()
         point = 2 * W + SurrealNF.from_rational(1)
-        small = tau_eval(ts_parse("#ei"), point, 3)
-        large = tau_eval(ts_parse("#ei"), point, 11)
+        # a stream read 3 terms deep and one read 11 deep share their prefix
+        small = tau_eval(ts_parse("#ei"), point)
+        large = tau_eval(ts_parse("#ei"), point)
         a = small.merged().groups[0].stream.terms(3)
-        b = large.merged().groups[0].stream.terms(3)
+        b = large.merged().groups[0].stream.terms(11)[:3]
         assert a == b

@@ -85,6 +85,14 @@ def test_ei_oracle_at_its_zero(dps):
         assert _ulps(ei_oracle(x), ref) <= 1
 
 
+@pytest.mark.parametrize("x", ["300", "1e5", "1e300"])
+def test_ei_oracle_past_the_working_bits(x):
+    # beyond x = working bits the oracle sums the asymptotic series
+    with mp.workdps(50):
+        x = mp.mpf(x)
+        assert _ulps(ei_oracle(x), _reference(mp.ei, x)) <= 1
+
+
 def test_series_oracles_make_no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("mp.quad called")

@@ -16,16 +16,15 @@ from tsr.coefficients import NAMED_SERIES, named_series, series_name
 from tsr.operators import antidiff_no, catalog
 from tsr.resummation import (
     ClosedFormKernel,
+    CothKernel,
     PadeKernel,
     QuadratureConfig,
     ScaledKernel,
     borel_transform,
-    coth_kernel,
     eb_sum,
     pole_kernel,
     sqrt_branch_kernel,
 )
-from tsr.resummation.kernels import CothKernel
 from tsr.transseries import ts_antidiff, ts_from_json, ts_parse, ts_to_json
 from tsr.transseries.grid import groups_of
 
@@ -146,9 +145,9 @@ def fresh_kernels():
         pole_kernel(1),
         sqrt_branch_kernel(1, F(1, 2)),
         sqrt_branch_kernel(1, F(1, 2)).p_integral(1),
-        coth_kernel(),
+        CothKernel(),
         ScaledKernel(F(7, 3), pole_kernel(1)),
-        ScaledKernel(F(-1, 2), coth_kernel()),
+        ScaledKernel(F(-1, 2), CothKernel()),
     ]
 
 
@@ -182,3 +181,15 @@ def test_erfi_sum_is_the_closed_form():
         exact = mp.exp(-5) * mp.sqrt(mp.pi / 5) * mp.erfi(mp.sqrt(5)) / 2
         assert abs(val - exact) <= err
     assert '"error_estimate"' in buf.getvalue()
+
+
+def test_manifest_growth_is_each_kernels_growth():
+    # the (c1, c3) the manifest reports are the constants laplace bounds the tail with
+    from tsr.operators import catalog_manifest
+
+    manifest = catalog_manifest()
+    assert any(entry["growth"] for entry in manifest.values())
+    for entry in manifest.values():
+        assert set(entry["growth"]) == set(entry["kernels"])
+        for name, growth in entry["growth"].items():
+            assert growth == list(named_series(name).kernel.kernel.growth)
