@@ -8,11 +8,12 @@ Ei, O(x^2) for erfi; past the working bits Ei sums its asymptotic series,
 DLMF 6.12.2, instead), and the Airy oracles step y'' = z y by Taylor series,
 all in raw ``mpmath.libmp`` arithmetic at an explicit working precision;
 none uses quadrature or mpmath's own Ei and erfi, which serve as references
-in the tests.  The Borel kernels travel with the series: each entry is built from the registered ``#name`` series of
-``tsr.coefficients``, whose closed-form kernel (or the Airy Pade fit) its
-resummation reads.  Entries whose transseries would need an irrational
-global scale carry it as a symbolic prefactor; the erfi integral needs none
-because Gamma(n+1/2)/(2 sqrt(pi)) is rational.
+in the tests.  The Borel kernels travel with the series: each entry is
+built from the registered ``#name`` series of ``tsr.coefficients``, whose
+closed-form kernel (or the Airy Pade fit) its resummation reads.  Entries
+whose transseries would need an irrational global scale carry it as a
+symbolic prefactor; the erfi integral needs none because
+Gamma(n+1/2)/(2 sqrt(pi)) is rational.
 """
 
 from __future__ import annotations

@@ -495,7 +495,7 @@ class CothKernel(BorelFunction):
     cancels.
     """
 
-    growth = (1.0, 0.0)
+    growth = (1.0, 0.0)  # falls from 1/12 at p = 0 like 1/(2p): subexponential
     name = "coth"
 
     def __init__(self):
