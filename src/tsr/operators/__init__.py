@@ -22,7 +22,6 @@ from .extension import (
     exp_surreal_value,
     extend,
     integrate,
-    scale_entry,
     transseriate,
     value_difference,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "exp_surreal_value",
     "extend",
     "integrate",
-    "scale_entry",
     "transseriate",
     "value_difference",
 ]

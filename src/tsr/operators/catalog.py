@@ -4,15 +4,15 @@ Each entry pairs a stored transseries (in its critical time) with an
 independent high-precision oracle on the reals and an exact derivative
 facility for Taylor extensions at finite points.  The Ei and erfi-integral
 oracles sum their convergent series, DLMF 6.6.1 and 7.6.4 (O(x) terms for
-Ei, O(x^2) for erfi; past the working bits Ei sums its asymptotic series,
-DLMF 6.12.2, instead), and the Airy oracles step y'' = z y by Taylor series,
-all in raw ``mpmath.libmp`` arithmetic at an explicit working precision;
-none uses quadrature or mpmath's own Ei and erfi, which serve as references
-in the tests.  The Borel kernels travel with the series: each entry is
-built from the registered ``#name`` series of ``tsr.coefficients``, whose
-closed-form kernel (or the Airy Pade fit) its resummation reads.  Entries
-whose transseries would need an irrational global scale carry it as a
-symbolic prefactor; the erfi integral needs none because
+Ei, O(x^2) for erfi; past the working bits each sums its asymptotic series,
+DLMF 6.12.2 and 7.12, instead), and the Airy oracles step y'' = z y by
+Taylor series, all in raw ``mpmath.libmp`` arithmetic at an explicit working
+precision; none uses quadrature or mpmath's own Ei and erfi, which serve as
+references in the tests.  The Borel kernels travel with the series: each
+entry is built from the registered ``#name`` series of ``tsr.coefficients``,
+whose closed-form kernel (or the Airy Pade fit) its resummation reads.
+Entries whose transseries would need an irrational global scale carry it as
+a symbolic prefactor; the erfi integral needs none because
 Gamma(n+1/2)/(2 sqrt(pi)) is rational.
 """
 
@@ -60,7 +60,7 @@ class CatalogFunction:
     domain_c: Optional[float] = None
     tolerance: float = 1e-10
     exact_value: Optional[Callable] = None  # x0 -> (Prefactor, Fraction) | None
-    antiderivative_of: Optional[str] = None
+    antiderivative: Optional[Callable[[], CatalogFunction]] = None  # the stored A_No of this entry
     reflected_name: Optional[str] = None
     compose_exp_of: Optional[str] = None  # entry computed as exp(other entry)
 
@@ -178,13 +178,35 @@ def _ei_asymptotic(v, wp):
 def erfi_integral_oracle(x):
     """integral(e^(s^2), s = 0..x) = sum(x^(2k+1) / (k! (2k+1)), k >= 0) (DLMF 7.6.4).
 
-    Every term has the sign of x; O(x^2) terms.
+    Every term has the sign of x; O(x^2) terms.  Past x^2 = wp, the working
+    bits, the asymptotic series takes over (see ``_erfi_integral_asymptotic``),
+    so the work stays bounded at any x.
     """
     x = mp.mpf(x)
     prec, v = mp.mp.prec, x._mpf_
     wp = prec + _GUARD
+    x2 = libmp.mpf_mul(v, v)  # exact
+    if libmp.mpf_gt(x2, libmp.from_int(wp)):
+        return mp.make_mpf(libmp.mpf_pos(_erfi_integral_asymptotic(v, x2, wp), prec, _RND))
     total = _series(v, libmp.mpf_mul(v, v, wp), 0, lambda k: 2 * k + 1, wp)
     return mp.make_mpf(libmp.mpf_pos(total, prec, _RND))
+
+
+def _erfi_integral_asymptotic(v, x2, wp):
+    """e^(x^2) / (2x) * sum((2k-1)!! / (2x^2)^k, k >= 0) for x^2 = ``x2`` > wp,
+    x2 exact (Dawson's integral, DLMF 7.12).
+
+    The terms fall to about e^-(x^2) at k = x^2, far below 2^-wp; the sum
+    stops at the first term below 2^-wp of it.
+    """
+    two_x2 = libmp.mpf_shift(x2, 1)
+    term = total = libmp.fone
+    k = 0
+    while _mag(term) > _mag(total) - wp:
+        k += 1
+        term = libmp.mpf_div(libmp.mpf_mul_int(term, 2 * k - 1, wp), two_x2, wp)
+        total = libmp.mpf_add(total, term, wp)
+    return libmp.mpf_div(libmp.mpf_mul(libmp.mpf_exp(x2, wp), total, wp), libmp.mpf_shift(v, 1), wp)
 
 
 def _airy_series_step(y0, y1, z0, h, wp):
@@ -259,16 +281,11 @@ def loggamma_oracle(x):
     x = mp.mpf(x)
     if x <= 0:
         raise DomainError("log Gamma oracle needs x > 0")
-    if x == mp.floor(x):
-        return mp.log(mp.mpf(factorial(int(x) - 1)))
     return mp.loggamma(x)
 
 
 def gamma_oracle(x):
-    x = mp.mpf(x)
-    if x == mp.floor(x) and x > 0:
-        return mp.mpf(factorial(int(x) - 1))
-    return mp.gamma(x)
+    return mp.gamma(mp.mpf(x))
 
 
 # -- derivative facilities --------------------------------------------------------
@@ -279,6 +296,13 @@ def _to_mpf(x0):
     if isinstance(x0, Fraction):
         return mp.mpf(x0.numerator) / x0.denominator
     return mp.mpf(x0)
+
+
+def term_value(t: TaylorTerm):
+    """A Taylor term as a number at the working precision."""
+    if t[0] == "num":
+        return t[1]
+    return t[1].numeric() * mp.mpf(t[2].numerator) / t[2].denominator
 
 
 def _laurent_diff(q: dict) -> dict:
@@ -423,6 +447,7 @@ def _exp_entry() -> CatalogFunction:
         domain_c=None,
         tolerance=1e-24,
         exact_value=lambda q: (Prefactor.of(1, e=q), Fraction(1)),
+        antiderivative=lambda: catalog()["exp"],
         reflected_name="exp_neg",
     )
 
@@ -449,6 +474,7 @@ def _ei_integrand_entry() -> CatalogFunction:
         taylor_term=exp_poly_taylor({1: Fraction(1)}, {-1: Fraction(1)}),
         domain_c=0.0,
         tolerance=1e-24,
+        antiderivative=lambda: catalog()["ei"],
     )
 
 
@@ -461,7 +487,6 @@ def _ei_entry() -> CatalogFunction:
         taylor_term=shifted_taylor(_ei_integrand_entry().taylor_term, ei_oracle, None),
         domain_c=0.0,
         tolerance=1e-10,
-        antiderivative_of="ei_integrand",
     )
 
 
@@ -475,6 +500,7 @@ def _erfi_integrand_entry() -> CatalogFunction:
         taylor_term=exp_poly_taylor({2: Fraction(1)}, {0: Fraction(1)}),
         domain_c=None,
         tolerance=1e-24,
+        antiderivative=lambda: catalog()["erfi_integral"],
     )
 
 
@@ -489,7 +515,6 @@ def _erfi_integral_entry() -> CatalogFunction:
         taylor_term=shifted_taylor(_erfi_integrand_entry().taylor_term, erfi_integral_oracle, at_zero),
         domain_c=None,
         tolerance=1e-12,
-        antiderivative_of="erfi_integrand",
         exact_value=at_zero,
     )
 
@@ -548,20 +573,22 @@ def _gamma_entry() -> CatalogFunction:
     )
 
 
-def monomial_entry(n: int) -> CatalogFunction:
-    """x^n as a catalog entry (polynomials live in the log part's Q)."""
+def monomial_entry(n: int, c: Fraction = Fraction(1)) -> CatalogFunction:
+    """c x^n as a catalog entry (polynomials live in the log part's Q)."""
     if n < 0:
         raise ValueError("use series entries for inverse powers")
-    Q = tuple(Fraction(0) for _ in range(n)) + (Fraction(1),)
+    c = Fraction(c)
+    Q = tuple(Fraction(0) for _ in range(n)) + (c,)
     ts = assemble([], LogPart(Q=Q))
     return CatalogFunction(
-        name=f"monomial_{n}",
+        name=f"monomial_{n}" if c == 1 else f"{c}*monomial_{n}",
         transseries=ts,
-        oracle=lambda x, n=n: mp.mpf(x) ** n,
-        taylor_term=exp_poly_taylor({}, {n: Fraction(1)}),
+        oracle=lambda x: mp.mpf(x) ** n * c.numerator / c.denominator,
+        taylor_term=exp_poly_taylor({}, {n: c}),
         domain_c=None,
         tolerance=1e-24,
-        exact_value=lambda q, n=n: (Prefactor.one(), q**n),
+        exact_value=lambda q: (Prefactor.one(), q**n * c),
+        antiderivative=lambda: monomial_entry(n + 1, c / (n + 1)),
     )
 
 

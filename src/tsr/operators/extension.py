@@ -3,8 +3,8 @@
 ``extend`` realizes the three-way definition: oracle values at real points,
 Conway-convergent Taylor series at finite surreal points, and the
 transseries image at positive infinite points.  ``antidiff_no`` conjugates
-transseries antidifferentiation through the extension (table-backed for the
-catalog pairs whose critical time is a proper power), and ``integrate`` is
+transseries antidifferentiation through the extension (an entry's stored
+antiderivative where it has one), and ``integrate`` is
 the two-endpoint difference, with the zero-constant-at-infinity convention
 making the constant vanish.
 """
@@ -22,7 +22,7 @@ from ..errors import UnsupportedPointError
 from ..resummation import QuadratureConfig
 from ..surreal import LazyNF, SurrealNF, nf_cmp
 from ..transseries import TransseriesT1, ts_antidiff
-from .catalog import CatalogFunction, catalog, monomial_entry, shifted_taylor
+from .catalog import CatalogFunction, catalog, shifted_taylor, term_value
 from .prefactor import Prefactor
 from .tau import SurrealPoint, SurrealValue, ValueGroup, conway_sum, tau_eval
 
@@ -125,14 +125,7 @@ def _extend_finite(f: CatalogFunction, point: SurrealPoint, terms: int, cfg: Qua
 
             return SurrealValue([ValueGroup(pref, conway_sum(coeff, zeta))])
     with mp.workdps(cfg.precision):
-        coeffs = []
-        for t in kinds[:terms]:
-            if t[0] == "exact":
-                pref, q = t[1], t[2]
-                coeffs.append(pref.numeric() * mp.mpf(q.numerator) / q.denominator)
-            else:
-                coeffs.append(t[1])
-        return NumericTaylor(x0=x0, coefficients=coeffs, zeta=zeta)
+        return NumericTaylor(x0=x0, coefficients=[term_value(t) for t in kinds[:terms]], zeta=zeta)
 
 
 def exp_surreal_value(v: SurrealValue) -> SurrealValue:
@@ -227,17 +220,8 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
     Raises ``UnsupportedPointError`` for an entry with neither a stored
     antiderivative nor a transseries to antidifferentiate (gamma).
     """
-    reg = catalog()
-    table = {e.antiderivative_of: name for name, e in reg.items() if e.antiderivative_of}
-    if f.name in table:
-        return reg[table[f.name]]
-    if f.name == "exp":
-        return f
-    if f.name.startswith("monomial_"):
-        n = int(f.name.split("_")[1])
-        entry = monomial_entry(n + 1)
-        scaled = scale_entry(entry, Fraction(1, n + 1))
-        return scaled
+    if f.antiderivative is not None:
+        return f.antiderivative()
     if f.crit_power != 1 or f.crit_coef != 1:
         raise UnsupportedPointError(
             f"antidifferentiation of {f.name} needs a stored antiderivative (critical time change)"
@@ -265,39 +249,6 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
     return anti_entry
 
 
-def scale_entry(f: CatalogFunction, c: Fraction) -> CatalogFunction:
-    from ..transseries import ts_scale
-
-    c = Fraction(c)
-
-    def taylor(x0, k, f=f):
-        t = f.taylor_term(x0, k)
-        if t[0] == "exact":
-            return ("exact", t[1], t[2] * c)
-        return ("num", t[1] * c.numerator / c.denominator)
-
-    return CatalogFunction(
-        name=f"{c}*{f.name}",
-        transseries=ts_scale(c, f.transseries) if f.transseries is not None else None,
-        oracle=lambda x, f=f: f.oracle(x) * c.numerator / c.denominator,
-        taylor_term=taylor,
-        crit_coef=f.crit_coef,
-        crit_power=f.crit_power,
-        prefactor=f.prefactor,
-        ln2pi_coef=f.ln2pi_coef * c,
-        domain_c=f.domain_c,
-        tolerance=f.tolerance,
-        exact_value=(lambda q, f=f, c=c: _scale_exact(f.exact_value(q), c)) if f.exact_value else None,
-    )
-
-
-def _scale_exact(hit, c: Fraction):
-    if hit is None:
-        return None
-    pref, q = hit
-    return pref, q * c
-
-
 def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFunction:
     """ca*a + cb*b for entries sharing a critical time."""
     from ..transseries import ts_add, ts_scale
@@ -312,11 +263,10 @@ def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFu
         ta, tb = a.taylor_term(x0, k), b.taylor_term(x0, k)
         if ta[0] == "exact" and tb[0] == "exact" and ta[1] == tb[1]:
             return ("exact", ta[1], ca * ta[2] + cb * tb[2])
-        va = ta[2] * ta[1].numeric() if ta[0] == "exact" else ta[1]
-        vb = tb[2] * tb[1].numeric() if tb[0] == "exact" else tb[1]
         return (
             "num",
-            mp.mpf(ca.numerator) / ca.denominator * va + mp.mpf(cb.numerator) / cb.denominator * vb,
+            mp.mpf(ca.numerator) / ca.denominator * term_value(ta)
+            + mp.mpf(cb.numerator) / cb.denominator * term_value(tb),
         )
 
     return CatalogFunction(

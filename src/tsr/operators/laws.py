@@ -15,7 +15,7 @@ import mpmath as mp
 from ..resummation import QuadratureConfig
 from ..surreal import omega
 from ..transseries import eq_to_order, ts_add, ts_antidiff, ts_diff, ts_scale
-from .catalog import CatalogFunction, catalog, monomial_entry
+from .catalog import CatalogFunction, catalog, monomial_entry, term_value
 from .extension import antidiff_no, combine_entries, extend, integrate, value_difference
 from .tau import SurrealValue, tau_eval
 
@@ -206,11 +206,8 @@ def extension_laws(cfg: QuadratureConfig = None, rel_tol: float = 1e-6, samples:
         for name, x in [("ei", 6.0), ("erfi_integral", 2.0), ("loggamma", 7.0)]:
             e = reg[name]
             got = central_derivative(lambda s: e.oracle(s), x)
-            want = e.taylor_term(mp.mpf(x), 1)
-            want_v = want[1] if want[0] == "num" else want[1].numeric() * mp.mpf(
-                want[2].numerator
-            ) / want[2].denominator
-            ok = ok and _rel_close(got, want_v, rel_tol)
+            want = term_value(e.taylor_term(mp.mpf(x), 1))
+            ok = ok and _rel_close(got, want, rel_tol)
         report.record("iv_commutes_with_derivative", ok)
 
         # multiplicativity on the decaying algebra
@@ -276,8 +273,7 @@ def integral_laws(
         ei = reg["ei"]
 
         def deriv(entry, x):
-            t = entry.taylor_term(mp.mpf(x), 1)
-            return t[1] if t[0] == "num" else t[1].numeric() * mp.mpf(t[2].numerator) / t[2].denominator
+            return term_value(entry.taylor_term(mp.mpf(x), 1))
 
         a0, b0 = mp.mpf(2), mp.mpf(3)
         lhs = mp.quad(lambda s: deriv(ei, s) * g.oracle(s), [a0, b0])

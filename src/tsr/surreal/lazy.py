@@ -123,13 +123,16 @@ def _checked(terms: Iterator[Term]) -> Iterator[Term]:
 
 Schedule = Iterable[tuple[SurrealNF, int]]
 
-
-def schedule_from_nf(a: SurrealNF, index: int = 0) -> list[tuple[SurrealNF, int]]:
-    """Schedule for a sequence already equal to ``a`` from ``index`` on."""
-    return [(e, index) for e, _ in a.terms]
+#: indices past the scheduled one at which ``lim`` checks a coefficient
+VERIFY_EXTRA = 2
 
 
-def lim(seq: Callable[[int], SurrealNF], schedule: Schedule, *, verify_extra: int = 2) -> LazyNF:
+def schedule_from_nf(a: SurrealNF) -> list[tuple[SurrealNF, int]]:
+    """Schedule for a sequence already equal to ``a`` from its first element on."""
+    return [(e, 0) for e, _ in a.terms]
+
+
+def lim(seq: Callable[[int], SurrealNF], schedule: Schedule) -> LazyNF:
     """Limit of an absolutely convergent sequence of normal forms.
 
     ``seq(n)`` is the n-th element; ``schedule`` yields (exponent, m) pairs,
@@ -140,7 +143,7 @@ def lim(seq: Callable[[int], SurrealNF], schedule: Schedule, *, verify_extra: in
     def gen():
         for exponent, m in schedule:
             c = seq(m).coefficient(exponent)
-            for extra in range(1, verify_extra + 1):
+            for extra in range(1, VERIFY_EXTRA + 1):
                 if seq(m + extra).coefficient(exponent) != c:
                     raise NotStabilizedError(
                         f"coefficient of w^({exponent}) changed after scheduled index {m}"

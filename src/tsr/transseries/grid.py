@@ -27,6 +27,8 @@ MultiIndex = tuple[int, ...]
 MAX_GENERATORS = 8
 #: window used for bounded nonresonance validation
 RESONANCE_WINDOW = 16
+#: points read from a lazy minus support
+MAX_LAZY_POINTS = 4096
 
 
 def _zero_index(n: int) -> MultiIndex:
@@ -73,19 +75,17 @@ class GridMinus:
     def series_at(self, k: MultiIndex) -> PowerSeries:
         return self.series.get(tuple(k), PowerSeries.zero())
 
-    def support(self, *, rate_cutoff: Optional[Fraction] = None, max_points: int = 4096) -> Iterator[MultiIndex]:
+    def support(self) -> Iterator[MultiIndex]:
         """Support multi-indices ordered by rate ascending (ties: offset desc, lex)."""
         points: Iterable[MultiIndex]
         if self.support_iter is not None:
-            points = itertools.islice(self.support_iter, max_points)
+            points = itertools.islice(self.support_iter, MAX_LAZY_POINTS)
         else:
             points = self.series.keys()
         points = sorted(points, key=lambda k: (self.rate(k), -self.offset(k), k))
         seen_rates = {}
         for k in points:
             r = self.rate(k)
-            if rate_cutoff is not None and r > rate_cutoff:
-                return
             if r in seen_rates and seen_rates[r] != self.offset(k) % 1:
                 raise ResonanceError(f"support points collide at rate {r}")
             seen_rates.setdefault(r, self.offset(k) % 1)
@@ -235,17 +235,11 @@ class Group:
         self.offset = Fraction(self.offset)
 
 
-def groups_of(ts: TransseriesT1, *, kmax: Optional[int] = None) -> list[Group]:
+def groups_of(ts: TransseriesT1) -> list[Group]:
     """Flatten to exponential groups (log part excluded)."""
-    out: list[Group] = []
     g = ts.minus
-    for k in g.support():
-        if kmax is not None and sum(k) > kmax:
-            continue
-        out.append(Group(-g.rate(k), g.offset(k), g.series_at(k)))
-    for t in ts.plus.terms:
-        out.append(Group(t.lam, t.beta, t.series))
-    return out
+    out = [Group(-g.rate(k), g.offset(k), g.series_at(k)) for k in g.support()]
+    return out + [Group(t.lam, t.beta, t.series) for t in ts.plus.terms]
 
 
 def assemble(
@@ -464,9 +458,7 @@ def _express_rate(
 # -- semantic views -----------------------------------------------------------
 
 
-def semantic_terms(
-    ts: TransseriesT1, order: int, *, rate_cutoff: Optional[Fraction] = None
-) -> dict[tuple[Fraction, Fraction, int], Fraction]:
+def semantic_terms(ts: TransseriesT1, order: int) -> dict[tuple[Fraction, Fraction, int], Fraction]:
     """Exact coefficients of transmonomials x^a (log x)^s e^(mu x).
 
     Keys are (mu, a, s); powers reach down to x^(offset - order) per group.
@@ -483,8 +475,6 @@ def semantic_terms(
             del out[key]
 
     for grp in groups_of(ts):
-        if rate_cutoff is not None and -grp.mu > rate_cutoff:
-            continue
         for l in range(1, order + 1):
             put(grp.mu, grp.offset - l, 0, grp.series.coeff(l))
     lp = ts.log

@@ -152,6 +152,29 @@ class TestHugeRationalPoints:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("4.8215611947629661412e+4342944819032518276511")
 
+    @pytest.mark.parametrize("point", ["1000000", "10000000000000000000000"])
+    def test_loggamma_at_a_huge_integer_finishes(self, point):
+        # log Gamma at an integer is mpmath's, not log((x - 1)!); run in a
+        # child process so that a regression fails on its timeout
+        import os
+        import subprocess
+
+        import mpmath as mp
+
+        import tsr
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsr.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "tsr.cli", "eval", "loggamma", point],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        with mp.workdps(50):
+            assert abs(mp.mpf(done.stdout) / mp.loggamma(int(point)) - 1) < mp.mpf(10) ** -18
+
     def test_erfi_integral_square_gives_rational_prefactor(self, cli):
         # sqrt(r^2) is r exactly, so the prefactor folds into the coefficients
         r = 10**33 + 12345

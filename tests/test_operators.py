@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsr.errors import DomainError, UnsupportedPointError
 from tsr.operators import (
@@ -242,6 +244,32 @@ class TestAntidiffNo:
 
     def test_ei_table_link(self):
         assert antidiff_no(catalog()["ei_integrand"]).name == "ei"
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(["exp", "ei_integrand", "erfi_integrand", "monomial"]),
+        n=st.integers(0, 6),
+        c=st.fractions(-5, 5, max_denominator=7),
+        xs=st.lists(st.fractions(F(1, 2), 3, max_denominator=16), min_size=2, max_size=2),
+        ends=st.lists(st.fractions(-3, 3, max_denominator=9), min_size=2, max_size=2),
+    )
+    def test_stored_antiderivative(self, name, n, c, xs, ends):
+        # F = A_No f satisfies F' = f; a monomial's integral stays exact
+        f = monomial_entry(n, c) if name == "monomial" else catalog()[name]
+        anti = antidiff_no(f)
+        with mp.workdps(40):
+            for q in xs:
+                x = mp.mpf(q.numerator) / q.denominator
+                want = f.oracle(x)
+                assert abs(mp.diff(anti.oracle, x) - want) <= mp.mpf(10) ** -30 * max(1, abs(want)), (name, q)
+        if name == "monomial":
+            a, b = ends
+            got = integrate(f, a, b).exact_nf(2)
+            assert got == SurrealNF.from_rational(c * (b ** (n + 1) - a ** (n + 1)) / (n + 1))
+
+    def test_monomial_antiderivative_twice_stays_exact(self):
+        twice = antidiff_no(antidiff_no(monomial_entry(2)))
+        assert twice.exact_value(F(3)) == (Prefactor.one(), F(27, 4))
 
     def test_transseriate_is_stored_data(self):
         e = catalog()["ei"]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tsr.cli import run
 from tsr.operators.catalog import (
+    _GUARD,
     airy_ai_oracle,
     airy_bi_oracle,
     catalog,
@@ -91,6 +92,18 @@ def test_ei_oracle_past_the_working_bits(x):
     with mp.workdps(50):
         x = mp.mpf(x)
         assert _ulps(ei_oracle(x), _reference(mp.ei, x)) <= 1
+
+
+@pytest.mark.parametrize("dps", [15, 30, 50, 100])
+def test_erfi_integral_oracle_past_the_working_bits(dps):
+    # beyond x^2 = working bits the oracle sums the asymptotic series; the
+    # first point lies just past that switch
+    with mp.workdps(dps):
+        switch = mp.sqrt(mp.mp.prec + _GUARD)
+        for x in (switch + mp.mpf(1) / 1000, 20, -20, 100, 1000, -1000):
+            x = mp.mpf(x)
+            ref = _reference(lambda s: mp.sqrt(mp.pi) / 2 * mp.erfi(s), x)
+            assert _ulps(erfi_integral_oracle(x), ref) <= 1, x
 
 
 def test_series_oracles_make_no_quadrature(monkeypatch):
