@@ -77,14 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("transseries", help="expression, or @file.json / - for JSON input")
     p.add_argument("x", type=float)
 
+    point_help = "a real number, 'omega', or a normal form like 'w+3' or '-w'"
     p = add("eval", "evaluate a catalog function at a point")
     p.add_argument("name")
-    p.add_argument("point", help="a real number, 'omega', or a normal form like 'w+3'")
+    p.add_argument("point", help=point_help)
 
     p = add("integrate", "integrate a catalog function between two points")
     p.add_argument("name")
-    p.add_argument("lower")
-    p.add_argument("upper")
+    p.add_argument("lower", help=point_help)
+    p.add_argument("upper", help=point_help)
 
     p = add("check", "run the diagnostic suites")
     p.add_argument(
@@ -121,8 +122,18 @@ def _emit_value(ns, payload: dict, text: str) -> None:
         print(text)
 
 
+def _positional_points(argv: list[str]) -> list[str]:
+    """argv with a leading space on each argument of ``eval`` and
+    ``integrate`` that starts with one '-' (points like -w or -2*w+1).
+    argparse reads such an argument as an option unless it is a plain
+    negative number or contains a space; ``_point`` strips the space."""
+    if not {"eval", "integrate"} & set(argv):
+        return argv
+    return [" " + a if a[:1] == "-" and a[1:2] not in ("", "-") and a != "-h" else a for a in argv]
+
+
 def run(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = build_parser().parse_args(_positional_points(sys.argv[1:] if argv is None else list(argv)))
     cfg = _config(ns)
     try:
         return _dispatch(ns, cfg)

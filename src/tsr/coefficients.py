@@ -14,8 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional
 
-from .resummation.kernels import BorelFunction, CothKernel, KernelEntry, pole_kernel, sqrt_branch_kernel
-from .resummation.laplace import resolve_default
+from .resummation.kernels import AiryKernel, CothKernel, KernelEntry, pole_kernel, sqrt_branch_kernel
 from .transseries.series import PowerSeries
 
 
@@ -78,20 +77,16 @@ def coth_kernel_coeff(k: int) -> Fraction:
     return bernoulli(2 * n + 2) / Fraction(factorial(2 * n + 2))
 
 
-def _airy_pade(name: str) -> BorelFunction:
-    """The exact (12, 12) Pade fit of the Airy u-series (no closed form used yet)."""
-    return resolve_default(named_series(name), order=26, degrees=(12, 12)).kernel
-
-
-#: name -> (coefficients, Borel kernel factory, P^m order).  The transforms
-#: known in closed form (Costin, *Asymptotics and Borel Summability*, ch. 5):
-#: B(#ei) = 1/(1-p), B(#erfi) = (1-p)^(-1/2)/2 and B(#stirling) =
-#: (p coth(p/2) - 2)/(2 p^2); the Airy series keep a Pade fit.
+#: name -> (coefficients, Borel kernel factory, P^m order).  Every transform
+#: is known in closed form (Costin, *Asymptotics and Borel Summability*,
+#: ch. 5): B(#ei) = 1/(1-p), B(#erfi) = (1-p)^(-1/2)/2, B(#stirling) =
+#: (p coth(p/2) - 2)/(2 p^2), and B(#airy_u) = 2F1(1/6, 5/6; 1; p/2), at
+#: -p/2 for #airy_u_alt.
 _REGISTRY = {
     "ei": (ei_coeff, lambda: pole_kernel(1), 0),
     "erfi": (erfi_coeff, lambda: sqrt_branch_kernel(1, Fraction(1, 2)), 0),
-    "airy_u": (airy_bi_coeff, lambda: _airy_pade("airy_u"), 0),
-    "airy_u_alt": (airy_ai_coeff, lambda: _airy_pade("airy_u_alt"), 0),
+    "airy_u": (airy_bi_coeff, lambda: AiryKernel(1), 0),
+    "airy_u_alt": (airy_ai_coeff, lambda: AiryKernel(-1), 0),
     "stirling": (stirling_coeff, CothKernel, 0),
 }
 

@@ -10,7 +10,7 @@ Taylor series, all in raw ``mpmath.libmp`` arithmetic at an explicit working
 precision; none uses quadrature or mpmath's own Ei and erfi, which serve as
 references in the tests.  The Borel kernels travel with the series: each
 entry is built from the registered ``#name`` series of ``tsr.coefficients``,
-whose closed-form kernel (or the Airy Pade fit) its resummation reads.
+whose closed-form kernel its resummation reads.
 Entries whose transseries would need an irrational global scale carry it as
 a symbolic prefactor; the erfi integral needs none because
 Gamma(n+1/2)/(2 sqrt(pi)) is rational.
@@ -63,6 +63,7 @@ class CatalogFunction:
     antiderivative: Optional[Callable[[], CatalogFunction]] = None  # the stored A_No of this entry
     reflected_name: Optional[str] = None
     compose_exp_of: Optional[str] = None  # entry computed as exp(other entry)
+    taylor_degree: Optional[int] = None  # every Taylor series ends at this degree (polynomials)
 
     # -- numerics ---------------------------------------------------------
 
@@ -521,7 +522,6 @@ def _erfi_integral_entry() -> CatalogFunction:
 
 def _airy_entry(kind: str) -> CatalogFunction:
     series = named_series("airy_u_alt" if kind == "ai" else "airy_u")
-    series.kernel  # the catalog fits its Pade kernel, as it always has
     if kind == "ai":
         ts = from_minus_term(1, Fraction(5, 6), series)
         pref = Prefactor.of(Fraction(1, 2), pi=Fraction(-1, 2)) * Prefactor.rational_power(
@@ -589,6 +589,7 @@ def monomial_entry(n: int, c: Fraction = Fraction(1)) -> CatalogFunction:
         tolerance=1e-24,
         exact_value=lambda q: (Prefactor.one(), q**n * c),
         antiderivative=lambda: monomial_entry(n + 1, c / (n + 1)),
+        taylor_degree=n,
     )
 
 

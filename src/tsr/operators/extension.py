@@ -123,7 +123,8 @@ def _extend_finite(f: CatalogFunction, point: SurrealPoint, terms: int, cfg: Qua
             def coeff(k):
                 return (kinds[k] if k < len(kinds) else f.taylor_term(x0, k))[2]
 
-            return SurrealValue([ValueGroup(pref, conway_sum(coeff, zeta))])
+            length = None if f.taylor_degree is None else f.taylor_degree + 1
+            return SurrealValue([ValueGroup(pref, conway_sum(coeff, zeta, length=length))])
     with mp.workdps(cfg.precision):
         return NumericTaylor(x0=x0, coefficients=[term_value(t) for t in kinds[:terms]], zeta=zeta)
 

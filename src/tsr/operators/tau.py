@@ -204,7 +204,9 @@ def exp_nf(a: SurrealNF) -> ValueGroup:
     return ValueGroup(pref, stream)
 
 
-def conway_sum(coeff: Callable[[int], Fraction], z: SurrealNF, floor: Optional[SurrealNF] = None) -> LazyNF:
+def conway_sum(
+    coeff: Callable[[int], Fraction], z: SurrealNF, floor: Optional[SurrealNF] = None, *, length: Optional[int] = None
+) -> LazyNF:
     """sum(coeff(k) z^k, k >= 0) for strictly infinitesimal z, exactly.
 
     Partial sums stabilize leader by leader: z^k only reaches exponents at or
@@ -212,7 +214,9 @@ def conway_sum(coeff: Callable[[int], Fraction], z: SurrealNF, floor: Optional[S
     above (k + 1) * top are final.  With ``floor`` the stream holds only the
     terms above w^floor: a term of z^k at or below it only has lower
     descendants, so each power drops them, and the stream ends once
-    (k + 1) * top is at or below it.
+    (k + 1) * top is at or below it.  With ``length`` the coefficients from
+    c_length on are known to be zero: the sum is final after c_(length-1)
+    z^(length-1), and the stream ends there.
     """
     top = z.terms[0][0]  # leading (negative) exponent
 
@@ -230,7 +234,7 @@ def conway_sum(coeff: Callable[[int], Fraction], z: SurrealNF, floor: Optional[S
                     zk = SurrealNF(tuple(takewhile(above_floor, zk.terms)), _normalized=True)
             total = total + zk * coeff(k)
             horizon = (k + 1) * top
-            final = floor is not None and nf_cmp(horizon, floor) != GT
+            final = (length is not None and k + 1 >= length) or (floor is not None and nf_cmp(horizon, floor) != GT)
             safe = total.terms if final else [t for t in total.terms if nf_cmp(t[0], horizon) == GT]
             while emitted < len(safe):
                 yield safe[emitted]

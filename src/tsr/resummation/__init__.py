@@ -12,6 +12,7 @@ from .averaging import (
     half_half_weight,
 )
 from .kernels import (
+    AiryKernel,
     BorelFunction,
     ClosedFormKernel,
     CothKernel,
@@ -58,6 +59,7 @@ __all__ = [
     "catalan_weight",
     "catalan_weight_literal",
     "half_half_weight",
+    "AiryKernel",
     "BorelFunction",
     "ClosedFormKernel",
     "CothKernel",

@@ -1,4 +1,4 @@
-"""Borel-plane functions: closed-form kernels, the Binet kernel, Pade approximants.
+"""Borel-plane functions: closed-form kernels, the Binet and Airy kernels, Pade approximants.
 
 A kernel provides exact small-p Taylor coefficients, lateral values above
 and below the positive axis, the averaged (half-sum) value used by the
@@ -16,11 +16,13 @@ keep the mpf constants a Laplace node needs once per working precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
+from mpmath import libmp
 
 from ..errors import DegenerateTableError, NotRegularizableError, SingularPointError
 from .borel import BorelPoly, borel_transform, p_integrate_poly
@@ -507,22 +509,178 @@ class CothKernel(BorelFunction):
         return [coth_kernel_coeff(k) for k in range(K + 1)]
 
     def _taylor(self) -> tuple:
-        """(0.05, [(k, f_k)]) as mpf: at least 12 even terms, and enough that
-        the first one left out is below the working precision at |p| = 0.05
-        (each term is about (0.05 / 2 pi)^2, 2^-13.9, times the one before)."""
+        """(0.05, [f_0, f_2, f_4, ...]) as mpf: at least 12 even terms, and
+        enough that the first one left out is below the working precision at
+        |p| = 0.05 (each term is about (0.05 / 2 pi)^2, 2^-13.9, times the one
+        before)."""
         n = max(12, mp.mp.prec // 13 + 1)
-        return mp.mpf("0.05"), [(k, _c2mp(c)) for k, c in enumerate(self.taylor(2 * n - 2)) if k % 2 == 0]
+        return mp.mpf("0.05"), [_c2mp(c) for c in self.taylor(2 * n - 2)[::2]]
 
     def value(self, p):
         p = mp.mpf(p)
         near, coeffs = _at_prec(self._mp_taylor, self._taylor)
         if abs(p) < near:
-            # Taylor near 0 avoids cancellation
-            total = mp.mpf(0)
-            for k, c in coeffs:
-                total += c * p**k
-            return total
+            # the even Taylor polynomial near 0 avoids cancellation
+            return _horner(coeffs, p * p)
         return (p * mp.coth(p / 2) - 2) / (2 * p**2)
+
+
+class AiryKernel(BorelFunction):
+    """F(z) = 2F1(1/6, 5/6; 1; z) at z = side * p/2: the Borel transform of
+    the Airy u-series, sum(u_k p^k / k!) with u_k = (1/6)_k (5/6)_k / (2^k k!)
+    (DLMF 9.7.2).  side = +1 is ``#airy_u`` (Bi), whose F has a logarithmic
+    branch point at p = 2; side = -1 is ``#airy_u_alt`` (Ai), analytic on
+    the Laplace ray.
+
+    A value sums one convergent series (DLMF 15.8), chosen by z so that its
+    ratio is at most 5/8:
+
+    - |z| <= 3/5: Maclaurin, sum(a_k z^k), a_k = (1/6)_k (5/6)_k / k!^2;
+    - 3/5 < z <= 8/5: around z = 1, the case c = a + b of DLMF 15.8.10,
+      F = (sum(a_k h_k w^k) - ln(w) sum(a_k w^k)) / (2 pi), w = 1 - z,
+      h_k = 2 psi(k+1) - psi(k+1/6) - psi(k+5/6), h_0 = ln 432;
+    - -8/5 <= z < -3/5: Pfaff (DLMF 15.8.1),
+      F = (1-z)^(-1/6) sum(e_k (z/(z-1))^k), e_k = (1/6)_k^2 / k!^2;
+    - |z| > 8/5: in 1/z (DLMF 15.8.2),
+      F = C1 (-z)^(-1/6) G1(1/z) - C2 (-z)^(-5/6) G2(1/z), with
+      G1 = 2F1(1/6, 1/6; 1/3; .), G2 = 2F1(5/6, 5/6; 5/3; .),
+      C1 = 2 pi / (sqrt(3) Gamma(5/6)^2 Gamma(1/3)) and
+      C2 = 2 pi / (sqrt(3) Gamma(1/6)^2 Gamma(5/3)).
+
+    At p + i0 past the branch point, ln w = ln|w| - i pi and
+    (-z)^(-a) = |z|^(-a) e^(i pi a); the average keeps the real part.  The
+    coefficients are fixed-point integers, built once per working precision
+    and kept on the kernel; a value is a Horner sum over as many of them as
+    its ratio needs, in integer arithmetic.
+    """
+
+    #: |F(p +- i0)| <= 1.25 on the Bi side past p = 3.5, where the Laplace
+    #: cutoff T always lies (2 + 2 * PV_WINDOW + 1), and 0 < F <= 1 on the Ai side
+    growth = (1.25, 0.0)
+
+    def __init__(self, side: int):
+        if side not in (1, -1):
+            raise ValueError("side is +1 (Bi) or -1 (Ai)")
+        self.side = side
+        self.name = "airy" if side > 0 else "airy-alt"
+        self._tables: dict[int, tuple] = {}
+
+    def singularities(self) -> list[Singularity]:
+        return [Singularity(Fraction(2), "log", Fraction(0))] if self.side > 0 else []
+
+    def taylor(self, K: int) -> list[Fraction]:
+        out = [Fraction(1)]
+        for k in range(K):  # a_(k+1) (side/2)^(k+1) from a_k (side/2)^k
+            out.append(out[-1] * Fraction(self.side * (6 * k + 1) * (6 * k + 5), 72 * (k + 1) ** 2))
+        return out
+
+    def value(self, p):
+        return self.averaged(p)
+
+    def averaged(self, p):
+        re = _airy_f(_at_prec(self._tables, _airy_tables), self.side * mp.mpf(p) / 2)[0]
+        return mp.make_mpf(libmp.mpf_pos(re, mp.mp.prec, libmp.round_nearest))
+
+    def lateral(self, p, side: int):
+        re, im = _airy_f(_at_prec(self._tables, _airy_tables), self.side * mp.mpf(p) / 2)
+        if self.side * side < 0:  # z - i0: the conjugate
+            im = libmp.mpf_neg(im)
+        prec, rnd = mp.mp.prec, libmp.round_nearest
+        return mp.make_mpc((libmp.mpf_pos(re, prec, rnd), libmp.mpf_pos(im, prec, rnd)))
+
+
+_AIRY_GUARD = 20  # bits above the working precision
+
+
+def _airy_tables() -> tuple:
+    """(wp, series coefficients, constants) of ``_airy_f`` at the working
+    precision: the coefficients as integers scaled by 2^wp, as many as a
+    ratio of 5/8 needs, the constants as raw mpf at wp bits."""
+    wp = mp.mp.prec + _AIRY_GUARD
+    n = int((wp + 8) / math.log2(8 / 5)) + 2
+    one = 1 << wp
+    a, ah, e, g1, g2 = [one], [], [one], [one], [one]
+    h = libmp.to_fixed(libmp.mpf_log(libmp.from_int(432), wp + 10), wp)
+    for k in range(n - 1):
+        ah.append(a[k] * h >> wp)
+        h += (2 << wp) // (k + 1) - (6 << wp) // (6 * k + 1) - (6 << wp) // (6 * k + 5)
+        a.append(a[k] * ((6 * k + 1) * (6 * k + 5)) // (36 * (k + 1) ** 2))
+        e.append(e[k] * (6 * k + 1) ** 2 // (36 * (k + 1) ** 2))
+        g1.append(g1[k] * (6 * k + 1) ** 2 // (12 * (3 * k + 1) * (k + 1)))
+        g2.append(g2[k] * (6 * k + 5) ** 2 // (12 * (3 * k + 5) * (k + 1)))
+    ah.append(a[-1] * h >> wp)
+    w2 = wp + 10
+    two_pi = libmp.mpf_shift(libmp.mpf_pi(w2), 1)
+    sqrt3 = libmp.mpf_sqrt(libmp.from_int(3), w2)
+    c = libmp.mpf_div(two_pi, sqrt3, w2)
+    gamma = {q: libmp.mpf_gamma(libmp.from_rational(q, 6, w2), w2) for q in (1, 2, 5, 10)}  # Gamma(q/6)
+    c1 = libmp.mpf_div(c, libmp.mpf_mul(libmp.mpf_mul(gamma[5], gamma[5], w2), gamma[2], w2), wp)
+    c2 = libmp.mpf_div(c, libmp.mpf_mul(libmp.mpf_mul(gamma[1], gamma[1], w2), gamma[10], w2), wp)
+    consts = (libmp.mpf_div(libmp.fone, two_pi, wp), c1, c2, libmp.mpf_shift(libmp.mpf_pos(sqrt3, wp), -1))
+    return wp, (a, ah, e, g1, g2), consts
+
+
+def _terms(x: int, wp: int, n: int) -> int:
+    """How many terms of a series whose coefficients stay below 2^3 reach
+    2^-wp at the fixed-point ratio x (|x| <= 5/8 * 2^wp), at most n."""
+    r = abs(x) / (1 << wp)
+    return min(n, int((wp + 8) / -math.log2(r)) + 1) if r else 1
+
+
+def _fixed_sum(x: int, wp: int, n: int, t: list) -> int:
+    """sum(t_k x^k, k < n) by Horner in fixed point."""
+    s = 0
+    for c in t[n - 1 :: -1]:
+        s = (s * x >> wp) + c
+    return s
+
+
+def _fixed_sum2(x: int, wp: int, n: int, t: list, u: list) -> tuple[int, int]:
+    """_fixed_sum over two tables in one loop."""
+    s = v = 0
+    for c, d in zip(t[n - 1 :: -1], u[n - 1 :: -1]):
+        s = (s * x >> wp) + c
+        v = (v * x >> wp) + d
+    return s, v
+
+
+def _airy_f(tables: tuple, z):
+    """F(z + i0) = 2F1(1/6, 5/6; 1; z + i0) at real z as (re, im), raw mpf
+    at the precision of ``tables`` (see ``_airy_tables``); im is 0 below the
+    branch point z = 1."""
+    wp, (a, ah, e, g1, g2), (inv_2pi, c1, c2, half_sqrt3) = tables
+    n = len(a)
+    one = 1 << wp
+    x = libmp.to_fixed(z._mpf_, wp)
+    fixed = lambda v: libmp.from_man_exp(v, -wp)  # noqa: E731
+    zero = libmp.fzero
+    if 5 * abs(x) <= 3 * one:
+        s = _fixed_sum(x, wp, _terms(x, wp, n), a)
+        return fixed(s), zero
+    if 0 < x and 5 * x <= 8 * one:
+        w = one - x
+        if w == 0:
+            raise SingularPointError("evaluation at the branch point p = 2")
+        s1, s0 = _fixed_sum2(w, wp, _terms(w, wp, n), ah, a)
+        s0 = fixed(s0)
+        logw = libmp.mpf_log(fixed(abs(w)), wp)
+        re = libmp.mpf_mul(libmp.mpf_sub(fixed(s1), libmp.mpf_mul(logw, s0, wp), wp), inv_2pi, wp)
+        return re, (libmp.mpf_shift(s0, -1) if w < 0 else zero)
+    if x < 0 and 5 * -x <= 8 * one:
+        omz = one - x  # 1 - z
+        zeta = (-x << wp) // omz  # z / (z - 1)
+        s = _fixed_sum(zeta, wp, _terms(zeta, wp, n), e)
+        return libmp.mpf_mul(fixed(s), libmp.mpf_nthroot(fixed(omz), -6, wp), wp), zero
+    r = (one << wp) // x if x > 0 else -((one << wp) // -x)  # 1/z
+    s1, s2 = _fixed_sum2(r, wp, _terms(r, wp, n), g1, g2)
+    mag = libmp.mpf_abs(z._mpf_)
+    root = libmp.mpf_nthroot(mag, -6, wp)  # |z|^(-1/6)
+    t1 = libmp.mpf_mul(libmp.mpf_mul(c1, root, wp), fixed(s1), wp)
+    t2 = libmp.mpf_div(libmp.mpf_mul(c2, fixed(s2), wp), libmp.mpf_mul(mag, root, wp), wp)  # |z|^(-5/6) G2
+    if x < 0:
+        return libmp.mpf_sub(t1, t2, wp), zero
+    re = libmp.mpf_mul(libmp.mpf_add(t1, t2, wp), half_sqrt3, wp)  # cos(pi/6) = -cos(5 pi/6)
+    return re, libmp.mpf_shift(libmp.mpf_sub(t1, t2, wp), -1)  # sin(pi/6) = sin(5 pi/6) = 1/2
 
 
 def pade_continue(b: BorelPoly, degrees: tuple[int, int]) -> PadeKernel:

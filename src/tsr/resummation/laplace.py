@@ -23,7 +23,9 @@ it is not a proof, and the error of a Pade fit is not part of it.
 
 ``eb_sum`` sums each series through the kernel it carries (the registered
 closed form of a ``#name``, see ``tsr.coefficients``, kept through scaling,
-or the one ``ts_antidiff`` derives), else through an exact Pade fit.
+or the one ``ts_antidiff`` derives).  Only a series that carries no kernel
+(a sum of different named series, a product) is summed through an exact
+Pade fit.
 """
 
 from __future__ import annotations

@@ -108,6 +108,62 @@ class TestErrors:
         assert "UnsupportedPointError" in err
 
 
+    @pytest.mark.parametrize("point", ["-w", "-2*w+1", "-w+1/2"])
+    def test_point_with_a_leading_minus(self, cli, point):
+        code, out, err = cli("eval", "exp", point)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == cli("eval", "exp", "--", point)
+        assert cli("integrate", "exp", point, "0", "--terms", "3") == cli("integrate", "exp", "--terms", "3", "--", point, "0")
+
+    def test_minus_w_is_omega_negated(self, cli):
+        assert cli("eval", "exp", "-w")[1] == "w^(-w)\n"
+
+
+def _tsr_child(*argv: str, timeout: float):
+    """Run ``python -m tsr.cli argv`` in a child process, so that a hang
+    fails on its timeout instead of hanging the test run."""
+    import os
+    import subprocess
+
+    import tsr
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsr.__file__)))
+    cmd = [sys.executable, "-m", "tsr.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout, env=env)
+
+
+def _finite_sum_text(coeffs: list, terms: int) -> str:
+    """The rendering of sum(c_j w^-j) with positive c_j, cut after ``terms`` terms."""
+    parts = [str(c) if j == 0 else ("" if c == 1 else f"{c}*") + f"w^(-{j})" for j, c in enumerate(coeffs) if c]
+    return " + ".join(parts[:terms] + (["..."] if len(parts) > terms else []))
+
+
+class TestPolynomialsAtFinitePoints:
+    """A polynomial's Taylor series ends, and so does its value at x0 + 1/w."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("verb", ["eval", "integrate"])
+    def test_the_stream_ends(self, verb, n):
+        from fractions import Fraction
+        from math import comb
+
+        if verb == "eval":  # (3 + e)^n
+            argv = ("eval", f"monomial_{n}", "3+w^-1")
+            coeffs = [comb(n, j) * 3 ** (n - j) for j in range(n + 1)]
+        else:  # ((3 + e)^(n+1) - 2^(n+1)) / (n + 1)
+            argv = ("integrate", f"monomial_{n}", "2", "3+w^-1")
+            coeffs = [Fraction(comb(n + 1, j) * 3 ** (n + 1 - j), n + 1) for j in range(n + 2)]
+            coeffs[0] -= Fraction(2 ** (n + 1), n + 1)
+        for flags in ((), ("--json",)):
+            done = _tsr_child(*argv, "--terms", "6", *flags, timeout=10)
+            assert done.returncode == 0, done.stderr
+            if flags:
+                (group,) = json.loads(done.stdout)["normal_form_terms"]
+                assert [t["coef"] for t in group["terms"]] == [str(c) for c in coeffs[:6]]
+            else:
+                assert done.stdout == _finite_sum_text(coeffs, 6) + "\n"
+
+
 class TestHugeRationalPoints:
     """Points far beyond float range are exact rationals, never floats."""
 

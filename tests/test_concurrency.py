@@ -132,6 +132,35 @@ def test_pade_coefficients_convert_race_free():
             assert len(results) == 4 and all(r == serial for r in results)
 
 
+def test_airy_tables_built_race_free():
+    import mpmath as mp
+
+    from tsr.resummation import AiryKernel
+
+    # points in all four expansions of both sides, past the branch point too
+    points = [(side, mp.mpf(k) / 8) for side in (1, -1) for k in range(1, 64) if k != 16]
+    with mp.workdps(30):  # one precision for every thread
+        serial = [AiryKernel(side).lateral(p, 1) for side, p in points]
+        for _ in range(5):  # the race is at first use: fresh kernels each round
+            kernels = {side: AiryKernel(side) for side in (1, -1)}
+            start = threading.Barrier(4, timeout=60)
+
+            def evaluate(k: int):
+                start.wait()
+                shift = k * len(points) // 4  # each thread starts elsewhere
+                got = {i: kernels[points[i][0]].lateral(points[i][1], 1) for i in [*range(shift, len(points)), *range(shift)]}
+                return [got[i] for i in range(len(points))]
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(4) as pool:
+                    results = list(pool.map(evaluate, range(4), timeout=120))
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(results) == 4 and all(r == serial for r in results)
+
+
 def _pull_together(pull, workers: int = 4, interval: float = 1e-6) -> list:
     """Run pull(0..workers-1) in threads released at once, with short switches."""
     start = threading.Barrier(workers, timeout=60)

@@ -15,9 +15,9 @@ from tsr.cli import run
 from tsr.coefficients import NAMED_SERIES, named_series, series_name
 from tsr.operators import antidiff_no, catalog
 from tsr.resummation import (
+    AiryKernel,
     ClosedFormKernel,
     CothKernel,
-    PadeKernel,
     QuadratureConfig,
     ScaledKernel,
     borel_transform,
@@ -32,8 +32,8 @@ NAMED_KERNELS = {
     "ei": ClosedFormKernel,
     "erfi": ClosedFormKernel,
     "stirling": CothKernel,
-    "airy_u": PadeKernel,
-    "airy_u_alt": PadeKernel,
+    "airy_u": AiryKernel,
+    "airy_u_alt": AiryKernel,
 }
 #: Catalog entry -> kernel class of each of its groups (None: a finite
 #: series, summed directly).
@@ -44,13 +44,13 @@ CATALOG_KERNELS = {
     "ei": [ClosedFormKernel],
     "erfi_integrand": [None],
     "erfi_integral": [ClosedFormKernel],
-    "airy_ai": [PadeKernel],
-    "airy_bi": [PadeKernel],
+    "airy_ai": [AiryKernel],
+    "airy_bi": [AiryKernel],
     "loggamma": [CothKernel],
     "gamma": [],
     "exp_neg_over_x": [None],
 }
-CLOSED_FORMS = ("ei", "erfi", "stirling")
+CLOSED_FORMS = ("ei", "erfi", "stirling", "airy_u", "airy_u_alt")
 
 
 def kernel_classes(ts):
@@ -116,6 +116,24 @@ def test_parse_and_borel_fit_nothing(monkeypatch):
         assert run(["borel", "#airy_u_alt + #airy_u", "--order", "8"]) == 0
 
 
+def test_catalog_fits_no_pade(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a Pade fit was made")
+
+    for module in ("tsr.resummation.laplace", "tsr.resummation.kernels"):
+        monkeypatch.setattr(importlib.import_module(module), "pade_continue", no_fit)
+    # a fresh catalog over fresh series, whose kernels are all built here
+    catalog_mod = importlib.import_module("tsr.operators.catalog")
+    monkeypatch.setattr(catalog_mod, "named_series", named_series.__wrapped__)
+    monkeypatch.setattr(catalog_mod, "_CATALOG", None)
+    fresh = catalog_mod.catalog()
+    series = [g.series for e in fresh.values() if e.transseries is not None for g in groups_of(e.transseries)]
+    assert not any(s is named_series(name) for s in series for name in NAMED_SERIES)
+    assert all(s.kernel is not None for s in series if not s.is_finite())
+    for name in ("airy_ai", "airy_bi"):
+        fresh[name].eb_value(3, QuadratureConfig(precision=15))
+
+
 def test_json_round_trip_keeps_the_registered_series():
     for name in ("ei", "airy_ai", "loggamma"):
         ts = catalog()[name].transseries
@@ -148,10 +166,12 @@ def fresh_kernels():
         CothKernel(),
         ScaledKernel(F(7, 3), pole_kernel(1)),
         ScaledKernel(F(-1, 2), CothKernel()),
+        AiryKernel(1),
+        AiryKernel(-1),
     ]
 
 
-@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("index", range(8))
 def test_per_precision_constants_follow_the_precision(index):
     # one instance evaluated at 30 digits, then at 50, equals a fresh one at 50
     points = [mp.mpf(v) / 7 for v in (1, 3, 6, 9, 15, 40)] + [mp.mpf("0.03")]
