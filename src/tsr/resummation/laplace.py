@@ -237,16 +237,17 @@ def _panel(fn, a, b, method: str, eps, prec: int):
 KernelResolver = Callable[[PowerSeries], Optional[KernelEntry]]
 
 
-def resolve_default(series: PowerSeries, *, order: int = 24, degrees=(11, 11)) -> KernelEntry:
-    """Generic fallback: exact Pade continuation of the truncated transform.
+def resolve_default(series: PowerSeries) -> KernelEntry:
+    """Generic fallback: the exact (11, 11) Pade continuation of the Borel
+    transform truncated after p^24.
 
     Degenerate Pade blocks (rank-deficient Toeplitz systems) are resolved by
     stepping down to the largest solvable balanced table entry.
     """
     from ..errors import DegenerateTableError
 
-    poly = borel_transform(series, order)
-    m, n = degrees
+    poly = borel_transform(series, 24)
+    m = n = 11
     while n >= 1:
         try:
             return KernelEntry(pade_continue(poly, (m, n)), m=0)
