@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ..resummation import QuadratureConfig
+from ..resummation import QuadratureConfig, quad_interval
 from ..surreal import omega
 from ..transseries import eq_to_order, ts_add, ts_antidiff, ts_diff, ts_scale
 from .catalog import CatalogFunction, catalog, monomial_entry, term_value
@@ -122,7 +122,7 @@ def antidiff_laws(cfg: QuadratureConfig = None, rel_tol: float = 1e-6) -> LawRep
         f = reg["ei_integrand"]
         anti = antidiff_no(f)  # the Ei entry
         shifted = anti.oracle(mp.mpf(5)) - anti.oracle(mp.mpf(3))
-        direct = mp.quad(lambda s: f.oracle(s), [3, 5])
+        direct, _ = quad_interval(f.oracle, 3, 5, mp.libmp.dps_to_prec(cfg.precision))
         report.record("vi_constant_difference", _rel_close(shifted, direct, 1e-12))
     return report
 
@@ -243,6 +243,7 @@ def integral_laws(
     g = g or reg["exp"]
     a, b = mp.mpf(a), mp.mpf(b)
     mid = (a + b) / 2
+    prec = mp.libmp.dps_to_prec(cfg.precision)
     report = LawReport("integral")
     with mp.workdps(cfg.precision):
         # (a) d/dx int_a^x f = f
@@ -276,14 +277,14 @@ def integral_laws(
             return term_value(entry.taylor_term(mp.mpf(x), 1))
 
         a0, b0 = mp.mpf(2), mp.mpf(3)
-        lhs = mp.quad(lambda s: deriv(ei, s) * g.oracle(s), [a0, b0])
+        lhs, _ = quad_interval(lambda s: deriv(ei, s) * g.oracle(s), a0, b0, prec)
         boundary = ei.oracle(b0) * g.oracle(b0) - ei.oracle(a0) * g.oracle(a0)
-        rhs = boundary - mp.quad(lambda s: ei.oracle(s) * deriv(g, s), [a0, b0])
+        rhs = boundary - quad_interval(lambda s: ei.oracle(s) * deriv(g, s), a0, b0, prec)[0]
         report.record("e_by_parts", _rel_close(lhs, rhs, tol))
 
         # (f) substitution along the affine map t -> 2t + 1
         p, q = mp.mpf(2), mp.mpf(1)
-        lhs = mp.quad(lambda t: f.oracle(p * t + q) * p, [1, 2])
+        lhs, _ = quad_interval(lambda t: f.oracle(p * t + q) * p, 1, 2, prec)
         rhs = integrate(f, float(p * 1 + q), float(p * 2 + q), cfg=cfg)
         report.record("f_substitution", _rel_close(lhs, rhs, tol))
 

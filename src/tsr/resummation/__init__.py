@@ -31,6 +31,7 @@ from .laplace import (
     average_eval,
     eb_sum,
     laplace,
+    quad_interval,
     resolve_default,
     watson_check,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "average_eval",
     "eb_sum",
     "laplace",
+    "quad_interval",
     "resolve_default",
     "watson_check",
 ]

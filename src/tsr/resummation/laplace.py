@@ -6,14 +6,18 @@ principal-value window with the residue term subtracted exactly (its PV over
 the window is zero), inverse-square-root branch points get the u = sqrt(s-p)
 substitution on the approach side, log endpoints are left to tanh-sinh
 panels, and the far tail is bounded by the kernel's exponential growth
-constants.  Working precision and tolerances come from
-:class:`QuadratureConfig`; window and panel sizes are fixed (``PV_WINDOW``,
+constants.  The smooth spans between windows, and the u-substituted
+approach, are summed by a nested Clenshaw-Curtis rule: its levels have
+n = 2, 4, ..., 256 intervals, and each level keeps the integrand's values
+at the level below's nodes, its own even nodes.  A pole's window is summed
+by Gauss-Legendre, whose nodes stay away from the pole.  Working precision
+and tolerances come from :class:`QuadratureConfig`; window and panel sizes are fixed (``PV_WINDOW``,
 ``_SPAN_PANELS``), because each panel refines itself to the tolerance, so
 they decide where the work goes, not how accurate the sum is.
 
 The absolute tolerance governs the work, not the working precision.  Each
-panel is summed by tanh-sinh (Gauss-Legendre in a pole's window) at rising
-degree until two successive levels differ by at most ``abs_tol/100``, or by
+panel is summed by its rule at rising level until two successive levels
+differ by at most ``abs_tol/100``, or by
 the working precision's floor if that is coarser, and the tail is cut where
 its bound falls to ``abs_tol/10``.  The error reported with a value (the
 CLI's "(error <= E)"; its ``--tol T`` sets ``rel_tol = T`` and
@@ -31,12 +35,14 @@ Pade fit.
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
+from mpmath import libmp
 from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 
 from ..errors import (
@@ -155,7 +161,7 @@ def _pieces(f: BorelFunction, x, sings, locs, w, T):
     edges = [mp.mpf(0)] + [e for loc in locs for e in (loc - w, loc + w)] + [T]
     for a, b in zip(edges[::2], edges[1::2]):
         if a < b:
-            yield integrand, _split_span(a, b), "tanh-sinh"
+            yield integrand, _split_span(a, b), "clenshaw-curtis"
     for s, loc in zip(sings, locs):
         lo, hi = loc - w, loc + w
         if s.kind == "pole":
@@ -173,7 +179,10 @@ def _pieces(f: BorelFunction, x, sings, locs, w, T):
         if branch and s.exponent == Fraction(-1, 2):
             # u = sqrt(s - p) removes the singularity exactly
             left = lambda u, loc=loc: mp.exp(-x * (loc - u * u)) * f.usub_value(u)
-            yield left, [0, mp.sqrt(loc - lo)], "tanh-sinh"
+            # analytic in u; Clenshaw-Curtis evaluates u = 0 (p = loc), so a
+            # kernel whose usub_value is not finite there keeps tanh-sinh
+            rule = "clenshaw-curtis" if mp.isfinite(f.usub_value(0)) else "tanh-sinh"
+            yield left, [0, mp.sqrt(loc - lo)], rule
         else:  # other branches and log endpoints: tanh-sinh handles them
             yield integrand, [lo, loc], "tanh-sinh"
         yield integrand, [loc, hi], "tanh-sinh"
@@ -188,12 +197,15 @@ def _split_span(a, b):
 
 # -- panel quadrature ------------------------------------------------------------
 
-#: Each rule with its highest degree.  Gauss-Legendre node sets grow
+#: The mpmath rules with their highest degree.  Gauss-Legendre node sets grow
 #: exponentially with the degree and dominate setup cost; analytic window
-#: integrands converge by 6.
+#: integrands converge by 6.  Tanh-sinh takes the endpoint singularities.
 _NODE_CTX = mp.MPContext()
 _RULES = {"tanh-sinh": (TanhSinh(_NODE_CTX), 8), "gauss-legendre": (GaussLegendre(_NODE_CTX), 6)}
 _NODE_LOCK = threading.Lock()
+#: Intervals at the top level of the nested Clenshaw-Curtis rule, which sums
+#: the smooth spans; its levels have n = 2, 4, ..., _CC_TOP intervals.
+_CC_TOP = 256
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,22 +225,106 @@ def _standard_nodes(method: str, degree: int, prec: int) -> tuple:
     return tuple((make(t._mpf_), make(w._mpf_)) for t, w in nodes)
 
 
-def _panel(fn, a, b, method: str, eps, prec: int):
-    """integral(fn, a..b) by one rule, raising its degree until two successive
-    levels I_k, I_(k-1) differ by at most eps; |I_k - I_(k-1)| is the error.
+@functools.lru_cache(maxsize=None)
+def _cc_cosines(prec: int) -> tuple:
+    """cos(m pi / _CC_TOP), m = 0.._CC_TOP, as fixed-point integers with
+    prec + 40 fraction bits, from raw ``libmp`` at an explicit precision.
+    One cosine and sine of m pi / _CC_TOP, m <= _CC_TOP/4, give the rest."""
+    bits, q = prec + 40, _CC_TOP // 4
+    out = [0] * (_CC_TOP + 1)
+    for m in range(q + 1):
+        c, s = libmp.mpf_cos_sin_pi(libmp.from_rational(m, _CC_TOP, bits), bits + 10)
+        out[m], out[2 * q - m] = libmp.to_fixed(c, bits), libmp.to_fixed(s, bits)
+    for m in range(2 * q):
+        out[_CC_TOP - m] = -out[m]
+    return tuple(out)
 
-    A tanh-sinh level halves the step, so it adds only the new nodes to half
-    the level below; a Gauss-Legendre level is a fresh rule of 3 * 2^(k-1)
-    nodes.  The standard nodes are mapped onto [a, b] here.
+
+@functools.lru_cache(maxsize=None)
+def _cc_rule(n: int, prec: int) -> tuple:
+    """(nodes, weights) of the n-interval Clenshaw-Curtis rule on [-1, 1], for
+    sums at ``prec`` bits: nodes cos(j pi/n), j = 0..n, and
+
+        w_j = c_j/n * (1 - sum(b_k cos(2 k j pi/n) / (4k^2 - 1), k = 1..n/2))
+
+    with c_0 = c_n = 1, else 2, and b_(n/2) = 1, else 2 (Waldvogel, BIT 46,
+    2006).  The sums run in fixed-point integers with 20 bits beyond the
+    node sums' prec + 20, from one table of cosines, so level n's nodes are
+    level 2n's even nodes bit for bit.  Nothing reads or writes a context's
+    precision; the results are mpf rounded to prec + 20 bits.
     """
-    half, mid = (b - a) / 2, (b + a) / 2
+    bits = prec + 40
+    cos = _cc_cosines(prec)[:: _CC_TOP // n]  # cos(m pi/n), m = 0..n
+    period = cos + cos[-2:0:-1]  # cos(m pi/n), m = 0..2n-1
+    ks = range(1, n // 2 + 1)
+    d = [((1 if k == n // 2 else 2) << bits) // (4 * k * k - 1) for k in ks]
+    shift = n.bit_length() - 1  # n = 2^shift
+    half = []
+    for j in range(n // 2 + 1):
+        s = sum(map(operator.mul, d, [period[2 * k * j % (2 * n)] for k in ks]))
+        half.append((((1 << bits) - (s >> bits)) << (j > 0)) >> shift)
+    weights = half + half[-2::-1]
+    make = lambda v: mp.mp.make_mpf(libmp.from_man_exp(v, -bits, prec + 20, libmp.round_nearest))
+    return tuple(map(make, cos)), tuple(map(make, weights))
+
+
+def _cc_levels(fn, half, mid, prec: int):
+    """The nested Clenshaw-Curtis levels I_k of integral(fn, mid - half..mid + half).
+
+    Level n's nodes are level 2n's even nodes, so each level keeps the
+    values it has and evaluates fn only at its n/2 new odd nodes, starting
+    from the two ends."""
+    ys = [fn(mid + half), fn(mid - half)]
+    n = 2
+    while n <= _CC_TOP:
+        nodes, weights = _cc_rule(n, prec)
+        new = [fn(mid + half * t) for t in nodes[1::2]]
+        ys = [y for pair in zip(ys, new) for y in pair] + ys[-1:]
+        yield half * mp.fdot(weights, ys)
+        n *= 2
+
+
+def _mpmath_levels(method: str, fn, half, mid, prec: int):
+    """The levels of one of mpmath's rules, by rising degree.  A tanh-sinh
+    level halves the step, so it adds only the new nodes to half the level
+    below; a Gauss-Legendre level is a fresh rule of 3 * 2^(k-1) nodes."""
     level = mp.mpf(0)
     for degree in range(1, _RULES[method][1] + 1):
         s = half * mp.fdot((w, fn(mid + half * t)) for t, w in _standard_nodes(method, degree, prec))
-        prev, level = level, (mp.ldexp(s, -degree) + level / 2 if method == "tanh-sinh" else s)
-        if degree > 1 and abs(level - prev) <= eps:
+        level = mp.ldexp(s, -degree) + level / 2 if method == "tanh-sinh" else s
+        yield level
+
+
+def _panel(fn, a, b, method: str, eps, prec: int):
+    """integral(fn, a..b) by one rule, raising its level until two successive
+    levels I_k, I_(k-1) differ by at most eps; |I_k - I_(k-1)| is the error.
+    The standard nodes on [-1, 1] are mapped onto [a, b] here."""
+    half, mid = (b - a) / 2, (b + a) / 2
+    if method == "clenshaw-curtis":
+        levels = _cc_levels(fn, half, mid, prec)
+    else:
+        levels = _mpmath_levels(method, fn, half, mid, prec)
+    level = next(levels)
+    for nxt in levels:
+        prev, level = level, nxt
+        if abs(level - prev) <= eps:
             break
     return level, abs(level - prev)
+
+
+def quad_interval(fn, a, b, prec: int) -> tuple[mp.mpf, mp.mpf]:
+    """integral(fn, a..b) of an fn analytic on [a, b], at ``prec`` bits.
+
+    [a, b] is cut as a smooth Laplace span is (``_split_span``), and each
+    panel is summed by the nested Clenshaw-Curtis rule until two levels
+    differ by at most 2^-prec; fn is evaluated at prec + 20 bits.  Returns
+    the value and the sum of the panels' last level differences.
+    """
+    with mp.workprec(prec + 20):
+        pts = _split_span(mp.mpf(a), mp.mpf(b))
+        eps = mp.ldexp(1, -prec)
+        parts = [_panel(fn, lo, hi, "clenshaw-curtis", eps, prec) for lo, hi in zip(pts, pts[1:])]
+        return mp.fsum(v for v, _ in parts), mp.fsum(e for _, e in parts)
 
 
 # -- Ecalle-Borel summation ------------------------------------------------------

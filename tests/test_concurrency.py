@@ -161,6 +161,23 @@ def test_airy_tables_built_race_free():
             assert len(results) == 4 and all(r == serial for r in results)
 
 
+def test_clenshaw_curtis_tables_built_race_free():
+    import importlib
+
+    import mpmath as mp
+
+    laplace = importlib.import_module("tsr.resummation.laplace")
+    # cold keys: four precisions no other test sums at, every level of each
+    keys = [(2**level, 401 + 6 * k) for k in range(4) for level in range(1, 9)]
+    prec = mp.mp.prec
+    results = _pull_together(lambda k: [laplace._cc_rule(*key) for key in keys[k::4] + keys])
+    assert mp.mp.prec == prec  # building the tables leaves the global precision alone
+    serial = [laplace._cc_rule.__wrapped__(*key) for key in keys]
+    assert all(laplace._cc_cosines(p) == laplace._cc_cosines.__wrapped__(p) for p in {p for _, p in keys})
+    for k, got in enumerate(results):
+        assert got == [laplace._cc_rule.__wrapped__(*key) for key in keys[k::4]] + serial
+
+
 def _pull_together(pull, workers: int = 4, interval: float = 1e-6) -> list:
     """Run pull(0..workers-1) in threads released at once, with short switches."""
     start = threading.Barrier(workers, timeout=60)

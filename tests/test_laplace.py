@@ -277,18 +277,75 @@ def test_erfi_integral_at_high_precision_meets_its_tolerance():
         assert abs(val - ref) <= min(err, f.tolerance * abs(ref))
 
 
-@pytest.mark.parametrize(
-    "name, x",
-    [("airy_bi", 3), ("airy_bi", 5), ("airy_bi", 8), ("airy_bi", 15), ("airy_ai", 15), ("erfi_integral", 8), ("erfi_integral", 15)],
+CATALOG_REFS = {
+    "ei": mp.ei,
+    "erfi_integral": lambda t: mp.sqrt(mp.pi) / 2 * mp.erfi(t),
+    "loggamma": mp.loggamma,
+    "gamma": mp.gamma,
+    "airy_ai": mp.airyai,
+    "airy_bi": mp.airybi,
+}
+#: the calibration grid, each entry at every point and precision, and the
+#: cases pinned before it (30 digits is the id's default)
+CALIBRATION = sorted(
+    {(name, x, d) for name in CATALOG_REFS for x in (3, 5, 9.7, 14.7) for d in (30, 50, 100)}
+    | {("airy_bi", 8, 30), ("airy_bi", 15, 30), ("airy_ai", 15, 30), ("erfi_integral", 8, 30), ("erfi_integral", 15, 30)}
 )
-def test_catalog_value_is_within_its_reported_error(name, x):
-    # the Airy kernels are closed forms, so the quadrature's error is the
+
+
+@pytest.mark.parametrize(
+    "name, x, digits", CALIBRATION, ids=[f"{n}-{x}" + (f"-{d}" if d != 30 else "") for n, x, d in CALIBRATION]
+)
+def test_catalog_value_is_within_its_reported_error(name, x, digits):
+    # every catalog kernel is a closed form, so the quadrature's error is the
     # whole error, down to airy_bi at 3 (a Pade fit's was not in the report)
-    val, err = catalog()[name].eb_value(x, QuadratureConfig(precision=30))
+    val, err = catalog()[name].eb_value(x, QuadratureConfig(precision=digits))
+    with mp.workdps(digits + 30):
+        assert abs(val - CATALOG_REFS[name](mp.mpf(x))) <= err
+
+
+@pytest.mark.parametrize("name, x, parent", [("ei", 5, 642), ("erfi_integral", 9.7, 421), ("loggamma", 3, 812)])
+def test_spans_take_half_the_kernel_evaluations(monkeypatch, name, x, parent):
+    # parent: the count when tanh-sinh summed the smooth spans; the nested
+    # Clenshaw-Curtis panels make 248, 180 and 190 evaluations
+    plain = _laplace_mod.laplace
+    counter = [0]
+    monkeypatch.setattr(_laplace_mod, "laplace", lambda f, *a: plain(CountingKernel(f, counter), *a))
+    catalog()[name].eb_value(x, QuadratureConfig(precision=50))
+    assert counter[0] <= parent / 2
+
+
+def test_kernel_infinite_at_the_branch_point_keeps_tanh_sinh():
+    # (1-p)^(-1/2)/2 + log(1-p): its usub_value takes log 0 at u = 0, which
+    # a Clenshaw-Curtis panel would evaluate, so that piece stays on tanh-sinh
+    kernel = ClosedFormKernel(F(1), [(F(1, 2), F(-1, 2), 0), (F(1), F(0), 1)], growth=(4.0, 0.25))
+    assert not mp.isfinite(kernel.usub_value(mp.mpf(0)))
+    val, err = laplace(kernel, 3, QuadratureConfig(precision=30))
     with mp.workdps(60):
-        x = mp.mpf(x)
-        ref = {"airy_bi": mp.airybi, "airy_ai": mp.airyai}.get(name, lambda t: mp.sqrt(mp.pi) / 2 * mp.erfi(t))(x)
+        x = mp.mpf(3)
+        ref = mp.exp(-x) * (mp.sqrt(mp.pi / x) / 2 * mp.erfi(mp.sqrt(x)) - mp.ei(x) / x)
         assert abs(val - ref) <= err
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(24, 400), st.data())
+def test_clenshaw_curtis_rule_is_exact_on_polynomials(log_n, prec, data):
+    n = 2**log_n
+    nodes, weights = _laplace_mod._cc_rule(n, prec)
+    assert len(nodes) == len(weights) == n + 1
+    assert all(w > 0 for w in weights)
+    with mp.workprec(prec + 40):
+        for d in (0, n, data.draw(st.integers(0, n), label="degree")):
+            exact = mp.mpf(2) / (d + 1) if d % 2 == 0 else 0
+            assert abs(mp.fsum(w * t**d for t, w in zip(nodes, weights)) - exact) <= mp.ldexp(1, -prec)
+
+
+@pytest.mark.parametrize("prec", [53, 103, 169, 336])
+def test_clenshaw_curtis_levels_nest(prec):
+    # level n's nodes are level 2n's even nodes, bit for bit
+    for n in (2, 4, 8, 16, 32, 64, 128):
+        coarse, fine = _laplace_mod._cc_rule(n, prec)[0], _laplace_mod._cc_rule(2 * n, prec)[0]
+        assert [t._mpf_ for t in coarse] == [t._mpf_ for t in fine[::2]]
 
 
 def test_laplace_leaves_mpmath_node_caches_alone():
