@@ -58,7 +58,7 @@ class UnsupportedPointError(TsrError):
 
 
 class DomainError(TsrError):
-    """Real evaluation point below the function's domain endpoint."""
+    """Real evaluation point below the function's domain endpoint, or not finite."""
 
 
 class ExpressionSyntaxError(TsrError):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -67,9 +68,10 @@ class CatalogFunction:
 
     # -- numerics ---------------------------------------------------------
 
-    def resolver(self, series: PowerSeries) -> Optional[KernelEntry]:
-        """The series' kernel; a Pade fit without one; None for a finite sum."""
-        return series.kernel or (None if series.is_finite() else resolve_default(series))
+    def resolver(self, series: PowerSeries) -> KernelEntry:
+        """The series' kernel, or a Pade fit without one (``eb_sum`` sums a
+        finite series itself and never asks)."""
+        return series.kernel or resolve_default(series)
 
     def critical_time(self, x):
         return (
@@ -606,26 +608,31 @@ def _exp_neg_over_x_entry() -> CatalogFunction:
 
 
 _CATALOG: Optional[dict[str, CatalogFunction]] = None
+_CATALOG_LOCK = threading.Lock()
 
 
 def catalog() -> dict[str, CatalogFunction]:
-    """The immutable registry of worked functions."""
+    """The immutable registry of worked functions, built once per process:
+    threads that ask at once wait for the one that builds it, because the
+    entries' antiderivatives refer to one registry by identity."""
     global _CATALOG
     if _CATALOG is None:
-        entries = [
-            _exp_entry(),
-            _exp_neg_entry(),
-            _ei_integrand_entry(),
-            _ei_entry(),
-            _erfi_integrand_entry(),
-            _erfi_integral_entry(),
-            _airy_entry("ai"),
-            _airy_entry("bi"),
-            _loggamma_entry(),
-            _gamma_entry(),
-            _exp_neg_over_x_entry(),
-        ]
-        _CATALOG = {e.name: e for e in entries}
+        with _CATALOG_LOCK:
+            if _CATALOG is None:
+                entries = [
+                    _exp_entry(),
+                    _exp_neg_entry(),
+                    _ei_integrand_entry(),
+                    _ei_entry(),
+                    _erfi_integrand_entry(),
+                    _erfi_integral_entry(),
+                    _airy_entry("ai"),
+                    _airy_entry("bi"),
+                    _loggamma_entry(),
+                    _gamma_entry(),
+                    _exp_neg_over_x_entry(),
+                ]
+                _CATALOG = {e.name: e for e in entries}
     return _CATALOG
 
 

@@ -17,8 +17,9 @@ from itertools import islice, takewhile
 from typing import Optional, Union
 
 import mpmath as mp
+from mpmath import libmp
 
-from ..errors import UnsupportedPointError
+from ..errors import DomainError, UnsupportedPointError
 from ..resummation import QuadratureConfig
 from ..surreal import LazyNF, SurrealNF, nf_cmp
 from ..transseries import TransseriesT1, ts_antidiff
@@ -64,11 +65,12 @@ ExtendResult = Union[mp.mpf, SurrealValue, NumericTaylor]
 def extend(f: CatalogFunction, point, terms: int = 8, *, cfg: QuadratureConfig = None) -> ExtendResult:
     """E f at a real, finite-surreal, or infinite-surreal point."""
     cfg = cfg or QuadratureConfig()
-    if isinstance(point, (int, float, Fraction, mp.mpf)):
-        point = SurrealPoint.real_point(Fraction(point)) if not isinstance(point, mp.mpf) else point
+    if isinstance(point, (float, mp.mpf)) and not mp.isfinite(point):
+        raise DomainError(f"{f.name} has no value at the non-finite point {point}")
     if isinstance(point, mp.mpf):
-        f.check_domain(point)
-        return f.oracle(point)
+        point = Fraction(*libmp.to_rational(point._mpf_))  # a finite mpf is dyadic: exact
+    if isinstance(point, (int, float, Fraction)):
+        point = SurrealPoint.real_point(point)
     if isinstance(point, SurrealNF):
         point = SurrealPoint.from_nf(point)
 

@@ -18,7 +18,6 @@ from .kernels import (
     CothKernel,
     KernelEntry,
     PadeKernel,
-    ScaledKernel,
     Singularity,
     log_kernel,
     pade_continue,
@@ -65,7 +64,6 @@ __all__ = [
     "ClosedFormKernel",
     "CothKernel",
     "PadeKernel",
-    "ScaledKernel",
     "Singularity",
     "log_kernel",
     "pade_continue",

@@ -1,17 +1,20 @@
 """Borel-plane functions: closed-form kernels, the Binet and Airy kernels, Pade approximants.
 
 A kernel provides exact small-p Taylor coefficients, lateral values above
-and below the positive axis, the averaged (half-sum) value used by the
-Laplace machinery, and, where a rule exists, its antiderivative from 0
-(the P operator).  Closed forms are linear combinations of
+and below the positive axis, its value (the half-sum of the laterals, which
+the Laplace machinery integrates), and, where a rule exists, its
+antiderivative from 0 (the P operator).  Closed forms are linear
+combinations of
 
     v^a (log v)^b,   v = 1 - p/s
 
 around a single positive singularity s, plus a polynomial; that family is
 closed under P, which is how pole kernels regularize to logs.
 
-A series carries its kernel as a :class:`KernelEntry` (kernel, m).  Kernels
-keep the mpf constants a Laplace node needs once per working precision.
+A series carries its kernel as a :class:`KernelEntry` (kernel, m, c): its
+Borel transform is c times the kernel, so every rational multiple of a
+registered series shares the registered kernel object.  Kernels keep the
+mpf constants a Laplace node needs once per working precision.
 """
 
 from __future__ import annotations
@@ -49,29 +52,18 @@ class BorelFunction:
         raise NotImplementedError
 
     def value(self, p):
-        """Real value off the singularities, below the first singularity."""
+        """The real value off the singularities: the half-sum of the lateral
+        continuations (the single-ray average), which is the plain value
+        wherever the kernel is single-valued.  Kernels with a cut override
+        ``lateral`` as well."""
         raise NotImplementedError
 
     def lateral(self, p, side: int):
         """Continuation at p +- i0 (side = +1 above, -1 below)."""
         return mp.mpc(self.value(p))
 
-    def averaged(self, p):
-        """Half-sum of the lateral continuations (single-ray average).
-
-        A kernel that keeps the default ``lateral`` is single-valued, so both
-        continuations are mpc(value(p)) and their half-sum is value(p) exactly
-        ((v + v) / 2 == v in binary floating point): one evaluation instead
-        of two.  Kernels with a cut override ``lateral`` and ``averaged``.
-        """
-        return self.value(p)
-
     def p_integral(self, m: int = 1) -> "BorelFunction":
         raise NotRegularizableError(f"{type(self).__name__} has no P rule")
-
-    def pv_residue(self, s: Fraction):
-        """A with F(p) ~ A/(s - p) near the simple pole s, else 0."""
-        return mp.mpf(0)
 
     def usub_value(self, u):
         """F(s - u^2) * 2u at an inverse-square-root branch point s."""
@@ -129,16 +121,13 @@ class ClosedFormKernel(BorelFunction):
 
     # -- values ---------------------------------------------------------------
 
-    def value(self, p):
-        return self.averaged(p)
-
     def lateral(self, p, side: int):
         """v < 0 continuation: arg v = -side * pi (p + i0 pushes v below its cut)."""
         s, poly, terms = _at_prec(self._mp_consts, self._consts)
         p = mp.mpf(p)
         mag = p / s - 1
         if mag <= 0:
-            return mp.mpc(self.averaged(p))
+            return mp.mpc(self.value(p))
         logv = mp.mpc(mp.log(mag), -side * mp.pi)
         out = mp.mpc(_horner(poly, p))
         for c, power, cos_a, sin_a, b, _, _ in terms:
@@ -146,7 +135,7 @@ class ClosedFormKernel(BorelFunction):
             out += term * logv if b else term
         return out
 
-    def averaged(self, p):
+    def value(self, p):
         """The value below s; beyond it the closed-form half-sum of the laterals.
 
         The half-sum's cos(pi a)/sin(pi a) weights are exact: evaluating
@@ -190,16 +179,6 @@ class ClosedFormKernel(BorelFunction):
             for k in range(K + 1):
                 out[k] += t.coef * tc[k] / self.s**k
         return out
-
-    def pv_residue(self, s: Fraction):
-        if Fraction(s) != self.s:
-            return mp.mpf(0)
-        # c * v^-1 = c * s / (s - p)
-        total = mp.mpf(0)
-        for t in self.terms:
-            if t.a == -1 and t.b == 0:
-                total += _c2mp(t.coef) * _c2mp(self.s)
-        return total
 
     def p_integral(self, m: int = 1) -> "ClosedFormKernel":
         if m == 0:
@@ -275,7 +254,7 @@ def _vpow_taylor(a: Fraction, b: int, K: int) -> list[Fraction]:
 class PadeKernel(BorelFunction):
     """Rational approximant; detected positive real poles become singularities.
 
-    A rational function is single-valued, so ``averaged`` is ``value``.  The
+    A rational function is single-valued: its value is its average.  The
     exact ``num`` and ``den`` are converted to mpf once per working precision
     (keyed by ``mp.mp.prec``) and kept on the instance, because a Laplace
     integral evaluates the kernel at thousands of nodes.  This is safe: the
@@ -308,10 +287,9 @@ class PadeKernel(BorelFunction):
         return self._poles
 
     def singularities(self) -> list[Singularity]:
-        # poles are reported at double precision; exact locations are unknown
-        return [
-            Singularity(Fraction(repr(float(p))), "pole", Fraction(-1)) for p in self.real_positive_poles()
-        ]
+        # each pole exactly as found, to the precision of the first call
+        poles = self.real_positive_poles()
+        return [Singularity(Fraction(*libmp.to_rational(p._mpf_)), "pole", Fraction(-1)) for p in poles]
 
     def taylor(self, K: int) -> list[Fraction]:
         out: list[Fraction] = []
@@ -334,15 +312,6 @@ class PadeKernel(BorelFunction):
             raise SingularPointError(f"Pade pole at p = {p}")
         return num / den
 
-    def pv_residue(self, s):
-        # F ~ A/(s-p): A = -num(s)/den'(s)
-        s = _c2mp(Fraction(s)) if isinstance(s, Fraction) else mp.mpf(s)
-        num = _horner(self._coeffs_at_prec()[0], s)
-        dden = _horner([_c2mp((k + 1) * c) for k, c in enumerate(self.den[1:])], s)
-        if dden == 0:
-            raise DegenerateTableError("double pole in Pade denominator")
-        return num / dden * -1
-
 
 def _horner(coeffs, p):
     """Horner's rule over mpf coefficients, lowest degree first."""
@@ -352,63 +321,25 @@ def _horner(coeffs, p):
     return out
 
 
-class ScaledKernel(BorelFunction):
-    """c * inner, for exact rational prefactors; scaling a scaled kernel
-    scales its inner kernel, so every multiple of one kernel shares it."""
-
-    def __init__(self, c: Fraction, inner: BorelFunction):
-        if isinstance(inner, ScaledKernel):
-            c, inner = c * inner.c, inner.inner
-        self.c = Fraction(c)
-        self.inner = inner
-        self.growth = (abs(float(c)) * inner.growth[0], inner.growth[1])
-        self._mp_c: dict[int, mp.mpf] = {}
-
-    def _c(self):
-        return _at_prec(self._mp_c, lambda: _c2mp(self.c))
-
-    def singularities(self):
-        return self.inner.singularities()
-
-    def taylor(self, K):
-        return [self.c * v for v in self.inner.taylor(K)]
-
-    def value(self, p):
-        return self._c() * self.inner.value(p)
-
-    def lateral(self, p, side):
-        return self._c() * self.inner.lateral(p, side)
-
-    def averaged(self, p):
-        return self._c() * self.inner.averaged(p)
-
-    def pv_residue(self, s):
-        return self._c() * self.inner.pv_residue(s)
-
-    def usub_value(self, u):
-        return self._c() * self.inner.usub_value(u)
-
-    def p_integral(self, m=1):
-        return ScaledKernel(self.c, self.inner.p_integral(m))
-
-
 @dataclass(frozen=True)
 class KernelEntry:
-    """A Borel kernel and the order m of the P^m regularization its sum uses."""
+    """c times a Borel kernel, and the order m of the P^m regularization its
+    sum uses.  The Laplace transform is linear, so the sum integrates the
+    kernel alone and multiplies by c."""
 
     kernel: BorelFunction
     m: int = 0
+    c: Fraction = Fraction(1)
 
     def scale(self, c) -> "KernelEntry":
-        return KernelEntry(ScaledKernel(Fraction(c), self.kernel), self.m)
+        return KernelEntry(self.kernel, self.m, self.c * Fraction(c))
 
     def __add__(self, other: "KernelEntry") -> Optional["KernelEntry"]:
         """The entry of a sum of series: (c + d) * K for c * K + d * K, else
         None (a sum of different kernels is left to the Pade fallback)."""
-        a, b = (e.kernel if isinstance(e.kernel, ScaledKernel) else ScaledKernel(1, e.kernel) for e in (self, other))
-        if a.inner is not b.inner or self.m != other.m:
+        if self.kernel is not other.kernel or self.m != other.m:
             return None
-        return KernelEntry(ScaledKernel(a.c + b.c, a.inner), self.m)
+        return KernelEntry(self.kernel, self.m, self.c + other.c)
 
 
 def derive_antidiff_kernel(mu: Fraction, offset: Fraction, y, w) -> Optional[KernelEntry]:
@@ -548,10 +479,11 @@ class AiryKernel(BorelFunction):
       C2 = 2 pi / (sqrt(3) Gamma(1/6)^2 Gamma(5/3)).
 
     At p + i0 past the branch point, ln w = ln|w| - i pi and
-    (-z)^(-a) = |z|^(-a) e^(i pi a); the average keeps the real part.  The
-    coefficients are fixed-point integers, built once per working precision
-    and kept on the kernel; a value is a Horner sum over as many of them as
-    its ratio needs, in integer arithmetic.
+    (-z)^(-a) = |z|^(-a) e^(i pi a); the value, the average of the two
+    sides, keeps the real part.  The coefficients are fixed-point integers,
+    built once per working precision and kept on the kernel; a value is a
+    Horner sum over as many of them as its ratio needs, in integer
+    arithmetic.
     """
 
     #: |F(p +- i0)| <= 1.25 on the Bi side past p = 3.5, where the Laplace
@@ -575,9 +507,6 @@ class AiryKernel(BorelFunction):
         return out
 
     def value(self, p):
-        return self.averaged(p)
-
-    def averaged(self, p):
         re = _airy_f(_at_prec(self._tables, _airy_tables), self.side * mp.mpf(p) / 2)[0]
         return mp.make_mpf(libmp.mpf_pos(re, mp.mp.prec, libmp.round_nearest))
 

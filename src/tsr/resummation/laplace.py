@@ -1,16 +1,17 @@
 """Averaged Laplace transforms and Ecalle-Borel summation numerics.
 
 The Laplace integral of an averaged Borel function is evaluated over panels
-whose edges sit at the kernel's singularities: simple poles get a symmetric
-principal-value window with the residue term subtracted exactly (its PV over
-the window is zero), inverse-square-root branch points get the u = sqrt(s-p)
+whose edges sit at the kernel's singularities: a simple pole's symmetric
+window is the principal value, summed as the fold
+integrand(s - t) + integrand(s + t) over 0 < t < w, in which the pole's
++-A/t terms cancel; inverse-square-root branch points get the u = sqrt(s-p)
 substitution on the approach side, log endpoints are left to tanh-sinh
 panels, and the far tail is bounded by the kernel's exponential growth
 constants.  The smooth spans between windows, and the u-substituted
 approach, are summed by a nested Clenshaw-Curtis rule: its levels have
 n = 2, 4, ..., 256 intervals, and each level keeps the integrand's values
-at the level below's nodes, its own even nodes.  A pole's window is summed
-by Gauss-Legendre, whose nodes stay away from the pole.  Working precision
+at the level below's nodes, its own even nodes.  A pole's fold is summed
+by Gauss-Legendre, whose nodes stay away from t = 0.  Working precision
 and tolerances come from :class:`QuadratureConfig`; window and panel sizes are fixed (``PV_WINDOW``,
 ``_SPAN_PANELS``), because each panel refines itself to the tolerance, so
 they decide where the work goes, not how accurate the sum is.
@@ -26,10 +27,12 @@ panel, and the tail bound.  A level difference estimates a panel's error;
 it is not a proof, and the error of a Pade fit is not part of it.
 
 ``eb_sum`` sums each series through the kernel it carries (the registered
-closed form of a ``#name``, see ``tsr.coefficients``, kept through scaling,
-or the one ``ts_antidiff`` derives).  Only a series that carries no kernel
-(a sum of different named series, a product) is summed through an exact
-Pade fit.
+closed form of a ``#name``, see ``tsr.coefficients``, times the rational
+multiple its ``KernelEntry`` keeps, or the one ``ts_antidiff`` derives).
+The tolerance applies to the kernel's own Laplace integral, before the
+multiple and the transmonomial scale it.  A finite series is its own sum.
+Only an infinite series that carries no kernel (a sum of different named
+series, a product) is summed through an exact Pade fit.
 """
 
 from __future__ import annotations
@@ -87,9 +90,9 @@ def average_eval(f: BorelFunction, p, *, weights: WeightFamily = catalan_weight,
     cfg = cfg or QuadratureConfig()
     with mp.workdps(cfg.precision):
         p = _c2mp(p) if isinstance(p, Fraction) else mp.mpf(p)
-        sings = [s for s in f.singularities() if mp.mpf(float(s.location)) < p]
+        sings = [s for s in f.singularities() if _c2mp(s.location) < p]
         for s in f.singularities():
-            if mp.mpf(float(s.location)) == p:
+            if _c2mp(s.location) == p:
                 raise SingularPointError(f"p = {p} is a singularity")
         if not sings:
             return f.value(p)
@@ -114,7 +117,7 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
         abs_tol = mp.mpf(cfg.abs_tol)
 
         sings = sorted(f.singularities(), key=lambda s: s.location)
-        locs = [mp.mpf(float(s.location)) for s in sings]
+        locs = [_c2mp(s.location) for s in sings]
         w = mp.mpf(PV_WINDOW)
         if locs:
             w = min([w, min(locs) / 2] + [(b - a) / 3 for a, b in zip(locs, locs[1:])])
@@ -157,22 +160,20 @@ def _pieces(f: BorelFunction, x, sings, locs, w, T):
     the order they are summed: the smooth spans between windows, then each
     singularity's window.  Each is built only when the one before has been
     summed, so the first piece to fail is the one that raises."""
-    integrand = lambda p: mp.exp(-x * p) * f.averaged(p)
+    integrand = lambda p: mp.exp(-x * p) * f.value(p)
     edges = [mp.mpf(0)] + [e for loc in locs for e in (loc - w, loc + w)] + [T]
     for a, b in zip(edges[::2], edges[1::2]):
         if a < b:
             yield integrand, _split_span(a, b), "clenshaw-curtis"
     for s, loc in zip(sings, locs):
-        lo, hi = loc - w, loc + w
         if s.kind == "pole":
-            # symmetric excision: the residue term has zero PV over the
-            # window, so subtracting it leaves an analytic integrand.
-            # Gauss-Legendre keeps nodes polynomially away from loc, so
-            # the subtraction loses only a few digits of the working 50.
-            shift = f.pv_residue(s.location) * mp.exp(-x * loc)
-            h = lambda p, loc=loc, shift=shift: integrand(p) - shift / (loc - p)
-            yield h, [lo, loc, hi], "gauss-legendre"
+            # the principal value as a fold: the pole's +-A/t cancel, so the
+            # sum is analytic in t.  Gauss-Legendre keeps its nodes away from
+            # t = 0, so the cancellation loses only a few of the guard bits.
+            fold = lambda t, loc=loc: integrand(loc - t) + integrand(loc + t)
+            yield fold, [0, w], "gauss-legendre"
             continue
+        lo, hi = loc - w, loc + w
         branch = s.kind == "branch"
         if branch and s.exponent <= -1:
             raise NotRegularizableError(f"branch exponent {s.exponent} is not integrable; apply p_integrate first")
@@ -363,12 +364,12 @@ def eb_sum(
 ) -> tuple[mp.mpf, mp.mpf]:
     """Numeric Ecalle-Borel sum of a T1 transseries at real x.
 
-    Each grid series y is summed through its Borel kernel (resolver-supplied,
-    else the series' own, else a generic Pade fit), as x^m L[man P^m B y](x):
-    the Laplace integral of the kernel's m-fold P-integral, times x^m.  Each
-    sum is weighted by its transmonomial; finite series and the log part
-    evaluate exactly.  Infinite minus supports need (c1, c2, c3) tail
-    constants.
+    A finite grid series and the log part evaluate exactly.  Every other
+    series y is summed through its Borel kernel entry c K (resolver-supplied,
+    else the series' own, else a generic Pade fit), as c x^m L[man P^m K](x):
+    the Laplace integral of the kernel's m-fold P-integral, times c x^m.
+    Each sum is weighted by its transmonomial.  Infinite minus supports need
+    (c1, c2, c3) tail constants.
     """
     cfg = cfg or QuadratureConfig()
     with mp.workdps(cfg.precision):
@@ -393,7 +394,7 @@ def eb_sum(
 
         for grp in groups_of(ts):
             series = grp.series
-            if series.is_finite() and not (series.length or 0):
+            if series.length == 0:
                 continue
             pre = x ** _c2mp(grp.offset) * mp.exp(_c2mp(grp.mu) * x)
             if tail_constants is not None and grp.mu < 0:
@@ -402,21 +403,20 @@ def eb_sum(
                 if bound < mp.mpf(cfg.abs_tol) / 10:
                     err += bound
                     continue
-            entry = resolver(series) if resolver is not None else series.kernel
-            if entry is None:
-                if series.is_finite():
-                    # finite sums are their own Borel sums
-                    val = mp.mpf(0)
-                    for l in range(1, (series.length or 0) + 1):
-                        val += _c2mp(series.coeff(l)) * x ** (-l)
-                    total += pre * val
-                    continue
-                entry = resolve_default(series)
-            # x^m L[man P^m B y](x): the regularized sum of one series
+            if series.is_finite():
+                # finite sums are their own Borel sums
+                val = mp.mpf(0)
+                for l in range(1, series.length + 1):
+                    val += _c2mp(series.coeff(l)) * x ** (-l)
+                total += pre * val
+                continue
+            entry = (resolver(series) if resolver is not None else series.kernel) or resolve_default(series)
+            # c x^m L[man P^m K](x): the regularized sum of one series
             kernel = entry.kernel.p_integral(entry.m) if entry.m else entry.kernel
             val, lerr = laplace(kernel, x, cfg)
-            total += pre * (x**entry.m * val)
-            err += abs(pre) * (x**entry.m * lerr)
+            scale = _c2mp(entry.c) * x**entry.m
+            total += pre * (scale * val)
+            err += abs(pre) * (abs(scale) * lerr)
         return total, err
 
 

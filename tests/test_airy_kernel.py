@@ -40,18 +40,17 @@ def test_values_and_laterals_agree_with_mpmath(dps, p, side):
     kernel = AiryKernel(side)
     with mp.workdps(dps):
         q = mp.mpf(p.numerator) / p.denominator  # exact: p has a power-of-2 denominator
-        avg, val = kernel.averaged(q), kernel.value(q)
+        val = kernel.value(q)
         lateral = {s: kernel.lateral(q, s) for s in (1, -1)}
         eps = +mp.eps  # at dps digits
     refs = {s: _reference(side, p, s, dps) for s in (1, -1)}
     with mp.workdps(dps + 20):
         tol = 2 * eps * abs(refs[1])
-        assert val == avg
-        assert abs(avg - refs[1].real) <= tol
+        assert abs(val - refs[1].real) <= tol
         for s in (1, -1):
             assert abs(lateral[s] - refs[s]) <= tol, s
         if side < 0 or p < 2:
-            assert lateral[1] == lateral[-1] == avg  # no cut below z = 1
+            assert lateral[1] == lateral[-1] == val  # no cut below z = 1
 
 
 @pytest.mark.parametrize("name, side", [("airy_u", 1), ("airy_u_alt", -1)])
@@ -74,5 +73,5 @@ def test_growth_bounds_the_kernel_past_the_laplace_cutoff(side):
     with mp.workdps(30):
         grid = [mp.mpf(start) + mp.mpf(k) / 16 for k in range(1, 160)] + [mp.mpf(10) ** (k / 4) for k in range(4, 25)]
         for p in grid:
-            values = [kernel.averaged(p)] + [kernel.lateral(p, s) for s in (1, -1)]
+            values = [kernel.value(p)] + [kernel.lateral(p, s) for s in (1, -1)]
             assert max(abs(v) for v in values) <= c1 * mp.exp(c3 * p), p

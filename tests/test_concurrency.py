@@ -255,3 +255,18 @@ def test_real_line_oracles_thread_safe():
         assert mp.mp.prec == 103
     for k, got in enumerate(results):
         assert [[v._mpf_ for v in vs] for vs in got] == [[v._mpf_ for v in vs] for vs in serial[k:] + serial[:k]]
+
+
+def test_catalog_is_built_once_under_threads(monkeypatch):
+    import importlib
+
+    from tsr.operators import antidiff_no
+
+    catalog_mod = importlib.import_module("tsr.operators.catalog")
+    for _ in range(5):
+        monkeypatch.setattr(catalog_mod, "_CATALOG", None)  # cold: every thread finds no registry
+        registries = _pull_together(lambda _: catalog_mod.catalog())
+        reg = catalog_mod._CATALOG
+        assert all(r is reg for r in registries)
+        # the stored antiderivatives look the registry up again: the same one
+        assert antidiff_no(reg["exp"]) is reg["exp"]

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsr.errors import DegenerateTableError, GrowthBoundViolated, SingularPointError
-from tsr.operators import catalog
+from tsr.coefficients import NAMED_SERIES, named_series
+from tsr.operators import antidiff_no, catalog
 from tsr.resummation import (
     BorelPoly,
     ClosedFormKernel,
@@ -18,7 +19,6 @@ from tsr.resummation import (
     KernelEntry,
     PadeKernel,
     QuadratureConfig,
-    ScaledKernel,
     average_eval,
     borel_transform,
     catalan_weight,
@@ -32,6 +32,7 @@ from tsr.resummation import (
     watson_check,
 )
 from tsr.transseries import PowerSeries, ts_antidiff, ts_parse
+from tsr.transseries.grid import groups_of
 
 CFG = QuadratureConfig()
 
@@ -63,7 +64,7 @@ class TestAverageEval:
         # the generic weighted sum leaves only rounding noise of cos(pi/2)
         assert abs(average_eval(f, 2, cfg=CFG)) < 1e-40
         # the closed-form average is exactly zero
-        assert f.averaged(mp.mpf(2)) == 0
+        assert f.value(mp.mpf(2)) == 0
 
     def test_singular_point_raises(self):
         with pytest.raises(SingularPointError):
@@ -202,6 +203,19 @@ class TestEbSum:
         ref = 49 * mp.log(7) + 3 - mp.mpf(2) / 7
         assert mpf_close(val, ref, 1e-25)
 
+    def test_finite_series_with_a_kernel_is_its_own_sum(self, monkeypatch):
+        def no_laplace(*args, **kwargs):
+            raise AssertionError("a finite series was Laplace-integrated")
+
+        monkeypatch.setattr(_laplace_mod, "laplace", no_laplace)
+        anti = antidiff_no(catalog()["exp_neg"])  # -e^(-x), a finite series
+        (group,) = groups_of(anti.transseries)
+        assert group.series.is_finite() and group.series.kernel is not None
+        val, err = anti.eb_value(3, QuadratureConfig(precision=30))
+        with mp.workdps(30):
+            assert abs(val + mp.exp(-3)) <= mp.eps * mp.exp(-3)
+        assert err == 0
+
 
 # -- the panel stopping rule ------------------------------------------------------
 # Each panel refines until two successive levels differ by at most abs_tol/100,
@@ -235,6 +249,66 @@ def test_named_sum_is_within_its_reported_error(c, name, x, digits):
         assert abs(val - ref) <= err <= max(cfg.abs_tol, cfg.rel_tol * abs(val))
 
 
+def mp_fraction(q):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.fractions(F(1, 4), 4, max_denominator=16),
+    st.fractions(-8, 8, max_denominator=6).filter(bool),
+    st.fractions(3, 15, max_denominator=8),
+    st.sampled_from((30, 50)),
+)
+def test_pole_fold_is_the_principal_value(s, c, x, digits):
+    # PV L[c/(1 - p/s)](x) = c s e^(-xs) Ei(xs)
+    val, err = laplace(pole_kernel(s, c), x, QuadratureConfig(precision=digits))
+    with mp.workdps(digits + 20):
+        s, c, x = map(mp_fraction, (s, c, x))
+        assert abs(val - c * s * mp.exp(-x * s) * mp.ei(x * s)) <= err
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.sampled_from(((F(1), F(3)), (F(1, 3), F(7, 3)))),
+    st.sampled_from((1, 8)),
+    st.fractions(3, 15, max_denominator=8),
+    st.sampled_from((30, 50)),
+)
+def test_pade_folds_at_both_poles(poles, c, x, digits):
+    # c/((1 - p/a)(1 - p/b)) = c A/(1 - p/a) + c B/(1 - p/b): one fold per pole
+    a, b = poles
+    pade = PadeKernel([F(c)], [F(1), -1 / a - 1 / b, 1 / (a * b)])
+    locations = [s.location for s in pade.singularities()]
+    assert len(locations) == 2 and all(abs(s - r) < F(1, 10**20) for s, r in zip(locations, poles))
+    val, err = laplace(pade, x, QuadratureConfig(precision=digits))
+    with mp.workdps(digits + 20):
+        a, b, x = map(mp_fraction, (a, b, x))
+        ref = sum(r * s * mp.exp(-x * s) * mp.ei(x * s) for r, s in ((1 / (1 - a / b), a), (1 / (1 - b / a), b)))
+        assert abs(val - c * ref) <= err
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.sampled_from(NAMED_SERIES),
+    st.fractions(-20, 20, max_denominator=12).filter(lambda c: c not in (0, 1)),
+    st.floats(4.5, 16, allow_nan=False),
+    st.sampled_from((30, 50)),
+)
+def test_a_multiple_sums_through_the_registered_kernel(name, c, x, digits):
+    # the Laplace transform is linear: c*#a integrates #a's own kernel once
+    # and scales its value and its error by c
+    entry = groups_of(ts_parse(f"{c}*#{name}"))[0].series.kernel
+    assert entry.kernel is named_series(name).kernel.kernel and entry.c == c
+    cfg = QuadratureConfig(precision=digits)
+    val, err = eb_sum(ts_parse(f"{c}*#{name}"), x, cfg)
+    one, one_err = eb_sum(ts_parse(f"#{name}"), x, cfg)
+    with mp.workdps(digits):
+        c = mp_fraction(c)
+        assert abs(val - c * one) <= 4 * mp.eps * abs(c * one)
+        assert err == abs(c) * one_err
+
+
 class CountingKernel:
     """Forwards to a kernel and counts its evaluations."""
 
@@ -243,7 +317,7 @@ class CountingKernel:
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
-        if name not in ("value", "lateral", "averaged", "usub_value"):
+        if name not in ("value", "lateral", "usub_value"):
             return attr
 
         def counted(*args):
@@ -428,31 +502,7 @@ class TestKernelProperties:
             p = mp.mpf(x)
             assume(fraction_horner(pade.den, p) != 0)
             for f in (pade, poly, CothKernel()):
-                assert f.averaged(p) == half_sum(f, p)
-
-    @PROPERTY
-    @given(big_rationals, pade_kernels(), st.sampled_from([15, 30, 60]), st.floats(0, 3, allow_nan=False))
-    def test_scaled_averaged_is_scaled_inner(self, c, pade, dps, x):
-        with mp.workdps(dps):
-            p = mp.mpf(x)
-            assume(fraction_horner(pade.den, p) != 0 and x != 1)
-            for inner in (pade, pole_kernel(1), sqrt_branch_kernel(1, F(1, 2)), log_kernel(1)):
-                scaled = ScaledKernel(c, inner)
-                assert scaled.averaged(p) == mp.mpf(c.numerator) / c.denominator * inner.averaged(p)
-            # for a single-valued inner it is still the half-sum of the laterals
-            assert ScaledKernel(c, pade).averaged(p) == half_sum(ScaledKernel(c, pade), p)
-
-    @PROPERTY
-    @given(pade_kernels(), DIGITS, st.fractions(0, 12, max_denominator=64))
-    def test_pv_residue_unchanged(self, k, digits, s):
-        for dps in digits:
-            with mp.workdps(dps):
-                k.value(mp.mpf(1) / 3)  # fills the converted coefficients at dps
-                at = mp.mpf(s.numerator) / s.denominator
-                dden = fraction_horner([(j + 1) * c for j, c in enumerate(k.den[1:])], at)
-                if dden == 0:
-                    continue
-                assert k.pv_residue(s) == fraction_horner(k.num, at) / dden * -1
+                assert f.value(p) == half_sum(f, p)
 
     def test_coth_value_is_closed_form_or_taylor(self):
         from tsr.coefficients import coth_kernel_coeff
@@ -468,4 +518,3 @@ class TestKernelProperties:
                 else:
                     ref = (p * mp.coth(p / 2) - 2) / (2 * p**2)
                 assert k.value(p) == ref
-                assert k.averaged(p) == ref

@@ -186,6 +186,27 @@ class TestExtend:
         with mp.workdps(50):
             assert abs(v - mp.ei(5)) < 1e-40
 
+    def test_mpf_point_is_the_exact_real_point(self):
+        # a finite mpf is dyadic, so it takes the Fraction path: the working
+        # precision of cfg, and exact values where the entry has them
+        cfg = QuadratureConfig(precision=40)
+        v = extend(catalog()["ei"], mp.mpf(3), cfg=cfg)
+        assert v == extend(catalog()["ei"], F(3), cfg=cfg)
+        assert v._mpf_[3] >= mp.libmp.dps_to_prec(40)  # mantissa bits
+        with mp.workdps(40):
+            assert abs(v - mp.ei(3)) <= mp.mpf(10) ** -38 * mp.ei(3)
+        for q in (F(2), F(-5, 4)):
+            exact = extend(catalog()["exp"], mp.mpf(q.numerator) / q.denominator)
+            assert isinstance(exact, SurrealValue)
+            assert exact.render(2) == extend(catalog()["exp"], q).render(2)
+        with pytest.raises(DomainError):
+            extend(catalog()["ei"], mp.mpf(-3))
+
+    @pytest.mark.parametrize("point", [mp.inf, -mp.inf, mp.nan, float("inf")])
+    def test_non_finite_real_point_is_a_domain_error(self, point):
+        with pytest.raises(DomainError):
+            extend(catalog()["ei"], point)
+
     def test_exp_exact_at_zero(self):
         v = extend(catalog()["exp"], F(0), 4)
         assert isinstance(v, SurrealValue)

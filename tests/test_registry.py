@@ -18,8 +18,8 @@ from tsr.resummation import (
     AiryKernel,
     ClosedFormKernel,
     CothKernel,
+    PadeKernel,
     QuadratureConfig,
-    ScaledKernel,
     borel_transform,
     eb_sum,
     pole_kernel,
@@ -94,12 +94,11 @@ def test_ts_antidiff_attaches_the_derived_kernel():
 
 
 def test_scaled_series_share_the_registered_kernel():
-    scaled = groups_of(ts_parse("3*#ei"))[0].series.kernel.kernel
-    assert (type(scaled), scaled.c) == (ScaledKernel, 3)
-    assert scaled.inner is named_series("ei").kernel.kernel
-    # multiples of one kernel merge into one scaled kernel
-    merged = groups_of(ts_parse("2*#stirling + 3*#stirling"))[0].series.kernel.kernel
-    assert (merged.c, merged.inner) == (5, named_series("stirling").kernel.kernel)
+    scaled = groups_of(ts_parse("3*#ei"))[0].series.kernel
+    assert scaled.kernel is named_series("ei").kernel.kernel and (scaled.m, scaled.c) == (0, 3)
+    # multiples of one kernel merge into one multiple of it
+    merged = groups_of(ts_parse("2*#stirling + 3*#stirling"))[0].series.kernel
+    assert merged.c == 5 and merged.kernel is named_series("stirling").kernel.kernel
     # a sum of different kernels and any other series operation drop the kernel
     assert groups_of(ts_parse("3*#ei - 1/2*#stirling"))[0].series.kernel is None
     assert groups_of(ts_parse("#ei*#ei"))[0].series.kernel is None
@@ -155,7 +154,9 @@ def test_combined_kernel_taylor_is_the_borel_transform(c, d, a, b):
     if a != b:
         assert series.kernel is None  # summed through a Pade fit
         return
-    assert series.kernel.kernel.taylor(20) == list(borel_transform(series, 20).coeffs)
+    entry = series.kernel
+    assert entry.kernel is named_series(a).kernel.kernel and entry.c == c + d
+    assert [entry.c * t for t in entry.kernel.taylor(20)] == list(borel_transform(series, 20).coeffs)
 
 
 def fresh_kernels():
@@ -164,8 +165,8 @@ def fresh_kernels():
         sqrt_branch_kernel(1, F(1, 2)),
         sqrt_branch_kernel(1, F(1, 2)).p_integral(1),
         CothKernel(),
-        ScaledKernel(F(7, 3), pole_kernel(1)),
-        ScaledKernel(F(-1, 2), CothKernel()),
+        pole_kernel(F(7, 3)).p_integral(1),
+        PadeKernel([F(1), F(1, 3)], [F(1), F(-1, 2), F(1, 5)]),
         AiryKernel(1),
         AiryKernel(-1),
     ]
@@ -178,13 +179,13 @@ def test_per_precision_constants_follow_the_precision(index):
     used = fresh_kernels()[index]
     with mp.workdps(30):
         for p in points:
-            used.averaged(p)
+            used.value(p)
             used.lateral(p, 1)
     with mp.workdps(50):
         fresh = fresh_kernels()[index]
         for p in points:
             p = mp.mpf(p)
-            assert used.averaged(p) == fresh.averaged(p)
+            assert used.value(p) == fresh.value(p)
             assert used.lateral(p, -1) == fresh.lateral(p, -1)
         if index < 3:
             for u in points[:3]:
