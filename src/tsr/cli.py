@@ -37,11 +37,19 @@ from .transseries import (
 )
 
 
+#: the common options' values where they are given neither before nor after the verb
+_DEFAULTS = {"terms": 8, "prec": None, "tol": 1e-10, "json": False}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--terms", type=int, default=8, help="series terms to print (default 8)")
-    common.add_argument("--prec", type=int, default=None, help="working decimal precision (default 50)")
-    common.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance target")
+    # the common options go before or after the verb and default to unset,
+    # so a verb's parser leaves one given before the verb alone; ``run``
+    # fills in _DEFAULTS (argparse shares a parent's actions, defaults
+    # included, with every parser built from it)
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--terms", type=int, help="series terms to print (default 8)")
+    common.add_argument("--prec", type=int, help="working decimal precision (default 50)")
+    common.add_argument("--tol", type=float, help="quadrature tolerance target")
     common.add_argument("--json", action="store_true", help="machine-readable output")
 
     ap = argparse.ArgumentParser(
@@ -75,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sum", "Ecalle-Borel sum a transseries (JSON or expression) at x")
     p.add_argument("transseries", help="expression, or @file.json / - for JSON input")
-    p.add_argument("x", type=float)
+    p.add_argument("x", help="a finite real number, such as 10, 2.5 or 1/3")
 
     point_help = "a real number, 'omega', or a normal form like 'w+3' or '-w'"
     p = add("eval", "evaluate a catalog function at a point")
@@ -108,6 +116,18 @@ def _point(text: str):
         return parse_nf(text)
 
 
+def _real(text: str) -> Fraction:
+    """A finite real number, exactly: an integer, a decimal or a ratio.  It
+    must lie within the range of a double, as the JSON output's value does."""
+    try:
+        x = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        x = None
+    if x is None or abs(x) > sys.float_info.max:
+        raise errors.DomainError(f"x must be a finite real number within the double range, got {text!r}")
+    return x
+
+
 def _config(ns) -> QuadratureConfig:
     prec = ns.prec
     if prec is None:
@@ -134,6 +154,8 @@ def _positional_points(argv: list[str]) -> list[str]:
 
 def run(argv=None) -> int:
     ns = build_parser().parse_args(_positional_points(sys.argv[1:] if argv is None else list(argv)))
+    for name, value in _DEFAULTS.items():
+        vars(ns).setdefault(name, value)
     cfg = _config(ns)
     try:
         return _dispatch(ns, cfg)
@@ -185,9 +207,13 @@ def _dispatch(ns, cfg: QuadratureConfig) -> int:
                 ts = ts_from_json(json.load(fh))
         else:
             ts = ts_parse(src)
-        val, err = eb_sum(ts, ns.x, cfg)
+        val, err = eb_sum(ts, _real(ns.x), cfg)
         payload = {"value": float(val), "error_estimate": float(err)}
-        _emit_value(ns, payload, f"{mp.nstr(val, _digits(cfg))}  (error <= {mp.nstr(err, 3)})")
+        text = mp.nstr(val, _digits(cfg))
+        # the printed bound covers the printed digits: err plus their rounding
+        with mp.workdps(cfg.precision + 10):
+            shown = err + abs(val - mp.mpf(text))
+        _emit_value(ns, payload, f"{text}  (error <= {_rounded_up(shown)})")
         return 0
 
     if verb == "eval":
@@ -230,6 +256,16 @@ def _entry(name: str):
     if name.startswith("monomial_"):
         return monomial_entry(int(name.split("_")[1]))
     raise errors.DomainError(f"unknown catalog entry {name!r}; see `tsr catalog`")
+
+
+def _rounded_up(err) -> str:
+    """err to three significant digits, rounded up, so a bound stays a bound."""
+    if not err:
+        return mp.nstr(err, 3)
+    q = Fraction(*mp.libmp.to_rational(err._mpf_))
+    e = int(mp.floor(mp.log10(err))) - 2  # 10^e is the third digit's unit, or one off
+    e += (q >= 1000 * Fraction(10) ** e) - (q < 100 * Fraction(10) ** e)
+    return mp.nstr(mp.mpf(f"{-(-q // Fraction(10) ** e)}e{e}"), 3)
 
 
 def _digits(cfg: QuadratureConfig) -> int:

@@ -32,7 +32,7 @@ from mpmath import libmp
 
 from ..coefficients import named_series, series_name
 from ..errors import DomainError
-from ..resummation import KernelEntry, QuadratureConfig, eb_sum, resolve_default
+from ..resummation import KernelEntry, QuadratureConfig, eb_sum, resolve_default, special
 from ..stream import Stream
 from ..transseries import (
     LogPart,
@@ -110,106 +110,26 @@ class CatalogFunction:
 # ``mpmath.libmp`` arithmetic at an explicit working precision, the caller's
 # ``mp.mp.prec`` plus guard bits, and round once to the caller's precision.
 # They never write the global precision and keep no memo, so threads may call
-# them at once.
+# them at once.  The Ei and erfi-integral series live in
+# ``tsr.resummation.special``, which the closed-form Laplace transforms share.
 
-_GUARD = 20  # bits above the caller's precision
 _RND = libmp.round_nearest
 
 
-def _mag(v) -> int:
-    """e with |v| < 2^e for a raw mpf; a very small number for zero."""
-    return v[2] + v[3] if v[1] else -(1 << 62)
-
-
-def _series(first, step, k, weight, wp):
-    """sum(p_j / weight(j), j >= k) with p_k = first and p_j = p_(j-1) * step / j.
-
-    The terms share one sign; the sum stops at the first term that no longer
-    changes it (each term past the peak is far below the previous one).
-    """
-    p = first
-    total = libmp.mpf_div(p, libmp.from_int(weight(k)), wp)
-    while True:
-        k += 1
-        p = libmp.mpf_div(libmp.mpf_mul(p, step, wp), libmp.from_int(k), wp)
-        new = libmp.mpf_add(total, libmp.mpf_div(p, libmp.from_int(weight(k)), wp), wp)
-        if new == total:
-            return total
-        total = new
-
-
 def ei_oracle(x):
-    """Ei(x) = gamma + ln x + sum(x^k / (k k!), k >= 1) for x > 0 (DLMF 6.6.1).
-
-    O(x) terms.  Near the zero of Ei (x = 0.3725...) the three parts cancel;
-    the sum is redone with as many more bits as the cancellation took.  Past
-    x = wp, the working bits, the asymptotic series takes over (see
-    ``_ei_asymptotic``), so the work stays bounded at any x.
-    """
+    """Ei(x) for x > 0 (DLMF 6.6.1, and 6.12.2 past the working bits)."""
     x = mp.mpf(x)
     if x <= 0:
         raise DomainError("Ei oracle implemented for x > 0")
-    prec, v = mp.mp.prec, x._mpf_
-    wp = prec + _GUARD
-    if x > wp:
-        return mp.make_mpf(libmp.mpf_pos(_ei_asymptotic(v, wp), prec, _RND))
-    while True:
-        parts = (libmp.mpf_euler(wp), libmp.mpf_log(v, wp), _series(v, v, 1, lambda k: k, wp))
-        out = libmp.mpf_add(libmp.mpf_add(parts[0], parts[1], wp), parts[2], wp)
-        lost = max(map(_mag, parts)) - _mag(out)
-        if wp - lost >= prec + _GUARD // 2:
-            return mp.make_mpf(libmp.mpf_pos(out, prec, _RND))
-        wp = prec + _GUARD + lost
-
-
-def _ei_asymptotic(v, wp):
-    """Ei(x) = e^x / x * sum(k! / x^k, k >= 0) for x > wp (DLMF 6.12.2).
-
-    The terms fall while k < x, to about e^-x sqrt(2 pi x) at k = x, which
-    for x > wp is far below 2^-wp; the sum stops at the first term below
-    2^-wp of it.
-    """
-    term = total = libmp.fone
-    k = 0
-    while _mag(term) > _mag(total) - wp:
-        k += 1
-        term = libmp.mpf_div(libmp.mpf_mul_int(term, k, wp), v, wp)
-        total = libmp.mpf_add(total, term, wp)
-    return libmp.mpf_div(libmp.mpf_mul(libmp.mpf_exp(v, wp), total, wp), v, wp)
+    prec = mp.mp.prec
+    return mp.make_mpf(libmp.mpf_pos(special.ei(x._mpf_, prec), prec, _RND))
 
 
 def erfi_integral_oracle(x):
-    """integral(e^(s^2), s = 0..x) = sum(x^(2k+1) / (k! (2k+1)), k >= 0) (DLMF 7.6.4).
-
-    Every term has the sign of x; O(x^2) terms.  Past x^2 = wp, the working
-    bits, the asymptotic series takes over (see ``_erfi_integral_asymptotic``),
-    so the work stays bounded at any x.
-    """
+    """integral(e^(s^2), s = 0..x) (DLMF 7.6.4, and 7.12 past the working bits)."""
     x = mp.mpf(x)
-    prec, v = mp.mp.prec, x._mpf_
-    wp = prec + _GUARD
-    x2 = libmp.mpf_mul(v, v)  # exact
-    if libmp.mpf_gt(x2, libmp.from_int(wp)):
-        return mp.make_mpf(libmp.mpf_pos(_erfi_integral_asymptotic(v, x2, wp), prec, _RND))
-    total = _series(v, libmp.mpf_mul(v, v, wp), 0, lambda k: 2 * k + 1, wp)
-    return mp.make_mpf(libmp.mpf_pos(total, prec, _RND))
-
-
-def _erfi_integral_asymptotic(v, x2, wp):
-    """e^(x^2) / (2x) * sum((2k-1)!! / (2x^2)^k, k >= 0) for x^2 = ``x2`` > wp,
-    x2 exact (Dawson's integral, DLMF 7.12).
-
-    The terms fall to about e^-(x^2) at k = x^2, far below 2^-wp; the sum
-    stops at the first term below 2^-wp of it.
-    """
-    two_x2 = libmp.mpf_shift(x2, 1)
-    term = total = libmp.fone
-    k = 0
-    while _mag(term) > _mag(total) - wp:
-        k += 1
-        term = libmp.mpf_div(libmp.mpf_mul_int(term, 2 * k - 1, wp), two_x2, wp)
-        total = libmp.mpf_add(total, term, wp)
-    return libmp.mpf_div(libmp.mpf_mul(libmp.mpf_exp(x2, wp), total, wp), libmp.mpf_shift(v, 1), wp)
+    prec = mp.mp.prec
+    return mp.make_mpf(libmp.mpf_pos(special.erfi_integral(x._mpf_, prec), prec, _RND))
 
 
 def _airy_series_step(y0, y1, z0, h, wp):
@@ -220,7 +140,7 @@ def _airy_series_step(y0, y1, z0, h, wp):
     |y0| + |h y1|; value and derivative are then summed by Horner.
     """
     lh = math.log2(h[1]) + h[2]  # log2 |h|
-    floor = max(_mag(y0), _mag(y1) + lh) - wp
+    floor = max(special.mag(y0), special.mag(y1) + lh) - wp
     c = [y0, y1]
     small = 0
     while small < 2:
@@ -228,7 +148,7 @@ def _airy_series_step(y0, y1, z0, h, wp):
         prev = c[n - 1] if n >= 1 else libmp.fzero
         nxt = libmp.mpf_add(libmp.mpf_mul(z0, c[n], wp), prev, wp)
         c.append(libmp.mpf_div(nxt, libmp.from_int((n + 1) * (n + 2)), wp))
-        small = small + 1 if _mag(c[-1]) + (n + 2) * lh < floor else 0
+        small = small + 1 if special.mag(c[-1]) + (n + 2) * lh < floor else 0
     val = dval = libmp.fzero
     for n in reversed(range(len(c))):
         val = libmp.mpf_add(libmp.mpf_mul(val, h, wp), c[n], wp)
@@ -258,7 +178,7 @@ def _airy_pair(kind: str, z):
     """
     z = mp.mpf(z)
     prec, target = mp.mp.prec, z._mpf_
-    wp = prec + _GUARD
+    wp = prec + special.GUARD
     if kind == "ai" and z > 0:
         wp += math.ceil(4 * float(z) ** 1.5 / (3 * math.log(2)))
     y, dy = _airy_at_zero(kind, wp)

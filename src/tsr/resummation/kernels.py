@@ -8,8 +8,10 @@ combinations of
 
     v^a (log v)^b,   v = 1 - p/s
 
-around a single positive singularity s, plus a polynomial; that family is
-closed under P, which is how pole kernels regularize to logs.
+around a single singularity s, plus a polynomial, with a in Z/2; that family
+is closed under P, which is how pole kernels regularize to logs, and each
+closed form sums its own Laplace transform exactly (``ClosedFormKernel.laplace``),
+so quadrature is left to the Pade, Binet and Airy kernels.
 
 A series carries its kernel as a :class:`KernelEntry` (kernel, m, c): its
 Borel transform is c times the kernel, so every rational multiple of a
@@ -28,6 +30,7 @@ import mpmath as mp
 from mpmath import libmp
 
 from ..errors import DegenerateTableError, NotRegularizableError, SingularPointError
+from . import special
 from .borel import BorelPoly, borel_transform, p_integrate_poly
 
 
@@ -35,7 +38,6 @@ from .borel import BorelPoly, borel_transform, p_integrate_poly
 class Singularity:
     location: Fraction
     kind: str  # "pole" | "branch" | "log"
-    exponent: Fraction = Fraction(-1)  # power of v for pole/branch; 0 for log
 
 
 class BorelFunction:
@@ -65,10 +67,6 @@ class BorelFunction:
     def p_integral(self, m: int = 1) -> "BorelFunction":
         raise NotRegularizableError(f"{type(self).__name__} has no P rule")
 
-    def usub_value(self, u):
-        """F(s - u^2) * 2u at an inverse-square-root branch point s."""
-        raise NotImplementedError(f"{type(self).__name__} has no branch points")
-
 
 @dataclass(frozen=True)
 class _Term:
@@ -80,8 +78,10 @@ class _Term:
 class ClosedFormKernel(BorelFunction):
     """sum(c * v^a * log(v)^b) + polynomial, v = 1 - p/s, one singularity s.
 
-    Integer and half-integer powers of v are integer powers of v or sqrt(v),
-    so a Laplace node costs no Fraction work and no mpf ** mpf.
+    Every a is an integer or a half-integer, and only integer powers carry
+    a log.  That family is closed under P; a node costs no Fraction work and
+    no mpf ** mpf, since v^a is an integer power of v or of sqrt(v); and its
+    Laplace transform is known in closed form (``laplace``).
     """
 
     def __init__(self, s: Fraction, terms: Sequence[tuple], poly: BorelPoly = BorelPoly(()), growth=(2.0, 1.0), name: str = ""):
@@ -89,8 +89,11 @@ class ClosedFormKernel(BorelFunction):
         if self.s == 0:
             raise ValueError("the reference point cannot be the origin")
         self.terms = tuple(_Term(Fraction(c), Fraction(a), int(b)) for c, a, b in terms)
-        if any(t.b not in (0, 1) for t in self.terms):
-            raise ValueError("only first powers of log are representable")
+        for t in self.terms:
+            if t.b not in (0, 1):
+                raise ValueError("only first powers of log are representable")
+            if t.a.denominator not in (1, 2) or (t.b and t.a.denominator != 1):
+                raise ValueError(f"v^{t.a} log(v)^{t.b}: exponents are in Z/2, and only integer ones take a log")
         self.poly = poly
         self.growth = growth
         self.name = name
@@ -102,22 +105,18 @@ class ClosedFormKernel(BorelFunction):
         s = _c2mp(self.s)
         terms = []
         for t in self.terms:
-            a, c = _c2mp(t.a), _c2mp(t.coef)
-            # usub: c v^a 2u = (2 c s^-a) u^(2a+1)
-            ucoef = 2 * c * _power(-t.a)(s)
-            terms.append((c, _power(t.a), mp.cospi(a), mp.sinpi(a), t.b, ucoef, _power(2 * t.a + 1)))
+            a = _c2mp(t.a)
+            terms.append((_c2mp(t.coef), _power(t.a), mp.cospi(a), mp.sinpi(a), t.b))
         return s, [_c2mp(c) for c in self.poly.coeffs], terms
 
     def singularities(self) -> list[Singularity]:
         if self.s < 0:
             return []  # v = 1 - p/s stays positive on the Laplace ray
         worst = min((t.a for t in self.terms if t.a < 0 or t.b), default=None)
-        if worst is None and not any(t.b for t in self.terms):
+        if worst is None:
             return []
-        if worst is not None and worst < 0:
-            kind = "pole" if worst.denominator == 1 else "branch"
-            return [Singularity(self.s, kind, worst)]
-        return [Singularity(self.s, "log", Fraction(0))]
+        kind = "log" if worst >= 0 else "pole" if worst.denominator == 1 else "branch"
+        return [Singularity(self.s, kind)]
 
     # -- values ---------------------------------------------------------------
 
@@ -130,7 +129,7 @@ class ClosedFormKernel(BorelFunction):
             return mp.mpc(self.value(p))
         logv = mp.mpc(mp.log(mag), -side * mp.pi)
         out = mp.mpc(_horner(poly, p))
-        for c, power, cos_a, sin_a, b, _, _ in terms:
+        for c, power, cos_a, sin_a, b in terms:
             term = c * power(mag) * mp.mpc(cos_a, -side * sin_a)
             out += term * logv if b else term
         return out
@@ -151,26 +150,135 @@ class ClosedFormKernel(BorelFunction):
         out = _horner(poly, p)
         if v > 0:
             logv = mp.log(v) if self._has_log else None
-            for c, power, _, _, b, _, _ in terms:
+            for c, power, _, _, b in terms:
                 term = c * power(v)
                 out += term * logv if b else term
             return out
         mag = -v
         logm = mp.log(mag) if self._has_log else None
-        for c, power, cos_a, sin_a, b, _, _ in terms:
+        for c, power, cos_a, sin_a, b in terms:
             base = c * power(mag)
             out += base * (cos_a * logm - mp.pi * sin_a) if b else base * cos_a
         return out
 
-    def usub_value(self, u):
-        """F(s - u^2) * 2u for the branch window substitution, cancellation-free."""
-        s, poly, terms = _at_prec(self._mp_consts, self._consts)
-        out = _horner(poly, s - u * u) * 2 * u
-        logv = mp.log(u * u / s) if self._has_log else None  # v = u^2/s on the approach side
-        for _, _, _, _, b, ucoef, upow in terms:
-            term = ucoef * upow(u)  # grouped to avoid 1/u blowup
-            out += term * logv if b else term
-        return out
+    def laplace(self, x, prec: int):
+        """integral(e^(-xp) F(p), p = 0..inf), F averaged past s, in closed form.
+
+        With L_a = L[v^a] and M_a = L[v^a log v] (Costin 2008, ch. 5; DLMF
+        6.6, 7.2, 8.8):
+
+        - the polynomial sums to sum(c_k k! / x^(k+1));
+        - L_-1 = s e^(-xs) Ei(xs), the principal value; for s < 0 the same
+          formula is |s| e^z E1(z), z = x|s|;
+        - L_-1/2 = 2 s e^(-xs) I(sqrt(xs)) / sqrt(xs), I(y) = integral(e^(t^2),
+          t = 0..y), for s > 0, where the average vanishes past s; for s < 0
+          it is |s| e^z sqrt(pi/z) erfc(sqrt(z));
+        - integration by parts steps every other exponent up from these:
+          L_(a+1) = (1 - (a+1)/s L_a) / x, L_0 = 1/x, and
+          M_(a+1) = -((a+1) M_a + L_a) / (s x), so M_0 = -L_-1 / (s x).
+
+        The sums run in raw interval arithmetic at wp bits, each special
+        function's value widened by a bound on its error, and wp grows until
+        the interval is below 2^-(prec+2) of its midpoint (the recurrence
+        and a cancelling combination of terms lose bits).  Returns (value,
+        error) as mpf: the midpoint rounded to ``prec`` bits, and a bound on
+        its distance from the transform with two units in its last place to
+        spare.  No context precision is read or set, so threads may call it
+        at once.
+        """
+        for t in self.terms:
+            if t.a < -1 or (t.a == -1 and t.b):
+                raise NotRegularizableError(f"v^{t.a} log(v)^{t.b} is not integrable; apply p_integrate first")
+        wp = prec + 32 + prec.bit_length()
+        for _ in range(3):
+            lo, hi = self._transform(x, wp)
+            mid = libmp.mpf_shift(libmp.mpf_add(lo, hi), -1)
+            rad = libmp.mpf_sub(hi, mid, 53, _UP)
+            short = special.mag(rad) - special.mag(mid) + prec + 2  # bits the interval is too wide by
+            if short <= 0:
+                break
+            wp += min(short, 4 * prec) + 16
+        val = libmp.mpf_pos(mid, prec, libmp.round_nearest)
+        err = libmp.mpf_add(rad, libmp.mpf_abs(libmp.mpf_sub(val, mid)), 53, _UP)
+        # and |val| 2^(2-prec), for the rounding of the rational multiple and
+        # the prefactor a caller applies at the same precision
+        err = libmp.mpf_add(err, libmp.mpf_shift(libmp.mpf_abs(val), 2 - prec), 53, _UP)
+        return mp.make_mpf(val), mp.make_mpf(err)
+
+    def _transform(self, x, wp: int) -> tuple:
+        """A raw interval at wp bits holding L[F](x) (see ``laplace``)."""
+        X, S = _interval(x, wp), _interval(self.s, wp)
+        Y = libmp.mpi_div(_ONE, X, wp)
+        YS = libmp.mpi_div(Y, S, wp)
+
+        def up(L, a1):  # L_(a+1) from L_a, a1 = a + 1
+            t = libmp.mpi_div(libmp.mpi_mul(_interval(a1, wp), L, wp), S, wp)
+            return libmp.mpi_mul(libmp.mpi_sub(_ONE, t, wp), Y, wp)
+
+        def up_log(M, L, a1):  # M_(a+1) from M_a and L_a
+            return libmp.mpi_neg(libmp.mpi_mul(libmp.mpi_add(libmp.mpi_mul(_interval(a1, wp), M, wp), L, wp), YS, wp))
+
+        total = _ZERO
+        for k in reversed(range(len(self.poly.coeffs))):
+            c = _interval(self.poly.coeffs[k] * math.factorial(k), wp)
+            total = libmp.mpi_mul(libmp.mpi_add(total, c, wp), Y, wp)
+        need = {(t.a, t.b) for t in self.terms}
+        have = {}
+        ints = [int(a) for a, _ in need if a.denominator == 1]
+        if ints:
+            L, M = Y, None
+            if (-1, 0) in need or self._has_log:
+                have[(-1, 0)] = base = self._base(-1, X, S, wp)
+                M = libmp.mpi_neg(libmp.mpi_mul(base, YS, wp))
+            for a in range(max(ints) + 1):
+                have[(a, 0)], have[(a, 1)] = L, M
+                if a < max(ints):
+                    L, M = up(L, a + 1), (M and up_log(M, L, a + 1))
+        halves = [a for a, _ in need if a.denominator == 2]
+        if halves:
+            a, L = Fraction(-1, 2), self._base(Fraction(-1, 2), X, S, wp)
+            while True:
+                have[(a, 0)] = L
+                if a == max(halves):
+                    break
+                L, a = up(L, a + 1), a + 1
+        for t in self.terms:
+            total = libmp.mpi_add(total, libmp.mpi_mul(_interval(t.coef, wp), have[(t.a, t.b)], wp), wp)
+        return total
+
+    def _base(self, a: Fraction, X, S, wp: int) -> tuple:
+        """An interval holding L_-1 or L_-1/2 (see ``laplace``).
+
+        The special function f is evaluated at the midpoint z of x|s|'s
+        interval, at wp + guard bits, and taken to be good to 2^(m - wp) of
+        itself, m = 4 + the bit length of wp: the series sum O(wp) terms at
+        20 guard bits.  For each base, |f'| <= (|f| + 1)(1 + 1/z), which
+        bounds the move to any other point of the interval.
+        """
+        zs = libmp.mpi_mul(X, libmp.mpi_abs(S), wp)
+        z = libmp.mpf_shift(libmp.mpf_add(*zs), -1)
+        wq = wp + special.GUARD
+        scale = libmp.mpi_abs(S)
+        if a == -1 and self.s > 0:
+            f = special.ei_scaled(z, wp)
+        elif a == -1:
+            f = libmp.mpf_mul(libmp.mpf_exp(z, wq), libmp.mpf_e1(z, wq), wq)
+        elif self.s > 0:
+            scale = libmp.mpi_mul((libmp.ftwo, libmp.ftwo), S)
+            f = special.erfi_integral_scaled(z, wp)
+        else:
+            wq += max(0, special.mag(z))  # erfc(sqrt(z)) moves by 2z times the rounding of sqrt(z)
+            root_pi_z = libmp.mpf_sqrt(libmp.mpf_div(libmp.mpf_pi(wq), z, wq), wq)
+            erfc = libmp.mpf_erfc(libmp.mpf_sqrt(z, wq), wq)
+            f = libmp.mpf_mul(libmp.mpf_mul(libmp.mpf_exp(z, wq), erfc, wq), root_pi_z, wq)
+        af = libmp.mpf_abs(f)
+        slope = libmp.mpf_mul(
+            libmp.mpf_add(af, libmp.fone, 53, _UP), libmp.mpf_add(libmp.fone, libmp.mpf_div(libmp.fone, zs[0], 53, _UP), 53, _UP), 53, _UP
+        )
+        moved = libmp.mpf_mul(slope, libmp.mpf_sub(zs[1], zs[0], 53, _UP), 53, _UP)
+        r = libmp.mpf_add(libmp.mpf_shift(af, 4 + wp.bit_length() - wp), moved, 53, _UP)
+        F = (libmp.mpf_sub(f, r, wp, libmp.round_floor), libmp.mpf_add(f, r, wp, libmp.round_ceiling))
+        return libmp.mpi_mul(scale, F, wp)
 
     def taylor(self, K: int) -> list[Fraction]:
         out = [self.poly.coeff(k) for k in range(K + 1)]
@@ -208,6 +316,21 @@ class ClosedFormKernel(BorelFunction):
         return out.p_integral(m - 1)
 
 
+_UP = libmp.round_up
+_ZERO = (libmp.fzero, libmp.fzero)
+_ONE = (libmp.fone, libmp.fone)
+
+
+def _interval(q, wp: int) -> tuple:
+    """A raw interval holding q (a Fraction, int, float or mpf): exact unless
+    q is a Fraction that is not a binary fraction of at most wp bits."""
+    if isinstance(q, Fraction):
+        n, d = q.numerator, q.denominator
+        return libmp.from_rational(n, d, wp, libmp.round_floor), libmp.from_rational(n, d, wp, libmp.round_ceiling)
+    v = q._mpf_ if hasattr(q, "_mpf_") else libmp.from_float(q) if isinstance(q, float) else libmp.from_int(q)
+    return v, v
+
+
 def _c2mp(q: Fraction):
     return mp.mpf(q.numerator) / q.denominator
 
@@ -228,11 +351,8 @@ def _power(a: Fraction) -> Callable:
     if a.denominator == 1:
         n = int(a)
         return lambda v: v**n
-    if a.denominator == 2:
-        n = int(2 * a)
-        return lambda v: mp.sqrt(v) ** n
-    a_mp = _c2mp(a)
-    return lambda v: v**a_mp
+    n = int(2 * a)
+    return lambda v: mp.sqrt(v) ** n
 
 
 def _vpow_taylor(a: Fraction, b: int, K: int) -> list[Fraction]:
@@ -289,7 +409,7 @@ class PadeKernel(BorelFunction):
     def singularities(self) -> list[Singularity]:
         # each pole exactly as found, to the precision of the first call
         poles = self.real_positive_poles()
-        return [Singularity(Fraction(*libmp.to_rational(p._mpf_)), "pole", Fraction(-1)) for p in poles]
+        return [Singularity(Fraction(*libmp.to_rational(p._mpf_)), "pole") for p in poles]
 
     def taylor(self, K: int) -> list[Fraction]:
         out: list[Fraction] = []
@@ -498,7 +618,7 @@ class AiryKernel(BorelFunction):
         self._tables: dict[int, tuple] = {}
 
     def singularities(self) -> list[Singularity]:
-        return [Singularity(Fraction(2), "log", Fraction(0))] if self.side > 0 else []
+        return [Singularity(Fraction(2), "log")] if self.side > 0 else []
 
     def taylor(self, K: int) -> list[Fraction]:
         out = [Fraction(1)]

@@ -1,30 +1,37 @@
 """Averaged Laplace transforms and Ecalle-Borel summation numerics.
 
-The Laplace integral of an averaged Borel function is evaluated over panels
+A closed-form kernel (``ClosedFormKernel``: the ``#ei`` pole, the ``#erfi``
+square-root branch, their P-integrals and every kernel ``ts_antidiff``
+derives) sums its own Laplace integral exactly, through Ei, erfi and erfc
+and integration by parts; its reported error is a bound on the rounding.
+
+Quadrature, with level-difference estimates, remains for the Pade, Airy and
+Binet (coth) kernels.  Their Laplace integrals are evaluated over panels
 whose edges sit at the kernel's singularities: a simple pole's symmetric
 window is the principal value, summed as the fold
 integrand(s - t) + integrand(s + t) over 0 < t < w, in which the pole's
-+-A/t terms cancel; inverse-square-root branch points get the u = sqrt(s-p)
-substitution on the approach side, log endpoints are left to tanh-sinh
-panels, and the far tail is bounded by the kernel's exponential growth
-constants.  The smooth spans between windows, and the u-substituted
-approach, are summed by a nested Clenshaw-Curtis rule: its levels have
-n = 2, 4, ..., 256 intervals, and each level keeps the integrand's values
-at the level below's nodes, its own even nodes.  A pole's fold is summed
-by Gauss-Legendre, whose nodes stay away from t = 0.  Working precision
-and tolerances come from :class:`QuadratureConfig`; window and panel sizes are fixed (``PV_WINDOW``,
-``_SPAN_PANELS``), because each panel refines itself to the tolerance, so
-they decide where the work goes, not how accurate the sum is.
++-A/t terms cancel; log endpoints are left to tanh-sinh panels, and the far
+tail is bounded by the kernel's exponential growth constants.  The smooth
+spans between windows are summed by a nested Clenshaw-Curtis rule: its
+levels have n = 2, 4, ..., 256 intervals, and each level keeps the
+integrand's values at the level below's nodes, its own even nodes.  A
+pole's fold is summed by Gauss-Legendre, whose nodes stay away from t = 0.
+Working precision and tolerances come from :class:`QuadratureConfig`;
+window and panel sizes are fixed (``PV_WINDOW``, ``_SPAN_PANELS``), because
+each panel refines itself to the tolerance, so they decide where the work
+goes, not how accurate the sum is.
 
-The absolute tolerance governs the work, not the working precision.  Each
-panel is summed by its rule at rising level until two successive levels
-differ by at most ``abs_tol/100``, or by
-the working precision's floor if that is coarser, and the tail is cut where
-its bound falls to ``abs_tol/10``.  The error reported with a value (the
-CLI's "(error <= E)"; its ``--tol T`` sets ``rel_tol = T`` and
-``abs_tol = T/100``) is the sum of those last level differences, one per
-panel, and the tail bound.  A level difference estimates a panel's error;
-it is not a proof, and the error of a Pade fit is not part of it.
+The absolute tolerance governs the quadrature's work, not the working
+precision.  Each panel is summed by its rule at rising level until two
+successive levels differ by at most ``abs_tol/100``, or by the working
+precision's floor if that is coarser, and the tail is cut where its bound
+falls to ``abs_tol/10``.  The error reported with a value (the CLI's
+"(error <= E)"; its ``--tol T`` sets ``rel_tol = T`` and
+``abs_tol = T/100``) is then the sum of those last level differences, one
+per panel, and the tail bound.  A level difference estimates a panel's
+error; it is not a proof, and the error of a Pade fit is not part of it.
+Either way a value whose error exceeds max(abs_tol, rel_tol |value|) raises
+``ToleranceNotMet``.
 
 ``eb_sum`` sums each series through the kernel it carries (the registered
 closed form of a ``#name``, see ``tsr.coefficients``, times the rational
@@ -50,7 +57,6 @@ from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 
 from ..errors import (
     GrowthBoundViolated,
-    NotRegularizableError,
     SingularPointError,
     ToleranceNotMet,
     TruncationBoundUnavailable,
@@ -106,14 +112,25 @@ def average_eval(f: BorelFunction, p, *, weights: WeightFamily = catalan_weight,
 
 
 def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, mp.mpf]:
-    """integral(e^(-xp) avg(f)(p), p = 0..inf) with an error estimate, summed
-    in one loop over the pieces ``_pieces`` lays out."""
+    """integral(e^(-xp) avg(f)(p), p = 0..inf) with an error estimate.
+
+    A kernel with a ``laplace(x, prec)`` method (the closed forms) sums
+    itself, and its error is a rounding bound; every other kernel is summed
+    in one loop over the pieces ``_pieces`` lays out.  The kernel is asked,
+    not its type checked, so a wrapper that forwards attributes takes the
+    same path.
+    """
     cfg = cfg or QuadratureConfig()
+    c1, c3 = f.growth
+    if _exact(x) <= Fraction(c3):
+        raise GrowthBoundViolated(f"need x > {c3}, got {x}")
+    closed = getattr(f, "laplace", None)
+    if closed is not None:
+        total, err = closed(x, libmp.dps_to_prec(cfg.precision))
+        return _within_tolerance(total, err, cfg)
     with mp.workdps(cfg.precision):
         x = _c2mp(x) if isinstance(x, Fraction) else mp.mpf(x)
-        c1, c3 = (mp.mpf(g) for g in f.growth)
-        if x <= c3:
-            raise GrowthBoundViolated(f"need x > {c3}, got {x}")
+        c1, c3 = mp.mpf(c1), mp.mpf(c3)
         abs_tol = mp.mpf(cfg.abs_tol)
 
         sings = sorted(f.singularities(), key=lambda s: s.location)
@@ -145,21 +162,32 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
 
         # exponential tail bound for p > T
         err += c1 * mp.exp(-(x - c3) * T) / (x - c3)
+        return _within_tolerance(total, err, cfg)
 
-        bound = max(abs_tol, mp.mpf(cfg.rel_tol) * abs(total))
-        if err > bound:
-            raise ToleranceNotMet(
-                f"achieved error {mp.nstr(err, 5)} above tolerance {mp.nstr(bound, 5)}",
-                achieved=float(err),
-            )
-        return total, err
+
+def _exact(x) -> Fraction:
+    """x (a Fraction, int, float or mpf) as an exact Fraction."""
+    return Fraction(*libmp.to_rational(x._mpf_)) if hasattr(x, "_mpf_") else Fraction(x)
+
+
+def _within_tolerance(total, err, cfg: QuadratureConfig) -> tuple:
+    """(total, err), unless err exceeds max(abs_tol, rel_tol |total|), which
+    raises ToleranceNotMet; the comparison is exact."""
+    rel = libmp.mpf_mul(libmp.from_float(cfg.rel_tol), libmp.mpf_abs(total._mpf_))
+    if libmp.mpf_gt(err._mpf_, libmp.from_float(cfg.abs_tol)) and libmp.mpf_gt(err._mpf_, rel):
+        raise ToleranceNotMet(
+            f"achieved error {mp.nstr(err, 5)} above tolerance {mp.nstr(max(cfg.abs_tol, cfg.rel_tol * abs(total)), 5)}",
+            achieved=float(err),
+        )
+    return total, err
 
 
 def _pieces(f: BorelFunction, x, sings, locs, w, T):
     """The (integrand, panel edges, rule) pieces of a Laplace integral, in
     the order they are summed: the smooth spans between windows, then each
     singularity's window.  Each is built only when the one before has been
-    summed, so the first piece to fail is the one that raises."""
+    summed, so the first piece to fail is the one that raises.  A pole's
+    window is one fold; a log point's two halves go to tanh-sinh."""
     integrand = lambda p: mp.exp(-x * p) * f.value(p)
     edges = [mp.mpf(0)] + [e for loc in locs for e in (loc - w, loc + w)] + [T]
     for a, b in zip(edges[::2], edges[1::2]):
@@ -173,20 +201,8 @@ def _pieces(f: BorelFunction, x, sings, locs, w, T):
             fold = lambda t, loc=loc: integrand(loc - t) + integrand(loc + t)
             yield fold, [0, w], "gauss-legendre"
             continue
-        lo, hi = loc - w, loc + w
-        branch = s.kind == "branch"
-        if branch and s.exponent <= -1:
-            raise NotRegularizableError(f"branch exponent {s.exponent} is not integrable; apply p_integrate first")
-        if branch and s.exponent == Fraction(-1, 2):
-            # u = sqrt(s - p) removes the singularity exactly
-            left = lambda u, loc=loc: mp.exp(-x * (loc - u * u)) * f.usub_value(u)
-            # analytic in u; Clenshaw-Curtis evaluates u = 0 (p = loc), so a
-            # kernel whose usub_value is not finite there keeps tanh-sinh
-            rule = "clenshaw-curtis" if mp.isfinite(f.usub_value(0)) else "tanh-sinh"
-            yield left, [0, mp.sqrt(loc - lo)], rule
-        else:  # other branches and log endpoints: tanh-sinh handles them
-            yield integrand, [lo, loc], "tanh-sinh"
-        yield integrand, [loc, hi], "tanh-sinh"
+        yield integrand, [loc - w, loc], "tanh-sinh"
+        yield integrand, [loc, loc + w], "tanh-sinh"
 
 
 def _split_span(a, b):
@@ -373,7 +389,7 @@ def eb_sum(
     """
     cfg = cfg or QuadratureConfig()
     with mp.workdps(cfg.precision):
-        x = mp.mpf(x)
+        x = _c2mp(x) if isinstance(x, Fraction) else mp.mpf(x)
         total = mp.mpf(0)
         err = mp.mpf(0)
 
@@ -415,8 +431,13 @@ def eb_sum(
             kernel = entry.kernel.p_integral(entry.m) if entry.m else entry.kernel
             val, lerr = laplace(kernel, x, cfg)
             scale = _c2mp(entry.c) * x**entry.m
-            total += pre * (scale * val)
+            term = pre * (scale * val)
+            total += term
             err += abs(pre) * (abs(scale) * lerr)
+            if getattr(kernel, "laplace", None) is not None:
+                # a closed form's error is a rounding bound, so it also takes
+                # the move of e^(mu x) when x is off by a rounding
+                err += abs(term) * abs(_c2mp(grp.mu) * x) * mp.eps
         return total, err
 
 

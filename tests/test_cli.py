@@ -318,6 +318,48 @@ class TestConfig:
         assert abs(json.loads(out)["value"] - 440.37989953) < 1e-5
 
 
+class TestOptionsBeforeTheVerb:
+    def test_precision(self, cli):
+        assert cli("--prec", "10", "eval", "ei", "3")[1] == "9.933832571\n"
+
+    def test_json(self, cli):
+        code, out, _ = cli("--json", "sum", "#ei", "10")
+        assert code == 0 and abs(json.loads(out)["value"] - 0.11314702047341078) < 1e-15
+
+    def test_terms(self, cli):
+        assert cli("--terms", "2", "parse", "#ei")[1] == "1/x + 1/x^2 + ...\n"
+
+    def test_the_option_after_the_verb_wins(self, cli):
+        value = cli("--prec", "10", "sum", "#ei", "10", "--prec", "15")[1].split()[0]
+        assert value == "0.113147020473411"
+
+
+class TestSumPoint:
+    def test_a_ratio_is_exact(self, cli):
+        import mpmath as mp
+
+        code, out, _ = cli("sum", "#ei", "1/3", "--prec", "30")
+        value, err = out.split("  (error <= ")
+        with mp.workdps(60):
+            x = mp.mpf(1) / 3
+            assert abs(mp.mpf(value) - mp.exp(-x) * mp.ei(x)) <= mp.mpf(err.rstrip(")\n"))
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "1e400"])
+    def test_a_point_that_is_not_a_finite_double_is_refused(self, cli, x):
+        code, out, err = cli("sum", "#ei", x)
+        assert code == 1 and out == "" and "DomainError" in err
+
+    @pytest.mark.parametrize("digits", ["10", "11", "15"])
+    def test_the_printed_value_is_within_the_printed_error(self, cli, digits):
+        # the bound covers the rounding to the printed digits as well
+        import mpmath as mp
+
+        code, out, _ = cli("sum", "#ei", "10", "--prec", digits)
+        value, err = out.split("  (error <= ")
+        with mp.workdps(40):
+            assert abs(mp.mpf(value) - mp.exp(-10) * mp.ei(10)) <= mp.mpf(err.rstrip(")\n"))
+
+
 class TestGoldenStability:
     def run_suite(self, cli) -> str:
         lines = []

@@ -270,3 +270,24 @@ def test_catalog_is_built_once_under_threads(monkeypatch):
         assert all(r is reg for r in registries)
         # the stored antiderivatives look the registry up again: the same one
         assert antidiff_no(reg["exp"]) is reg["exp"]
+
+
+def test_closed_form_laplace_bit_identical_from_16_threads():
+    # pole, square-root branch, log and derived kernels at two points and
+    # three precisions: each thread takes every case, from a different
+    # start, and no precision leaks between threads, ten rounds in a row
+    from tsr.resummation import QuadratureConfig, laplace, log_kernel, pole_kernel, sqrt_branch_kernel
+    from tsr.transseries import groups_of
+
+    # the kernels ts_antidiff derives: a pole at -1, and log(1 - p/2) plus a polynomial
+    derived = [groups_of(ts_antidiff(ts_parse(e)))[0].series.kernel.kernel for e in ("exp(-x)/x", "x*exp(2*x)*series![1, 2, 3]")]
+    kernels = [pole_kernel(1), sqrt_branch_kernel(1), log_kernel(1), sqrt_branch_kernel(1).p_integral(1), *derived]
+    cases = [(k, x, QuadratureConfig(precision=d)) for k in kernels for x in (3, 7) for d in (20, 40, 80)]
+
+    def raw(k: int) -> list:
+        out = {i: laplace(*cases[i]) for i in [*range(k, len(cases)), *range(k)]}
+        return [(v._mpf_, e._mpf_) for v, e in (out[i] for i in range(len(cases)))]
+
+    serial = raw(0)
+    for _ in range(10):
+        assert all(r == serial for r in _pull_together(raw, workers=16))

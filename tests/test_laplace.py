@@ -317,7 +317,7 @@ class CountingKernel:
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
-        if name not in ("value", "lateral", "usub_value"):
+        if name not in ("value", "lateral"):
             return attr
 
         def counted(*args):
@@ -327,18 +327,34 @@ class CountingKernel:
         return counted
 
 
-@pytest.mark.parametrize("name", ["ei", "erfi", "stirling"])
-def test_work_does_not_grow_with_the_precision(monkeypatch, name):
-    # the panels stop at the tolerance, so 100 digits cost about what 30 do
+def counted_evaluations(monkeypatch, run) -> int:
+    """The kernel evaluations ``laplace`` makes while run() runs."""
     plain = _laplace_mod.laplace
     counter = [0]
     monkeypatch.setattr(_laplace_mod, "laplace", lambda f, *a: plain(CountingKernel(f, counter), *a))
-    evals = {}
-    for digits in (30, 100):
-        counter[0] = 0
-        eb_sum(ts_parse(f"#{name}"), 10, QuadratureConfig(precision=digits))
-        evals[digits] = counter[0]
-    assert evals[100] <= 1.5 * evals[30]
+    run()
+    monkeypatch.setattr(_laplace_mod, "laplace", plain)
+    return counter[0]
+
+
+@pytest.mark.parametrize("name", ["airy_u", "airy_u_alt", "stirling"])
+def test_work_does_not_grow_with_the_precision(monkeypatch, name):
+    # the quadrature's panels stop at the tolerance, so 100 digits cost about
+    # what 30 do
+    evals = {
+        digits: counted_evaluations(monkeypatch, lambda: eb_sum(ts_parse(f"#{name}"), 10, QuadratureConfig(precision=digits)))
+        for digits in (30, 100)
+    }
+    assert 0 < evals[100] <= 1.5 * evals[30]
+
+
+@pytest.mark.parametrize("expr", ["#ei", "-3/7*#erfi", "exp(x)/x", "exp(-x)/x", "x*exp(2*x)*series![1, 2, 3]"])
+def test_closed_form_kernels_evaluate_no_node(monkeypatch, expr):
+    # #ei, #erfi and the kernels ts_antidiff derives (a pole at 1 taken at
+    # m = 1, a pole at -1, a log at 2) sum their Laplace integrals in closed form
+    ts = ts_parse(expr) if "#" in expr else ts_antidiff(ts_parse(expr))
+    assert all(isinstance(g.series.kernel.kernel, ClosedFormKernel) for g in groups_of(ts))
+    assert counted_evaluations(monkeypatch, lambda: eb_sum(ts, 7, QuadratureConfig(precision=40))) == 0
 
 
 def test_erfi_integral_at_high_precision_meets_its_tolerance():
@@ -378,27 +394,65 @@ def test_catalog_value_is_within_its_reported_error(name, x, digits):
         assert abs(val - CATALOG_REFS[name](mp.mpf(x))) <= err
 
 
-@pytest.mark.parametrize("name, x, parent", [("ei", 5, 642), ("erfi_integral", 9.7, 421), ("loggamma", 3, 812)])
+@pytest.mark.parametrize("name, x, parent", [("airy_ai", 3, 847), ("airy_bi", 8, 422), ("loggamma", 3, 812)])
 def test_spans_take_half_the_kernel_evaluations(monkeypatch, name, x, parent):
     # parent: the count when tanh-sinh summed the smooth spans; the nested
-    # Clenshaw-Curtis panels make 248, 180 and 190 evaluations
-    plain = _laplace_mod.laplace
-    counter = [0]
-    monkeypatch.setattr(_laplace_mod, "laplace", lambda f, *a: plain(CountingKernel(f, counter), *a))
-    catalog()[name].eb_value(x, QuadratureConfig(precision=50))
-    assert counter[0] <= parent / 2
+    # Clenshaw-Curtis panels make 201, 178 and 190 evaluations
+    run = lambda: catalog()[name].eb_value(x, QuadratureConfig(precision=50))
+    assert 0 < counted_evaluations(monkeypatch, run) <= parent / 2
 
 
-def test_kernel_infinite_at_the_branch_point_keeps_tanh_sinh():
-    # (1-p)^(-1/2)/2 + log(1-p): its usub_value takes log 0 at u = 0, which
-    # a Clenshaw-Curtis panel would evaluate, so that piece stays on tanh-sinh
+def test_kernel_infinite_at_the_branch_point_sums_in_closed_form():
+    # (1-p)^(-1/2)/2 + log(1-p), infinite at p = 1 in both terms, which a
+    # quadrature could not evaluate there: the closed form adds the terms'
+    # own transforms
     kernel = ClosedFormKernel(F(1), [(F(1, 2), F(-1, 2), 0), (F(1), F(0), 1)], growth=(4.0, 0.25))
-    assert not mp.isfinite(kernel.usub_value(mp.mpf(0)))
     val, err = laplace(kernel, 3, QuadratureConfig(precision=30))
     with mp.workdps(60):
         x = mp.mpf(3)
         ref = mp.exp(-x) * (mp.sqrt(mp.pi / x) / 2 * mp.erfi(mp.sqrt(x)) - mp.ei(x) / x)
         assert abs(val - ref) <= err
+
+
+def averaged_power_transform(s, a, b, x):
+    """L[v^a log(v)^b](x), v = 1 - p/s, the average past s, from mpmath's
+    Ei, erfi, erfc, incomplete gamma and Kummer functions at the working
+    precision; the log is the derivative in a."""
+    z = x * abs(s)
+    if a == -1 and s > 0:
+        return s * mp.exp(-z) * mp.ei(z)
+    if a == -1:
+        return abs(s) * mp.exp(z) * mp.gammainc(0, z)  # E1
+    if a == -mp.mpf(1) / 2 and s > 0:
+        return 2 * s * mp.exp(-z) * mp.sqrt(mp.pi) / 2 * mp.erfi(mp.sqrt(z)) / mp.sqrt(z)
+    if a == -mp.mpf(1) / 2:
+        return abs(s) * mp.exp(z) * mp.sqrt(mp.pi / z) * mp.erfc(mp.sqrt(z))
+    if s < 0:  # |s| e^z z^(-a-1) Gamma(a+1, z)
+        G = lambda a: abs(s) * mp.exp(z) * z ** (-a - 1) * mp.gammainc(a + 1, z)
+    else:  # below s, integral(e^(zu) u^a, u = 0..1) = 1F1(a+1; a+2; z)/(a+1); the average past it
+        G = lambda a: s * mp.exp(-z) * (mp.hyp1f1(a + 1, a + 2, z) / (a + 1) + mp.cospi(a) * mp.gamma(a + 1) * z ** (-a - 1))
+    return mp.diff(G, a) if b else G(a)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.fractions(F(1, 8), 40, max_denominator=8),
+    st.booleans(),
+    st.integers(-2, 10).map(lambda n: F(n, 2)),
+    st.sampled_from((0, 1)),
+    st.fractions(0, 60, max_denominator=16),
+    st.integers(15, 120),
+)
+def test_closed_form_matches_mpmath(s, decaying, a, b, dx, digits):
+    # every exponent the family takes, a sign of s each way, and x past c3
+    assume(not b or (a.denominator == 1 and a >= 0))
+    s = -s if decaying else s
+    kernel = ClosedFormKernel(s, [(F(1), a, b)], growth=(1.0, 0.25))
+    x = F(1, 4) + F(1, 64) + dx
+    val, err = laplace(kernel, x, QuadratureConfig(precision=digits))
+    with mp.workdps(digits + 30):
+        ref = averaged_power_transform(mp_fraction(s), mp_fraction(a), b, mp_fraction(x))
+        assert abs(val - ref) <= err <= abs(ref) * mp.ldexp(1, 3 - mp.libmp.dps_to_prec(digits))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -426,9 +480,12 @@ def test_laplace_leaves_mpmath_node_caches_alone():
     rules = (mp.mp._tanh_sinh, mp.mp._gauss_legendre)
     sizes = [(len(r.interval_count), len(r.transformed_cache)) for r in rules]
     cfg = QuadratureConfig(precision=15)
+    pade = PadeKernel([F(1)], [F(1), F(-1)])
     for i in range(50):
-        # #ei has a Gauss-Legendre PV window, #stirling only tanh-sinh panels
-        eb_sum(ts_parse("#stirling" if i % 2 else "#ei"), 5 + mp.mpf(i) / 7, cfg)
+        # a Pade pole has a Gauss-Legendre PV window, #airy_u a log point
+        # between tanh-sinh panels
+        x = 5 + mp.mpf(i) / 7
+        laplace(pade, x, cfg) if i % 2 else eb_sum(ts_parse("#airy_u"), x, cfg)
     assert [(len(r.interval_count), len(r.transformed_cache)) for r in rules] == sizes
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from tsr.cli import run
 from tsr.operators.catalog import (
-    _GUARD,
     airy_ai_oracle,
     airy_bi_oracle,
     catalog,
@@ -19,6 +18,7 @@ from tsr.operators.catalog import (
     erfi_integral_oracle,
     gamma_oracle,
 )
+from tsr.resummation.special import GUARD
 
 #: (digits, extra bits): the extra bits are the precisions a nested mp.quad
 #: integrand runs at, 20 bits per level
@@ -99,7 +99,7 @@ def test_erfi_integral_oracle_past_the_working_bits(dps):
     # beyond x^2 = working bits the oracle sums the asymptotic series; the
     # first point lies just past that switch
     with mp.workdps(dps):
-        switch = mp.sqrt(mp.mp.prec + _GUARD)
+        switch = mp.sqrt(mp.mp.prec + GUARD)
         for x in (switch + mp.mpf(1) / 1000, 20, -20, 100, 1000, -1000):
             x = mp.mpf(x)
             ref = _reference(lambda s: mp.sqrt(mp.pi) / 2 * mp.erfi(s), x)
