@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -208,12 +209,14 @@ def _dispatch(ns, cfg: QuadratureConfig) -> int:
         else:
             ts = ts_parse(src)
         val, err = eb_sum(ts, _real(ns.x), cfg)
-        payload = {"value": float(val), "error_estimate": float(err)}
         text = mp.nstr(val, _digits(cfg))
-        # the printed bound covers the printed digits: err plus their rounding
+        # each emitted bound covers the value emitted with it: err plus the
+        # rounding to the printed digits, or to the JSON double
         with mp.workdps(cfg.precision + 10):
-            shown = err + abs(val - mp.mpf(text))
-        _emit_value(ns, payload, f"{text}  (error <= {_rounded_up(shown)})")
+            shown = _rounded_up(err + abs(val - mp.mpf(text)))
+            bound = _rounded_up(err + abs(val - float(val)))
+        payload = {"value": float(val), "error_estimate": _float_up(Fraction(bound))}
+        _emit_value(ns, payload, f"{text}  (error <= {shown})")
         return 0
 
     if verb == "eval":
@@ -266,6 +269,12 @@ def _rounded_up(err) -> str:
     e = int(mp.floor(mp.log10(err))) - 2  # 10^e is the third digit's unit, or one off
     e += (q >= 1000 * Fraction(10) ** e) - (q < 100 * Fraction(10) ** e)
     return mp.nstr(mp.mpf(f"{-(-q // Fraction(10) ** e)}e{e}"), 3)
+
+
+def _float_up(q: Fraction) -> float:
+    """The least double not below q."""
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
 def _digits(cfg: QuadratureConfig) -> int:

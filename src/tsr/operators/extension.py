@@ -220,8 +220,10 @@ def exp_lazy_infinitesimal(z: LazyNF) -> LazyNF:
 def antidiff_no(f: CatalogFunction) -> CatalogFunction:
     """A_No f: the antiderivative entry with zero constant at infinity.
 
-    Raises ``UnsupportedPointError`` for an entry with neither a stored
-    antiderivative nor a transseries to antidifferentiate (gamma).
+    Without a stored antiderivative, its value at a real point is the Borel
+    sum of the antiderivative transseries.  Raises ``UnsupportedPointError``
+    for an entry with neither a stored antiderivative nor a transseries to
+    antidifferentiate (gamma).
     """
     if f.antiderivative is not None:
         return f.antiderivative()
@@ -230,15 +232,11 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
             f"antidifferentiation of {f.name} needs a stored antiderivative (critical time change)"
         )
     anti_ts = ts_antidiff(transseriate(f))  # its series carry their derived kernels
-    decaying = not f.transseries.plus.terms and f.transseries.log.is_zero()
 
-    def oracle(x, f=f):
-        # zero constant at infinity: -integral(x..oo) when it converges,
-        # resummation assembly otherwise
-        x = mp.mpf(x)
-        if decaying:
-            return -mp.quad(lambda s: f.oracle(s), [x, mp.inf])
-        val, _ = anti_entry.eb_value(x)
+    def oracle(x):
+        # zero constant at infinity: the Borel sum of the antiderivative
+        # transseries, at the working precision
+        val, _ = anti_entry.eb_value(mp.mpf(x), QuadratureConfig(precision=mp.mp.dps))
         return val
 
     anti_entry = CatalogFunction(

@@ -27,7 +27,6 @@ from .kernels import (
 from .laplace import (
     QuadratureConfig,
     WatsonReport,
-    average_eval,
     eb_sum,
     laplace,
     quad_interval,
@@ -72,7 +71,6 @@ __all__ = [
     "KernelEntry",
     "QuadratureConfig",
     "WatsonReport",
-    "average_eval",
     "eb_sum",
     "laplace",
     "quad_interval",

@@ -1,22 +1,21 @@
 """Borel-plane functions: closed-form kernels, the Binet and Airy kernels, Pade approximants.
 
-A kernel provides exact small-p Taylor coefficients, lateral values above
-and below the positive axis, its value (the half-sum of the laterals, which
-the Laplace machinery integrates), and, where a rule exists, its
-antiderivative from 0 (the P operator).  Closed forms are linear
-combinations of
+Every kernel provides exact small-p Taylor coefficients, growth constants
+and, where a rule exists, its antiderivative from 0 (the P operator).
+Closed forms are linear combinations of
 
     v^a (log v)^b,   v = 1 - p/s
 
 around a single singularity s, plus a polynomial, with a in Z/2; that family
 is closed under P, which is how pole kernels regularize to logs, and each
-closed form sums its own Laplace transform exactly (``ClosedFormKernel.laplace``),
-so quadrature is left to the Pade, Binet and Airy kernels.
+closed form sums its own Laplace transform exactly (``ClosedFormKernel.laplace``)
+without a value at any point.  The Pade, Binet and Airy kernels are summed
+by quadrature: they give their value on the ray and their singularities, and
+keep the mpf constants a node needs once per working precision.
 
 A series carries its kernel as a :class:`KernelEntry` (kernel, m, c): its
 Borel transform is c times the kernel, so every rational multiple of a
-registered series shares the registered kernel object.  Kernels keep the
-mpf constants a Laplace node needs once per working precision.
+registered series shares the registered kernel object.
 """
 
 from __future__ import annotations
@@ -37,16 +36,19 @@ from .borel import BorelPoly, borel_transform, p_integrate_poly
 @dataclass(frozen=True)
 class Singularity:
     location: Fraction
-    kind: str  # "pole" | "branch" | "log"
+    kind: str  # "pole" | "log"
 
 
 class BorelFunction:
-    """Interface shared by every Borel-plane representation."""
+    """Interface shared by every Borel-plane representation: ``growth`` and
+    ``taylor``; a closed form adds ``laplace(x, prec)``, a quadrature kernel
+    ``value`` and ``singularities``."""
 
-    #: (c1, c3) with |F| <= c1 exp(c3 p) laterally; c3 bounds the Laplace domain
+    #: (c1, c3) with |F| <= c1 exp(c3 p) far out; c3 bounds the Laplace domain
     growth: tuple[float, float] = (1.0, 0.0)
 
     def singularities(self) -> list[Singularity]:
+        """The points on the positive axis a quadrature sum splits at."""
         return []
 
     def taylor(self, K: int) -> list[Fraction]:
@@ -56,13 +58,8 @@ class BorelFunction:
     def value(self, p):
         """The real value off the singularities: the half-sum of the lateral
         continuations (the single-ray average), which is the plain value
-        wherever the kernel is single-valued.  Kernels with a cut override
-        ``lateral`` as well."""
+        wherever the kernel is single-valued."""
         raise NotImplementedError
-
-    def lateral(self, p, side: int):
-        """Continuation at p +- i0 (side = +1 above, -1 below)."""
-        return mp.mpc(self.value(p))
 
     def p_integral(self, m: int = 1) -> "BorelFunction":
         raise NotRegularizableError(f"{type(self).__name__} has no P rule")
@@ -79,9 +76,8 @@ class ClosedFormKernel(BorelFunction):
     """sum(c * v^a * log(v)^b) + polynomial, v = 1 - p/s, one singularity s.
 
     Every a is an integer or a half-integer, and only integer powers carry
-    a log.  That family is closed under P; a node costs no Fraction work and
-    no mpf ** mpf, since v^a is an integer power of v or of sqrt(v); and its
-    Laplace transform is known in closed form (``laplace``).
+    a log.  That family is closed under P, and its Laplace transform is
+    known in closed form (``laplace``).
     """
 
     def __init__(self, s: Fraction, terms: Sequence[tuple], poly: BorelPoly = BorelPoly(()), growth=(2.0, 1.0), name: str = ""):
@@ -98,68 +94,6 @@ class ClosedFormKernel(BorelFunction):
         self.growth = growth
         self.name = name
         self._has_log = any(t.b for t in self.terms)
-        self._mp_consts: dict[int, tuple] = {}
-
-    def _consts(self) -> tuple:
-        """(s, polynomial coefficients, per-term constants) as mpf."""
-        s = _c2mp(self.s)
-        terms = []
-        for t in self.terms:
-            a = _c2mp(t.a)
-            terms.append((_c2mp(t.coef), _power(t.a), mp.cospi(a), mp.sinpi(a), t.b))
-        return s, [_c2mp(c) for c in self.poly.coeffs], terms
-
-    def singularities(self) -> list[Singularity]:
-        if self.s < 0:
-            return []  # v = 1 - p/s stays positive on the Laplace ray
-        worst = min((t.a for t in self.terms if t.a < 0 or t.b), default=None)
-        if worst is None:
-            return []
-        kind = "log" if worst >= 0 else "pole" if worst.denominator == 1 else "branch"
-        return [Singularity(self.s, kind)]
-
-    # -- values ---------------------------------------------------------------
-
-    def lateral(self, p, side: int):
-        """v < 0 continuation: arg v = -side * pi (p + i0 pushes v below its cut)."""
-        s, poly, terms = _at_prec(self._mp_consts, self._consts)
-        p = mp.mpf(p)
-        mag = p / s - 1
-        if mag <= 0:
-            return mp.mpc(self.value(p))
-        logv = mp.mpc(mp.log(mag), -side * mp.pi)
-        out = mp.mpc(_horner(poly, p))
-        for c, power, cos_a, sin_a, b in terms:
-            term = c * power(mag) * mp.mpc(cos_a, -side * sin_a)
-            out += term * logv if b else term
-        return out
-
-    def value(self, p):
-        """The value below s; beyond it the closed-form half-sum of the laterals.
-
-        The half-sum's cos(pi a)/sin(pi a) weights are exact: evaluating
-        Re((hi+lo)/2) numerically would multiply huge |v|^a values by a
-        rounded cos(pi a), while cospi/sinpi keep vanishing averages
-        (a = -1/2) exactly zero.
-        """
-        s, poly, terms = _at_prec(self._mp_consts, self._consts)
-        p = mp.mpf(p)
-        v = 1 - p / s
-        if v == 0:
-            raise SingularPointError(f"evaluation at the singularity p = {self.s}")
-        out = _horner(poly, p)
-        if v > 0:
-            logv = mp.log(v) if self._has_log else None
-            for c, power, _, _, b in terms:
-                term = c * power(v)
-                out += term * logv if b else term
-            return out
-        mag = -v
-        logm = mp.log(mag) if self._has_log else None
-        for c, power, cos_a, sin_a, b in terms:
-            base = c * power(mag)
-            out += base * (cos_a * logm - mp.pi * sin_a) if b else base * cos_a
-        return out
 
     def laplace(self, x, prec: int):
         """integral(e^(-xp) F(p), p = 0..inf), F averaged past s, in closed form.
@@ -345,16 +279,6 @@ def _at_prec(cache: dict, build: Callable):
     return out
 
 
-def _power(a: Fraction) -> Callable:
-    """v -> v^a at the working precision: an integer power of v for integer
-    a, of sqrt(v) for half-integer a."""
-    if a.denominator == 1:
-        n = int(a)
-        return lambda v: v**n
-    n = int(2 * a)
-    return lambda v: mp.sqrt(v) ** n
-
-
 def _vpow_taylor(a: Fraction, b: int, K: int) -> list[Fraction]:
     """Exact Taylor of w -> (1-w)^a log(1-w)^b in powers of w."""
     binom = [Fraction(1)]
@@ -388,7 +312,7 @@ class PadeKernel(BorelFunction):
         self.den = tuple(Fraction(c) for c in den)
         self.growth = growth
         self.name = name
-        self._poles: Optional[list] = None
+        self._poles: dict[int, list] = {}
         self._mp_coeffs: dict[int, tuple[list, list]] = {}
 
     def _coeffs_at_prec(self) -> tuple[list, list]:
@@ -396,18 +320,17 @@ class PadeKernel(BorelFunction):
         return _at_prec(self._mp_coeffs, lambda: ([_c2mp(c) for c in self.num], [_c2mp(c) for c in self.den]))
 
     def real_positive_poles(self) -> list:
-        if self._poles is None:
-            with mp.workdps(mp.mp.dps + 10):
-                roots = mp.polyroots([_c2mp(c) for c in reversed(self.den)], maxsteps=200, extraprec=80)
-            poles = []
-            for r in roots:
-                if abs(r.imag) < mp.mpf(10) ** (-15) and r.real > 0:
-                    poles.append(r.real)
-            self._poles = sorted(poles)
-        return self._poles
+        """The denominator's real positive roots, found 10 digits above the
+        working precision, once per working precision."""
+        return _at_prec(self._poles, self._find_poles)
+
+    def _find_poles(self) -> list:
+        with mp.workdps(mp.mp.dps + 10):
+            roots = mp.polyroots([_c2mp(c) for c in reversed(self.den)], maxsteps=200, extraprec=80)
+        return sorted(r.real for r in roots if abs(r.imag) < mp.mpf(10) ** (-15) and r.real > 0)
 
     def singularities(self) -> list[Singularity]:
-        # each pole exactly as found, to the precision of the first call
+        # each pole exactly as found at the working precision
         poles = self.real_positive_poles()
         return [Singularity(Fraction(*libmp.to_rational(p._mpf_)), "pole") for p in poles]
 
@@ -518,8 +441,8 @@ def derive_antidiff_kernel(mu: Fraction, offset: Fraction, y, w) -> Optional[Ker
 def pole_kernel(location=1, scale=1) -> ClosedFormKernel:
     """scale / (1 - p/location): the factorially divergent model kernel.
 
-    The averaged value decays like 1/p beyond the pole, so the lateral tail
-    bound uses c3 = 0 with c1 covering the overshoot just past the window.
+    The averaged value decays like 1/p beyond the pole, so c3 = 0: its
+    Laplace sum exists at every x > 0.
     """
     return ClosedFormKernel(
         Fraction(location), [(Fraction(scale), Fraction(-1), 0)], growth=(4.0 * abs(float(scale)), 0.0), name="pole"
@@ -598,15 +521,16 @@ class AiryKernel(BorelFunction):
       C1 = 2 pi / (sqrt(3) Gamma(5/6)^2 Gamma(1/3)) and
       C2 = 2 pi / (sqrt(3) Gamma(1/6)^2 Gamma(5/3)).
 
-    At p + i0 past the branch point, ln w = ln|w| - i pi and
-    (-z)^(-a) = |z|^(-a) e^(i pi a); the value, the average of the two
-    sides, keeps the real part.  The coefficients are fixed-point integers,
+    Past the branch point the two lateral continuations are complex
+    conjugates; their average, the value, is the real part of either, in
+    which ln w becomes ln|w| and (-z)^(-a) becomes |z|^(-a) cos(pi a).  The
+    coefficients are fixed-point integers,
     built once per working precision and kept on the kernel; a value is a
     Horner sum over as many of them as its ratio needs, in integer
     arithmetic.
     """
 
-    #: |F(p +- i0)| <= 1.25 on the Bi side past p = 3.5, where the Laplace
+    #: |value| <= 1.25 on the Bi side past p = 3.5, where the Laplace
     #: cutoff T always lies (2 + 2 * PV_WINDOW + 1), and 0 < F <= 1 on the Ai side
     growth = (1.25, 0.0)
 
@@ -627,15 +551,8 @@ class AiryKernel(BorelFunction):
         return out
 
     def value(self, p):
-        re = _airy_f(_at_prec(self._tables, _airy_tables), self.side * mp.mpf(p) / 2)[0]
+        re = _airy_f(_at_prec(self._tables, _airy_tables), self.side * mp.mpf(p) / 2)
         return mp.make_mpf(libmp.mpf_pos(re, mp.mp.prec, libmp.round_nearest))
-
-    def lateral(self, p, side: int):
-        re, im = _airy_f(_at_prec(self._tables, _airy_tables), self.side * mp.mpf(p) / 2)
-        if self.side * side < 0:  # z - i0: the conjugate
-            im = libmp.mpf_neg(im)
-        prec, rnd = mp.mp.prec, libmp.round_nearest
-        return mp.make_mpc((libmp.mpf_pos(re, prec, rnd), libmp.mpf_pos(im, prec, rnd)))
 
 
 _AIRY_GUARD = 20  # bits above the working precision
@@ -694,32 +611,28 @@ def _fixed_sum2(x: int, wp: int, n: int, t: list, u: list) -> tuple[int, int]:
 
 
 def _airy_f(tables: tuple, z):
-    """F(z + i0) = 2F1(1/6, 5/6; 1; z + i0) at real z as (re, im), raw mpf
-    at the precision of ``tables`` (see ``_airy_tables``); im is 0 below the
+    """Re F(z + i0), F = 2F1(1/6, 5/6; 1; .), at real z as a raw mpf at the
+    precision of ``tables`` (see ``_airy_tables``); F is real below the
     branch point z = 1."""
     wp, (a, ah, e, g1, g2), (inv_2pi, c1, c2, half_sqrt3) = tables
     n = len(a)
     one = 1 << wp
     x = libmp.to_fixed(z._mpf_, wp)
     fixed = lambda v: libmp.from_man_exp(v, -wp)  # noqa: E731
-    zero = libmp.fzero
     if 5 * abs(x) <= 3 * one:
-        s = _fixed_sum(x, wp, _terms(x, wp, n), a)
-        return fixed(s), zero
+        return fixed(_fixed_sum(x, wp, _terms(x, wp, n), a))
     if 0 < x and 5 * x <= 8 * one:
         w = one - x
         if w == 0:
             raise SingularPointError("evaluation at the branch point p = 2")
         s1, s0 = _fixed_sum2(w, wp, _terms(w, wp, n), ah, a)
-        s0 = fixed(s0)
         logw = libmp.mpf_log(fixed(abs(w)), wp)
-        re = libmp.mpf_mul(libmp.mpf_sub(fixed(s1), libmp.mpf_mul(logw, s0, wp), wp), inv_2pi, wp)
-        return re, (libmp.mpf_shift(s0, -1) if w < 0 else zero)
+        return libmp.mpf_mul(libmp.mpf_sub(fixed(s1), libmp.mpf_mul(logw, fixed(s0), wp), wp), inv_2pi, wp)
     if x < 0 and 5 * -x <= 8 * one:
         omz = one - x  # 1 - z
         zeta = (-x << wp) // omz  # z / (z - 1)
         s = _fixed_sum(zeta, wp, _terms(zeta, wp, n), e)
-        return libmp.mpf_mul(fixed(s), libmp.mpf_nthroot(fixed(omz), -6, wp), wp), zero
+        return libmp.mpf_mul(fixed(s), libmp.mpf_nthroot(fixed(omz), -6, wp), wp)
     r = (one << wp) // x if x > 0 else -((one << wp) // -x)  # 1/z
     s1, s2 = _fixed_sum2(r, wp, _terms(r, wp, n), g1, g2)
     mag = libmp.mpf_abs(z._mpf_)
@@ -727,9 +640,8 @@ def _airy_f(tables: tuple, z):
     t1 = libmp.mpf_mul(libmp.mpf_mul(c1, root, wp), fixed(s1), wp)
     t2 = libmp.mpf_div(libmp.mpf_mul(c2, fixed(s2), wp), libmp.mpf_mul(mag, root, wp), wp)  # |z|^(-5/6) G2
     if x < 0:
-        return libmp.mpf_sub(t1, t2, wp), zero
-    re = libmp.mpf_mul(libmp.mpf_add(t1, t2, wp), half_sqrt3, wp)  # cos(pi/6) = -cos(5 pi/6)
-    return re, libmp.mpf_shift(libmp.mpf_sub(t1, t2, wp), -1)  # sin(pi/6) = sin(5 pi/6) = 1/2
+        return libmp.mpf_sub(t1, t2, wp)
+    return libmp.mpf_mul(libmp.mpf_add(t1, t2, wp), half_sqrt3, wp)  # cos(pi/6) = -cos(5 pi/6)
 
 
 def pade_continue(b: BorelPoly, degrees: tuple[int, int]) -> PadeKernel:

@@ -1,25 +1,29 @@
 """Averaged Laplace transforms and Ecalle-Borel summation numerics.
 
-A closed-form kernel (``ClosedFormKernel``: the ``#ei`` pole, the ``#erfi``
+The Borel sum of a series at a real x is the Laplace integral of the
+balanced average of its Borel transform along the positive axis.  A
+closed-form kernel (``ClosedFormKernel``: the ``#ei`` pole, the ``#erfi``
 square-root branch, their P-integrals and every kernel ``ts_antidiff``
-derives) sums its own Laplace integral exactly, through Ei, erfi and erfc
-and integration by parts; its reported error is a bound on the rounding.
+derives) sums that integral exactly, through Ei, erfi and erfc and
+integration by parts, without evaluating the kernel at any point; its
+reported error is a bound on the rounding.
 
 Quadrature, with level-difference estimates, remains for the Pade, Airy and
-Binet (coth) kernels.  Their Laplace integrals are evaluated over panels
-whose edges sit at the kernel's singularities: a simple pole's symmetric
-window is the principal value, summed as the fold
-integrand(s - t) + integrand(s + t) over 0 < t < w, in which the pole's
-+-A/t terms cancel; log endpoints are left to tanh-sinh panels, and the far
-tail is bounded by the kernel's exponential growth constants.  The smooth
-spans between windows are summed by a nested Clenshaw-Curtis rule: its
-levels have n = 2, 4, ..., 256 intervals, and each level keeps the
-integrand's values at the level below's nodes, its own even nodes.  A
-pole's fold is summed by Gauss-Legendre, whose nodes stay away from t = 0.
-Working precision and tolerances come from :class:`QuadratureConfig`;
-window and panel sizes are fixed (``PV_WINDOW``, ``_SPAN_PANELS``), because
-each panel refines itself to the tolerance, so they decide where the work
-goes, not how accurate the sum is.
+Binet (coth) kernels, which give their averaged value at a point and their
+singularities on the ray (Pade poles, the Airy log branch point).  Their
+Laplace integrals are evaluated over panels whose edges sit at those
+singularities: a simple pole's symmetric window is the principal value,
+summed as the fold integrand(s - t) + integrand(s + t) over 0 < t < w, in
+which the pole's +-A/t terms cancel; log endpoints are left to tanh-sinh
+panels, and the far tail is bounded by the kernel's exponential growth
+constants.  The smooth spans between windows are summed by a nested
+Clenshaw-Curtis rule: its levels have n = 2, 4, ..., 256 intervals, and each
+level keeps the integrand's values at the level below's nodes, its own even
+nodes.  A pole's fold is summed by Gauss-Legendre, whose nodes stay away
+from t = 0.  Working precision and tolerances come from
+:class:`QuadratureConfig`; window and panel sizes are fixed (``PV_WINDOW``,
+``_SPAN_PANELS``), because each panel refines itself to the tolerance, so
+they decide where the work goes, not how accurate the sum is.
 
 The absolute tolerance governs the quadrature's work, not the working
 precision.  Each panel is summed by its rule at rising level until two
@@ -57,13 +61,11 @@ from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 
 from ..errors import (
     GrowthBoundViolated,
-    SingularPointError,
     ToleranceNotMet,
     TruncationBoundUnavailable,
 )
 from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import PowerSeries
-from .averaging import WeightFamily, all_addresses, catalan_weight
 from .borel import borel_transform
 from .kernels import BorelFunction, KernelEntry, _c2mp, pade_continue
 
@@ -84,31 +86,6 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-
-
-def average_eval(f: BorelFunction, p, *, weights: WeightFamily = catalan_weight, cfg: QuadratureConfig = None):
-    """Weighted sum of lateral continuations at p > 0.
-
-    With a single singularity below p every consistent family gives the
-    half-sum of the upper and lower continuations; rational representations
-    are single-valued, so the average collapses to the real value.
-    """
-    cfg = cfg or QuadratureConfig()
-    with mp.workdps(cfg.precision):
-        p = _c2mp(p) if isinstance(p, Fraction) else mp.mpf(p)
-        sings = [s for s in f.singularities() if _c2mp(s.location) < p]
-        for s in f.singularities():
-            if _c2mp(s.location) == p:
-                raise SingularPointError(f"p = {p} is a singularity")
-        if not sings:
-            return f.value(p)
-        n = len(sings)
-        total = mp.mpf(0)
-        for address in all_addresses(n):
-            w = weights(address)
-            lateral = f.lateral(p, address.eps[-1])
-            total += mp.mpf(w.numerator) / w.denominator * lateral.real
-        return total
 
 
 def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, mp.mpf]:

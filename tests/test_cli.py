@@ -323,8 +323,14 @@ class TestOptionsBeforeTheVerb:
         assert cli("--prec", "10", "eval", "ei", "3")[1] == "9.933832571\n"
 
     def test_json(self, cli):
+        import mpmath as mp
+
         code, out, _ = cli("--json", "sum", "#ei", "10")
-        assert code == 0 and abs(json.loads(out)["value"] - 0.11314702047341078) < 1e-15
+        payload = json.loads(out)
+        assert code == 0 and abs(payload["value"] - 0.11314702047341078) < 1e-15
+        # the error estimate bounds the emitted double, not only the sum
+        with mp.workdps(40):
+            assert abs(mp.mpf(payload["value"]) - mp.exp(-10) * mp.ei(10)) <= payload["error_estimate"]
 
     def test_terms(self, cli):
         assert cli("--terms", "2", "parse", "#ei")[1] == "1/x + 1/x^2 + ...\n"

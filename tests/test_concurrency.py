@@ -140,7 +140,7 @@ def test_airy_tables_built_race_free():
     # points in all four expansions of both sides, past the branch point too
     points = [(side, mp.mpf(k) / 8) for side in (1, -1) for k in range(1, 64) if k != 16]
     with mp.workdps(30):  # one precision for every thread
-        serial = [AiryKernel(side).lateral(p, 1) for side, p in points]
+        serial = [AiryKernel(side).value(p) for side, p in points]
         for _ in range(5):  # the race is at first use: fresh kernels each round
             kernels = {side: AiryKernel(side) for side in (1, -1)}
             start = threading.Barrier(4, timeout=60)
@@ -148,7 +148,7 @@ def test_airy_tables_built_race_free():
             def evaluate(k: int):
                 start.wait()
                 shift = k * len(points) // 4  # each thread starts elsewhere
-                got = {i: kernels[points[i][0]].lateral(points[i][1], 1) for i in [*range(shift, len(points)), *range(shift)]}
+                got = {i: kernels[points[i][0]].value(points[i][1]) for i in [*range(shift, len(points)), *range(shift)]}
                 return [got[i] for i in range(len(points))]
 
             interval = sys.getswitchinterval()

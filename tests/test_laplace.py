@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tsr.errors import DegenerateTableError, GrowthBoundViolated, SingularPointError
+from tsr.errors import DegenerateTableError, GrowthBoundViolated
 from tsr.coefficients import NAMED_SERIES, named_series
 from tsr.operators import antidiff_no, catalog
 from tsr.resummation import (
@@ -19,9 +19,7 @@ from tsr.resummation import (
     KernelEntry,
     PadeKernel,
     QuadratureConfig,
-    average_eval,
     borel_transform,
-    catalan_weight,
     eb_sum,
     laplace,
     log_kernel,
@@ -44,38 +42,6 @@ def poly_kernel(*coeffs):
 
 def mpf_close(a, b, tol):
     return abs(mp.mpf(a) - mp.mpf(b)) <= tol * max(1, abs(mp.mpf(b)))
-
-
-class TestAverageEval:
-    def test_log_kernel_at_two_vanishes(self):
-        # man(-log(1-p)) = -log|1-p| = 0 at p = 2
-        assert abs(average_eval(log_kernel(1), 2, cfg=CFG)) < 1e-40
-
-    def test_below_first_singularity_is_plain_value(self):
-        f = pole_kernel(1)
-        assert mpf_close(average_eval(f, 0.5, cfg=CFG), 2.0, 1e-30)
-
-    def test_branch_below(self):
-        f = sqrt_branch_kernel(1, 1)
-        assert mpf_close(average_eval(f, F(3, 4), cfg=CFG), 2.0, 1e-30)
-
-    def test_branch_average_vanishes_beyond(self):
-        f = sqrt_branch_kernel(1, 1)
-        # the generic weighted sum leaves only rounding noise of cos(pi/2)
-        assert abs(average_eval(f, 2, cfg=CFG)) < 1e-40
-        # the closed-form average is exactly zero
-        assert f.value(mp.mpf(2)) == 0
-
-    def test_singular_point_raises(self):
-        with pytest.raises(SingularPointError):
-            average_eval(pole_kernel(1), 1, cfg=CFG)
-
-    def test_weighted_sum_matches_half_sum(self):
-        f = log_kernel(1)
-        p = mp.mpf("1.7")
-        averaged = average_eval(f, p, weights=catalan_weight, cfg=CFG)
-        half = (f.lateral(p, +1) + f.lateral(p, -1)).real / 2
-        assert mpf_close(averaged, half, 1e-35)
 
 
 class TestLaplace:
@@ -143,6 +109,15 @@ class TestPade:
         assert len(poles) >= 3
         assert all(p > 1 for p in poles)
         assert min(poles) < 1.05  # accumulation toward the branch point
+
+    def test_poles_follow_the_precision(self):
+        # poles found for a 15-digit sum are found again for a 100-digit one:
+        # 8/(1 - 3p) sums to 8/3 e^(-x/3) Ei(x/3)
+        k = PadeKernel([F(8)], [F(1), F(-3)])
+        laplace(k, 3, QuadratureConfig(precision=15))
+        val, err = laplace(k, 3, QuadratureConfig(precision=100, abs_tol=1e-24, rel_tol=1e-22))
+        with mp.workdps(120):
+            assert abs(val - 8 * mp.exp(-1) * mp.ei(1) / 3) <= err
 
     def test_degenerate_table(self):
         with pytest.raises(DegenerateTableError):
@@ -317,7 +292,7 @@ class CountingKernel:
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
-        if name not in ("value", "lateral"):
+        if name != "value":
             return attr
 
         def counted(*args):
@@ -533,10 +508,6 @@ def fraction_horner(coeffs, p):
     return out
 
 
-def half_sum(f, p):
-    return (f.lateral(p, +1) + f.lateral(p, -1)).real / 2
-
-
 class TestKernelProperties:
     @PROPERTY
     @given(pade_kernels(), DIGITS, st.lists(POINTS, min_size=1, max_size=3))
@@ -550,16 +521,6 @@ class TestKernelProperties:
                     den = fraction_horner(k.den, p)
                     assume(den != 0)
                     assert k.value(p) == fraction_horner(k.num, p) / den
-
-    @PROPERTY
-    @given(pade_kernels(), st.sampled_from([15, 30, 60]), POINTS)
-    def test_averaged_is_half_sum_of_laterals(self, pade, dps, x):
-        poly = poly_kernel(*pade.num)
-        with mp.workdps(dps):
-            p = mp.mpf(x)
-            assume(fraction_horner(pade.den, p) != 0)
-            for f in (pade, poly, CothKernel()):
-                assert f.value(p) == half_sum(f, p)
 
     def test_coth_value_is_closed_form_or_taylor(self):
         from tsr.coefficients import coth_kernel_coeff

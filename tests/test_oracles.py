@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsr.cli import run
+from tsr.operators import antidiff_no, extend
 from tsr.operators.catalog import (
     airy_ai_oracle,
     airy_bi_oracle,
@@ -18,6 +19,7 @@ from tsr.operators.catalog import (
     erfi_integral_oracle,
     gamma_oracle,
 )
+from tsr.resummation import QuadratureConfig
 from tsr.resummation.special import GUARD
 
 #: (digits, extra bits): the extra bits are the precisions a nested mp.quad
@@ -116,9 +118,22 @@ def test_series_oracles_make_no_quadrature(monkeypatch):
         for x in ("0.25", "1", "7.5", "20"):
             ei_oracle(mp.mpf(x))
             erfi_integral_oracle(-mp.mpf(x))
-    # Ei and its Taylor facility at a finite point, through the CLI
+    # Ei and its Taylor facility at a finite point, and the antiderivatives
+    # of the decaying entries at real points, through the CLI
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["eval", "ei", "5/2+w^-1", "--terms", "4", "--prec", "30"]) == 0
+        assert run(["integrate", "exp_neg", "1", "3"]) == 0
+        assert run(["integrate", "exp_neg_over_x", "2", "5"]) == 0
+
+
+@pytest.mark.parametrize("dps", [15, 30, 100])
+def test_decaying_antiderivative_is_minus_e1(dps):
+    # A_No(e^(-x)/x) is -E1(x), the Borel sum of its antiderivative series
+    anti = antidiff_no(catalog()["exp_neg_over_x"])
+    for q in (F(1, 10), F(1, 2), F(2), F(5), F(30), F(200)):
+        got = extend(anti, q, cfg=QuadratureConfig(precision=dps))
+        with mp.workdps(dps):
+            assert _ulps(got, _reference(lambda s: -mp.e1(s), _mpf(q))) <= 4, q
 
 
 @pytest.mark.parametrize("x0", [F(5, 2), F(3), F(47, 16)])
