@@ -8,7 +8,6 @@ from .tau import (
     ValueGroup,
     analyze_point,
     exp_infinitesimal,
-    exp_nf,
     exp_purely_infinite,
     g_map_exponent,
     tau_eval,
@@ -36,7 +35,6 @@ __all__ = [
     "ValueGroup",
     "analyze_point",
     "exp_infinitesimal",
-    "exp_nf",
     "exp_purely_infinite",
     "g_map_exponent",
     "tau_eval",

@@ -11,7 +11,7 @@ making the constant vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, takewhile
 from typing import Optional, Union
@@ -293,7 +293,18 @@ def integrate(f: CatalogFunction, a, b, terms: int = 8, *, cfg: QuadratureConfig
 
 
 def value_difference(hi, lo, cfg: QuadratureConfig):
-    """hi - lo; a decimal part keeps the precision ``cfg`` asks for."""
+    """hi - lo; a decimal part keeps the precision ``cfg`` asks for.
+
+    A Taylor series at x0 + zeta less a real is the same series with its
+    constant coefficient shifted; an exact real constant counts as a real.
+    """
+    if isinstance(hi, NumericTaylor) or isinstance(lo, NumericTaylor):
+        with mp.workdps(cfg.precision):
+            if isinstance(hi, NumericTaylor) and (r := _real_or_none(lo)) is not None:
+                return replace(hi, coefficients=[hi.coefficients[0] - r] + hi.coefficients[1:])
+            if isinstance(lo, NumericTaylor) and (r := _real_or_none(hi)) is not None:
+                return replace(lo, coefficients=[r - lo.coefficients[0]] + [-c for c in lo.coefficients[1:]])
+        raise UnsupportedPointError(f"no difference of a {type(hi).__name__} and a {type(lo).__name__} value")
     if isinstance(hi, SurrealValue) and isinstance(lo, SurrealValue):
         return hi - lo
     if isinstance(hi, SurrealValue) and isinstance(lo, mp.mpf):
@@ -301,6 +312,16 @@ def value_difference(hi, lo, cfg: QuadratureConfig):
     if isinstance(lo, SurrealValue) and isinstance(hi, mp.mpf):
         return DecoratedValue(lo.scale(-1), hi)
     return mp.fsub(hi, lo, dps=cfg.precision)
+
+
+def _real_or_none(v):
+    """v as an mpf when it is a real: an mpf, or a surreal value that is a constant."""
+    if isinstance(v, SurrealValue):
+        try:
+            return v.numeric_const()
+        except UnsupportedPointError:
+            return None
+    return v if isinstance(v, mp.mpf) else None
 
 
 @dataclass

@@ -7,10 +7,15 @@ Transmonomials map through two imported exponential identities,
     log w = w^(1/w)              (equivalently exp(r*w^(1/w)) = w^r),
 
 together with binomial re-expansion of the infinitesimal tilt.  The critical
-time is t0 = b * w^p * (1 + u) with 1 + u = (1 + s/(r w))^p, so a series
-sum(c_l t0^(offset - l)) has a closed-form coefficient at each leader
+time is t0 = b * w^p * (1 + u) with p > 0 and 1 + u = (1 + s/(r w))^p, so a
+series sum(c_l t0^(offset - l)) has a closed-form coefficient at each leader
 w^(p*offset - m): a finite sum over l <= m/p of binomial terms.  Every stream
 produced here is an exact Conway Limit emitted one leader at a time.
+
+A group's exponential e^(mu t0) is a monomial: s != 0 needs an integer p, so
+mu t0 has exponents p, p - 1, ..., 0 only, and its exponential is w^E e^q
+with no infinitesimal part.  A group's value is its series stream shifted by
+E, with the tag e^q in its prefactor.
 """
 
 from __future__ import annotations
@@ -22,16 +27,7 @@ from math import factorial
 from typing import Callable, Iterator, Optional
 
 from ..errors import UndecidableSupport, UnsupportedPointError
-from ..surreal import (
-    GT,
-    LT,
-    LazyNF,
-    SurrealNF,
-    decompose,
-    nf_cmp,
-    omega,
-    one,
-)
+from ..surreal import GT, LT, LazyNF, SurrealNF, decompose, nf_cmp, one
 from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import DEFAULT_ORDER_SCAN, PowerSeries
 from .prefactor import Prefactor, exp_prefactor, ln_prefactor
@@ -54,10 +50,6 @@ class SurrealPoint:
         if not small.is_zero():
             return cls("finite", real=real, zeta=small)
         return cls("real", real=real)
-
-    @classmethod
-    def omega(cls) -> "SurrealPoint":
-        return cls("infinite", nf=omega())
 
     @classmethod
     def real_point(cls, q) -> "SurrealPoint":
@@ -191,19 +183,6 @@ def exp_purely_infinite(a: SurrealNF) -> SurrealNF:
     return SurrealNF(out)
 
 
-def exp_nf(a: SurrealNF) -> ValueGroup:
-    """exp of a finite-or-infinite normal form as one prefactor-scaled stream."""
-    infinite, real, small = decompose(a)
-    lead = SurrealNF.zero()
-    if not infinite.is_zero():
-        lead = exp_purely_infinite(infinite)
-    pref = exp_prefactor(real) if real else Prefactor.one()
-    if small.is_zero():
-        return ValueGroup(pref, LazyNF.from_nf(SurrealNF.monomial(lead)))
-    stream = exp_infinitesimal(small).shift(lead)
-    return ValueGroup(pref, stream)
-
-
 def conway_sum(
     coeff: Callable[[int], Fraction], z: SurrealNF, floor: Optional[SurrealNF] = None, *, length: Optional[int] = None
 ) -> LazyNF:
@@ -250,16 +229,6 @@ def exp_infinitesimal(z: SurrealNF, floor: Optional[SurrealNF] = None) -> LazyNF
     return conway_sum(lambda k: Fraction(1, factorial(k)), z, floor)
 
 
-def log_of_leader(y1: SurrealNF, r1: Fraction) -> tuple[SurrealNF, Optional[Prefactor]]:
-    """log(w^y1 * r1) = y1 * w^(1/w) + ln(r1); the constant comes back as a tag."""
-    log_omega = SurrealNF.monomial(SurrealNF.monomial(SurrealNF.from_rational(-1)))
-    main = y1 * log_omega
-    const = None if r1 == 1 else ln_prefactor(r1)
-    if r1 <= 0:
-        raise UnsupportedPointError("log of a non-positive leader")
-    return main, const
-
-
 # -- points and powers ----------------------------------------------------------
 
 
@@ -287,8 +256,10 @@ def analyze_point(nu: SurrealNF, *, crit_coef: Fraction = Fraction(1), crit_powe
     s = terms.get(Fraction(0), Fraction(0))
     if r <= 0:
         raise UnsupportedPointError("point must be positive infinite: need r > 0")
-
     crit_power = Fraction(crit_power)
+    if crit_power <= 0:
+        raise UnsupportedPointError(f"critical power {crit_power}: the critical time must be positive infinite")
+
     e1 = crit_power
     # nu^q = r^q w^q (1 + s/(r w))^q
     if s == 0:
@@ -371,42 +342,13 @@ def _series_leaders(ps: PowerSeries, pt: PointData, offset: Fraction) -> Iterato
 
 def tau_eval_group(mu: Fraction, offset: Fraction, ps: PowerSeries, pt: PointData) -> ValueGroup:
     """One grid group x^offset e^(mu x) y(x) at the point's critical time."""
-    pref = Prefactor.one()
-    if mu != 0:
-        # exp(mu * t0): t0 is an exact polynomial in w, so its exponential is
-        # a monomial times an e^(rational) tag via the imported identities
-        arg = SurrealNF.monomial(SurrealNF.from_rational(pt.t0_lead_exp), mu * pt.t0_lead_coef) * (one() + pt.u)
-        grp = exp_nf(arg)
-        pref = pref * grp.prefactor
-        expstream = grp.stream
-    else:
-        expstream = LazyNF.from_nf(one())
     series_pref, series_stream = eval_series_at(ps, pt, offset)
-    stream = _mul_streams(expstream, series_stream)
-    return ValueGroup(pref * series_pref, stream)
-
-
-def _mul_streams(a: LazyNF, b: LazyNF) -> LazyNF:
-    """Product of two streams when one of them is finitely supported."""
-    if a.is_finite_known() or a.term(64) is None:
-        finite, lazy = a, b
-    elif b.is_finite_known() or b.term(64) is None:
-        finite, lazy = b, a
-    else:
-        raise UnsupportedPointError("product of two infinite streams is out of scope")
-    parts = list(iter(finite))
-
-    def gen():
-        # merge finitely many shifted copies of the lazy stream
-        streams = [lazy.scale(c).shift(e) for e, c in parts]
-        if not streams:
-            return
-        acc = streams[0]
-        for s in streams[1:]:
-            acc = acc + s
-        yield from acc
-
-    return LazyNF(gen)
+    if mu == 0:
+        return ValueGroup(series_pref, series_stream)
+    # mu * t0 has exponents p, p - 1, ..., 0, so exp(mu * t0) = w^E e^q
+    lead = SurrealNF.monomial(SurrealNF.from_rational(pt.t0_lead_exp), mu * pt.t0_lead_coef)
+    infinite, real, _ = decompose(lead * (one() + pt.u))
+    return ValueGroup(exp_prefactor(real) * series_pref, series_stream.shift(exp_purely_infinite(infinite)))
 
 
 def tau_eval(
@@ -429,17 +371,13 @@ def tau_eval(
             t0 = SurrealNF.monomial(one(), pt.t0_lead_coef)
         else:
             raise UnsupportedPointError("log parts are only evaluated in the plain time variable")
-        log_main, log_const = log_of_leader(one(), pt.t0_lead_coef)
-        # log(t0) = log w + ln(r); polynomials in t0 are exact normal forms
+        # log(t0) = log w + ln(r), log w = w^(1/w); polynomials in t0 are exact normal forms
+        log_omega = SurrealNF.monomial(SurrealNF.monomial(SurrealNF.from_rational(-1)))
         pvals = _poly_at(lp.P, t0)
-        value = value + SurrealValue.from_nf(pvals * log_main)
-        if log_const is not None:
-            value = value + SurrealValue([ValueGroup(log_const, LazyNF.from_nf(pvals))])
+        value = value + SurrealValue.from_nf(pvals * log_omega)
+        if pt.t0_lead_coef != 1:
+            value = value + SurrealValue([ValueGroup(ln_prefactor(pt.t0_lead_coef), LazyNF.from_nf(pvals))])
         value = value + SurrealValue.from_nf(_poly_at(lp.Q, t0))
-        rsum = SurrealNF.zero()
-        for l in range(1, len(lp.R) + 1):
-            rsum = rsum + SurrealNF.monomial(SurrealNF.from_rational(-l), lp.r_coeff(l) * pt.t0_lead_coef**-l)
-        value = value + SurrealValue.from_nf(rsum)
     if ln2pi_coef:
         value = value + SurrealValue(
             [ValueGroup(Prefactor.of(1, ln2pi=1), LazyNF.from_nf(SurrealNF.from_rational(ln2pi_coef)))]

@@ -169,7 +169,10 @@ def _pieces(f: BorelFunction, x, sings, locs, w, T):
     edges = [mp.mpf(0)] + [e for loc in locs for e in (loc - w, loc + w)] + [T]
     for a, b in zip(edges[::2], edges[1::2]):
         if a < b:
-            yield integrand, _split_span(a, b), "clenshaw-curtis"
+            pts = _split_span(a, b)
+            if a == 0:
+                pts[1:1] = _cuts_near_zero(x, pts[1])
+            yield integrand, pts, "clenshaw-curtis"
     for s, loc in zip(sings, locs):
         if s.kind == "pole":
             # the principal value as a fold: the pole's +-A/t cancel, so the
@@ -180,6 +183,17 @@ def _pieces(f: BorelFunction, x, sings, locs, w, T):
             continue
         yield integrand, [loc - w, loc], "tanh-sinh"
         yield integrand, [loc, loc + w], "tanh-sinh"
+
+
+def _cuts_near_zero(x, h):
+    """Cuts 64/x, 128/x, 256/x, ... below h for the panel [0, h].  The
+    integrand e^(-xp) F(p) lives in p < 1/x, so a panel with x h > 64 is
+    cut where it changes; none is cut when x h <= 64."""
+    cuts, c = [], 64 / x
+    while c < h:
+        cuts.append(c)
+        c *= 2
+    return cuts
 
 
 def _split_span(a, b):
@@ -377,8 +391,6 @@ def eb_sum(
                 total += _c2mp(c) * x**i * lx
             for i, c in enumerate(lp.Q):
                 total += _c2mp(c) * x**i
-            for l in range(1, len(lp.R) + 1):
-                total += _c2mp(lp.r_coeff(l)) * x ** (-l)
 
         if ts.minus.support_iter is not None and tail_constants is None:
             raise TruncationBoundUnavailable(

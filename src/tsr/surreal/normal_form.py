@@ -80,12 +80,6 @@ class SurrealNF:
             raise ValueError(f"{self} is not a rational")
         return self.terms[0][1]
 
-    def depth(self) -> int:
-        """Hereditary nesting level of the exponent tree."""
-        if not self.terms:
-            return 0
-        return 1 + max(e.depth() for e, _ in self.terms)
-
     def coefficient(self, exponent: "SurrealNF") -> Fraction:
         for e, c in self.terms:
             if e == exponent:

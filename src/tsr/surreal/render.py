@@ -14,10 +14,6 @@ from ..scanner import Scanner
 from .normal_form import SurrealNF
 
 
-def _render_coef(c: Fraction) -> str:
-    return str(c)
-
-
 def _render_exponent(e: SurrealNF) -> str:
     if e.is_rational():
         q = e.as_rational()
@@ -32,14 +28,14 @@ def _render_exponent(e: SurrealNF) -> str:
 def _render_term(e: SurrealNF, c: Fraction) -> str:
     c = abs(c)
     if e.is_zero():
-        return _render_coef(c)
+        return str(c)
     if e.is_rational() and e.as_rational() == 1:
         mono = "w"
     else:
         mono = f"w^{_render_exponent(e)}"
     if c == 1:
         return mono
-    return f"{_render_coef(c)}*{mono}"
+    return f"{c}*{mono}"
 
 
 def render_nf(a: SurrealNF, *, compact: bool = False) -> str:

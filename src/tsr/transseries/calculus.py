@@ -117,7 +117,7 @@ def ts_mul_minus(a: GridMinus | TransseriesT1, b: GridMinus | TransseriesT1) -> 
 
 def _constant_part(ts: TransseriesT1) -> Fraction:
     lp = ts.log
-    if lp.P or lp.R or len(lp.Q) > 1 or ts.plus.terms:
+    if lp.P or len(lp.Q) > 1 or ts.plus.terms:
         raise ValueError("ts_mul_minus operates on the minus algebra (plus constants) only")
     return lp.q_coeff(0)
 
@@ -135,8 +135,6 @@ def ts_diff(a: TransseriesT1) -> TransseriesT1:
             Q[i - 1] += c
         elif c != 0:
             groups.append(Group(Fraction(0), Fraction(0), PowerSeries.from_coeffs([c])))
-    for l in range(1, len(lp.R) + 1):  # R only appears in decomposed views
-        groups.append(Group(Fraction(0), Fraction(0), PowerSeries.monomial(l + 1, -l * lp.r_coeff(l))))
     return assemble(groups, LogPart(P, tuple(Q), ()), seed=_seed_of(a))
 
 
@@ -207,12 +205,6 @@ def ts_antidiff(a: TransseriesT1) -> TransseriesT1:
         add_Q(i + 1, -c / Fraction((i + 1) ** 2))
     for i, c in enumerate(lp.Q):
         add_Q(i + 1, c / (i + 1))
-    for l in range(1, len(lp.R) + 1):
-        c = lp.r_coeff(l)
-        if l == 1:
-            add_P(0, c)
-        else:
-            groups.append(Group(Fraction(0), Fraction(0), PowerSeries.monomial(l - 1, -c / (l - 1))))
     return assemble(groups, LogPart(tuple(P), tuple(Q), ()), seed=_seed_of(a))
 
 
@@ -223,7 +215,7 @@ def ts_decompose(a: TransseriesT1, m: int) -> tuple[GridMinus, LogPart, GridPlus
     g = a.minus
     k0 = (0,) * g.n
     y0 = g.series_at(k0)
-    R = tuple(y0.coeff(l) + a.log.r_coeff(l) for l in range(1, m + 1))
+    R = tuple(y0.coeffs(m))
     tail = PowerSeries.from_fn(lambda l, y0=y0, m=m: y0.coeff(l) if l > m else Fraction(0))
     if y0.is_finite():
         tail = PowerSeries.from_coeffs([Fraction(0)] * m + [y0.coeff(l) for l in range(m + 1, (y0.length or 0) + 1)])
@@ -253,8 +245,6 @@ def _dominant_key(a: TransseriesT1, scan: int = SIGN_SCAN_ORDER) -> Optional[tup
         offer((Fraction(0), Fraction(i), 1), a.log.p_coeff(i))
     for i in range(len(a.log.Q) - 1, -1, -1):
         offer((Fraction(0), Fraction(i), 0), a.log.q_coeff(i))
-    for l in range(1, len(a.log.R) + 1):
-        offer((Fraction(0), Fraction(-l), 0), a.log.r_coeff(l))
     g = a.minus
     for k in g.support():
         s = g.series_at(k)

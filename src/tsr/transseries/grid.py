@@ -8,7 +8,9 @@ A transseries here is a triple
 
 with all series y O(1/x).  Internally the representation is normalized to
 m = 0: the R component is empty and every pure inverse power lives in the
-k = 0 series of the minus grid; ``decompose_m`` recuts the triple for any m.
+k = 0 series of the minus grid.  ``assemble`` folds an R into that series,
+the ``TransseriesT1`` constructor rejects a nonempty R, and ``ts_decompose``
+recuts the triple for any m.
 """
 
 from __future__ import annotations
@@ -114,10 +116,6 @@ class LogPart:
     def q_coeff(self, i: int) -> Fraction:
         return self.Q[i] if i < len(self.Q) else Fraction(0)
 
-    def r_coeff(self, l: int) -> Fraction:
-        """Coefficient of x^-l, l >= 1."""
-        return self.R[l - 1] if 1 <= l <= len(self.R) else Fraction(0)
-
     def is_zero(self) -> bool:
         return not self.P and not self.Q and not self.R
 
@@ -187,9 +185,16 @@ def _merge_plus(a: PlusTerm, b: PlusTerm) -> PlusTerm:
 
 @dataclass
 class TransseriesT1:
+    """minus + log + plus with R empty: ``assemble`` folds R(1/x) into the
+    k = 0 series, and the constructor rejects a nonempty R."""
+
     minus: GridMinus = field(default_factory=lambda: GridMinus.empty())
     log: LogPart = field(default_factory=LogPart)
     plus: GridPlus = field(default_factory=GridPlus)
+
+    def __post_init__(self):
+        if self.log.R:
+            raise ValueError("a T1 keeps R(1/x) in its k = 0 series; build it with assemble")
 
     @classmethod
     def zero(cls) -> "TransseriesT1":
@@ -300,8 +305,8 @@ def assemble(
             Q.append(Fraction(0))
         Q[power] += c
     inverse: dict[int, Fraction] = dict(r_extra)
-    for l in range(1, len(log.R) + 1):
-        inverse[l] = inverse.get(l, Fraction(0)) + log.r_coeff(l)
+    for l, c in enumerate(log.R, 1):
+        inverse[l] = inverse.get(l, Fraction(0)) + c
 
     minus = _assemble_minus(minus_raw, seed=seed)
     k0 = _zero_index(minus.n)
@@ -482,8 +487,6 @@ def semantic_terms(ts: TransseriesT1, order: int) -> dict[tuple[Fraction, Fracti
         put(Fraction(0), Fraction(i), 1, c)
     for i, c in enumerate(lp.Q):
         put(Fraction(0), Fraction(i), 0, c)
-    for l in range(1, len(lp.R) + 1):
-        put(Fraction(0), Fraction(-l), 0, lp.r_coeff(l))
     return out
 
 

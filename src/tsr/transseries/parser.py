@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..errors import ExpressionSyntaxError, GridMergeError
 from ..scanner import Scanner
-from .grid import Group, GridMinus, LogPart, PlusTerm, TransseriesT1, assemble, groups_of
+from .grid import Group, GridMinus, LogPart, PlusTerm, TransseriesT1, assemble
 from .series import PowerSeries
 
 
@@ -188,10 +188,6 @@ def _assemble_raw(terms: list[_Raw]) -> TransseriesT1:
 # -- printing ------------------------------------------------------------------
 
 
-def _frac(c: Fraction) -> str:
-    return str(c)
-
-
 def _series_text(ps: PowerSeries, offset: Fraction, truncation: int) -> str:
     """Render x^offset * ps as signed fragments like 2/x^3 or x^(1/2)."""
     frags: list[tuple[int, str]] = []  # (sign, body)
@@ -221,7 +217,7 @@ def _series_text(ps: PowerSeries, offset: Fraction, truncation: int) -> str:
 
 def _monomial_text(c: Fraction, power: Fraction) -> str:
     if power == 0:
-        return _frac(c)
+        return str(c)
     if power.denominator == 1 and power < 0:
         l = -int(power)
         xpow = "x" if l == 1 else f"x^{l}"
@@ -231,7 +227,7 @@ def _monomial_text(c: Fraction, power: Fraction) -> str:
             return f"{c}/{xpow}"
         return f"{c.numerator}/({c.denominator}*{xpow})"
     xpart = "x" if power == 1 else (f"x^{power}" if power.denominator == 1 else f"x^({power})")
-    return xpart if c == 1 else f"{_frac(c)}*{xpart}"
+    return xpart if c == 1 else f"{c}*{xpart}"
 
 
 def _exp_text(mu: Fraction) -> str:
@@ -263,10 +259,6 @@ def ts_print(ts: TransseriesT1, truncation: int = 8) -> str:
         c = lp.q_coeff(i)
         if c != 0:
             emit(1 if c > 0 else -1, _monomial_text(abs(c), Fraction(i)))
-    for l in range(1, len(lp.R) + 1):
-        c = lp.r_coeff(l)
-        if c != 0:
-            emit(1 if c > 0 else -1, _monomial_text(abs(c), Fraction(-l)))
     g = ts.minus
     for k in g.support():
         s = g.series_at(k)
@@ -351,9 +343,7 @@ def ts_from_json(obj: dict) -> TransseriesT1:
         PlusTerm(Fraction(t["lambda"]), Fraction(t["beta"]), _series_from_json(t["series"]))
         for t in obj.get("plus", [])
     ]
-    from .grid import GridPlus
-
     minus = GridMinus(lam=lam, beta=beta, series=series) if lam or series else GridMinus.empty()
-    ts = TransseriesT1(minus=minus, log=log, plus=GridPlus(plus))
-    # re-normalize (moves R into the k=0 series)
-    return assemble(groups_of(ts), ts.log, seed=(lam, beta))
+    groups = [Group(-minus.rate(k), minus.offset(k), minus.series_at(k)) for k in minus.support()]
+    # re-normalize: assemble moves R into the k = 0 series
+    return assemble(groups + [Group(t.lam, t.beta, t.series) for t in plus], log, seed=(lam, beta))

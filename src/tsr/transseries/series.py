@@ -64,12 +64,6 @@ class PowerSeries:
         )
 
     @classmethod
-    def monomial(cls, l: int, c=1) -> "PowerSeries":
-        coeffs = [Fraction(0)] * l
-        coeffs[l - 1] = Fraction(c)
-        return cls.from_coeffs(coeffs)
-
-    @classmethod
     def from_fn(cls, fn: Callable[[int], Fraction], *, known_order: Optional[int] = None, kernel=None) -> "PowerSeries":
         return cls(fn, known_order=known_order, kernel=kernel)
 
@@ -170,13 +164,6 @@ class PowerSeries:
             )
 
         return PowerSeries(fn, length=length)
-
-    def derivative(self) -> "PowerSeries":
-        """Termwise d/dx: c_l x^-l maps to -l c_l x^-(l+1)."""
-        return PowerSeries(
-            lambda l: -(l - 1) * self.coeff(l - 1) if l >= 2 else Fraction(0),
-            length=None if self.length is None else self.length + 1,
-        )
 
     def diff_combo(self, beta: Fraction, rate: Fraction) -> "PowerSeries":
         """(beta/x + rate) * y + y': content series of (x^beta e^(rate x) y)'."""

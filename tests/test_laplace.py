@@ -224,6 +224,26 @@ def test_named_sum_is_within_its_reported_error(c, name, x, digits):
         assert abs(val - ref) <= err <= max(cfg.abs_tol, cfg.rel_tol * abs(val))
 
 
+@pytest.mark.parametrize("name", ["stirling", "airy_u"])
+@pytest.mark.parametrize("x", [10**3, 2 * 10**3, 10**5, 10**8])
+def test_quadrature_sum_at_large_x(name, x):
+    # e^(-xp) F(p) lives in p < 1/x: the first panel is cut at 64/x, 128/x, ...
+    val, err = eb_sum(ts_parse(f"#{name}"), x, CFG)
+    with mp.workdps(CFG.precision + 20):
+        if name == "stirling":
+            ref = named_closed_form(name, mp.mpf(x))
+        else:
+            z = (mp.mpf(3 * x) / 2) ** (mp.mpf(2) / 3)
+            ref = mp.sqrt(mp.pi) * z ** (mp.mpf(1) / 4) * mp.exp(-x) * mp.airybi(z) / x
+        assert abs(val - ref) <= err
+        assert mp.nstr(val, 20) == mp.nstr(ref, 20)
+
+
+def test_near_zero_cuts_only_past_64_over_x():
+    assert _laplace_mod._cuts_near_zero(mp.mpf(64), mp.mpf(1)) == []
+    assert _laplace_mod._cuts_near_zero(mp.mpf(1000), mp.mpf(1)) == [mp.mpf(64) / 1000 * 2**k for k in range(4)]
+
+
 def mp_fraction(q):
     return mp.mpf(q.numerator) / q.denominator
 

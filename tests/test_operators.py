@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tsr.errors import DomainError, UnsupportedPointError
 from tsr.operators import (
+    NumericTaylor,
     Prefactor,
     SurrealPoint,
     SurrealValue,
@@ -368,3 +369,46 @@ def test_exp_of_lazy_infinitesimal_longer_than_first_window():
     z = SurrealNF([(SurrealNF.from_rational(-k), F(1)) for k in range(1, 7)])
     got = exp_lazy_infinitesimal(LazyNF.from_nf(z)).truncate(12)
     assert got == exp_infinitesimal(z).truncate(12)
+
+
+class TestFiniteAgainstRealEndpoint:
+    """A Taylor series at x0 + zeta less a real: its constant coefficient shifts."""
+
+    @staticmethod
+    def assert_coefficients(value, want, rel):
+        assert isinstance(value, NumericTaylor)
+        assert len(value.coefficients) == len(want)
+        for got, ref in zip(value.coefficients, want):
+            assert abs(got - ref) <= rel * abs(ref)
+
+    def test_exp_neg_over_x_both_orders(self):
+        f = catalog()["exp_neg_over_x"]
+        up = integrate(f, F(1, 10), nf("1+w^(-1)"), 4, cfg=CFG)
+        down = integrate(f, nf("1+w^(-1)"), F(1, 10), 4, cfg=CFG)
+        with mp.workdps(CFG.precision + 20):
+            g = lambda x: mp.exp(-x) / x
+            # c0 = E1(1/10) - E1(1), c_k = g^(k-1)(1)/k!
+            want = [mp.e1(mp.mpf(1) / 10) - mp.e1(1)] + [mp.diff(g, 1, k - 1) / mp.factorial(k) for k in range(1, 4)]
+            self.assert_coefficients(up, want, mp.mpf(10) ** -40)
+            self.assert_coefficients(down, [-c for c in want], mp.mpf(10) ** -40)
+
+    def test_exp_neg_two_to_finite_point(self):
+        value = integrate(catalog()["exp_neg"], 2, nf("3+w^(-1)"), 8, cfg=CFG)
+        with mp.workdps(CFG.precision + 20):
+            # e^(-2) - e^(-3 - zeta)
+            want = [mp.exp(-2) - mp.exp(-3)] + [-(-1) ** k * mp.exp(-3) / mp.factorial(k) for k in range(1, 8)]
+            self.assert_coefficients(value, want, mp.mpf(10) ** -40)
+
+    def test_exact_real_constant_counts_as_real(self):
+        f = catalog()["erfi_integrand"]
+        assert isinstance(extend(antidiff_no(f), 0), SurrealValue)
+        value = integrate(f, 0, nf("3+w^(-1)"), 3, cfg=CFG)
+        with mp.workdps(CFG.precision + 20):
+            # int_0^3 e^(t^2) dt, then e^9, 3 e^9
+            want = [mp.sqrt(mp.pi) / 2 * mp.erfi(3), mp.exp(9), 3 * mp.exp(9)]
+            self.assert_coefficients(value, want, mp.mpf(10) ** -40)
+
+    @pytest.mark.parametrize("a, b", [("w", "3+w^(-1)"), ("1+w^(-1)", "3+w^(-1)")])
+    def test_other_pairs_name_both_kinds(self, a, b):
+        with pytest.raises(UnsupportedPointError, match="NumericTaylor and a (NumericTaylor|SurrealValue)"):
+            integrate(catalog()["exp_neg"], nf(a), nf(b), 4)

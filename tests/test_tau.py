@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsr.errors import UndecidableSupport
-from tsr.operators import analyze_point, catalog, extend
-from tsr.operators.tau import eval_series_at
-from tsr.surreal import GT, LazyNF, SurrealNF, nf_cmp, one, parse_nf
+from tsr.errors import UndecidableSupport, UnsupportedPointError
+from tsr.operators import SurrealValue, analyze_point, catalog, exp_surreal_value, extend, tau_eval
+from tsr.operators.tau import eval_series_at, tau_eval_group
+from tsr.surreal import GT, LazyNF, SurrealNF, decompose, nf_cmp, omega, one, parse_nf
 from tsr.surreal import normal_form
-from tsr.transseries import PowerSeries
+from tsr.transseries import PowerSeries, ts_parse
 from conftest import time_budget
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -129,6 +129,35 @@ def test_leader_stream_matches_window_algorithm(point, ps, offset, n):
     want = reference_series_stream(ps, pt, offset, n)
     assert stream.terms(n + 1) == want.terms(n + 1)
     assert pref == eval_series_at(ps, pt, offset)[0]
+
+
+rates = st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+@PROPERTY
+@given(points(), rates, series(), offsets, st.integers(1, 6))
+def test_group_exponential_is_one_monomial(point, mu, ps, offset, n):
+    # mu*t0 has exponents p, ..., 0 only, so e^(mu t0) = w^E e^q, and a
+    # group's value is its series stream shifted by E
+    nu, coef, power = point
+    pt = analyze_point(nu, crit_coef=coef, crit_power=power)
+    mu_t0 = SurrealNF.monomial(SurrealNF.from_rational(pt.t0_lead_exp), mu * pt.t0_lead_coef) * (one() + pt.u)
+    assert decompose(mu_t0)[2].is_zero()
+    (exp_group,) = exp_surreal_value(SurrealValue.from_nf(mu_t0)).groups
+    (lead,) = exp_group.stream.terms(2)
+    series_pref, series_stream = eval_series_at(ps, pt, offset)
+    got = tau_eval_group(mu, offset, ps, pt)
+    assert got.prefactor == exp_group.prefactor * series_pref
+    want = [(e + lead[0], c * lead[1]) for e, c in series_stream.terms(n)]
+    assert got.stream.terms(n) == want
+
+
+@pytest.mark.parametrize("power", [F(0), F(-1, 2), F(-1)])
+def test_critical_time_must_be_positive_infinite(power):
+    with pytest.raises(UnsupportedPointError, match="critical power"):
+        analyze_point(omega(), crit_power=power)
+    with pytest.raises(UnsupportedPointError, match="critical power"):
+        tau_eval(ts_parse("exp(x)/x"), omega(), crit_power=power)
 
 
 def test_finite_series_stream_ends():

@@ -29,6 +29,7 @@ from tsr.transseries import (
     ts_sign,
     ts_sub,
 )
+from tsr.transseries.parser import ts_from_json, ts_to_json
 
 # rates whose pairwise ratios exceed the resonance window
 SAFE_RATES = [F(1), F(17, 16), F(19, 16), F(23, 16), F(29, 16), F(31, 16)]
@@ -247,9 +248,27 @@ class TestDecompose:
         for m in (0, 1, 3):
             ts = ts_parse("exp(-x)/x + 5/x + 1/x^2 + 1/x^4 + x^2*log(x)")
             minus, log, plus = ts_decompose(ts, m)
-            view = TransseriesT1(minus=minus, log=log, plus=plus)
-            back = assemble(groups_of(view), view.log)
+            back = assemble(groups_of(TransseriesT1(minus=minus, plus=plus)), log)
             assert eq_to_order(back, ts, 12)
+
+
+class TestNormalForm:
+    def test_constructor_rejects_r(self):
+        with pytest.raises(ValueError):
+            TransseriesT1(log=LogPart(R=(F(1),)))
+
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            lambda: from_log_part(R=(1,)),
+            lambda: ts_from_json({"log": {"R": ["1"]}}),
+        ],
+    )
+    def test_assemble_folds_r_into_the_k0_series(self, ts):
+        got, want = ts(), ts_parse("1/x")
+        assert not got.log.R
+        assert eq_to_order(got, want, 12)
+        assert ts_to_json(got) == ts_to_json(want)
 
 
 class TestSign:
