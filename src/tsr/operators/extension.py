@@ -301,9 +301,9 @@ def value_difference(hi, lo, cfg: QuadratureConfig):
     if isinstance(hi, NumericTaylor) or isinstance(lo, NumericTaylor):
         with mp.workdps(cfg.precision):
             if isinstance(hi, NumericTaylor) and (r := _real_or_none(lo)) is not None:
-                return replace(hi, coefficients=[hi.coefficients[0] - r] + hi.coefficients[1:])
+                return replace(hi, coefficients=[c - r for c in hi.coefficients[:1]] + hi.coefficients[1:])
             if isinstance(lo, NumericTaylor) and (r := _real_or_none(hi)) is not None:
-                return replace(lo, coefficients=[r - lo.coefficients[0]] + [-c for c in lo.coefficients[1:]])
+                return replace(lo, coefficients=[r - c for c in lo.coefficients[:1]] + [-c for c in lo.coefficients[1:]])
         raise UnsupportedPointError(f"no difference of a {type(hi).__name__} and a {type(lo).__name__} value")
     if isinstance(hi, SurrealValue) and isinstance(lo, SurrealValue):
         return hi - lo
