@@ -306,7 +306,7 @@ def _print_result(ns, cfg: QuadratureConfig, result) -> int:
         else:
             print(result.render(ns.terms))
         return 0
-    _emit_value(ns, {"value": float(result), "error_estimate": 0.0}, mp.nstr(result, _digits(cfg)))
+    _emit_value(ns, {"value": float(result)}, mp.nstr(result, _digits(cfg)))
     return 0
 
 

@@ -5,12 +5,12 @@ independent high-precision oracle on the reals and an exact derivative
 facility for Taylor extensions at finite points.  The Ei and erfi-integral
 oracles sum their convergent series, DLMF 6.6.1 and 7.6.4 (O(x) terms for
 Ei, O(x^2) for erfi; past the working bits each sums its asymptotic series,
-DLMF 6.12.2 and 7.12, instead), and the Airy oracles step y'' = z y by
-Taylor series, all in raw ``mpmath.libmp`` arithmetic at an explicit working
-precision; none uses quadrature or mpmath's own Ei and erfi, which serve as
-references in the tests.  The Borel kernels travel with the series: each
-entry is built from the registered ``#name`` series of ``tsr.coefficients``,
-whose closed-form kernel its resummation reads.
+DLMF 6.12.2 and 7.12, instead), and the Airy oracles sum their Maclaurin
+series (DLMF 9.4, O(|z|^(3/2)) terms), all in raw ``mpmath.libmp`` arithmetic
+at an explicit working precision; none uses quadrature or mpmath's own Ei,
+erfi or Airy functions, which serve as references in the tests.  The Borel
+kernels travel with the series: each entry is built from the registered
+``#name`` series of ``tsr.coefficients``, whose closed-form kernel its resummation reads.
 Entries whose transseries would need an irrational global scale carry it as
 a symbolic prefactor; the erfi integral needs none because
 Gamma(n+1/2)/(2 sqrt(pi)) is rational.
@@ -23,7 +23,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import factorial
 from typing import Callable, Optional
 
@@ -132,72 +132,76 @@ def erfi_integral_oracle(x):
     return mp.make_mpf(libmp.mpf_pos(special.erfi_integral(x._mpf_, prec), prec, _RND))
 
 
-def _airy_series_step(y0, y1, z0, h, wp):
-    """Taylor step for y'' = z y from z0 to z0 + h, raw mpf at wp bits.
-
-    The coefficients c_(n+2) = (z0 c_n + c_(n-1)) / ((n+1)(n+2)) are taken
-    until two successive terms c_n h^n fall below 2^-wp of the step's scale
-    |y0| + |h y1|; value and derivative are then summed by Horner.
-    """
-    lh = math.log2(h[1]) + h[2]  # log2 |h|
-    floor = max(special.mag(y0), special.mag(y1) + lh) - wp
-    c = [y0, y1]
-    small = 0
-    while small < 2:
-        n = len(c) - 2
-        prev = c[n - 1] if n >= 1 else libmp.fzero
-        nxt = libmp.mpf_add(libmp.mpf_mul(z0, c[n], wp), prev, wp)
-        c.append(libmp.mpf_div(nxt, libmp.from_int((n + 1) * (n + 2)), wp))
-        small = small + 1 if special.mag(c[-1]) + (n + 2) * lh < floor else 0
-    val = dval = libmp.fzero
-    for n in reversed(range(len(c))):
-        val = libmp.mpf_add(libmp.mpf_mul(val, h, wp), c[n], wp)
-        if n >= 1:
-            dval = libmp.mpf_add(libmp.mpf_mul(dval, h, wp), libmp.mpf_mul_int(c[n], n, wp), wp)
-    return val, dval
+def _airy_coeffs(y0, y1, z0, wp):
+    """The Taylor coefficients c_0, c_1, ... at z0 of the solution of
+    y'' = z y with y(z0) = y0 and y'(z0) = y1, as raw mpf at wp bits:
+    c_(n+2) = (z0 c_n + c_(n-1)) / ((n+1)(n+2)), with c_(-1) = 0."""
+    prev, c, nxt = libmp.fzero, y0, y1  # c_(n-1), c_n, c_(n+1)
+    for n in count():
+        yield c
+        step = libmp.mpf_add(libmp.mpf_mul(z0, c, wp), prev, wp)
+        prev, c, nxt = c, nxt, libmp.mpf_div(step, libmp.from_int((n + 1) * (n + 2)), wp)
 
 
 def _airy_at_zero(kind: str, wp):
-    """(y(0), y'(0)) of Ai or Bi as raw mpf at wp bits (DLMF 9.2.3-9.2.6)."""
-    cbrt3 = libmp.mpf_cbrt(libmp.from_int(3), wp)
-    g13 = libmp.mpf_gamma(libmp.from_rational(1, 3, wp), wp)
-    g23 = libmp.mpf_gamma(libmp.from_rational(2, 3, wp), wp)
-    if kind == "ai":  # 3^(-2/3) / Gamma(2/3), -3^(-1/3) / Gamma(1/3)
-        y = libmp.mpf_div(libmp.fone, libmp.mpf_mul(libmp.mpf_mul(cbrt3, cbrt3, wp), g23, wp), wp)
-        return y, libmp.mpf_neg(libmp.mpf_div(libmp.fone, libmp.mpf_mul(cbrt3, g13, wp), wp))
-    root6 = libmp.mpf_sqrt(cbrt3, wp)  # 3^(-1/6) / Gamma(2/3), 3^(1/6) / Gamma(1/3)
-    return libmp.mpf_div(libmp.fone, libmp.mpf_mul(root6, g23, wp), wp), libmp.mpf_div(root6, g13, wp)
+    """(y(0), y'(0)) of Ai or Bi as raw mpf at wp bits (DLMF 9.2.3-9.2.6): Ai(0) =
+    3^(-1/6) g / (2 pi), Ai'(0) = -3^(-1/3) / g and Bi = sqrt(3) (Ai, -Ai') at 0, where
+    g = Gamma(1/3) = (2^(4/3) pi^2 / (3^(1/4) agm(1, (sqrt(6) + sqrt(2)) / 4)))^(1/3), an
+    AGM (``mpf_gamma``'s first call at a few thousand bits takes seconds)."""
+    sqrt3, cbrt3 = libmp.mpf_sqrt(libmp.from_int(3), wp), libmp.mpf_cbrt(libmp.from_int(3), wp)
+    two_pi = libmp.mpf_shift(libmp.mpf_pi(wp), 1)
+    k = libmp.mpf_shift(libmp.mpf_mul(libmp.mpf_sqrt(libmp.from_int(2), wp), libmp.mpf_add(sqrt3, libmp.fone, wp), wp), -2)
+    den = libmp.mpf_shift(libmp.mpf_mul(libmp.mpf_sqrt(sqrt3, wp), libmp.mpf_agm(libmp.fone, k, wp), wp), 1)
+    num = libmp.mpf_mul(libmp.mpf_cbrt(libmp.from_int(2), wp), libmp.mpf_mul(two_pi, two_pi), wp)  # 2^(1/3) (2 pi)^2
+    g = libmp.mpf_cbrt(libmp.mpf_div(num, den, wp), wp)
+    scale = sqrt3 if kind == "bi" else libmp.fone
+    y = libmp.mpf_div(libmp.mpf_mul(scale, g), libmp.mpf_mul(libmp.mpf_sqrt(cbrt3, wp), two_pi, wp), wp)
+    dy = libmp.mpf_div(scale, libmp.mpf_mul(cbrt3, g, wp), wp)
+    return y, dy if kind == "bi" else libmp.mpf_neg(dy)
 
 
-def _airy_pair(kind: str, z):
-    """(y, y') for Ai or Bi at real z, by Taylor-series ODE integration from 0.
+def _airy_raw(kind: str, z, prec: int):
+    """(y, y') of Ai or Bi at a raw z as unrounded raw mpf, good to about
+    prec + GUARD bits: the Maclaurin series at 0 (DLMF 9.4).
 
-    Steps of at most 1/2.  Ai is the recessive solution for z > 0: stepping it
-    forward loses about 2 zeta log2(e) bits, zeta = 2/3 z^(3/2), so those bits
-    are added to the working precision.
+    The terms c_n z^n grow until n is about |z|^(3/2), to about e^zeta,
+    zeta = 2/3 |z|^(3/2), and cancel to the value: by 2 zeta log2(e) bits
+    for Ai at z > 0, by zeta log2(e) bits at z < 0 and not at all for Bi at
+    z > 0.  Those bits are added to the working precision.  Every third
+    coefficient is zero; the sum stops at the third nonzero term in a row
+    whose value and derivative parts both fall below 2^-wp (|y(0)| + |z y'(0)|).
     """
-    z = mp.mpf(z)
-    prec, target = mp.mp.prec, z._mpf_
     wp = prec + special.GUARD
-    if kind == "ai" and z > 0:
-        wp += math.ceil(4 * float(z) ** 1.5 / (3 * math.log(2)))
-    y, dy = _airy_at_zero(kind, wp)
-    z0, half = libmp.fzero, libmp.from_rational(1, 2, 2)
-    while z0 != target:
-        h = libmp.mpf_sub(target, z0)  # exact: z0 is a multiple of 1/2
-        if libmp.mpf_gt(libmp.mpf_abs(h), half):
-            h = half if h[0] == 0 else libmp.mpf_neg(half)
-        y, dy = _airy_series_step(y, dy, z0, h, wp)
-        z0 = libmp.mpf_add(z0, h)
-    return mp.make_mpf(libmp.mpf_pos(y, prec, _RND)), mp.make_mpf(libmp.mpf_pos(dy, prec, _RND))
+    if not z[1]:
+        return _airy_at_zero(kind, wp)
+    zeta_bits = 2 * abs(libmp.to_float(z)) ** 1.5 / (3 * math.log(2))
+    wp += math.ceil(zeta_bits if z[0] else 2 * zeta_bits if kind == "ai" else 0)
+    y0, y1 = _airy_at_zero(kind, wp)
+    lz = math.log2(z[1]) + z[2]  # log2 |z|
+    floor = max(special.mag(y0), special.mag(y1) + lz) - wp
+    c, small = [], 0
+    for n, cn in enumerate(_airy_coeffs(y0, y1, libmp.fzero, wp)):
+        c.append(cn)
+        if cn[1]:  # the larger of |c_n z^n| and |n c_n z^(n-1)|, against the floor
+            small = small + 1 if special.mag(cn) + (n - 1) * lz + max(lz, math.log2(max(n, 1))) < floor else 0
+        if small == 3:
+            break
+    val = dval = libmp.fzero  # Horner: products by a short z are cheap, full powers z^n are not
+    for n in reversed(range(len(c))):
+        val = libmp.mpf_add(libmp.mpf_mul(val, z, wp), c[n], wp)
+        if n >= 1:
+            dval = libmp.mpf_add(libmp.mpf_mul(dval, z, wp), libmp.mpf_mul_int(c[n], n, wp), wp)
+    return val, dval
 
 
 def airy_ai_oracle(z):
-    return _airy_pair("ai", z)[0]
+    prec = mp.mp.prec
+    return mp.make_mpf(libmp.mpf_pos(_airy_raw("ai", mp.mpf(z)._mpf_, prec)[0], prec, _RND))
 
 
 def airy_bi_oracle(z):
-    return _airy_pair("bi", z)[0]
+    prec = mp.mp.prec
+    return mp.make_mpf(libmp.mpf_pos(_airy_raw("bi", mp.mpf(z)._mpf_, prec)[0], prec, _RND))
 
 
 def loggamma_oracle(x):
@@ -305,21 +309,12 @@ def shifted_taylor(derivative: Callable, oracle: Callable, exact_value: Optional
 
 
 def _airy_taylor(kind: str):
-    # y^(k) = a_k y + b_k y' with a_(k+1) = a_k' + z b_k, b_(k+1) = a_k + b_k'
-    def pairs():
-        a, b = {0: Fraction(1)}, {}
-        while True:
-            yield a, b
-            zb = {j + 1: c for j, c in b.items()}
-            a, b = _laurent_add(_laurent_diff(a), zb), _laurent_add(a, _laurent_diff(b))
-
-    ab = Stream(pairs)
-
+    # the k-th coefficient at x0, from the unrounded (y, y') there, rounded once
     def taylor(x0, k) -> TaylorTerm:
-        a, b = ab[k]
-        x = _to_mpf(x0)
-        y, dy = _airy_pair(kind, x)
-        return ("num", (_laurent_eval(a, x) * y + _laurent_eval(b, x) * dy) / mp.factorial(k))
+        prec = mp.mp.prec
+        z = _to_mpf(x0)._mpf_
+        coeffs = _airy_coeffs(*_airy_raw(kind, z, prec), z, prec + special.GUARD)
+        return ("num", mp.make_mpf(libmp.mpf_pos(next(islice(coeffs, k, None)), prec, _RND)))
 
     return taylor
 

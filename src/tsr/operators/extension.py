@@ -297,9 +297,12 @@ def value_difference(hi, lo, cfg: QuadratureConfig):
 
     A Taylor series at x0 + zeta less a real is the same series with its
     constant coefficient shifted; an exact real constant counts as a real.
+    Two Taylor series in the same zeta subtract coefficient by coefficient.
     """
     if isinstance(hi, NumericTaylor) or isinstance(lo, NumericTaylor):
         with mp.workdps(cfg.precision):
+            if isinstance(hi, NumericTaylor) and isinstance(lo, NumericTaylor) and hi.zeta == lo.zeta:
+                return replace(hi, coefficients=[a - b for a, b in zip(hi.coefficients, lo.coefficients)])
             if isinstance(hi, NumericTaylor) and (r := _real_or_none(lo)) is not None:
                 return replace(hi, coefficients=[c - r for c in hi.coefficients[:1]] + hi.coefficients[1:])
             if isinstance(lo, NumericTaylor) and (r := _real_or_none(hi)) is not None:

@@ -545,24 +545,20 @@ class AiryKernel(BorelFunction):
         return [Singularity(Fraction(2), "log")] if self.side > 0 else []
 
     def taylor(self, K: int) -> list[Fraction]:
-        out = [Fraction(1)]
-        for k in range(K):  # a_(k+1) (side/2)^(k+1) from a_k (side/2)^k
-            out.append(out[-1] * Fraction(self.side * (6 * k + 1) * (6 * k + 5), 72 * (k + 1) ** 2))
-        return out
+        from ..coefficients import airy_u
+
+        return [airy_u(k) * self.side**k / math.factorial(k) for k in range(K + 1)]
 
     def value(self, p):
         re = _airy_f(_at_prec(self._tables, _airy_tables), self.side * mp.mpf(p) / 2)
         return mp.make_mpf(libmp.mpf_pos(re, mp.mp.prec, libmp.round_nearest))
 
 
-_AIRY_GUARD = 20  # bits above the working precision
-
-
 def _airy_tables() -> tuple:
     """(wp, series coefficients, constants) of ``_airy_f`` at the working
     precision: the coefficients as integers scaled by 2^wp, as many as a
     ratio of 5/8 needs, the constants as raw mpf at wp bits."""
-    wp = mp.mp.prec + _AIRY_GUARD
+    wp = mp.mp.prec + special.GUARD
     n = int((wp + 8) / math.log2(8 / 5)) + 2
     one = 1 << wp
     a, ah, e, g1, g2 = [one], [], [one], [one], [one]

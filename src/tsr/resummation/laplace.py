@@ -60,6 +60,7 @@ from mpmath import libmp
 from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 
 from ..errors import (
+    DomainError,
     GrowthBoundViolated,
     ToleranceNotMet,
     TruncationBoundUnavailable,
@@ -401,24 +402,28 @@ def eb_sum(
             series = grp.series
             if series.length == 0:
                 continue
-            pre = x ** _c2mp(grp.offset) * mp.exp(_c2mp(grp.mu) * x)
+            growth = mp.exp(_c2mp(grp.mu) * x)
             if tail_constants is not None and grp.mu < 0:
                 c1, c2, c3 = (mp.mpf(v) for v in tail_constants)
-                bound = c1 * abs(pre) / (x - c3)
+                bound = c1 * abs(x ** _c2mp(grp.offset) * growth) / (x - c3)
                 if bound < mp.mpf(cfg.abs_tol) / 10:
                     err += bound
                     continue
             if series.is_finite():
-                # finite sums are their own Borel sums
+                # finite sums are their own Borel sums: e^(mu x) sum(c_l x^(offset - l))
                 val = mp.mpf(0)
                 for l in range(1, series.length + 1):
-                    val += _c2mp(series.coeff(l)) * x ** (-l)
-                total += pre * val
+                    if c := series.coeff(l):
+                        if not x and grp.offset < l:
+                            raise DomainError(f"x^({grp.offset - l}) has no value at x = 0")
+                        val += _c2mp(c) * x ** _c2mp(grp.offset - l)
+                total += growth * val
                 continue
             entry = (resolver(series) if resolver is not None else series.kernel) or resolve_default(series)
             # c x^m L[man P^m K](x): the regularized sum of one series
             kernel = entry.kernel.p_integral(entry.m) if entry.m else entry.kernel
             val, lerr = laplace(kernel, x, cfg)
+            pre = x ** _c2mp(grp.offset) * growth
             scale = _c2mp(entry.c) * x**entry.m
             term = pre * (scale * val)
             total += term

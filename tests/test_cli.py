@@ -74,6 +74,16 @@ class TestVerbs:
         assert abs(payload["value"] - 440.37989953) < 1e-6
         assert payload["error_estimate"] < 1e-8
 
+    def test_integrate_from_zero(self, cli):
+        # A_No exp_neg = -e^(-x) is stored as x e^(-x) (-1/x), which has a value at 0
+        assert cli("integrate", "exp_neg", "0", "3") == (0, "0.95021293163213605702\n", "")
+
+    def test_json_decimal_result_carries_no_error_estimate(self, cli):
+        # an oracle value emitted as a double has no bound to report
+        for argv in (("eval", "ei", "3"), ("integrate", "exp_neg_over_x", "2", "5")):
+            code, out, _ = cli("--json", *argv)
+            assert code == 0 and list(json.loads(out)) == ["value"]
+
     def test_catalog_listing(self, cli):
         code, out, _ = cli("catalog")
         names = out.split()
@@ -95,6 +105,10 @@ class TestErrors:
         code, _, err = cli("eval", "ei", "-3")
         assert code == 1
         assert "DomainError" in err
+
+    def test_a_negative_power_at_zero_is_a_domain_error(self, cli):
+        code, out, err = cli("sum", "1/x", "0")
+        assert code == 1 and out == "" and "DomainError" in err
 
     def test_unknown_entry(self, cli):
         code, _, err = cli("integrate", "nope", "0", "1")

@@ -408,7 +408,14 @@ class TestFiniteAgainstRealEndpoint:
             want = [mp.sqrt(mp.pi) / 2 * mp.erfi(3), mp.exp(9), 3 * mp.exp(9)]
             self.assert_coefficients(value, want, mp.mpf(10) ** -40)
 
-    @pytest.mark.parametrize("a, b", [("w", "3+w^(-1)"), ("1+w^(-1)", "3+w^(-1)")])
+    def test_two_finite_points_with_one_zeta(self):
+        value = integrate(catalog()["exp_neg"], nf("1+w^(-1)"), nf("3+w^(-1)"), 6, cfg=CFG)
+        with mp.workdps(CFG.precision + 20):
+            # e^(-1 - zeta) - e^(-3 - zeta)
+            want = [(-1) ** k * (mp.exp(-1) - mp.exp(-3)) / mp.factorial(k) for k in range(6)]
+            self.assert_coefficients(value, want, mp.mpf(10) ** -40)
+
+    @pytest.mark.parametrize("a, b", [("w", "3+w^(-1)"), ("1+w^(-1)", "3+w^(-2)")])
     def test_other_pairs_name_both_kinds(self, a, b):
         with pytest.raises(UnsupportedPointError, match="NumericTaylor and a (NumericTaylor|SurrealValue)"):
             integrate(catalog()["exp_neg"], nf(a), nf(b), 4)

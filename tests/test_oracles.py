@@ -1,6 +1,7 @@
 """Real-line oracles: the convergent-series oracles and Gamma's Taylor terms."""
 
 import contextlib
+import functools
 import io
 from fractions import Fraction as F
 
@@ -55,9 +56,12 @@ def _reference(fn, x):
     airy_zs=st.lists(grid(-8 * 64, 16 * 64, 64), min_size=1, max_size=2),
 )
 @example(precision=(100, 40), ei_xs=[F(24, 64), F(20)], erfi_xs=[F(0), F(-12)], airy_zs=[F(16), F(-8)])
+@example(precision=(30, 0), ei_xs=[F(1)], erfi_xs=[F(1)], airy_zs=[F(-64), F(-20)])
+@example(precision=(50, 20), ei_xs=[F(1)], erfi_xs=[F(1)], airy_zs=[F(32), F(64)])
+@example(precision=(30, 0), ei_xs=[F(1)], erfi_xs=[F(1)], airy_zs=[F(100), F(0)])
 def test_oracles_agree_with_mpmath(precision, ei_xs, erfi_xs, airy_zs):
-    # Ei and the erfi integral within 1 ulp; Ai and Bi within 2^(4 - prec)
-    # relative (x = 24/64 is the grid point nearest the zero of Ei)
+    # Ei, the erfi integral, Ai and Bi within 1 ulp, and so are Ai' and Bi',
+    # the first Taylor terms (x = 24/64 is the grid point nearest the zero of Ei)
     dps, extra = precision
     with mp.workdps(dps):
         mp.mp.prec += extra
@@ -68,11 +72,32 @@ def test_oracles_agree_with_mpmath(precision, ei_xs, erfi_xs, airy_zs):
             x = _mpf(q)
             got, ref = erfi_integral_oracle(x), _reference(lambda s: mp.sqrt(mp.pi) / 2 * mp.erfi(s), x)
             assert got == 0 if q == 0 else _ulps(got, ref) <= 1, q
-        bound = mp.ldexp(1, 4 - mp.mp.prec)
         for q in airy_zs:
             z = _mpf(q)
-            assert abs(airy_ai_oracle(z) / _reference(mp.airyai, z) - 1) <= bound, q
-            assert abs(airy_bi_oracle(z) / _reference(mp.airybi, z) - 1) <= bound, q
+            for oracle, ref, name in ((airy_ai_oracle, mp.airyai, "airy_ai"), (airy_bi_oracle, mp.airybi, "airy_bi")):
+                assert _ulps(oracle(z), _reference(ref, z)) <= 1, q
+                derivative = catalog()[name].taylor_term(z, 1)[1]
+                assert _ulps(derivative, _reference(lambda s: ref(s, derivative=1), z)) <= 1, q
+
+
+@functools.lru_cache(maxsize=None)
+def _airy_taylor_reference(name: str, x: tuple, k: int):
+    """y^(k)(x)/k! of Ai or Bi at the raw mpf x, at 90 digits (40 above the
+    highest precision tested), so the dyadic points share it across precisions."""
+    with mp.workdps(90):
+        return getattr(mp, name.replace("_", ""))(mp.mpf(x), derivative=k) / mp.factorial(k)
+
+
+@pytest.mark.parametrize("dps", [15, 30, 50])
+def test_airy_taylor_terms_agree_with_mpmath(dps):
+    # y^(k)(x0)/k! for k <= 12 within 2 ulp, on both sides of 0
+    with mp.workdps(dps):
+        for x0 in (F(-1), F(1, 3), F(1, 2), F(2), F(5, 2), F(3), F(7, 2), F(5)):
+            x = _mpf(x0)._mpf_
+            for name in ("airy_ai", "airy_bi"):
+                taylor = catalog()[name].taylor_term
+                for k in range(13):
+                    assert _ulps(taylor(x0, k)[1], _airy_taylor_reference(name, x, k)) <= 2, (name, x0, k)
 
 
 @pytest.mark.parametrize("dps", [15, 30, 50, 100])
