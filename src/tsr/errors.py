@@ -58,7 +58,8 @@ class UnsupportedPointError(TsrError):
 
 
 class DomainError(TsrError):
-    """Real evaluation point below the function's domain endpoint, or not finite."""
+    """Real evaluation point below the function's domain endpoint, not finite,
+    or past the work bound of the function's oracle (Airy past zeta = 4096)."""
 
 
 class ExpressionSyntaxError(TsrError):

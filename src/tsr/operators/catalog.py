@@ -109,9 +109,11 @@ class CatalogFunction:
 # The Ei, erfi-integral and Airy oracles sum convergent series in raw
 # ``mpmath.libmp`` arithmetic at an explicit working precision, the caller's
 # ``mp.mp.prec`` plus guard bits, and round once to the caller's precision.
-# They never write the global precision and keep no memo, so threads may call
-# them at once.  The Ei and erfi-integral series live in
-# ``tsr.resummation.special``, which the closed-form Laplace transforms share.
+# They never write the global precision, so threads may call them at once;
+# the one memo, Airy's (y, y') per (kind, point, precision), is a bounded
+# ``functools.lru_cache`` of immutable raw values.  The Ei and erfi-integral
+# series live in ``tsr.resummation.special``, which the closed-form Laplace
+# transforms share.
 
 _RND = libmp.round_nearest
 
@@ -160,6 +162,13 @@ def _airy_at_zero(kind: str, wp):
     return y, dy if kind == "bi" else libmp.mpf_neg(dy)
 
 
+#: Largest zeta = 2/3 |z|^(3/2) whose Airy values the Maclaurin series sums:
+#: about |z|^(3/2) terms, at up to 2 zeta log2(e) extra bits, which is about
+#: a second at 15 digits at the bound (|z| about 335).
+_AIRY_MAX_ZETA = 4096
+
+
+@functools.lru_cache(maxsize=64)
 def _airy_raw(kind: str, z, prec: int):
     """(y, y') of Ai or Bi at a raw z as unrounded raw mpf, good to about
     prec + GUARD bits: the Maclaurin series at 0 (DLMF 9.4).
@@ -170,14 +179,19 @@ def _airy_raw(kind: str, z, prec: int):
     z > 0.  Those bits are added to the working precision.  Every third
     coefficient is zero; the sum stops at the third nonzero term in a row
     whose value and derivative parts both fall below 2^-wp (|y(0)| + |z y'(0)|).
+    zeta is estimated from z's mantissa and exponent, and past
+    ``_AIRY_MAX_ZETA`` the point raises DomainError.  Each (kind, z, prec)
+    is summed once: a Taylor facility reads all its terms off one (y, y').
     """
     wp = prec + special.GUARD
     if not z[1]:
         return _airy_at_zero(kind, wp)
+    lz = math.log2(z[1]) + z[2]  # log2 |z|
+    if 1.5 * lz > math.log2(1.5 * _AIRY_MAX_ZETA):
+        raise DomainError(f"Airy at z = {libmp.to_str(z, 6)}: zeta = 2/3 |z|^(3/2) is past {_AIRY_MAX_ZETA}, the series' work bound")
     zeta_bits = 2 * abs(libmp.to_float(z)) ** 1.5 / (3 * math.log(2))
     wp += math.ceil(zeta_bits if z[0] else 2 * zeta_bits if kind == "ai" else 0)
     y0, y1 = _airy_at_zero(kind, wp)
-    lz = math.log2(z[1]) + z[2]  # log2 |z|
     floor = max(special.mag(y0), special.mag(y1) + lz) - wp
     c, small = [], 0
     for n, cn in enumerate(_airy_coeffs(y0, y1, libmp.fzero, wp)):
@@ -309,7 +323,8 @@ def shifted_taylor(derivative: Callable, oracle: Callable, exact_value: Optional
 
 
 def _airy_taylor(kind: str):
-    # the k-th coefficient at x0, from the unrounded (y, y') there, rounded once
+    # the k-th coefficient at x0, from the unrounded (y, y') there (summed once
+    # per point and precision, see ``_airy_raw``), rounded once
     def taylor(x0, k) -> TaylorTerm:
         prec = mp.mp.prec
         z = _to_mpf(x0)._mpf_

@@ -11,7 +11,12 @@ is closed under P, which is how pole kernels regularize to logs, and each
 closed form sums its own Laplace transform exactly (``ClosedFormKernel.laplace``)
 without a value at any point.  The Pade, Binet and Airy kernels are summed
 by quadrature: they give their value on the ray and their singularities, and
-keep the mpf constants a node needs once per working precision.
+keep the mpf constants a node needs once per working precision.  A Pade
+kernel's singularities are its poles, found exactly over Q: Descartes' rule
+of signs with bisection isolates the denominator's real positive roots and
+their orders, and Newton's method refines each simple one at an explicit
+precision (``positive_roots``).  A pole of order 2 or more has no principal
+value and is refused.
 
 A series carries its kernel as a :class:`KernelEntry` (kernel, m, c): its
 Borel transform is c times the kernel, so every rational multiple of a
@@ -295,16 +300,168 @@ def _vpow_taylor(a: Fraction, b: int, K: int) -> list[Fraction]:
     return out
 
 
+def positive_roots(coeffs: Sequence[Fraction], prec: int) -> list[tuple[Fraction, int]]:
+    """The distinct real positive roots of sum(c_j p^j) (lowest degree
+    first), ascending, each with its order, found exactly over Q.
+
+    The coefficients are cleared of their denominators and their content, and
+    the roots are isolated in (0, 2^k), a Fujiwara bound, by Descartes' rule
+    of signs with bisection (Collins & Akritas, 1976), in integer Taylor
+    shifts and sign counts.  An interval whose count is 1 holds one simple
+    root, which Newton's method refines inside it (``_refine``) to
+    2^-(prec+32) of itself (32 guard bits, about 10 digits).  A dyadic root
+    that a bisection lands on is divided out, and the number of divisions is
+    its order.  An interval narrower than 2^-(prec+10) of its lower end whose
+    count v is still 2 or more is taken for one root of order v at its
+    midpoint.  Raises DegenerateTableError when the leading coefficient is 0.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    drop = next((i for i, c in enumerate(reversed(coeffs)) if c), len(coeffs))
+    if drop:
+        raise DegenerateTableError(
+            f"the denominator's leading coefficient is 0: its degree drops from {len(coeffs) - 1} to {len(coeffs) - 1 - drop}"
+        )
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    a = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    low = next(i for i, c in enumerate(a) if c)  # p = 0 is no positive root
+    g = math.gcd(*a)
+    a = [c // g for c in a[low:]]
+    n = len(a) - 1
+    if n == 0:
+        return []
+    # every root is below 2 max |a_(n-i) / a_n|^(1/i) < 2^k
+    top = abs(a[n]).bit_length()
+    k = max([0] + [1 - (top - abs(c).bit_length() - 1) // i for i, c in enumerate(reversed(a[:n]), 1) if c])
+    exact, multiple, simple = [], [], []
+    todo = [([c << (k * i) for i, c in enumerate(a)], 0, 0)]  # q(t): the roots of a in p = (c + t) 2^(k-d), 0 < t < 1
+    while todo:
+        q, c, d = todo.pop()
+        v = _sign_changes(_shift1(q[::-1]))
+        if v == 1:
+            simple.append((c, k - d))
+        elif v and c >> (prec + 10):
+            multiple.append((_dyadic(2 * c + 1, k - d - 1), v))
+        elif v:
+            m = len(q) - 1
+            left = [x << (m - i) for i, x in enumerate(q)]  # q(t/2), t = 1 the midpoint
+            order = 0
+            while not sum(left):
+                left, order = _divide(left, 1, 1), order + 1
+            if order:
+                exact.append((_dyadic(2 * c + 1, k - d - 1), order))
+            todo += [(left, 2 * c, d + 1), (_shift1(left), 2 * c + 1, d + 1)]
+    for r, order in exact:  # so that no end of an isolating interval is a root of a
+        for _ in range(order):
+            a = _divide(a, r.numerator, r.denominator)
+    return sorted(exact + multiple + [(_refine(a, c, e, prec + 32), 1) for c, e in simple])
+
+
+def _shift1(q: list) -> list:
+    """q(t + 1), integer coefficients lowest degree first (Taylor shift)."""
+    q = list(q)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += q[j + 1]
+    return q
+
+
+def _sign_changes(q: list) -> int:
+    """Descartes' count: the sign changes along q's nonzero coefficients.
+    Applied to (t + 1)^n q(1/(t + 1)), it bounds the roots of q in (0, 1)
+    and has their parity."""
+    signs = [c > 0 for c in q if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _divide(a: list, num: int, den: int) -> list:
+    """a(p) / (den p - num), exact for integer coefficients when num/den is
+    a root of a in lowest terms (Gauss's lemma)."""
+    out, b = [0] * (len(a) - 1), 0
+    for i in range(len(a) - 1, 0, -1):
+        b = (a[i] + num * b) // den
+        out[i - 1] = b
+    return out
+
+
+def _dyadic(man: int, exp: int) -> Fraction:
+    """man 2^exp, exactly."""
+    return Fraction(man, 1 << -exp) if exp < 0 else Fraction(man << exp)
+
+
+def _horner(coeffs, p):
+    """Horner's rule, lowest degree first, over ints or mpf."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * p + c
+    return out
+
+
+def _refine(a: list, c: int, e: int, bits: int) -> Fraction:
+    """The simple root of a (integers, lowest degree first) in the open
+    interval (c 2^e, (c+1) 2^e), whose ends are no roots, to 2^-bits of
+    itself.
+
+    An interval from 0 is halved until its lower end is positive, so the
+    root is known to a factor of 2.  Then p = m 2^-s on a grid of step
+    2^-s at most 2^-bits of the lower end, and Newton's method runs on
+    the integer m, kept inside the bracket [lo, hi] that every evaluated
+    point narrows: a step out of the bracket, or one larger than half the
+    step before, is replaced by a bisection, and a step that rounds to 0
+    probes the unit beyond.  It ends when hi - lo <= 2 and returns the
+    midpoint, or at an exact root.
+    """
+    while c == 0:
+        e -= 1
+        y = sum(_on_grid(a, -e))  # a(2^e), up to a positive factor
+        if not y:
+            return _dyadic(1, e)
+        c = int((y > 0) == (a[0] > 0))  # a keeps its sign at 0 up to 2^e
+    shift = bits + 1 - c.bit_length()
+    if shift <= 0:
+        return _dyadic(2 * c + 1, e - 1)
+    s = shift - e
+    b = _on_grid(a, s)
+    db = [i * x for i, x in enumerate(b)][1:]
+    lo, hi = c << shift, (c + 1) << shift
+    low_negative = _horner(b, lo) < 0
+    m, last = (lo + hi) >> 1, hi - lo
+    while hi - lo > 2:
+        y = _horner(b, m)
+        if not y:
+            return _dyadic(m, -s)
+        if (y < 0) == low_negative:
+            lo = m
+        else:
+            hi = m
+        dy = _horner(db, m)
+        nxt = m - y // dy if dy else lo
+        if nxt == m:
+            nxt = m + 1 if m == lo else m - 1
+        elif not lo < nxt < hi or 2 * abs(nxt - m) > last:
+            nxt = (lo + hi) >> 1
+        last = abs(nxt - m)
+        m = nxt
+    return _dyadic(lo + hi, -s - 1)
+
+
+def _on_grid(a: list, s: int) -> list:
+    """Integer coefficients b with sum(b_i m^i) a positive multiple of
+    a(m 2^-s): 2^(s n) a(m 2^-s) for s >= 0, a(m 2^-s) itself for s < 0."""
+    n = len(a) - 1
+    return [x << (s * (n - i)) for i, x in enumerate(a)] if s >= 0 else [x << (-s * i) for i, x in enumerate(a)]
+
+
 class PadeKernel(BorelFunction):
-    """Rational approximant; detected positive real poles become singularities.
+    """Rational approximant; its real positive poles become singularities.
 
     A rational function is single-valued: its value is its average.  The
     exact ``num`` and ``den`` are converted to mpf once per working precision
     (keyed by ``mp.mp.prec``) and kept on the instance, because a Laplace
-    integral evaluates the kernel at thousands of nodes.  This is safe: the
-    coefficients are immutable and each mpf is a pure function of
-    (coefficient, precision), so a lost race between threads writes equal
-    lists.
+    integral evaluates the kernel at thousands of nodes.  The poles are
+    found exactly over Q (``positive_roots``) once per precision and kept
+    the same way.  This is safe: the coefficients are immutable and each
+    mpf or pole is a pure function of (coefficients, precision), so a lost
+    race between threads writes equal lists.
     """
 
     def __init__(self, num: Sequence[Fraction], den: Sequence[Fraction], growth=(2.0, 1.0), name: str = ""):
@@ -319,20 +476,24 @@ class PadeKernel(BorelFunction):
         """num and den as mpf at the working precision, converted on first use."""
         return _at_prec(self._mp_coeffs, lambda: ([_c2mp(c) for c in self.num], [_c2mp(c) for c in self.den]))
 
-    def real_positive_poles(self) -> list:
-        """The denominator's real positive roots, found 10 digits above the
-        working precision, once per working precision."""
-        return _at_prec(self._poles, self._find_poles)
-
-    def _find_poles(self) -> list:
-        with mp.workdps(mp.mp.dps + 10):
-            roots = mp.polyroots([_c2mp(c) for c in reversed(self.den)], maxsteps=200, extraprec=80)
-        return sorted(r.real for r in roots if abs(r.imag) < mp.mpf(10) ** (-15) and r.real > 0)
+    def real_positive_poles(self, prec: int) -> list[tuple[Fraction, int]]:
+        """The denominator's distinct real positive roots with their orders,
+        each simple one to 2^-(prec+32) of itself (``positive_roots``),
+        found once per precision."""
+        out = self._poles.get(prec)
+        if out is None:
+            out = self._poles[prec] = positive_roots(self.den, prec)
+        return out
 
     def singularities(self) -> list[Singularity]:
-        # each pole exactly as found at the working precision
-        poles = self.real_positive_poles()
-        return [Singularity(Fraction(*libmp.to_rational(p._mpf_)), "pole") for p in poles]
+        """The poles at the working precision.  A pole of order 2 or more has
+        no principal value, so it raises SingularPointError here, before any
+        quadrature."""
+        poles = self.real_positive_poles(mp.mp.prec)
+        for p, order in poles:
+            if order > 1:
+                raise SingularPointError(f"Pade pole of order {order} at p = {float(p):.15g} has no principal value")
+        return [Singularity(p, "pole") for p, _ in poles]
 
     def taylor(self, K: int) -> list[Fraction]:
         out: list[Fraction] = []
@@ -354,14 +515,6 @@ class PadeKernel(BorelFunction):
         if den == 0:
             raise SingularPointError(f"Pade pole at p = {p}")
         return num / den
-
-
-def _horner(coeffs, p):
-    """Horner's rule over mpf coefficients, lowest degree first."""
-    out = mp.mpf(0)
-    for c in reversed(coeffs):
-        out = out * p + c
-    return out
 
 
 @dataclass(frozen=True)

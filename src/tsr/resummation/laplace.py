@@ -10,13 +10,17 @@ reported error is a bound on the rounding.
 
 Quadrature, with level-difference estimates, remains for the Pade, Airy and
 Binet (coth) kernels, which give their averaged value at a point and their
-singularities on the ray (Pade poles, the Airy log branch point).  Their
-Laplace integrals are evaluated over panels whose edges sit at those
-singularities: a simple pole's symmetric window is the principal value,
-summed as the fold integrand(s - t) + integrand(s + t) over 0 < t < w, in
-which the pole's +-A/t terms cancel; log endpoints are left to tanh-sinh
-panels, and the far tail is bounded by the kernel's exponential growth
-constants.  The smooth spans between windows are summed by a nested
+singularities on the ray (Pade poles, the Airy log branch point).  A Pade
+kernel's poles are its denominator's real positive roots, isolated exactly
+over Q and refined by Newton's method at the working precision
+(``kernels.positive_roots``); a pole of order 2 or more has no principal
+value, so ``singularities`` refuses it with SingularPointError before any
+quadrature.  Their Laplace integrals are evaluated over panels whose edges
+sit at those singularities: a simple pole's symmetric window is the
+principal value, summed as the fold integrand(s - t) + integrand(s + t) over
+0 < t < w, in which the pole's +-A/t terms cancel; log endpoints are left to
+tanh-sinh panels, and the far tail is bounded by the kernel's exponential
+growth constants.  The smooth spans between windows are summed by a nested
 Clenshaw-Curtis rule: its levels have n = 2, 4, ..., 256 intervals, and each
 level keeps the integrand's values at the level below's nodes, its own even
 nodes.  A pole's fold is summed by Gauss-Legendre, whose nodes stay away

@@ -122,6 +122,21 @@ class TestErrors:
         assert "UnsupportedPointError" in err
 
 
+    def test_integrate_ei_stops_at_the_double_pole(self, cli):
+        # the Pade denominator of the Ei antiderivative's series is (1 - p)^2:
+        # a pole of order 2 has no principal value, refused before quadrature
+        code, out, err = cli("integrate", "ei", "2", "4")
+        assert (code, out) == (1, "") and "SingularPointError" in err and "order 2 at p = 1 " in err
+
+    def test_integrate_loggamma_names_the_degree_drop(self, cli):
+        # its Pade denominator's leading coefficient is 0
+        code, out, err = cli("integrate", "loggamma", "2", "4")
+        assert (code, out) == (1, "") and "DegenerateTableError" in err and "from 11 to 10" in err
+
+    def test_airy_at_a_huge_point(self, cli):
+        code, out, err = cli("eval", "airy_bi", "1" + "0" * 300)
+        assert (code, out) == (1, "") and "DomainError" in err and "work bound" in err
+
     @pytest.mark.parametrize("point", ["-w", "-2*w+1", "-w+1/2"])
     def test_point_with_a_leading_minus(self, cli, point):
         code, out, err = cli("eval", "exp", point)

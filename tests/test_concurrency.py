@@ -291,3 +291,20 @@ def test_closed_form_laplace_bit_identical_from_16_threads():
     serial = raw(0)
     for _ in range(10):
         assert all(r == serial for r in _pull_together(raw, workers=16))
+
+
+def test_pade_poles_bit_identical_from_16_threads():
+    # the exact pole search of the #ei + #erfi fit (11 poles on [1, 54]) at
+    # four precisions, each thread taking them in a different order, on a
+    # fresh kernel each round so that every search starts cold
+    from tsr.resummation import resolve_default
+    from tsr.transseries import groups_of
+
+    series = groups_of(ts_parse("#ei + #erfi"))[0].series
+    precs = (53, 103, 170, 336)
+    serial = [resolve_default(series).kernel.real_positive_poles(p) for p in precs]
+    assert all(len(poles) == 11 for poles in serial)
+    for _ in range(5):
+        kernel = resolve_default(series).kernel
+        results = _pull_together(lambda k: [kernel.real_positive_poles(precs[(k + i) % 4]) for i in range(4)], workers=16)
+        assert all(got == [serial[(k + i) % 4] for i in range(4)] for k, got in enumerate(results))

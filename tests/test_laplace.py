@@ -6,10 +6,12 @@ from math import factorial
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tsr.errors import DegenerateTableError, GrowthBoundViolated
+from mpmath import libmp
+
+from tsr.errors import DegenerateTableError, GrowthBoundViolated, SingularPointError
 from tsr.coefficients import NAMED_SERIES, named_series
 from tsr.operators import antidiff_no, catalog
 from tsr.resummation import (
@@ -29,6 +31,7 @@ from tsr.resummation import (
     sqrt_branch_kernel,
     watson_check,
 )
+from tsr.resummation.kernels import positive_roots
 from tsr.transseries import PowerSeries, ts_antidiff, ts_parse
 from tsr.transseries.grid import groups_of
 
@@ -105,7 +108,7 @@ class TestPade:
     def test_branch_proxy_pole_cluster(self):
         b = BorelPoly(tuple(sqrt_branch_kernel(1, 1).taylor(8)))
         k = pade_continue(b, (4, 4))
-        poles = k.real_positive_poles()
+        poles = [p for p, order in k.real_positive_poles(53) if order == 1]
         assert len(poles) >= 3
         assert all(p > 1 for p in poles)
         assert min(poles) < 1.05  # accumulation toward the branch point
@@ -118,6 +121,20 @@ class TestPade:
         val, err = laplace(k, 3, QuadratureConfig(precision=100, abs_tol=1e-24, rel_tol=1e-22))
         with mp.workdps(120):
             assert abs(val - 8 * mp.exp(-1) * mp.ei(1) / 3) <= err
+
+    def test_a_double_pole_is_refused_before_quadrature(self):
+        # 1/(1 - p)^2, the Borel transform of the Ei antiderivative's series
+        class Unvalued(PadeKernel):
+            def value(self, p):
+                raise AssertionError("quadrature reached the kernel")
+
+        with pytest.raises(SingularPointError, match="order 2 at p = 1 "):
+            laplace(Unvalued([F(1)], [F(1), F(-2), F(1)]), 3, CFG)
+
+    def test_zero_leading_denominator_coefficient(self):
+        k = PadeKernel([F(1)], [F(1), F(-1), F(0), F(0)])
+        with pytest.raises(DegenerateTableError, match="from 3 to 1"):
+            laplace(k, 3, CFG)
 
     def test_degenerate_table(self):
         with pytest.raises(DegenerateTableError):
@@ -281,6 +298,48 @@ def test_pade_folds_at_both_poles(poles, c, x, digits):
         a, b, x = map(mp_fraction, (a, b, x))
         ref = sum(r * s * mp.exp(-x * s) * mp.ei(x * s) for r, s in ((1 / (1 - a / b), a), (1 / (1 - b / a), b)))
         assert abs(val - c * ref) <= err
+
+
+def _product(factors: list) -> list:
+    """The product of polynomials, coefficients lowest degree first."""
+    out = [F(1)]
+    for f in factors:
+        prod = [F(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.lists(st.fractions(F(1, 16), 64, max_denominator=40), min_size=1, max_size=4, unique=True),
+    st.lists(st.sampled_from((1, 2)), min_size=4, max_size=4),
+    st.lists(st.tuples(st.fractions(-4, 4, max_denominator=8), st.fractions(F(1, 4), 4, max_denominator=8)), max_size=2),
+    st.sampled_from((15, 30, 100)),
+)
+@example(qs=[F(1), F(36, 35)], orders=[1, 1, 1, 1], pairs=[], digits=30)  # an exact root at the end of the other's interval
+@example(qs=[F(1, 3), F(7, 3)], orders=[2, 1, 1, 1], pairs=[(F(1), F(1, 4))], digits=100)
+def test_pole_search_finds_each_pole_with_its_order(qs, orders, pairs, digits):
+    # den = prod (1 - p/q)^e times (1 - p/z)(1 - p/conj(z)), z = a + bi, b > 0,
+    # which has no positive root: exactly the q come back, within 2^-prec,
+    # with their orders, and a pole of order 2 is refused
+    expected = sorted(zip(qs, orders))
+    factors = [[F(1), -1 / q] for q, e in expected for _ in range(e)]
+    factors += [[F(1), -2 * a / (a * a + b * b), 1 / (a * a + b * b)] for a, b in pairs]
+    den = _product(factors)
+    prec = libmp.dps_to_prec(digits)
+    found = positive_roots(den, prec)
+    assert [e for _, e in found] == [e for _, e in expected]
+    assert all(abs(p - q) <= q / 2**prec for (p, _), (q, _) in zip(found, expected))
+    kernel = PadeKernel([F(1)], den)
+    with mp.workprec(prec):
+        if max(e for _, e in expected) > 1:
+            with pytest.raises(SingularPointError, match="order 2"):
+                kernel.singularities()
+        else:
+            assert [s.location for s in kernel.singularities()] == [p for p, _ in found]
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsr.cli import run
+from tsr.errors import DomainError
 from tsr.operators import antidiff_no, extend
 from tsr.operators.catalog import (
     airy_ai_oracle,
@@ -98,6 +99,24 @@ def test_airy_taylor_terms_agree_with_mpmath(dps):
                 taylor = catalog()[name].taylor_term
                 for k in range(13):
                     assert _ulps(taylor(x0, k)[1], _airy_taylor_reference(name, x, k)) <= 2, (name, x0, k)
+
+
+def test_airy_taylor_terms_share_one_sum_per_point():
+    # the 13 terms at one point read one (y, y') off the series at 0
+    from tsr.operators.catalog import _airy_raw
+
+    _airy_raw.cache_clear()
+    with mp.workdps(50):
+        terms = [catalog()["airy_bi"].taylor_term(F(7, 2), k) for k in range(13)]
+    assert _airy_raw.cache_info().misses == 1 and len(terms) == 13
+
+
+@pytest.mark.parametrize("z", ["336", "-336", "1e300", "-1e300"])
+def test_airy_past_the_work_bound_is_a_domain_error(z):
+    # zeta = 2/3 |z|^(3/2) > 4096: refused before any term is summed
+    for oracle in (airy_ai_oracle, airy_bi_oracle):
+        with pytest.raises(DomainError, match="work bound"):
+            oracle(mp.mpf(z))
 
 
 @pytest.mark.parametrize("dps", [15, 30, 50, 100])
