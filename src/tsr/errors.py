@@ -59,7 +59,7 @@ class UnsupportedPointError(TsrError):
 
 class DomainError(TsrError):
     """Real evaluation point below the function's domain endpoint, not finite,
-    or past the work bound of the function's oracle (Airy past zeta = 4096)."""
+    or past the work bound of the function's oracle (Airy's Maclaurin sum)."""
 
 
 class ExpressionSyntaxError(TsrError):

@@ -162,10 +162,25 @@ def _airy_at_zero(kind: str, wp):
     return y, dy if kind == "bi" else libmp.mpf_neg(dy)
 
 
-#: Largest zeta = 2/3 |z|^(3/2) whose Airy values the Maclaurin series sums:
-#: about |z|^(3/2) terms, at up to 2 zeta log2(e) extra bits, which is about
-#: a second at 15 digits at the bound (|z| about 335).
-_AIRY_MAX_ZETA = 4096
+#: Work bound of the Airy Maclaurin sum: its terms (``_airy_terms``) times
+#: (working bits + 8192), 8192 bits standing for a term's fixed cost in
+#: Python.  2^30 is about a second on a 2-vCPU VM at any precision; at 15
+#: digits it admits Ai(z) for -570 < z < 440 and Bi(z) for -570 < z < 1300,
+#: at 10000 digits Ai(z) for -160 < z < 145.
+_AIRY_MAX_WORK = 1 << 30
+
+
+def _airy_terms(zeta: float, wp: int) -> float:
+    """About how many coefficients the Maclaurin sum takes at zeta: 3k,
+    where its k-th nonzero term, about (e zeta / (2k))^(2k), falls to
+    2^-wp, so 2k = x zeta with x (ln x - 1) = wp ln 2 / zeta, solved by
+    Newton's method from above (within 0.3% of the counts at 15 to 1000
+    digits, |z| from 10 to 500)."""
+    r = wp * math.log(2) / zeta
+    x = r + math.e
+    for _ in range(4):
+        x -= (x * math.log(x) - x - r) / math.log(x)
+    return 1.5 * x * zeta
 
 
 @functools.lru_cache(maxsize=64)
@@ -179,18 +194,20 @@ def _airy_raw(kind: str, z, prec: int):
     z > 0.  Those bits are added to the working precision.  Every third
     coefficient is zero; the sum stops at the third nonzero term in a row
     whose value and derivative parts both fall below 2^-wp (|y(0)| + |z y'(0)|).
-    zeta is estimated from z's mantissa and exponent, and past
-    ``_AIRY_MAX_ZETA`` the point raises DomainError.  Each (kind, z, prec)
+    A point whose estimated work is past ``_AIRY_MAX_WORK`` raises
+    DomainError before any term is summed.  Each (kind, z, prec)
     is summed once: a Taylor facility reads all its terms off one (y, y').
     """
     wp = prec + special.GUARD
     if not z[1]:
         return _airy_at_zero(kind, wp)
     lz = math.log2(z[1]) + z[2]  # log2 |z|
-    if 1.5 * lz > math.log2(1.5 * _AIRY_MAX_ZETA):
-        raise DomainError(f"Airy at z = {libmp.to_str(z, 6)}: zeta = 2/3 |z|^(3/2) is past {_AIRY_MAX_ZETA}, the series' work bound")
-    zeta_bits = 2 * abs(libmp.to_float(z)) ** 1.5 / (3 * math.log(2))
+    # |z| is capped far past the bound, where a float |z|^(3/2) overflows
+    zeta_bits = 2 * min(abs(libmp.to_float(z)), 2.0**64) ** 1.5 / (3 * math.log(2))
     wp += math.ceil(zeta_bits if z[0] else 2 * zeta_bits if kind == "ai" else 0)
+    # |z| < 1 takes no more terms than |z| = 1
+    if _airy_terms(max(zeta_bits * math.log(2), 2 / 3), wp) * (wp + 8192) > _AIRY_MAX_WORK:
+        raise DomainError(f"Airy at z = {libmp.to_str(z, 6)}, {prec} bits: the Maclaurin series' terms times working bits are past its work bound")
     y0, y1 = _airy_at_zero(kind, wp)
     floor = max(special.mag(y0), special.mag(y1) + lz) - wp
     c, small = [], 0

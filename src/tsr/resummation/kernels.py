@@ -14,7 +14,7 @@ by quadrature: they give their value on the ray and their singularities, and
 keep the mpf constants a node needs once per working precision.  A Pade
 kernel's singularities are its poles, found exactly over Q: Descartes' rule
 of signs with bisection isolates the denominator's real positive roots and
-their orders, and Newton's method refines each simple one at an explicit
+their orders, and bisection refines each simple one at an explicit
 precision (``positive_roots``).  A pole of order 2 or more has no principal
 value and is refused.
 
@@ -274,10 +274,11 @@ def _c2mp(q: Fraction):
     return mp.mpf(q.numerator) / q.denominator
 
 
-def _at_prec(cache: dict, build: Callable):
-    """build()'s mpf constants, built once per working precision and kept in
-    ``cache``; a lost race between threads stores an equal value."""
-    prec = mp.mp.prec
+def _at_prec(cache: dict, build: Callable, prec: Optional[int] = None):
+    """build()'s value at a precision, by default the working precision,
+    built once per precision and kept in ``cache``; a lost race between
+    threads stores an equal value."""
+    prec = mp.mp.prec if prec is None else prec
     out = cache.get(prec)
     if out is None:
         out = cache[prec] = build()
@@ -308,7 +309,7 @@ def positive_roots(coeffs: Sequence[Fraction], prec: int) -> list[tuple[Fraction
     the roots are isolated in (0, 2^k), a Fujiwara bound, by Descartes' rule
     of signs with bisection (Collins & Akritas, 1976), in integer Taylor
     shifts and sign counts.  An interval whose count is 1 holds one simple
-    root, which Newton's method refines inside it (``_refine``) to
+    root, which bisection refines inside it (``_refine``) to
     2^-(prec+32) of itself (32 guard bits, about 10 digits).  A dyadic root
     that a bisection lands on is divided out, and the number of divisions is
     its order.  An interval narrower than 2^-(prec+10) of its lower end whose
@@ -399,16 +400,13 @@ def _horner(coeffs, p):
 def _refine(a: list, c: int, e: int, bits: int) -> Fraction:
     """The simple root of a (integers, lowest degree first) in the open
     interval (c 2^e, (c+1) 2^e), whose ends are no roots, to 2^-bits of
-    itself.
+    itself, by bisection on the signs of a.
 
     An interval from 0 is halved until its lower end is positive, so the
     root is known to a factor of 2.  Then p = m 2^-s on a grid of step
-    2^-s at most 2^-bits of the lower end, and Newton's method runs on
-    the integer m, kept inside the bracket [lo, hi] that every evaluated
-    point narrows: a step out of the bracket, or one larger than half the
-    step before, is replaced by a bisection, and a step that rounds to 0
-    probes the unit beyond.  It ends when hi - lo <= 2 and returns the
-    midpoint, or at an exact root.
+    2^-s at most 2^-bits of the lower end, and the bracket [lo, hi] of
+    grid points is halved until hi - lo = 1; it returns the midpoint, or
+    an exact root that a halving lands on.
     """
     while c == 0:
         e -= 1
@@ -416,16 +414,13 @@ def _refine(a: list, c: int, e: int, bits: int) -> Fraction:
         if not y:
             return _dyadic(1, e)
         c = int((y > 0) == (a[0] > 0))  # a keeps its sign at 0 up to 2^e
-    shift = bits + 1 - c.bit_length()
-    if shift <= 0:
-        return _dyadic(2 * c + 1, e - 1)
+    shift = max(0, bits + 1 - c.bit_length())
     s = shift - e
     b = _on_grid(a, s)
-    db = [i * x for i, x in enumerate(b)][1:]
     lo, hi = c << shift, (c + 1) << shift
     low_negative = _horner(b, lo) < 0
-    m, last = (lo + hi) >> 1, hi - lo
-    while hi - lo > 2:
+    while hi - lo > 1:
+        m = (lo + hi) >> 1
         y = _horner(b, m)
         if not y:
             return _dyadic(m, -s)
@@ -433,14 +428,6 @@ def _refine(a: list, c: int, e: int, bits: int) -> Fraction:
             lo = m
         else:
             hi = m
-        dy = _horner(db, m)
-        nxt = m - y // dy if dy else lo
-        if nxt == m:
-            nxt = m + 1 if m == lo else m - 1
-        elif not lo < nxt < hi or 2 * abs(nxt - m) > last:
-            nxt = (lo + hi) >> 1
-        last = abs(nxt - m)
-        m = nxt
     return _dyadic(lo + hi, -s - 1)
 
 
@@ -480,10 +467,7 @@ class PadeKernel(BorelFunction):
         """The denominator's distinct real positive roots with their orders,
         each simple one to 2^-(prec+32) of itself (``positive_roots``),
         found once per precision."""
-        out = self._poles.get(prec)
-        if out is None:
-            out = self._poles[prec] = positive_roots(self.den, prec)
-        return out
+        return _at_prec(self._poles, lambda: positive_roots(self.den, prec), prec)
 
     def singularities(self) -> list[Singularity]:
         """The poles at the working precision.  A pole of order 2 or more has

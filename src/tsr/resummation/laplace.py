@@ -12,7 +12,7 @@ Quadrature, with level-difference estimates, remains for the Pade, Airy and
 Binet (coth) kernels, which give their averaged value at a point and their
 singularities on the ray (Pade poles, the Airy log branch point).  A Pade
 kernel's poles are its denominator's real positive roots, isolated exactly
-over Q and refined by Newton's method at the working precision
+over Q and refined by bisection at the working precision
 (``kernels.positive_roots``); a pole of order 2 or more has no principal
 value, so ``singularities`` refuses it with SingularPointError before any
 quadrature.  Their Laplace integrals are evaluated over panels whose edges

@@ -301,10 +301,10 @@ def test_pade_poles_bit_identical_from_16_threads():
     from tsr.transseries import groups_of
 
     series = groups_of(ts_parse("#ei + #erfi"))[0].series
-    precs = (53, 103, 170, 336)
+    precs = (53, 83, 113, 170)
     serial = [resolve_default(series).kernel.real_positive_poles(p) for p in precs]
     assert all(len(poles) == 11 for poles in serial)
-    for _ in range(5):
+    for _ in range(3):
         kernel = resolve_default(series).kernel
         results = _pull_together(lambda k: [kernel.real_positive_poles(precs[(k + i) % 4]) for i in range(4)], workers=16)
         assert all(got == [serial[(k + i) % 4] for i in range(4)] for k, got in enumerate(results))

@@ -111,12 +111,21 @@ def test_airy_taylor_terms_share_one_sum_per_point():
     assert _airy_raw.cache_info().misses == 1 and len(terms) == 13
 
 
-@pytest.mark.parametrize("z", ["336", "-336", "1e300", "-1e300"])
-def test_airy_past_the_work_bound_is_a_domain_error(z):
-    # zeta = 2/3 |z|^(3/2) > 4096: refused before any term is summed
+@pytest.mark.parametrize("z, dps", [("1400", 15), ("-600", 15), ("1e300", 15), ("-1e300", 15), ("200", 10000)])
+def test_airy_past_the_work_bound_is_a_domain_error(z, dps):
+    # the series' terms times its working bits past 2^30: refused before
+    # any term is summed, at 10000 digits for a smaller |z|
     for oracle in (airy_ai_oracle, airy_bi_oracle):
-        with pytest.raises(DomainError, match="work bound"):
+        with mp.workdps(dps), pytest.raises(DomainError, match="work bound"):
             oracle(mp.mpf(z))
+
+
+@pytest.mark.parametrize("z", [400, -400])
+def test_airy_ai_within_the_work_bound(z):
+    # the largest points the step-by-step oracle before the series was timed
+    # at still get values
+    with mp.workdps(15):
+        assert _ulps(airy_ai_oracle(z), _reference(mp.airyai, z)) <= 2
 
 
 @pytest.mark.parametrize("dps", [15, 30, 50, 100])
