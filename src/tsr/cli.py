@@ -220,7 +220,7 @@ def _dispatch(ns, cfg: QuadratureConfig) -> int:
         return 0
 
     if verb == "eval":
-        from .operators import catalog, extend
+        from .operators import extend
 
         entry = _entry(ns.name)
         point = _point(ns.point)

@@ -22,7 +22,7 @@ class ResonanceError(TsrError):
 
 
 class UndecidableSupport(TsrError):
-    """A lazy support yielded no nonzero term within the search bound."""
+    """A series or term stream showed no nonzero term within the scan bound."""
 
 
 class NotRegularizableError(TsrError):
@@ -47,10 +47,6 @@ class GrowthBoundViolated(TsrError):
 
 class DegenerateTableError(TsrError):
     """The Pade linear system is singular beyond tolerance."""
-
-
-class TruncationBoundUnavailable(TsrError):
-    """An infinite grid sum has no (c1, c2, c3) constants to bound its tail."""
 
 
 class UnsupportedPointError(TsrError):

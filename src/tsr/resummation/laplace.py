@@ -46,8 +46,10 @@ closed form of a ``#name``, see ``tsr.coefficients``, times the rational
 multiple its ``KernelEntry`` keeps, or the one ``ts_antidiff`` derives).
 The tolerance applies to the kernel's own Laplace integral, before the
 multiple and the transmonomial scale it.  A finite series is its own sum.
-Only an infinite series that carries no kernel (a sum of different named
-series, a product) is summed through an exact Pade fit.
+Only an infinite series that carries no kernel is summed through an exact
+Pade fit.  Four operations drop a kernel: a sum of series with different
+kernels, ``PowerSeries.mul``, ``shift_down`` and ``diff_combo``; so does an
+antiderivative for which ``ts_antidiff`` derives no kernel.
 """
 
 from __future__ import annotations
@@ -63,12 +65,7 @@ import mpmath as mp
 from mpmath import libmp
 from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 
-from ..errors import (
-    DomainError,
-    GrowthBoundViolated,
-    ToleranceNotMet,
-    TruncationBoundUnavailable,
-)
+from ..errors import DomainError, GrowthBoundViolated, ToleranceNotMet
 from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import PowerSeries
 from .borel import borel_transform
@@ -325,19 +322,19 @@ def _panel(fn, a, b, method: str, eps, prec: int):
     return level, abs(level - prev)
 
 
-def quad_interval(fn, a, b, prec: int) -> tuple[mp.mpf, mp.mpf]:
+def quad_interval(fn, a, b, prec: int) -> mp.mpf:
     """integral(fn, a..b) of an fn analytic on [a, b], at ``prec`` bits.
 
     [a, b] is cut as a smooth Laplace span is (``_split_span``), and each
     panel is summed by the nested Clenshaw-Curtis rule until two levels
     differ by at most 2^-prec; fn is evaluated at prec + 20 bits.  Returns
-    the value and the sum of the panels' last level differences.
+    the value alone: no error estimate comes with it.
     """
     with mp.workprec(prec + 20):
         pts = _split_span(mp.mpf(a), mp.mpf(b))
         eps = mp.ldexp(1, -prec)
-        parts = [_panel(fn, lo, hi, "clenshaw-curtis", eps, prec) for lo, hi in zip(pts, pts[1:])]
-        return mp.fsum(v for v, _ in parts), mp.fsum(e for _, e in parts)
+        parts = (_panel(fn, lo, hi, "clenshaw-curtis", eps, prec)[0] for lo, hi in zip(pts, pts[1:]))
+        return mp.fsum(parts)
 
 
 # -- Ecalle-Borel summation ------------------------------------------------------
@@ -372,7 +369,6 @@ def eb_sum(
     cfg: QuadratureConfig = None,
     *,
     resolver: KernelResolver = None,
-    tail_constants: Optional[tuple[float, float, float]] = None,
 ) -> tuple[mp.mpf, mp.mpf]:
     """Numeric Ecalle-Borel sum of a T1 transseries at real x.
 
@@ -380,8 +376,7 @@ def eb_sum(
     series y is summed through its Borel kernel entry c K (resolver-supplied,
     else the series' own, else a generic Pade fit), as c x^m L[man P^m K](x):
     the Laplace integral of the kernel's m-fold P-integral, times c x^m.
-    Each sum is weighted by its transmonomial.  Infinite minus supports need
-    (c1, c2, c3) tail constants.
+    Each sum is weighted by its transmonomial.
     """
     cfg = cfg or QuadratureConfig()
     with mp.workdps(cfg.precision):
@@ -397,22 +392,11 @@ def eb_sum(
             for i, c in enumerate(lp.Q):
                 total += _c2mp(c) * x**i
 
-        if ts.minus.support_iter is not None and tail_constants is None:
-            raise TruncationBoundUnavailable(
-                "lazy minus support requires (c1, c2, c3) tail constants"
-            )
-
         for grp in groups_of(ts):
             series = grp.series
             if series.length == 0:
                 continue
             growth = mp.exp(_c2mp(grp.mu) * x)
-            if tail_constants is not None and grp.mu < 0:
-                c1, c2, c3 = (mp.mpf(v) for v in tail_constants)
-                bound = c1 * abs(x ** _c2mp(grp.offset) * growth) / (x - c3)
-                if bound < mp.mpf(cfg.abs_tol) / 10:
-                    err += bound
-                    continue
             if series.is_finite():
                 # finite sums are their own Borel sums: e^(mu x) sum(c_l x^(offset - l))
                 val = mp.mpf(0)

@@ -92,27 +92,25 @@ def ts_sub(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
     return ts_add(a, ts_scale(-1, b))
 
 
-def ts_mul_minus(a: GridMinus | TransseriesT1, b: GridMinus | TransseriesT1) -> TransseriesT1:
+def ts_mul_minus(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
     """Product on the (unital) decaying algebra: multi-index Cauchy product.
 
     Constants are admitted as the algebra unit's multiples (the unit itself
     is x * x^-1 in the shifted normalization, which the assembler folds back
     into a plain constant).
     """
-    ta = a if isinstance(a, TransseriesT1) else TransseriesT1(minus=a)
-    tb = b if isinstance(b, TransseriesT1) else TransseriesT1(minus=b)
-    ca = _constant_part(ta)
-    cb = _constant_part(tb)
+    ca = _constant_part(a)
+    cb = _constant_part(b)
     out: list[Group] = []
-    for ga in groups_of(ta):
-        for gb in groups_of(tb):
+    for ga in groups_of(a):
+        for gb in groups_of(b):
             out.append(Group(ga.mu + gb.mu, ga.offset + gb.offset, ga.series.mul(gb.series)))
     if cb:
-        out += [Group(g.mu, g.offset, g.series.scale(cb)) for g in groups_of(ta)]
+        out += [Group(g.mu, g.offset, g.series.scale(cb)) for g in groups_of(a)]
     if ca:
-        out += [Group(g.mu, g.offset, g.series.scale(ca)) for g in groups_of(tb)]
+        out += [Group(g.mu, g.offset, g.series.scale(ca)) for g in groups_of(b)]
     const = ca * cb
-    return assemble(out, LogPart(Q=(const,) if const else ()), seed=_seed_of(ta, tb))
+    return assemble(out, LogPart(Q=(const,) if const else ()), seed=_seed_of(a, b))
 
 
 def _constant_part(ts: TransseriesT1) -> Fraction:
@@ -221,7 +219,7 @@ def ts_decompose(a: TransseriesT1, m: int) -> tuple[GridMinus, LogPart, GridPlus
         tail = PowerSeries.from_coeffs([Fraction(0)] * m + [y0.coeff(l) for l in range(m + 1, (y0.length or 0) + 1)])
     series = dict(g.series)
     series[k0] = tail
-    minus = GridMinus(lam=g.lam, beta=g.beta, series=series, support_iter=g.support_iter)
+    minus = GridMinus(lam=g.lam, beta=g.beta, series=series)
     return minus, LogPart(a.log.P, a.log.Q, R), a.plus
 
 
@@ -256,8 +254,6 @@ def _dominant_key(a: TransseriesT1, scan: int = SIGN_SCAN_ORDER) -> Optional[tup
             l0 = None
         if l0 is not None:
             offer((-g.rate(k), g.offset(k) - l0, 0), s.coeff(l0))
-    if g.support_iter is not None and best is None:
-        raise UndecidableSupport("lazy minus support produced no nonzero term in the window")
     return best
 
 

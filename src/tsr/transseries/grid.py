@@ -29,8 +29,6 @@ MultiIndex = tuple[int, ...]
 MAX_GENERATORS = 8
 #: window used for bounded nonresonance validation
 RESONANCE_WINDOW = 16
-#: points read from a lazy minus support
-MAX_LAZY_POINTS = 4096
 
 
 def _zero_index(n: int) -> MultiIndex:
@@ -44,7 +42,6 @@ class GridMinus:
     lam: tuple[Fraction, ...]
     beta: tuple[Fraction, ...]
     series: dict[MultiIndex, PowerSeries] = field(default_factory=dict)
-    support_iter: Optional[Iterable[MultiIndex]] = None  # lazy supports
 
     def __post_init__(self):
         self.lam = tuple(Fraction(v) for v in self.lam)
@@ -65,8 +62,8 @@ class GridMinus:
         return len(self.lam)
 
     @classmethod
-    def empty(cls, n: int = 0) -> "GridMinus":
-        return cls(lam=(Fraction(1),) * n if n else (), beta=(Fraction(0),) * n if n else ())
+    def empty(cls) -> "GridMinus":
+        return cls(lam=(), beta=())
 
     def rate(self, k: MultiIndex) -> Fraction:
         return sum((Fraction(ki) * li for ki, li in zip(k, self.lam)), Fraction(0))
@@ -79,12 +76,7 @@ class GridMinus:
 
     def support(self) -> Iterator[MultiIndex]:
         """Support multi-indices ordered by rate ascending (ties: offset desc, lex)."""
-        points: Iterable[MultiIndex]
-        if self.support_iter is not None:
-            points = itertools.islice(self.support_iter, MAX_LAZY_POINTS)
-        else:
-            points = self.series.keys()
-        points = sorted(points, key=lambda k: (self.rate(k), -self.offset(k), k))
+        points = sorted(self.series, key=lambda k: (self.rate(k), -self.offset(k), k))
         seen_rates = {}
         for k in points:
             r = self.rate(k)
@@ -94,7 +86,7 @@ class GridMinus:
             yield k
 
     def is_zero(self, order: int = 12) -> bool:
-        return all(s.is_zero_upto(order) for s in self.series.values()) and self.support_iter is None
+        return all(s.is_zero_upto(order) for s in self.series.values())
 
 
 @dataclass
@@ -204,11 +196,11 @@ class TransseriesT1:
         return self.minus.is_zero(order) and self.log.is_zero() and self.plus.is_zero(order)
 
 
-def validate_nonresonance(lam: tuple[Fraction, ...], window: int = RESONANCE_WINDOW) -> None:
+def validate_nonresonance(lam: tuple[Fraction, ...]) -> None:
     """Bounded check of the nonresonance condition on the rate generators.
 
-    Rejects integer relations d . lam = 0 with |d_i| <= window; this is exact
-    for every support the library enumerates (all bounded by the window).
+    Rejects integer relations d . lam = 0 with |d_i| <= RESONANCE_WINDOW; this
+    is exact for every support the library enumerates (all bounded by the window).
     """
     n = len(lam)
     if n <= 1:
@@ -217,7 +209,7 @@ def validate_nonresonance(lam: tuple[Fraction, ...], window: int = RESONANCE_WIN
     for i in range(n):
         for j in range(i + 1, n):
             q = lam[i] / lam[j]
-            if q.numerator <= window and q.denominator <= window:
+            if q.numerator <= RESONANCE_WINDOW and q.denominator <= RESONANCE_WINDOW:
                 raise ResonanceError(
                     f"rates {lam[i]} and {lam[j]} are commensurate within the window: "
                     f"{q.denominator}*{lam[i]} = {q.numerator}*{lam[j]}"

@@ -1,11 +1,11 @@
-"""Edge contracts: tail bounds, derivative commutation, regularization."""
+"""Edge contracts: finite group sums, derivative commutation, regularization."""
 
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
-from tsr.errors import NotRegularizableError, TruncationBoundUnavailable
+from tsr.errors import NotRegularizableError
 from tsr.resummation import (
     ClosedFormKernel,
     QuadratureConfig,
@@ -43,23 +43,12 @@ class TestDerivativeCommutation:
                 assert lhs.coeff(k) == rhs
 
 
-class TestTailBounds:
-    def test_lazy_support_needs_constants(self):
-        def gen():
-            k = 1
-            while True:
-                yield (k,)
-                k += 1
-
-        g = GridMinus(lam=(F(1),), beta=(F(0),), series={}, support_iter=gen())
-        with pytest.raises(TruncationBoundUnavailable):
-            eb_sum(TransseriesT1(minus=g), 10, CFG)
-
-    def test_geometric_truncation_with_constants(self):
-        # sum_k e^(-k x)/x^k: high-k groups fall below the bound and are skipped
+class TestFiniteGroupSums:
+    def test_geometric_groups_sum_exactly(self):
+        # sum_k e^(-k x)/x^k: every group is finite, so each is its own sum
         series = {(k,): PowerSeries.from_coeffs([F(0)] * (k - 1) + [F(1)]) for k in range(1, 9)}
         ts = TransseriesT1(minus=GridMinus(lam=(F(1),), beta=(F(0),), series=series))
-        val, err = eb_sum(ts, 12.0, CFG, tail_constants=(1.0, 1.0, 0.0))
+        val, err = eb_sum(ts, 12.0, CFG)
         with mp.workdps(50):
             direct = sum(mp.exp(-k * mp.mpf(12)) * mp.mpf(12) ** -k for k in range(1, 9))
             assert abs(val - direct) <= max(err, mp.mpf(1e-13)) + 1e-20

@@ -27,6 +27,7 @@ from tsr.resummation import (
     log_kernel,
     pade_continue,
     pole_kernel,
+    quad_interval,
     resolve_default,
     sqrt_branch_kernel,
     watson_check,
@@ -530,6 +531,25 @@ def test_clenshaw_curtis_levels_nest(prec):
     for n in (2, 4, 8, 16, 32, 64, 128):
         coarse, fine = _laplace_mod._cc_rule(n, prec)[0], _laplace_mod._cc_rule(2 * n, prec)[0]
         assert [t._mpf_ for t in coarse] == [t._mpf_ for t in fine[::2]]
+
+
+QUAD_CASES = {
+    "ei": (lambda s: mp.exp(s) / s, 2, 3, lambda: mp.ei(3) - mp.ei(2)),
+    "cos": (mp.cos, 0, 5, lambda: mp.sin(5)),
+    "atan": (lambda s: 1 / (1 + s * s), 0, 10, lambda: mp.atan(10)),
+    "gauss": (lambda s: mp.exp(-s * s), -3, 7, lambda: mp.sqrt(mp.pi) * (mp.erf(7) + mp.erf(3)) / 2),
+}
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 100])
+@pytest.mark.parametrize("case", sorted(QUAD_CASES))
+def test_quad_interval_meets_its_precision(case, digits):
+    fn, a, b, exact = QUAD_CASES[case]
+    prec = libmp.dps_to_prec(digits)
+    got = quad_interval(fn, a, b, prec)
+    with mp.workdps(digits + 40):
+        ref = exact()
+        assert abs(got - ref) <= mp.ldexp(1, -prec) * max(1, abs(ref))
 
 
 def test_laplace_leaves_mpmath_node_caches_alone():

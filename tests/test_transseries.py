@@ -1,9 +1,12 @@
 """T1 calculus: algebra, differentiation, antidifferentiation, decomposition."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsr.errors import GridMergeError, ResonanceError, UndecidableSupport
 from tsr.transseries import (
@@ -132,6 +135,52 @@ class TestAlgebra:
         b = from_minus_term(F(1), F(1, 3), PowerSeries.from_coeffs([F(1)]))
         with pytest.raises(GridMergeError):
             ts_add(a, b)
+
+
+OFFSETS = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 16, 32]))
+# ratios lam_2/lam_1 that validate_nonresonance admits; the first four are
+# close enough to 1 that keys of a small support can share a rate
+RATIOS = st.sampled_from([F(17, 16), F(16, 17), F(19, 18), F(20, 17)]) | st.fractions(
+    F(1, 48), 48, max_denominator=48
+).filter(lambda q: q.numerator > 16 or q.denominator > 16)
+
+
+@st.composite
+def finite_grids(draw):
+    """(lam, beta, keys) of a finite minus grid with one or two generators."""
+    lam = (draw(st.sampled_from([F(1), F(1, 2), F(3, 2)])),)
+    if draw(st.booleans()):
+        lam += (lam[0] * draw(RATIOS),)
+    beta = tuple(draw(OFFSETS) for _ in lam)
+    keys = draw(st.sets(st.tuples(*[st.integers(0, 6)] * len(lam)), min_size=1, max_size=8))
+    if len(lam) == 2 and draw(st.booleans()):
+        # (i, j + b) and (i + a, j) share a rate when lam_2 = (a/b) lam_1
+        q = lam[1] / lam[0]
+        i, j = draw(st.tuples(st.integers(0, 6), st.integers(0, 6)))
+        keys |= {(i, j + q.denominator), (i + q.numerator, j)}
+    return lam, beta, keys
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(finite_grids())
+@example(((F(1), F(17, 16)), (F(0), F(0)), {(17, 0), (0, 16), (1, 1)}))  # admitted, though 17 lam_1 = 16 lam_2
+@example(((F(1), F(17, 16)), (F(0), F(1, 32)), {(17, 0), (0, 16)}))  # offsets 0 and 1/2 at rate 17
+@example(((F(1), F(17, 16)), (F(0), F(1, 16)), {(17, 0), (0, 16)}))  # offsets 0 and 1 at rate 17
+def test_support_yields_each_key_once_in_order(grid):
+    lam, beta, keys = grid
+    g = GridMinus(lam=lam, beta=beta, series={k: PowerSeries.from_coeffs([F(1)]) for k in keys})
+    collide = any(
+        g.rate(a) == g.rate(b) and (g.offset(a) - g.offset(b)).denominator != 1
+        for a, b in itertools.combinations(keys, 2)
+    )
+    if collide:
+        with pytest.raises(ResonanceError):
+            list(g.support())
+        return
+    got = list(g.support())
+    assert sorted(got) == sorted(keys)
+    order = [(g.rate(k), -g.offset(k)) for k in got]
+    assert order == sorted(order)
 
 
 def _fact(n: int) -> int:
@@ -285,22 +334,6 @@ class TestSign:
     )
     def test_examples(self, text, sign):
         assert ts_sign(ts_parse(text)) == sign
-
-    def test_undecidable_lazy_support(self):
-        def gen():
-            k = 1
-            while True:
-                yield (k,)
-                k += 1
-
-        g = GridMinus(
-            lam=(F(1),),
-            beta=(F(0),),
-            series={},
-            support_iter=gen(),
-        )
-        with pytest.raises(UndecidableSupport):
-            ts_sign(TransseriesT1(minus=g))
 
     def test_dominates(self):
         assert ts_dominates(ts_parse("exp(x)/x"), ts_parse("x^5"))
