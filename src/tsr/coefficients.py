@@ -77,17 +77,17 @@ def coth_kernel_coeff(k: int) -> Fraction:
     return bernoulli(2 * n + 2) / Fraction(factorial(2 * n + 2))
 
 
-#: name -> (coefficients, Borel kernel factory, P^m order).  Every transform
+#: name -> (coefficients, Borel kernel factory).  Every transform
 #: is known in closed form (Costin, *Asymptotics and Borel Summability*,
 #: ch. 5): B(#ei) = 1/(1-p), B(#erfi) = (1-p)^(-1/2)/2, B(#stirling) =
 #: (p coth(p/2) - 2)/(2 p^2), and B(#airy_u) = 2F1(1/6, 5/6; 1; p/2), at
 #: -p/2 for #airy_u_alt.
 _REGISTRY = {
-    "ei": (ei_coeff, lambda: pole_kernel(1), 0),
-    "erfi": (erfi_coeff, lambda: sqrt_branch_kernel(1, Fraction(1, 2)), 0),
-    "airy_u": (airy_bi_coeff, lambda: AiryKernel(1), 0),
-    "airy_u_alt": (airy_ai_coeff, lambda: AiryKernel(-1), 0),
-    "stirling": (stirling_coeff, CothKernel, 0),
+    "ei": (ei_coeff, lambda: pole_kernel(1)),
+    "erfi": (erfi_coeff, lambda: sqrt_branch_kernel(1, Fraction(1, 2))),
+    "airy_u": (airy_bi_coeff, lambda: AiryKernel(1)),
+    "airy_u_alt": (airy_ai_coeff, lambda: AiryKernel(-1)),
+    "stirling": (stirling_coeff, CothKernel),
 }
 
 NAMED_SERIES = tuple(sorted(_REGISTRY))
@@ -97,10 +97,10 @@ NAMED_SERIES = tuple(sorted(_REGISTRY))
 def named_series(name: str) -> PowerSeries:
     """The series #name, one instance per process; its kernel is built on first read."""
     try:
-        coeff, kernel, m = _REGISTRY[name]
+        coeff, kernel = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown series oracle #{name}") from None
-    return PowerSeries.from_fn(coeff, known_order=1, kernel=lambda: KernelEntry(kernel(), m))
+    return PowerSeries.from_fn(coeff, known_order=1, kernel=lambda: KernelEntry(kernel()))
 
 
 def series_name(ps: PowerSeries) -> Optional[str]:

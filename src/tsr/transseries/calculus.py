@@ -27,10 +27,8 @@ from typing import Optional
 from ..errors import UndecidableSupport
 from .grid import (
     GridMinus,
-    GridPlus,
     Group,
     LogPart,
-    PlusTerm,
     TransseriesT1,
     assemble,
     eq_to_order,
@@ -115,7 +113,7 @@ def ts_mul_minus(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
 
 def _constant_part(ts: TransseriesT1) -> Fraction:
     lp = ts.log
-    if lp.P or len(lp.Q) > 1 or ts.plus.terms:
+    if lp.P or len(lp.Q) > 1 or ts.plus:
         raise ValueError("ts_mul_minus operates on the minus algebra (plus constants) only")
     return lp.q_coeff(0)
 
@@ -206,7 +204,7 @@ def ts_antidiff(a: TransseriesT1) -> TransseriesT1:
     return assemble(groups, LogPart(tuple(P), tuple(Q), ()), seed=_seed_of(a))
 
 
-def ts_decompose(a: TransseriesT1, m: int) -> tuple[GridMinus, LogPart, GridPlus]:
+def ts_decompose(a: TransseriesT1, m: int) -> tuple[GridMinus, LogPart, tuple[Group, ...]]:
     """The unique m-decomposition T(-,m) + T(m,l) + T(+)."""
     if m < 0:
         raise ValueError("m must be a natural number")
@@ -235,10 +233,10 @@ def _dominant_key(a: TransseriesT1, scan: int = SIGN_SCAN_ORDER) -> Optional[tup
         if c != 0 and (best is None or key > best[0]):
             best = (key, c)
 
-    for t in a.plus.terms:
-        l0 = t.series.first_nonzero(scan)
+    for grp in a.plus:
+        l0 = grp.series.first_nonzero(scan)
         if l0 is not None:
-            offer((t.lam, t.beta - l0, 0), t.series.coeff(l0))
+            offer((grp.mu, grp.offset - l0, 0), grp.series.coeff(l0))
     for i in range(len(a.log.P) - 1, -1, -1):
         offer((Fraction(0), Fraction(i), 1), a.log.p_coeff(i))
     for i in range(len(a.log.Q) - 1, -1, -1):
@@ -284,7 +282,9 @@ def from_power_series(ps: PowerSeries) -> TransseriesT1:
 
 
 def from_plus_term(lam, beta, ps: PowerSeries) -> TransseriesT1:
-    return TransseriesT1(plus=GridPlus([PlusTerm(Fraction(lam), Fraction(beta), ps)]))
+    if Fraction(lam) <= 0:
+        raise ValueError("plus-part rates must be positive")
+    return assemble([Group(Fraction(lam), Fraction(beta), ps)], LogPart())
 
 
 def from_minus_term(rate, offset, ps: PowerSeries) -> TransseriesT1:

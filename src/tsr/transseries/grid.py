@@ -4,21 +4,22 @@ A transseries here is a triple
 
 * ``minus``  -- sum(k) x^(beta.k) e^(-k.lambda x) y_k(x), lambda_i > 0
 * ``log``    -- P(x) log x + Q(x) + R(1/x) with R constant-free
-* ``plus``   -- sum(j) x^(beta_j) e^(lambda_j x) y_j(x), lambda_j > 0 distinct
+* ``plus``   -- sum(j) x^(beta_j) e^(lambda_j x) y_j(x), lambda_j > 0 distinct,
+  a tuple of ``Group``s, one per rate, rates descending
 
 with all series y O(1/x).  Internally the representation is normalized to
 m = 0: the R component is empty and every pure inverse power lives in the
 k = 0 series of the minus grid.  ``assemble`` folds an R into that series,
 the ``TransseriesT1`` constructor rejects a nonempty R, and ``ts_decompose``
-recuts the triple for any m.
+recuts the triple for any m.  ``assemble`` merges the groups of each sign
+with ``_merge_rates``, which sums the groups of one rate at their highest offset.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ..errors import GridMergeError, ResonanceError
 from .series import PowerSeries
@@ -56,6 +57,11 @@ class GridMinus:
         for k in self.series:
             if len(k) != n or any(i < 0 for i in k):
                 raise ValueError(f"bad multi-index {k}")
+        classes: dict[Fraction, Fraction] = {}
+        for k in sorted(self.series, key=self.rate):
+            r, c = self.rate(k), self.offset(k) % 1
+            if classes.setdefault(r, c) != c:
+                raise ResonanceError(f"support points collide at rate {r}")
 
     @property
     def n(self) -> int:
@@ -74,16 +80,9 @@ class GridMinus:
     def series_at(self, k: MultiIndex) -> PowerSeries:
         return self.series.get(tuple(k), PowerSeries.zero())
 
-    def support(self) -> Iterator[MultiIndex]:
+    def support(self) -> list[MultiIndex]:
         """Support multi-indices ordered by rate ascending (ties: offset desc, lex)."""
-        points = sorted(self.series, key=lambda k: (self.rate(k), -self.offset(k), k))
-        seen_rates = {}
-        for k in points:
-            r = self.rate(k)
-            if r in seen_rates and seen_rates[r] != self.offset(k) % 1:
-                raise ResonanceError(f"support points collide at rate {r}")
-            seen_rates.setdefault(r, self.offset(k) % 1)
-            yield k
+        return sorted(self.series, key=lambda k: (self.rate(k), -self.offset(k), k))
 
     def is_zero(self, order: int = 12) -> bool:
         return all(s.is_zero_upto(order) for s in self.series.values())
@@ -136,53 +135,28 @@ def _poly_add(a, b):
 
 
 @dataclass
-class PlusTerm:
-    lam: Fraction
-    beta: Fraction
+class Group:
+    """One exponential group x^offset * e^(mu x) * series, series O(1/x)."""
+
+    mu: Fraction  # signed rate; 0 means no exponential
+    offset: Fraction
     series: PowerSeries
 
     def __post_init__(self):
-        self.lam = Fraction(self.lam)
-        self.beta = Fraction(self.beta)
-        if self.lam <= 0:
-            raise ValueError("plus-part rates must be positive")
-
-
-@dataclass
-class GridPlus:
-    terms: list[PlusTerm] = field(default_factory=list)
-
-    def __post_init__(self):
-        # canonical order: lambda strictly decreasing
-        merged: list[PlusTerm] = []
-        for t in sorted(self.terms, key=lambda t: (-t.lam, -t.beta)):
-            if merged and merged[-1].lam == t.lam:
-                merged[-1] = _merge_plus(merged[-1], t)
-            else:
-                merged.append(t)
-        self.terms = merged
-
-    def is_zero(self, order: int = 12) -> bool:
-        return all(t.series.is_zero_upto(order) for t in self.terms)
-
-
-def _merge_plus(a: PlusTerm, b: PlusTerm) -> PlusTerm:
-    d = a.beta - b.beta
-    if d.denominator != 1:
-        raise GridMergeError(
-            f"plus terms at rate {a.lam} have offsets {a.beta}, {b.beta} differing by a non-integer"
-        )
-    return PlusTerm(a.lam, a.beta, a.series + b.series.shift_down(int(d)))
+        self.mu = Fraction(self.mu)
+        self.offset = Fraction(self.offset)
 
 
 @dataclass
 class TransseriesT1:
     """minus + log + plus with R empty: ``assemble`` folds R(1/x) into the
-    k = 0 series, and the constructor rejects a nonempty R."""
+    k = 0 series, and the constructor rejects a nonempty R.  ``plus`` holds
+    the growing groups as ``assemble`` leaves them: mu > 0, one per rate,
+    rates descending."""
 
     minus: GridMinus = field(default_factory=lambda: GridMinus.empty())
     log: LogPart = field(default_factory=LogPart)
-    plus: GridPlus = field(default_factory=GridPlus)
+    plus: tuple[Group, ...] = ()
 
     def __post_init__(self):
         if self.log.R:
@@ -193,7 +167,8 @@ class TransseriesT1:
         return cls()
 
     def is_zero(self, order: int = 12) -> bool:
-        return self.minus.is_zero(order) and self.log.is_zero() and self.plus.is_zero(order)
+        plus_zero = all(g.series.is_zero_upto(order) for g in self.plus)
+        return self.minus.is_zero(order) and self.log.is_zero() and plus_zero
 
 
 def validate_nonresonance(lam: tuple[Fraction, ...]) -> None:
@@ -219,24 +194,11 @@ def validate_nonresonance(lam: tuple[Fraction, ...]) -> None:
 # -- raw-group assembly -------------------------------------------------------
 
 
-@dataclass
-class Group:
-    """One exponential group x^offset * e^(mu x) * series, series O(1/x)."""
-
-    mu: Fraction  # signed rate; 0 means no exponential
-    offset: Fraction
-    series: PowerSeries
-
-    def __post_init__(self):
-        self.mu = Fraction(self.mu)
-        self.offset = Fraction(self.offset)
-
-
 def groups_of(ts: TransseriesT1) -> list[Group]:
     """Flatten to exponential groups (log part excluded)."""
     g = ts.minus
     out = [Group(-g.rate(k), g.offset(k), g.series_at(k)) for k in g.support()]
-    return out + [Group(t.lam, t.beta, t.series) for t in ts.plus.terms]
+    return out + list(ts.plus)
 
 
 def assemble(
@@ -251,7 +213,7 @@ def assemble(
     existing grid stay on that grid instead of re-deriving one.
     """
     log = log if log is not None else LogPart()
-    plus_terms: list[PlusTerm] = []
+    plus_raw: list[Group] = []
     minus_raw: list[Group] = []
     q_extra: list[tuple[int, Fraction]] = []
     r_extra: dict[int, Fraction] = {}
@@ -259,7 +221,7 @@ def assemble(
 
     for grp in groups:
         if grp.mu > 0:
-            plus_terms.append(PlusTerm(grp.mu, grp.offset, grp.series))
+            plus_raw.append(grp)
         elif grp.mu < 0:
             minus_raw.append(grp)
         else:
@@ -312,7 +274,8 @@ def assemble(
     if not base.is_finite() or base.length:
         minus.series[k0] = base
 
-    return TransseriesT1(minus=minus, log=LogPart(log.P, tuple(Q), ()), plus=GridPlus(plus_terms))
+    plus = tuple(_merge_rates(plus_raw))
+    return TransseriesT1(minus=minus, log=LogPart(log.P, tuple(Q), ()), plus=plus)
 
 
 def _shift_up(s: PowerSeries, d: int) -> PowerSeries:
@@ -323,6 +286,26 @@ def _shift_up(s: PowerSeries, d: int) -> PowerSeries:
     )
 
 
+def _merge_rates(groups: list[Group]) -> list[Group]:
+    """One group per rate, ordered by mu descending: each group joins the
+    first at its rate, the one with the highest offset, shifted down by the
+    integer offset difference."""
+    out: list[Group] = []
+    for grp in sorted(groups, key=lambda g: (-g.mu, -g.offset)):
+        if not out or out[-1].mu != grp.mu:
+            out.append(grp)
+            continue
+        top = out[-1]
+        d = top.offset - grp.offset
+        if d.denominator != 1:
+            raise GridMergeError(
+                f"groups at rate {abs(grp.mu)} have offsets {top.offset}, {grp.offset} "
+                "differing by a non-integer"
+            )
+        out[-1] = Group(top.mu, top.offset, top.series + grp.series.shift_down(int(d)))
+    return out
+
+
 def _assemble_minus(
     raw: list[Group],
     *,
@@ -331,26 +314,7 @@ def _assemble_minus(
     """Pick generators and multi-indices for decaying groups, greedily."""
     if not raw:
         return GridMinus.empty()
-    # merge equal (rate, offset mod 1) groups first
-    merged: list[Group] = []
-    for grp in sorted(raw, key=lambda g: (-g.mu, -g.offset)):
-        hit = next(
-            (m for m in merged if m.mu == grp.mu and (m.offset - grp.offset).denominator == 1),
-            None,
-        )
-        if hit is None:
-            merged.append(Group(grp.mu, grp.offset, grp.series))
-        else:
-            d = hit.offset - grp.offset
-            if d >= 0:
-                hit.series = hit.series + grp.series.shift_down(int(d))
-            else:
-                hit.series, hit.offset = grp.series + hit.series.shift_down(int(-d)), grp.offset
-    for a, b in itertools.combinations(merged, 2):
-        if a.mu == b.mu:
-            raise GridMergeError(
-                f"groups at rate {-a.mu} have offsets {a.offset}, {b.offset} differing by a non-integer"
-            )
+    merged = _merge_rates(raw)
 
     # fast path: no seed, integer offsets -> one gcd generator
     if not seed[0] and all(g.offset.denominator == 1 for g in merged):
@@ -371,7 +335,8 @@ def _assemble_minus(
     beta: list[Fraction] = list(seed[1])
     slots: dict[MultiIndex, tuple[Fraction, PowerSeries]] = {}
 
-    for grp in sorted(merged, key=lambda g: -g.mu):  # ascending rate
+    # one group per rate, ascending; distinct rates get distinct keys
+    for grp in merged:
         rate = -grp.mu
         k = _express_rate(rate, grp.offset, lam, beta)
         if k is None:
@@ -381,17 +346,7 @@ def _assemble_minus(
                 raise GridMergeError(f"merged grid needs more than {MAX_GENERATORS} generators")
             slots = {key + (0,): val for key, val in slots.items()}
             k = (0,) * (len(lam) - 1) + (1,)
-            slots[k] = (grp.offset, grp.series)
-        else:
-            if k in slots:
-                off, s = slots[k]
-                d = off - grp.offset
-                if d >= 0:
-                    slots[k] = (off, s + grp.series.shift_down(int(d)))
-                else:
-                    slots[k] = (grp.offset, grp.series + s.shift_down(int(-d)))
-            else:
-                slots[k] = (grp.offset, grp.series)
+        slots[k] = (grp.offset, grp.series)
 
     n = len(lam)
     # prune generators no slot uses

@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..errors import ExpressionSyntaxError, GridMergeError
 from ..scanner import Scanner
-from .grid import Group, GridMinus, LogPart, PlusTerm, TransseriesT1, assemble
+from .grid import Group, GridMinus, LogPart, TransseriesT1, assemble, groups_of
 from .series import PowerSeries
 
 
@@ -245,8 +245,8 @@ def ts_print(ts: TransseriesT1, truncation: int = 8) -> str:
     def emit(sign: int, body: str):
         pieces.append((sign, body))
 
-    for t in ts.plus.terms:
-        body = f"{_exp_text(t.lam)}*({_series_text(t.series, t.beta, truncation)})"
+    for grp in ts.plus:
+        body = f"{_exp_text(grp.mu)}*({_series_text(grp.series, grp.offset, truncation)})"
         emit(1, body)
     lp = ts.log
     for i in range(len(lp.P) - 1, -1, -1):
@@ -319,8 +319,8 @@ def ts_to_json(ts: TransseriesT1, order: int = 16) -> dict:
             "R": [str(c) for c in ts.log.R],
         },
         "plus": [
-            {"lambda": str(t.lam), "beta": str(t.beta), "series": _series_json(t.series, order)}
-            for t in ts.plus.terms
+            {"lambda": str(grp.mu), "beta": str(grp.offset), "series": _series_json(grp.series, order)}
+            for grp in ts.plus
         ],
     }
 
@@ -340,10 +340,11 @@ def ts_from_json(obj: dict) -> TransseriesT1:
         tuple(Fraction(c) for c in lg.get("R", [])),
     )
     plus = [
-        PlusTerm(Fraction(t["lambda"]), Fraction(t["beta"]), _series_from_json(t["series"]))
+        Group(Fraction(t["lambda"]), Fraction(t["beta"]), _series_from_json(t["series"]))
         for t in obj.get("plus", [])
     ]
+    if any(grp.mu <= 0 for grp in plus):
+        raise ValueError("plus-part rates must be positive")
     minus = GridMinus(lam=lam, beta=beta, series=series) if lam or series else GridMinus.empty()
-    groups = [Group(-minus.rate(k), minus.offset(k), minus.series_at(k)) for k in minus.support()]
     # re-normalize: assemble moves R into the k = 0 series
-    return assemble(groups + [Group(t.lam, t.beta, t.series) for t in plus], log, seed=(lam, beta))
+    return assemble(groups_of(TransseriesT1(minus=minus)) + plus, log, seed=(lam, beta))

@@ -346,6 +346,16 @@ class TestConfig:
         assert code == 0
         assert abs(json.loads(out)["value"] - 440.37989953) < 1e-5
 
+    @pytest.mark.parametrize("lam", ["-1", "0"])
+    def test_sum_rejects_a_nonpositive_plus_rate(self, cli, monkeypatch, lam):
+        import io
+
+        blob = {"plus": [{"lambda": lam, "beta": "0", "series": {"coeffs": ["1"]}}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob)))
+        code, out, err = cli("sum", "-", "3")
+        assert (code, out) == (1, "")
+        assert "plus-part rates must be positive" in err
+
 
 class TestOptionsBeforeTheVerb:
     def test_precision(self, cli):

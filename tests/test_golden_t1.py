@@ -1,0 +1,104 @@
+"""Frozen stdout of the exact T1 verbs.
+
+The corpus in ``golden/t1_verbs.json`` pins the output of ``tsr parse``,
+``diff`` and ``antidiff`` (text and ``--json``), ``mul`` and ``borel``.  The
+expressions cover growing groups at several rates, equal-rate merges with
+integer offset differences on both signs of the rate, non-integer offsets,
+a two-generator decaying grid, log parts and the named series.  Every case
+exits 0.  Regenerate the corpus (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden_t1.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from tsr.cli import run
+
+GOLDEN = Path(__file__).with_name("golden") / "t1_verbs.json"
+
+EXPRESSIONS = (
+    # growing groups at several rates
+    "exp(x)/x + exp(2*x)/x^2 + exp(1/2*x)*x",
+    "exp(3*x)*series![1,2,3] + exp(x)*series![1,-1] + exp(2*x)/x",
+    "exp(2*x)*#stirling - exp(2*x)/x",
+    "exp(x)*#airy_u",
+    # equal-rate merges with integer offset differences, both signs
+    "exp(x)*#ei + exp(x)/x^3",
+    "exp(-x)*#ei + exp(-x)/x^3",
+    "exp(x)/x + exp(x)",
+    "exp(-x)*x + exp(-x)/x^2",
+    "exp(x)*x^(1/2)*#erfi + exp(x)*x^(-1/2)/x",
+    "exp(-x)*x^(1/2)*#erfi + exp(-x)*x^(-1/2)/x",
+    # non-integer offsets
+    "exp(-x)*x^(1/2)/x + exp(-2*x)/x",
+    "exp(x)*x^(1/3) + exp(2*x)*x^(-2/3)/x",
+    # decaying grids: one gcd generator, and two generators
+    "exp(-x)/x + exp(-2*x)/x^2 + exp(-3*x)*#ei",
+    "exp(-x)/x + exp(-65/64*x)/x",
+    "exp(-x)/x + exp(-17/16*x)/x + exp(-2*x)/x",
+    "exp(-x)*#airy_u_alt",
+    # both signs at once
+    "exp(x)/x - exp(-x)/x",
+    "exp(2*x)*#ei + 3 - exp(-x)*#erfi",
+    # log parts, powers and named series without an exponential
+    "x^2*log(x) + 3*log(x) + x - 1/x",
+    "log(x)",
+    "(1 + 1/x)^3",
+    "1/x + #ei",
+    "#stirling",
+    "#erfi/x",
+    "5",
+)
+
+MUL = (
+    ("exp(-x)/x", "exp(-x)/x^2"),
+    ("1/x + 2", "exp(-x)*#ei"),
+    ("exp(-x)/x + exp(-65/64*x)/x", "exp(-x)/x"),
+    ("#ei", "#ei"),
+    ("exp(-x)*x^(1/2)/x", "exp(-2*x)/x"),
+)
+
+BOREL = ("#ei", "#stirling", "1/x + 2/x^2 + exp(-x)/x", "#erfi/x")
+
+CASES = (
+    [(verb, e) + flag for e in EXPRESSIONS for verb in ("parse", "diff", "antidiff") for flag in ((), ("--json",))]
+    + [("mul",) + pair + flag for pair in MUL for flag in ((), ("--json",))]
+    + [("borel", e) + flag for e in BOREL for flag in ((), ("--json",), ("--order", "6"))]
+)
+
+
+def _key(case) -> str:
+    return " ".join(case)
+
+
+def _record(case) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(list(case))
+    assert code == 0, case
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_corpus_covers_cases(golden):
+    assert sorted(golden) == sorted(_key(c) for c in CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_key)
+def test_output_unchanged(golden, case):
+    assert _record(case) == golden[_key(case)]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    corpus = {_key(c): _record(c) for c in CASES}
+    GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True, ensure_ascii=False) + "\n")

@@ -124,7 +124,7 @@ class TestCatalog:
         # Watson-fit: asymptotic coefficients recovered from eb_sum values
         # match the stored series (the resummation adds no new terms).
         e = catalog()["ei"]
-        stored = e.transseries.plus.terms[0].series
+        stored = e.transseries.plus[0].series
         with mp.workdps(40):
             xs = [mp.mpf(v) for v in (40, 55, 70, 90)]
             vals = [e.eb_value(x, CFG)[0] * mp.exp(-x) for x in xs]

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from tsr.errors import GridMergeError, ResonanceError, UndecidableSupport
 from tsr.transseries import (
     GridMinus,
+    Group,
     LogPart,
     PowerSeries,
     TransseriesT1,
+    assemble,
     eq_to_order,
     from_log_part,
     from_minus_term,
@@ -130,11 +132,17 @@ class TestAlgebra:
         with pytest.raises(ResonanceError):
             GridMinus(lam=(F(1), F(2)), beta=(F(0), F(0)), series={})
 
-    def test_grid_merge_error_on_incompatible_offsets(self):
-        a = from_minus_term(F(1), F(1, 2), PowerSeries.from_coeffs([F(1)]))
-        b = from_minus_term(F(1), F(1, 3), PowerSeries.from_coeffs([F(1)]))
-        with pytest.raises(GridMergeError):
+    @pytest.mark.parametrize("term", [from_minus_term, from_plus_term], ids=["decaying", "growing"])
+    def test_grid_merge_error_on_incompatible_offsets(self, term):
+        a = term(F(1), F(1, 2), PowerSeries.from_coeffs([F(1)]))
+        b = term(F(1), F(1, 3), PowerSeries.from_coeffs([F(1)]))
+        with pytest.raises(GridMergeError, match="groups at rate 1 have offsets 1/2, 1/3"):
             ts_add(a, b)
+
+    @pytest.mark.parametrize("lam", [F(0), F(-1)])
+    def test_plus_term_rate_must_be_positive(self, lam):
+        with pytest.raises(ValueError, match="plus-part rates must be positive"):
+            from_plus_term(lam, F(0), PowerSeries.from_coeffs([F(1)]))
 
 
 OFFSETS = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 16, 32]))
@@ -168,19 +176,50 @@ def finite_grids(draw):
 @example(((F(1), F(17, 16)), (F(0), F(1, 16)), {(17, 0), (0, 16)}))  # offsets 0 and 1 at rate 17
 def test_support_yields_each_key_once_in_order(grid):
     lam, beta, keys = grid
-    g = GridMinus(lam=lam, beta=beta, series={k: PowerSeries.from_coeffs([F(1)]) for k in keys})
+    series = {k: PowerSeries.from_coeffs([F(1)]) for k in keys}
+    g = GridMinus(lam=lam, beta=beta)  # empty: it reads the rate and offset of each key
     collide = any(
         g.rate(a) == g.rate(b) and (g.offset(a) - g.offset(b)).denominator != 1
         for a, b in itertools.combinations(keys, 2)
     )
     if collide:
         with pytest.raises(ResonanceError):
-            list(g.support())
+            GridMinus(lam=lam, beta=beta, series=series)
         return
+    g = GridMinus(lam=lam, beta=beta, series=series)
     got = list(g.support())
     assert sorted(got) == sorted(keys)
     order = [(g.rate(k), -g.offset(k)) for k in got]
     assert order == sorted(order)
+
+
+@st.composite
+def raw_groups(draw):
+    """Finite groups at rates of both signs; the offsets at one rate lie at
+    integer distances, so every draw merges."""
+    mus = st.sampled_from([F(-1), F(-17, 16), F(-23, 16), F(1, 2), F(1), F(3)])
+    rates = draw(st.lists(mus, min_size=1, max_size=7))
+    base = {mu: draw(OFFSETS) for mu in sorted(set(rates))}
+    coeffs = st.lists(st.integers(-3, 3).map(F), min_size=1, max_size=4)
+    return [
+        Group(mu, base[mu] + draw(st.integers(-3, 3)), PowerSeries.from_coeffs(draw(coeffs)))
+        for mu in rates
+    ]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(raw_groups())
+def test_assemble_merges_one_group_per_rate(groups):
+    ts = assemble(groups)
+    raw: dict = {}
+    for g in groups:
+        for l, c in enumerate(g.series.coeffs(g.series.length), 1):
+            key = (g.mu, g.offset - l, 0)
+            raw[key] = raw.get(key, F(0)) + c
+    assert semantic_terms(ts, 40) == {key: c for key, c in raw.items() if c}
+    rates = {g.mu for g in groups}
+    assert [g.mu for g in ts.plus] == sorted((mu for mu in rates if mu > 0), reverse=True)
+    assert [ts.minus.rate(k) for k in ts.minus.support()] == sorted(-mu for mu in rates if mu < 0)
 
 
 def _fact(n: int) -> int:
@@ -212,7 +251,7 @@ class TestAntidiff:
 
     def test_ei_series(self):
         got = ts_antidiff(ts_parse("exp(x)/x"))
-        series = got.plus.terms[0].series
+        series = got.plus[0].series
         assert series.coeffs(5) == [1, 1, 2, 6, 24]
 
     def test_decaying_exponential(self):
@@ -279,11 +318,11 @@ class TestDecompose:
         k0 = (0,) * minus.n
         assert minus.series_at(k0).coeff(1) == 0
         assert minus.series_at(k0).coeff(2) == 1
-        assert not plus.terms
+        assert not plus
 
     def test_zero(self):
         minus, log, plus = ts_decompose(TransseriesT1.zero(), 3)
-        assert log.is_zero() and not plus.terms
+        assert log.is_zero() and not plus
 
     def test_plus_part_unchanged(self):
         ts = ts_parse("exp(x)*series![1,2]")

@@ -12,8 +12,8 @@ from tsr.transseries import eq_to_order, ts_from_json, ts_parse, ts_print, ts_to
 class TestParse:
     def test_ei_form(self):
         ts = ts_parse("exp(x)*#ei")
-        t = ts.plus.terms[0]
-        assert t.lam == 1 and t.beta == 0
+        t = ts.plus[0]
+        assert t.mu == 1 and t.offset == 0
         assert t.series.coeffs(4) == [1, 1, 2, 6]
 
     def test_log_part(self):
@@ -78,7 +78,7 @@ class TestPrintRoundTrip:
     def test_parse_of_printed_prefix_matches(self):
         ts = ts_parse("exp(x)*#ei")
         reparsed = ts_parse(ts_print(ts, 6).replace(" + ...", ""))
-        assert reparsed.plus.terms[0].series.coeffs(6) == ts.plus.terms[0].series.coeffs(6)
+        assert reparsed.plus[0].series.coeffs(6) == ts.plus[0].series.coeffs(6)
 
 
 class TestJson:
@@ -93,7 +93,7 @@ class TestJson:
         obj = ts_to_json(ts)
         assert obj["plus"][0]["series"] == {"oracle": "ei", "order": 16}
         back = ts_from_json(obj)
-        assert back.plus.terms[0].series.coeffs(5) == [1, 1, 2, 6, 24]
+        assert back.plus[0].series.coeffs(5) == [1, 1, 2, 6, 24]
 
 
 @pytest.mark.parametrize(
