@@ -88,15 +88,20 @@ class CatalogFunction:
             inner, err = base.eb_value(x, cfg)
             with mp.workdps(cfg.precision):
                 val = mp.exp(inner)
-                return val, abs(val) * err
+                # e^inner moves by |val| err, and its rounding adds a unit
+                return val, abs(val) * (err + mp.eps)
         with mp.workdps(cfg.precision):
             t = self.critical_time(x)
             val, err = eb_sum(self.transseries, t, cfg, resolver=self.resolver)
             scale = self.prefactor.numeric()
             out = scale * val
+            err = abs(scale) * err
             if self.ln2pi_coef:
-                out += mp.mpf(self.ln2pi_coef.numerator) / self.ln2pi_coef.denominator * mp.log(2 * mp.pi)
-            return out, abs(scale) * err
+                term = mp.mpf(self.ln2pi_coef.numerator) / self.ln2pi_coef.denominator * mp.log(2 * mp.pi)
+                out += term
+                # two units of the term (2 pi, the log, the product) and one of the sum
+                err += (2 * abs(term) + abs(out)) * mp.eps
+            return out, err
 
     def check_domain(self, x):
         """Raise DomainError unless x (an mpf or an exact Fraction) lies in the domain."""

@@ -9,9 +9,11 @@ Closed forms are linear combinations of
 around a single singularity s, plus a polynomial, with a in Z/2; that family
 is closed under P, which is how pole kernels regularize to logs, and each
 closed form sums its own Laplace transform exactly (``ClosedFormKernel.laplace``)
-without a value at any point.  The Pade, Binet and Airy kernels are summed
-by quadrature: they give their value on the ray and their singularities, and
-keep the mpf constants a node needs once per working precision.  A Pade
+without a value at any point.  So does the Binet kernel, whose transform is
+ln Gamma less its Stirling part (``CothKernel.laplace``).  The Pade and Airy
+kernels are summed by quadrature: they give their value on the ray and their
+singularities, and keep the mpf constants a node needs once per working
+precision.  A Pade
 kernel's singularities are its poles, found exactly over Q: Descartes' rule
 of signs with bisection isolates the denominator's real positive roots and
 their orders, and bisection refines each simple one at an explicit
@@ -47,7 +49,7 @@ class Singularity:
 class BorelFunction:
     """Interface shared by every Borel-plane representation: ``growth`` and
     ``taylor``; a closed form adds ``laplace(x, prec)``, a quadrature kernel
-    ``value`` and ``singularities``."""
+    ``value`` and ``singularities`` (the Binet kernel has both)."""
 
     #: (c1, c3) with |F| <= c1 exp(c3 p) far out; c3 bounds the Laplace domain
     growth: tuple[float, float] = (1.0, 0.0)
@@ -603,9 +605,12 @@ def log_kernel(location=1, scale=1) -> ClosedFormKernel:
 class CothKernel(BorelFunction):
     """(p coth(p/2) - 2) / (2 p^2): the Binet kernel of log Gamma.
 
-    Its Taylor coefficients come from ``coth_kernel_coeff``; values use the
-    closed form, or the even Taylor polynomial near 0 where the closed form
-    cancels.
+    Its Laplace transform is Binet's function (``laplace``), so no sum
+    evaluates it at a point.  Its Taylor coefficients come from
+    ``coth_kernel_coeff``; ``value`` uses the closed form, or the even Taylor
+    polynomial near 0 where the closed form cancels.  The values stay as the
+    independent reference: the tests integrate them by quadrature and check
+    the transform against the sum.
     """
 
     growth = (1.0, 0.0)  # falls from 1/12 at p = 0 like 1/(2p): subexponential
@@ -618,6 +623,40 @@ class CothKernel(BorelFunction):
         from ..coefficients import coth_kernel_coeff
 
         return [coth_kernel_coeff(k) for k in range(K + 1)]
+
+    def laplace(self, x, prec: int):
+        """integral(e^(-xp) F(p), p = 0..inf) in closed form: F(p) is
+        (1/2 - 1/p + 1/(e^p - 1))/p, and its transform is Binet's function
+        J(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 (DLMF 5.9.13;
+        Costin 2008, ch. 5).
+
+        J ~ 1/(12x) is what is left of ln Gamma(x) ~ x ln x, so the parts are
+        computed in raw libmp at wp = prec + 40 + 2 max(log2 x, 0) bits, each
+        good to a few units in its last place, and summed exactly; that sum
+        is within 2^(m + 5 - wp) of J, for every part below 2^m.  A Fraction
+        x is rounded to wp bits first, which moves J by at most 2^-wp, since
+        |J'(x)| <= min(1/(2x), 1/(12x^2)).  Returns (value, error) as mpf:
+        the sum rounded to ``prec`` bits, and that bound plus |value| 2^-prec
+        for the rounding and |value| 2^(2-prec) for the rational multiple and
+        the prefactor a caller applies at the same precision.  The error is
+        built from magnitudes alone, so the last bits of mpmath's cached
+        tables do not reach it.  No context precision is read or set, so
+        threads may call it at once.
+        """
+        wp = prec + 40 + 2 * max(special.mag(_interval(x, 53)[0]), 0)
+        X = _interval(x, wp)[0]
+        half_log_2pi = libmp.mpf_shift(libmp.mpf_log(libmp.mpf_shift(libmp.mpf_pi(wp), 1), wp), -1)
+        parts = (
+            libmp.mpf_loggamma(X, wp),
+            libmp.mpf_neg(libmp.mpf_mul(libmp.mpf_sub(X, libmp.fhalf), libmp.mpf_log(X, wp), wp)),
+            X,
+            libmp.mpf_neg(half_log_2pi),
+        )
+        mid = libmp.mpf_sum(parts)  # exact
+        val = libmp.mpf_pos(mid, prec, libmp.round_nearest)
+        bound = libmp.mpf_shift(libmp.fone, max(map(special.mag, parts)) + 5 - wp)
+        err = libmp.mpf_add(bound, libmp.mpf_shift(libmp.mpf_mul_int(libmp.mpf_abs(val), 5, 53, _UP), -prec), 53, _UP)
+        return mp.make_mpf(val), mp.make_mpf(err)
 
     def _taylor(self) -> tuple:
         """(0.05, [f_0, f_2, f_4, ...]) as mpf: at least 12 even terms, and

@@ -5,11 +5,12 @@ balanced average of its Borel transform along the positive axis.  A
 closed-form kernel (``ClosedFormKernel``: the ``#ei`` pole, the ``#erfi``
 square-root branch, their P-integrals and every kernel ``ts_antidiff``
 derives) sums that integral exactly, through Ei, erfi and erfc and
-integration by parts, without evaluating the kernel at any point; its
-reported error is a bound on the rounding.
+integration by parts, without evaluating the kernel at any point, and so
+does the Binet (coth) kernel of ``#stirling``, through ln Gamma (Binet's
+formula); their reported error is a bound on the rounding.
 
-Quadrature, with level-difference estimates, remains for the Pade, Airy and
-Binet (coth) kernels, which give their averaged value at a point and their
+Quadrature, with level-difference estimates, remains for the Pade and Airy
+kernels, which give their averaged value at a point and their
 singularities on the ray (Pade poles, the Airy log branch point).  A Pade
 kernel's poles are its denominator's real positive roots, isolated exactly
 over Q and refined by bisection at the working precision
@@ -387,10 +388,14 @@ def eb_sum(
         lp = ts.log
         if not lp.is_zero():
             lx = mp.log(x)
-            for i, c in enumerate(lp.P):
-                total += _c2mp(c) * x**i * lx
-            for i, c in enumerate(lp.Q):
-                total += _c2mp(c) * x**i
+            terms = [_c2mp(c) * x**i * lx for i, c in enumerate(lp.P)] + [_c2mp(c) * x**i for i, c in enumerate(lp.Q)]
+            for t in terms:
+                total += t
+                # the exact part's rounding (mp.eps is a unit at 1): half a
+                # unit of a term for each of c, x^i, log x and the product,
+                # and a unit of the running total per addition, half of it
+                # spare for adding the groups' sums below
+                err += (2 * abs(t) + abs(total)) * mp.eps
 
         for grp in groups_of(ts):
             series = grp.series

@@ -62,3 +62,17 @@ def law_reports() -> dict:
         "extension": extension_laws(STRICT_CFG, samples=30),
         "integral": integral_laws(STRICT_CFG),
     }
+
+
+class QuadratureOnly:
+    """A kernel with its closed-form Laplace sum hidden, so that ``laplace``
+    integrates the kernel's values by quadrature: the independent check of
+    a closed form."""
+
+    def __init__(self, kernel):
+        self._kernel = kernel
+
+    def __getattr__(self, name):
+        if name == "laplace":
+            raise AttributeError(name)
+        return getattr(self._kernel, name)

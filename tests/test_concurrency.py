@@ -293,6 +293,31 @@ def test_closed_form_laplace_bit_identical_from_16_threads():
         assert all(r == serial for r in _pull_together(raw, workers=16))
 
 
+def test_binet_laplace_bit_identical_from_16_threads():
+    # Binet's function at three points and four precisions, from 1/10 to
+    # 10^8 (where the guard bits double): each thread takes every case from
+    # a different start, the threads run before the serial reference, and no
+    # precision leaks between threads or into the context, ten rounds in a row
+    import mpmath as mp
+    from mpmath import libmp
+
+    from tsr.resummation import CothKernel
+
+    kernel = CothKernel()
+    cases = [(x, libmp.dps_to_prec(d)) for x in (F(1, 10), 3, 10**8) for d in (15, 30, 50, 100)]
+
+    def raw(k: int) -> list:
+        start = k % len(cases)
+        out = {i: kernel.laplace(*cases[i]) for i in [*range(start, len(cases)), *range(start)]}
+        return [(v._mpf_, e._mpf_) for v, e in (out[i] for i in range(len(cases)))]
+
+    prec = mp.mp.prec
+    rounds = [_pull_together(raw, workers=16) for _ in range(10)]
+    serial = raw(0)
+    assert all(r == serial for results in rounds for r in results)
+    assert mp.mp.prec == prec
+
+
 def test_pade_poles_bit_identical_from_16_threads():
     # the exact pole search of the #ei + #erfi fit (11 poles on [1, 54]) at
     # four precisions, each thread taking them in a different order, on a

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mpmath import libmp
 
+from conftest import QuadratureOnly
 from tsr.errors import DegenerateTableError, GrowthBoundViolated, SingularPointError
 from tsr.coefficients import NAMED_SERIES, named_series
 from tsr.operators import antidiff_no, catalog
@@ -394,7 +395,7 @@ def counted_evaluations(monkeypatch, run) -> int:
     return counter[0]
 
 
-@pytest.mark.parametrize("name", ["airy_u", "airy_u_alt", "stirling"])
+@pytest.mark.parametrize("name", ["airy_u", "airy_u_alt"])
 def test_work_does_not_grow_with_the_precision(monkeypatch, name):
     # the quadrature's panels stop at the tolerance, so 100 digits cost about
     # what 30 do
@@ -405,13 +406,33 @@ def test_work_does_not_grow_with_the_precision(monkeypatch, name):
     assert 0 < evals[100] <= 1.5 * evals[30]
 
 
-@pytest.mark.parametrize("expr", ["#ei", "-3/7*#erfi", "exp(x)/x", "exp(-x)/x", "x*exp(2*x)*series![1, 2, 3]"])
+@pytest.mark.parametrize(
+    "expr", ["#ei", "-3/7*#erfi", "#stirling", "exp(x)/x", "exp(-x)/x", "x*exp(2*x)*series![1, 2, 3]", "loggamma", "gamma"]
+)
 def test_closed_form_kernels_evaluate_no_node(monkeypatch, expr):
-    # #ei, #erfi and the kernels ts_antidiff derives (a pole at 1 taken at
-    # m = 1, a pole at -1, a log at 2) sum their Laplace integrals in closed form
-    ts = ts_parse(expr) if "#" in expr else ts_antidiff(ts_parse(expr))
-    assert all(isinstance(g.series.kernel.kernel, ClosedFormKernel) for g in groups_of(ts))
-    assert counted_evaluations(monkeypatch, lambda: eb_sum(ts, 7, QuadratureConfig(precision=40))) == 0
+    # #ei, #erfi, #stirling (Binet's function) and the kernels ts_antidiff
+    # derives (a pole at 1 taken at m = 1, a pole at -1, a log at 2) sum their
+    # Laplace integrals in closed form, and so do log Gamma and Gamma, at
+    # every precision
+    if expr in ("loggamma", "gamma"):
+        runs = [lambda d=d: catalog()[expr].eb_value(3, QuadratureConfig(precision=d)) for d in (30, 50, 100)]
+    else:
+        ts = ts_parse(expr) if "#" in expr else ts_antidiff(ts_parse(expr))
+        assert all(isinstance(g.series.kernel.kernel, (ClosedFormKernel, CothKernel)) for g in groups_of(ts))
+        runs = [lambda d=d: eb_sum(ts, 7, QuadratureConfig(precision=d)) for d in (30, 40, 100)]
+    assert [counted_evaluations(monkeypatch, run) for run in runs] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+@pytest.mark.parametrize("x", [3, 10, 1000])
+def test_binet_closed_form_is_the_kernel_quadrature(x, digits):
+    # Binet's formula checked against the kernel itself: the coth kernel's
+    # values summed by quadrature, to 8 digits short of the precision, give
+    # the closed form within the quadrature's error
+    tol = 10.0 ** (8 - digits)
+    quad, quad_err = laplace(QuadratureOnly(CothKernel()), x, QuadratureConfig(abs_tol=tol, rel_tol=100 * tol, precision=digits))
+    val, err = CothKernel().laplace(x, libmp.dps_to_prec(digits))
+    assert abs(quad - val) <= quad_err + err
 
 
 def test_erfi_integral_at_high_precision_meets_its_tolerance():
@@ -451,10 +472,26 @@ def test_catalog_value_is_within_its_reported_error(name, x, digits):
         assert abs(val - CATALOG_REFS[name](mp.mpf(x))) <= err
 
 
-@pytest.mark.parametrize("name, x, parent", [("airy_ai", 3, 847), ("airy_bi", 8, 422), ("loggamma", 3, 812)])
+@pytest.mark.parametrize("digits", [15, 30, 50, 100])
+@pytest.mark.parametrize("x", ["1/10", "1", "3", "10", "1000", "100000000"])
+@pytest.mark.parametrize("name", ["loggamma", "gamma"])
+def test_log_gamma_is_within_its_reported_error(name, x, digits):
+    # Binet's function in closed form, from near the pole at 0 to 10^8, with
+    # x rounded to the precision first; log Gamma's error is at the
+    # precision, not at a quadrature's tolerance
+    with mp.workdps(digits):
+        x = mp_fraction(F(x))
+    val, err = catalog()[name].eb_value(x, QuadratureConfig(precision=digits))
+    with mp.workdps(digits + 30):
+        ref = CATALOG_REFS[name](x)
+        assert abs(val - ref) <= err
+        assert name == "gamma" or err <= max(1, abs(ref)) * mp.mpf(10) ** (2 - digits)
+
+
+@pytest.mark.parametrize("name, x, parent", [("airy_ai", 3, 847), ("airy_bi", 8, 422)])
 def test_spans_take_half_the_kernel_evaluations(monkeypatch, name, x, parent):
     # parent: the count when tanh-sinh summed the smooth spans; the nested
-    # Clenshaw-Curtis panels make 201, 178 and 190 evaluations
+    # Clenshaw-Curtis panels make 201 and 178 evaluations
     run = lambda: catalog()[name].eb_value(x, QuadratureConfig(precision=50))
     assert 0 < counted_evaluations(monkeypatch, run) <= parent / 2
 
