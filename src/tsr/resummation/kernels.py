@@ -13,11 +13,10 @@ without a value at any point.  So does the Binet kernel, whose transform is
 ln Gamma less its Stirling part (``CothKernel.laplace``).  The Pade and Airy
 kernels are summed by quadrature: they give their value on the ray and their
 singularities, and keep the mpf constants a node needs once per working
-precision.  A Pade
-kernel's singularities are its poles, found exactly over Q: Descartes' rule
-of signs with bisection isolates the denominator's real positive roots and
-their orders, and bisection refines each simple one at an explicit
-precision (``positive_roots``).  A pole of order 2 or more has no principal
+precision.  A Pade kernel's singularities are its poles, found exactly over
+Q: Descartes' rule of signs with bisection isolates the denominator's real
+positive roots and their orders, and bisection refines each simple one at
+an explicit precision (``positive_roots``).  A pole of order 2 or more has no principal
 value and is refused.
 
 A series carries its kernel as a :class:`KernelEntry` (kernel, m, c): its
@@ -645,12 +644,11 @@ class CothKernel(BorelFunction):
         """
         wp = prec + 40 + 2 * max(special.mag(_interval(x, 53)[0]), 0)
         X = _interval(x, wp)[0]
-        half_log_2pi = libmp.mpf_shift(libmp.mpf_log(libmp.mpf_shift(libmp.mpf_pi(wp), 1), wp), -1)
         parts = (
             libmp.mpf_loggamma(X, wp),
             libmp.mpf_neg(libmp.mpf_mul(libmp.mpf_sub(X, libmp.fhalf), libmp.mpf_log(X, wp), wp)),
             X,
-            libmp.mpf_neg(half_log_2pi),
+            libmp.mpf_neg(libmp.mpf_shift(libmp.mpf_log(libmp.mpf_shift(libmp.mpf_pi(wp), 1), wp), -1)),
         )
         mid = libmp.mpf_sum(parts)  # exact
         val = libmp.mpf_pos(mid, prec, libmp.round_nearest)

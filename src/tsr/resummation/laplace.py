@@ -388,8 +388,8 @@ def eb_sum(
         lp = ts.log
         if not lp.is_zero():
             lx = mp.log(x)
-            terms = [_c2mp(c) * x**i * lx for i, c in enumerate(lp.P)] + [_c2mp(c) * x**i for i, c in enumerate(lp.Q)]
-            for t in terms:
+            with_log = [_c2mp(c) * x**i * lx for i, c in enumerate(lp.P)]
+            for t in with_log + [_c2mp(c) * x**i for i, c in enumerate(lp.Q)]:
                 total += t
                 # the exact part's rounding (mp.eps is a unit at 1): half a
                 # unit of a term for each of c, x^i, log x and the product,

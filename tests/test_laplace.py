@@ -84,7 +84,7 @@ class TestLaplace:
 
     def test_halving_tolerance_stays_within_estimate(self):
         # quadrature convergence: refining changes results less than the estimate
-        for kernel in (pole_kernel(1), sqrt_branch_kernel(1, F(1, 2)), CothKernel()):
+        for kernel in (pole_kernel(1), sqrt_branch_kernel(1, F(1, 2)), QuadratureOnly(CothKernel())):
             loose = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7, precision=30)
             tight = QuadratureConfig(abs_tol=1e-16, rel_tol=1e-14, precision=60)
             v1, e1 = laplace(kernel, 6, loose)
@@ -475,7 +475,7 @@ def test_catalog_value_is_within_its_reported_error(name, x, digits):
 @pytest.mark.parametrize("digits", [15, 30, 50, 100])
 @pytest.mark.parametrize("x", ["1/10", "1", "3", "10", "1000", "100000000"])
 @pytest.mark.parametrize("name", ["loggamma", "gamma"])
-def test_log_gamma_is_within_its_reported_error(name, x, digits):
+def test_gamma_and_log_gamma_within_their_reported_error(name, x, digits):
     # Binet's function in closed form, from near the pole at 0 to 10^8, with
     # x rounded to the precision first; log Gamma's error is at the
     # precision, not at a quadrature's tolerance
