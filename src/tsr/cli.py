@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain or numeric failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,11 +43,14 @@ from .transseries import (
 _DEFAULTS = {"terms": 8, "prec": None, "tol": 1e-10, "json": False}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # the common options go before or after the verb and default to unset,
-    # so a verb's parser leaves one given before the verb alone; ``run``
-    # fills in _DEFAULTS (argparse shares a parent's actions, defaults
-    # included, with every parser built from it)
+    # built on the first ``run`` and shared by every later one: parse_args
+    # writes only the namespace it returns.  The common options go before
+    # or after the verb and default to unset, so a verb's parser leaves one
+    # given before the verb alone; ``run`` fills in _DEFAULTS (argparse
+    # shares a parent's actions, defaults included, with every parser built
+    # from it)
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--terms", type=int, help="series terms to print (default 8)")
     common.add_argument("--prec", type=int, help="working decimal precision (default 50)")

@@ -74,6 +74,9 @@ class CatalogFunction:
         return series.kernel or resolve_default(series)
 
     def critical_time(self, x):
+        """crit_coef * x^crit_power at the working precision, x an mpf or an exact Fraction."""
+        if isinstance(x, Fraction):
+            x = mp.mpf(x.numerator) / x.denominator
         return (
             mp.mpf(self.crit_coef.numerator)
             / self.crit_coef.denominator

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, takewhile
-from math import factorial
+from math import factorial, gcd
 from typing import Callable, Iterator, Optional
 
 from ..errors import UndecidableSupport, UnsupportedPointError
@@ -302,10 +302,19 @@ def eval_series_at(ps: PowerSeries, pt: PointData, offset: Fraction) -> tuple[Pr
 
         sum(c_l b^-l binom(p (offset - l), m - p l) x^(m - p l), l = 1..m // p).
 
-    Each l keeps one running term, advanced by one factor per leader.  The
-    stream ends when the series is finite and every binomial has terminated;
-    an unbounded series that shows DEFAULT_ORDER_SCAN zero leaders in a row
-    raises UndecidableSupport.
+    Each l keeps one running term, an integer numerator over a denominator D
+    that all live terms share, so a leader costs one gcd: its coefficient is
+    Fraction(sum of numerators, D).  From leader m - 1 to m every term gains
+    (p offset - m + 1) x / (j + 1), j its binomial order, and D gains
+    q_d x_d m (p offset = q_n / q_d, x = x_n / x_d), so a numerator n becomes
+    n (q_n - (m - 1) q_d) x_n m // (j + 1).  The division is exact: a term's
+    value has a denominator dividing den(c_l b^-l) (q_d x_d)^j j!, which
+    divides D.  A new term whose den(c_l b^-l) does not divide D scales D
+    and the live numerators by the missing factor; D restarts at 1 whenever
+    no term is live (every step when s = 0).  The stream ends when the
+    series is finite and every binomial has terminated; an unbounded series
+    that shows DEFAULT_ORDER_SCAN zero leaders in a row raises
+    UndecidableSupport.
     """
     pref = Prefactor.rational_power(pt.t0_lead_coef, offset)
     return pref, LazyNF(lambda: _series_leaders(ps, pt, offset))
@@ -315,25 +324,38 @@ def _series_leaders(ps: PowerSeries, pt: PointData, offset: Fraction) -> Iterato
     b, x = pt.t0_lead_coef, pt.s / pt.r
     # s = 0 is the same recurrence with p = 1, x = 0 and exponents scaled by e1
     p, unit = (int(pt.t0_lead_exp), 1) if x else (1, pt.t0_lead_exp)
-    running = []  # [binomial upper index q_l, order j, term] per live l
+    top = p * offset  # term l's binomial upper index is top - p l
+    qn, qd, xn, xd = top.numerator, top.denominator, x.numerator, x.denominator
+    running = []  # [j + 1, numerator over den] per live l, j its binomial order
+    den = 1
     zeros = 0
     for m in count(p):
-        for t in running:
-            q, j, _ = t
-            t[1] = j + 1
-            t[2] *= (q - j) * x / (j + 1)
-        running = [t for t in running if t[2]]
+        # from leader m - 1 to m every term gains (top - m + 1) x / (j + 1)
+        f = (qn - (m - 1) * qd) * xn * m
+        if f and running:
+            den *= qd * xd * m
+            for t in running:
+                t[1] = t[1] * f // t[0]
+                t[0] += 1
+        else:
+            running, den = [], 1  # x = 0, or every binomial ends here
         l, rem = divmod(m, p)
         if rem == 0 and (ps.length is None or l <= ps.length):
             c = ps.coeff(l)
             if c:
-                running.append([p * (offset - l), 0, c * b**-l])
+                v = c * b**-l
+                g = v.denominator // gcd(v.denominator, den)
+                if g != 1:
+                    den *= g
+                    for t in running:
+                        t[1] *= g
+                running.append([1, v.numerator * (den // v.denominator)])
         elif ps.length is not None and l >= ps.length and not running:
             return
-        coef = sum(t[2] for t in running)
-        if coef:
+        total = sum(t[1] for t in running)
+        if total:
             zeros = 0
-            yield (SurrealNF.from_rational(unit * (p * offset - m)), coef)
+            yield (SurrealNF.from_rational(unit * (top - m)), Fraction(total, den))
         elif ps.length is None:
             zeros += 1
             if zeros >= DEFAULT_ORDER_SCAN:

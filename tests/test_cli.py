@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tsr.cli import main, run
+from tsr.cli import build_parser, main, run
 from tsr.surreal import parse_nf
 from tsr.transseries import eq_to_order, ts_from_json, ts_parse
 
@@ -377,6 +377,35 @@ class TestOptionsBeforeTheVerb:
     def test_the_option_after_the_verb_wins(self, cli):
         value = cli("--prec", "10", "sum", "#ei", "10", "--prec", "15")[1].split()[0]
         assert value == "0.113147020473411"
+
+
+class TestOneParser:
+    """Every ``run`` in a process parses with the one parser built by the
+    first; no option given to one call reaches the next."""
+
+    def test_the_parser_is_built_once(self, cli):
+        cli("weights", "+")
+        assert build_parser() is build_parser()
+
+    def test_no_option_leaks_into_the_next_call(self, cli, monkeypatch):
+        monkeypatch.delenv("TSR_PRECISION", raising=False)
+        default = "9.933832570625416558\n"
+        eval_ei = ("eval", "ei", "3")
+        for given, want in [
+            (("--prec", "15"), "9.93383257062542\n"),
+            (("--prec", "10"), "9.933832571\n"),
+            (("--json",), '{"value": 9.933832570625416}\n'),
+        ]:
+            assert cli(*given, *eval_ei)[1] == want  # the option before the verb
+            assert cli(*eval_ei)[1] == default
+            assert cli(*eval_ei, *given)[1] == want  # and after it
+            assert cli(*eval_ei)[1] == default
+        assert cli("--terms", "2", "parse", "#ei")[1] == "1/x + 1/x^2 + ...\n"
+        assert cli("parse", "#ei")[1].count("/x") == 8
+        assert cli("borel", "series![1, 1, 2, 6]", "--order", "1")[1].split() == ["1", "1"]
+        assert len(cli("borel", "series![1, 1, 2, 6]")[1].split()) == 13
+        assert cli("weights", "++-", "--literal")[1] == "1/32\n"
+        assert cli("weights", "++-")[1] == "1/16\n"
 
 
 class TestSumPoint:

@@ -177,6 +177,14 @@ class TestCatalog:
             assert abs(val / ref - 1) < mp.mpf(10) ** -29
             assert abs(val - ref) <= err <= abs(ref) * mp.mpf(10) ** -28
 
+    @pytest.mark.parametrize("name", ["ei", "erfi_integral", "loggamma", "gamma"])
+    def test_eb_value_takes_an_exact_point(self, name):
+        # x is rounded once, at the working precision, as eb_sum does
+        entry, cfg = catalog()[name], QuadratureConfig(precision=30)
+        with mp.workdps(30):
+            rounded = mp.mpf(31) / 3
+        assert entry.eb_value(F(31, 3), cfg) == entry.eb_value(rounded, cfg)
+
     def test_erfi_integral_value_term_keeps_precision(self):
         with mp.workdps(50):
             kind, value = catalog()["erfi_integral"].taylor_term(F(1, 3), 0)

@@ -1,6 +1,7 @@
 """The tau-map's series stream at r*w + s, against the window-and-horizon algorithm."""
 
 from fractions import Fraction as F
+from itertools import count
 from math import factorial
 
 import pytest
@@ -13,6 +14,7 @@ from tsr.operators.tau import eval_series_at, tau_eval_group
 from tsr.surreal import GT, LazyNF, SurrealNF, decompose, nf_cmp, omega, one, parse_nf
 from tsr.surreal import normal_form
 from tsr.transseries import PowerSeries, ts_parse
+from tsr.transseries.series import DEFAULT_ORDER_SCAN
 from conftest import time_budget
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -129,6 +131,74 @@ def test_leader_stream_matches_window_algorithm(point, ps, offset, n):
     want = reference_series_stream(ps, pt, offset, n)
     assert stream.terms(n + 1) == want.terms(n + 1)
     assert pref == eval_series_at(ps, pt, offset)[0]
+
+
+def binomial_leaders(ps: PowerSeries, pt, offset: F, terms: int) -> list:
+    """The first ``terms`` nonzero coefficients of w^(p offset - m), m >= p,
+    as the binomial sum sum(c_l b^-l binom(p (offset - l), m - p l) x^(m - p l))
+    written directly in Fractions, for s != 0 (so p = e1 is an integer).
+    Past DEFAULT_ORDER_SCAN zero leaders in a row the sum counts as ended."""
+    p, b, x = int(pt.t0_lead_exp), pt.t0_lead_coef, pt.s / pt.r
+
+    def binom(q: F, k: int) -> F:
+        out = F(1)
+        for i in range(k):
+            out = out * (q - i) / (i + 1)
+        return out
+
+    out, zeros = [], 0
+    for m in count(p):
+        top = m // p if ps.length is None else min(m // p, ps.length)
+        coef = sum((ps.coeff(l) * b**-l * binom(p * (offset - l), m - p * l) * x ** (m - p * l) for l in range(1, top + 1)), F(0))
+        if coef:
+            out.append((SurrealNF.from_rational(p * offset - m), coef))
+            zeros = 0
+        else:
+            zeros += 1
+        if len(out) == terms or zeros > DEFAULT_ORDER_SCAN:
+            return out
+
+
+@pytest.mark.parametrize("name,point,p", [("ei", "2*w+1", 1), ("erfi_integral", "w-3", 2)])
+def test_catalog_streams_match_the_binomial_sum(name, point, p):
+    entry = catalog()[name]
+    (group,) = entry.transseries.plus
+    pt = analyze_point(parse_nf(point), crit_coef=entry.crit_coef, crit_power=entry.crit_power)
+    assert pt.t0_lead_exp == p
+    want = binomial_leaders(group.series, pt, group.offset, 48)
+    assert len(want) == 48
+    assert eval_series_at(group.series, pt, group.offset)[1].terms(48) == want
+
+
+late_primes = st.sampled_from([53, 59, 61, 67, 71, 73])
+
+
+@PROPERTY
+@given(
+    st.builds(F, st.integers(1, 9), st.integers(2, 4)).filter(lambda r: r.denominator != 1),
+    st.builds(F, st.integers(-7, -1), st.integers(1, 5)),
+    st.integers(1, 3),
+    positive,
+    offsets,
+    st.lists(st.integers(-4, 4).filter(bool), min_size=8, max_size=8),
+    late_primes,
+    late_primes,
+    st.booleans(),
+)
+def test_a_late_denominator_rescales_the_live_terms(r, s, p, coef, offset, nums, q5, q7, finite):
+    # c_5 and c_7 bring primes that no earlier term's denominator holds, so
+    # the shared denominator grows while earlier terms are live
+    coeffs = [F(k) for k in nums]
+    coeffs[4] /= q5
+    coeffs[6] /= q7
+    if finite:
+        ps = PowerSeries.from_coeffs(coeffs)
+    else:
+        ps = PowerSeries.from_fn(lambda l: coeffs[(l - 1) % 8] * factorial(l - 1))
+    nu = SurrealNF.monomial(one(), r) + SurrealNF.from_rational(s)
+    pt = analyze_point(nu, crit_coef=coef, crit_power=F(p))
+    want = binomial_leaders(ps, pt, offset, 12 * p)
+    assert eval_series_at(ps, pt, offset)[1].terms(12 * p) == want
 
 
 rates = st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4))
