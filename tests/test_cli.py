@@ -383,8 +383,7 @@ class TestOneParser:
     """Every ``run`` in a process parses with the one parser built by the
     first; no option given to one call reaches the next."""
 
-    def test_the_parser_is_built_once(self, cli):
-        cli("weights", "+")
+    def test_the_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
     def test_no_option_leaks_into_the_next_call(self, cli, monkeypatch):
