@@ -24,7 +24,7 @@ SHIFTED = ("w+1", "w-1", "w+2", "w-2", "2*w+1", "2*w-1", "2*w+3", "2*w-3", "3*w+
 CASES = (
     [("eval", "ei", p, "--terms", n) for p in SHIFTED for n in ("16", "32")]
     + [("eval", "ei", "2*w+1", "--terms", "48")]
-    + [("eval", "gamma", "omega", "--terms", n) for n in ("12", "14", "16")]
+    + [("eval", "gamma", "omega", "--terms", n) for n in ("12", "14", "16", "20", "24", "32")]
     + [("eval", "erfi_integral", p, "--terms", "8") for p in ("2*w+1", "w-3")]
     + [("integrate", "erfi_integrand", "2", "w-3", "--terms", "8")]
 )
