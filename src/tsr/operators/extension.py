@@ -25,7 +25,7 @@ from ..surreal import LazyNF, SurrealNF, nf_cmp
 from ..transseries import TransseriesT1, ts_antidiff
 from .catalog import CatalogFunction, catalog, shifted_taylor, term_value
 from .prefactor import Prefactor
-from .tau import SurrealPoint, SurrealValue, ValueGroup, conway_sum, tau_eval
+from .tau import SurrealPoint, SurrealValue, ValueGroup, conway_sum, exp_grid, tau_eval
 
 
 def transseriate(f: CatalogFunction) -> TransseriesT1:
@@ -133,7 +133,13 @@ def _extend_finite(f: CatalogFunction, point: SurrealPoint, terms: int, cfg: Qua
 
 def exp_surreal_value(v: SurrealValue) -> SurrealValue:
     """exp of a surreal value; supported when it splits into one plain
-    stream plus ln-tagged constants (the log Gamma shape)."""
+    stream plus ln-tagged constants (the log Gamma shape).
+
+    The stream's purely infinite head maps to a monomial w^E, its real part
+    to the tag e^r, and its infinitesimal tail z to exp_grid(z): one pass of
+    the exp recurrence on z's exponent grid, which needs z's exponents
+    rational (as log Gamma's Stirling tail at w is).
+    """
     from ..surreal import one
 
     main: Optional[LazyNF] = None
@@ -179,39 +185,7 @@ def exp_surreal_value(v: SurrealValue) -> SurrealValue:
         pref = pref * exp_prefactor(real)
 
     small = LazyNF(lambda: islice(main, i, None))
-    if small.term(0) is None:
-        return SurrealValue([ValueGroup(pref, LazyNF.from_nf(SurrealNF.monomial(lead)))])
-    stream = exp_lazy_infinitesimal(small).shift(lead)
-    return SurrealValue([ValueGroup(pref, stream)])
-
-
-def exp_lazy_infinitesimal(z: LazyNF) -> LazyNF:
-    """exp of a lazily given infinitesimal: exp(truncation) stabilizes
-    leader by leader because the dropped tail only reaches lower leaders."""
-
-    def gen():
-        from .tau import exp_infinitesimal
-
-        emitted = 0
-        n = 4
-        while True:
-            zn = z.truncate(n)
-            nxt = z.term(n)
-            if zn.is_zero():
-                yield from SurrealNF.from_rational(1).terms
-                return
-            # the first `emitted` terms are final: this longer truncation repeats them
-            if nxt is None:
-                yield from islice(exp_infinitesimal(zn), emitted, None)
-                return
-            # terms above the first dropped exponent are final, and the rest
-            # of this truncation's exponential can never reach them
-            for t in islice(exp_infinitesimal(zn, nxt[0]), emitted, None):
-                yield t
-                emitted += 1
-            n *= 2
-
-    return LazyNF(gen)
+    return SurrealValue([ValueGroup(pref, exp_grid(small).shift(lead))])
 
 
 # -- antidifferentiation and the integral ----------------------------------------

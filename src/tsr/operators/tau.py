@@ -16,13 +16,20 @@ A group's exponential e^(mu t0) is a monomial: s != 0 needs an integer p, so
 mu t0 has exponents p, p - 1, ..., 0 only, and its exponential is w^E e^q
 with no infinitesimal part.  A group's value is its series stream shifted by
 E, with the tag e^q in its prefactor.
+
+Two exact exponentials of infinitesimals live here.  ``exp_grid`` takes a
+lazy stream with rational exponents, all multiples of one step m = w^step,
+and runs the recurrence n b_n = sum(j c_j b_(n-j)) on that grid in one pass
+(Gamma at w is the exp of log Gamma's Stirling tail there).  ``conway_sum``
+sums c_k z^k for a finite normal form z of any exponents by normal-form
+products (the exact Taylor sums at finite points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, takewhile
+from itertools import count
 from math import factorial, gcd
 from typing import Callable, Iterator, Optional
 
@@ -183,50 +190,113 @@ def exp_purely_infinite(a: SurrealNF) -> SurrealNF:
     return SurrealNF(out)
 
 
-def conway_sum(
-    coeff: Callable[[int], Fraction], z: SurrealNF, floor: Optional[SurrealNF] = None, *, length: Optional[int] = None
-) -> LazyNF:
+def conway_sum(coeff: Callable[[int], Fraction], z: SurrealNF, *, length: Optional[int] = None) -> LazyNF:
     """sum(coeff(k) z^k, k >= 0) for strictly infinitesimal z, exactly.
 
     Partial sums stabilize leader by leader: z^k only reaches exponents at or
     below k * (leading exponent of z), so once c_k z^k is added, the terms
-    above (k + 1) * top are final.  With ``floor`` the stream holds only the
-    terms above w^floor: a term of z^k at or below it only has lower
-    descendants, so each power drops them, and the stream ends once
-    (k + 1) * top is at or below it.  With ``length`` the coefficients from
+    above (k + 1) * top are final.  With ``length`` the coefficients from
     c_length on are known to be zero: the sum is final after c_(length-1)
-    z^(length-1), and the stream ends there.
+    z^(length-1), and the stream ends there.  Without it, DEFAULT_ORDER_SCAN
+    zero coefficients in a row, with every term of the partial sum out,
+    raise UndecidableSupport.
     """
     top = z.terms[0][0]  # leading (negative) exponent
-
-    def above_floor(t) -> bool:
-        return nf_cmp(t[0], floor) == GT
 
     def gen() -> Iterator:
         total = SurrealNF.zero()
         zk = one()
-        emitted = 0
+        emitted = zeros = 0
         for k in count():
             if k:
                 zk = zk * z
-                if floor is not None:
-                    zk = SurrealNF(tuple(takewhile(above_floor, zk.terms)), _normalized=True)
-            total = total + zk * coeff(k)
+            c = coeff(k)
+            if c:
+                total = total + zk * c
+                zeros = 0
+            else:
+                zeros += 1
+            final = length is not None and k + 1 >= length
             horizon = (k + 1) * top
-            final = (length is not None and k + 1 >= length) or (floor is not None and nf_cmp(horizon, floor) != GT)
             safe = total.terms if final else [t for t in total.terms if nf_cmp(t[0], horizon) == GT]
             while emitted < len(safe):
                 yield safe[emitted]
                 emitted += 1
             if final:
                 return
+            if zeros >= DEFAULT_ORDER_SCAN and emitted == len(total.terms):
+                raise UndecidableSupport(f"no nonzero coefficient within scan bound {DEFAULT_ORDER_SCAN}")
 
     return LazyNF(gen)
 
 
-def exp_infinitesimal(z: SurrealNF, floor: Optional[SurrealNF] = None) -> LazyNF:
+def exp_infinitesimal(z: SurrealNF) -> LazyNF:
     """exp(z) = sum z^k / k! for strictly infinitesimal z (see ``conway_sum``)."""
-    return conway_sum(lambda k: Fraction(1, factorial(k)), z, floor)
+    return conway_sum(lambda k: Fraction(1, factorial(k)), z)
+
+
+def exp_grid(z: LazyNF) -> LazyNF:
+    """exp(z) for a lazily given strictly infinitesimal z, in one pass.
+
+    With step the first exponent of z, z = sum(c_j m^j, j >= 1) on the grid
+    m = w^step, and exp(z) = sum(b_n m^n) with b_0 = 1 and
+
+        n b_n = sum(j c_j b_(n-j), j = 1..n)
+
+    (exp(z)' = z' exp(z) under m d/dm), in Fractions.  b_n is final once
+    c_1..c_n are known: once z is pulled to a term at or below m^n, or to its
+    end.  A later exponent off the grid refines the step to the rational gcd
+    and re-indexes the pulled c_j and the b_n so far; the new term lies below
+    every emitted one, so they stay final.  A non-rational exponent raises
+    UnsupportedPointError.  While z may hold more terms, DEFAULT_ORDER_SCAN
+    zero b_n in a row raise UndecidableSupport; a finite z cannot give an
+    endless run, as exp of a nonzero polynomial in m is no polynomial.
+    """
+
+    def gen() -> Iterator:
+        yield (SurrealNF.zero(), Fraction(1))
+        terms = iter(z)
+        first = next(terms, None)
+        if first is None:
+            return
+        step = _rational_exponent(first[0])
+        jc = [(1, first[1])]  # (j, j c_j) for each pulled term, j ascending
+        b = [Fraction(1)]
+        last, ended, zeros = 1, False, 0  # c_1..c_last are known
+        while True:
+            while not ended and last < len(b):
+                t = next(terms, None)
+                if t is None:
+                    ended = True
+                    break
+                d = _rational_exponent(t[0]) / step
+                a = d.denominator
+                if a != 1:  # refine the grid to m^(1/a)
+                    step /= a
+                    jc = [(j * a, v * a) for j, v in jc]
+                    grid = [0] * ((len(b) - 1) * a + 1)
+                    grid[::a] = b
+                    b = grid
+                last = int(d * a)
+                jc.append((last, last * t[1]))
+            n = len(b)
+            bn = sum((v * b[n - j] for j, v in jc if j <= n), Fraction(0)) / n
+            b.append(bn)
+            if bn:
+                zeros = 0
+                yield (SurrealNF.from_rational(n * step), bn)
+            elif not ended:
+                zeros += 1
+                if zeros >= DEFAULT_ORDER_SCAN:
+                    raise UndecidableSupport(f"no nonzero term within scan bound {DEFAULT_ORDER_SCAN}")
+
+    return LazyNF(gen)
+
+
+def _rational_exponent(e: SurrealNF) -> Fraction:
+    if not e.is_rational():
+        raise UnsupportedPointError(f"exp of a stream with the non-rational exponent {e}")
+    return e.as_rational()
 
 
 # -- points and powers ----------------------------------------------------------

@@ -1,13 +1,11 @@
 """Normal-form arithmetic, comparison, decomposition, rendering."""
 
 from fractions import Fraction as F
-from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsr.operators.tau import exp_infinitesimal
 from tsr.surreal import (
     EQ,
     GT,
@@ -151,12 +149,11 @@ PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
 
 
-def nf_terms(depth: int = 2, exponents=None):
+def nf_terms(depth: int = 2):
     """Lists of (exponent, coefficient) terms, exponents nested to ``depth``."""
-    if exponents is None:
-        exponents = st.builds(SurrealNF.from_rational, rationals)
-        if depth > 0:
-            exponents = st.one_of(exponents, nfs(depth - 1))
+    exponents = st.builds(SurrealNF.from_rational, rationals)
+    if depth > 0:
+        exponents = st.one_of(exponents, nfs(depth - 1))
     return st.lists(st.tuples(exponents, rationals), max_size=3)
 
 
@@ -164,15 +161,7 @@ def nfs(depth: int = 2):
     return nf_terms(depth).map(SurrealNF)
 
 
-def _negative(e: SurrealNF) -> SurrealNF:
-    if nf_cmp(e, SurrealNF.zero()) == LT:
-        return e
-    return -e if not e.is_zero() else rat(-1)
-
-
 NF = nfs()
-#: strictly infinitesimal tilts: every exponent below zero
-TILT = nf_terms(exponents=nfs(1).map(_negative)).map(SurrealNF).filter(lambda u: not u.is_zero())
 
 
 class TestProperties:
@@ -220,15 +209,3 @@ class TestProperties:
             split = terms[:i] + [(e, part), (e, c - part)] + terms[i + 1 :]
             assert SurrealNF(split) == a
             assert render_nf(SurrealNF(split)) == render_nf(a)
-
-    @PROPERTY
-    @given(TILT, nfs(1).map(_negative))
-    def test_truncated_exp_is_the_exp_above_its_floor(self, z, floor):
-        full = exp_infinitesimal(z).terms(8)
-        above = list(takewhile(lambda t: nf_cmp(t[0], floor) == GT, full))
-        truncated = exp_infinitesimal(z, floor)
-        if len(above) < len(full):
-            # every term above the floor is out, and the stream ends there
-            assert truncated.terms(len(full)) == above
-        else:
-            assert truncated.terms(len(full)) == full

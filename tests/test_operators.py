@@ -372,13 +372,12 @@ def test_real_endpoint_integral_at_requested_precision():
 
 
 def test_exp_of_lazy_infinitesimal_longer_than_first_window():
-    from tsr.operators.extension import exp_lazy_infinitesimal
-    from tsr.operators.tau import exp_infinitesimal
+    from tsr.operators.tau import exp_grid, exp_infinitesimal
     from tsr.surreal import LazyNF
 
-    # six terms: the first truncation (four terms) drops two, the next keeps all
+    # six terms, and twelve exp terms: the recurrence reads all six, then the end
     z = SurrealNF([(SurrealNF.from_rational(-k), F(1)) for k in range(1, 7)])
-    got = exp_lazy_infinitesimal(LazyNF.from_nf(z)).truncate(12)
+    got = exp_grid(LazyNF.from_nf(z)).truncate(12)
     assert got == exp_infinitesimal(z).truncate(12)
 
 

@@ -1,4 +1,5 @@
-"""The tau-map's series stream at r*w + s, against the window-and-horizon algorithm."""
+"""The tau-map's series stream at r*w + s, against the window-and-horizon algorithm,
+and the exponential of an infinitesimal stream on its exponent grid."""
 
 from fractions import Fraction as F
 from itertools import count
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from tsr.errors import UndecidableSupport, UnsupportedPointError
 from tsr.operators import SurrealValue, analyze_point, catalog, exp_surreal_value, extend, tau_eval
-from tsr.operators.tau import eval_series_at, tau_eval_group
+from tsr.operators.tau import conway_sum, eval_series_at, exp_grid, exp_infinitesimal, tau_eval_group
 from tsr.surreal import GT, LazyNF, SurrealNF, decompose, nf_cmp, omega, one, parse_nf
 from tsr.surreal import normal_form
 from tsr.transseries import PowerSeries, ts_parse
@@ -259,3 +260,64 @@ def test_extend_work_does_not_grow_with_terms(monkeypatch):
         assert len(group.stream.terms(n)) == n
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+# -- exp on the exponent grid ---------------------------------------------------
+
+
+def w_power(e) -> SurrealNF:
+    return SurrealNF.monomial(SurrealNF.from_rational(e))
+
+
+nonzero = small.filter(bool)
+
+
+@st.composite
+def grid_infinitesimals(draw):
+    """sum(c_d w^(step d)) over depths 1 < d_2 < ...: integer or fractional
+    steps, gaps up to a dozen grid points, and maybe one off-grid depth."""
+    step = -draw(st.sampled_from([F(1), F(2), F(1, 2), F(2, 3), F(3, 2)]))
+    depths = {F(1)} | set(draw(st.lists(st.integers(2, 14).map(F), max_size=4)))
+    if draw(st.booleans()):
+        depths.add(draw(st.builds(F, st.integers(3, 20), st.sampled_from([2, 3])).filter(lambda d: d.denominator != 1)))
+    return SurrealNF([(SurrealNF.from_rational(step * d), draw(nonzero)) for d in sorted(depths)])
+
+
+@PROPERTY
+@given(grid_infinitesimals())
+def test_grid_exp_matches_the_conway_sum(z):
+    assert exp_grid(LazyNF.from_nf(z)).terms(10) == exp_infinitesimal(z).terms(10)
+
+
+def test_grid_exp_of_a_log_stops_searching():
+    # log(1 + m) = sum((-1)^(j+1) m^j / j) with m = 1/w: its exp is 1 + m
+    log1p = LazyNF(lambda: ((SurrealNF.from_rational(-j), F((-1) ** (j + 1), j)) for j in count(1)))
+    stream = exp_grid(log1p)
+    with time_budget(10.0):
+        assert stream.truncate(2) == one() + w_power(-1)
+        with pytest.raises(UndecidableSupport):
+            stream.term(2)
+
+
+@pytest.mark.parametrize(
+    "z", [SurrealNF.monomial(-omega()), w_power(-1) + SurrealNF.monomial(-omega())], ids=["first", "later"]
+)
+def test_grid_exp_refuses_a_non_rational_exponent(z):
+    with pytest.raises(UnsupportedPointError, match="non-rational"):
+        exp_grid(LazyNF.from_nf(z)).terms(3)
+
+
+def test_conway_sum_with_vanishing_coefficients_stops_searching():
+    def coeff(k):
+        return F(1) if k < 2 else F(0)
+
+    with time_budget(10.0):
+        stream = conway_sum(coeff, w_power(-1))
+        assert stream.truncate(2) == one() + w_power(-1)
+        with pytest.raises(UndecidableSupport):
+            stream.term(2)
+        # a partial-sum term still below the horizon comes out past the budget
+        stream = conway_sum(coeff, w_power(-1) + w_power(-100))
+        assert stream.truncate(3) == one() + w_power(-1) + w_power(-100)
+        with pytest.raises(UndecidableSupport):
+            stream.term(3)
