@@ -289,6 +289,11 @@ def test_grid_exp_matches_the_conway_sum(z):
     assert exp_grid(LazyNF.from_nf(z)).terms(10) == exp_infinitesimal(z).terms(10)
 
 
+def test_grid_exp_of_an_empty_stream_is_one():
+    stream = exp_grid(LazyNF.from_terms([]))
+    assert stream.truncate(2) == one() and stream.is_finite_known()
+
+
 def test_grid_exp_of_a_log_stops_searching():
     # log(1 + m) = sum((-1)^(j+1) m^j / j) with m = 1/w: its exp is 1 + m
     log1p = LazyNF(lambda: ((SurrealNF.from_rational(-j), F((-1) ** (j + 1), j)) for j in count(1)))
