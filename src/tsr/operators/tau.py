@@ -224,7 +224,7 @@ def conway_sum(coeff: Callable[[int], Fraction], z: SurrealNF, *, length: Option
                 emitted += 1
             if final:
                 return
-            if zeros >= DEFAULT_ORDER_SCAN and emitted == len(total.terms):
+            if length is None and zeros >= DEFAULT_ORDER_SCAN and emitted == len(total.terms):
                 raise UndecidableSupport(f"no nonzero coefficient within scan bound {DEFAULT_ORDER_SCAN}")
 
     return LazyNF(gen)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsr.errors import UndecidableSupport, UnsupportedPointError
-from tsr.operators import SurrealValue, analyze_point, catalog, exp_surreal_value, extend, tau_eval
+from tsr.operators import SurrealValue, analyze_point, catalog, exp_surreal_value, extend, monomial_entry, tau_eval
 from tsr.operators.tau import conway_sum, eval_series_at, exp_grid, exp_infinitesimal, tau_eval_group
 from tsr.surreal import GT, LazyNF, SurrealNF, decompose, nf_cmp, omega, one, parse_nf
 from tsr.surreal import normal_form
@@ -326,3 +326,11 @@ def test_conway_sum_with_vanishing_coefficients_stops_searching():
         assert stream.truncate(3) == one() + w_power(-1) + w_power(-100)
         with pytest.raises(UndecidableSupport):
             stream.term(3)
+
+
+def test_conway_sum_with_a_length_runs_past_a_long_zero_run():
+    # x^70 at 1/w: the Taylor sum at 0 has 70 zero coefficients before its last
+    with time_budget(10.0):
+        assert conway_sum(lambda k: F(int(k == 70)), w_power(-1), length=71).truncate(5) == w_power(-70)
+        (group,) = extend(monomial_entry(70), parse_nf("w^-1")).merged().groups
+        assert group.stream.truncate(5) == w_power(-70)
