@@ -23,6 +23,7 @@ from ..errors import DomainError, UnsupportedPointError
 from ..resummation import QuadratureConfig
 from ..surreal import LazyNF, SurrealNF, nf_cmp
 from ..transseries import TransseriesT1, ts_antidiff
+from ..transseries.series import DEFAULT_ORDER_SCAN
 from .catalog import CatalogFunction, catalog, shifted_taylor, term_value
 from .prefactor import Prefactor
 from .tau import SurrealPoint, SurrealValue, ValueGroup, conway_sum, exp_grid, tau_eval
@@ -168,8 +169,8 @@ def exp_surreal_value(v: SurrealValue) -> SurrealValue:
         return SurrealValue([ValueGroup(pref, LazyNF.from_nf(one()))])
 
     # split the stream: purely infinite head must be finite, the rest splits
-    head_terms = list(takewhile(lambda t: nf_cmp(t[0], SurrealNF.zero()) == 1, islice(main, 65)))
-    if len(head_terms) > 64:
+    head_terms = list(takewhile(lambda t: nf_cmp(t[0], SurrealNF.zero()) == 1, islice(main, DEFAULT_ORDER_SCAN + 1)))
+    if len(head_terms) > DEFAULT_ORDER_SCAN:
         raise UnsupportedPointError("purely infinite part does not terminate")
     i = len(head_terms)
     real_t = main.term(i)

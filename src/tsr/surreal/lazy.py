@@ -137,10 +137,13 @@ def lim(seq: Callable[[int], SurrealNF], schedule: Schedule) -> LazyNF:
 
     ``seq(n)`` is the n-th element; ``schedule`` yields (exponent, m) pairs,
     exponents strictly decreasing, such that the coefficient of w^exponent in
-    seq(n) equals its final value for every n >= m.
+    seq(n) equals its final value for every n >= m.  DEFAULT_ORDER_SCAN
+    zero coefficients in a row raise UndecidableSupport (the schedule may
+    name zeros forever).
     """
 
     def gen():
+        zeros = 0
         for exponent, m in schedule:
             c = seq(m).coefficient(exponent)
             for extra in range(1, VERIFY_EXTRA + 1):
@@ -149,6 +152,11 @@ def lim(seq: Callable[[int], SurrealNF], schedule: Schedule) -> LazyNF:
                         f"coefficient of w^({exponent}) changed after scheduled index {m}"
                     )
             if c != 0:
+                zeros = 0
                 yield (exponent, c)
+            else:
+                zeros += 1
+                if zeros >= DEFAULT_ORDER_SCAN:
+                    raise UndecidableSupport(f"{zeros} scheduled coefficients in a row are zero; no nonzero term found")
 
     return LazyNF(gen)

@@ -109,3 +109,14 @@ def test_cancelling_sum_stops_searching():
         # a sum that cancels for a while and then differs still has its term
         b = LazyNF(lambda: ((SurrealNF.from_rational(-k), -1 if k < 20 else 1) for k in count(1)))
         assert (a + b).term(0) == (SurrealNF.from_rational(-20), 2)
+
+
+def test_zero_limit_stops_searching():
+    # a schedule whose coefficients are all zero: no first term exists
+    zeros = lim(lambda n: SurrealNF.zero(), ((inv_omega_pow(k), 0) for k in count()))
+    with time_budget(10.0):
+        with pytest.raises(UndecidableSupport):
+            zeros.term(0)
+    # zeros for a while and then a value still give the term
+    late = SurrealNF.monomial(inv_omega_pow(40), F(3))
+    assert lim(lambda n: late, ((inv_omega_pow(k), 0) for k in count())).term(0) == (inv_omega_pow(40), 3)
