@@ -3,10 +3,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_transseries import raw_groups
 
 from tsr.errors import ExpressionSyntaxError, GridMergeError
 from tsr.surreal import parse_nf
-from tsr.transseries import eq_to_order, ts_from_json, ts_parse, ts_print, ts_to_json
+from tsr.transseries import LogPart, assemble, eq_to_order, ts_from_json, ts_parse, ts_print, ts_to_json
+
+RATIONALS = st.builds(F, st.integers(-5, 5), st.integers(1, 6))
 
 
 class TestParse:
@@ -70,6 +75,12 @@ class TestPrintRoundTrip:
     @pytest.mark.parametrize("text", [c for c in CASES if "..." not in c])
     def test_print_parse_identity(self, text):
         assert ts_print(ts_parse(text)) == text
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(raw_groups(), st.lists(RATIONALS, max_size=4), st.lists(RATIONALS, max_size=4))
+    def test_parse_of_print_is_identity(self, groups, P, Q):
+        ts = assemble(groups, LogPart(P=tuple(P), Q=tuple(Q)))
+        assert eq_to_order(ts_parse(ts_print(ts, 40)), ts, 40)
 
     def test_parse_print_on_infinite_series(self):
         ts = ts_parse("exp(x)*#ei")
