@@ -2,8 +2,12 @@
 
 Each entry pairs a stored transseries (in its critical time) with an
 independent high-precision oracle on the reals and an exact derivative
-facility for Taylor extensions at finite points.  The Ei and erfi-integral
-oracles sum their convergent series, DLMF 6.6.1 and 7.6.4 (O(x) terms for
+facility for Taylor extensions at finite points.  The elementary entries
+c x^n e^(mu x^p) (exp, exp_neg, the Ei and erfi integrands, exp_neg_over_x
+and the monomials) come from one builder, ``elementary_entry``, which
+derives all three from phi = mu x^p and q = c x^n.  The Ei and
+erfi-integral entries shift their integrand entry's Taylor facility, and
+their oracles sum the convergent series, DLMF 6.6.1 and 7.6.4 (O(x) terms for
 Ei, O(x^2) for erfi; past the working bits each sums its asymptotic series,
 DLMF 6.12.2 and 7.12, instead), and the Airy oracles sum their Maclaurin
 series (DLMF 9.4, O(|z|^(3/2)) terms), all in raw ``mpmath.libmp`` arithmetic
@@ -395,74 +399,45 @@ def exp_of_taylor(inner: Callable, oracle: Callable) -> Callable:
 # -- entry construction ------------------------------------------------------------
 
 
-def _exp_entry() -> CatalogFunction:
-    ts = from_plus_term(1, 1, PowerSeries.from_coeffs([Fraction(1)]))
+def elementary_entry(name: str, n: int, rate=0, p: int = 1, c=1, **links) -> CatalogFunction:
+    """The entry c x^n e^(rate x^p), every view derived from phi = rate x^p
+    and q = c x^n: the transseries, one group c t^(n/p) e^(rate t) in the
+    critical time t = x^p (a log-part polynomial when rate = 0), the oracle
+    and the Taylor facility e^phi q_k (``exp_poly_taylor``).  ``links`` sets
+    the entry's other fields (exact value, domain, antiderivative, reflection)."""
+    rate, c = Fraction(rate), Fraction(c)
+
+    def oracle(x):
+        x = mp.mpf(x)
+        v = mp.exp(x**p * rate.numerator / rate.denominator) if rate else mp.mpf(1)
+        v = v * x**n if n >= 0 else v / x**-n
+        return v * c.numerator / c.denominator
+
     return CatalogFunction(
-        name="exp",
-        transseries=ts,
-        oracle=lambda x: mp.exp(mp.mpf(x)),
-        taylor_term=exp_poly_taylor({1: Fraction(1)}, {0: Fraction(1)}),
-        domain_c=None,
+        name=name,
+        transseries=assemble([Group(rate, Fraction(n, p) + 1, PowerSeries.from_coeffs([c]))]),
+        crit_power=Fraction(p),
+        oracle=oracle,
+        taylor_term=exp_poly_taylor({p: rate} if rate else {}, {n: c}),
         tolerance=1e-24,
-        exact_value=lambda q: (Prefactor.of(1, e=q), Fraction(1)),
-        antiderivative=lambda: catalog()["exp"],
-        reflected_name="exp_neg",
+        taylor_degree=None if rate else n,
+        **links,
     )
 
 
-def _exp_neg_entry() -> CatalogFunction:
-    ts = from_minus_term(1, 1, PowerSeries.from_coeffs([Fraction(1)]))
-    return CatalogFunction(
-        name="exp_neg",
-        transseries=ts,
-        oracle=lambda x: mp.exp(-mp.mpf(x)),
-        taylor_term=exp_poly_taylor({1: Fraction(-1)}, {0: Fraction(1)}),
-        domain_c=None,
-        tolerance=1e-24,
-        exact_value=lambda q: (Prefactor.of(1, e=-q), Fraction(1)),
-    )
-
-
-def _ei_integrand_entry() -> CatalogFunction:
-    ts = from_plus_term(1, 0, PowerSeries.from_coeffs([Fraction(1)]))
-    return CatalogFunction(
-        name="ei_integrand",
-        transseries=ts,
-        oracle=lambda x: mp.exp(mp.mpf(x)) / mp.mpf(x),
-        taylor_term=exp_poly_taylor({1: Fraction(1)}, {-1: Fraction(1)}),
-        domain_c=0.0,
-        tolerance=1e-24,
-        antiderivative=lambda: catalog()["ei"],
-    )
-
-
-def _ei_entry() -> CatalogFunction:
+def _ei_entry(integrand: CatalogFunction) -> CatalogFunction:
     ts = from_plus_term(1, 0, named_series("ei"))
     return CatalogFunction(
         name="ei",
         transseries=ts,
         oracle=ei_oracle,
-        taylor_term=shifted_taylor(_ei_integrand_entry().taylor_term, ei_oracle, None),
+        taylor_term=shifted_taylor(integrand.taylor_term, ei_oracle, None),
         domain_c=0.0,
         tolerance=1e-10,
     )
 
 
-def _erfi_integrand_entry() -> CatalogFunction:
-    ts = from_plus_term(1, 1, PowerSeries.from_coeffs([Fraction(1)]))
-    return CatalogFunction(
-        name="erfi_integrand",
-        transseries=ts,
-        crit_power=Fraction(2),
-        oracle=lambda x: mp.exp(mp.mpf(x) ** 2),
-        taylor_term=exp_poly_taylor({2: Fraction(1)}, {0: Fraction(1)}),
-        domain_c=None,
-        tolerance=1e-24,
-        antiderivative=lambda: catalog()["erfi_integral"],
-    )
-
-
-def _erfi_integral_entry() -> CatalogFunction:
+def _erfi_integral_entry(integrand: CatalogFunction) -> CatalogFunction:
     ts = from_plus_term(1, Fraction(1, 2), named_series("erfi"))
     at_zero = lambda q: (Prefactor.one(), Fraction(0)) if q == 0 else None  # noqa: E731
     return CatalogFunction(
@@ -470,7 +445,7 @@ def _erfi_integral_entry() -> CatalogFunction:
         transseries=ts,
         crit_power=Fraction(2),
         oracle=erfi_integral_oracle,
-        taylor_term=shifted_taylor(_erfi_integrand_entry().taylor_term, erfi_integral_oracle, at_zero),
+        taylor_term=shifted_taylor(integrand.taylor_term, erfi_integral_oracle, at_zero),
         domain_c=None,
         tolerance=1e-12,
         exact_value=at_zero,
@@ -535,30 +510,12 @@ def monomial_entry(n: int, c: Fraction = Fraction(1)) -> CatalogFunction:
     if n < 0:
         raise ValueError("use series entries for inverse powers")
     c = Fraction(c)
-    Q = tuple(Fraction(0) for _ in range(n)) + (c,)
-    ts = assemble([], LogPart(Q=Q))
-    return CatalogFunction(
-        name=f"monomial_{n}" if c == 1 else f"{c}*monomial_{n}",
-        transseries=ts,
-        oracle=lambda x: mp.mpf(x) ** n * c.numerator / c.denominator,
-        taylor_term=exp_poly_taylor({}, {n: c}),
-        domain_c=None,
-        tolerance=1e-24,
+    return elementary_entry(
+        f"monomial_{n}" if c == 1 else f"{c}*monomial_{n}",
+        n,
+        c=c,
         exact_value=lambda q: (Prefactor.one(), q**n * c),
         antiderivative=lambda: monomial_entry(n + 1, c / (n + 1)),
-        taylor_degree=n,
-    )
-
-
-def _exp_neg_over_x_entry() -> CatalogFunction:
-    ts = from_minus_term(1, 0, PowerSeries.from_coeffs([Fraction(1)]))
-    return CatalogFunction(
-        name="exp_neg_over_x",
-        transseries=ts,
-        oracle=lambda x: mp.exp(-mp.mpf(x)) / mp.mpf(x),
-        taylor_term=exp_poly_taylor({1: Fraction(-1)}, {-1: Fraction(1)}),
-        domain_c=0.0,
-        tolerance=1e-24,
     )
 
 
@@ -574,18 +531,27 @@ def catalog() -> dict[str, CatalogFunction]:
     if _CATALOG is None:
         with _CATALOG_LOCK:
             if _CATALOG is None:
+                ei_integrand = elementary_entry(
+                    "ei_integrand", -1, 1, domain_c=0.0, antiderivative=lambda: catalog()["ei"]
+                )
+                erfi_integrand = elementary_entry(
+                    "erfi_integrand", 0, 1, p=2, antiderivative=lambda: catalog()["erfi_integral"]
+                )
                 entries = [
-                    _exp_entry(),
-                    _exp_neg_entry(),
-                    _ei_integrand_entry(),
-                    _ei_entry(),
-                    _erfi_integrand_entry(),
-                    _erfi_integral_entry(),
+                    elementary_entry(
+                        "exp", 0, 1, exact_value=lambda q: (Prefactor.of(1, e=q), Fraction(1)),
+                        antiderivative=lambda: catalog()["exp"], reflected_name="exp_neg",
+                    ),
+                    elementary_entry("exp_neg", 0, -1, exact_value=lambda q: (Prefactor.of(1, e=-q), Fraction(1))),
+                    ei_integrand,
+                    _ei_entry(ei_integrand),
+                    erfi_integrand,
+                    _erfi_integral_entry(erfi_integrand),
                     _airy_entry("ai"),
                     _airy_entry("bi"),
                     _loggamma_entry(),
                     _gamma_entry(),
-                    _exp_neg_over_x_entry(),
+                    elementary_entry("exp_neg_over_x", -1, -1, domain_c=0.0),
                 ]
                 _CATALOG = {e.name: e for e in entries}
     return _CATALOG

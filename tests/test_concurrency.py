@@ -198,12 +198,12 @@ def _pull_together(pull, workers: int = 4, interval: float = 1e-6) -> list:
 
 
 def test_taylor_facility_concurrent_pull():
-    from tsr.operators.catalog import _erfi_integrand_entry
+    from tsr.operators.catalog import elementary_entry
 
     half = F(1, 2)
-    serial = [_erfi_integrand_entry().taylor_term(half, k) for k in range(40)]
+    serial = [elementary_entry("erfi_integrand", 0, 1, p=2).taylor_term(half, k) for k in range(40)]
     for _ in range(5):  # the race is in growing the polynomials: fresh each round
-        taylor = _erfi_integrand_entry().taylor_term
+        taylor = elementary_entry("erfi_integrand", 0, 1, p=2).taylor_term
         results = _pull_together(lambda _: [taylor(half, k) for k in range(40)])
         assert all(r == serial for r in results)
 

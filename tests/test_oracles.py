@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import io
+import itertools
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -18,8 +19,10 @@ from tsr.operators.catalog import (
     airy_bi_oracle,
     catalog,
     ei_oracle,
+    elementary_entry,
     erfi_integral_oracle,
     gamma_oracle,
+    term_value,
 )
 from tsr.resummation import QuadratureConfig
 from tsr.resummation.special import GUARD
@@ -210,3 +213,27 @@ def test_gamma_taylor_computes_each_log_gamma_term_once(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["eval", "gamma", "29/8+w^-1", "--terms", "12", "--prec", "50"]) == 0
     assert sorted(calls) == list(range(11))
+
+
+#: (n, rate, p, c) of c x^n e^(rate x^p)
+ELEMENTARY_SPECS = list(
+    itertools.product(range(-2, 4), (F(2), F(-2), F(1), F(-1), F(1, 2), F(-1, 2)), (1, 2), (F(1), F(-3, 2)))
+)
+
+
+@pytest.mark.parametrize("spec", ELEMENTARY_SPECS, ids=str)
+def test_elementary_entry_views_agree(spec):
+    # the finite group's Borel sum and the Taylor facility's term 0, at an
+    # exact and at a rounded point, against the oracle: a wrong offset n/p + 1
+    # or critical power is off by a power of x
+    n, rate, p, c = spec
+    entry = elementary_entry("f", n, rate, p=p, c=c)
+    for x, dps in itertools.product((F(3, 2), F(5), F(41, 4)), (30, 50)):
+        with mp.workdps(dps):
+            want = entry.oracle(_mpf(x))
+            # e^phi at phi = rate x^p moves by |phi| units when phi or e is
+            # rounded; a few more units for x^n, the factor c and the sums
+            bound = (abs(rate) * x**p + 8) * mp.eps * abs(want)
+            views = (entry.eb_value(_mpf(x))[0], *(term_value(entry.taylor_term(x0, 0)) for x0 in (x, _mpf(x))))
+            for got in views:
+                assert abs(got - want) <= bound, (x, dps, got, want)
