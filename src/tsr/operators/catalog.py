@@ -409,7 +409,7 @@ def elementary_entry(name: str, n: int, rate=0, p: int = 1, c=1, **links) -> Cat
 
     def oracle(x):
         x = mp.mpf(x)
-        v = mp.exp(x**p * rate.numerator / rate.denominator) if rate else mp.mpf(1)
+        v = mp.exp(x**p * rate.numerator / rate.denominator)
         v = v * x**n if n >= 0 else v / x**-n
         return v * c.numerator / c.denominator
 
@@ -418,7 +418,7 @@ def elementary_entry(name: str, n: int, rate=0, p: int = 1, c=1, **links) -> Cat
         transseries=assemble([Group(rate, Fraction(n, p) + 1, PowerSeries.from_coeffs([c]))]),
         crit_power=Fraction(p),
         oracle=oracle,
-        taylor_term=exp_poly_taylor({p: rate} if rate else {}, {n: c}),
+        taylor_term=exp_poly_taylor({p: rate}, {n: c}),
         tolerance=1e-24,
         taylor_degree=None if rate else n,
         **links,

@@ -151,12 +151,10 @@ def lim(seq: Callable[[int], SurrealNF], schedule: Schedule) -> LazyNF:
                     raise NotStabilizedError(
                         f"coefficient of w^({exponent}) changed after scheduled index {m}"
                     )
+            zeros = 0 if c else zeros + 1
+            if zeros >= DEFAULT_ORDER_SCAN:
+                raise UndecidableSupport(f"{zeros} scheduled coefficients in a row are zero; no nonzero term found")
             if c != 0:
-                zeros = 0
                 yield (exponent, c)
-            else:
-                zeros += 1
-                if zeros >= DEFAULT_ORDER_SCAN:
-                    raise UndecidableSupport(f"{zeros} scheduled coefficients in a row are zero; no nonzero term found")
 
     return LazyNF(gen)
