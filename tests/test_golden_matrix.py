@@ -2,8 +2,9 @@
 
 The corpus in ``golden/eval_matrix.json`` pins each case of the matrix, the
 catalog's entries at finite, infinite and infinitesimally shifted points
-through ``eval`` and through ``integrate`` from 2, to its exit code, its
-stdout and, when it ends in a ``TsrError``, the error's class.  Each case
+through ``eval`` and through ``integrate`` from 2, together with the
+catalog manifest and the ``check all`` report as text and as JSON, to its
+exit code, its stdout and, when it ends in a ``TsrError``, the error's class.  Each case
 must end within a generous time budget.  A change that turns an error into a
 value re-records the corpus (only when an output change is intended) with
 
@@ -29,7 +30,7 @@ POINTS = ("2", "1/2", "-1", "3+w^-1", "w", "2*w+1", "w-3", "1/2*w", "-w")
 CASES = (
     [("eval", name, p, "--terms", "8") for name in ENTRIES for p in POINTS]
     + [("integrate", name, "2", p, "--terms", "8") for name in ENTRIES for p in POINTS]
-    + [("catalog", "--manifest")]
+    + [("catalog", "--manifest"), ("check", "all"), ("check", "all", "--json")]
 )
 
 
