@@ -100,7 +100,7 @@ def named_series(name: str) -> PowerSeries:
         coeff, kernel = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown series oracle #{name}") from None
-    return PowerSeries.from_fn(coeff, known_order=1, kernel=lambda: KernelEntry(kernel()))
+    return PowerSeries(coeff, kernel=lambda: KernelEntry(kernel()))
 
 
 def series_name(ps: PowerSeries) -> Optional[str]:

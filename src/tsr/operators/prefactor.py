@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import mpmath as mp
 
+#: named bases other than e, whose power e^q ``numeric`` takes as exp(q)
 _BASE_VALUES = {
-    "e": lambda: mp.e,
     "pi": lambda: mp.pi,
     "ln2pi": lambda: mp.log(2 * mp.pi),
 }
@@ -76,7 +76,8 @@ class Prefactor:
     def numeric(self):
         out = mp.mpf(self.factor.numerator) / self.factor.denominator
         for sym, q in self.powers:
-            out *= _base_value(sym) ** (mp.mpf(q.numerator) / q.denominator)
+            q = mp.mpf(q.numerator) / q.denominator
+            out *= mp.exp(q) if sym == "e" else _base_value(sym) ** q
         return out
 
     def render(self) -> str:

@@ -19,7 +19,6 @@ class BorelPoly:
     """Truncated Borel-plane polynomial sum(b_k p^k, k = 0..K)."""
 
     coeffs: tuple[Fraction, ...]
-    source_order: int = 0  # truncation order of the originating series
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
@@ -36,7 +35,7 @@ class BorelPoly:
         return BorelPoly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
 
     def scale(self, c) -> "BorelPoly":
-        return BorelPoly(tuple(Fraction(c) * v for v in self.coeffs), self.source_order)
+        return BorelPoly(tuple(Fraction(c) * v for v in self.coeffs))
 
     def __call__(self, p):
         out = 0
@@ -47,10 +46,7 @@ class BorelPoly:
 
 def borel_transform(s: PowerSeries, K: int) -> BorelPoly:
     """b_k = c_(k+1) / k! for k = 0..K."""
-    return BorelPoly(
-        tuple(s.coeff(k + 1) / factorial(k) for k in range(K + 1)),
-        source_order=K + 1,
-    )
+    return BorelPoly(tuple(s.coeff(k + 1) / factorial(k) for k in range(K + 1)))
 
 
 def inverse_borel(b: BorelPoly) -> PowerSeries:

@@ -6,13 +6,10 @@ w = sum(w_l x^-l), matching the coefficient of x^-l gives
 
     mu*w_l + (b - (l-1)) * w_(l-1) = c_l
 
-so for decaying groups (mu = -a, a = k.lambda > 0, b = k.beta):
+so for decaying groups (mu = -k.lambda, b = k.beta) and growing groups
+(mu = lambda_j, b = beta_j) alike, with w_0 = 0:
 
-    w_1 = -c_1/a,   w_l = ((b - (l-1)) * w_(l-1) - c_l) / a
-
-and for growing groups (mu = lambda_j > 0, b = beta_j):
-
-    w_1 = c_1/mu,   w_l = (c_l + (l - 1 - b) * w_(l-1)) / mu.
+    w_l = (c_l + (l - 1 - b) * w_(l-1)) / mu.
 
 The recurrence printed in the source material carries an inconsistent sign
 and index; the derivation above is fixed by the normative round trip
@@ -142,22 +139,14 @@ def _antidiff_group(g: Group) -> Group:
 
         return derive_antidiff_kernel(mu, b, y, w)
 
-    if mu < 0:
-        a = -mu
+    def coeff(l: int) -> Fraction:
+        # one recurrence for both signs of mu; w_(l-1) is memoized before w_l is asked for
+        prev = w.coeff(l - 1) if l > 1 else 0
+        return (y.coeff(l) + (l - 1 - b) * prev) / mu
 
-        def step(l: int, prev: Fraction) -> Fraction:
-            return ((b - (l - 1)) * prev - y.coeff(l)) / a
-
-        w = PowerSeries.from_recurrence(-y.coeff(1) / a, step, kernel=kernel)
-    else:
-
-        def step(l: int, prev: Fraction) -> Fraction:
-            return (y.coeff(l) + (l - 1 - b) * prev) / mu
-
-        w = PowerSeries.from_recurrence(y.coeff(1) / mu, step, kernel=kernel)
-    if y.length is not None and b.denominator == 1 and b >= max(y.length, 1):
-        # the factor b - (l-1) vanishes at l = b+1 where y has ended: w stops there
-        w.length = int(b)
+    # the factor l-1-b vanishes at l = b+1 where y has ended: w stops at b
+    ends = y.length is not None and b.denominator == 1 and b >= max(y.length, 1)
+    w = PowerSeries(coeff, length=int(b) if ends else None, kernel=kernel)
     return Group(mu, b, w)
 
 
@@ -212,7 +201,7 @@ def ts_decompose(a: TransseriesT1, m: int) -> tuple[GridMinus, LogPart, tuple[Gr
     k0 = (0,) * g.n
     y0 = g.series_at(k0)
     R = tuple(y0.coeffs(m))
-    tail = PowerSeries.from_fn(lambda l, y0=y0, m=m: y0.coeff(l) if l > m else Fraction(0))
+    tail = PowerSeries(lambda l, y0=y0, m=m: y0.coeff(l) if l > m else Fraction(0))
     if y0.is_finite():
         tail = PowerSeries.from_coeffs([Fraction(0)] * m + [y0.coeff(l) for l in range(m + 1, (y0.length or 0) + 1)])
     series = dict(g.series)

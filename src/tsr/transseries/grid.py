@@ -262,17 +262,16 @@ def assemble(
     for l, c in enumerate(log.R, 1):
         inverse[l] = inverse.get(l, Fraction(0)) + c
 
-    minus = _assemble_minus(minus_raw, seed=seed)
-    k0 = _zero_index(minus.n)
-    base = minus.series.get(k0, PowerSeries.zero())
-    if inverse:
-        base = base + PowerSeries.from_coeffs(
-            [inverse.get(l, Fraction(0)) for l in range(1, max(inverse) + 1)]
-        )
+    base = PowerSeries.from_coeffs([inverse.get(l, Fraction(0)) for l in range(1, max(inverse, default=0) + 1)])
     for a, s in zero_series:  # infinite tails with offset <= 0
         base = base + s.shift_down(-a)
+    lam, beta, series = _assemble_minus(minus_raw, seed=seed)
     if not base.is_finite() or base.length:
-        minus.series[k0] = base
+        series[_zero_index(len(lam))] = base
+    try:
+        minus = GridMinus(lam=lam, beta=beta, series=series)
+    except ResonanceError as exc:
+        raise GridMergeError(str(exc)) from exc
 
     plus = tuple(_merge_rates(plus_raw))
     return TransseriesT1(minus=minus, log=LogPart(log.P, tuple(Q), ()), plus=plus)
@@ -310,10 +309,10 @@ def _assemble_minus(
     raw: list[Group],
     *,
     seed: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = ((), ()),
-) -> GridMinus:
-    """Pick generators and multi-indices for decaying groups, greedily."""
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], dict[MultiIndex, PowerSeries]]:
+    """Pick generators and multi-indices for decaying groups, greedily: (lam, beta, series)."""
     if not raw:
-        return GridMinus.empty()
+        return (), (), {}
     merged = _merge_rates(raw)
 
     # fast path: no seed, integer offsets -> one gcd generator
@@ -329,7 +328,7 @@ def _assemble_minus(
             for grp, k in zip(merged, ks):
                 d = int(k) * b - grp.offset
                 series[(int(k),)] = grp.series.shift_down(int(d))
-            return GridMinus(lam=(g0,), beta=(b,), series=series)
+            return (g0,), (b,), series
 
     lam: list[Fraction] = list(seed[0])
     beta: list[Fraction] = list(seed[1])
@@ -364,10 +363,7 @@ def _assemble_minus(
         if d.denominator != 1 or d < 0:
             raise GridMergeError(f"offset {off} not reachable from grid betas at {k}")
         series[k] = s.shift_down(int(d))
-    try:
-        return GridMinus(lam=tuple(lam), beta=tuple(beta), series=series)
-    except ResonanceError as exc:
-        raise GridMergeError(str(exc)) from exc
+    return tuple(lam), tuple(beta), series
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:

@@ -1,11 +1,14 @@
 """Formal power series sum(c_l * x^-l, l >= 1) with exact rational coefficients.
 
-Coefficients come from a memoized oracle, so recurrence-backed and
-closed-form series share one representation with explicit finite lists.
-All operations are exact; memoization is recomputation-safe.
-A series may carry the Borel kernel (a ``KernelEntry``, built on first
-read) its sum uses; ``scale`` and negation carry it, ``+`` carries it for
-two multiples of one kernel, and all else drops it.
+A series is its coefficients, its length and its kernel, all fixed when it
+is built.  Coefficients come from a memoized oracle, so recurrence-backed
+and closed-form series share one representation with explicit finite lists;
+an oracle may read the series' own lower coefficients, which are memoized
+before it asks.  ``length`` is the greatest possibly-nonzero index of a
+finite series, None for an infinite one.  The kernel is the Borel kernel (a
+``KernelEntry``, built on first read) the sum uses; ``scale`` and negation
+carry it, ``+`` carries it for two multiples of one kernel, and all else
+drops it.  All operations are exact; memoization is recomputation-safe.
 """
 
 from __future__ import annotations
@@ -33,12 +36,10 @@ class PowerSeries:
         coeff_fn: Callable[[int], Fraction],
         *,
         length: Optional[int] = None,
-        known_order: Optional[int] = None,
         kernel: Optional[Callable[[], Optional["KernelEntry"]]] = None,
     ):
         self._coeffs = Stream(lambda: map(lambda l: Fraction(coeff_fn(l)), count(1)))
-        self.length = length  # greatest possibly-nonzero index for finite series
-        self.known_order = known_order
+        self.length = length
         self._kernel_fn = kernel or (lambda: None)
 
     @cached_property
@@ -50,22 +51,13 @@ class PowerSeries:
 
     @classmethod
     def zero(cls) -> "PowerSeries":
-        return cls(lambda l: Fraction(0), length=0, known_order=None)
+        return cls(lambda l: Fraction(0), length=0)
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[Fraction]) -> "PowerSeries":
         """Explicit leading coefficients c_1..c_n, the rest zero."""
         coeffs = [Fraction(c) for c in coeffs]
-        order = next((i + 1 for i, c in enumerate(coeffs) if c != 0), None)
-        return cls(
-            lambda l: coeffs[l - 1] if 1 <= l <= len(coeffs) else Fraction(0),
-            length=len(coeffs),
-            known_order=order,
-        )
-
-    @classmethod
-    def from_fn(cls, fn: Callable[[int], Fraction], *, known_order: Optional[int] = None, kernel=None) -> "PowerSeries":
-        return cls(fn, known_order=known_order, kernel=kernel)
+        return cls(lambda l: coeffs[l - 1] if 1 <= l <= len(coeffs) else Fraction(0), length=len(coeffs))
 
     # -- coefficient access ---------------------------------------------------
 
@@ -89,9 +81,6 @@ class PowerSeries:
         UndecidableSupport when an oracle-backed series shows no nonzero
         coefficient within the bound.
         """
-        if self.known_order is not None:
-            if self.coeff(self.known_order) != 0:
-                return self.known_order
         top = self.length if self.length is not None else bound
         for l in range(1, top + 1):
             if self.coeff(l) != 0:
@@ -102,9 +91,6 @@ class PowerSeries:
 
     def is_zero_upto(self, n: int) -> bool:
         return all(self.coeff(l) == 0 for l in range(1, n + 1))
-
-    def eq_to_order(self, other: "PowerSeries", n: int) -> bool:
-        return self.coeffs(n) == other.coeffs(n)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -137,7 +123,6 @@ class PowerSeries:
         return PowerSeries(
             lambda l: c * self.coeff(l),
             length=self.length,
-            known_order=self.known_order,
             kernel=lambda: self.kernel and self.kernel.scale(c),
         )
 
@@ -148,7 +133,6 @@ class PowerSeries:
         return PowerSeries(
             lambda l: self.coeff(l - d) if l > d else Fraction(0),
             length=None if self.length is None else self.length + d,
-            known_order=None if self.known_order is None else self.known_order + d,
         )
 
     def mul(self, other: "PowerSeries") -> "PowerSeries":
@@ -178,13 +162,6 @@ class PowerSeries:
 
         length = None if self.length is None else self.length + 1
         return PowerSeries(fn, length=length)
-
-    @classmethod
-    def from_recurrence(cls, first: Fraction, step: Callable[[int, Fraction], Fraction], *, kernel=None) -> "PowerSeries":
-        """w_1 = first, w_l = step(l, w_(l-1)) for l >= 2, memoized."""
-        # w_(l-1) is already memoized when w_l is computed
-        series = cls(lambda l: first if l == 1 else step(l, series.coeff(l - 1)), kernel=kernel)
-        return series
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs(4))

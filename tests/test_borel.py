@@ -15,7 +15,7 @@ def random_series(rng, n=10):
 
 class TestBorelTransform:
     def test_factorial_series_becomes_geometric(self):
-        s = PowerSeries.from_fn(lambda l: F(factorial(l - 1)))
+        s = PowerSeries(lambda l: F(factorial(l - 1)))
         b = borel_transform(s, 6)
         assert all(c == 1 for c in b.coeffs)
 
@@ -29,7 +29,7 @@ class TestBorelTransform:
 
         from tsr.coefficients import erfi_coeff
 
-        s = PowerSeries.from_fn(erfi_coeff)
+        s = PowerSeries(erfi_coeff)
         b = borel_transform(s, 8)
         for k in range(9):
             assert b.coeff(k) == F(comb(2 * k, k), 2 * 4**k)

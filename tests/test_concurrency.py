@@ -17,7 +17,7 @@ def test_power_series_memoization_race_free():
         calls.append(l)
         return F(l, l + 1)
 
-    ps = PowerSeries.from_fn(slow_coeff)
+    ps = PowerSeries(slow_coeff)
     with ThreadPoolExecutor(8) as pool:
         results = list(pool.map(lambda _: ps.coeffs(50), range(16)))
     assert all(r == results[0] for r in results)
@@ -76,7 +76,7 @@ def test_series_stream_pulled_race_free():
     def make():
         # Ei's series at 2w+1 with critical power 2: every leader sums running
         # binomial terms, and a non-integer offset keeps all of them alive
-        ps = PowerSeries.from_fn(lambda l: F(factorial(l - 1)))
+        ps = PowerSeries(lambda l: F(factorial(l - 1)))
         return eval_series_at(ps, analyze_point(parse_nf("2*w+1"), crit_power=F(2)), F(1, 2))[1]
 
     expected = make().terms(60)
@@ -212,9 +212,14 @@ def test_recurrence_series_concurrent_pull():
     def step(l: int, prev: F) -> F:
         return (l * prev + 1) / (l + 1)
 
-    serial = PowerSeries.from_recurrence(F(1, 2), step).coeffs(60)
+    def build() -> PowerSeries:
+        # w_1 = 1/2, then each coefficient reads the one before it from the series itself
+        series = PowerSeries(lambda l: F(1, 2) if l == 1 else step(l, series.coeff(l - 1)))
+        return series
+
+    serial = build().coeffs(60)
     for _ in range(5):
-        series = PowerSeries.from_recurrence(F(1, 2), step)
+        series = build()
         # each thread starts at a different index, so they grow it together
         results = _pull_together(lambda k: {l: series.coeff(l) for l in [*range(15 * k + 1, 61), *range(1, 15 * k + 1)]})
         assert all([r[l] for l in range(1, 61)] == serial for r in results)

@@ -114,7 +114,7 @@ def series(draw):
         return PowerSeries.from_coeffs(coeffs)
     if not any(coeffs):
         coeffs[0] = F(1)
-    return PowerSeries.from_fn(lambda l: coeffs[l % len(coeffs)] * factorial(l - 1))
+    return PowerSeries(lambda l: coeffs[l % len(coeffs)] * factorial(l - 1))
 
 
 offsets = st.one_of(
@@ -195,7 +195,7 @@ def test_a_late_denominator_rescales_the_live_terms(r, s, p, coef, offset, nums,
     if finite:
         ps = PowerSeries.from_coeffs(coeffs)
     else:
-        ps = PowerSeries.from_fn(lambda l: coeffs[(l - 1) % 8] * factorial(l - 1))
+        ps = PowerSeries(lambda l: coeffs[(l - 1) % 8] * factorial(l - 1))
     nu = SurrealNF.monomial(one(), r) + SurrealNF.from_rational(s)
     pt = analyze_point(nu, crit_coef=coef, crit_power=F(p))
     want = binomial_leaders(ps, pt, offset, 12 * p)
@@ -240,7 +240,7 @@ def test_finite_series_stream_ends():
 
 
 def test_unbounded_series_with_finite_support_stops_searching():
-    ps = PowerSeries.from_fn(lambda l: 1 if l <= 2 else 0)
+    ps = PowerSeries(lambda l: 1 if l <= 2 else 0)
     _, stream = eval_series_at(ps, analyze_point(parse_nf("w+1")), F(3))
     with time_budget(10.0):
         assert stream.truncate(3) == parse_nf("w^2 + 3*w + 2")

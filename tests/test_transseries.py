@@ -21,6 +21,7 @@ from tsr.transseries import (
     from_minus_term,
     from_plus_term,
     from_power_series,
+    groups_of,
     semantic_terms,
     ts_add,
     ts_antidiff,
@@ -120,7 +121,7 @@ class TestAlgebra:
 
     def test_mul_factorial_square(self):
         # (sum k! x^-k-1)^2 has coefficients sum_(i+j=n-2) i! j!
-        s = from_power_series(PowerSeries.from_fn(lambda l: F(_fact(l - 1))))
+        s = from_power_series(PowerSeries(lambda l: F(_fact(l - 1))))
         sq = ts_mul_minus(s, s)
         got = sq.minus.series_at((0,) * sq.minus.n) if sq.minus.series else None
         got = sq.minus.series_at(list(sq.minus.support())[0])
@@ -308,6 +309,29 @@ class TestAntidiff:
             lhs = ts_antidiff(ts_mul_minus(t1, ts_diff(t2)))
             rhs = ts_sub(ts_mul_minus(t1, t2), ts_antidiff(ts_mul_minus(ts_diff(t1), t2)))
             assert eq_to_order(lhs, rhs, 12)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(raw_groups())
+def test_antidiff_inverts_diff_on_raw_groups(groups):
+    # rates of both signs, 17/16 among them, through the one recurrence
+    ts = assemble(groups)
+    assert eq_to_order(ts_diff(ts_antidiff(ts)), ts, 40)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.sampled_from([F(3), F(-3), F(1), F(-1), F(1, 2), F(-1, 2)]),
+    st.lists(st.integers(-3, 3).map(F), min_size=1, max_size=4),
+    st.integers(0, 3),
+)
+def test_antidiff_of_a_finite_group_ends_at_its_offset(mu, y, extra):
+    # x^b e^(mu x) y with y ended by x^-b: the factor l-1-b stops w at l = b
+    b = max(len(y), 1) + extra
+    ts = assemble([Group(mu, F(b), PowerSeries.from_coeffs(y))])
+    got = ts_antidiff(ts)
+    assert [(g.mu, g.offset, g.series.length) for g in groups_of(got)] == [(mu, b, b)]
+    assert eq_to_order(ts_diff(got), ts, b + 8)
 
 
 class TestDecompose:
