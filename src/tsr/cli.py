@@ -287,30 +287,10 @@ def _digits(cfg: QuadratureConfig) -> int:
 
 
 def _print_result(ns, cfg: QuadratureConfig, result) -> int:
-    from .operators import DecoratedValue, NumericTaylor, SurrealValue
-
-    if isinstance(result, SurrealValue):
-        if ns.json:
-            payload = {
-                "normal_form_terms": [
-                    {
-                        "prefactor": g.prefactor.render(),
-                        "terms": [{"exp": e.to_json_obj(), "coef": str(c)} for e, c in g.stream.terms(ns.terms)],
-                    }
-                    for g in result.merged().groups
-                ]
-            }
-            print(json.dumps(payload))
-        else:
-            print(result.render(ns.terms))
-        return 0
-    if isinstance(result, (DecoratedValue, NumericTaylor)):
-        if ns.json:
-            print(json.dumps({"value": result.render(ns.terms)}))
-        else:
-            print(result.render(ns.terms))
-        return 0
-    _emit_value(ns, {"value": float(result)}, mp.nstr(result, _digits(cfg)))
+    if isinstance(result, mp.mpf):
+        _emit_value(ns, {"value": float(result)}, mp.nstr(result, _digits(cfg)))
+    else:
+        print(json.dumps(result.to_json(ns.terms)) if ns.json else result.render(ns.terms))
     return 0
 
 

@@ -4,8 +4,6 @@ from .prefactor import Prefactor, exp_prefactor, ln_prefactor
 from .tau import (
     PointData,
     SurrealPoint,
-    SurrealValue,
-    ValueGroup,
     analyze_point,
     exp_infinitesimal,
     exp_purely_infinite,
@@ -13,16 +11,14 @@ from .tau import (
     tau_eval,
 )
 from .catalog import CatalogFunction, catalog, catalog_manifest, monomial_entry
+from .values import DecoratedValue, NumericTaylor, SurrealValue, ValueGroup
 from .extension import (
-    DecoratedValue,
-    NumericTaylor,
     antidiff_no,
     combine_entries,
     exp_surreal_value,
     extend,
     integrate,
     transseriate,
-    value_difference,
 )
 
 __all__ = [
@@ -50,5 +46,4 @@ __all__ = [
     "extend",
     "integrate",
     "transseriate",
-    "value_difference",
 ]

@@ -11,7 +11,6 @@ making the constant vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, takewhile
 from typing import Optional, Union
@@ -21,12 +20,13 @@ from mpmath import libmp
 
 from ..errors import DomainError, UnsupportedPointError
 from ..resummation import QuadratureConfig
-from ..surreal import LazyNF, SurrealNF, nf_cmp
-from ..transseries import TransseriesT1, ts_antidiff
+from ..surreal import LazyNF, SurrealNF, nf_cmp, one
+from ..transseries import TransseriesT1, ts_add, ts_antidiff, ts_scale
 from ..transseries.series import DEFAULT_ORDER_SCAN
 from .catalog import CatalogFunction, catalog, shifted_taylor, term_value
-from .prefactor import Prefactor
-from .tau import SurrealPoint, SurrealValue, ValueGroup, conway_sum, exp_grid, tau_eval
+from .prefactor import Prefactor, exp_prefactor
+from .tau import SurrealPoint, conway_sum, exp_grid, exp_purely_infinite, tau_eval
+from .values import NumericTaylor, SurrealValue, ValueGroup
 
 
 def transseriate(f: CatalogFunction) -> TransseriesT1:
@@ -35,29 +35,6 @@ def transseriate(f: CatalogFunction) -> TransseriesT1:
     if f.transseries is None:
         raise UnsupportedPointError(f"{f.name} has no height-one transseries")
     return f.transseries
-
-
-@dataclass
-class NumericTaylor:
-    """Finite-point extension with decimal coefficients (oracle-backed)."""
-
-    x0: Fraction
-    coefficients: list  # mpf Taylor coefficients f^(k)(x0)/k!
-    zeta: SurrealNF
-
-    def render(self, terms: int) -> str:
-        from ..surreal import render_nf
-
-        bits = []
-        zk = SurrealNF.from_rational(1)
-        for k, c in enumerate(self.coefficients[:terms]):
-            if c == 0:
-                continue
-            mono = render_nf(zk) if not zk.is_rational() else None
-            co = mp.nstr(c, 12)
-            bits.append(co if mono is None else f"{co}*({mono})")
-            zk = zk * self.zeta
-        return " + ".join(bits) + " + ..."
 
 
 ExtendResult = Union[mp.mpf, SurrealValue, NumericTaylor]
@@ -141,8 +118,6 @@ def exp_surreal_value(v: SurrealValue) -> SurrealValue:
     the exp recurrence on z's exponent grid, which needs z's exponents
     rational (as log Gamma's Stirling tail at w is).
     """
-    from ..surreal import one
-
     main: Optional[LazyNF] = None
     pref = Prefactor.one()
     for g in v.merged().groups:
@@ -178,8 +153,6 @@ def exp_surreal_value(v: SurrealValue) -> SurrealValue:
     if real_t is not None and real_t[0].is_zero():
         real = real_t[1]
         i += 1
-
-    from .tau import exp_purely_infinite, exp_prefactor
 
     lead = exp_purely_infinite(SurrealNF(tuple(head_terms), _normalized=True)) if head_terms else SurrealNF.zero()
     if real:
@@ -227,8 +200,6 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
 
 def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFunction:
     """ca*a + cb*b for entries sharing a critical time."""
-    from ..transseries import ts_add, ts_scale
-
     if (a.crit_coef, a.crit_power) != (b.crit_coef, b.crit_power):
         raise UnsupportedPointError("combining entries across critical times")
     if not a.prefactor.is_one() or not b.prefactor.is_one():
@@ -259,59 +230,11 @@ def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFu
 
 
 def integrate(f: CatalogFunction, a, b, terms: int = 8, *, cfg: QuadratureConfig = None):
-    """integral(f, a..b) = (A_No f)(b) - (A_No f)(a)."""
+    """integral(f, a..b) = (A_No f)(b) - (A_No f)(a); a decimal part keeps the
+    precision ``cfg`` asks for."""
     cfg = cfg or QuadratureConfig()
     anti = antidiff_no(f)
     hi = extend(anti, b, terms, cfg=cfg)
     lo = extend(anti, a, terms, cfg=cfg)
-    return value_difference(hi, lo, cfg)
-
-
-def value_difference(hi, lo, cfg: QuadratureConfig):
-    """hi - lo; a decimal part keeps the precision ``cfg`` asks for.
-
-    A Taylor series at x0 + zeta less a real is the same series with its
-    constant coefficient shifted; an exact real constant counts as a real.
-    Two Taylor series in the same zeta subtract coefficient by coefficient.
-    """
-    if isinstance(hi, NumericTaylor) or isinstance(lo, NumericTaylor):
-        with mp.workdps(cfg.precision):
-            if isinstance(hi, NumericTaylor) and isinstance(lo, NumericTaylor) and hi.zeta == lo.zeta:
-                return replace(hi, coefficients=[a - b for a, b in zip(hi.coefficients, lo.coefficients)])
-            if isinstance(hi, NumericTaylor) and (r := _real_or_none(lo)) is not None:
-                return replace(hi, coefficients=[c - r for c in hi.coefficients[:1]] + hi.coefficients[1:])
-            if isinstance(lo, NumericTaylor) and (r := _real_or_none(hi)) is not None:
-                return replace(lo, coefficients=[r - c for c in lo.coefficients[:1]] + [-c for c in lo.coefficients[1:]])
-        raise UnsupportedPointError(f"no difference of a {type(hi).__name__} and a {type(lo).__name__} value")
-    if isinstance(hi, SurrealValue) and isinstance(lo, SurrealValue):
+    with mp.workdps(cfg.precision):
         return hi - lo
-    if isinstance(hi, SurrealValue) and isinstance(lo, mp.mpf):
-        return DecoratedValue(hi, mp.fneg(lo, exact=True))
-    if isinstance(lo, SurrealValue) and isinstance(hi, mp.mpf):
-        return DecoratedValue(lo.scale(-1), hi)
-    return mp.fsub(hi, lo, dps=cfg.precision)
-
-
-def _real_or_none(v):
-    """v as an mpf when it is a real: an mpf, or a surreal value that is a constant."""
-    if isinstance(v, SurrealValue):
-        try:
-            return v.numeric_const()
-        except UnsupportedPointError:
-            return None
-    return v if isinstance(v, mp.mpf) else None
-
-
-@dataclass
-class DecoratedValue:
-    """A surreal value plus a decimal real offset (mixed-endpoint integrals)."""
-
-    surreal: SurrealValue
-    offset: mp.mpf
-
-    def render(self, terms: int = 8) -> str:
-        body = self.surreal.render(terms)
-        if self.offset == 0:
-            return body
-        sign = "+" if self.offset > 0 else "-"
-        return f"{body} {sign} {mp.nstr(abs(self.offset), 12)}"

@@ -27,7 +27,7 @@ products (the exact Taylor sums at finite points).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import factorial, gcd
@@ -38,6 +38,7 @@ from ..surreal import GT, LT, LazyNF, SurrealNF, decompose, nf_cmp, one
 from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import DEFAULT_ORDER_SCAN, PowerSeries
 from .prefactor import Prefactor, exp_prefactor, ln_prefactor
+from .values import SurrealValue, ValueGroup
 
 
 @dataclass(frozen=True)
@@ -64,108 +65,6 @@ class SurrealPoint:
 
     def is_negative_infinite(self) -> bool:
         return self.kind == "infinite" and self.nf.terms[0][1] < 0
-
-
-@dataclass
-class ValueGroup:
-    prefactor: Prefactor
-    stream: LazyNF
-
-    def scaled(self, q: Fraction) -> "ValueGroup":
-        return ValueGroup(self.prefactor, self.stream.scale(q))
-
-
-@dataclass
-class SurrealValue:
-    """A finite sum of prefactor-scaled lazy normal forms."""
-
-    groups: list[ValueGroup] = field(default_factory=list)
-
-    @classmethod
-    def from_nf(cls, a: SurrealNF) -> "SurrealValue":
-        return cls([ValueGroup(Prefactor.one(), LazyNF.from_nf(a))])
-
-    @classmethod
-    def zero(cls) -> "SurrealValue":
-        return cls([])
-
-    def merged(self) -> "SurrealValue":
-        by_pref: dict[Prefactor, LazyNF] = {}
-        order: list[Prefactor] = []
-        for g in self.groups:
-            pref, stream = g.prefactor, g.stream
-            if pref.factor != 1:
-                # rational parts live in the stream; tags alone key the group
-                stream = stream.scale(pref.factor)
-                pref = Prefactor(Fraction(1), pref.powers)
-            if pref in by_pref:
-                by_pref[pref] = by_pref[pref] + stream
-            else:
-                by_pref[pref] = stream
-                order.append(pref)
-        out = []
-        for pref in order:
-            stream = by_pref[pref]
-            if stream.term(0) is not None:
-                out.append(ValueGroup(pref, stream))
-        return SurrealValue(out)
-
-    def __add__(self, other: "SurrealValue") -> "SurrealValue":
-        return SurrealValue(self.groups + other.groups).merged()
-
-    def scale(self, q) -> "SurrealValue":
-        q = Fraction(q)
-        if q == 0:
-            return SurrealValue.zero()
-        return SurrealValue([g.scaled(q) for g in self.groups])
-
-    def scale_prefactor(self, pref: Prefactor) -> "SurrealValue":
-        if pref.is_one():
-            return self
-        return SurrealValue([ValueGroup(pref * g.prefactor, g.stream) for g in self.groups]).merged()
-
-    def __sub__(self, other: "SurrealValue") -> "SurrealValue":
-        return self + other.scale(-1)
-
-    def exact_nf(self, terms: int) -> SurrealNF:
-        """The truncated normal form, requiring a single trivial prefactor."""
-        merged = self.merged()
-        if not merged.groups:
-            return SurrealNF.zero()
-        if len(merged.groups) != 1 or not merged.groups[0].prefactor.is_one():
-            raise UnsupportedPointError("value carries irrational prefactors; no plain normal form")
-        return merged.groups[0].stream.truncate(terms)
-
-    def numeric_const(self):
-        """Decimal value when every term sits at exponent zero (a constant)."""
-        import mpmath as mp
-
-        total = mp.mpf(0)
-        for g in self.merged().groups:
-            head = g.stream.truncate(2)
-            if not head.is_rational():
-                raise UnsupportedPointError(f"{self.render(3)} is not a real constant")
-            q = head.as_rational()
-            total += g.prefactor.numeric() * mp.mpf(q.numerator) / q.denominator
-        return total
-
-    def render(self, terms: int = 8) -> str:
-        merged = self.merged()
-        if not merged.groups:
-            return "0"
-        bits = []
-        for g in merged.groups:
-            body = g.stream.render(terms)
-            if g.prefactor.is_one():
-                bits.append(body)
-            elif body == "1":
-                bits.append(g.prefactor.render())
-            else:
-                bits.append(f"{g.prefactor.render()}*({body})")
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
 
 
 # -- the imported exponential identities ---------------------------------------
