@@ -290,7 +290,8 @@ def _print_result(ns, cfg: QuadratureConfig, result) -> int:
     if isinstance(result, mp.mpf):
         _emit_value(ns, {"value": float(result)}, mp.nstr(result, _digits(cfg)))
     else:
-        print(json.dumps(result.to_json(ns.terms)) if ns.json else result.render(ns.terms))
+        digits = _digits(cfg)
+        print(json.dumps(result.to_json(ns.terms, digits)) if ns.json else result.render(ns.terms, digits))
     return 0
 
 

@@ -7,7 +7,9 @@ surreal value plus a decimal real offset).  The last three subtract any
 kind, a bare mpf on either side included, and sign, read and print
 themselves, so no caller asks which kind it holds.  A difference is a value
 or an ``UnsupportedPointError`` naming both kinds; its decimal parts take
-the caller's working precision.  The kinds stay four types because the
+the caller's working precision.  ``render(terms, digits)`` prints a real
+offset with ``digits`` significant digits, an exact part exactly and Taylor
+coefficients with 12 digits.  The kinds stay four types because the
 benchmark's ``perfbench/execute.py::settle`` dispatches on them; one value
 type waits for ROADMAP item 8.
 """
@@ -28,8 +30,8 @@ from .prefactor import Prefactor
 class _Value:
     """Subtraction, and the text-only JSON of the decimal kinds."""
 
-    def to_json(self, terms: int = 8) -> dict:
-        return {"value": self.render(terms)}
+    def to_json(self, terms: int = 8, digits: int = 12) -> dict:
+        return {"value": self.render(terms, digits)}
 
     def __sub__(self, other):
         return _difference(self, other) if isinstance(other, (mp.mpf, _Value)) else NotImplemented
@@ -106,7 +108,7 @@ class SurrealValue(_Value):
     def sign(self) -> int:
         return _sign(self.merged().groups, 0)
 
-    def render(self, terms: int = 8) -> str:
+    def render(self, terms: int = 8, digits: int = 12) -> str:
         bits = []
         for g in self.merged().groups:
             body, pref = g.stream.render(terms), g.prefactor.render()
@@ -115,7 +117,7 @@ class SurrealValue(_Value):
             return "0"
         return bits[0] + "".join(" - " + b[1:] if b.startswith("-") else " + " + b for b in bits[1:])
 
-    def to_json(self, terms: int = 8) -> dict:
+    def to_json(self, terms: int = 8, digits: int = 12) -> dict:
         return {
             "normal_form_terms": [
                 {
@@ -147,7 +149,7 @@ class NumericTaylor(_Value):
                 return (1 if c > 0 else -1) * (1 if self.zeta.terms[0][1] > 0 else -1) ** k
         return 0
 
-    def render(self, terms: int = 8) -> str:
+    def render(self, terms: int = 8, digits: int = 12) -> str:
         bits = []
         zk = SurrealNF.from_rational(1)
         for c in self.coefficients[:terms]:
@@ -179,12 +181,12 @@ class DecoratedValue(_Value):
         part's constant decide together; the offset beats infinitesimals."""
         return _sign(self.surreal.merged().groups, self.offset)
 
-    def render(self, terms: int = 8) -> str:
+    def render(self, terms: int = 8, digits: int = 12) -> str:
         body = self.surreal.render(terms)
         if self.offset == 0:
             return body
-        sign = "+" if self.offset > 0 else "-"
-        return f"{body} {sign} {mp.nstr(abs(self.offset), 12)}"
+        text = mp.nstr(self.offset, digits)  # abs() would round to the context's precision
+        return f"{body} - {text[1:]}" if text.startswith("-") else f"{body} + {text}"
 
 
 def _difference(hi, lo):

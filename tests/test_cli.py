@@ -449,3 +449,15 @@ class TestGoldenStability:
 
     def test_matches_frozen_golden(self, cli):
         assert self.run_suite(cli) == GOLDEN
+
+
+@pytest.mark.parametrize(
+    "prec, offset",
+    [("50", "0.13533528323661269189"), ("30", "0.13533528323661269189"), ("10", "0.1353352832")],
+)
+def test_decimal_offset_prints_with_the_digits_of_a_real(cli, prec, offset):
+    # min(20, --prec) digits, as a real result prints
+    code, out, _ = cli("integrate", "exp_neg", "2", "w", "--prec", prec)
+    assert (code, out) == (0, f"-w^(-w) + {offset}\n")
+    code, out, _ = cli("integrate", "exp_neg", "2", "1/2", "--prec", prec)
+    assert len(out.strip().lstrip("-").replace(".", "").lstrip("0")) == len(offset.replace(".", "").lstrip("0"))

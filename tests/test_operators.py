@@ -359,6 +359,7 @@ def test_exp_neg_from_two_to_infinite_point_returns(point, text):
     with time_budget(10.0):
         value = integrate(catalog()["exp_neg"], 2, parse_nf(point), 8)
         assert value.render(8) == f"{text} + 0.135335283237"
+        assert value.render(8, 20) == f"{text} + 0.13533528323661269189"
     with mp.workdps(40):
         assert abs(value.offset - mp.exp(-2)) < mp.mpf(10) ** -28
 
