@@ -52,9 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
     # shares a parent's actions, defaults included, with every parser built
     # from it)
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--terms", type=int, help="series terms to print (default 8)")
-    common.add_argument("--prec", type=int, help="working decimal precision (default 50)")
-    common.add_argument("--tol", type=float, help="quadrature tolerance target")
+    positive = _checked(int, lambda n: n >= 1, "at least 1")
+    tolerance = _checked(float, lambda t: math.isfinite(t) and t > 0, "finite and positive")
+    common.add_argument("--terms", type=positive, help="series terms to print (default 8)")
+    common.add_argument("--prec", type=positive, help="working decimal precision (default 50)")
+    common.add_argument("--tol", type=tolerance, help="quadrature tolerance target")
     common.add_argument("--json", action="store_true", help="machine-readable output")
 
     ap = argparse.ArgumentParser(
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("borel", "Borel transform of the k = 0 series of an expression")
     p.add_argument("expression")
-    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--order", type=_checked(int, lambda n: n >= 0, "at least 0"), default=12)
 
     p = add("weights", "exact Catalan weight of an address like ++-")
     p.add_argument("address")
@@ -113,11 +115,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _checked(kind, ok, what: str):
+    """An argparse type: ``kind(text)``, refused unless ``ok`` holds for it."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text.strip()}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _point(text: str):
     text = text.strip().replace("omega", "w")
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         return parse_nf(text)
 
 
@@ -161,9 +176,8 @@ def run(argv=None) -> int:
     ns = build_parser().parse_args(_positional_points(sys.argv[1:] if argv is None else list(argv)))
     for name, value in _DEFAULTS.items():
         vars(ns).setdefault(name, value)
-    cfg = _config(ns)
     try:
-        return _dispatch(ns, cfg)
+        return _dispatch(ns, _config(ns))
     except errors.ExpressionSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
@@ -260,8 +274,9 @@ def _entry(name: str):
     reg = catalog()
     if name in reg:
         return reg[name]
-    if name.startswith("monomial_"):
-        return monomial_entry(int(name.split("_")[1]))
+    power = name.removeprefix("monomial_")
+    if power != name and power.isdecimal():
+        return monomial_entry(int(power))
     raise errors.DomainError(f"unknown catalog entry {name!r}; see `tsr catalog`")
 
 

@@ -87,8 +87,10 @@ class QuadratureConfig:
     precision: int = 50
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):  # a NaN tolerance is never missed
             raise ValueError("tolerances must be positive")
+        if self.precision < 1:
+            raise ValueError("precision must be at least one digit")
 
 
 def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, mp.mpf]:

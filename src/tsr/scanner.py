@@ -53,7 +53,10 @@ class Scanner:
             self.pos += 1
             self._skip_digits()
             if self.pos > slash + 1:
-                return Fraction(num, int(self.text[slash + 1 : self.pos]))
+                den = int(self.text[slash + 1 : self.pos])
+                if not den:
+                    raise ExpressionSyntaxError("zero denominator", slash + 1)
+                return Fraction(num, den)
             self.pos = slash  # a division, not part of the number
         return Fraction(num)
 

@@ -461,3 +461,62 @@ def test_decimal_offset_prints_with_the_digits_of_a_real(cli, prec, offset):
     assert (code, out) == (0, f"-w^(-w) + {offset}\n")
     code, out, _ = cli("integrate", "exp_neg", "2", "1/2", "--prec", prec)
     assert len(out.strip().lstrip("-").replace(".", "").lstrip("0")) == len(offset.replace(".", "").lstrip("0"))
+
+
+class TestInputBoundary:
+    """Bad input ends in exit 2 (usage) or a DomainError (exit 1), never a traceback."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = run(list(argv))
+        except SystemExit as done:  # argparse rejects the argv
+            code = done.code
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("parse", "1/0"),
+            ("eval", "ei", "1/0"),
+            ("eval", "ei", "1/0*w"),
+            ("sum", "series![1/0]", "3"),
+            ("borel", "1/0"),
+        ],
+    )
+    def test_a_zero_denominator_is_a_syntax_error(self, capsys, argv):
+        code, err = self.outcome(capsys, argv)
+        assert code == 2 and err.startswith("syntax error: zero denominator")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "ei", "3", "--prec", "-5"),
+            ("eval", "ei", "3", "--prec", "0"),
+            ("eval", "ei", "w", "--terms", "0"),
+            ("eval", "ei", "w", "--terms", "-2"),
+            ("eval", "ei", "w", "--terms", "x"),
+            ("--terms", "0", "eval", "ei", "w"),
+            ("borel", "series![1, 1]", "--order", "-1"),
+            *[("eval", "ei", "3", "--tol", tol) for tol in ("0", "-1", "nan", "inf")],
+        ],
+    )
+    def test_an_option_out_of_range_is_a_usage_error(self, capsys, argv):
+        code, err = self.outcome(capsys, argv)
+        assert code == 2 and "error: argument --" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["monomial_x", "monomial_", "monomial_-1", "monomial_1.5"])
+    def test_a_malformed_monomial_is_an_unknown_entry(self, capsys, name):
+        code, err = self.outcome(capsys, ("eval", name, "2"))
+        assert code == 1 and err.startswith(f"error: DomainError: unknown catalog entry {name!r}")
+
+    def test_a_bad_precision_from_the_environment_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("TSR_PRECISION", "0")
+        code, err = self.outcome(capsys, ("eval", "ei", "3"))
+        assert code == 1 and err.startswith("error: ValueError: precision must be at least one digit")
+
+    def test_the_smallest_values_are_accepted(self, cli):
+        assert cli("eval", "ei", "w", "--terms", "1")[:2] == (0, "w^(w-1) + ...\n")
+        assert cli("borel", "series![1, 1]", "--order", "0")[:2] == (0, "1\n")
+        assert cli("eval", "monomial_2", "3")[:2] == (0, "9\n")
+        assert cli("eval", "ei", "3", "--prec", "1")[:2] == (0, "1.0e+1\n")
