@@ -20,9 +20,9 @@ from mpmath import libmp
 
 from ..errors import DomainError, UnsupportedPointError
 from ..resummation import QuadratureConfig
+from ..stream import DEFAULT_ORDER_SCAN
 from ..surreal import LazyNF, SurrealNF, nf_cmp, one
 from ..transseries import TransseriesT1, ts_add, ts_antidiff, ts_scale
-from ..transseries.series import DEFAULT_ORDER_SCAN
 from .catalog import CatalogFunction, catalog, shifted_taylor, term_value
 from .prefactor import Prefactor, exp_prefactor
 from .tau import SurrealPoint, conway_sum, exp_grid, exp_purely_infinite, tau_eval

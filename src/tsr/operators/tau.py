@@ -33,12 +33,16 @@ from itertools import count
 from math import factorial, gcd
 from typing import Callable, Iterator, Optional
 
-from ..errors import UndecidableSupport, UnsupportedPointError
+from ..errors import UnsupportedPointError
 from ..surreal import GT, LT, LazyNF, SurrealNF, decompose, nf_cmp, one
 from ..transseries.grid import TransseriesT1, groups_of
-from ..transseries.series import DEFAULT_ORDER_SCAN, PowerSeries
+from ..transseries.series import PowerSeries
 from .prefactor import Prefactor, exp_prefactor, ln_prefactor
 from .values import SurrealValue, ValueGroup
+
+#: the zero term a generator yields for a search step that found no term;
+#: the ``LazyNF`` drops it unread and counts it against its search budget
+_NOTHING = (SurrealNF.zero(), 0)
 
 
 @dataclass(frozen=True)
@@ -96,25 +100,22 @@ def conway_sum(coeff: Callable[[int], Fraction], z: SurrealNF, *, length: Option
     below k * (leading exponent of z), so once c_k z^k is added, the terms
     above (k + 1) * top are final.  With ``length`` the coefficients from
     c_length on are known to be zero: the sum is final after c_(length-1)
-    z^(length-1), and the stream ends there.  Without it, DEFAULT_ORDER_SCAN
-    zero coefficients in a row, with every term of the partial sum out,
-    raise UndecidableSupport.
+    z^(length-1), and the stream ends there.  Without it, a zero coefficient
+    with every term of the partial sum out is a search step that found
+    nothing, and the stream keeps the budget for such steps.
     """
     top = z.terms[0][0]  # leading (negative) exponent
 
     def gen() -> Iterator:
         total = SurrealNF.zero()
         zk = one()
-        emitted = zeros = 0
+        emitted = 0
         for k in count():
             if k:
                 zk = zk * z
             c = coeff(k)
             if c:
                 total = total + zk * c
-                zeros = 0
-            else:
-                zeros += 1
             final = length is not None and k + 1 >= length
             horizon = (k + 1) * top
             safe = total.terms if final else [t for t in total.terms if nf_cmp(t[0], horizon) == GT]
@@ -123,8 +124,8 @@ def conway_sum(coeff: Callable[[int], Fraction], z: SurrealNF, *, length: Option
                 emitted += 1
             if final:
                 return
-            if length is None and zeros >= DEFAULT_ORDER_SCAN and emitted == len(total.terms):
-                raise UndecidableSupport(f"no nonzero coefficient within scan bound {DEFAULT_ORDER_SCAN}")
+            if length is None and not c and emitted == len(total.terms):
+                yield _NOTHING
 
     return LazyNF(gen)
 
@@ -147,9 +148,10 @@ def exp_grid(z: LazyNF) -> LazyNF:
     end.  A later exponent off the grid refines the step to the rational gcd
     and re-indexes the pulled c_j and the b_n so far; the new term lies below
     every emitted one, so they stay final.  A non-rational exponent raises
-    UnsupportedPointError.  While z may hold more terms, DEFAULT_ORDER_SCAN
-    zero b_n in a row raise UndecidableSupport; a finite z cannot give an
-    endless run, as exp of a nonzero polynomial in m is no polynomial.
+    UnsupportedPointError.  While z may hold more terms, a zero b_n is a
+    search step that found nothing, and the stream keeps the budget for such
+    steps; a finite z cannot give an endless run, as exp of a nonzero
+    polynomial in m is no polynomial.
     """
 
     def gen() -> Iterator:
@@ -161,7 +163,7 @@ def exp_grid(z: LazyNF) -> LazyNF:
         step = _rational_exponent(first[0])
         jc = [(1, first[1])]  # (j, j c_j) for each pulled term, j ascending
         b = [Fraction(1)]
-        last, ended, zeros = 1, False, 0  # c_1..c_last are known
+        last, ended = 1, False  # c_1..c_last are known
         while True:
             while not ended and last < len(b):
                 t = next(terms, None)
@@ -182,12 +184,9 @@ def exp_grid(z: LazyNF) -> LazyNF:
             bn = sum((v * b[n - j] for j, v in jc if j <= n), Fraction(0)) / n
             b.append(bn)
             if bn:
-                zeros = 0
                 yield (SurrealNF.from_rational(n * step), bn)
             elif not ended:
-                zeros += 1
-                if zeros >= DEFAULT_ORDER_SCAN:
-                    raise UndecidableSupport(f"no nonzero term within scan bound {DEFAULT_ORDER_SCAN}")
+                yield _NOTHING
 
     return LazyNF(gen)
 
@@ -281,9 +280,9 @@ def eval_series_at(ps: PowerSeries, pt: PointData, offset: Fraction) -> tuple[Pr
     divides D.  A new term whose den(c_l b^-l) does not divide D scales D
     and the live numerators by the missing factor; D restarts at 1 whenever
     no term is live (every step when s = 0).  The stream ends when the
-    series is finite and every binomial has terminated; an unbounded series
-    that shows DEFAULT_ORDER_SCAN zero leaders in a row raises
-    UndecidableSupport.
+    series is finite and every binomial has terminated; a zero leader of an
+    unbounded series is a search step that found nothing, and the stream
+    keeps the budget for such steps.
     """
     pref = Prefactor.rational_power(pt.t0_lead_coef, offset)
     return pref, LazyNF(lambda: _series_leaders(ps, pt, offset))
@@ -297,7 +296,6 @@ def _series_leaders(ps: PowerSeries, pt: PointData, offset: Fraction) -> Iterato
     qn, qd, xn, xd = top.numerator, top.denominator, x.numerator, x.denominator
     running = []  # [j + 1, numerator over den] per live l, j its binomial order
     den = 1
-    zeros = 0
     for m in count(p):
         # from leader m - 1 to m every term gains (top - m + 1) x / (j + 1)
         f = (qn - (m - 1) * qd) * xn * m
@@ -323,12 +321,9 @@ def _series_leaders(ps: PowerSeries, pt: PointData, offset: Fraction) -> Iterato
             return
         total = sum(t[1] for t in running)
         if total:
-            zeros = 0
             yield (SurrealNF.from_rational(unit * (top - m)), Fraction(total, den))
         elif ps.length is None:
-            zeros += 1
-            if zeros >= DEFAULT_ORDER_SCAN:
-                raise UndecidableSupport(f"no nonzero leader within scan bound {DEFAULT_ORDER_SCAN}")
+            yield _NOTHING
 
 
 def tau_eval_group(mu: Fraction, offset: Fraction, ps: PowerSeries, pt: PointData) -> ValueGroup:

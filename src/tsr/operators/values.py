@@ -22,8 +22,8 @@ from fractions import Fraction
 import mpmath as mp
 
 from ..errors import UndecidableSupport, UnsupportedPointError
+from ..stream import DEFAULT_ORDER_SCAN
 from ..surreal import LazyNF, SurrealNF, render_nf
-from ..transseries.series import DEFAULT_ORDER_SCAN
 from .prefactor import Prefactor
 
 

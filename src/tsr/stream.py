@@ -13,6 +13,10 @@ from typing import Callable, Iterable, Iterator
 
 _END = object()
 
+#: the one search budget: steps in a row that find nothing before a lazy
+#: normal form, or a scan of a series of unknown order, gives up
+DEFAULT_ORDER_SCAN = 64
+
 
 class Stream:
     """The items of ``factory()``, each computed once, in order, on demand.

@@ -7,6 +7,11 @@ stabilization schedule: an enumeration of candidate exponents (descending)
 together with the index from which each exponent's coefficient has
 stabilized.  Stability is additionally spot-checked a few indices past the
 schedule; an observed change raises :class:`NotStabilizedError`.
+
+The stream keeps one search budget for every generator: a generator yields
+a zero term for each search step that found nothing (a cancelling sum, a
+zero scheduled coefficient), and DEFAULT_ORDER_SCAN of them in a row raise
+:class:`UndecidableSupport`.  A generator known to be finite skips zeros.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from ..errors import NotStabilizedError, UndecidableSupport
-from ..stream import Stream
-from ..transseries.series import DEFAULT_ORDER_SCAN
+from ..stream import DEFAULT_ORDER_SCAN, Stream
 from .normal_form import GT, LT, SurrealNF, nf_cmp
 
 Term = tuple[SurrealNF, Fraction]
@@ -71,27 +75,22 @@ class LazyNF:
         return LazyNF(lambda: ((e + offset, r) for e, r in self))
 
     def __add__(self, other: "LazyNF") -> "LazyNF":
-        """The termwise sum; UndecidableSupport after DEFAULT_ORDER_SCAN
-        cancelling terms in a row (two infinite streams may cancel forever)."""
+        """The termwise sum; a cancelling pair is a search step that found
+        nothing (two infinite streams may cancel forever)."""
 
         def gen():
             a, b = iter(self), iter(other)
             ta, tb = next(a, None), next(b, None)
-            zeros = 0
             while ta or tb:
                 order = LT if ta is None else GT if tb is None else nf_cmp(ta[0], tb[0])
                 if order == GT:
                     yield ta
-                    ta, zeros = next(a, None), 0
+                    ta = next(a, None)
                 elif order == LT:
                     yield tb
-                    tb, zeros = next(b, None), 0
-                else:  # a zero sum is dropped by the stream
-                    c = ta[1] + tb[1]
-                    zeros = zeros + 1 if c == 0 else 0
-                    if zeros >= DEFAULT_ORDER_SCAN:
-                        raise UndecidableSupport(f"{zeros} terms in a row cancel; no nonzero term found")
-                    yield (ta[0], c)
+                    tb = next(b, None)
+                else:
+                    yield (ta[0], ta[1] + tb[1])
                     ta, tb = next(a, None), next(b, None)
 
         return LazyNF(gen)
@@ -110,14 +109,21 @@ class LazyNF:
 
 
 def _checked(terms: Iterator[Term]) -> Iterator[Term]:
-    """Drop zero coefficients and insist on strictly decreasing exponents."""
-    prev, n = None, 0
+    """Drop zero coefficients and insist on strictly decreasing exponents.
+
+    A zero coefficient is a search step that found nothing, and its exponent
+    is not read; DEFAULT_ORDER_SCAN of them in a row raise UndecidableSupport.
+    """
+    prev, n, zeros = None, 0, 0
     for e, c in terms:
         if c == 0:
+            zeros += 1
+            if zeros >= DEFAULT_ORDER_SCAN:
+                raise UndecidableSupport(f"{zeros} search steps in a row found no term")
             continue
         if n and nf_cmp(e, prev) != LT:
             raise ValueError(f"exponents not strictly decreasing at term {n}")
-        prev, n = e, n + 1
+        prev, n, zeros = e, n + 1, 0
         yield (e, Fraction(c))
 
 
@@ -137,13 +143,11 @@ def lim(seq: Callable[[int], SurrealNF], schedule: Schedule) -> LazyNF:
 
     ``seq(n)`` is the n-th element; ``schedule`` yields (exponent, m) pairs,
     exponents strictly decreasing, such that the coefficient of w^exponent in
-    seq(n) equals its final value for every n >= m.  DEFAULT_ORDER_SCAN
-    zero coefficients in a row raise UndecidableSupport (the schedule may
-    name zeros forever).
+    seq(n) equals its final value for every n >= m.  A zero coefficient is
+    a search step that found nothing (the schedule may name zeros forever).
     """
 
     def gen():
-        zeros = 0
         for exponent, m in schedule:
             c = seq(m).coefficient(exponent)
             for extra in range(1, VERIFY_EXTRA + 1):
@@ -151,10 +155,6 @@ def lim(seq: Callable[[int], SurrealNF], schedule: Schedule) -> LazyNF:
                     raise NotStabilizedError(
                         f"coefficient of w^({exponent}) changed after scheduled index {m}"
                     )
-            zeros = 0 if c else zeros + 1
-            if zeros >= DEFAULT_ORDER_SCAN:
-                raise UndecidableSupport(f"{zeros} scheduled coefficients in a row are zero; no nonzero term found")
-            if c != 0:
-                yield (exponent, c)
+            yield (exponent, c)
 
     return LazyNF(gen)

@@ -36,9 +36,6 @@ from .series import PowerSeries
 
 POS, NEG, ZERO = 1, -1, 0
 
-#: transmonomial scan bound for sign decisions
-SIGN_SCAN_ORDER = 64
-
 
 def _seed_of(*tss: TransseriesT1) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Common refinement of the operands' minus-grid generators.
@@ -213,7 +210,7 @@ def ts_decompose(a: TransseriesT1, m: int) -> tuple[GridMinus, LogPart, tuple[Gr
 _MONO_KEY = tuple[Fraction, Fraction, int]
 
 
-def _dominant_key(a: TransseriesT1, scan: int = SIGN_SCAN_ORDER) -> Optional[tuple[_MONO_KEY, Fraction]]:
+def _dominant_key(a: TransseriesT1) -> Optional[tuple[_MONO_KEY, Fraction]]:
     """(key, coefficient) of the >>-largest nonzero transmonomial, or None."""
     best: Optional[tuple[_MONO_KEY, Fraction]] = None
 
@@ -223,7 +220,7 @@ def _dominant_key(a: TransseriesT1, scan: int = SIGN_SCAN_ORDER) -> Optional[tup
             best = (key, c)
 
     for grp in a.plus:
-        l0 = grp.series.first_nonzero(scan)
+        l0 = grp.series.first_nonzero()
         if l0 is not None:
             offer((grp.mu, grp.offset - l0, 0), grp.series.coeff(l0))
     for i in range(len(a.log.P) - 1, -1, -1):
@@ -234,7 +231,7 @@ def _dominant_key(a: TransseriesT1, scan: int = SIGN_SCAN_ORDER) -> Optional[tup
     for k in g.support():
         s = g.series_at(k)
         try:
-            l0 = s.first_nonzero(scan)
+            l0 = s.first_nonzero()
         except UndecidableSupport:
             if best is None or best[0] < (-g.rate(k), g.offset(k), 0):
                 raise
@@ -244,18 +241,18 @@ def _dominant_key(a: TransseriesT1, scan: int = SIGN_SCAN_ORDER) -> Optional[tup
     return best
 
 
-def ts_sign(a: TransseriesT1, scan: int = SIGN_SCAN_ORDER) -> int:
+def ts_sign(a: TransseriesT1) -> int:
     """Sign of the coefficient of the >>-largest transmonomial."""
-    best = _dominant_key(a, scan)
+    best = _dominant_key(a)
     if best is None:
         return ZERO
     return POS if best[1] > 0 else NEG
 
 
-def ts_dominates(a: TransseriesT1, b: TransseriesT1, scan: int = SIGN_SCAN_ORDER) -> bool:
+def ts_dominates(a: TransseriesT1, b: TransseriesT1) -> bool:
     """a >> b: the dominant transmonomial of a strictly exceeds that of b."""
-    ka = _dominant_key(a, scan)
-    kb = _dominant_key(b, scan)
+    ka = _dominant_key(a)
+    kb = _dominant_key(b)
     if ka is None:
         return False
     if kb is None:

@@ -9,6 +9,9 @@ finite series, None for an infinite one.  The kernel is the Borel kernel (a
 ``KernelEntry``, built on first read) the sum uses; ``scale`` and negation
 carry it, ``+`` carries it for two multiples of one kernel, and all else
 drops it.  All operations are exact; memoization is recomputation-safe.
+The search for the first nonzero coefficient of an infinite series gives up
+after DEFAULT_ORDER_SCAN zeros, the budget a lazy stream keeps for every
+search (``tsr.stream``).
 """
 
 from __future__ import annotations
@@ -19,13 +22,10 @@ from itertools import count
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..errors import UndecidableSupport
-from ..stream import Stream
+from ..stream import DEFAULT_ORDER_SCAN, Stream
 
 if TYPE_CHECKING:
     from ..resummation.kernels import KernelEntry
-
-#: scan bound used when a series of unknown order must reveal a nonzero term
-DEFAULT_ORDER_SCAN = 64
 
 
 class PowerSeries:
@@ -74,20 +74,20 @@ class PowerSeries:
     def is_finite(self) -> bool:
         return self.length is not None
 
-    def first_nonzero(self, bound: int = DEFAULT_ORDER_SCAN) -> Optional[int]:
-        """Smallest l with c_l != 0, scanning up to ``bound``.
+    def first_nonzero(self) -> Optional[int]:
+        """Smallest l with c_l != 0.
 
         Returns None when the series is finite and identically zero; raises
         UndecidableSupport when an oracle-backed series shows no nonzero
-        coefficient within the bound.
+        coefficient among its first DEFAULT_ORDER_SCAN.
         """
-        top = self.length if self.length is not None else bound
+        top = self.length if self.length is not None else DEFAULT_ORDER_SCAN
         for l in range(1, top + 1):
             if self.coeff(l) != 0:
                 return l
         if self.length is not None:
             return None
-        raise UndecidableSupport(f"no nonzero coefficient within scan bound {bound}")
+        raise UndecidableSupport(f"no nonzero coefficient within scan bound {DEFAULT_ORDER_SCAN}")
 
     def is_zero_upto(self, n: int) -> bool:
         return all(self.coeff(l) == 0 for l in range(1, n + 1))

@@ -8,6 +8,7 @@ import pytest
 from conftest import time_budget
 
 from tsr.errors import NotStabilizedError, UndecidableSupport
+from tsr.stream import DEFAULT_ORDER_SCAN
 from tsr.surreal import LazyNF, SurrealNF, lim, omega, one, schedule_from_nf
 
 W = omega()
@@ -120,3 +121,17 @@ def test_zero_limit_stops_searching():
     # zeros for a while and then a value still give the term
     late = SurrealNF.monomial(inv_omega_pow(40), F(3))
     assert lim(lambda n: late, ((inv_omega_pow(k), 0) for k in count())).term(0) == (inv_omega_pow(40), 3)
+
+
+@pytest.mark.parametrize("steps", [DEFAULT_ORDER_SCAN - 1, DEFAULT_ORDER_SCAN])
+def test_the_stream_keeps_the_search_budget(steps):
+    # a generator of any kind: `steps` search steps that find nothing (zero
+    # terms at one shared exponent), then a term
+    nothing = (SurrealNF.zero(), F(0))
+    stream = LazyNF(lambda: iter([(SurrealNF.zero(), F(1))] + [nothing] * steps + [(inv_omega_pow(1), F(2))]))
+    assert stream.term(0) == (SurrealNF.zero(), 1)
+    if steps < DEFAULT_ORDER_SCAN:
+        assert stream.terms(3) == [(SurrealNF.zero(), 1), (inv_omega_pow(1), 2)]
+    else:
+        with pytest.raises(UndecidableSupport):
+            stream.term(1)
