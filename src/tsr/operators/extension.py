@@ -231,10 +231,10 @@ def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFu
 
 def integrate(f: CatalogFunction, a, b, terms: int = 8, *, cfg: QuadratureConfig = None):
     """integral(f, a..b) = (A_No f)(b) - (A_No f)(a); a decimal part keeps the
-    precision ``cfg`` asks for."""
+    precision ``cfg`` asks for.  Equal endpoints give one value less itself."""
     cfg = cfg or QuadratureConfig()
     anti = antidiff_no(f)
     hi = extend(anti, b, terms, cfg=cfg)
-    lo = extend(anti, a, terms, cfg=cfg)
+    lo = hi if a == b else extend(anti, a, terms, cfg=cfg)
     with mp.workdps(cfg.precision):
         return hi - lo

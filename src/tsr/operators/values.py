@@ -203,7 +203,10 @@ def _difference(hi, lo):
                 return replace(base, coefficients=[x - y for x, y in zip(a, b)])
         raise UnsupportedPointError(f"no difference of a {type(hi).__name__} and a {type(lo).__name__} value")
     (s, a), (t, b) = _parts(hi), _parts(lo)
-    surreal = s if not t.groups else t.scale(-1) if not s.groups else s + t.scale(-1)
+    if s is t:  # a lazy stream less itself would cancel term after term
+        surreal = SurrealValue.zero()
+    else:
+        surreal = s if not t.groups else t.scale(-1) if not s.groups else s + t.scale(-1)
     if a is None or b is None:
         offset = a if b is None else mp.fneg(b, exact=True)
     else:

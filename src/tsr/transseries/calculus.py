@@ -23,6 +23,7 @@ from typing import Optional
 
 from ..errors import UndecidableSupport
 from .grid import (
+    RESONANCE_WINDOW,
     GridMinus,
     Group,
     LogPart,
@@ -42,9 +43,14 @@ def _seed_of(*tss: TransseriesT1) -> tuple[tuple[Fraction, ...], tuple[Fraction,
 
     A generator expressible over the ones already kept (integer multi-index
     with compatible offset) is dropped, so commensurate rates like 1 and 2
-    share one generator instead of tripping the nonresonance validator.
+    share one generator instead of tripping the nonresonance validator.  A
+    single kept generator and a new one that the validator would refuse
+    (like 2 and 3), both with integer offsets, become their rational gcd
+    with the offset raised so that both reach, as ``assemble`` picks one
+    generator for the groups of a parsed sum.  The window bounds their
+    multiples of the gcd at RESONANCE_WINDOW.
     """
-    from .grid import _express_rate
+    from .grid import _express_rate, _frac_gcd
 
     lam: list[Fraction] = []
     beta: list[Fraction] = []
@@ -63,6 +69,12 @@ def _seed_of(*tss: TransseriesT1) -> tuple[tuple[Fraction, ...], tuple[Fraction,
                 k = int(l / lam[0])
                 beta[0] = max(beta[0], -(-b // k))
                 continue
+            if len(lam) == 1 and beta[0].denominator == b.denominator == 1:
+                q = l / lam[0]  # lam[0] and l are q.denominator and q.numerator times their gcd
+                if max(q.numerator, q.denominator) <= RESONANCE_WINDOW:
+                    lam[0] = _frac_gcd(lam[0], l)
+                    beta[0] = max(Fraction(0), -(-beta[0] // q.denominator), -(-b // q.numerator))
+                    continue
             lam.append(l)
             beta.append(b)
     return tuple(lam), tuple(beta)

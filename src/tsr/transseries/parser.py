@@ -43,6 +43,8 @@ class _Raw:
     def invert(self, pos: int) -> "_Raw":
         if self.series is not None or self.logdeg:
             raise ExpressionSyntaxError("can only divide by monomial factors", pos)
+        if not self.coef:
+            raise ExpressionSyntaxError("division by zero", pos)
         return _Raw(1 / self.coef, -self.mu, -self.pow, 0, None)
 
 
@@ -98,6 +100,8 @@ def _parse_factor(tok: Scanner) -> list[_Raw]:
             t = terms[0]
             if t.coef != 1 and e.denominator != 1:
                 raise ExpressionSyntaxError("fractional power of a coefficient", pos)
+            if not t.coef and e < 0:
+                raise ExpressionSyntaxError("division by zero", pos)
             coef = t.coef ** int(e) if e.denominator == 1 else Fraction(1)
             return [_Raw(coef, t.mu * e, t.pow * e, 0, None)]
         if e.denominator != 1 or e < 1:

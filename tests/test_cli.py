@@ -46,6 +46,18 @@ class TestVerbs:
         assert code == 0
         assert out.strip() == "exp(-2*x)*(1/x^2)"
 
+    @pytest.mark.parametrize(
+        "left, right, product",
+        [
+            ("exp(-2*x)/x", "exp(-3*x)/x", "exp(-5*x)*(1/x^2)"),
+            ("exp(-3*x)/x", "exp(-2*x)/x", "exp(-5*x)*(1/x^2)"),
+            ("exp(-4*x)/x^2", "exp(-6*x)/x", "exp(-10*x)*(1/x^3)"),
+            ("exp(-6*x)/x", "exp(-4*x)/x^2", "exp(-10*x)*(1/x^3)"),
+        ],
+    )
+    def test_mul_of_commensurate_rates(self, cli, left, right, product):
+        assert cli("mul", left, right) == (0, product + "\n", "")
+
     def test_borel(self, cli):
         code, out, _ = cli("borel", "series![1, 1, 2, 6]", "--order", "3")
         assert code == 0
@@ -77,6 +89,11 @@ class TestVerbs:
     def test_integrate_from_zero(self, cli):
         # A_No exp_neg = -e^(-x) is stored as x e^(-x) (-1/x), which has a value at 0
         assert cli("integrate", "exp_neg", "0", "3") == (0, "0.95021293163213605702\n", "")
+
+    @pytest.mark.parametrize("point", ["w", "2*w+1", "w-3"])
+    def test_an_integral_with_equal_endpoints_is_zero(self, cli, point):
+        # two lazy streams of one value would cancel term after term
+        assert cli("integrate", "ei_integrand", point, point) == (0, "0\n", "")
 
     def test_json_decimal_result_carries_no_error_estimate(self, cli):
         # an oracle value emitted as a double has no bound to report
@@ -487,6 +504,11 @@ class TestInputBoundary:
     def test_a_zero_denominator_is_a_syntax_error(self, capsys, argv):
         code, err = self.outcome(capsys, argv)
         assert code == 2 and err.startswith("syntax error: zero denominator")
+
+    @pytest.mark.parametrize("argv", [("parse", "x/0"), ("parse", "1/(0)"), ("parse", "0^-1"), ("sum", "x/0", "3")])
+    def test_a_zero_divisor_is_a_syntax_error(self, capsys, argv):
+        code, err = self.outcome(capsys, argv)
+        assert code == 2 and err.startswith("syntax error: division by zero")
 
     @pytest.mark.parametrize(
         "argv",

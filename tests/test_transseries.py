@@ -129,6 +129,14 @@ class TestAlgebra:
             brute = sum(_fact(i) * _fact(j) for i in range(n - 1) for j in range(n - 1) if i + j == n - 2)
             assert got.coeff(n) == brute
 
+    @pytest.mark.parametrize("r, s, gcd", [(2, 3, 1), (3, 2, 1), (4, 6, 2), (6, 4, 2)])
+    def test_commensurate_rates_share_one_generator(self, r, s, gcd):
+        # the validator refuses r and s as two generators; the sum sits on their gcd
+        a, b = ts_parse(f"exp(-{r}*x)/x"), ts_parse(f"exp(-{s}*x)/x")
+        total = ts_add(a, b)
+        assert total.minus.lam == (gcd,)
+        assert ts_to_json(total) == ts_to_json(ts_parse(f"exp(-{r}*x)/x + exp(-{s}*x)/x"))
+
     def test_nonresonant_rates_rejected(self):
         with pytest.raises(ResonanceError):
             GridMinus(lam=(F(1), F(2)), beta=(F(0), F(0)), series={})
