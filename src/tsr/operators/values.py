@@ -8,8 +8,8 @@ kind, a bare mpf on either side included, and sign, read and print
 themselves, so no caller asks which kind it holds.  A difference is a value
 or an ``UnsupportedPointError`` naming both kinds; its decimal parts take
 the caller's working precision.  ``render(terms, digits)`` prints a real
-offset with ``digits`` significant digits, an exact part exactly and Taylor
-coefficients with 12 digits.  The kinds stay four types because the
+offset and Taylor coefficients with ``digits`` significant digits and an
+exact part exactly.  The kinds stay four types because the
 benchmark's ``perfbench/execute.py::settle`` dispatches on them; one value
 type waits for ROADMAP item 8.
 """
@@ -154,7 +154,7 @@ class NumericTaylor(_Value):
         zk = SurrealNF.from_rational(1)
         for c in self.coefficients[:terms]:
             if c:
-                co = mp.nstr(c, 12)
+                co = mp.nstr(c, digits)
                 bits.append(co if zk.is_rational() else f"{co}*({render_nf(zk)})")
             zk = zk * self.zeta
         return " + ".join(bits or ["0"]) + " + ..."

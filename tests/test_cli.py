@@ -480,6 +480,13 @@ def test_decimal_offset_prints_with_the_digits_of_a_real(cli, prec, offset):
     assert len(out.strip().lstrip("-").replace(".", "").lstrip("0")) == len(offset.replace(".", "").lstrip("0"))
 
 
+@pytest.mark.parametrize("prec", ["50", "10"])
+def test_taylor_coefficients_print_with_the_digits_of_a_real(cli, prec):
+    real = cli("eval", "ei", "3", "--prec", prec)[1].strip()
+    code, out, _ = cli("eval", "ei", "3+w^-1", "--terms", "1", "--prec", prec)
+    assert (code, out) == (0, f"{real} + ...\n")
+
+
 class TestInputBoundary:
     """Bad input ends in exit 2 (usage) or a DomainError (exit 1), never a traceback."""
 

@@ -17,6 +17,7 @@ import json
 import re
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from conftest import time_budget
@@ -60,6 +61,40 @@ def test_case_pinned(golden, argv):
     with time_budget(10.0):
         got = _record(argv)
     assert got == golden[_key(argv)]
+
+
+#: mpmath references of the entries read at 3 + 1/w: the value f itself for
+#: eval, the integrand f of an integral from 2
+TAYLOR_REFERENCES = {
+    ("eval", "airy_ai"): mp.airyai,
+    ("eval", "airy_bi"): mp.airybi,
+    ("eval", "ei"): mp.ei,
+    ("eval", "erfi_integral"): lambda x: mp.sqrt(mp.pi) / 2 * mp.erfi(x),
+    ("eval", "gamma"): mp.gamma,
+    ("eval", "loggamma"): mp.loggamma,
+    ("integrate", "ei_integrand"): lambda x: mp.exp(x) / x,
+    ("integrate", "erfi_integrand"): lambda x: mp.exp(x**2),
+    ("integrate", "exp_neg"): lambda x: mp.exp(-x),
+    ("integrate", "exp_neg_over_x"): lambda x: mp.exp(-x) / x,
+}
+
+
+@pytest.mark.parametrize("verb, name", sorted(TAYLOR_REFERENCES), ids=map(" ".join, sorted(TAYLOR_REFERENCES)))
+def test_taylor_coefficients_carry_the_printed_digits(golden, verb, name):
+    # at the default precision a Taylor coefficient prints 20 digits, like a real
+    argv = (verb, name, "3+w^-1") if verb == "eval" else (verb, name, "2", "3+w^-1")
+    stdout = golden[_key(argv + ("--terms", "8"))]["stdout"]
+    f = TAYLOR_REFERENCES[verb, name]
+    with mp.workdps(40):
+        want = mp.taylor(f, 3, 8)
+        if verb == "integrate":  # the integral from 2 to 3 + z: c_0, then f's c_(k-1) / k
+            want = [mp.quad(f, [2, 3])] + [c / k for k, c in enumerate(want, 1)]
+        bits = stdout.rstrip("\n").split(" + ")
+        assert bits.pop() == "..."
+        for bit in bits:
+            coef, _, power = bit.partition("*")
+            k = int(re.fullmatch(r"\(w\^\(-(\d+)\)\)", power).group(1)) if power else 0
+            assert abs(mp.mpf(coef) - want[k]) <= mp.mpf(10) ** -19 * abs(want[k])
 
 
 if __name__ == "__main__":
