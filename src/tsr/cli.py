@@ -29,6 +29,8 @@ from .resummation import (
 )
 from .surreal import parse_nf
 from .transseries import (
+    PowerSeries,
+    groups_of,
     ts_antidiff,
     ts_diff,
     ts_from_json,
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
 
-    p = add("borel", "Borel transform of the k = 0 series of an expression")
+    p = add("borel", "Borel transform of a power series in 1/x")
     p.add_argument("expression")
     p.add_argument("--order", type=_checked(int, lambda n: n >= 0, "at least 0"), default=12)
 
@@ -205,8 +207,12 @@ def _dispatch(ns, cfg: QuadratureConfig) -> int:
 
     if verb == "borel":
         ts = ts_parse(ns.expression)
-        k0 = (0,) * ts.minus.n
-        poly = borel_transform(ts.minus.series_at(k0), ns.order)
+        exponential = [g for g in groups_of(ts) if g.mu]
+        parts = (("exponential groups", exponential), ("log part", ts.log.P), ("polynomial or constant part", ts.log.Q))
+        left = [name for name, part in parts if part]
+        if left:
+            raise errors.DomainError(f"borel takes a power series in 1/x; it would leave out: {', '.join(left)}")
+        poly = borel_transform(ts.minus[0].series if ts.minus else PowerSeries.zero(), ns.order)
         payload = {"coeffs": [str(c) for c in poly.coeffs]}
         _emit_value(ns, payload, " ".join(str(c) for c in poly.coeffs))
         return 0

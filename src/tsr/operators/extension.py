@@ -231,8 +231,12 @@ def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFu
 
 def integrate(f: CatalogFunction, a, b, terms: int = 8, *, cfg: QuadratureConfig = None):
     """integral(f, a..b) = (A_No f)(b) - (A_No f)(a); a decimal part keeps the
-    precision ``cfg`` asks for.  Equal endpoints give one value less itself."""
+    precision ``cfg`` asks for.  Equal endpoints give one value less itself,
+    or 0 at a real point where no antiderivative is stored."""
     cfg = cfg or QuadratureConfig()
+    if a == b and f.antiderivative is None and isinstance(a, (int, float, Fraction, mp.mpf)):
+        f.check_domain(a)
+        return mp.mpf(0)
     anti = antidiff_no(f)
     hi = extend(anti, b, terms, cfg=cfg)
     lo = hi if a == b else extend(anti, a, terms, cfg=cfg)

@@ -6,8 +6,7 @@ w = sum(w_l x^-l), matching the coefficient of x^-l gives
 
     mu*w_l + (b - (l-1)) * w_(l-1) = c_l
 
-so for decaying groups (mu = -k.lambda, b = k.beta) and growing groups
-(mu = lambda_j, b = beta_j) alike, with w_0 = 0:
+so for decaying (mu < 0) and growing (mu > 0) groups alike, with w_0 = 0:
 
     w_l = (c_l + (l - 1 - b) * w_(l-1)) / mu.
 
@@ -23,8 +22,6 @@ from typing import Optional
 
 from ..errors import UndecidableSupport
 from .grid import (
-    RESONANCE_WINDOW,
-    GridMinus,
     Group,
     LogPart,
     TransseriesT1,
@@ -38,50 +35,8 @@ from .series import PowerSeries
 POS, NEG, ZERO = 1, -1, 0
 
 
-def _seed_of(*tss: TransseriesT1) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Common refinement of the operands' minus-grid generators.
-
-    A generator expressible over the ones already kept (integer multi-index
-    with compatible offset) is dropped, so commensurate rates like 1 and 2
-    share one generator instead of tripping the nonresonance validator.  A
-    single kept generator and a new one that the validator would refuse
-    (like 2 and 3), both with integer offsets, become their rational gcd
-    with the offset raised so that both reach, as ``assemble`` picks one
-    generator for the groups of a parsed sum.  The window bounds their
-    multiples of the gcd at RESONANCE_WINDOW.
-    """
-    from .grid import _express_rate, _frac_gcd
-
-    lam: list[Fraction] = []
-    beta: list[Fraction] = []
-    for ts in tss:
-        for l, b in zip(ts.minus.lam, ts.minus.beta):
-            if l in lam:
-                i = lam.index(l)
-                d = beta[i] - b
-                if d.denominator == 1:
-                    beta[i] = max(beta[i], b)
-                    continue
-            if _express_rate(l, b, lam, beta) is not None:
-                continue
-            if len(lam) == 1 and (l / lam[0]).denominator == 1:
-                # commensurate with the single kept generator: raise its offset
-                k = int(l / lam[0])
-                beta[0] = max(beta[0], -(-b // k))
-                continue
-            if len(lam) == 1 and beta[0].denominator == b.denominator == 1:
-                q = l / lam[0]  # lam[0] and l are q.denominator and q.numerator times their gcd
-                if max(q.numerator, q.denominator) <= RESONANCE_WINDOW:
-                    lam[0] = _frac_gcd(lam[0], l)
-                    beta[0] = max(Fraction(0), -(-beta[0] // q.denominator), -(-b // q.numerator))
-                    continue
-            lam.append(l)
-            beta.append(b)
-    return tuple(lam), tuple(beta)
-
-
 def ts_add(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
-    return assemble(groups_of(a) + groups_of(b), a.log + b.log, seed=_seed_of(a, b))
+    return assemble(groups_of(a) + groups_of(b), a.log + b.log)
 
 
 def ts_scale(c, a: TransseriesT1) -> TransseriesT1:
@@ -89,7 +44,7 @@ def ts_scale(c, a: TransseriesT1) -> TransseriesT1:
     if c == 0:
         return TransseriesT1.zero()
     groups = [Group(g.mu, g.offset, g.series.scale(c)) for g in groups_of(a)]
-    return assemble(groups, a.log.scale(c), seed=_seed_of(a))
+    return assemble(groups, a.log.scale(c))
 
 
 def ts_sub(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
@@ -97,7 +52,7 @@ def ts_sub(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
 
 
 def ts_mul_minus(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
-    """Product on the (unital) decaying algebra: multi-index Cauchy product.
+    """Product on the (unital) decaying algebra: groupwise Cauchy product.
 
     Constants are admitted as the algebra unit's multiples (the unit itself
     is x * x^-1 in the shifted normalization, which the assembler folds back
@@ -114,7 +69,7 @@ def ts_mul_minus(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
     if ca:
         out += [Group(g.mu, g.offset, g.series.scale(ca)) for g in groups_of(b)]
     const = ca * cb
-    return assemble(out, LogPart(Q=(const,) if const else ()), seed=_seed_of(a, b))
+    return assemble(out, LogPart(Q=(const,) if const else ()))
 
 
 def _constant_part(ts: TransseriesT1) -> Fraction:
@@ -137,7 +92,7 @@ def ts_diff(a: TransseriesT1) -> TransseriesT1:
             Q[i - 1] += c
         elif c != 0:
             groups.append(Group(Fraction(0), Fraction(0), PowerSeries.from_coeffs([c])))
-    return assemble(groups, LogPart(P, tuple(Q), ()), seed=_seed_of(a))
+    return assemble(groups, LogPart(P, tuple(Q), ()))
 
 
 def _antidiff_group(g: Group) -> Group:
@@ -183,7 +138,7 @@ def ts_antidiff(a: TransseriesT1) -> TransseriesT1:
         # pure inverse powers: c_1/x integrates to log x, the tail termwise
         y = g.series
         if g.offset != 0:
-            raise ValueError("canonical form should keep k=0 content at offset 0")
+            raise ValueError("canonical form should keep mu = 0 content at offset 0")
         c1 = y.coeff(1)
         if c1 != 0:
             add_P(0, c1)
@@ -199,23 +154,19 @@ def ts_antidiff(a: TransseriesT1) -> TransseriesT1:
         add_Q(i + 1, -c / Fraction((i + 1) ** 2))
     for i, c in enumerate(lp.Q):
         add_Q(i + 1, c / (i + 1))
-    return assemble(groups, LogPart(tuple(P), tuple(Q), ()), seed=_seed_of(a))
+    return assemble(groups, LogPart(tuple(P), tuple(Q), ()))
 
 
-def ts_decompose(a: TransseriesT1, m: int) -> tuple[GridMinus, LogPart, tuple[Group, ...]]:
+def ts_decompose(a: TransseriesT1, m: int) -> tuple[tuple[Group, ...], LogPart, tuple[Group, ...]]:
     """The unique m-decomposition T(-,m) + T(m,l) + T(+)."""
     if m < 0:
         raise ValueError("m must be a natural number")
-    g = a.minus
-    k0 = (0,) * g.n
-    y0 = g.series_at(k0)
+    y0 = next((g.series for g in a.minus if not g.mu), PowerSeries.zero())
     R = tuple(y0.coeffs(m))
     tail = PowerSeries(lambda l, y0=y0, m=m: y0.coeff(l) if l > m else Fraction(0))
     if y0.is_finite():
         tail = PowerSeries.from_coeffs([Fraction(0)] * m + [y0.coeff(l) for l in range(m + 1, (y0.length or 0) + 1)])
-    series = dict(g.series)
-    series[k0] = tail
-    minus = GridMinus(lam=g.lam, beta=g.beta, series=series)
+    minus = (Group(Fraction(0), Fraction(0), tail),) + tuple(g for g in a.minus if g.mu)
     return minus, LogPart(a.log.P, a.log.Q, R), a.plus
 
 
@@ -239,17 +190,15 @@ def _dominant_key(a: TransseriesT1) -> Optional[tuple[_MONO_KEY, Fraction]]:
         offer((Fraction(0), Fraction(i), 1), a.log.p_coeff(i))
     for i in range(len(a.log.Q) - 1, -1, -1):
         offer((Fraction(0), Fraction(i), 0), a.log.q_coeff(i))
-    g = a.minus
-    for k in g.support():
-        s = g.series_at(k)
+    for grp in a.minus:
         try:
-            l0 = s.first_nonzero()
+            l0 = grp.series.first_nonzero()
         except UndecidableSupport:
-            if best is None or best[0] < (-g.rate(k), g.offset(k), 0):
+            if best is None or best[0] < (grp.mu, grp.offset, 0):
                 raise
             l0 = None
         if l0 is not None:
-            offer((-g.rate(k), g.offset(k) - l0, 0), s.coeff(l0))
+            offer((grp.mu, grp.offset - l0, 0), grp.series.coeff(l0))
     return best
 
 

@@ -1,22 +1,28 @@
-"""Height-one, depth-one transseries: grids, log part, and the T1 sum.
+"""Height-one, depth-one transseries: exponential groups, log part, and the T1 sum.
 
 A transseries here is a triple
 
-* ``minus``  -- sum(k) x^(beta.k) e^(-k.lambda x) y_k(x), lambda_i > 0
+* ``minus``  -- sum(j) x^(beta_j) e^(-lambda_j x) y_j(x), lambda_j > 0 distinct,
+  a tuple of ``Group``s, one per rate, rates ascending, after the mu = 0 series
 * ``log``    -- P(x) log x + Q(x) + R(1/x) with R constant-free
 * ``plus``   -- sum(j) x^(beta_j) e^(lambda_j x) y_j(x), lambda_j > 0 distinct,
   a tuple of ``Group``s, one per rate, rates descending
 
 with all series y O(1/x).  Internally the representation is normalized to
 m = 0: the R component is empty and every pure inverse power lives in the
-k = 0 series of the minus grid.  ``assemble`` folds an R into that series,
-the ``TransseriesT1`` constructor rejects a nonempty R, and ``ts_decompose``
+mu = 0 series.  ``assemble`` folds an R into that series, the
+``TransseriesT1`` constructor rejects a nonempty R, and ``ts_decompose``
 recuts the triple for any m.  ``assemble`` merges the groups of each sign
 with ``_merge_rates``, which sums the groups of one rate at their highest offset.
+
+The multi-index grid sum(k) x^(beta.k) e^(-k.lambda x) y_k(x) of the decaying
+part exists only in JSON: ``grid_from_groups`` derives it from the groups
+alone, and ``groups_from_grid`` reads it back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -26,66 +32,8 @@ from .series import PowerSeries
 
 MultiIndex = tuple[int, ...]
 
-#: cap on merged grid generators
-MAX_GENERATORS = 8
 #: window used for bounded nonresonance validation
 RESONANCE_WINDOW = 16
-
-
-def _zero_index(n: int) -> MultiIndex:
-    return (0,) * n
-
-
-@dataclass
-class GridMinus:
-    """The decaying grid: generators lam/beta and per-multi-index series."""
-
-    lam: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...]
-    series: dict[MultiIndex, PowerSeries] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.lam = tuple(Fraction(v) for v in self.lam)
-        self.beta = tuple(Fraction(v) for v in self.beta)
-        if any(v <= 0 for v in self.lam):
-            raise ValueError("minus-grid rates must be positive")
-        validate_nonresonance(self.lam)
-        n = len(self.lam)
-        if len(self.beta) != n:
-            raise ValueError("lambda and beta must have equal length")
-        self.series = {tuple(k): s for k, s in self.series.items()}
-        for k in self.series:
-            if len(k) != n or any(i < 0 for i in k):
-                raise ValueError(f"bad multi-index {k}")
-        classes: dict[Fraction, Fraction] = {}
-        for k in sorted(self.series, key=self.rate):
-            r, c = self.rate(k), self.offset(k) % 1
-            if classes.setdefault(r, c) != c:
-                raise ResonanceError(f"support points collide at rate {r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.lam)
-
-    @classmethod
-    def empty(cls) -> "GridMinus":
-        return cls(lam=(), beta=())
-
-    def rate(self, k: MultiIndex) -> Fraction:
-        return sum((Fraction(ki) * li for ki, li in zip(k, self.lam)), Fraction(0))
-
-    def offset(self, k: MultiIndex) -> Fraction:
-        return sum((Fraction(ki) * bi for ki, bi in zip(k, self.beta)), Fraction(0))
-
-    def series_at(self, k: MultiIndex) -> PowerSeries:
-        return self.series.get(tuple(k), PowerSeries.zero())
-
-    def support(self) -> list[MultiIndex]:
-        """Support multi-indices ordered by rate ascending (ties: offset desc, lex)."""
-        return sorted(self.series, key=lambda k: (self.rate(k), -self.offset(k), k))
-
-    def is_zero(self, order: int = 12) -> bool:
-        return all(s.is_zero_upto(order) for s in self.series.values())
 
 
 @dataclass
@@ -150,25 +98,25 @@ class Group:
 @dataclass
 class TransseriesT1:
     """minus + log + plus with R empty: ``assemble`` folds R(1/x) into the
-    k = 0 series, and the constructor rejects a nonempty R.  ``plus`` holds
-    the growing groups as ``assemble`` leaves them: mu > 0, one per rate,
-    rates descending."""
+    mu = 0 series, and the constructor rejects a nonempty R.  ``minus`` and
+    ``plus`` hold the groups as ``assemble`` leaves them: one per rate, the
+    mu = 0 series first and decaying rates ascending, growing rates
+    descending."""
 
-    minus: GridMinus = field(default_factory=lambda: GridMinus.empty())
+    minus: tuple[Group, ...] = ()
     log: LogPart = field(default_factory=LogPart)
     plus: tuple[Group, ...] = ()
 
     def __post_init__(self):
         if self.log.R:
-            raise ValueError("a T1 keeps R(1/x) in its k = 0 series; build it with assemble")
+            raise ValueError("a T1 keeps R(1/x) in its mu = 0 series; build it with assemble")
 
     @classmethod
     def zero(cls) -> "TransseriesT1":
         return cls()
 
     def is_zero(self, order: int = 12) -> bool:
-        plus_zero = all(g.series.is_zero_upto(order) for g in self.plus)
-        return self.minus.is_zero(order) and self.log.is_zero() and plus_zero
+        return self.log.is_zero() and all(g.series.is_zero_upto(order) for g in groups_of(self))
 
 
 def validate_nonresonance(lam: tuple[Fraction, ...]) -> None:
@@ -196,22 +144,11 @@ def validate_nonresonance(lam: tuple[Fraction, ...]) -> None:
 
 def groups_of(ts: TransseriesT1) -> list[Group]:
     """Flatten to exponential groups (log part excluded)."""
-    g = ts.minus
-    out = [Group(-g.rate(k), g.offset(k), g.series_at(k)) for k in g.support()]
-    return out + list(ts.plus)
+    return list(ts.minus) + list(ts.plus)
 
 
-def assemble(
-    groups: Iterable[Group],
-    log: LogPart = None,
-    *,
-    seed: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = ((), ()),
-) -> TransseriesT1:
-    """Build a normalized TransseriesT1 from raw groups plus a log part.
-
-    ``seed`` pre-populates the minus-grid generator basis so operations on an
-    existing grid stay on that grid instead of re-deriving one.
-    """
+def assemble(groups: Iterable[Group], log: LogPart = None) -> TransseriesT1:
+    """Build a normalized TransseriesT1 from raw groups plus a log part."""
     log = log if log is not None else LogPart()
     plus_raw: list[Group] = []
     minus_raw: list[Group] = []
@@ -252,7 +189,7 @@ def assemble(
             if top is None:
                 zero_series.append((a, s))
 
-    # fold q/r residues into the log part and the k = 0 series
+    # fold q/r residues into the log part and the mu = 0 series
     Q = list(log.Q)
     for power, c in q_extra:
         while len(Q) <= power:
@@ -265,16 +202,10 @@ def assemble(
     base = PowerSeries.from_coeffs([inverse.get(l, Fraction(0)) for l in range(1, max(inverse, default=0) + 1)])
     for a, s in zero_series:  # infinite tails with offset <= 0
         base = base + s.shift_down(-a)
-    lam, beta, series = _assemble_minus(minus_raw, seed=seed)
+    minus = tuple(_merge_rates(minus_raw))
     if not base.is_finite() or base.length:
-        series[_zero_index(len(lam))] = base
-    try:
-        minus = GridMinus(lam=lam, beta=beta, series=series)
-    except ResonanceError as exc:
-        raise GridMergeError(str(exc)) from exc
-
-    plus = tuple(_merge_rates(plus_raw))
-    return TransseriesT1(minus=minus, log=LogPart(log.P, tuple(Q), ()), plus=plus)
+        minus = (Group(Fraction(0), Fraction(0), base),) + minus
+    return TransseriesT1(minus=minus, log=LogPart(log.P, tuple(Q), ()), plus=tuple(_merge_rates(plus_raw)))
 
 
 def _shift_up(s: PowerSeries, d: int) -> PowerSeries:
@@ -305,72 +236,106 @@ def _merge_rates(groups: list[Group]) -> list[Group]:
     return out
 
 
-def _assemble_minus(
-    raw: list[Group],
-    *,
-    seed: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = ((), ()),
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], dict[MultiIndex, PowerSeries]]:
-    """Pick generators and multi-indices for decaying groups, greedily: (lam, beta, series)."""
-    if not raw:
-        return (), (), {}
-    merged = _merge_rates(raw)
+# -- the JSON grid of the decaying part ----------------------------------------
 
-    # fast path: no seed, integer offsets -> one gcd generator
-    if not seed[0] and all(g.offset.denominator == 1 for g in merged):
-        rates = [-g.mu for g in merged]
-        g0 = rates[0]
-        for r in rates[1:]:
-            g0 = _frac_gcd(g0, r)
-        ks = [r / g0 for r in rates]
-        if all(k.denominator == 1 and k <= 64 for k in ks):
-            b = max(Fraction(0), max(-(-grp.offset // int(k)) for grp, k in zip(merged, ks)))
-            series: dict[MultiIndex, PowerSeries] = {}
-            for grp, k in zip(merged, ks):
-                d = int(k) * b - grp.offset
-                series[(int(k),)] = grp.series.shift_down(int(d))
-            return (g0,), (b,), series
 
-    lam: list[Fraction] = list(seed[0])
-    beta: list[Fraction] = list(seed[1])
-    slots: dict[MultiIndex, tuple[Fraction, PowerSeries]] = {}
+def _dot(k: MultiIndex, v: Iterable[Fraction]) -> Fraction:
+    return sum((Fraction(ki) * vi for ki, vi in zip(k, v)), Fraction(0))
 
-    # one group per rate, ascending; distinct rates get distinct keys
-    for grp in merged:
-        rate = -grp.mu
-        k = _express_rate(rate, grp.offset, lam, beta)
+
+def groups_from_grid(lam, beta, series: dict[MultiIndex, PowerSeries]) -> list[Group]:
+    """The groups x^(beta.k) e^(-k.lambda x) y_k of a grid, ordered by rate
+    ascending (ties: offset descending); refuses resonant generators and keys
+    of one rate whose offsets differ by a non-integer."""
+    lam, beta = tuple(map(Fraction, lam)), tuple(map(Fraction, beta))
+    if any(v <= 0 for v in lam):
+        raise ValueError("minus-grid rates must be positive")
+    if len(beta) != len(lam):
+        raise ValueError("lambda and beta must have equal length")
+    validate_nonresonance(lam)
+    for k in series:
+        if len(k) != len(lam) or any(i < 0 for i in k):
+            raise ValueError(f"bad multi-index {k}")
+    groups = sorted(
+        (Group(-_dot(k, lam), _dot(k, beta), s) for k, s in series.items()), key=lambda g: (-g.mu, -g.offset)
+    )
+    for a, b in zip(groups, groups[1:]):
+        if a.mu == b.mu and (a.offset - b.offset).denominator != 1:
+            raise ResonanceError(f"support points collide at rate {-a.mu}")
+    return groups
+
+
+def grid_from_groups(groups: Iterable[Group]):
+    """(lambda, beta, keyed series, growing groups) of the JSON form, a
+    function of the groups alone.  A finite series first drops its zero ends
+    (``_trimmed``).  For the decaying groups, one generator, the gcd g of the
+    rates, serves when every multiple r/g is at most 64 and one beta puts
+    every offset at k*beta less a natural number; the least beta >=
+    max(0, offset/k) is taken.  Otherwise the generators are picked greedily
+    over ascending rates, and must be nonresonant.  Each series is padded to
+    its key's offset k.beta, the mu = 0 series sitting at the zero key."""
+    groups = [t for t in map(_trimmed, groups) if t is not None]
+    decaying = [g for g in groups if g.mu < 0]
+    lam, beta, keys = _one_generator(decaying) or _greedy(decaying)
+    try:
+        validate_nonresonance(lam)
+    except ResonanceError as exc:
+        raise GridMergeError(str(exc)) from exc
+    keyed = [((0,) * len(lam), g.series) for g in groups if not g.mu]
+    for k, g in zip(keys, decaying):
+        keyed.append((k, g.series.shift_down(int(_dot(k, beta) - g.offset))))
+    return lam, beta, keyed, [g for g in groups if g.mu > 0]
+
+
+def _trimmed(g: Group) -> Optional[Group]:
+    """The group with its finite series cut to its nonzero span, the offset
+    lowered by the zeros cut at the start (the mu = 0 series keeps them and
+    its offset 0); None for a zero finite series."""
+    s = g.series
+    if s.length is None:
+        return g
+    c = s.coeffs(s.length)
+    nonzero = [l for l, v in enumerate(c) if v]
+    if not nonzero:
+        return None
+    lead = nonzero[0] if g.mu else 0
+    return Group(g.mu, g.offset - lead, PowerSeries.from_coeffs(c[lead : nonzero[-1] + 1]))
+
+
+def _one_generator(groups: list[Group]):
+    if not groups:
+        return (), (), []
+    rates = [-g.mu for g in groups]
+    gen = rates[0]
+    for r in rates[1:]:
+        num = math.gcd(gen.numerator * r.denominator, r.numerator * gen.denominator)
+        gen = Fraction(num, gen.denominator * r.denominator)
+    ks = [int(r / gen) for r in rates]
+    if max(ks) > 64:
+        return None
+    low = max([Fraction(0)] + [g.offset / k for g, k in zip(groups, ks)])
+    # beta lies in (offset + Z)/k of the first group, and beta + 1 serves when beta does
+    first = math.ceil(low * ks[0] - groups[0].offset)
+    for n in range(first, first + ks[0]):
+        b = (groups[0].offset + n) / ks[0]
+        if all((k * b - g.offset).denominator == 1 for g, k in zip(groups, ks)):
+            return (gen,), (b,), [(k,) for k in ks]
+    return None
+
+
+def _greedy(groups: list[Group]):
+    lam: list[Fraction] = []
+    beta: list[Fraction] = []
+    keys: list[MultiIndex] = []
+    for grp in groups:
+        k = _express_rate(-grp.mu, grp.offset, lam, beta)
         if k is None:
-            lam.append(rate)
+            lam.append(-grp.mu)
             beta.append(grp.offset)
-            if len(lam) > MAX_GENERATORS:
-                raise GridMergeError(f"merged grid needs more than {MAX_GENERATORS} generators")
-            slots = {key + (0,): val for key, val in slots.items()}
+            keys = [key + (0,) for key in keys]
             k = (0,) * (len(lam) - 1) + (1,)
-        slots[k] = (grp.offset, grp.series)
-
-    n = len(lam)
-    # prune generators no slot uses
-    used = [any(k[i] for k in slots if i < len(k)) for i in range(n)]
-    keep = [i for i in range(n) if used[i]]
-    lam = [lam[i] for i in keep]
-    beta = [beta[i] for i in keep]
-
-    series: dict[MultiIndex, PowerSeries] = {}
-    for k, (off, s) in slots.items():
-        k = tuple(k) + (0,) * (n - len(k))
-        k = tuple(k[i] for i in keep)
-        want = sum((Fraction(ki) * bi for ki, bi in zip(k, beta)), Fraction(0))
-        d = want - off
-        if d.denominator != 1 or d < 0:
-            raise GridMergeError(f"offset {off} not reachable from grid betas at {k}")
-        series[k] = s.shift_down(int(d))
-    return tuple(lam), tuple(beta), series
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    import math
-
-    num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
+        keys.append(k)
+    return tuple(lam), tuple(beta), keys
 
 
 def _express_rate(
@@ -386,8 +351,7 @@ def _express_rate(
             return
         if i == n:
             if remaining == 0 and any(k):
-                off = sum((Fraction(ki) * bi for ki, bi in zip(k, beta)), Fraction(0))
-                d = off - offset
+                d = _dot(k, beta) - offset
                 if d.denominator == 1 and d >= 0:
                     best = tuple(k)
             return

@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..errors import ExpressionSyntaxError, GridMergeError
 from ..scanner import Scanner
-from .grid import Group, GridMinus, LogPart, TransseriesT1, assemble, groups_of
+from .grid import Group, LogPart, TransseriesT1, assemble, grid_from_groups, groups_from_grid, groups_of
 from .series import PowerSeries
 
 
@@ -263,13 +263,11 @@ def ts_print(ts: TransseriesT1, truncation: int = 8) -> str:
         c = lp.q_coeff(i)
         if c != 0:
             emit(1 if c > 0 else -1, _monomial_text(abs(c), Fraction(i)))
-    g = ts.minus
-    for k in g.support():
-        s = g.series_at(k)
+    for grp in ts.minus:
+        s = grp.series
         if s.is_zero_upto(truncation) and s.is_finite() and (s.length or 0) <= truncation:
             continue
-        rate = g.rate(k)
-        if rate == 0:
+        if grp.mu == 0:
             text = _series_text(s, Fraction(0), truncation)
             if text != "0":
                 if text.startswith("-"):
@@ -277,7 +275,7 @@ def ts_print(ts: TransseriesT1, truncation: int = 8) -> str:
                 else:
                     emit(1, text)
             continue
-        body = f"{_exp_text(-rate)}*({_series_text(s, g.offset(k), truncation)})"
+        body = f"{_exp_text(grp.mu)}*({_series_text(s, grp.offset, truncation)})"
         emit(1, body)
     if not pieces:
         return "0"
@@ -306,16 +304,18 @@ def _series_from_json(obj) -> PowerSeries:
         from ..coefficients import named_series
 
         return named_series(obj["oracle"])
-    return PowerSeries.from_coeffs([Fraction(c) for c in obj["coeffs"]])
+    head = PowerSeries.from_coeffs([Fraction(c) for c in obj["coeffs"]])
+    # a truncated series stays infinite, so it writes back truncated; past its head it reads 0
+    return PowerSeries(head.coeff) if obj.get("truncated") else head
 
 
 def ts_to_json(ts: TransseriesT1, order: int = 16) -> dict:
-    g = ts.minus
+    lam, beta, keyed, plus = grid_from_groups(groups_of(ts))
     return {
         "minus": {
-            "lambda": [str(v) for v in g.lam],
-            "beta": [str(v) for v in g.beta],
-            "series": {",".join(map(str, k)): _series_json(g.series_at(k), order) for k in g.support()},
+            "lambda": [str(v) for v in lam],
+            "beta": [str(v) for v in beta],
+            "series": {",".join(map(str, k)): _series_json(s, order) for k, s in keyed},
         },
         "log": {
             "P": [str(c) for c in ts.log.P],
@@ -324,19 +324,18 @@ def ts_to_json(ts: TransseriesT1, order: int = 16) -> dict:
         },
         "plus": [
             {"lambda": str(grp.mu), "beta": str(grp.offset), "series": _series_json(grp.series, order)}
-            for grp in ts.plus
+            for grp in plus
         ],
     }
 
 
 def ts_from_json(obj: dict) -> TransseriesT1:
     gm = obj.get("minus", {})
-    lam = tuple(Fraction(v) for v in gm.get("lambda", []))
-    beta = tuple(Fraction(v) for v in gm.get("beta", []))
     series = {}
     for key, sj in gm.get("series", {}).items():
         k = tuple(int(v) for v in key.split(",")) if key else ()
         series[k] = _series_from_json(sj)
+    minus = groups_from_grid(gm.get("lambda", []), gm.get("beta", []), series)
     lg = obj.get("log", {})
     log = LogPart(
         tuple(Fraction(c) for c in lg.get("P", [])),
@@ -349,6 +348,5 @@ def ts_from_json(obj: dict) -> TransseriesT1:
     ]
     if any(grp.mu <= 0 for grp in plus):
         raise ValueError("plus-part rates must be positive")
-    minus = GridMinus(lam=lam, beta=beta, series=series) if lam or series else GridMinus.empty()
-    # re-normalize: assemble moves R into the k = 0 series
-    return assemble(groups_of(TransseriesT1(minus=minus)) + plus, log, seed=(lam, beta))
+    # re-normalize: assemble merges the groups and moves R into the mu = 0 series
+    return assemble(minus + plus, log)

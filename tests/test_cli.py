@@ -63,6 +63,21 @@ class TestVerbs:
         assert code == 0
         assert out.split() == ["1", "1", "1", "1"]
 
+    @pytest.mark.parametrize("flags", [(), ("--json",), ("--order", "6")], ids=["text", "json", "order 6"])
+    @pytest.mark.parametrize(
+        "expression, parts",
+        [
+            ("1/x + 2/x^2 + exp(-x)/x", "exponential groups"),
+            ("exp(-x)*#ei", "exponential groups"),
+            ("x^3 + 1/x", "polynomial or constant part"),
+            ("x*log(x) + exp(x)", "exponential groups, log part"),
+        ],
+    )
+    def test_borel_names_the_parts_it_would_leave_out(self, cli, expression, parts, flags):
+        code, out, err = cli("borel", expression, *flags)
+        assert (code, out) == (1, "")
+        assert err == f"error: DomainError: borel takes a power series in 1/x; it would leave out: {parts}\n"
+
     def test_eval_at_omega(self, cli):
         code, out, _ = cli("eval", "ei", "omega", "--terms", "3")
         assert code == 0

@@ -14,7 +14,7 @@ from tsr.resummation import (
     p_integrate_poly,
 )
 from tsr.surreal import SurrealNF, omega, sign_value, simplest_between
-from tsr.transseries import GridMinus, PowerSeries, TransseriesT1, ts_parse
+from tsr.transseries import PowerSeries, assemble, groups_from_grid, ts_parse
 from tsr.resummation.laplace import eb_sum
 
 CFG = QuadratureConfig()
@@ -47,7 +47,7 @@ class TestFiniteGroupSums:
     def test_geometric_groups_sum_exactly(self):
         # sum_k e^(-k x)/x^k: every group is finite, so each is its own sum
         series = {(k,): PowerSeries.from_coeffs([F(0)] * (k - 1) + [F(1)]) for k in range(1, 9)}
-        ts = TransseriesT1(minus=GridMinus(lam=(F(1),), beta=(F(0),), series=series))
+        ts = assemble(groups_from_grid((F(1),), (F(0),), series))
         val, err = eb_sum(ts, 12.0, CFG)
         with mp.workdps(50):
             direct = sum(mp.exp(-k * mp.mpf(12)) * mp.mpf(12) ** -k for k in range(1, 9))

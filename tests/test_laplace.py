@@ -245,6 +245,25 @@ def test_named_sum_is_within_its_reported_error(c, name, x, digits):
         assert abs(val - ref) <= err <= max(cfg.abs_tol, cfg.rel_tol * abs(val))
 
 
+@pytest.mark.parametrize(
+    "expr, parts",
+    [
+        ("exp(-x)*x*#ei + exp(-2*x)*#ei", [(-1, 1, "ei"), (-2, 0, "ei")]),
+        ("exp(-x)/x + exp(-3*x)*x^2*#ei", [(-1, -1, None), (-3, 2, "ei")]),
+        ("exp(-x)*x^(1/2)/x + exp(-2*x)*#ei", [(-1, -0.5, None), (-2, 0, "ei")]),
+        ("exp(-x)*x^(1/2)*#erfi + exp(-2*x)*#stirling", [(-1, 0.5, "erfi"), (-2, 0, "stirling")]),
+    ],
+)
+def test_groups_at_commensurate_rates_keep_their_kernels(expr, parts):
+    # each group is summed at its own offset through its own kernel: no grid
+    # common to both rates pads a series and drops its kernel for a Pade fit
+    val, err = eb_sum(ts_parse(expr), 3, QuadratureConfig(precision=30))
+    with mp.workdps(50):
+        x = mp.mpf(3)
+        ref = sum(mp.exp(mu * x) * x**b * (named_closed_form(name, x) if name else 1) for mu, b, name in parts)
+        assert abs(val - ref) <= err
+
+
 @pytest.mark.parametrize("name", ["stirling", "airy_u"])
 @pytest.mark.parametrize("x", [10**3, 2 * 10**3, 10**5, 10**8])
 def test_quadrature_sum_at_large_x(name, x):

@@ -336,6 +336,16 @@ class TestIntegrate:
         base = SurrealNF(((SurrealNF.from_rational(2), F(1)),))
         assert got.coefficient(base - one()) == F(1, 2)
 
+    @pytest.mark.parametrize("name", ["airy_ai", "ei", "gamma", "loggamma"])
+    def test_equal_real_endpoints_build_no_antiderivative(self, monkeypatch, name):
+        import tsr.operators.extension as extension
+
+        monkeypatch.setattr(extension, "antidiff_no", None)  # a call would fail
+        assert integrate(catalog()[name], 2, 2) == 0
+        if catalog()[name].domain_c is not None:  # a point outside the domain stays refused
+            with pytest.raises(DomainError):
+                integrate(catalog()[name], -1, -1)
+
     def test_real_endpoints_additive(self):
         f = catalog()["ei_integrand"]
         with mp.workdps(50):

@@ -1,7 +1,8 @@
 """Every name a package exports in ``__all__`` exists, and none is listed
-twice; the surreal layer imports no layer above it."""
+twice; the surreal and transseries layers import no layer above them."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -24,15 +25,22 @@ def test_all_names_are_unique(package):
     assert len(names) == len(set(names))
 
 
-def test_the_surreal_layer_loads_no_layer_above_it():
+def _loaded_after_import(package: str, prefixes: tuple[str, ...]) -> list[str]:
+    """The modules under ``prefixes`` a fresh interpreter holds after importing ``package``."""
     import tsr
 
-    code = (
-        "import sys, tsr.surreal; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['tsr', 'transseries'], ['tsr', 'resummation'], ['tsr', 'operators'])))"
-    )
+    code = f"import json, sys, {package}; print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsr.__file__)))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout)
+
+
+def test_the_surreal_layer_loads_no_layer_above_it():
+    assert _loaded_after_import("tsr.surreal", ("tsr.transseries", "tsr.resummation", "tsr.operators")) == []
+
+
+def test_the_transseries_layer_loads_no_layer_above_it():
+    # nor mpmath: the T1 algebra is exact, and only summing it is numeric
+    layers = ("tsr.surreal", "tsr.resummation", "tsr.operators", "mpmath")
+    assert _loaded_after_import("tsr.transseries", layers) == []

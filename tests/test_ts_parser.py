@@ -28,13 +28,13 @@ class TestParse:
 
     def test_grid_minus(self):
         ts = ts_parse("exp(-2*x)*(1/x + 1/x^2)")
-        assert ts.minus.lam == (2,)
-        assert list(ts.minus.support()) == [(1,)]
+        assert [(g.mu, g.offset) for g in ts.minus] == [(-2, 0)]
+        grid = ts_to_json(ts)["minus"]
+        assert (grid["lambda"], list(grid["series"])) == (["2"], ["1"])
 
     def test_series_literal(self):
         ts = ts_parse("series![1, 0, 1/2]")
-        k0 = (0,) * ts.minus.n
-        assert ts.minus.series_at(k0).coeffs(3) == [1, 0, F(1, 2)]
+        assert ts.minus[0].series.coeffs(3) == [1, 0, F(1, 2)]
 
     def test_powers_and_division(self):
         assert eq_to_order(ts_parse("x^(-3)"), ts_parse("1/x^3"), 8)
