@@ -8,8 +8,10 @@ decaying parts whose JSON grid takes one generator and two, log parts and
 the named series; ``borel`` takes power series in 1/x only.  The JSON grid
 (lambda, beta, keys) of a decaying part is derived from its groups alone
 (``grid.grid_from_groups``), so equal transseries print equal JSON however
-they were built.  Every case exits 0.  Regenerate the corpus (only when an
-output change is intended) with
+they were built.  A case that exits non-zero pins its exit code and stderr
+instead: ``borel`` refuses a transseries with exponential groups rather than
+drop them.  Regenerate the corpus (only when an output change is intended)
+with
 
     PYTHONPATH=src python tests/test_golden_t1.py
 """
@@ -68,7 +70,7 @@ MUL = (
     ("exp(-x)*x^(1/2)/x", "exp(-2*x)/x"),
 )
 
-BOREL = ("#ei", "#stirling", "#erfi/x")
+BOREL = ("#ei", "#stirling", "1/x + 2/x^2 + exp(-x)/x", "#erfi/x")  # the third is refused
 
 CASES = (
     [(verb, e) + flag for e in EXPRESSIONS for verb in ("parse", "diff", "antidiff") for flag in ((), ("--json",))]
@@ -82,11 +84,12 @@ def _key(case) -> str:
 
 
 def _record(case) -> str:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(list(case))
-    assert code == 0, case
-    return buf.getvalue()
+    if code == 0:
+        return out.getvalue()
+    return f"exit {code}\n{out.getvalue()}{err.getvalue()}"
 
 
 @pytest.fixture(scope="module")
