@@ -164,6 +164,12 @@ def _emit_value(ns, payload: dict, text: str) -> None:
         print(text)
 
 
+def _emit_ts(ns, ts) -> None:
+    """A T1 as JSON under --json, else as text.  Only the JSON needs the
+    multi-index grid, which refuses some sums (GridMergeError)."""
+    print(json.dumps(ts_to_json(ts, ns.terms), sort_keys=True) if ns.json else ts_print(ts, ns.terms))
+
+
 def _positional_points(argv: list[str]) -> list[str]:
     """argv with a leading space on each argument of ``eval`` and
     ``integrate`` that starts with one '-' (points like -w or -2*w+1).
@@ -197,12 +203,11 @@ def _dispatch(ns, cfg: QuadratureConfig) -> int:
             ts = ts_diff(ts)
         elif verb == "antidiff":
             ts = ts_antidiff(ts)
-        _emit_value(ns, ts_to_json(ts, ns.terms), ts_print(ts, ns.terms))
+        _emit_ts(ns, ts)
         return 0
 
     if verb == "mul":
-        out = ts_mul_minus(ts_parse(ns.left), ts_parse(ns.right))
-        _emit_value(ns, ts_to_json(out, ns.terms), ts_print(out, ns.terms))
+        _emit_ts(ns, ts_mul_minus(ts_parse(ns.left), ts_parse(ns.right)))
         return 0
 
     if verb == "borel":

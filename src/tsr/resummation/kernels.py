@@ -9,14 +9,17 @@ Closed forms are linear combinations of
 around a single singularity s, plus a polynomial, with a in Z/2; that family
 is closed under P, which is how pole kernels regularize to logs, and each
 closed form sums its own Laplace transform exactly (``ClosedFormKernel.laplace``)
-without a value at any point.  So does the Binet kernel, whose transform is
-ln Gamma less its Stirling part (``CothKernel.laplace``).  The Pade and Airy
-kernels are summed by quadrature: they give their value on the ray and their
-singularities, and keep the mpf constants a node needs once per working
-precision.  A Pade kernel's singularities are its poles, found exactly over
-Q: Descartes' rule of signs with bisection isolates the denominator's real
-positive roots and their orders, and bisection refines each simple one at
-an explicit precision (``positive_roots``).  A pole of order 2 or more has no principal
+without a value at any point.  So do the Binet kernel, whose transform is
+ln Gamma less its Stirling part (``CothKernel.laplace``), and the Airy
+kernel, whose transform is a modified Bessel function of order 1/3
+(``AiryKernel.laplace``).  Pade kernels are summed by quadrature: they give
+their value on the ray and their singularities, and keep the mpf constants a
+node needs once per working precision; the Binet and Airy kernels give their
+values too, as the tests' independent reference for the closed forms.  A
+Pade kernel's singularities are its poles, found exactly over Q: Descartes'
+rule of signs with bisection isolates the denominator's real positive roots
+and their orders, and bisection refines each simple one at an explicit
+precision (``positive_roots``).  A pole of order 2 or more has no principal
 value and is refused.
 
 A series carries its kernel as a :class:`KernelEntry` (kernel, m, c): its
@@ -48,7 +51,7 @@ class Singularity:
 class BorelFunction:
     """Interface shared by every Borel-plane representation: ``growth`` and
     ``taylor``; a closed form adds ``laplace(x, prec)``, a quadrature kernel
-    ``value`` and ``singularities`` (the Binet kernel has both)."""
+    ``value`` and ``singularities`` (the Binet and Airy kernels have both)."""
 
     #: (c1, c3) with |F| <= c1 exp(c3 p) far out; c3 bounds the Laplace domain
     growth: tuple[float, float] = (1.0, 0.0)
@@ -680,8 +683,11 @@ class AiryKernel(BorelFunction):
     branch point at p = 2; side = -1 is ``#airy_u_alt`` (Ai), analytic on
     the Laplace ray.
 
-    A value sums one convergent series (DLMF 15.8), chosen by z so that its
-    ratio is at most 5/8:
+    Its Laplace transform is a modified Bessel function of order 1/3
+    (``laplace``), so no sum evaluates it at a point.  The values stay as
+    the independent reference: the tests integrate them by quadrature and
+    check the transform against the sum.  A value sums one convergent
+    series (DLMF 15.8), chosen by z so that its ratio is at most 5/8:
 
     - |z| <= 3/5: Maclaurin, sum(a_k z^k), a_k = (1/6)_k (5/6)_k / k!^2;
     - 3/5 < z <= 8/5: around z = 1, the case c = a + b of DLMF 15.8.10,
@@ -722,6 +728,26 @@ class AiryKernel(BorelFunction):
         from ..coefficients import airy_u
 
         return [airy_u(k) * self.side**k / math.factorial(k) for k in range(K + 1)]
+
+    def laplace(self, x, prec: int):
+        """integral(e^(-xp) F(side p/2), p = 0..inf) in closed form: a modified
+        Bessel function of order 1/3 (``special.airy_laplace``), within its
+        error bound of the transform.
+
+        A Fraction x is rounded to wp = prec + 21 + max(log2 x, 0) bits
+        first.  That moves the transform by at most 2 (x + 1) 2^-wp of
+        itself, since |x L'(x)| <= (x + 1) L(x) on either side (from the
+        Bessel form and DLMF 10.29.2).  Returns (value, error) as mpf: the
+        sum rounded to ``prec`` bits, and its bound plus |value| 2^(3-prec)
+        for that move, the rounding, and the rational multiple and the
+        prefactor a caller applies at the same precision.  No context
+        precision is read or set, so threads may call it at once.
+        """
+        X = _interval(x, prec + special.GUARD + 1 + max(special.mag(_interval(x, 53)[0]), 0))[0]
+        mid, bound = special.airy_laplace(X, self.side, prec)
+        val = libmp.mpf_pos(mid, prec, libmp.round_nearest)
+        err = libmp.mpf_add(bound, libmp.mpf_shift(libmp.mpf_abs(val), 3 - prec), 53, _UP)
+        return mp.make_mpf(val), mp.make_mpf(err)
 
     def value(self, p):
         re = _airy_f(_at_prec(self._tables, _airy_tables), self.side * mp.mpf(p) / 2)

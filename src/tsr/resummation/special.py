@@ -1,15 +1,19 @@
-"""Ei and the erfi integral in raw ``mpmath.libmp`` arithmetic.
+"""Ei, the erfi integral and the Airy Borel sums in raw ``mpmath.libmp`` arithmetic.
 
 One implementation serves the catalog's real-line oracles and the closed-form
 Laplace transforms of ``ClosedFormKernel``: the convergent series, DLMF 6.6.1
 for Ei (O(x) terms) and 7.6.4 for integral(e^(s^2), s = 0..x) (O(x^2) terms),
 and past the working bits their asymptotic series, DLMF 6.12.2 and 7.12, so
-the work stays bounded at any x.  Every function takes an explicit precision,
-works at ``GUARD`` bits above it and returns an unrounded raw mpf; nothing
-reads or writes a context's precision, so threads may call them at once.
+the work stays bounded at any x.  The Laplace transform of ``AiryKernel``
+(``airy_laplace``) is a modified Bessel function of order 1/3, summed the same
+two ways.  Every function takes an explicit precision, works at ``GUARD``
+bits above it and returns an unrounded raw mpf; nothing reads or writes a
+context's precision, so threads may call them at once.
 """
 
 from __future__ import annotations
+
+import math
 
 from mpmath import libmp
 
@@ -122,3 +126,124 @@ def _erfi_integral_asymptotic(x2, wp):
         term = libmp.mpf_div(libmp.mpf_mul_int(term, 2 * k - 1, wp), two_x2, wp)
         total = libmp.mpf_add(total, term, wp)
     return total
+
+
+def airy_laplace(t, side: int, prec: int):
+    """The Borel sum of the Airy u-series, sum(side^k u_k / t^(k+1)), at a raw
+    t > 0, as raw (value, error bound): the Laplace transform of the kernel
+    2F1(1/6, 5/6; 1; side p/2), averaged past p = 2 for side = +1.  From
+    Ai and Bi in terms of K and I of order 1/3 (DLMF 9.6.1, 9.6.3) and their
+    expansions (DLMF 9.7.5, 9.7.7):
+
+        side = -1:  L(t) = sqrt(2/(pi t)) e^t K_(1/3)(t)
+        side = +1:  L(t) = sqrt(pi/(2t)) e^(-t) (I_(-1/3)(t) + I_(1/3)(t))
+
+    Where the asymptotic series falls to 2^-wp before its terms grow, that
+    series is summed (``_airy_asymptotic``), else the series of I_(-1/3) and
+    I_(1/3) are (``_airy_bessel``).  The working precision wp starts at
+    ``GUARD`` bits above prec and grows until the error bound is below
+    2^-(prec+4) of the value.
+    """
+    wp = prec + GUARD
+    while True:
+        val, err = _airy_asymptotic(t, side, wp) or _airy_bessel(t, side, wp)
+        short = mag(err) - mag(val) + prec + 4  # bits the bound is too coarse by
+        if short <= 0:
+            return val, err
+        wp += short
+
+
+def _airy_asymptotic(t, side: int, wp: int):
+    """(sum(side^k u_k / t^k, k < l) / t, error bound) for the first l whose
+    term has fallen to its own rounding, or None when the terms stop falling
+    before that.
+
+    u_k = (1/6)_k (5/6)_k / (2^k k!), so each term is the one before times
+    r_k = (6k+1)(6k+5) / (72 (k+1) t), compared exactly.  The sum is the
+    expansion of t L(t) from that of K_(1/3) (DLMF 10.40.2): on the ray of t
+    itself for side -1; for side +1, I_(-1/3) + I_(1/3) is the difference of
+    K_(1/3) at t e^(-pi i) and at t e^(pi i) over pi i (DLMF 10.34.2,
+    10.27.4), so t L(t) is the mean of the two expansions, each this sum.
+    On each ray the rest after l terms is at most 2 chi(l) exp(5 pi / (72 t))
+    times the first term left out, with chi(l) = sqrt(pi) Gamma(l/2 + 1) /
+    Gamma(l/2 + 1/2) < sqrt(2 (l+1)) (DLMF 10.40(iii); Olver 1974, ch. 7).
+    The terms are wp-bit fixed-point integers, each floored once; while they
+    fall, term k is below the true one by less than k units, so the sum is
+    off by less than l^2/2 of them.
+    """
+    _, man, exp, _ = t
+    up, down = max(-exp, 0), max(exp, 0)  # t = man 2^exp
+    total, term, k = 0, 1 << wp, 0
+    while term > k:
+        total += term if side > 0 or k % 2 == 0 else -term
+        num, den = (6 * k + 1) * (6 * k + 5) << up, 72 * (k + 1) * man << down
+        if num >= den:
+            return None
+        term, k = term * num // den, k + 1
+    # exp(5 pi / (72 t)) < 2 for t >= 2, and < e^pi < 2^5 for t > 5/72, where r_0 < 1
+    boost = 1 if mag(t) >= 2 else 5
+    units = k * k // 2 + ((math.isqrt(2 * k + 2) + 1) * (term + k) << boost + 1)
+    val = libmp.mpf_div(libmp.from_man_exp(total, -wp), t, wp)
+    err = libmp.mpf_div(libmp.from_man_exp(units, -wp), t, 53, libmp.round_up)
+    return val, libmp.mpf_add(err, libmp.mpf_shift(libmp.mpf_abs(val), 1 - wp), 53, libmp.round_up)
+
+
+def _airy_bessel(t, side: int, wp: int):
+    """(L(t), error bound) from the power series of I_(-1/3) and I_(1/3).
+
+    With y = t^2/4, c = (t/2)^(1/3), g = Gamma(1/3) (``_gamma_third``) and
+    Gamma(2/3) = 2 pi / (sqrt 3 g), Gamma(4/3) = g/3 (DLMF 10.25.2, 10.27.4,
+    5.5.3):
+
+        L(t) = sqrt(2/(pi t)) e^t (g A / (2c) - sqrt 3 pi c B / g)             side -1
+        L(t) = sqrt(3/4) sqrt(2/(pi t)) e^(-t) (g A / (2c) + sqrt 3 pi c B / g)  side +1
+
+    where A = sum((3y)^k / (k! prod(3j+2, j < k))) and B the same with 3j+4.
+    Their terms are positive and summed in fixed point at wq bits; on the
+    side -1 the two parts cancel to about e^(-2t) of each, so wq has
+    2t log2(e) bits more.  After n terms, n below 2^b, the relative error of
+    A and B is below 2^(b+3-wq): the step 3y is rounded once and each term
+    floored twice, and while the terms grow each carries the errors of the
+    ones before it.  The constants, at 10 bits more, add less than a unit,
+    and the products three bits.
+    """
+    extra = int(2.886 * libmp.to_float(t)) + 8 if side < 0 else 0  # 2 log2(e) = 2.8854
+    wq = wp + extra
+    s = libmp.to_fixed(libmp.mpf_shift(libmp.mpf_mul(libmp.mpf_mul(t, t), libmp.from_int(3)), -2), wq)
+    a = b = A = B = 1 << wq
+    n = 0
+    while a:
+        n += 1
+        a = (a * s >> wq) // (n * (3 * n - 1))
+        b = (b * s >> wq) // (n * (3 * n + 1))
+        A += a
+        B += b
+    w2 = wq + 10
+    g = _gamma_third(w2)
+    c = libmp.mpf_cbrt(libmp.mpf_shift(t, -1), w2)
+    pi = libmp.mpf_pi(w2)
+    sqrt3 = libmp.mpf_sqrt(libmp.from_int(3), w2)
+    left = libmp.mpf_div(libmp.mpf_mul(g, libmp.from_man_exp(A, -wq), w2), libmp.mpf_shift(c, 1), w2)
+    right = libmp.mpf_div(libmp.mpf_mul(libmp.mpf_mul(sqrt3, pi, w2), libmp.mpf_mul(c, libmp.from_man_exp(B, -wq), w2), w2), g, w2)
+    d = libmp.mpf_add(left, right if side > 0 else libmp.mpf_neg(right))  # exact
+    pre = libmp.mpf_sqrt(libmp.mpf_div(libmp.ftwo, libmp.mpf_mul(pi, t, w2), w2), w2)
+    pre = libmp.mpf_mul(pre, libmp.mpf_exp(libmp.mpf_neg(t) if side > 0 else t, w2), w2)
+    if side > 0:
+        pre = libmp.mpf_mul(pre, libmp.mpf_shift(sqrt3, -1), w2)
+    val = libmp.mpf_mul(pre, d, wq)
+    bound = mag(pre) + max(mag(left), mag(right)) + n.bit_length() + 6 - wq
+    err = libmp.mpf_add(libmp.mpf_shift(libmp.fone, bound), libmp.mpf_shift(libmp.fone, mag(val) + 2 - wq), 53, libmp.round_up)
+    return val, err
+
+
+def _gamma_third(prec: int):
+    """Gamma(1/3) as a raw mpf, good to a unit at prec bits, from the AGM:
+    Gamma(1/3)^3 = 2^(4/3) pi^2 / (3^(1/4) agm(1, (sqrt 6 + sqrt 2) / 4)),
+    the complete elliptic integral at the singular value k_3 = sin(pi/12)
+    (Borwein & Borwein, *Pi and the AGM*, 1987, ch. 1; DLMF 19.8.5)."""
+    wp = prec + 10
+    pi = libmp.mpf_pi(wp)
+    k = libmp.mpf_shift(libmp.mpf_add(libmp.mpf_sqrt(libmp.from_int(6), wp), libmp.mpf_sqrt(libmp.from_int(2), wp), wp), -2)
+    den = libmp.mpf_mul(libmp.mpf_sqrt(libmp.mpf_sqrt(libmp.from_int(3), wp), wp), libmp.mpf_agm(libmp.fone, k, wp), wp)
+    num = libmp.mpf_shift(libmp.mpf_mul(libmp.mpf_cbrt(libmp.ftwo, wp), libmp.mpf_mul(pi, pi, wp), wp), 1)
+    return libmp.mpf_cbrt(libmp.mpf_div(num, den, wp), prec)

@@ -310,6 +310,23 @@ class TestJsonRoundTrips:
 
         assert eq_to_order(ts_diff(back), direct, 10)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("parse", "exp(-x) + exp(-2*x)*x^(1/2)"),
+            ("diff", "exp(-x) + exp(-2*x)*x^(1/2)"),
+            ("antidiff", "exp(-x) + exp(-2*x)*x^(1/2)"),
+            ("mul", "1/x", "exp(-x) + exp(-2*x)*x^(1/2)"),
+        ],
+    )
+    def test_text_form_builds_no_json_grid(self, cli, argv):
+        # rate 2 at offset 1/2 needs a generator commensurate with rate 1, so
+        # the JSON grid refuses the result; the text form prints it
+        code, out, _ = cli(*argv)
+        assert code == 0 and out.startswith("exp(-x)*(")
+        code, out, err = cli(*argv, "--json")
+        assert (code, out) == (1, "") and "GridMergeError" in err
+
     def test_normal_form_json_reparses(self, cli):
         code, out, _ = cli("eval", "ei", "omega", "--terms", "4", "--json")
         payload = json.loads(out)

@@ -323,6 +323,32 @@ def test_binet_laplace_bit_identical_from_16_threads():
     assert mp.mp.prec == prec
 
 
+def test_airy_laplace_bit_identical_from_16_threads():
+    # both Airy Borel sums at three points and four precisions: 1/2 and 15
+    # through the series of I_(+-1/3), 10^6 through the asymptotic series;
+    # each thread takes every case from a different start, the threads run
+    # before the serial reference, and no precision leaks between threads or
+    # into the context, ten rounds in a row
+    import mpmath as mp
+    from mpmath import libmp
+
+    from tsr.resummation import AiryKernel
+
+    kernels = {side: AiryKernel(side) for side in (1, -1)}
+    cases = [(side, x, libmp.dps_to_prec(d)) for side in (1, -1) for x in (F(1, 2), 15, 10**6) for d in (15, 30, 50, 100)]
+
+    def raw(k: int) -> list:
+        start = k % len(cases)
+        out = {i: kernels[cases[i][0]].laplace(*cases[i][1:]) for i in [*range(start, len(cases)), *range(start)]}
+        return [(v._mpf_, e._mpf_) for v, e in (out[i] for i in range(len(cases)))]
+
+    prec = mp.mp.prec
+    rounds = [_pull_together(raw, workers=16) for _ in range(10)]
+    serial = raw(0)
+    assert all(r == serial for results in rounds for r in results)
+    assert mp.mp.prec == prec
+
+
 def test_pade_poles_bit_identical_from_16_threads():
     # the exact pole search of the #ei + #erfi fit (11 poles on [1, 54]) at
     # four precisions, each thread taking them in a different order, on a

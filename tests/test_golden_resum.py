@@ -4,9 +4,9 @@ The corpus in ``golden/resum_values.json`` pins the exact mpf results of the
 numeric resummation path: sums of scaled Ei series through the registered
 pole kernel, catalog ``eb_value`` through the closed-form kernels (airy_ai
 through the Airy kernel at -p/2, analytic on the ray; airy_bi at x = 8
-through the one at +p/2, whose log branch point at p = 2 gets a window
-between smooth spans; ei, loggamma, gamma, and erfi_integral's square-root
-branch), ``laplace`` of the log and square-root branch kernels, and the
+through the one at +p/2, averaged past its log branch point at p = 2, both
+as Bessel functions of order 1/3; ei, loggamma, gamma, and erfi_integral's
+square-root branch), ``laplace`` of the log and square-root branch kernels, and the
 stdout of one ``tsr sum`` through the coth kernel.  Each value also lies
 within its reported error, and within its tolerance, of an mpmath
 reference.  Values and error estimates are stored as raw

@@ -16,6 +16,7 @@ from tsr.errors import DegenerateTableError, GrowthBoundViolated, SingularPointE
 from tsr.coefficients import NAMED_SERIES, named_series
 from tsr.operators import antidiff_no, catalog
 from tsr.resummation import (
+    AiryKernel,
     BorelPoly,
     ClosedFormKernel,
     CothKernel,
@@ -268,13 +269,16 @@ def test_groups_at_commensurate_rates_keep_their_kernels(expr, parts):
 @pytest.mark.parametrize("x", [10**3, 2 * 10**3, 10**5, 10**8])
 def test_quadrature_sum_at_large_x(name, x):
     # e^(-xp) F(p) lives in p < 1/x: the first panel is cut at 64/x, 128/x, ...
-    val, err = eb_sum(ts_parse(f"#{name}"), x, CFG)
+    # (#stirling's closed form at large x, and the Airy kernel's quadrature)
+    if name == "stirling":
+        val, err = eb_sum(ts_parse(f"#{name}"), x, CFG)
+    else:
+        val, err = laplace(quadrature_kernel(name), x, CFG)
     with mp.workdps(CFG.precision + 20):
         if name == "stirling":
             ref = named_closed_form(name, mp.mpf(x))
         else:
-            z = (mp.mpf(3 * x) / 2) ** (mp.mpf(2) / 3)
-            ref = mp.sqrt(mp.pi) * z ** (mp.mpf(1) / 4) * mp.exp(-x) * mp.airybi(z) / x
+            ref = airy_sum(1, mp.mpf(x))
         assert abs(val - ref) <= err
         assert mp.nstr(val, 20) == mp.nstr(ref, 20)
 
@@ -414,30 +418,40 @@ def counted_evaluations(monkeypatch, run) -> int:
     return counter[0]
 
 
+def quadrature_kernel(name: str) -> QuadratureOnly:
+    """The registered kernel of #name, summed by quadrature."""
+    return QuadratureOnly(named_series(name).kernel.kernel)
+
+
 @pytest.mark.parametrize("name", ["airy_u", "airy_u_alt"])
 def test_work_does_not_grow_with_the_precision(monkeypatch, name):
     # the quadrature's panels stop at the tolerance, so 100 digits cost about
     # what 30 do
+    kernel = quadrature_kernel(name)
     evals = {
-        digits: counted_evaluations(monkeypatch, lambda: eb_sum(ts_parse(f"#{name}"), 10, QuadratureConfig(precision=digits)))
+        digits: counted_evaluations(monkeypatch, lambda: _laplace_mod.laplace(kernel, 10, QuadratureConfig(precision=digits)))
         for digits in (30, 100)
     }
     assert 0 < evals[100] <= 1.5 * evals[30]
 
 
+CATALOG_SUMS = ("loggamma", "gamma", "airy_ai", "airy_bi")
+
+
 @pytest.mark.parametrize(
-    "expr", ["#ei", "-3/7*#erfi", "#stirling", "exp(x)/x", "exp(-x)/x", "x*exp(2*x)*series![1, 2, 3]", "loggamma", "gamma"]
+    "expr",
+    ["#ei", "-3/7*#erfi", "#stirling", "#airy_u", "#airy_u_alt", "exp(x)/x", "exp(-x)/x", "x*exp(2*x)*series![1, 2, 3]", *CATALOG_SUMS],
 )
 def test_closed_form_kernels_evaluate_no_node(monkeypatch, expr):
-    # #ei, #erfi, #stirling (Binet's function) and the kernels ts_antidiff
-    # derives (a pole at 1 taken at m = 1, a pole at -1, a log at 2) sum their
-    # Laplace integrals in closed form, and so do log Gamma and Gamma, at
-    # every precision
-    if expr in ("loggamma", "gamma"):
+    # #ei, #erfi, #stirling (Binet's function), both Airy series (Bessel
+    # functions of order 1/3) and the kernels ts_antidiff derives (a pole at
+    # 1 taken at m = 1, a pole at -1, a log at 2) sum their Laplace integrals
+    # in closed form, and so do log Gamma, Gamma, Ai and Bi, at every precision
+    if expr in CATALOG_SUMS:
         runs = [lambda d=d: catalog()[expr].eb_value(3, QuadratureConfig(precision=d)) for d in (30, 50, 100)]
     else:
         ts = ts_parse(expr) if "#" in expr else ts_antidiff(ts_parse(expr))
-        assert all(isinstance(g.series.kernel.kernel, (ClosedFormKernel, CothKernel)) for g in groups_of(ts))
+        assert all(isinstance(g.series.kernel.kernel, (ClosedFormKernel, CothKernel, AiryKernel)) for g in groups_of(ts))
         runs = [lambda d=d: eb_sum(ts, 7, QuadratureConfig(precision=d)) for d in (30, 40, 100)]
     assert [counted_evaluations(monkeypatch, run) for run in runs] == [0, 0, 0]
 
@@ -451,6 +465,20 @@ def test_binet_closed_form_is_the_kernel_quadrature(x, digits):
     tol = 10.0 ** (8 - digits)
     quad, quad_err = laplace(QuadratureOnly(CothKernel()), x, QuadratureConfig(abs_tol=tol, rel_tol=100 * tol, precision=digits))
     val, err = CothKernel().laplace(x, libmp.dps_to_prec(digits))
+    assert abs(quad - val) <= quad_err + err
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+@pytest.mark.parametrize("x", [3, 10, 1000])
+@pytest.mark.parametrize("side", [1, -1])
+def test_airy_closed_form_is_the_kernel_quadrature(side, x, digits):
+    # the Bessel form checked against the kernel itself, as for Binet: the
+    # 2F1 values summed by quadrature (a log window at p = 2 on the Bi side)
+    # give the closed form within the quadrature's error
+    tol = 10.0 ** (8 - digits)
+    cfg = QuadratureConfig(abs_tol=tol, rel_tol=100 * tol, precision=digits)
+    quad, quad_err = laplace(QuadratureOnly(AiryKernel(side)), x, cfg)
+    val, err = AiryKernel(side).laplace(x, libmp.dps_to_prec(digits))
     assert abs(quad - val) <= quad_err + err
 
 
@@ -484,11 +512,40 @@ CALIBRATION = sorted(
     "name, x, digits", CALIBRATION, ids=[f"{n}-{x}" + (f"-{d}" if d != 30 else "") for n, x, d in CALIBRATION]
 )
 def test_catalog_value_is_within_its_reported_error(name, x, digits):
-    # every catalog kernel is a closed form, so the quadrature's error is the
-    # whole error, down to airy_bi at 3 (a Pade fit's was not in the report)
+    # every catalog kernel is a closed form, so the reported error bounds
+    # the rounding, down to airy_bi at 3 (a Pade fit's was not in the report)
     val, err = catalog()[name].eb_value(x, QuadratureConfig(precision=digits))
     with mp.workdps(digits + 30):
         assert abs(val - CATALOG_REFS[name](mp.mpf(x))) <= err
+
+
+def airy_sum(side: int, x):
+    """The Borel sum of #airy_u (side 1) or #airy_u_alt (side -1) at x, from
+    mpmath's Bi or Ai at z = (3x/2)^(2/3) (DLMF 9.7.5, 9.7.7)."""
+    z = (3 * x / 2) ** (mp.mpf(2) / 3)
+    if side > 0:
+        return mp.sqrt(mp.pi) * z ** (mp.mpf(1) / 4) * mp.exp(-x) * mp.airybi(z) / x
+    return 2 * mp.sqrt(mp.pi) * z ** (mp.mpf(1) / 4) * mp.exp(x) * mp.airyai(z) / x
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 100])
+@pytest.mark.parametrize("x", ["1/2", "3", "15", "1000", "1000000"])
+@pytest.mark.parametrize("name", ["#airy_u", "#airy_u_alt", "airy_ai", "airy_bi"])
+def test_airy_sums_within_their_reported_error(name, x, digits):
+    # the Airy Borel sums in closed form, from x = 1/2, where the power
+    # series of I_(+-1/3) are summed, to 10^6, where the asymptotic series is
+    x = F(x)
+    cfg = QuadratureConfig(precision=digits)
+    if name.startswith("#"):
+        val, err = eb_sum(ts_parse(name), x, cfg)
+    else:
+        val, err = catalog()[name].eb_value(x, cfg)
+    with mp.workdps(digits + 30):
+        if name.startswith("#"):
+            ref = airy_sum(1 if name == "#airy_u" else -1, mp_fraction(x))
+        else:
+            ref = CATALOG_REFS[name](mp_fraction(x))
+        assert abs(val - ref) <= err
 
 
 @pytest.mark.parametrize("digits", [15, 30, 50, 100])
@@ -510,8 +567,13 @@ def test_gamma_and_log_gamma_within_their_reported_error(name, x, digits):
 @pytest.mark.parametrize("name, x, parent", [("airy_ai", 3, 847), ("airy_bi", 8, 422)])
 def test_spans_take_half_the_kernel_evaluations(monkeypatch, name, x, parent):
     # parent: the count when tanh-sinh summed the smooth spans; the nested
-    # Clenshaw-Curtis panels make 201 and 178 evaluations
-    run = lambda: catalog()[name].eb_value(x, QuadratureConfig(precision=50))
+    # Clenshaw-Curtis panels make 201 and 178 evaluations of the entry's
+    # kernel, summed by quadrature at its critical time
+    entry = catalog()[name]
+    with mp.workdps(50):
+        t = entry.critical_time(x)
+    kernel = QuadratureOnly(groups_of(entry.transseries)[0].series.kernel.kernel)
+    run = lambda: _laplace_mod.laplace(kernel, t, QuadratureConfig(precision=50))
     assert 0 < counted_evaluations(monkeypatch, run) <= parent / 2
 
 
@@ -614,10 +676,10 @@ def test_laplace_leaves_mpmath_node_caches_alone():
     cfg = QuadratureConfig(precision=15)
     pade = PadeKernel([F(1)], [F(1), F(-1)])
     for i in range(50):
-        # a Pade pole has a Gauss-Legendre PV window, #airy_u a log point
-        # between tanh-sinh panels
+        # a Pade pole has a Gauss-Legendre PV window, the Airy kernel a log
+        # point between tanh-sinh panels
         x = 5 + mp.mpf(i) / 7
-        laplace(pade, x, cfg) if i % 2 else eb_sum(ts_parse("#airy_u"), x, cfg)
+        laplace(pade if i % 2 else quadrature_kernel("airy_u"), x, cfg)
     assert [(len(r.interval_count), len(r.transformed_cache)) for r in rules] == sizes
 
 
