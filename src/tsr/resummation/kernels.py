@@ -13,9 +13,9 @@ without a value at any point.  So do the Binet kernel, whose transform is
 ln Gamma less its Stirling part (``CothKernel.laplace``), and the Airy
 kernel, whose transform is a modified Bessel function of order 1/3
 (``AiryKernel.laplace``).  Pade kernels are summed by quadrature: they give
-their value on the ray and their singularities, and keep the mpf constants a
-node needs once per working precision; the Binet and Airy kernels give their
-values too, as the tests' independent reference for the closed forms.  A
+their value on the ray, correctly rounded from integer coefficients that no
+precision changes, and their singularities; the Binet and Airy kernels give
+their values too, as the tests' independent reference for the closed forms.  A
 Pade kernel's singularities are its poles, found exactly over Q: Descartes'
 rule of signs with bisection isolates the denominator's real positive roots
 and their orders, and bisection refines each simple one at an explicit
@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 from mpmath import libmp
 
-from ..errors import DegenerateTableError, NotRegularizableError, SingularPointError
+from ..errors import DegenerateTableError, DomainError, NotRegularizableError, SingularPointError
 from . import special
 from .borel import BorelPoly, borel_transform, p_integrate_poly
 
@@ -278,6 +278,13 @@ def _c2mp(q: Fraction):
     return mp.mpf(q.numerator) / q.denominator
 
 
+def _integers(coeffs: Sequence[Fraction]) -> list[int]:
+    """The coefficients times the lcm of their denominators: integers in
+    the same ratios."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (lcm // c.denominator) for c in coeffs]
+
+
 def _at_prec(cache: dict, build: Callable, prec: Optional[int] = None):
     """build()'s value at a precision, by default the working precision,
     built once per precision and kept in ``cache``; a lost race between
@@ -326,8 +333,7 @@ def positive_roots(coeffs: Sequence[Fraction], prec: int) -> list[tuple[Fraction
         raise DegenerateTableError(
             f"the denominator's leading coefficient is 0: its degree drops from {len(coeffs) - 1} to {len(coeffs) - 1 - drop}"
         )
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    a = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    a = _integers(coeffs)
     low = next(i for i, c in enumerate(a) if c)  # p = 0 is no positive root
     g = math.gcd(*a)
     a = [c // g for c in a[low:]]
@@ -446,13 +452,13 @@ class PadeKernel(BorelFunction):
     """Rational approximant; its real positive poles become singularities.
 
     A rational function is single-valued: its value is its average.  The
-    exact ``num`` and ``den`` are converted to mpf once per working precision
-    (keyed by ``mp.mp.prec``) and kept on the instance, because a Laplace
-    integral evaluates the kernel at thousands of nodes.  The poles are
-    found exactly over Q (``positive_roots``) once per precision and kept
-    the same way.  This is safe: the coefficients are immutable and each
-    mpf or pole is a pure function of (coefficients, precision), so a lost
-    race between threads writes equal lists.
+    exact ``num`` and ``den`` are cleared once, in ``__init__``, to integer
+    lists over one common denominator, which no precision changes, so no mpf
+    copy of them is kept; ``value`` reads the working precision only to round
+    its result.  The poles are found exactly over Q (``positive_roots``) once
+    per precision and kept on the instance.  This is safe: the coefficients
+    are immutable and each pole list is a pure function of (coefficients,
+    precision), so a lost race between threads writes equal lists.
     """
 
     def __init__(self, num: Sequence[Fraction], den: Sequence[Fraction], growth=(2.0, 1.0), name: str = ""):
@@ -461,11 +467,8 @@ class PadeKernel(BorelFunction):
         self.growth = growth
         self.name = name
         self._poles: dict[int, list] = {}
-        self._mp_coeffs: dict[int, tuple[list, list]] = {}
-
-    def _coeffs_at_prec(self) -> tuple[list, list]:
-        """num and den as mpf at the working precision, converted on first use."""
-        return _at_prec(self._mp_coeffs, lambda: ([_c2mp(c) for c in self.num], [_c2mp(c) for c in self.den]))
+        cleared = _integers(self.num + self.den)
+        self._int_num, self._int_den = cleared[: len(self.num)], cleared[len(self.num) :]
 
     def real_positive_poles(self, prec: int) -> list[tuple[Fraction, int]]:
         """The denominator's distinct real positive roots with their orders,
@@ -496,13 +499,57 @@ class PadeKernel(BorelFunction):
         return out
 
     def value(self, p):
-        p = mp.mpf(p)
-        num_mp, den_mp = self._coeffs_at_prec()
-        num = _horner(num_mp, p)
-        den = _horner(den_mp, p)
-        if den == 0:
+        """num(p)/den(p) at p's mpf, correctly rounded to the working precision.
+
+        p (a Fraction is converted as ``laplace`` converts x) is a dyadic
+        m 2^e.  Both integer lists are evaluated by Horner's rule in fixed
+        point with F = max(wp + 40, -e) fraction bits, so the node is exact
+        and each step truncates by less than a unit: for |p| < 2^g the sum is
+        within deg 2^(g deg) + 1 units.  One division at wp + 80 bits gives
+        the quotient with a bound; when both ends of that interval round to
+        the same wp-bit mpf, it is the value (Ziv, ACM TOMS 17, 1991).
+        Otherwise both are evaluated exactly on m, and a zero denominator
+        raises SingularPointError.  A non-finite p raises DomainError.
+        """
+        wp = mp.mp.prec
+        if isinstance(p, Fraction):
+            p = _c2mp(p)
+        elif not isinstance(p, mp.mpf):
+            p = mp.mpf(p)
+        sign, man, exp, bc = p._mpf_
+        if not man and p._mpf_ != libmp.fzero:
+            raise DomainError(f"Pade kernel at the non-finite point p = {p}")
+        if sign:
+            man = -man
+        frac = max(wp + 40, -exp)
+        node, g = man << (exp + frac), max(0, exp + bc)  # p 2^F exactly; |p| < 2^g
+        a, ea = _fixed_horner(self._int_num, node, frac, g)
+        b, eb = _fixed_horner(self._int_den, node, frac, g)
+        margin = abs(b) - eb
+        if margin > 0:
+            s = wp + 80 - a.bit_length() + b.bit_length()
+            q = (a << s) // b if s >= 0 else a // (b << -s)  # a/b 2^s, to below a unit
+            # |num/den - a/b| 2^s <= (ea 2^s + |a/b| 2^s eb) / (|b| - eb)
+            err = ((((ea << s) if s >= 0 else ea) + (abs(q) + 1) * eb) >> (margin.bit_length() - 1)) + 2
+            lo = libmp.from_man_exp(q - err, -s, wp, libmp.round_nearest)
+            if lo == libmp.from_man_exp(q + err, -s, wp, libmp.round_nearest):
+                return mp.make_mpf(lo)
+        n = max(len(self._int_num), len(self._int_den)) - 1
+        num, den = (_horner(_on_grid(c + [0] * (n + 1 - len(c)), -exp), man) for c in (self._int_num, self._int_den))
+        if not den:
             raise SingularPointError(f"Pade pole at p = {p}")
-        return num / den
+        return mp.make_mpf(libmp.from_rational(num, den, wp, libmp.round_nearest))
+
+
+def _fixed_horner(coeffs: list, node: int, frac: int, g: int) -> tuple[int, int]:
+    """c(p) 2^frac for integers c at p = node 2^-frac, |p| < 2^g, by Horner's
+    rule in fixed point, and a bound on its error in units: each step
+    truncates by less than one, which the later steps multiply by |p|."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = ((acc * node) >> frac) + (c << frac)
+    deg = max(len(coeffs) - 1, 0)
+    return acc, (deg << (g * deg)) + 1
 
 
 @dataclass(frozen=True)
@@ -865,17 +912,25 @@ def pade_continue(b: BorelPoly, degrees: tuple[int, int]) -> PadeKernel:
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """The solution x of rows x = rhs over Q, by fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968) on the augmented rows cleared
+    to integers: every division is exact, and the right-hand column ends as
+    d x, d the last pivot.  Each pivot is the first nonzero entry down its
+    column, as elimination over Q finds it, so DegenerateTableError is raised
+    exactly when the system is singular."""
     n = len(rows)
-    a = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
+    a = [_integers([*row, v]) for row, v in zip(rows, rhs)]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             raise DegenerateTableError("singular Pade system")
         a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
+        top = a[col]
+        d = top[col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+            f = a[r][col]
+            if r != col:
+                a[r] = [(d * v - f * w) // prev for v, w in zip(a[r], top)]
+        prev = d
+    return [Fraction(row[n], prev) for row in a]

@@ -12,8 +12,9 @@ modified Bessel functions of order 1/3; their reported error is a bound on
 the rounding.
 
 Quadrature, with level-difference estimates, remains for the Pade kernels,
-which give their value at a point and their singularities on the ray (the
-poles), and for the tests, which sum a closed-form kernel's values by
+which give their value at a point, correctly rounded from integer
+coefficients with no per-precision mpf cache, and their singularities on
+the ray (the poles), and for the tests, which sum a closed-form kernel's values by
 quadrature to check its transform (the Airy kernel's log branch point
 takes the tanh-sinh halves).  A Pade kernel's poles are its denominator's
 real positive roots, isolated exactly over Q and refined by bisection at

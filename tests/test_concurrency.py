@@ -107,7 +107,9 @@ def test_pade_coefficients_convert_race_free():
     from tsr.transseries import groups_of
 
     # the generic (11, 11) Pade kernel of the Airy series, as `tsr sum` fits
-    # it: 24 rationals of up to 337 digits, poles from p = 2.02 on
+    # it: 24 rationals of up to 337 digits, poles from p = 2.02 on.  They are
+    # cleared to integers when the kernel is built, and no per-precision mpf
+    # copy is kept, so `value` reads nothing that is written after that
     series = groups_of(ts_parse("#airy_u"))[0].series
     points = [mp.mpf(k) / 32 for k in range(64)]
     with mp.workdps(30):  # one precision for every thread

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 from conftest import QuadratureOnly
-from tsr.errors import DegenerateTableError, GrowthBoundViolated, SingularPointError
+from tsr.errors import DegenerateTableError, DomainError, GrowthBoundViolated, SingularPointError
 from tsr.coefficients import NAMED_SERIES, named_series
 from tsr.operators import antidiff_no, catalog
 from tsr.resummation import (
@@ -719,27 +719,82 @@ def pade_kernels():
     return st.builds(PadeKernel, num, den)
 
 
-def fraction_horner(coeffs, p):
-    """Horner over Fraction coefficients, each converted at the precision in force."""
-    out = mp.mpf(0)
-    for c in reversed(coeffs):
-        out = out * p + mp.mpf(c.numerator) / c.denominator
-    return out
+def dyadic(p) -> F:
+    """An mpf's exact value."""
+    sign, man, exp, _ = p._mpf_
+    return F(-man if sign else man) * F(2) ** exp
+
+
+def rounded(k, p):
+    """num(p)/den(p) in Fractions at p's exact value, rounded once to nearest
+    at the precision in force; None when den(p) = 0."""
+    x = dyadic(p)
+    den = sum(c * x**i for i, c in enumerate(k.den))
+    if den == 0:
+        return None
+    r = sum(c * x**i for i, c in enumerate(k.num)) / den
+    return mp.make_mpf(libmp.from_rational(r.numerator, r.denominator, mp.mp.prec, libmp.round_nearest))
 
 
 class TestKernelProperties:
     @PROPERTY
     @given(pade_kernels(), DIGITS, st.lists(POINTS, min_size=1, max_size=3))
     def test_pade_value_follows_the_precision_in_force(self, k, digits, points):
-        # one instance evaluated at every precision in turn: converted
-        # coefficients kept from an earlier precision must never be reused
+        # one instance evaluated at every precision in turn, up and down: each
+        # value is the exact R(p) rounded once at the precision in force
         for dps in digits + digits[::-1]:
             with mp.workdps(dps):
                 for x in points:
                     p = mp.mpf(x)
-                    den = fraction_horner(k.den, p)
-                    assume(den != 0)
-                    assert k.value(p) == fraction_horner(k.num, p) / den
+                    ref = rounded(k, p)
+                    if ref is None:
+                        with pytest.raises(SingularPointError):
+                            k.value(p)
+                    else:
+                        assert k.value(p) == ref
+
+    @pytest.mark.parametrize(
+        "num, den, p",
+        [
+            ([F(-3, 4), F(1)], [F(1), F(1, 7)], mp.mpf(0.75)),  # a dyadic zero of num
+            ([F(-3, 4), F(1)], [F(1), F(1, 7)], F(3, 4)),
+            ([F(1)], [F(1), F(-4, 5)], mp.mpf(1.25)),  # a dyadic root of den
+            ([F(1)], [F(1), F(2)], mp.mpf(-0.5)),
+            ([F(-1, 2**200), F(1)], [F(1), F(1)], mp.ldexp(1, -200)),
+            ([F(1)], [F(1), F(2**200)], -mp.ldexp(1, -200)),
+            ([F(1, 3), F(-2, 3), F(1, 3)], [F(1), F(-3, 2)], mp.mpf(1) + mp.ldexp(1, -60)),  # num 2^-120/3
+            ([F(1, 3), F(2, 3), F(1, 3)], [F(1), F(-3, 2)], -mp.mpf(1) - mp.ldexp(1, -60)),
+        ],
+    )
+    def test_pade_value_exact_fallback(self, monkeypatch, num, den, p):
+        # where the fixed-point quotient cannot decide the rounding, num and den
+        # are evaluated exactly on p's mantissa: a zero is exactly 0, a root
+        # of den raises, anything else is rounded once
+        from tsr.resummation import kernels
+
+        calls, horner = [], kernels._horner
+        monkeypatch.setattr(kernels, "_horner", lambda c, x: calls.append(x) or horner(c, x))
+        k = PadeKernel(num, den)
+        for dps in (15, 50, 15):
+            with mp.workdps(dps):
+                ref = rounded(k, p if isinstance(p, mp.mpf) else mp.mpf(p.numerator) / p.denominator)
+                if ref is None:
+                    with pytest.raises(SingularPointError):
+                        k.value(p)
+                else:
+                    assert k.value(p) == ref
+        assert calls
+
+    def test_pade_value_refuses_a_non_finite_point(self):
+        k = PadeKernel([F(1), F(2)], [F(1), F(1, 3)])
+        for p in (mp.inf, -mp.inf, mp.nan):
+            with pytest.raises(DomainError):
+                k.value(p)
+
+    def test_pade_value_takes_a_fraction_as_laplace_does(self):
+        k = PadeKernel([F(1), F(2)], [F(1), F(1, 3)])
+        with mp.workdps(40):
+            assert k.value(F(1, 3)) == k.value(mp.mpf(1) / 3) == rounded(k, mp.mpf(1) / 3)
 
     def test_coth_value_is_closed_form_or_taylor(self):
         from tsr.coefficients import coth_kernel_coeff
@@ -755,3 +810,64 @@ class TestKernelProperties:
                 else:
                     ref = (p * mp.coth(p / 2) - 2) / (2 * p**2)
                 assert k.value(p) == ref
+
+
+def reference_pade(b, m, n):
+    """(num, den) of the (m, n) Pade approximant to b, by Gauss-Jordan
+    elimination over Fractions with the first nonzero pivot down each column;
+    None where that finds the Toeplitz system singular."""
+    c = [b.coeff(k) for k in range(m + n + 1)]
+    a = [[c[m + i - j] if m + i - j >= 0 else F(0) for j in range(1, n + 1)] + [-c[m + i]] for i in range(1, n + 1)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and f:
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    den = [F(1)] + [row[n] for row in a]
+    return [sum(den[j] * c[k - j] for j in range(min(k, n) + 1)) for k in range(m + 1)], den
+
+
+def borel_polys(size=25):
+    """Small rationals, each followed by a run of up to 8 zeros: the runs
+    make many Toeplitz blocks singular."""
+    small = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+    runs = st.lists(st.tuples(small, st.integers(0, 8)), min_size=1, max_size=size)
+    return runs.map(lambda rs: BorelPoly(tuple(([x for c, z in rs for x in [c] + [F(0)] * z] + [F(0)] * size)[:size])))
+
+
+class TestFractionFreeSolve:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(borel_polys(), st.integers(0, 11), st.integers(1, 11))
+    @example(BorelPoly((F(1),) + (F(0),) * 24), 1, 2)
+    @example(BorelPoly((F(1),) * 25), 11, 11)
+    def test_pade_continue_matches_gauss_jordan(self, b, m, n):
+        ref = reference_pade(b, m, n)
+        if ref is None:
+            with pytest.raises(DegenerateTableError):
+                pade_continue(b, (m, n))
+        else:
+            k = pade_continue(b, (m, n))
+            assert (list(k.num), list(k.den)) == ref
+
+    @PROPERTY
+    @given(borel_polys())
+    @example(BorelPoly((F(1),) * 25))
+    @example(BorelPoly((F(0),) * 25))
+    @example(BorelPoly(tuple(F(1, factorial(k)) for k in range(25))))
+    def test_resolve_default_steps_down_alike(self, b):
+        from tsr.resummation import inverse_borel
+
+        found = ((d, reference_pade(b, d, d)) for d in range(11, 0, -1))
+        d, ref = next(((d, ref) for d, ref in found if ref is not None), (None, None))
+        if ref is None:
+            with pytest.raises(DegenerateTableError):
+                resolve_default(inverse_borel(b))
+        else:
+            k = resolve_default(inverse_borel(b)).kernel
+            assert k.name == f"pade({d},{d})"
+            assert (list(k.num), list(k.den)) == ref
