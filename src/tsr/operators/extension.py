@@ -205,6 +205,7 @@ def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFu
     if not a.prefactor.is_one() or not b.prefactor.is_one():
         raise UnsupportedPointError("combining entries with symbolic prefactors")
     ca, cb = Fraction(ca), Fraction(cb)
+    degrees = (a.taylor_degree, b.taylor_degree)  # a polynomial's Taylor series ends at its degree
 
     def taylor(x0, k):
         ta, tb = a.taylor_term(x0, k), b.taylor_term(x0, k)
@@ -226,6 +227,7 @@ def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFu
         ln2pi_coef=a.ln2pi_coef * ca + b.ln2pi_coef * cb,
         domain_c=max(filter(lambda v: v is not None, [a.domain_c, b.domain_c]), default=None),
         tolerance=max(a.tolerance, b.tolerance),
+        taylor_degree=None if None in degrees else max(degrees),
     )
 
 

@@ -53,9 +53,10 @@ multiple its ``KernelEntry`` keeps, or the one ``ts_antidiff`` derives).
 The tolerance applies to the kernel's own Laplace integral, before the
 multiple and the transmonomial scale it.  A finite series is its own sum.
 Only an infinite series that carries no kernel is summed through an exact
-Pade fit.  Four operations drop a kernel: a sum of series with different
-kernels, ``PowerSeries.mul``, ``shift_down`` and ``diff_combo``; so does an
-antiderivative for which ``ts_antidiff`` derives no kernel.
+Pade fit.  Three operations drop a kernel: a sum (``PowerSeries.sum``) of
+series with different kernels or with a shifted part, ``PowerSeries.mul``
+and ``diff_combo``; so does an antiderivative for which ``ts_antidiff``
+derives no kernel.
 """
 
 from __future__ import annotations

@@ -6,6 +6,10 @@ from fractions import Fraction
 
 from .errors import ExpressionSyntaxError
 
+#: the deepest parentheses either grammar reads; its recursion stays far
+#: below Python's limit
+MAX_NESTING = 100
+
 
 class Scanner:
     """A cursor over ``text`` that skips whitespace before every token."""
@@ -13,6 +17,7 @@ class Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -36,6 +41,19 @@ class Scanner:
     def expect(self, word: str):
         if not self.take(word):
             raise ExpressionSyntaxError(f"expected {word!r}", self.pos)
+
+    def parenthesized(self, parse):
+        """``parse(self)`` between parentheses, refused at an opening one
+        nested more than MAX_NESTING deep."""
+        self.skip()
+        if self.depth == MAX_NESTING:
+            raise ExpressionSyntaxError(f"parentheses nested more than {MAX_NESTING} deep", self.pos)
+        self.expect("(")
+        self.depth += 1
+        value = parse(self)
+        self.depth -= 1
+        self.expect(")")
+        return value
 
     def rational(self) -> Fraction:
         """An optionally signed integer, or n/d when a digit follows the slash."""

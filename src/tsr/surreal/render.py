@@ -95,9 +95,7 @@ def _parse_monomial(sc: Scanner, coef: Fraction) -> SurrealNF:
         return SurrealNF.monomial(SurrealNF.from_rational(1), coef)
     ch = sc.peek()
     if ch == "(":
-        sc.expect("(")
-        expo = _parse_sum(sc)
-        sc.expect(")")
+        expo = sc.parenthesized(_parse_sum)
     elif ch == "w":
         sc.expect("w")
         expo = SurrealNF.monomial(SurrealNF.from_rational(1))

@@ -84,15 +84,13 @@ def ts_diff(a: TransseriesT1) -> TransseriesT1:
     lp = a.log
     # (P log x + Q)' = P' log x + P/x + Q'
     P = tuple((i + 1) * lp.p_coeff(i + 1) for i in range(max(len(lp.P) - 1, 0)))
-    Q = list((i + 1) * lp.q_coeff(i + 1) for i in range(max(len(lp.Q) - 1, 0)))
-    for i, c in enumerate(lp.P):
-        if i >= 1:
-            while len(Q) <= i - 1:
-                Q.append(Fraction(0))
-            Q[i - 1] += c
-        elif c != 0:
-            groups.append(Group(Fraction(0), Fraction(0), PowerSeries.from_coeffs([c])))
-    return assemble(groups, LogPart(P, tuple(Q), ()))
+    powers = [(i - 1, c) for i, c in enumerate(lp.P)] + [(i - 1, i * c) for i, c in enumerate(lp.Q)]
+    return assemble(groups + _pure_powers(powers), LogPart(P))
+
+
+def _pure_powers(powers) -> list[Group]:
+    """The groups of the monomials c*x^i over the pairs (i, c), for assemble to fold."""
+    return [Group(Fraction(0), i + 1, PowerSeries.from_coeffs([c])) for i, c in powers if c]
 
 
 def _antidiff_group(g: Group) -> Group:
@@ -118,19 +116,7 @@ def ts_antidiff(a: TransseriesT1) -> TransseriesT1:
     """A_T: the antiderivative with zero constant term.  Each exponential
     group's series carries its derived Borel kernel (built on first read)."""
     groups: list[Group] = []
-    P: list[Fraction] = []
-    Q: list[Fraction] = []
-
-    def add_P(i: int, c: Fraction):
-        while len(P) <= i:
-            P.append(Fraction(0))
-        P[i] += c
-
-    def add_Q(i: int, c: Fraction):
-        while len(Q) <= i:
-            Q.append(Fraction(0))
-        Q[i] += c
-
+    log_coeff = Fraction(0)
     for g in groups_of(a):
         if g.mu != 0:
             groups.append(_antidiff_group(g))
@@ -139,22 +125,18 @@ def ts_antidiff(a: TransseriesT1) -> TransseriesT1:
         y = g.series
         if g.offset != 0:
             raise ValueError("canonical form should keep mu = 0 content at offset 0")
-        c1 = y.coeff(1)
-        if c1 != 0:
-            add_P(0, c1)
+        log_coeff += y.coeff(1)
         tail = PowerSeries(
             lambda l, y=y: -y.coeff(l + 1) / l,
             length=None if y.length is None else max(y.length - 1, 0),
         )
         groups.append(Group(Fraction(0), Fraction(0), tail))
     lp = a.log
-    for i, c in enumerate(lp.P):
-        # x^i log x -> x^(i+1)/(i+1) log x - x^(i+1)/(i+1)^2
-        add_P(i + 1, c / (i + 1))
-        add_Q(i + 1, -c / Fraction((i + 1) ** 2))
-    for i, c in enumerate(lp.Q):
-        add_Q(i + 1, c / (i + 1))
-    return assemble(groups, LogPart(tuple(P), tuple(Q), ()))
+    # x^i log x -> x^(i+1)/(i+1) log x - x^(i+1)/(i+1)^2, and x^i -> x^(i+1)/(i+1)
+    P = (log_coeff,) + tuple(c / (i + 1) for i, c in enumerate(lp.P))
+    n = max(len(lp.P), len(lp.Q))
+    powers = [(i + 1, lp.q_coeff(i) / (i + 1) - lp.p_coeff(i) / (i + 1) ** 2) for i in range(n)]
+    return assemble(groups + _pure_powers(powers), LogPart(P))
 
 
 def ts_decompose(a: TransseriesT1, m: int) -> tuple[tuple[Group, ...], LogPart, tuple[Group, ...]]:

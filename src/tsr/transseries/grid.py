@@ -10,10 +10,12 @@ A transseries here is a triple
 
 with all series y O(1/x).  Internally the representation is normalized to
 m = 0: the R component is empty and every pure inverse power lives in the
-mu = 0 series.  ``assemble`` folds an R into that series, the
-``TransseriesT1`` constructor rejects a nonempty R, and ``ts_decompose``
-recuts the triple for any m.  ``assemble`` merges the groups of each sign
-with ``_merge_rates``, which sums the groups of one rate at their highest offset.
+mu = 0 series.  ``assemble`` folds an R into that series and is the one
+place a power of x moves between Q and it; the ``TransseriesT1``
+constructor rejects a nonempty R, and ``ts_decompose`` recuts the triple for
+any m.  ``assemble`` merges the groups of each sign with ``_merge_rates``,
+which sums the groups of one rate at their highest offset as one flat
+``PowerSeries.sum``.
 
 The multi-index grid sum(k) x^(beta.k) e^(-k.lambda x) y_k(x) of the decaying
 part exists only in JSON: ``grid_from_groups`` derives it from the groups
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Optional
 
 from ..errors import GridMergeError, ResonanceError
@@ -148,91 +151,48 @@ def groups_of(ts: TransseriesT1) -> list[Group]:
 
 
 def assemble(groups: Iterable[Group], log: LogPart = None) -> TransseriesT1:
-    """Build a normalized TransseriesT1 from raw groups plus a log part."""
+    """Build a normalized TransseriesT1 from raw groups plus a log part.
+
+    A mu = 0 group x^a * s puts its first a coefficients into Q, as the
+    powers x^(a-1) ... x^0, and the rest into the mu = 0 series beside R(1/x)."""
     log = log if log is not None else LogPart()
-    plus_raw: list[Group] = []
-    minus_raw: list[Group] = []
-    q_extra: list[tuple[int, Fraction]] = []
-    r_extra: dict[int, Fraction] = {}
-    zero_series = []
-
-    for grp in groups:
-        if grp.mu > 0:
-            plus_raw.append(grp)
-        elif grp.mu < 0:
-            minus_raw.append(grp)
-        else:
-            # pure powers: split on the sign of the exponent
-            if grp.offset.denominator != 1:
-                raise GridMergeError(f"pure power content needs integer offsets, got x^{grp.offset}")
-            a = int(grp.offset)
-            s = grp.series
-            if s.length is None and a >= 1:
-                # peel the polynomial head, keep the O(1/x) tail
-                for l in range(1, a + 1):
-                    c = s.coeff(l)
-                    if c != 0:
-                        q_extra.append((a - l, c))
-                zero_series.append((0, _shift_up(s, a)))
-                continue
-            top = s.length if s.length is not None else None
-            scan = top if top is not None else 0
-            for l in range(1, scan + 1):
-                c = s.coeff(l)
-                if c == 0:
-                    continue
-                power = a - l
-                if power >= 0:
-                    q_extra.append((power, c))
-                else:
-                    r_extra[-power] = r_extra.get(-power, Fraction(0)) + c
-            if top is None:
-                zero_series.append((a, s))
-
-    # fold q/r residues into the log part and the mu = 0 series
     Q = list(log.Q)
-    for power, c in q_extra:
-        while len(Q) <= power:
-            Q.append(Fraction(0))
-        Q[power] += c
-    inverse: dict[int, Fraction] = dict(r_extra)
-    for l, c in enumerate(log.R, 1):
-        inverse[l] = inverse.get(l, Fraction(0)) + c
-
-    base = PowerSeries.from_coeffs([inverse.get(l, Fraction(0)) for l in range(1, max(inverse, default=0) + 1)])
-    for a, s in zero_series:  # infinite tails with offset <= 0
-        base = base + s.shift_down(-a)
-    minus = tuple(_merge_rates(minus_raw))
-    if not base.is_finite() or base.length:
-        minus = (Group(Fraction(0), Fraction(0), base),) + minus
-    return TransseriesT1(minus=minus, log=LogPart(log.P, tuple(Q), ()), plus=tuple(_merge_rates(plus_raw)))
-
-
-def _shift_up(s: PowerSeries, d: int) -> PowerSeries:
-    """Multiply by x^d, dropping the (assumed consumed) head: c_l <- c_(l+d)."""
-    return PowerSeries(
-        lambda l: s.coeff(l + d),
-        length=None if s.length is None else max(s.length - d, 0),
-    )
+    parts = [(0, PowerSeries.from_coeffs(log.R))]
+    rated: list[Group] = []
+    for grp in groups:
+        if grp.mu:
+            rated.append(grp)
+            continue
+        if grp.offset.denominator != 1:
+            raise GridMergeError(f"pure power content needs integer offsets, got x^{grp.offset}")
+        a = int(grp.offset)
+        Q += [Fraction(0)] * (a - len(Q))
+        for l in range(1, a + 1):
+            Q[a - l] += grp.series.coeff(l)
+        parts.append((-a, grp.series))
+    base = PowerSeries.sum(parts)
+    minus = _merge_rates([g for g in rated if g.mu < 0])
+    if base.length != 0:
+        minus.insert(0, Group(Fraction(0), Fraction(0), base))
+    plus = _merge_rates([g for g in rated if g.mu > 0])
+    return TransseriesT1(minus=tuple(minus), log=LogPart(log.P, tuple(Q), ()), plus=tuple(plus))
 
 
 def _merge_rates(groups: list[Group]) -> list[Group]:
-    """One group per rate, ordered by mu descending: each group joins the
-    first at its rate, the one with the highest offset, shifted down by the
-    integer offset difference."""
+    """One group per rate, ordered by mu descending: the groups of one rate
+    sum, as one flat series, at the highest of their offsets, each shifted
+    down by its integer distance from it."""
     out: list[Group] = []
-    for grp in sorted(groups, key=lambda g: (-g.mu, -g.offset)):
-        if not out or out[-1].mu != grp.mu:
-            out.append(grp)
-            continue
-        top = out[-1]
-        d = top.offset - grp.offset
-        if d.denominator != 1:
-            raise GridMergeError(
-                f"groups at rate {abs(grp.mu)} have offsets {top.offset}, {grp.offset} "
-                "differing by a non-integer"
-            )
-        out[-1] = Group(top.mu, top.offset, top.series + grp.series.shift_down(int(d)))
+    for mu, same in groupby(sorted(groups, key=lambda g: (-g.mu, -g.offset)), key=lambda g: g.mu):
+        top, *rest = same
+        for grp in rest:
+            if (top.offset - grp.offset).denominator != 1:
+                raise GridMergeError(
+                    f"groups at rate {abs(mu)} have offsets {top.offset}, {grp.offset} "
+                    "differing by a non-integer"
+                )
+        parts = [(int(top.offset - g.offset), g.series) for g in [top] + rest]
+        out.append(Group(mu, top.offset, PowerSeries.sum(parts)))
     return out
 
 

@@ -84,7 +84,18 @@ def _parse_product(tok: Scanner) -> list[_Raw]:
 
 
 def _cross(a: list[_Raw], b: list[_Raw]) -> list[_Raw]:
-    return [ta.mul(tb) for ta in a for tb in b]
+    """The products of the terms of a and b, series-free like terms collected."""
+    out: list[_Raw] = []
+    like: dict[tuple, int] = {}  # (mu, pow, logdeg) of a series-free term -> its index in out
+    for t in (ta.mul(tb) for ta in a for tb in b):
+        if t.series is not None:
+            out.append(t)
+        elif (key := (t.mu, t.pow, t.logdeg)) in like:
+            out[like[key]] = replace(t, coef=out[like[key]].coef + t.coef)
+        else:
+            like[key] = len(out)
+            out.append(t)
+    return out
 
 
 def _parse_factor(tok: Scanner) -> list[_Raw]:
@@ -116,10 +127,7 @@ def _parse_factor(tok: Scanner) -> list[_Raw]:
 def _parse_atom(tok: Scanner) -> list[_Raw]:
     ch = tok.peek()
     if ch == "(":
-        tok.expect("(")
-        inner = _parse_sum(tok)
-        tok.expect(")")
-        return inner
+        return tok.parenthesized(_parse_sum)
     if tok.take("exp("):
         mu = _parse_linear_arg(tok)
         tok.expect(")")

@@ -7,8 +7,9 @@ an oracle may read the series' own lower coefficients, which are memoized
 before it asks.  ``length`` is the greatest possibly-nonzero index of a
 finite series, None for an infinite one.  The kernel is the Borel kernel (a
 ``KernelEntry``, built on first read) the sum uses; ``scale`` and negation
-carry it, ``+`` carries it for two multiples of one kernel, and all else
-drops it.  All operations are exact; memoization is recomputation-safe.
+carry it, ``PowerSeries.sum`` (behind ``+`` and ``shift_down``) carries it
+for unshifted multiples of one kernel, and all else drops it.  All
+operations are exact; memoization is recomputation-safe.
 The search for the first nonzero coefficient of an infinite series gives up
 after DEFAULT_ORDER_SCAN zeros, the budget a lazy stream keeps for every
 search (``tsr.stream``).
@@ -16,10 +17,11 @@ search (``tsr.stream``).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import count
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from ..errors import UndecidableSupport
 from ..stream import DEFAULT_ORDER_SCAN, Stream
@@ -52,6 +54,35 @@ class PowerSeries:
     @classmethod
     def zero(cls) -> "PowerSeries":
         return cls(lambda l: Fraction(0), length=0)
+
+    @classmethod
+    def sum(cls, parts: Iterable[tuple[int, "PowerSeries"]]) -> "PowerSeries":
+        """The sum of x^-d * s over the pairs (d, s), as one series.
+
+        Coefficient l adds the c_(l-d) with l - d >= 1, so a negative d drops
+        the first -d coefficients of s.  A part left empty by its shift is
+        dropped, and a lone unshifted part is returned itself.  The sum keeps
+        a kernel only when no part is shifted: that of every part, added.
+        """
+        parts = [(d, s) for d, s in parts if s.length is None or s.length > max(-d, 0)]
+        if not parts:
+            return cls.zero()
+        if len(parts) == 1 and parts[0][0] == 0:
+            return parts[0][1]
+        # the indices d < l <= top that a part reaches
+        spans = [(d, math.inf if s.length is None else s.length + d, s) for d, s in parts]
+        length = max(top for _, top, _ in spans)
+
+        def kernel():
+            if any(d for d, _ in parts):
+                return None
+            return reduce(lambda k, e: k and e and k + e, (s.kernel for _, s in parts))
+
+        return cls(
+            lambda l: sum(s.coeff(l - d) for d, top, s in spans if d < l <= top),
+            length=None if length == math.inf else length,
+            kernel=kernel,
+        )
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[Fraction]) -> "PowerSeries":
@@ -95,18 +126,7 @@ class PowerSeries:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        if other.length == 0:
-            return self
-        if self.length == 0:
-            return other
-        length = None
-        if self.length is not None and other.length is not None:
-            length = max(self.length, other.length)
-        return PowerSeries(
-            lambda l: self.coeff(l) + other.coeff(l),
-            length=length,
-            kernel=lambda: self.kernel and other.kernel and self.kernel + other.kernel,
-        )
+        return PowerSeries.sum([(0, self), (0, other)])
 
     def __neg__(self) -> "PowerSeries":
         return self.scale(Fraction(-1))
@@ -128,12 +148,7 @@ class PowerSeries:
 
     def shift_down(self, d: int) -> "PowerSeries":
         """Multiply by x^-d (d >= 0): coefficients move to higher indices."""
-        if d == 0:
-            return self
-        return PowerSeries(
-            lambda l: self.coeff(l - d) if l > d else Fraction(0),
-            length=None if self.length is None else self.length + d,
-        )
+        return PowerSeries.sum([(d, self)])
 
     def mul(self, other: "PowerSeries") -> "PowerSeries":
         """Cauchy product (starts at x^-2)."""

@@ -385,6 +385,16 @@ class TestConfig:
         assert payload["passed"] is True
         assert payload["results"]["averaging"]["literal_formula_fails"] is True
 
+    def test_sum_keeps_the_kernel_of_a_named_series_beside_a_constant(self, cli):
+        # summed with the pole kernel of #ei; the Pade fallback would report ~1e-13
+        import mpmath as mp
+
+        code, out, _ = cli("sum", "3 + #ei", "3")
+        value, error = out.split("(error <=")
+        assert code == 0 and float(error.rstrip(")\n")) < 1e-18
+        with mp.workdps(40):
+            assert abs(mp.mpf(value) - 3 - mp.exp(-3) * mp.ei(3)) < 1e-18
+
     def test_sum_from_json_file(self, cli, tmp_path):
         from tsr.transseries import ts_to_json
 
@@ -403,6 +413,25 @@ class TestConfig:
         code, out, err = cli("sum", "-", "3")
         assert (code, out) == (1, "")
         assert "plus-part rates must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "term, n",
+    [("exp(-x)*{k}/x^{k}", 600), ("exp(x)*{k}/x^{k}", 600), ("#ei/x^{k}", 600), ("{k}/x^{k}", 2000)],
+)
+def test_a_long_sum_at_one_rate_parses(cli, term, n):
+    # the groups of one rate sum as one flat series, not one nested sum per term
+    code, out, _ = cli("parse", " + ".join(term.format(k=k) for k in range(1, n + 1)))
+    assert code == 0 and out.endswith("+ ...)\n" if "exp" in term else "+ ...\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("parse", "(" * 1000 + "x" + ")" * 1000), ("eval", "ei", "w^(" * 1000 + "1" + ")" * 1000)]
+)
+def test_deep_nesting_is_a_syntax_error(cli, argv):
+    code, out, err = cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("syntax error: parentheses nested more than 100 deep")
 
 
 class TestOptionsBeforeTheVerb:

@@ -5,7 +5,8 @@ The corpus in ``golden/t1_verbs.json`` pins the output of ``tsr parse``,
 expressions cover growing groups at several rates, equal-rate merges with
 integer offset differences on both signs of the rate, non-integer offsets,
 decaying parts whose JSON grid takes one generator and two, log parts and
-the named series; ``borel`` takes power series in 1/x only.  The JSON grid
+the named series, also beside a polynomial or a multiple of themselves,
+where they keep their kernel; ``borel`` takes power series in 1/x only.  The JSON grid
 (lambda, beta, keys) of a decaying part is derived from its groups alone
 (``grid.grid_from_groups``), so equal transseries print equal JSON however
 they were built.  A case that exits non-zero pins its exit code and stderr
@@ -60,6 +61,10 @@ EXPRESSIONS = (
     "#stirling",
     "#erfi/x",
     "5",
+    # a kernel survives a sum with a polynomial and a sum of multiples of itself
+    "3 + #ei",
+    "x^2 - 1 + #stirling",
+    "2*#ei + 3*#ei",
 )
 
 MUL = (

@@ -407,6 +407,21 @@ class TestNormalForm:
         assert ts_to_json(got) == ts_to_json(want)
 
 
+    def test_a_power_times_an_infinite_series_splits_at_x0(self):
+        # x^2 (1/x + 1/x^2 + 2/x^3 + 6/x^4 + ...) = x + 1 + 2/x + 6/x^2 + ...
+        ts = ts_parse("x^2*#ei")
+        assert ts.log.Q == (1, 1)
+        assert ts.minus[0].series.coeffs(4) == [2, 6, 24, 120]
+        assert ts.minus[0].series.kernel is None  # a shifted part drops it
+
+    def test_a_polynomial_beside_a_named_series_keeps_its_kernel(self):
+        from tsr.coefficients import named_series
+
+        series = ts_parse("x^2 - 1 + #stirling").minus[0].series
+        assert series.kernel.kernel is named_series("stirling").kernel.kernel
+        assert series.kernel.c == 1
+
+
 class TestSign:
     @pytest.mark.parametrize(
         "text,sign",

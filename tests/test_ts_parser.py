@@ -1,13 +1,16 @@
 """Expression grammar round trips and error reporting."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
+from conftest import time_budget
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_transseries import raw_groups
 
 from tsr.errors import ExpressionSyntaxError, GridMergeError
+from tsr.scanner import MAX_NESTING
 from tsr.surreal import parse_nf
 from tsr.transseries import LogPart, assemble, eq_to_order, ts_from_json, ts_parse, ts_print, ts_to_json
 
@@ -134,3 +137,22 @@ def test_end_of_text_expects_an_atom(text, pos):
     with pytest.raises(ExpressionSyntaxError, match="expected an atom") as err:
         ts_parse(text)
     assert err.value.pos == pos
+
+
+def test_a_power_of_a_sum_collects_like_terms():
+    with time_budget(1.0):
+        ts = ts_parse("(1 + 1/x)^40")
+    assert ts.log.Q == (1,)
+    assert ts.minus[0].series.coeffs(41) == [comb(40, k) for k in range(1, 41)] + [0]
+
+
+NESTED = {ts_parse: ("(", "x", ")"), parse_nf: ("w^(", "1", ")")}
+
+
+@pytest.mark.parametrize("parse", NESTED, ids=["transseries", "normal form"])
+def test_nesting_deeper_than_the_limit_is_refused_where_it_starts(parse):
+    opening, atom, closing = NESTED[parse]
+    parse(opening * MAX_NESTING + atom + closing * MAX_NESTING)
+    with pytest.raises(ExpressionSyntaxError, match="nested more than") as err:
+        parse(opening * 1000 + atom + closing * 1000)
+    assert err.value.pos == len(opening) * (MAX_NESTING + 1) - 1

@@ -23,6 +23,7 @@ from tsr.operators import (
     extend,
     integrate,
 )
+from tsr.operators.catalog import monomial_entry
 from tsr.operators.laws import as_number
 from tsr.resummation import QuadratureConfig
 from tsr.surreal import parse_nf
@@ -187,3 +188,19 @@ class TestBenchmarkContract:
                 assert abs(payload["offset"] - mp.exp(-2)) < mp.mpf(10) ** -25
         if kind == "taylor":
             assert len(payload["coeffs"]) == 4
+
+
+def test_a_combination_of_polynomials_ends_at_the_larger_degree():
+    both = combine_entries(monomial_entry(1), 2, monomial_entry(2), 3)
+    assert both.taylor_degree == 2
+    assert extend(both, parse_nf("3+w^-1"), cfg=CFG).exact_nf(8) == parse_nf("33 + 20*w^-1 + 3*w^-2")
+
+
+def test_a_combination_takes_the_same_combination_of_the_taylor_terms():
+    point = parse_nf("3+w^-1")
+    got = extend(combine_entries(catalog()["ei_integrand"], F(2, 3), catalog()["exp"], F(-1, 2)), point, cfg=CFG)
+    want = _extend("ei_integrand", "3+w^-1", 8).scale(F(2, 3)) + _extend("exp", "3+w^-1", 8).scale(F(-1, 2))
+    assert [(g.prefactor, g.stream.truncate(8)) for g in got.merged().groups] == [
+        (g.prefactor, g.stream.truncate(8)) for g in want.merged().groups
+    ]
+    assert got.render(2) == "e^(3)*(-5/18 - 19/54*w^(-1) + ...)"
