@@ -18,7 +18,6 @@ from .kernels import (
     CothKernel,
     KernelEntry,
     PadeKernel,
-    Singularity,
     log_kernel,
     pade_continue,
     pole_kernel,
@@ -63,7 +62,6 @@ __all__ = [
     "ClosedFormKernel",
     "CothKernel",
     "PadeKernel",
-    "Singularity",
     "log_kernel",
     "pade_continue",
     "pole_kernel",

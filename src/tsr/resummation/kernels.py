@@ -14,11 +14,12 @@ ln Gamma less its Stirling part (``CothKernel.laplace``), and the Airy
 kernel, whose transform is a modified Bessel function of order 1/3
 (``AiryKernel.laplace``).  Pade kernels are summed by quadrature: they give
 their value on the ray, correctly rounded from integer coefficients that no
-precision changes, and their singularities; the Binet and Airy kernels give
-their values too, as the tests' independent reference for the closed forms.  A
-Pade kernel's singularities are its poles, found exactly over Q: Descartes'
-rule of signs with bisection isolates the denominator's real positive roots
-and their orders, and bisection refines each simple one at an explicit
+precision changes, and their simple poles there, the only points a
+quadrature sum folds at; the Binet and Airy kernels give their values too,
+as the tests' independent reference for the closed forms.  A Pade kernel's
+poles are found exactly over Q: Descartes' rule of signs with bisection
+isolates the denominator's real positive roots and their orders, and
+bisection refines each simple one to a binary fraction at an explicit
 precision (``positive_roots``).  A pole of order 2 or more has no principal
 value and is refused.
 
@@ -42,22 +43,18 @@ from . import special
 from .borel import BorelPoly, borel_transform, p_integrate_poly
 
 
-@dataclass(frozen=True)
-class Singularity:
-    location: Fraction
-    kind: str  # "pole" | "log"
-
-
 class BorelFunction:
     """Interface shared by every Borel-plane representation: ``growth`` and
     ``taylor``; a closed form adds ``laplace(x, prec)``, a quadrature kernel
-    ``value`` and ``singularities`` (the Binet and Airy kernels have both)."""
+    ``value`` and ``singularities`` (the Binet and Airy kernels have a
+    ``value`` as well)."""
 
     #: (c1, c3) with |F| <= c1 exp(c3 p) far out; c3 bounds the Laplace domain
     growth: tuple[float, float] = (1.0, 0.0)
 
-    def singularities(self) -> list[Singularity]:
-        """The points on the positive axis a quadrature sum splits at."""
+    def singularities(self) -> list[Fraction]:
+        """The simple poles on the positive axis, ascending, as binary
+        fractions: the points a quadrature sum folds at."""
         return []
 
     def taylor(self, K: int) -> list[Fraction]:
@@ -449,7 +446,7 @@ def _on_grid(a: list, s: int) -> list:
 
 
 class PadeKernel(BorelFunction):
-    """Rational approximant; its real positive poles become singularities.
+    """Rational approximant; its real positive poles are its singularities.
 
     A rational function is single-valued: its value is its average.  The
     exact ``num`` and ``den`` are cleared once, in ``__init__``, to integer
@@ -476,7 +473,7 @@ class PadeKernel(BorelFunction):
         found once per precision."""
         return _at_prec(self._poles, lambda: positive_roots(self.den, prec), prec)
 
-    def singularities(self) -> list[Singularity]:
+    def singularities(self) -> list[Fraction]:
         """The poles at the working precision.  A pole of order 2 or more has
         no principal value, so it raises SingularPointError here, before any
         quadrature."""
@@ -484,7 +481,7 @@ class PadeKernel(BorelFunction):
         for p, order in poles:
             if order > 1:
                 raise SingularPointError(f"Pade pole of order {order} at p = {float(p):.15g} has no principal value")
-        return [Singularity(p, "pole") for p, _ in poles]
+        return [p for p, _ in poles]
 
     def taylor(self, K: int) -> list[Fraction]:
         out: list[Fraction] = []
@@ -732,8 +729,11 @@ class AiryKernel(BorelFunction):
 
     Its Laplace transform is a modified Bessel function of order 1/3
     (``laplace``), so no sum evaluates it at a point.  The values stay as
-    the independent reference: the tests integrate them by quadrature and
-    check the transform against the sum.  A value sums one convergent
+    the independent reference: the tests integrate them and check the
+    transform against the sum, by tsr's quadrature on the Ai side and by
+    mpmath's, split at p = 2, on the Bi side, since a quadrature sum here
+    folds at poles only and the kernel declares no singularity.  A value
+    sums one convergent
     series (DLMF 15.8), chosen by z so that its ratio is at most 5/8:
 
     - |z| <= 3/5: Maclaurin, sum(a_k z^k), a_k = (1/6)_k (5/6)_k / k!^2;
@@ -757,8 +757,9 @@ class AiryKernel(BorelFunction):
     arithmetic.
     """
 
-    #: |value| <= 1.25 on the Bi side past p = 3.5, where the Laplace
-    #: cutoff T always lies (2 + 2 * PV_WINDOW + 1), and 0 < F <= 1 on the Ai side
+    #: 0 < F <= 1 on the Ai side, which bounds a quadrature sum's tail; on
+    #: the Bi side |value| <= 1.25 past p = 3.5, and only the closed form
+    #: sums it across the branch point.  c3 = 0: both sum for every x > 0
     growth = (1.25, 0.0)
 
     def __init__(self, side: int):
@@ -767,9 +768,6 @@ class AiryKernel(BorelFunction):
         self.side = side
         self.name = "airy" if side > 0 else "airy-alt"
         self._tables: dict[int, tuple] = {}
-
-    def singularities(self) -> list[Singularity]:
-        return [Singularity(Fraction(2), "log")] if self.side > 0 else []
 
     def taylor(self, K: int) -> list[Fraction]:
         from ..coefficients import airy_u

@@ -11,32 +11,35 @@ formula), and the Airy kernels of ``#airy_u`` and ``#airy_u_alt``, through
 modified Bessel functions of order 1/3; their reported error is a bound on
 the rounding.
 
-Quadrature, with level-difference estimates, remains for the Pade kernels,
-which give their value at a point, correctly rounded from integer
-coefficients with no per-precision mpf cache, and their singularities on
-the ray (the poles), and for the tests, which sum a closed-form kernel's values by
-quadrature to check its transform (the Airy kernel's log branch point
-takes the tanh-sinh halves).  A Pade kernel's poles are its denominator's
-real positive roots, isolated exactly over Q and refined by bisection at
-the working precision (``kernels.positive_roots``); a pole of order 2 or
-more has no principal value, so ``singularities`` refuses it with
-SingularPointError before any quadrature.  Their Laplace integrals are
-evaluated over panels whose edges sit at those singularities: a simple
-pole's symmetric window is the principal value, summed as the fold
-integrand(s - t) + integrand(s + t) over 0 < t < w, in which the pole's
-+-A/t terms cancel; log endpoints are left to tanh-sinh panels, and the
-far tail is bounded by the kernel's exponential growth constants.  The
-smooth spans between windows are summed by a nested
-Clenshaw-Curtis rule: its levels have n = 2, 4, ..., 256 intervals, and each
-level keeps the integrand's values at the level below's nodes, its own even
-nodes.  A pole's fold is summed by Gauss-Legendre, whose nodes stay away
-from t = 0.  Working precision and tolerances come from
-:class:`QuadratureConfig`; window and panel sizes are fixed (``PV_WINDOW``,
-``_SPAN_PANELS``), because each panel refines itself to the tolerance, so
-they decide where the work goes, not how accurate the sum is.
+Quadrature, with level-difference estimates, remains for the Pade kernels
+and for the tests, which sum a closed-form kernel's values by quadrature to
+check its transform.  A Pade kernel gives its value at a point, correctly
+rounded from integer coefficients with no per-precision mpf cache, and its
+simple poles on the ray (``singularities``): its denominator's real
+positive roots, isolated exactly over Q and refined by bisection at the
+working precision to binary fractions (``kernels.positive_roots``).  A
+pole of order 2 or more has no principal value, so ``singularities``
+refuses it with SingularPointError before any quadrature.  Each pole s gets
+a symmetric window, whose principal value is summed as the fold
+integrand(s - t) + integrand(s + t) over 0 < t < w.  s is the pole's binary
+fraction exactly and s -+ t are formed without rounding, so the pole's
++-A/t terms cancel and the fold is analytic in t.  The smooth spans between
+windows are cut into panels, and the far tail is bounded by the kernel's
+exponential growth constants.
+
+Every panel, span or fold, is summed by one nested open rule, Fejer's
+second (Waldvogel, BIT 46, 2006): its levels have n = 2, 4, ..., 256
+intervals and the nodes cos(j pi/n), 0 < j < n, so level n's nodes are level
+2n's even nodes and each level evaluates the integrand only at its n new odd
+nodes.  No level evaluates the end of a panel: a fold is never evaluated at
+t = 0, and adjacent panels share no point.  Working precision and
+tolerances come from :class:`QuadratureConfig`; window and panel sizes are
+fixed (``PV_WINDOW``, ``_SPAN_PANELS``), because each panel refines itself
+to the tolerance, so they decide where the work goes, not how accurate the
+sum is.
 
 The absolute tolerance governs the quadrature's work, not the working
-precision.  Each panel is summed by its rule at rising level until two
+precision.  Each panel is summed by the rule at rising level until two
 successive levels differ by at most ``abs_tol/100``, or by the working
 precision's floor if that is coarser, and the tail is cut where its bound
 falls to ``abs_tol/10``.  The error reported with a value (the CLI's
@@ -62,15 +65,12 @@ derives no kernel.
 from __future__ import annotations
 
 import functools
-import operator
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 from mpmath import libmp
-from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 
 from ..errors import DomainError, GrowthBoundViolated, ToleranceNotMet
 from ..transseries.grid import TransseriesT1, groups_of
@@ -79,8 +79,8 @@ from .borel import borel_transform
 from .kernels import BorelFunction, KernelEntry, _c2mp, pade_continue
 
 
-#: Half-width of a singularity's window, narrowed to half the first
-#: singularity's distance from 0 and to a third of each gap between two.
+#: Half-width of a pole's window, narrowed to half the first pole's distance
+#: from 0 and to a third of each gap between two.
 PV_WINDOW = 0.25
 #: Most equal panels a smooth span between windows is cut into.
 _SPAN_PANELS = 16
@@ -121,13 +121,12 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
         c1, c3 = mp.mpf(c1), mp.mpf(c3)
         abs_tol = mp.mpf(cfg.abs_tol)
 
-        sings = sorted(f.singularities(), key=lambda s: s.location)
-        locs = [_c2mp(s.location) for s in sings]
+        # each pole's binary fraction exactly: mp.mpf and _c2mp would round it
+        locs = [mp.make_mpf(libmp.from_man_exp(s.numerator, 1 - s.denominator.bit_length())) for s in f.singularities()]
         w = mp.mpf(PV_WINDOW)
         if locs:
-            w = min([w, min(locs) / 2] + [(b - a) / 3 for a, b in zip(locs, locs[1:])])
-        # T is rounded through a float; the pinned golden values depend on it
-        T = mp.mpf(float(mp.log(10 * c1 / (abs_tol * (x - c3))) / (x - c3)))
+            w = min([w, locs[0] / 2] + [(b - a) / 3 for a, b in zip(locs, locs[1:])])
+        T = mp.log(10 * c1 / (abs_tol * (x - c3))) / (x - c3)
         if locs:
             T = max(T, locs[-1] + 2 * w + 1)
         T = max(T, mp.mpf(2))
@@ -137,12 +136,12 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
         # or at the working precision's floor if that is coarser
         eps = max(abs_tol / 100, mp.eps / 8)
         prec = mp.mp.prec
-        for fn, pts, rule in _pieces(f, x, sings, locs, w, T):
+        for fn, pts in _pieces(f, x, locs, w, T):
             v = e = mp.mpf(0)
             with mp.workprec(prec + 20):  # guard bits for the node sums
                 for a, b in zip(pts, pts[1:]):
                     if a != b:
-                        pv, pe = _panel(fn, a, b, rule, eps, prec)
+                        pv, pe = _panel(fn, a, b, eps, prec)
                         v += pv
                         e += pe
             total += +v
@@ -170,30 +169,25 @@ def _within_tolerance(total, err, cfg: QuadratureConfig) -> tuple:
     return total, err
 
 
-def _pieces(f: BorelFunction, x, sings, locs, w, T):
-    """The (integrand, panel edges, rule) pieces of a Laplace integral, in
-    the order they are summed: the smooth spans between windows, then each
-    singularity's window.  Each is built only when the one before has been
-    summed, so the first piece to fail is the one that raises.  A pole's
-    window is one fold; a log point's two halves go to tanh-sinh."""
+def _pieces(f: BorelFunction, x, locs, w, T):
+    """The (integrand, panel edges) pieces of a Laplace integral, in the
+    order they are summed: the smooth spans between windows, then each
+    pole's window, as one fold.  Each is built only when the one before has
+    been summed, so the first piece to fail is the one that raises.  The
+    window edges and the fold's points are formed exactly."""
     integrand = lambda p: mp.exp(-x * p) * f.value(p)
-    edges = [mp.mpf(0)] + [e for loc in locs for e in (loc - w, loc + w)] + [T]
+    edges = [mp.mpf(0)] + [mp.fadd(loc, e, exact=True) for loc in locs for e in (-w, w)] + [T]
     for a, b in zip(edges[::2], edges[1::2]):
         if a < b:
             pts = _split_span(a, b)
             if a == 0:
                 pts[1:1] = _cuts_near_zero(x, pts[1])
-            yield integrand, pts, "clenshaw-curtis"
-    for s, loc in zip(sings, locs):
-        if s.kind == "pole":
-            # the principal value as a fold: the pole's +-A/t cancel, so the
-            # sum is analytic in t.  Gauss-Legendre keeps its nodes away from
-            # t = 0, so the cancellation loses only a few of the guard bits.
-            fold = lambda t, loc=loc: integrand(loc - t) + integrand(loc + t)
-            yield fold, [0, w], "gauss-legendre"
-            continue
-        yield integrand, [loc - w, loc], "tanh-sinh"
-        yield integrand, [loc, loc + w], "tanh-sinh"
+            yield integrand, pts
+    for loc in locs:
+        # the principal value as a fold: the pole's +-A/t cancel, so the
+        # sum is analytic in t
+        fold = lambda t, loc=loc: integrand(mp.fsub(loc, t, exact=True)) + integrand(mp.fadd(loc, t, exact=True))
+        yield fold, [0, w]
 
 
 def _cuts_near_zero(x, h):
@@ -208,126 +202,80 @@ def _cuts_near_zero(x, h):
 
 
 def _split_span(a, b):
-    """Edges of equal panels over [a, b]: one per unit of length, at least
-    one and at most _SPAN_PANELS."""
+    """Edges of equal panels over [a, b], a and b themselves at the ends:
+    one panel per unit of length, at least one and at most _SPAN_PANELS."""
     n = min(max(int(mp.ceil((b - a))), 1), _SPAN_PANELS)
-    return [a + (b - a) * mp.mpf(i) / n for i in range(n + 1)]
+    return [a] + [a + (b - a) * mp.mpf(i) / n for i in range(1, n)] + [b]
 
 
 # -- panel quadrature ------------------------------------------------------------
 
-#: The mpmath rules with their highest degree.  Gauss-Legendre node sets grow
-#: exponentially with the degree and dominate setup cost; analytic window
-#: integrands converge by 6.  Tanh-sinh takes the endpoint singularities.
-_NODE_CTX = mp.MPContext()
-_RULES = {"tanh-sinh": (TanhSinh(_NODE_CTX), 8), "gauss-legendre": (GaussLegendre(_NODE_CTX), 6)}
-_NODE_LOCK = threading.Lock()
-#: Intervals at the top level of the nested Clenshaw-Curtis rule, which sums
-#: the smooth spans; its levels have n = 2, 4, ..., _CC_TOP intervals.
-_CC_TOP = 256
+#: Intervals at the top level of the nested rule; its levels have
+#: n = 2, 4, ..., _TOP intervals.
+_TOP = 256
 
 
 @functools.lru_cache(maxsize=None)
-def _standard_nodes(method: str, degree: int, prec: int) -> tuple:
-    """The (node, weight) pairs of one degree of a rule on [-1, 1], for sums
-    at ``prec`` bits, computed once as mpmath's ``quad`` computes them.
-
-    They are computed in a private context, so no other thread's precision
-    can change them, and handed out as mpf of the global context.  The cache
-    holds one entry per (rule, degree, precision) in use, as mpmath's own
-    node cache does; nothing in it depends on a panel.
-    """
-    with _NODE_LOCK:
-        _NODE_CTX.prec = prec + 20
-        nodes = _RULES[method][0].calc_nodes(degree, prec)
-    make = mp.mp.make_mpf
-    return tuple((make(t._mpf_), make(w._mpf_)) for t, w in nodes)
-
-
-@functools.lru_cache(maxsize=None)
-def _cc_cosines(prec: int) -> tuple:
-    """cos(m pi / _CC_TOP), m = 0.._CC_TOP, as fixed-point integers with
-    prec + 40 fraction bits, from raw ``libmp`` at an explicit precision.
-    One cosine and sine of m pi / _CC_TOP, m <= _CC_TOP/4, give the rest."""
-    bits, q = prec + 40, _CC_TOP // 4
-    out = [0] * (_CC_TOP + 1)
+def _cosines(prec: int) -> tuple:
+    """cos(m pi / _TOP), m = 0.._TOP, as fixed-point integers with prec + 40
+    fraction bits, from raw ``libmp`` at an explicit precision.  One cosine
+    and sine of m pi / _TOP, m <= _TOP/4, give the rest."""
+    bits, q = prec + 40, _TOP // 4
+    out = [0] * (_TOP + 1)
     for m in range(q + 1):
-        c, s = libmp.mpf_cos_sin_pi(libmp.from_rational(m, _CC_TOP, bits), bits + 10)
+        c, s = libmp.mpf_cos_sin_pi(libmp.from_rational(m, _TOP, bits), bits + 10)
         out[m], out[2 * q - m] = libmp.to_fixed(c, bits), libmp.to_fixed(s, bits)
     for m in range(2 * q):
-        out[_CC_TOP - m] = -out[m]
+        out[_TOP - m] = -out[m]
     return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
-def _cc_rule(n: int, prec: int) -> tuple:
-    """(nodes, weights) of the n-interval Clenshaw-Curtis rule on [-1, 1], for
-    sums at ``prec`` bits: nodes cos(j pi/n), j = 0..n, and
+def _fejer_rule(n: int, prec: int) -> tuple:
+    """(nodes, weights) of Fejer's second rule with n intervals on [-1, 1],
+    for sums at ``prec`` bits: nodes cos(theta_j), theta_j = j pi/n,
+    j = 1..n-1, and
 
-        w_j = c_j/n * (1 - sum(b_k cos(2 k j pi/n) / (4k^2 - 1), k = 1..n/2))
+        w_j = 4 sin(theta_j)/n * sum(sin((2k - 1) theta_j) / (2k - 1), k = 1..n/2)
 
-    with c_0 = c_n = 1, else 2, and b_(n/2) = 1, else 2 (Waldvogel, BIT 46,
-    2006).  The sums run in fixed-point integers with 20 bits beyond the
-    node sums' prec + 20, from one table of cosines, so level n's nodes are
-    level 2n's even nodes bit for bit.  Nothing reads or writes a context's
-    precision; the results are mpf rounded to prec + 20 bits.
+    (Waldvogel, BIT 46, 2006).  The weights are positive and the rule is
+    exact to degree n - 1.  The sums run in fixed-point integers with 20
+    bits beyond the node sums' prec + 20, from one table of cosines, with
+    sin(m pi/n) = cos((n/2 - m) pi/n), so level n's nodes are level 2n's
+    even nodes bit for bit.  Nothing reads or writes a context's precision;
+    the results are mpf rounded to prec + 20 bits.
     """
     bits = prec + 40
-    cos = _cc_cosines(prec)[:: _CC_TOP // n]  # cos(m pi/n), m = 0..n
+    cos = _cosines(prec)[:: _TOP // n]  # cos(m pi/n), m = 0..n
     period = cos + cos[-2:0:-1]  # cos(m pi/n), m = 0..2n-1
-    ks = range(1, n // 2 + 1)
-    d = [((1 if k == n // 2 else 2) << bits) // (4 * k * k - 1) for k in ks]
-    shift = n.bit_length() - 1  # n = 2^shift
+    sin = lambda m: period[(n // 2 - m) % (2 * n)]
+    d = [(1 << bits) // (2 * k - 1) for k in range(1, n // 2 + 1)]
+    shift = n.bit_length() + bits - 3  # 4/n = 2^(2 - log2 n), and one 2^-bits
     half = []
-    for j in range(n // 2 + 1):
-        s = sum(map(operator.mul, d, [period[2 * k * j % (2 * n)] for k in ks]))
-        half.append((((1 << bits) - (s >> bits)) << (j > 0)) >> shift)
+    for j in range(1, n // 2 + 1):
+        s = sum(dk * sin((2 * k + 1) * j) for k, dk in enumerate(d)) >> bits
+        half.append(sin(j) * s >> shift)
     weights = half + half[-2::-1]
     make = lambda v: mp.mp.make_mpf(libmp.from_man_exp(v, -bits, prec + 20, libmp.round_nearest))
-    return tuple(map(make, cos)), tuple(map(make, weights))
+    return tuple(map(make, cos[1:-1])), tuple(map(make, weights))
 
 
-def _cc_levels(fn, half, mid, prec: int):
-    """The nested Clenshaw-Curtis levels I_k of integral(fn, mid - half..mid + half).
-
-    Level n's nodes are level 2n's even nodes, so each level keeps the
-    values it has and evaluates fn only at its n/2 new odd nodes, starting
-    from the two ends."""
-    ys = [fn(mid + half), fn(mid - half)]
-    n = 2
-    while n <= _CC_TOP:
-        nodes, weights = _cc_rule(n, prec)
-        new = [fn(mid + half * t) for t in nodes[1::2]]
-        ys = [y for pair in zip(ys, new) for y in pair] + ys[-1:]
-        yield half * mp.fdot(weights, ys)
-        n *= 2
-
-
-def _mpmath_levels(method: str, fn, half, mid, prec: int):
-    """The levels of one of mpmath's rules, by rising degree.  A tanh-sinh
-    level halves the step, so it adds only the new nodes to half the level
-    below; a Gauss-Legendre level is a fresh rule of 3 * 2^(k-1) nodes."""
-    level = mp.mpf(0)
-    for degree in range(1, _RULES[method][1] + 1):
-        s = half * mp.fdot((w, fn(mid + half * t)) for t, w in _standard_nodes(method, degree, prec))
-        level = mp.ldexp(s, -degree) + level / 2 if method == "tanh-sinh" else s
-        yield level
-
-
-def _panel(fn, a, b, method: str, eps, prec: int):
-    """integral(fn, a..b) by one rule, raising its level until two successive
-    levels I_k, I_(k-1) differ by at most eps; |I_k - I_(k-1)| is the error.
-    The standard nodes on [-1, 1] are mapped onto [a, b] here."""
+def _panel(fn, a, b, eps, prec: int):
+    """integral(fn, a..b) by the nested rule, raising its level until two
+    successive levels I_k, I_(k-1) differ by at most eps; |I_k - I_(k-1)|
+    is the error.  Each level keeps the values it has, at its even nodes,
+    and evaluates fn only at its new odd ones, mapped from [-1, 1] onto
+    [a, b]."""
     half, mid = (b - a) / 2, (b + a) / 2
-    if method == "clenshaw-curtis":
-        levels = _cc_levels(fn, half, mid, prec)
-    else:
-        levels = _mpmath_levels(method, fn, half, mid, prec)
-    level = next(levels)
-    for nxt in levels:
-        prev, level = level, nxt
-        if abs(level - prev) <= eps:
+    ys, level, n = [], None, 2
+    while n <= _TOP:
+        nodes, weights = _fejer_rule(n, prec)
+        new = [fn(mid + half * t) for t in nodes[::2]]
+        ys = [y for pair in zip(new, ys) for y in pair] + new[-1:]
+        prev, level = level, half * mp.fdot(weights, ys)
+        if prev is not None and abs(level - prev) <= eps:
             break
+        n *= 2
     return level, abs(level - prev)
 
 
@@ -335,15 +283,14 @@ def quad_interval(fn, a, b, prec: int) -> mp.mpf:
     """integral(fn, a..b) of an fn analytic on [a, b], at ``prec`` bits.
 
     [a, b] is cut as a smooth Laplace span is (``_split_span``), and each
-    panel is summed by the nested Clenshaw-Curtis rule until two levels
-    differ by at most 2^-prec; fn is evaluated at prec + 20 bits.  Returns
-    the value alone: no error estimate comes with it.
+    panel is summed by the nested rule until two levels differ by at most
+    2^-prec; fn is evaluated at prec + 20 bits, never at a panel's end.
+    Returns the value alone: no error estimate comes with it.
     """
     with mp.workprec(prec + 20):
         pts = _split_span(mp.mpf(a), mp.mpf(b))
         eps = mp.ldexp(1, -prec)
-        parts = (_panel(fn, lo, hi, "clenshaw-curtis", eps, prec)[0] for lo, hi in zip(pts, pts[1:]))
-        return mp.fsum(parts)
+        return mp.fsum(_panel(fn, lo, hi, eps, prec)[0] for lo, hi in zip(pts, pts[1:]))
 
 
 # -- Ecalle-Borel summation ------------------------------------------------------

@@ -84,17 +84,21 @@ def _parse_product(tok: Scanner) -> list[_Raw]:
 
 
 def _cross(a: list[_Raw], b: list[_Raw]) -> list[_Raw]:
-    """The products of the terms of a and b, series-free like terms collected."""
-    out: list[_Raw] = []
-    like: dict[tuple, int] = {}  # (mu, pow, logdeg) of a series-free term -> its index in out
+    """The products of the terms of a and b, like terms collected: those with
+    one (mu, pow, logdeg) and no series by adding their coefficients, those
+    with a series by adding their scaled series, in one flat sum."""
+    like: dict[tuple, list[_Raw]] = {}
     for t in (ta.mul(tb) for ta in a for tb in b):
-        if t.series is not None:
-            out.append(t)
-        elif (key := (t.mu, t.pow, t.logdeg)) in like:
-            out[like[key]] = replace(t, coef=out[like[key]].coef + t.coef)
+        like.setdefault((t.mu, t.pow, t.logdeg, t.series is not None), []).append(t)
+    out = []
+    for first, *rest in like.values():
+        if not rest:
+            out.append(first)
+        elif first.series is None:
+            out.append(replace(first, coef=sum((t.coef for t in rest), first.coef)))
         else:
-            like[key] = len(out)
-            out.append(t)
+            series = PowerSeries.sum((0, t.series.scale(t.coef)) for t in [first, *rest])
+            out.append(replace(first, coef=Fraction(1), series=series))
     return out
 
 
@@ -117,10 +121,15 @@ def _parse_factor(tok: Scanner) -> list[_Raw]:
             return [_Raw(coef, t.mu * e, t.pow * e, 0, None)]
         if e.denominator != 1 or e < 1:
             raise ExpressionSyntaxError("need a positive integer power here", pos)
-        out = terms
-        for _ in range(int(e) - 1):
-            out = _cross(out, terms)
-        return out
+        # square and multiply
+        n, out = int(e), None
+        while True:
+            if n & 1:
+                out = terms if out is None else _cross(out, terms)
+            n >>= 1
+            if not n:
+                return out
+            terms = _cross(terms, terms)
     return terms
 
 

@@ -17,9 +17,8 @@ search (``tsr.stream``).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import count
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
@@ -61,28 +60,39 @@ class PowerSeries:
 
         Coefficient l adds the c_(l-d) with l - d >= 1, so a negative d drops
         the first -d coefficients of s.  A part left empty by its shift is
-        dropped, and a lone unshifted part is returned itself.  The sum keeps
-        a kernel only when no part is shifted: that of every part, added.
+        dropped, and a lone unshifted part is returned itself.  The finite
+        parts' coefficients are added into one table, by index, on the first
+        read, so a sum of n finite parts costs their total length, not n per
+        coefficient; the infinite parts stay lazy.  The sum keeps a kernel
+        only when no part is shifted: that of every part, added.
         """
         parts = [(d, s) for d, s in parts if s.length is None or s.length > max(-d, 0)]
         if not parts:
             return cls.zero()
         if len(parts) == 1 and parts[0][0] == 0:
             return parts[0][1]
-        # the indices d < l <= top that a part reaches
-        spans = [(d, math.inf if s.length is None else s.length + d, s) for d, s in parts]
-        length = max(top for _, top, _ in spans)
+        finite = [(d, s) for d, s in parts if s.length is not None]
+        lazy = [(d, s) for d, s in parts if s.length is None]
+        length = None if lazy else max(s.length + d for d, s in finite)
+
+        @cache
+        def head() -> dict[int, Fraction]:
+            out: dict[int, Fraction] = {}
+            for d, s in finite:
+                for i in range(max(1, 1 - d), s.length + 1):
+                    out[i + d] = out.get(i + d, 0) + s.coeff(i)
+            return out
+
+        def coeff(l: int) -> Fraction:
+            c = head().get(l, 0)
+            return c + sum(s.coeff(l - d) for d, s in lazy if d < l) if lazy else c
 
         def kernel():
             if any(d for d, _ in parts):
                 return None
             return reduce(lambda k, e: k and e and k + e, (s.kernel for _, s in parts))
 
-        return cls(
-            lambda l: sum(s.coeff(l - d) for d, top, s in spans if d < l <= top),
-            length=None if length == math.inf else length,
-            kernel=kernel,
-        )
+        return cls(coeff, length=length, kernel=kernel)
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[Fraction]) -> "PowerSeries":

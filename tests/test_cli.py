@@ -4,6 +4,7 @@ import json
 import sys
 
 import pytest
+from conftest import time_budget
 
 from tsr.cli import build_parser, main, run
 from tsr.surreal import parse_nf
@@ -40,6 +41,15 @@ class TestVerbs:
     def test_parse_and_diff(self, cli):
         assert cli("parse", "x^2*log(x) + 3")[1].strip() == "x^2*log(x) + 3"
         assert cli("diff", "x*log(x)")[1].strip() == "log(x) + 1"
+
+    def test_parse_of_a_long_finite_sum_is_linear(self, cli):
+        # sum(k/x^k, k <= 8000): the finite parts' coefficients are added into
+        # one list once, not all 8000 parts read for each coefficient
+        expr = " + ".join(f"{k}/x^{k}" for k in range(1, 8001))
+        with time_budget(1.0):
+            code, out, _ = cli("parse", expr, "--json")
+        assert code == 0
+        assert ts_from_json(json.loads(out)).minus[0].series.coeffs(20) == list(range(1, 21))
 
     def test_mul(self, cli):
         code, out, _ = cli("mul", "exp(-x)/x", "exp(-x)/x")

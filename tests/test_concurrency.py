@@ -172,12 +172,12 @@ def test_clenshaw_curtis_tables_built_race_free():
     # cold keys: four precisions no other test sums at, every level of each
     keys = [(2**level, 401 + 6 * k) for k in range(4) for level in range(1, 9)]
     prec = mp.mp.prec
-    results = _pull_together(lambda k: [laplace._cc_rule(*key) for key in keys[k::4] + keys])
+    results = _pull_together(lambda k: [laplace._fejer_rule(*key) for key in keys[k::4] + keys])
     assert mp.mp.prec == prec  # building the tables leaves the global precision alone
-    serial = [laplace._cc_rule.__wrapped__(*key) for key in keys]
-    assert all(laplace._cc_cosines(p) == laplace._cc_cosines.__wrapped__(p) for p in {p for _, p in keys})
+    serial = [laplace._fejer_rule.__wrapped__(*key) for key in keys]
+    assert all(laplace._cosines(p) == laplace._cosines.__wrapped__(p) for p in {p for _, p in keys})
     for k, got in enumerate(results):
-        assert got == [laplace._cc_rule.__wrapped__(*key) for key in keys[k::4]] + serial
+        assert got == [laplace._fejer_rule.__wrapped__(*key) for key in keys[k::4]] + serial
 
 
 def _pull_together(pull, workers: int = 4, interval: float = 1e-6) -> list:
@@ -225,24 +225,6 @@ def test_recurrence_series_concurrent_pull():
         # each thread starts at a different index, so they grow it together
         results = _pull_together(lambda k: {l: series.coeff(l) for l in [*range(15 * k + 1, 61), *range(1, 15 * k + 1)]})
         assert all([r[l] for l in range(1, 61)] == serial for r in results)
-
-
-def test_quadrature_nodes_race_free():
-    import importlib
-
-    import mpmath as mp
-
-    nodes = importlib.import_module("tsr.resummation.laplace")._standard_nodes
-    # cold keys: precisions no other test sums at, one per thread; tanh-sinh
-    # only, whose node loop is bounded (Gauss-Legendre's Newton iteration may
-    # not end at a precision another thread set)
-    keys = [("tanh-sinh", degree, 211 + 6 * k) for k in range(4) for degree in range(1, 6)]
-    prec = mp.mp.prec
-    results = _pull_together(lambda k: [nodes(*key) for key in keys[k::4] + keys])
-    assert mp.mp.prec == prec  # building nodes leaves the global precision alone
-    serial = [nodes.__wrapped__(*key) for key in keys]
-    for k, got in enumerate(results):
-        assert got == [nodes.__wrapped__(*key) for key in keys[k::4]] + serial
 
 
 def test_real_line_oracles_thread_safe():

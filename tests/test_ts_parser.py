@@ -12,7 +12,7 @@ from test_transseries import raw_groups
 from tsr.errors import ExpressionSyntaxError, GridMergeError
 from tsr.scanner import MAX_NESTING
 from tsr.surreal import parse_nf
-from tsr.transseries import LogPart, assemble, eq_to_order, ts_from_json, ts_parse, ts_print, ts_to_json
+from tsr.transseries import LogPart, assemble, eq_to_order, ts_from_json, ts_mul_minus, ts_parse, ts_print, ts_to_json
 
 RATIONALS = st.builds(F, st.integers(-5, 5), st.integers(1, 6))
 
@@ -144,6 +144,18 @@ def test_a_power_of_a_sum_collects_like_terms():
         ts = ts_parse("(1 + 1/x)^40")
     assert ts.log.Q == (1,)
     assert ts.minus[0].series.coeffs(41) == [comb(40, k) for k in range(1, 41)] + [0]
+
+
+def test_a_power_of_a_sum_with_a_series_collects_like_terms():
+    # square and multiply, with the like terms that carry a series summed as
+    # one series: 2^24 uncollected terms would not finish
+    with time_budget(1.0):
+        ts = ts_parse("(1 + #ei)^24")
+    one = ts_parse("1 + #ei")
+    product = one
+    for _ in range(23):
+        product = ts_mul_minus(product, one)
+    assert eq_to_order(ts, product, 12)
 
 
 NESTED = {ts_parse: ("(", "x", ")"), parse_nf: ("w^(", "1", ")")}
