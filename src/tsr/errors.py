@@ -56,7 +56,8 @@ class UnsupportedPointError(TsrError):
 class DomainError(TsrError):
     """Real evaluation point below the function's domain endpoint, not finite,
     or past the work bound of the function's oracle (Airy's Maclaurin sum);
-    or a verb's input outside what it transforms (``borel``'s power series)."""
+    or a verb's input outside what it transforms (``borel``'s power series,
+    ``mul``'s decaying algebra plus constants)."""
 
 
 class ExpressionSyntaxError(TsrError):

@@ -10,9 +10,10 @@ erfi-integral entries shift their integrand entry's Taylor facility, and
 their oracles sum the convergent series, DLMF 6.6.1 and 7.6.4 (O(x) terms for
 Ei, O(x^2) for erfi; past the working bits each sums its asymptotic series,
 DLMF 6.12.2 and 7.12, instead), and the Airy oracles sum their Maclaurin
-series (DLMF 9.4, O(|z|^(3/2)) terms), all in raw ``mpmath.libmp`` arithmetic
-at an explicit working precision; none uses quadrature or mpmath's own Ei,
-erfi or Airy functions, which serve as references in the tests.  The Borel
+series (DLMF 9.4, O(|z|^(3/2)) terms), all in integers and raw
+``mpmath.libmp`` arithmetic at an explicit working precision; none uses
+quadrature or mpmath's own Ei, erfi or Airy functions, which serve as
+references in the tests.  The Borel
 kernels travel with the series: each entry is built from the registered
 ``#name`` series of ``tsr.coefficients``, whose closed-form kernel its resummation reads.
 Entries whose transseries would need an irrational global scale carry it as
@@ -118,9 +119,10 @@ class CatalogFunction:
 
 # -- oracles --------------------------------------------------------------------
 #
-# The Ei, erfi-integral and Airy oracles sum convergent series in raw
-# ``mpmath.libmp`` arithmetic at an explicit working precision, the caller's
-# ``mp.mp.prec`` plus guard bits, and round once to the caller's precision.
+# The Ei, erfi-integral and Airy oracles sum convergent series in integers
+# and raw ``mpmath.libmp`` arithmetic at an explicit working precision, the
+# caller's ``mp.mp.prec`` plus guard bits, and round once to the caller's
+# precision.
 # They never write the global precision, so threads may call them at once;
 # the one memo, Airy's (y, y') per (kind, point, precision), is a bounded
 # ``functools.lru_cache`` of immutable raw values.  The Ei and erfi-integral
@@ -160,14 +162,10 @@ def _airy_coeffs(y0, y1, z0, wp):
 def _airy_at_zero(kind: str, wp):
     """(y(0), y'(0)) of Ai or Bi as raw mpf at wp bits (DLMF 9.2.3-9.2.6): Ai(0) =
     3^(-1/6) g / (2 pi), Ai'(0) = -3^(-1/3) / g and Bi = sqrt(3) (Ai, -Ai') at 0, where
-    g = Gamma(1/3) = (2^(4/3) pi^2 / (3^(1/4) agm(1, (sqrt(6) + sqrt(2)) / 4)))^(1/3), an
-    AGM (``mpf_gamma``'s first call at a few thousand bits takes seconds)."""
+    g = Gamma(1/3), from the AGM (``special.gamma_third``)."""
     sqrt3, cbrt3 = libmp.mpf_sqrt(libmp.from_int(3), wp), libmp.mpf_cbrt(libmp.from_int(3), wp)
     two_pi = libmp.mpf_shift(libmp.mpf_pi(wp), 1)
-    k = libmp.mpf_shift(libmp.mpf_mul(libmp.mpf_sqrt(libmp.from_int(2), wp), libmp.mpf_add(sqrt3, libmp.fone, wp), wp), -2)
-    den = libmp.mpf_shift(libmp.mpf_mul(libmp.mpf_sqrt(sqrt3, wp), libmp.mpf_agm(libmp.fone, k, wp), wp), 1)
-    num = libmp.mpf_mul(libmp.mpf_cbrt(libmp.from_int(2), wp), libmp.mpf_mul(two_pi, two_pi), wp)  # 2^(1/3) (2 pi)^2
-    g = libmp.mpf_cbrt(libmp.mpf_div(num, den, wp), wp)
+    g = special.gamma_third(wp)
     scale = sqrt3 if kind == "bi" else libmp.fone
     y = libmp.mpf_div(libmp.mpf_mul(scale, g), libmp.mpf_mul(libmp.mpf_sqrt(cbrt3, wp), two_pi, wp), wp)
     dy = libmp.mpf_div(scale, libmp.mpf_mul(cbrt3, g, wp), wp)
@@ -176,9 +174,12 @@ def _airy_at_zero(kind: str, wp):
 
 #: Work bound of the Airy Maclaurin sum: its terms (``_airy_terms``) times
 #: (working bits + 8192), 8192 bits standing for a term's fixed cost in
-#: Python.  2^30 is about a second on a 2-vCPU VM at any precision; at 15
-#: digits it admits Ai(z) for -570 < z < 440 and Bi(z) for -570 < z < 1300,
-#: at 10000 digits Ai(z) for -160 < z < 145.
+#: Python.  2^30 is at most about a quarter second on a 2-vCPU VM at any
+#: precision for a z of a short mantissa (0.15 s for Ai(440) at 15 digits,
+#: 0.22 s for Ai(140) at 10000); a z of a full mantissa makes every step a
+#: product of two wp-bit numbers (2.4 s for Ai(10 pi) at 10000 digits).  At
+#: 15 digits it admits Ai(z) for -570 < z < 440 and Bi(z) for -570 < z <
+#: 1300, at 10000 digits Ai(z) for -160 < z < 145.
 _AIRY_MAX_WORK = 1 << 30
 
 
@@ -198,43 +199,88 @@ def _airy_terms(zeta: float, wp: int) -> float:
 @functools.lru_cache(maxsize=64)
 def _airy_raw(kind: str, z, prec: int):
     """(y, y') of Ai or Bi at a raw z as unrounded raw mpf, good to about
-    prec + GUARD bits: the Maclaurin series at 0 (DLMF 9.4).
+    prec + GUARD bits: the Maclaurin series at 0 (DLMF 9.4.1-9.4.2) as two
+    term recurrences in z^3,
 
-    The terms c_n z^n grow until n is about |z|^(3/2), to about e^zeta,
-    zeta = 2/3 |z|^(3/2), and cancel to the value: by 2 zeta log2(e) bits
-    for Ai at z > 0, by zeta log2(e) bits at z < 0 and not at all for Bi at
-    z > 0.  Those bits are added to the working precision.  Every third
-    coefficient is zero; the sum stops at the third nonzero term in a row
-    whose value and derivative parts both fall below 2^-wp (|y(0)| + |z y'(0)|).
+        y = y0 f + y1 g,  f = sum(a_k),  a_0 = 1,  a_k = a_(k-1) z^3 / ((3k-1) 3k),
+        y' = (y0 f_1 + y1 g_1) / z,  g = sum(b_k),  b_0 = z,  b_k = b_(k-1) z^3 / (3k (3k+1)),
+
+    with f_1 = sum(3k a_k) and g_1 = sum((3k+1) b_k), (y0, y1) the values at 0.
+
+    The terms grow until 9k^2 is about |z|^3, to about e^zeta, zeta = 2/3
+    |z|^(3/2), below 2^zb with zb = ceil(zeta log2(e)), and cancel to the
+    value: by 2 zeta log2(e) bits for Ai at z > 0, by zeta log2(e) bits at
+    z < 0 and not at all for Bi at z > 0.  Those bits are added to wp, the
+    working precision.  z^3 is z's mantissa cubed, exact up to wp + 8 bits
+    and floored to them past that (a z with a long mantissa).  Each term is
+    an integer mantissa of wp + 8 bits with its own binary exponent: a step
+    multiplies it by z^3's mantissa, shifts it up or down so that the
+    quotient by (3k-1) 3k, or 3k (3k+1), has wp + 8 bits again, and floors
+    that quotient.  The terms are floored into integer sums in units of
+    2^(zb - wp), f_1 and g_1 in units 2^e times as large, 2^e <= |z|, so
+    that the one division by z keeps y' to 2^(zb - wp).  The sum
+    stops at the first k past the peak, 2 |z^3| <= (3k-1) 3k, where a_k,
+    b_k, 3k a_k and (3k+1) b_k all round to zero in their units; from there
+    each term is at most half the one before, so the rest is below a unit.
+    After n terms each sum is off by about n units: a floor per term, and
+    the floors of the steps and of z^3, below k 2^(-wp-6) of a term at
+    step k, add up to n 2^-6 units at most.  So log2(n) of the GUARD bits
+    are lost, as in a wp-bit floating-point sum.
     A point whose estimated work is past ``_AIRY_MAX_WORK`` raises
     DomainError before any term is summed.  Each (kind, z, prec)
     is summed once: a Taylor facility reads all its terms off one (y, y').
     """
     wp = prec + special.GUARD
-    if not z[1]:
+    sign, man, exp, _ = z
+    if not man:
         return _airy_at_zero(kind, wp)
-    lz = math.log2(z[1]) + z[2]  # log2 |z|
     # |z| is capped far past the bound, where a float |z|^(3/2) overflows
     zeta_bits = 2 * min(abs(libmp.to_float(z)), 2.0**64) ** 1.5 / (3 * math.log(2))
-    wp += math.ceil(zeta_bits if z[0] else 2 * zeta_bits if kind == "ai" else 0)
+    wp += math.ceil(zeta_bits if sign else 2 * zeta_bits if kind == "ai" else 0)
     # |z| < 1 takes no more terms than |z| = 1
     if _airy_terms(max(zeta_bits * math.log(2), 2 / 3), wp) * (wp + 8192) > _AIRY_MAX_WORK:
         raise DomainError(f"Airy at z = {libmp.to_str(z, 6)}, {prec} bits: the Maclaurin series' terms times working bits are past its work bound")
     y0, y1 = _airy_at_zero(kind, wp)
-    floor = max(special.mag(y0), special.mag(y1) + lz) - wp
-    c, small = [], 0
-    for n, cn in enumerate(_airy_coeffs(y0, y1, libmp.fzero, wp)):
-        c.append(cn)
-        if cn[1]:  # the larger of |c_n z^n| and |n c_n z^(n-1)|, against the floor
-            small = small + 1 if special.mag(cn) + (n - 1) * lz + max(lz, math.log2(max(n, 1))) < floor else 0
-        if small == 3:
+    bits = wp + 8  # of a term's mantissa
+    unit = math.ceil(zeta_bits) - wp  # of f and g; f_1 and g_1 in units 2^(unit + ez)
+    ez = man.bit_length() + exp - 1
+    cube = man**3
+    # past the peak when 2 |z^3| <= (3k-1) 3k, compared as peak <= (3k-1) 3k << peak_shift
+    peak, peak_shift = (2 * cube) << max(3 * exp, 0), max(-3 * exp, 0)
+    drop = max(cube.bit_length() - bits, 0)  # the steps take z^3 to wp + 8 bits, floored
+    cube, cube_exp = -(cube >> drop) if sign else cube >> drop, 3 * exp + drop
+    ma, ea, mb, eb = 1, 0, -man if sign else man, exp  # a_0 and b_0 as mantissa, exponent
+    f = 1 << -unit if unit <= 0 else 0
+    g = mb << eb - unit if eb >= unit else mb >> unit - eb
+    f1, g1 = 0, mb << eb - unit - ez if eb >= unit + ez else mb >> unit + ez - eb
+    k = 0
+    while True:
+        k += 1
+        da, db = (3 * k - 1) * 3 * k, 3 * k * (3 * k + 1)
+        num = ma * cube
+        shift = bits - num.bit_length() + da.bit_length()
+        ma, ea = (num << shift if shift >= 0 else num >> -shift) // da, ea + cube_exp - shift
+        num = mb * cube
+        shift = bits - num.bit_length() + db.bit_length()
+        mb, eb = (num << shift if shift >= 0 else num >> -shift) // db, eb + cube_exp - shift
+        wa, wb = 3 * k * ma, (3 * k + 1) * mb
+        if (
+            peak <= da << peak_shift
+            and max(ma.bit_length() + ea, mb.bit_length() + eb) <= unit
+            and max(wa.bit_length() + ea, wb.bit_length() + eb) <= unit + ez
+        ):
             break
-    val = dval = libmp.fzero  # Horner: products by a short z are cheap, full powers z^n are not
-    for n in reversed(range(len(c))):
-        val = libmp.mpf_add(libmp.mpf_mul(val, z, wp), c[n], wp)
-        if n >= 1:
-            dval = libmp.mpf_add(libmp.mpf_mul(dval, z, wp), libmp.mpf_mul_int(c[n], n, wp), wp)
-    return val, dval
+        s = ea - unit
+        f += ma << s if s >= 0 else ma >> -s
+        s -= ez
+        f1 += wa << s if s >= 0 else wa >> -s
+        s = eb - unit
+        g += mb << s if s >= 0 else mb >> -s
+        s -= ez
+        g1 += wb << s if s >= 0 else wb >> -s
+    val = libmp.mpf_add(libmp.mpf_mul(y0, libmp.from_man_exp(f, unit)), libmp.mpf_mul(y1, libmp.from_man_exp(g, unit)), wp)
+    dval = libmp.mpf_add(libmp.mpf_mul(y0, libmp.from_man_exp(f1, unit + ez)), libmp.mpf_mul(y1, libmp.from_man_exp(g1, unit + ez)))
+    return val, libmp.mpf_div(dval, z, wp)
 
 
 def airy_ai_oracle(z):

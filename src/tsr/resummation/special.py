@@ -191,7 +191,7 @@ def _airy_asymptotic(t, side: int, wp: int):
 def _airy_bessel(t, side: int, wp: int):
     """(L(t), error bound) from the power series of I_(-1/3) and I_(1/3).
 
-    With y = t^2/4, c = (t/2)^(1/3), g = Gamma(1/3) (``_gamma_third``) and
+    With y = t^2/4, c = (t/2)^(1/3), g = Gamma(1/3) (``gamma_third``) and
     Gamma(2/3) = 2 pi / (sqrt 3 g), Gamma(4/3) = g/3 (DLMF 10.25.2, 10.27.4,
     5.5.3):
 
@@ -219,7 +219,7 @@ def _airy_bessel(t, side: int, wp: int):
         A += a
         B += b
     w2 = wq + 10
-    g = _gamma_third(w2)
+    g = gamma_third(w2)
     c = libmp.mpf_cbrt(libmp.mpf_shift(t, -1), w2)
     pi = libmp.mpf_pi(w2)
     sqrt3 = libmp.mpf_sqrt(libmp.from_int(3), w2)
@@ -236,7 +236,7 @@ def _airy_bessel(t, side: int, wp: int):
     return val, err
 
 
-def _gamma_third(prec: int):
+def gamma_third(prec: int):
     """Gamma(1/3) as a raw mpf, good to a unit at prec bits, from the AGM:
     Gamma(1/3)^3 = 2^(4/3) pi^2 / (3^(1/4) agm(1, (sqrt 6 + sqrt 2) / 4)),
     the complete elliptic integral at the singular value k_3 = sin(pi/12)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from ..errors import UndecidableSupport
+from ..errors import DomainError, UndecidableSupport
 from .grid import (
     Group,
     LogPart,
@@ -73,9 +73,13 @@ def ts_mul_minus(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
 
 
 def _constant_part(ts: TransseriesT1) -> Fraction:
+    """The constant of an operand of ``ts_mul_minus``; DomainError naming
+    what lies outside the decaying algebra plus constants."""
     lp = ts.log
-    if lp.P or len(lp.Q) > 1 or ts.plus:
-        raise ValueError("ts_mul_minus operates on the minus algebra (plus constants) only")
+    parts = (("growing exponential groups", ts.plus), ("log part", lp.P), ("polynomial part", lp.Q[1:]))
+    outside = [name for name, part in parts if part]
+    if outside:
+        raise DomainError(f"mul takes the decaying algebra plus constants; an operand has: {', '.join(outside)}")
     return lp.q_coeff(0)
 
 

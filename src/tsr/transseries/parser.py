@@ -224,7 +224,7 @@ def _series_text(ps: PowerSeries, offset: Fraction, truncation: int) -> str:
             shown += 1
         l += 1
     more = (ps.length is None and shown == truncation) or (
-        ps.length is not None and any(ps.coeff(j) != 0 for j in range(l, ps.length + 1))
+        ps.length is not None and ps.nonzero_from(l)
     )
     if not frags:
         return "0"

@@ -39,6 +39,7 @@ class PowerSeries:
         length: Optional[int] = None,
         kernel: Optional[Callable[[], Optional["KernelEntry"]]] = None,
     ):
+        self._coeff_fn = coeff_fn
         self._coeffs = Stream(lambda: map(lambda l: Fraction(coeff_fn(l)), count(1)))
         self.length = length
         self._kernel_fn = kernel or (lambda: None)
@@ -129,6 +130,14 @@ class PowerSeries:
         if self.length is not None:
             return None
         raise UndecidableSupport(f"no nonzero coefficient within scan bound {DEFAULT_ORDER_SCAN}")
+
+    def nonzero_from(self, l: int) -> bool:
+        """Whether a finite series has a nonzero coefficient at an index >= l.
+
+        The oracle itself is read, downward from ``length`` and unmemoized,
+        so a far-off last term costs one read, not one per index below it.
+        """
+        return any(self._coeff_fn(j) != 0 for j in range(self.length, max(l, 1) - 1, -1))
 
     def is_zero_upto(self, n: int) -> bool:
         return all(self.coeff(l) == 0 for l in range(1, n + 1))

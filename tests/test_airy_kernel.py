@@ -60,8 +60,10 @@ def test_taylor_is_the_borel_transform_of_the_u_series(name, side):
 
 @pytest.mark.parametrize("side", (1, -1))
 def test_growth_bounds_the_kernel_past_the_laplace_cutoff(side):
-    # laplace cuts the ray at T >= 2, and past the last singularity's window
-    # plus 1: T >= 2 + 2 * min(PV_WINDOW, 1) + 1 for the branch point at 2
+    # laplace bounds the tail past its cutoff T >= 2 by the growth bound.  On
+    # the Bi side F has a log branch point at p = 2 (|F| is 2.5 at p = 2.0001
+    # and 1.18 at p = 2.5), so that grid starts clear of it, at
+    # 2 + 2 * min(PV_WINDOW, 1) + 1 = 3.5; the Ai side's F is bounded from 0
     kernel = AiryKernel(side)
     c1, c3 = kernel.growth
     assert c3 == 0

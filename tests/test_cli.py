@@ -51,6 +51,11 @@ class TestVerbs:
         assert code == 0
         assert ts_from_json(json.loads(out)).minus[0].series.coeffs(20) == list(range(1, 21))
 
+    def test_parse_prints_a_far_off_term_without_reading_up_to_it(self, cli):
+        # whether " + ..." follows is read downward from the series' length
+        with time_budget(1.0):
+            assert cli("parse", "1/x^1000000 + 2/x") == (0, "2/x + ...\n", "")
+
     def test_mul(self, cli):
         code, out, _ = cli("mul", "exp(-x)/x", "exp(-x)/x")
         assert code == 0
@@ -67,6 +72,19 @@ class TestVerbs:
     )
     def test_mul_of_commensurate_rates(self, cli, left, right, product):
         assert cli("mul", left, right) == (0, product + "\n", "")
+
+    @pytest.mark.parametrize(
+        "left, right, parts",
+        [
+            ("x * 1", "#ei * x * #erfi", "polynomial part"),
+            ("log(x)", "exp(-x)", "log part"),
+            ("exp(-x)/x", "exp(x) + x^2*log(x) + x", "growing exponential groups, log part, polynomial part"),
+        ],
+    )
+    def test_mul_names_what_leaves_the_decaying_algebra(self, cli, left, right, parts):
+        code, out, err = cli("mul", left, right)
+        assert (code, out) == (1, "")
+        assert err == f"error: DomainError: mul takes the decaying algebra plus constants; an operand has: {parts}\n"
 
     def test_borel(self, cli):
         code, out, _ = cli("borel", "series![1, 1, 2, 6]", "--order", "3")

@@ -114,6 +114,58 @@ def test_airy_taylor_terms_share_one_sum_per_point():
     assert _airy_raw.cache_info().misses == 1 and len(terms) == 13
 
 
+def _assert_airy_within_an_ulp(z, names=("airy_ai", "airy_bi")):
+    """Ai, Bi and their derivatives (the first Taylor terms) at the mpf z
+    within 1 ulp of mpmath's, at the context precision."""
+    for oracle, ref, name in ((airy_ai_oracle, mp.airyai, "airy_ai"), (airy_bi_oracle, mp.airybi, "airy_bi")):
+        if name not in names:
+            continue
+        assert _ulps(oracle(z), _reference(ref, z)) <= 1, (name, z)
+        derivative = catalog()[name].taylor_term(z, 1)[1]
+        assert _ulps(derivative, _reference(lambda s: ref(s, derivative=1), z)) <= 1, (name, z)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dps=st.sampled_from((15, 30, 50, 100, 300)), q=grid(-64 * 1024, 64 * 1024, 1024))
+@example(dps=300, q=F(64))
+@example(dps=300, q=F(-64))
+@example(dps=15, q=F(-4095, 64))
+def test_airy_integer_sum_on_dyadic_points(dps, q):
+    # the two term recurrences in z^3, summed in integers, over [-64, 64]
+    with mp.workdps(dps):
+        _assert_airy_within_an_ulp(_mpf(q))
+
+
+@pytest.mark.parametrize("name, z", [("airy_bi", 1300), ("airy_ai", -570), ("airy_bi", -570)])
+def test_airy_integer_sum_at_the_work_bound(name, z):
+    # Bi's terms grow to about 2^45000 at 1300, with nothing cancelling;
+    # at -570 they grow to about 2^13000 and cancel by as many bits
+    with mp.workdps(15):
+        _assert_airy_within_an_ulp(mp.mpf(z), (name,))
+
+
+@pytest.mark.parametrize("dps", [15, 50, 300])
+def test_airy_integer_sum_of_a_long_mantissa(dps):
+    # z^3 takes three times z's bits, past a term's: it is floored to them
+    with mp.workdps(dps):
+        for z in (+mp.pi, -mp.mpf(1) / 3, 10 * mp.e, -mp.sqrt(300)):
+            _assert_airy_within_an_ulp(z)
+
+
+@pytest.mark.parametrize("dps", [15, 50, 300])
+@pytest.mark.parametrize(
+    "z",
+    [(0, 0), (1, -30), (-1, -30), (1, -1000), (-3, -1000), (1, -1)],
+    ids=["0", "2^-30", "-2^-30", "2^-1000", "-3*2^-1000", "1/2"],
+)
+def test_airy_integer_sum_stopping_at_the_peak(dps, z):
+    # past the peak from k = 1 on (|z| <= 3^(1/3)), and at |z| <= 2^-30 the
+    # sum stops there with one term of each series; y' is summed in units
+    # |z| times y's, so dividing by a tiny z keeps it
+    with mp.workdps(dps):
+        _assert_airy_within_an_ulp(mp.ldexp(*z))
+
+
 @pytest.mark.parametrize("z, dps", [("1400", 15), ("-600", 15), ("1e300", 15), ("-1e300", 15), ("200", 10000)])
 def test_airy_past_the_work_bound_is_a_domain_error(z, dps):
     # the series' terms times its working bits past 2^30: refused before
