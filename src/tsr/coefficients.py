@@ -11,22 +11,23 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Optional
 
 from .resummation.kernels import AiryKernel, CothKernel, KernelEntry, pole_kernel, sqrt_branch_kernel
+from .resummation.special import tangent_numbers
 from .transseries.series import PowerSeries
 
 
-@functools.lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
-    """B_n with B_1 = -1/2, via sum(binom(n+1, j) B_j, j<=n) = 0."""
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for j in range(n):
-        total += comb(n + 1, j) * bernoulli(j)
-    return -total / (n + 1)
+    """B_n with B_1 = -1/2; B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the
+    tangent numbers T_k, the one table Binet's function is summed over too."""
+    if n < 2:
+        return Fraction(-1, 2) if n else Fraction(1)
+    if n % 2:
+        return Fraction(0)
+    k = n // 2
+    return (-1) ** (k - 1) * Fraction(n * tangent_numbers(k)[k - 1], 4**k * (4**k - 1))
 
 
 @functools.lru_cache(maxsize=None)

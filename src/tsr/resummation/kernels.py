@@ -674,32 +674,28 @@ class CothKernel(BorelFunction):
         """integral(e^(-xp) F(p), p = 0..inf) in closed form: F(p) is
         (1/2 - 1/p + 1/(e^p - 1))/p, and its transform is Binet's function
         J(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 (DLMF 5.9.13;
-        Costin 2008, ch. 5).
+        Costin 2008, ch. 5), the Borel sum of ``#stirling``.
 
-        J ~ 1/(12x) is what is left of ln Gamma(x) ~ x ln x, so the parts are
-        computed in raw libmp at wp = prec + 40 + 2 max(log2 x, 0) bits, each
-        good to a few units in its last place, and summed exactly; that sum
-        is within 2^(m + 5 - wp) of J, for every part below 2^m.  A Fraction
-        x is rounded to wp bits first, which moves J by at most 2^-wp, since
-        |J'(x)| <= min(1/(2x), 1/(12x^2)).  Returns (value, error) as mpf:
-        the sum rounded to ``prec`` bits, and that bound plus |value| 2^-prec
-        for the rounding and |value| 2^(2-prec) for the rational multiple and
-        the prefactor a caller applies at the same precision.  The error is
-        built from magnitudes alone, so the last bits of mpmath's cached
-        tables do not reach it.  No context precision is read or set, so
-        threads may call it at once.
+        ``special.binet`` shifts x up to about 0.6 wp and sums the Stirling
+        series there in integers, over the tangent-number table the Bernoulli
+        numbers come from; no Gamma function and no mpmath Gamma table is
+        used, so the catalog's log Gamma oracle (``mp.loggamma``) stays an
+        independent check.  It works at wp = prec + 20 + max(log2 x, 0)
+        fraction bits, within a bound of about 2^-wp, below 2^-(prec+16) of
+        J ~ 1/(12x).  A Fraction x is rounded to wp bits first, which moves J
+        by less than 2^-wp, since |J'(x)| < 1/(2x).  Returns (value, error)
+        as mpf: the sum rounded to ``prec`` bits, and its bound plus |value|
+        2^-prec for the rounding and |value| 2^(2-prec) for the rational
+        multiple and the prefactor a caller applies at the same precision.
+        The error is built from magnitudes alone.  No context precision is
+        read or set, so threads may call it at once.
         """
-        wp = prec + 40 + 2 * max(special.mag(_interval(x, 53)[0]), 0)
-        X = _interval(x, wp)[0]
-        parts = (
-            libmp.mpf_loggamma(X, wp),
-            libmp.mpf_neg(libmp.mpf_mul(libmp.mpf_sub(X, libmp.fhalf), libmp.mpf_log(X, wp), wp)),
-            X,
-            libmp.mpf_neg(libmp.mpf_shift(libmp.mpf_log(libmp.mpf_shift(libmp.mpf_pi(wp), 1), wp), -1)),
-        )
-        mid = libmp.mpf_sum(parts)  # exact
+        wp = prec + special.GUARD + max(special.mag(_interval(x, 53)[0]), 0)
+        X, hi = _interval(x, wp)
+        mid, bound = special.binet(X, wp)
+        if X != hi:
+            bound = libmp.mpf_add(bound, libmp.mpf_shift(libmp.fone, -wp), 53, _UP)
         val = libmp.mpf_pos(mid, prec, libmp.round_nearest)
-        bound = libmp.mpf_shift(libmp.fone, max(map(special.mag, parts)) + 5 - wp)
         err = libmp.mpf_add(bound, libmp.mpf_shift(libmp.mpf_mul_int(libmp.mpf_abs(val), 5, 53, _UP), -prec), 53, _UP)
         return mp.make_mpf(val), mp.make_mpf(err)
 

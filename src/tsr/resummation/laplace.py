@@ -343,14 +343,16 @@ def eb_sum(
         lp = ts.log
         if not lp.is_zero():
             lx = mp.log(x)
-            with_log = [_c2mp(c) * x**i * lx for i, c in enumerate(lp.P)]
-            for t in with_log + [_c2mp(c) * x**i for i, c in enumerate(lp.Q)]:
+            for i, c, logs in [(i, c, 1) for i, c in enumerate(lp.P)] + [(i, c, 0) for i, c in enumerate(lp.Q)]:
+                power = _c2mp(c) * x**i
+                t = power * lx if logs else power
                 total += t
                 # the exact part's rounding (mp.eps is a unit at 1): half a
                 # unit of a term for each of c, x^i, log x and the product,
-                # and a unit of the running total per addition, half of it
-                # spare for adding the groups' sums below
-                err += (2 * abs(t) + abs(total)) * mp.eps
+                # i halves for x's own rounding, and half a unit of c x^i
+                # for it through log x; a unit of the running total per
+                # addition, half of it spare for adding the groups' sums below
+                err += ((2 + i / 2) * abs(t) + logs * abs(power) / 2 + abs(total)) * mp.eps
 
         for grp in groups_of(ts):
             series = grp.series
@@ -359,13 +361,26 @@ def eb_sum(
             growth = mp.exp(_c2mp(grp.mu) * x)
             if series.is_finite():
                 # finite sums are their own Borel sums: e^(mu x) sum(c_l x^(offset - l))
-                val = mp.mpf(0)
+                val = verr = mp.mpf(0)
                 for l in range(1, series.length + 1):
                     if c := series.coeff(l):
                         if not x and grp.offset < l:
                             raise DomainError(f"x^({grp.offset - l}) has no value at x = 0")
-                        val += _c2mp(c) * x ** _c2mp(grp.offset - l)
-                total += growth * val
+                        q = grp.offset - l
+                        e = _c2mp(q)
+                        t = _c2mp(c) * x**e
+                        val += t
+                        # half a unit of the term for each of c, x^e and the
+                        # product, |e| halves for x's own rounding, |e ln x|
+                        # halves for e's when it is no binary fraction, and a
+                        # unit of the running sum
+                        rounded_e = x and q.denominator & (q.denominator - 1)
+                        verr += (3 + abs(e) + (abs(e * mp.log(x)) if rounded_e else 0)) / 2 * abs(t) + abs(val)
+                term = growth * val
+                total += term
+                # e^(mu x) is off by a unit, 3 |mu x| halves for the roundings
+                # of mu, x and mu x, and the product by half a unit more
+                err += (abs(growth) * verr + (2 + 2 * abs(_c2mp(grp.mu) * x)) * abs(term)) * mp.eps
                 continue
             entry = (resolver(series) if resolver is not None else series.kernel) or resolve_default(series)
             # c x^m L[man P^m K](x): the regularized sum of one series

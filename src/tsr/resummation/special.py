@@ -1,4 +1,4 @@
-"""Ei, the erfi integral and the Airy Borel sums in raw ``mpmath.libmp`` arithmetic.
+"""Ei, the erfi integral, Binet's function and the Airy Borel sums in raw ``mpmath.libmp`` arithmetic.
 
 One implementation serves the catalog's real-line oracles and the closed-form
 Laplace transforms of ``ClosedFormKernel``: the convergent series, DLMF 6.6.1
@@ -6,14 +6,18 @@ for Ei (O(x) terms) and 7.6.4 for integral(e^(s^2), s = 0..x) (O(x^2) terms),
 and past the working bits their asymptotic series, DLMF 6.12.2 and 7.12, so
 the work stays bounded at any x.  The Laplace transform of ``AiryKernel``
 (``airy_laplace``) is a modified Bessel function of order 1/3, summed the same
-two ways.  Every function takes an explicit precision, works at ``GUARD``
-bits above it and returns an unrounded raw mpf; nothing reads or writes a
-context's precision, so threads may call them at once.
+two ways; that of ``CothKernel`` is Binet's function (``binet``), a shifted
+Stirling series over the one table of tangent numbers (``tangent_numbers``)
+that the Bernoulli numbers come from too.  Every function takes an explicit
+precision, works at ``GUARD`` bits above it and returns an unrounded raw mpf;
+nothing reads or writes a context's precision, so threads may call them at
+once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 from mpmath import libmp
 
@@ -126,6 +130,131 @@ def _erfi_integral_asymptotic(x2, wp):
         term = libmp.mpf_div(libmp.mpf_mul_int(term, 2 * k - 1, wp), two_x2, wp)
         total = libmp.mpf_add(total, term, wp)
     return total
+
+
+_TANGENT_LOCK = threading.Lock()
+_tangent = (1,)  # T_1, T_2, ...: replaced whole, under the lock, never changed
+
+
+def tangent_numbers(n: int) -> tuple:
+    """(T_1, ..., T_m) for some m >= n, with tan z = sum(T_k z^(2k-1) / (2k-1)!).
+
+    Brent and Harvey's integer recurrence ("Fast computation of Bernoulli,
+    tangent and secant numbers", 2013) builds the table in O(m^2) small
+    multiples and sums.  A table that is too short is rebuilt at least twice
+    as long, under a lock, and published as one immutable tuple, so every
+    thread reads a whole table.
+    """
+    global _tangent
+    table = _tangent
+    if len(table) < n:
+        with _TANGENT_LOCK:
+            if len(_tangent) < n:
+                m = max(n, 2 * len(_tangent))
+                t = [0, 1] + [0] * (m - 1)
+                for k in range(2, m + 1):
+                    t[k] = (k - 1) * t[k - 1]
+                for k in range(2, m + 1):
+                    for j in range(k, m + 1):
+                        t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+                _tangent = tuple(t[1:])
+            table = _tangent
+    return table
+
+
+def binet(x, F: int):
+    """Binet's function J(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2
+    at a raw x > 0, as raw (value, error bound), the bound about 2^-F for
+    any F > log2 x.  No Gamma function is evaluated.
+
+    Below X0 = ceil(0.6 F) the argument is shifted to X = x + N in
+    [X0, X0 + 1) (0.6 was measured the cheapest first call at 1000 and
+    3000 digits, where the product and the sum trade off), since
+    ln Gamma(X) = ln Gamma(x) + ln(x (x+1) ... (x+N-1)):
+
+        J(x) = J(X) + (X - 1/2) ln X - (x + 1/2) ln x - ln P - N,  P = prod(x + j, j = 1..N-1),
+
+    and with N = 0 there is J(X) alone.  J(X) is the Stirling series
+    sum(B_2k / (2k (2k-1) X^(2k-1)), k <= K) (DLMF 5.11.1); for real X > 0
+    its remainder is below the first term left out (DLMF 5.11(ii)).  K is
+    the first K whose next term is below 2^-F at X0, so at every X >= X0,
+    and 2^(1-F) bounds the remainder with the float arithmetic of that
+    choice.  With B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) the sum is
+    s_1 / (4X) by Horner's rule, s_K = a_K and s_k = a_k - z s_(k+1), for
+    a_k = T_k / ((2k-1)(4^k - 1)) and z = 1/(4X^2).  Level k is held in
+    units of 2^(-F1 + (k-1) D), with 2^D <= 4X^2 < 2^(D+1), so a step
+    multiplies by r = 2^D / (4X^2) in (1/2, 1], floored from G bits: each
+    step errs by at most 3 + |s| 2^-G units (two floors and r's), and an
+    error at level k reaches s_1 times r^(k-1) <= 1.
+
+    The product is taken two factors at a time, x^2 + (2j+1) x + j(j+1)
+    from the integer x^2, and each factor and product is kept to ``keep``
+    bits, each truncation within 2^(1-keep) of it, so ln P is off by less
+    than N 2^(2-keep).  The logs and their products, at wp bits, are each
+    within a few units of the largest part, 2^m, which adds 2^(m+5-wp).
+    """
+    X0 = math.ceil(0.6 * F)
+    N = max(X0 - libmp.to_int(x), 0)
+    X = libmp.mpf_add(x, libmp.from_int(N))  # exact
+    K = _stirling_terms(F, X0)
+    T = tangent_numbers(K)
+    _, man, exp, _ = X
+    m2 = man * man
+    D = m2.bit_length() + 2 * exp + 1  # 2^D <= 4X^2 < 2^(D+1)
+    F1 = F + (3 * K).bit_length() + 2
+    G = F1 + K  # |s| < 2^(F1 + k) at level k
+    r = (1 << G + m2.bit_length() - 1) // m2  # floor(2^(G+D) / (4X^2))
+
+    def a(k):  # floor(a_k) in units of level k
+        d, f = (2 * k - 1) * ((1 << 2 * k) - 1), F1 - (k - 1) * D
+        return (T[k - 1] << f) // d if f >= 0 else T[k - 1] // (d << -f)
+
+    s, units = a(K), 1
+    for k in range(K - 1, 0, -1):
+        units += 3 + (abs(s) >> G)
+        s = a(k) - (s * r >> G)
+    JX = libmp.mpf_div(libmp.from_man_exp(s, -F1 - 2), X, F + 8)
+    bound = libmp.mpf_div(libmp.from_man_exp(units, -F1 - 2), X, 53, libmp.round_up)
+    for e in (1 - F, mag(JX) - F - 7):  # the remainder; the division's rounding
+        bound = libmp.mpf_add(bound, libmp.mpf_shift(libmp.fone, e), 53, libmp.round_up)
+    if not N:
+        return JX, bound
+    wp = F + mag(X) + mag(X).bit_length() + 5  # X ln X < 2^(wp - F - 5)
+    keep = wp + N.bit_length() + 2
+    _, man, exp, _ = x
+    up = max(-exp, 0)
+    base = man << exp + up  # x 2^up, an integer
+    square, scaled = base * base, base << up
+    p, shift = 1, 0
+    for j in range(1, N, 2):
+        if j + 1 < N:
+            f, shift = square + (2 * j + 1) * scaled + (j * (j + 1) << 2 * up), shift - 2 * up
+        else:
+            f, shift = base + (j << up), shift - up
+        drop = max(f.bit_length() - keep, 0)
+        p *= f >> drop
+        more = max(p.bit_length() - keep, 0)
+        p >>= more
+        shift += drop + more
+    parts = (
+        libmp.mpf_mul(libmp.mpf_sub(X, libmp.fhalf), libmp.mpf_log(X, wp), wp),
+        libmp.mpf_neg(libmp.mpf_mul(libmp.mpf_add(x, libmp.fhalf), libmp.mpf_log(x, wp), wp)),
+        libmp.mpf_neg(libmp.mpf_log(libmp.from_man_exp(p, shift), wp)),
+    )
+    mid = libmp.mpf_sum((JX, *parts, libmp.from_int(-N)))  # exact
+    bound = libmp.mpf_add(bound, libmp.mpf_shift(libmp.fone, max(map(mag, parts)) + 5 - wp), 53, libmp.round_up)
+    return mid, libmp.mpf_add(bound, libmp.from_man_exp(N, 2 - keep), 53, libmp.round_up)
+
+
+def _stirling_terms(F: int, X0: int) -> int:
+    """The first K whose term K + 1 of the Stirling series at X0 is below
+    2^-F: |B_2k| / (2k (2k-1) X0^(2k-1)) = 2 zeta(2k) (2k-2)! X0 / (2 pi X0)^(2k),
+    with zeta(2k) < 2 (DLMF 24.8.1)."""
+    ln_x, ln_2pi_x, floor = math.log(X0), math.log(2 * math.pi * X0), -F * math.log(2)
+    k = 2
+    while math.log(4) + math.lgamma(2 * k - 1) + ln_x - 2 * k * ln_2pi_x >= floor:
+        k += 1
+    return k - 1
 
 
 def airy_laplace(t, side: int, prec: int):

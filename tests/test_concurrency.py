@@ -307,6 +307,34 @@ def test_binet_laplace_bit_identical_from_16_threads():
     assert mp.mp.prec == prec
 
 
+def test_binet_laplace_bit_identical_from_16_threads_at_1000_digits(monkeypatch):
+    # the same three points at 1000 digits, where the Stirling sum needs
+    # about 290 tangent numbers: each round starts from a one-entry table,
+    # so the threads race to grow it while they sum, and the serial
+    # reference runs after them
+    import mpmath as mp
+    from mpmath import libmp
+
+    from tsr.resummation import CothKernel, special
+
+    kernel = CothKernel()
+    cases = [(x, libmp.dps_to_prec(1000)) for x in (F(1, 10), 3, 10**8)]
+
+    def raw(k: int) -> list:
+        start = k % len(cases)
+        out = {i: kernel.laplace(*cases[i]) for i in [*range(start, len(cases)), *range(start)]}
+        return [(v._mpf_, e._mpf_) for v, e in (out[i] for i in range(len(cases)))]
+
+    prec = mp.mp.prec
+    rounds = []
+    for _ in range(3):
+        monkeypatch.setattr(special, "_tangent", (1,))
+        rounds.append(_pull_together(raw, workers=16))
+    serial = raw(0)
+    assert all(r == serial for results in rounds for r in results)
+    assert mp.mp.prec == prec
+
+
 def test_airy_laplace_bit_identical_from_16_threads():
     # both Airy Borel sums at three points and four precisions: 1/2 and 15
     # through the series of I_(+-1/3), 10^6 through the asymptotic series;

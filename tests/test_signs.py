@@ -3,10 +3,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsr.errors import OverlapError
 from tsr.surreal import (
     Dyadic,
+    MINUS,
+    PLUS,
     SignExpansion,
     all_sign_expansions,
     genetic_add,
@@ -109,3 +113,20 @@ class TestGeneticOps:
         for a in xs:
             for b in xs:
                 assert sign_value(genetic_mul(a, b)) == sign_value(a) * sign_value(b)
+
+
+def sign_expansions(max_birthday: int):
+    return st.lists(st.sampled_from((PLUS, MINUS)), max_size=max_birthday).map(SignExpansion)
+
+
+# past the exhaustive birthdays above: sums up to birthday 9, products up to 6
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sign_expansions(9), sign_expansions(9))
+def test_add_matches_dyadic_arithmetic(a, b):
+    assert sign_value(genetic_add(a, b)) == sign_value(a) + sign_value(b)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(sign_expansions(6), sign_expansions(6))
+def test_mul_matches_dyadic_arithmetic(a, b):
+    assert sign_value(genetic_mul(a, b)) == sign_value(a) * sign_value(b)
