@@ -150,10 +150,26 @@ def _real(text: str) -> Fraction:
     return x
 
 
+def _json_input(src: str):
+    """The transseries that the JSON on stdin (``-``) or in a file (``@path``)
+    holds; an unreadable file or malformed JSON is a DomainError."""
+    try:
+        if src == "-":
+            return ts_from_json(json.load(sys.stdin))
+        with open(src[1:]) as fh:
+            return ts_from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise errors.DomainError(f"{src} holds no transseries JSON: {type(exc).__name__}: {exc}") from None
+
+
 def _config(ns) -> QuadratureConfig:
     prec = ns.prec
     if prec is None:
-        prec = int(os.environ.get("TSR_PRECISION", "50"))
+        text = os.environ.get("TSR_PRECISION", "50")
+        try:
+            prec = int(text)
+        except ValueError:
+            raise errors.DomainError(f"TSR_PRECISION must be a whole number of digits, got {text!r}") from None
     return QuadratureConfig(abs_tol=ns.tol / 100, rel_tol=ns.tol, precision=prec)
 
 
@@ -189,7 +205,7 @@ def run(argv=None) -> int:
     except errors.ExpressionSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    except (errors.TsrError, ValueError, ZeroDivisionError) as exc:
+    except errors.TsrError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
@@ -230,22 +246,20 @@ def _dispatch(ns, cfg: QuadratureConfig) -> int:
 
     if verb == "sum":
         src = ns.transseries
-        if src == "-":
-            ts = ts_from_json(json.load(sys.stdin))
-        elif src.startswith("@"):
-            with open(src[1:]) as fh:
-                ts = ts_from_json(json.load(fh))
-        else:
-            ts = ts_parse(src)
+        ts = _json_input(src) if src == "-" or src.startswith("@") else ts_parse(src)
         val, err = eb_sum(ts, _real(ns.x), cfg)
         text = mp.nstr(val, _digits(cfg))
+        if ns.json and abs(val) > sys.float_info.max:
+            raise errors.DomainError(f"--json writes a double, and the sum {text} is beyond the double range")
         # each emitted bound covers the value emitted with it: err plus the
         # rounding to the printed digits, or to the JSON double
         with mp.workdps(cfg.precision + 10):
-            shown = _rounded_up(err + abs(val - mp.mpf(text)))
-            bound = _rounded_up(err + abs(val - float(val)))
-        payload = {"value": float(val), "error_estimate": _float_up(Fraction(bound))}
-        _emit_value(ns, payload, f"{text}  (error <= {shown})")
+            emitted = float(val) if ns.json else mp.mpf(text)
+            bound = _rounded_up(err + abs(val - emitted))
+        if ns.json:
+            print(json.dumps({"error_estimate": _float_up(Fraction(bound)), "value": emitted}, sort_keys=True))
+        else:
+            print(f"{text}  (error <= {bound})")
         return 0
 
     if verb == "eval":

@@ -5,14 +5,6 @@ class TsrError(Exception):
     """Base class for all library errors."""
 
 
-class OverlapError(TsrError):
-    """Left and right cut sets overlap: some l >= some r."""
-
-
-class NotStabilizedError(TsrError):
-    """A coefficient demanded from a Limit changed after its scheduled index."""
-
-
 class GridMergeError(TsrError):
     """Two transseries grids cannot be merged within the configured bounds."""
 
@@ -57,7 +49,8 @@ class DomainError(TsrError):
     """Real evaluation point below the function's domain endpoint, not finite,
     or past the work bound of the function's oracle (Airy's Maclaurin sum);
     or a verb's input outside what it transforms (``borel``'s power series,
-    ``mul``'s decaying algebra plus constants)."""
+    ``mul``'s decaying algebra plus constants, ``weights``' address of + and
+    -); or a working precision or tolerance that is not positive."""
 
 
 class ExpressionSyntaxError(TsrError):

@@ -5,7 +5,6 @@ from .tau import (
     PointData,
     SurrealPoint,
     analyze_point,
-    exp_infinitesimal,
     exp_purely_infinite,
     g_map_exponent,
     tau_eval,
@@ -30,7 +29,6 @@ __all__ = [
     "SurrealValue",
     "ValueGroup",
     "analyze_point",
-    "exp_infinitesimal",
     "exp_purely_infinite",
     "g_map_exponent",
     "tau_eval",

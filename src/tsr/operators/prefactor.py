@@ -70,9 +70,6 @@ class Prefactor:
             self.factor * other.factor, tuple(sorted((k, v) for k, v in acc.items() if v))
         )
 
-    def scale(self, q) -> "Prefactor":
-        return Prefactor(self.factor * Fraction(q), self.powers)
-
     def numeric(self):
         out = mp.mpf(self.factor.numerator) / self.factor.denominator
         for sym, q in self.powers:

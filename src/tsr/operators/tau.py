@@ -17,7 +17,7 @@ mu t0 has exponents p, p - 1, ..., 0 only, and its exponential is w^E e^q
 with no infinitesimal part.  A group's value is its series stream shifted by
 E, with the tag e^q in its prefactor.
 
-Two exact exponentials of infinitesimals live here.  ``exp_grid`` takes a
+Two exact sums of infinitesimals live here.  ``exp_grid`` takes a
 lazy stream with rational exponents, all multiples of one step m = w^step,
 and runs the recurrence n b_n = sum(j c_j b_(n-j)) on that grid in one pass
 (Gamma at w is the exp of log Gamma's Stirling tail there).  ``conway_sum``
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import factorial, gcd
+from math import gcd
 from typing import Callable, Iterator, Optional
 
 from ..errors import UnsupportedPointError
@@ -128,11 +128,6 @@ def conway_sum(coeff: Callable[[int], Fraction], z: SurrealNF, *, length: Option
                 yield _NOTHING
 
     return LazyNF(gen)
-
-
-def exp_infinitesimal(z: SurrealNF) -> LazyNF:
-    """exp(z) = sum z^k / k! for strictly infinitesimal z (see ``conway_sum``)."""
-    return conway_sum(lambda k: Fraction(1, factorial(k)), z)
 
 
 def exp_grid(z: LazyNF) -> LazyNF:

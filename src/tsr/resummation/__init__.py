@@ -1,6 +1,6 @@
 """Borel-plane machinery: transform, averaging, kernels, Laplace numerics."""
 
-from .borel import BorelPoly, borel_transform, convolve, inverse_borel, p_integrate_poly, unit
+from .borel import BorelPoly, borel_transform, p_integrate_poly
 from .averaging import (
     Address,
     ConsistencyReport,
@@ -9,7 +9,6 @@ from .averaging import (
     catalan_number,
     catalan_weight,
     catalan_weight_literal,
-    half_half_weight,
 )
 from .kernels import (
     AiryKernel,
@@ -44,11 +43,8 @@ def p_integrate(f, m: int = 1):
 __all__ = [
     "BorelPoly",
     "borel_transform",
-    "convolve",
-    "inverse_borel",
     "p_integrate",
     "p_integrate_poly",
-    "unit",
     "Address",
     "ConsistencyReport",
     "all_addresses",
@@ -56,7 +52,6 @@ __all__ = [
     "catalan_number",
     "catalan_weight",
     "catalan_weight_literal",
-    "half_half_weight",
     "AiryKernel",
     "BorelFunction",
     "ClosedFormKernel",

@@ -27,6 +27,8 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator
 
+from ..errors import DomainError
+
 WeightFamily = Callable[["Address"], Fraction]
 
 
@@ -43,7 +45,7 @@ class Address:
     @classmethod
     def parse(cls, text: str) -> "Address":
         if any(ch not in "+-" for ch in text):
-            raise ValueError(f"bad address string {text!r}")
+            raise DomainError(f"an address is a string of + and -, got {text!r}")
         return cls(tuple(1 if ch == "+" else -1 for ch in text))
 
     def __len__(self) -> int:
@@ -94,10 +96,6 @@ def catalan_weight(a: Address) -> Fraction:
         out *= catalan_number(b)
     last = blocks[-1]
     return out * comb(2 * last, last)
-
-
-def half_half_weight(a: Address) -> Fraction:
-    return Fraction(1, 2 ** len(a))
 
 
 @dataclass

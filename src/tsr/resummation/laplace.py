@@ -94,9 +94,9 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):  # a NaN tolerance is never missed
-            raise ValueError("tolerances must be positive")
+            raise DomainError("tolerances must be positive")
         if self.precision < 1:
-            raise ValueError("precision must be at least one digit")
+            raise DomainError("precision must be at least one digit")
 
 
 def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, mp.mpf]:
@@ -341,6 +341,8 @@ def eb_sum(
         err = mp.mpf(0)
 
         lp = ts.log
+        if lp.P and x <= 0:
+            raise DomainError(f"log x has no real value at x = {x}")
         if not lp.is_zero():
             lx = mp.log(x)
             for i, c, logs in [(i, c, 1) for i, c in enumerate(lp.P)] + [(i, c, 0) for i, c in enumerate(lp.Q)]:
@@ -364,9 +366,11 @@ def eb_sum(
                 val = verr = mp.mpf(0)
                 for l in range(1, series.length + 1):
                     if c := series.coeff(l):
-                        if not x and grp.offset < l:
-                            raise DomainError(f"x^({grp.offset - l}) has no value at x = 0")
                         q = grp.offset - l
+                        if not x and q < 0:
+                            raise DomainError(f"x^({q}) has no value at x = 0")
+                        if x < 0 and q.denominator != 1:
+                            raise DomainError(f"x^({q}) has no real value at x = {x}")
                         e = _c2mp(q)
                         t = _c2mp(c) * x**e
                         val += t

@@ -1,17 +1,5 @@
-"""Exact surreal arithmetic: sign expansions, normal forms, Limits."""
+"""Exact surreal arithmetic: hereditary normal forms and lazy streams of them."""
 
-from .signs import (
-    MINUS,
-    PLUS,
-    Dyadic,
-    SignExpansion,
-    all_sign_expansions,
-    genetic_add,
-    genetic_mul,
-    sign_expansion_of,
-    sign_value,
-    simplest_between,
-)
 from .normal_form import (
     EQ,
     GT,
@@ -20,26 +8,14 @@ from .normal_form import (
     decompose,
     nf_add,
     nf_cmp,
-    nf_inv_of_monomial,
     nf_mul,
     omega,
-    omega_map,
     one,
 )
-from .lazy import LazyNF, lim, schedule_from_nf
+from .lazy import LazyNF
 from .render import parse_nf, render_nf
 
 __all__ = [
-    "MINUS",
-    "PLUS",
-    "Dyadic",
-    "SignExpansion",
-    "all_sign_expansions",
-    "genetic_add",
-    "genetic_mul",
-    "sign_expansion_of",
-    "sign_value",
-    "simplest_between",
     "EQ",
     "GT",
     "LT",
@@ -47,14 +23,10 @@ __all__ = [
     "decompose",
     "nf_add",
     "nf_cmp",
-    "nf_inv_of_monomial",
     "nf_mul",
     "omega",
-    "omega_map",
     "one",
     "LazyNF",
-    "lim",
-    "schedule_from_nf",
     "parse_nf",
     "render_nf",
 ]

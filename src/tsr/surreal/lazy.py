@@ -1,25 +1,20 @@
-"""Lazy normal forms and Conway Limits of absolutely convergent series.
+"""Lazy normal forms: memoized streams of normal-form terms.
 
 A :class:`LazyNF` is a stream of (exponent, coefficient) terms in strictly
-decreasing exponent order, memoized as demanded.  :func:`lim` turns a
-sequence of normal forms into its Limit, certified by a caller-supplied
-stabilization schedule: an enumeration of candidate exponents (descending)
-together with the index from which each exponent's coefficient has
-stabilized.  Stability is additionally spot-checked a few indices past the
-schedule; an observed change raises :class:`NotStabilizedError`.
+decreasing exponent order, memoized as demanded.
 
 The stream keeps one search budget for every generator: a generator yields
 a zero term for each search step that found nothing (a cancelling sum, a
-zero scheduled coefficient), and DEFAULT_ORDER_SCAN of them in a row raise
+zero coefficient), and DEFAULT_ORDER_SCAN of them in a row raise
 :class:`UndecidableSupport`.  A generator known to be finite skips zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
-from ..errors import NotStabilizedError, UndecidableSupport
+from ..errors import UndecidableSupport
 from ..stream import DEFAULT_ORDER_SCAN, Stream
 from .normal_form import GT, LT, SurrealNF, nf_cmp
 
@@ -40,11 +35,6 @@ class LazyNF:
     def from_nf(cls, a: SurrealNF) -> "LazyNF":
         return cls(lambda: iter(a.terms))
 
-    @classmethod
-    def from_terms(cls, terms: Iterable[Term]) -> "LazyNF":
-        terms = list(terms)
-        return cls(lambda: iter(terms))
-
     def term(self, i: int) -> Term | None:
         try:
             return self._terms[i]
@@ -58,16 +48,13 @@ class LazyNF:
         """First n terms as an exact normal form."""
         return SurrealNF(tuple(self.terms(n)), _normalized=True)
 
-    def is_finite_known(self) -> bool:
-        return self._terms.done
-
     def __iter__(self) -> Iterator[Term]:
         return iter(self._terms)
 
     def scale(self, c: Fraction) -> "LazyNF":
         c = Fraction(c)
         if c == 0:
-            return LazyNF.from_terms([])
+            return LazyNF.from_nf(SurrealNF.zero())
         return LazyNF(lambda: ((e, c * r) for e, r in self))
 
     def shift(self, offset: SurrealNF) -> "LazyNF":
@@ -94,9 +81,6 @@ class LazyNF:
                     ta, tb = next(a, None), next(b, None)
 
         return LazyNF(gen)
-
-    def __neg__(self) -> "LazyNF":
-        return self.scale(Fraction(-1))
 
     def render(self, n_terms: int) -> str:
         from .render import render_nf
@@ -125,36 +109,3 @@ def _checked(terms: Iterator[Term]) -> Iterator[Term]:
             raise ValueError(f"exponents not strictly decreasing at term {n}")
         prev, n, zeros = e, n + 1, 0
         yield (e, Fraction(c))
-
-
-Schedule = Iterable[tuple[SurrealNF, int]]
-
-#: indices past the scheduled one at which ``lim`` checks a coefficient
-VERIFY_EXTRA = 2
-
-
-def schedule_from_nf(a: SurrealNF) -> list[tuple[SurrealNF, int]]:
-    """Schedule for a sequence already equal to ``a`` from its first element on."""
-    return [(e, 0) for e, _ in a.terms]
-
-
-def lim(seq: Callable[[int], SurrealNF], schedule: Schedule) -> LazyNF:
-    """Limit of an absolutely convergent sequence of normal forms.
-
-    ``seq(n)`` is the n-th element; ``schedule`` yields (exponent, m) pairs,
-    exponents strictly decreasing, such that the coefficient of w^exponent in
-    seq(n) equals its final value for every n >= m.  A zero coefficient is
-    a search step that found nothing (the schedule may name zeros forever).
-    """
-
-    def gen():
-        for exponent, m in schedule:
-            c = seq(m).coefficient(exponent)
-            for extra in range(1, VERIFY_EXTRA + 1):
-                if seq(m + extra).coefficient(exponent) != c:
-                    raise NotStabilizedError(
-                        f"coefficient of w^({exponent}) changed after scheduled index {m}"
-                    )
-            yield (exponent, c)
-
-    return LazyNF(gen)

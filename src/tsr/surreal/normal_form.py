@@ -16,7 +16,6 @@ compute the same integer.
 from __future__ import annotations
 
 import functools
-import json
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -79,12 +78,6 @@ class SurrealNF:
         if not self.is_rational():
             raise ValueError(f"{self} is not a rational")
         return self.terms[0][1]
-
-    def coefficient(self, exponent: "SurrealNF") -> Fraction:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return Fraction(0)
 
     # -- comparison --------------------------------------------------------
 
@@ -159,24 +152,6 @@ class SurrealNF:
 
         return {"terms": [{"exp": enc_exp(e), "coef": str(c)} for e, c in self.terms]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "SurrealNF":
-        if isinstance(obj, (int, float)):
-            return cls.from_rational(Fraction(obj).limit_denominator() if isinstance(obj, float) else obj)
-        terms = []
-        for t in obj["terms"]:
-            e = t["exp"]
-            exp = cls.from_rational(e) if isinstance(e, int) else cls.from_json_obj(e)
-            terms.append((exp, Fraction(t["coef"])))
-        return cls(terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SurrealNF":
-        return cls.from_json_obj(json.loads(text))
-
 
 _ZERO = SurrealNF((), _normalized=True)
 
@@ -208,11 +183,6 @@ def one() -> SurrealNF:
 
 def omega() -> SurrealNF:
     return SurrealNF.monomial(one())
-
-
-def omega_map(y: SurrealNF) -> SurrealNF:
-    """The w-map: y maps to the leader w^y (a single-term normal form)."""
-    return SurrealNF.monomial(y)
 
 
 def nf_cmp(a: SurrealNF, b: SurrealNF) -> int:
@@ -270,14 +240,6 @@ def nf_add(a: SurrealNF, b: SurrealNF) -> SurrealNF:
 def nf_mul(a: SurrealNF, b: SurrealNF) -> SurrealNF:
     """Cauchy-style product with exponent addition, normalized once."""
     return SurrealNF((nf_add(ea, eb), ca * cb) for ea, ca in a.terms for eb, cb in b.terms)
-
-
-def nf_inv_of_monomial(a: SurrealNF) -> SurrealNF:
-    """(w^y * r)^(-1) = w^(-y) * (1/r); requires a single-term input."""
-    if len(a.terms) != 1:
-        raise ValueError("inverse is only defined for monomials")
-    e, c = a.terms[0]
-    return SurrealNF.monomial(-e, Fraction(1) / c)
 
 
 def decompose(a: SurrealNF) -> tuple[SurrealNF, Fraction, SurrealNF]:

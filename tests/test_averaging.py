@@ -3,14 +3,15 @@
 from fractions import Fraction as F
 
 import pytest
+from reference.resummation import half_half_weight
 
+from tsr.errors import DomainError
 from tsr.resummation import (
     Address,
     all_addresses,
     average_consistency_check,
     catalan_weight,
     catalan_weight_literal,
-    half_half_weight,
 )
 
 
@@ -21,7 +22,7 @@ class TestAddress:
         assert Address(()).blocks() == ()
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             Address.parse("+x-")
 
 

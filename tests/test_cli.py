@@ -1,10 +1,12 @@
 """CLI behavior: verbs, output stability, JSON round trips, exit codes."""
 
+import io
 import json
 import sys
 
 import pytest
 from conftest import time_budget
+from reference.surreal import nf_from_json_obj
 
 from tsr.cli import build_parser, main, run
 from tsr.surreal import parse_nf
@@ -360,9 +362,7 @@ class TestJsonRoundTrips:
         payload = json.loads(out)
         group = payload["normal_form_terms"][0]
         assert group["prefactor"] == "1"
-        from tsr.surreal import SurrealNF
-
-        exps = [SurrealNF.from_json_obj(t["exp"]) for t in group["terms"]]
+        exps = [nf_from_json_obj(t["exp"]) for t in group["terms"]]
         assert exps[0] == parse_nf("w - 1")
         assert [t["coef"] for t in group["terms"]] == ["1", "1", "2", "6"]
 
@@ -630,7 +630,40 @@ class TestInputBoundary:
     def test_a_bad_precision_from_the_environment_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setenv("TSR_PRECISION", "0")
         code, err = self.outcome(capsys, ("eval", "ei", "3"))
-        assert code == 1 and err.startswith("error: ValueError: precision must be at least one digit")
+        assert code == 1 and err.startswith("error: DomainError: precision must be at least one digit")
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_a_precision_from_the_environment_that_is_no_whole_number_is_an_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("TSR_PRECISION", value)
+        code, err = self.outcome(capsys, ("eval", "ei", "3"))
+        assert code == 1 and err.startswith(f"error: DomainError: TSR_PRECISION must be a whole number of digits, got {value!r}")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sum", "log(x)", "-1"), "log x has no real value at x = -1.0"),
+            (("sum", "log(x)", "0"), "log x has no real value at x = 0.0"),
+            (("sum", "exp(-x)*x^(1/2)", "-1"), "x^(1/2) has no real value at x = -1.0"),
+            (("sum", "exp(700*x)", "2", "--json"), "--json writes a double, and the sum 1.0286666608519891832e+608 is beyond the double range"),
+        ],
+    )
+    def test_a_sum_without_a_real_double_value_is_a_domain_error(self, capsys, argv, message):
+        # these printed a bare ValueError (a complex log or power, an
+        # infinite double's rounding)
+        assert self.outcome(capsys, argv) == (1, f"error: DomainError: {message}\n")
+
+    def test_a_sum_beyond_the_double_range_prints_as_text(self, cli):
+        assert cli("sum", "exp(700*x)", "2")[:2] == (0, "1.0286666608519891832e+608  (error <= 1.15e+588)\n")
+
+    @pytest.mark.parametrize("text", ["garbage", "[]", "5", '{"log": 5}', '{"minus": {"series": {"": {"oracle": "nope", "order": 3}}}}'])
+    def test_malformed_json_input_is_a_domain_error(self, capsys, monkeypatch, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, err = self.outcome(capsys, ("sum", "-", "5"))
+        assert code == 1 and err.startswith("error: DomainError: - holds no transseries JSON: ")
+
+    def test_a_missing_json_file_is_a_domain_error(self, capsys, tmp_path):
+        code, err = self.outcome(capsys, ("sum", f"@{tmp_path / 'none.json'}", "5"))
+        assert code == 1 and err.startswith(f"error: DomainError: @{tmp_path / 'none.json'} holds no transseries JSON: FileNotFoundError")
 
     def test_the_smallest_values_are_accepted(self, cli):
         assert cli("eval", "ei", "w", "--terms", "1")[:2] == (0, "w^(w-1) + ...\n")

