@@ -152,14 +152,20 @@ def _real(text: str) -> Fraction:
 
 def _json_input(src: str):
     """The transseries that the JSON on stdin (``-``) or in a file (``@path``)
-    holds; an unreadable file or malformed JSON is a DomainError."""
+    holds; an unreadable file, text that is not JSON and JSON that is not a
+    transseries (``ts_from_json``) are each a DomainError."""
     try:
         if src == "-":
-            return ts_from_json(json.load(sys.stdin))
-        with open(src[1:]) as fh:
-            return ts_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            obj = json.load(sys.stdin)
+        else:
+            with open(src[1:]) as fh:
+                obj = json.load(fh)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise errors.DomainError(f"{src} holds no transseries JSON: {type(exc).__name__}: {exc}") from None
+    try:
+        return ts_from_json(obj)
+    except errors.DomainError as exc:
+        raise errors.DomainError(f"{src} holds no transseries JSON: {exc}") from None
 
 
 def _config(ns) -> QuadratureConfig:
@@ -328,7 +334,10 @@ def _digits(cfg: QuadratureConfig) -> int:
 
 def _print_result(ns, cfg: QuadratureConfig, result) -> int:
     if isinstance(result, mp.mpf):
-        _emit_value(ns, {"value": float(result)}, mp.nstr(result, _digits(cfg)))
+        text = mp.nstr(result, _digits(cfg))
+        if ns.json and abs(result) > sys.float_info.max:
+            raise errors.DomainError(f"--json writes a double, and the value {text} is beyond the double range")
+        _emit_value(ns, {"value": float(result)}, text)
     else:
         digits = _digits(cfg)
         print(json.dumps(result.to_json(ns.terms, digits)) if ns.json else result.render(ns.terms, digits))

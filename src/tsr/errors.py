@@ -50,7 +50,8 @@ class DomainError(TsrError):
     or past the work bound of the function's oracle (Airy's Maclaurin sum);
     or a verb's input outside what it transforms (``borel``'s power series,
     ``mul``'s decaying algebra plus constants, ``weights``' address of + and
-    -); or a working precision or tolerance that is not positive."""
+    -, ``sum``'s transseries JSON); or a working precision or tolerance that
+    is not positive."""
 
 
 class ExpressionSyntaxError(TsrError):

@@ -13,7 +13,10 @@ DLMF 6.12.2 and 7.12, instead), and the Airy oracles sum their Maclaurin
 series (DLMF 9.4, O(|z|^(3/2)) terms), all in integers and raw
 ``mpmath.libmp`` arithmetic at an explicit working precision; none uses
 quadrature or mpmath's own Ei, erfi or Airy functions, which serve as
-references in the tests.  The Borel
+references in the tests.  The log Gamma Taylor terms k >= 1, which Gamma's
+share, are one shifted Euler-Maclaurin sum (``special.loggamma_taylor``);
+term 0 of each, the log Gamma and Gamma oracles, stays mpmath's loggamma and
+gamma, so that the oracles check the Stirling sum independently.  The Borel
 kernels travel with the series: each entry is built from the registered
 ``#name`` series of ``tsr.coefficients``, whose closed-form kernel its resummation reads.
 Entries whose transseries would need an irrational global scale carry it as
@@ -124,8 +127,9 @@ class CatalogFunction:
 # caller's ``mp.mp.prec`` plus guard bits, and round once to the caller's
 # precision.
 # They never write the global precision, so threads may call them at once;
-# the one memo, Airy's (y, y') per (kind, point, precision), is a bounded
-# ``functools.lru_cache`` of immutable raw values.  The Ei and erfi-integral
+# the memos, Airy's (y, y') per (kind, point, precision) and the log Gamma
+# Taylor terms per (point, precision, count), are bounded
+# ``functools.lru_cache``s of immutable values.  The Ei and erfi-integral
 # series live in ``tsr.resummation.special``, which the closed-form Laplace
 # transforms share.
 
@@ -409,11 +413,21 @@ def _airy_taylor(kind: str):
     return taylor
 
 
+@functools.lru_cache(maxsize=64)
+def _loggamma_terms(x, prec: int, K: int) -> tuple:
+    """psi(x), c_2, ..., c_K at a raw x, each rounded once to prec bits:
+    the Taylor coefficients 1..K of ln Gamma at x, from one shifted
+    Euler-Maclaurin sum (``special.loggamma_taylor``)."""
+    return tuple(mp.make_mpf(libmp.mpf_pos(v, prec, _RND)) for v, _ in special.loggamma_taylor(x, K, prec))
+
+
 def _loggamma_taylor(x0, k) -> TaylorTerm:
+    # term 0 is the oracle's; terms 1..K are summed once per point and
+    # precision, K the least power of two >= k, and at least 16
     x0m = _to_mpf(x0)
     if k == 0:
         return ("num", loggamma_oracle(x0m))
-    return ("num", mp.psi(k - 1, x0m) / mp.factorial(k))
+    return ("num", _loggamma_terms(x0m._mpf_, mp.mp.prec, max(16, 1 << (k - 1).bit_length()))[k - 1])
 
 
 def exp_of_taylor(inner: Callable, oracle: Callable) -> Callable:

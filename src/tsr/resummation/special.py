@@ -8,7 +8,9 @@ the work stays bounded at any x.  The Laplace transform of ``AiryKernel``
 (``airy_laplace``) is a modified Bessel function of order 1/3, summed the same
 two ways; that of ``CothKernel`` is Binet's function (``binet``), a shifted
 Stirling series over the one table of tangent numbers (``tangent_numbers``)
-that the Bernoulli numbers come from too.  Every function takes an explicit
+that the Bernoulli numbers come from too.  The same shift and table give the
+Taylor coefficients of ln Gamma, psi and the Hurwitz zeta values
+(``loggamma_taylor``).  Every function takes an explicit
 precision, works at ``GUARD`` bits above it and returns an unrounded raw mpf;
 nothing reads or writes a context's precision, so threads may call them at
 once.
@@ -16,6 +18,7 @@ once.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -244,6 +247,195 @@ def binet(x, F: int):
     mid = libmp.mpf_sum((JX, *parts, libmp.from_int(-N)))  # exact
     bound = libmp.mpf_add(bound, libmp.mpf_shift(libmp.fone, max(map(mag, parts)) + 5 - wp), 53, libmp.round_up)
     return mid, libmp.mpf_add(bound, libmp.from_man_exp(N, 2 - keep), 53, libmp.round_up)
+
+
+def loggamma_taylor(x, K: int, prec: int) -> list:
+    """[(psi(x), bound), (c_2, bound), ..., (c_K, bound)] at a raw x > 0, as
+    raw values with error bounds: the Taylor coefficients k = 1..K of
+    ln Gamma at x, psi(x) and c_k = psi^(k-1)(x) / k! = (-1)^k zeta(k, x) / k
+    (DLMF 5.15, 25.11), each bound below 2^-(prec+3) of its value.  No Gamma
+    or polygamma function is evaluated.
+
+    ``_psi_zeta`` sums them at F bits, F = prec + GUARD to start.  The
+    zeta sums are positive and come within 2^(4-F) of their values; psi
+    alone is a difference and may cancel (its zero is at x = 1.4616...), so
+    F grows by the bits the bound is short of until psi's bound holds too.
+    """
+    F = prec + GUARD
+    while True:
+        out = _psi_zeta(x, K, F)
+        short = max(mag(err) - mag(val) for val, err in out) + prec + 4
+        if short <= 0:
+            return out
+        F += min(short, F)
+
+
+def _psi_zeta(x, K: int, F: int) -> list:
+    """psi(x) within about 2^-F and c_k = (-1)^k zeta(k, x) / k within about
+    2^-F of c_k, for k = 2..K, as [(value, bound), ...].
+
+    x is shifted to X = x + N >= X0 (``_em_shift``), and
+
+        psi(x) = psi(X) - S_1,   zeta(s, x) = S_s + zeta(s, X),   S_s = sum((x+j)^-s, j < N).
+
+    The S_s are summed in fixed point, in units 2^-W (``_reciprocal_powers``):
+    the unit is below 2^-F of the first term x^-s by about s log2(x) bits.
+    At X the Euler-Maclaurin tails (DLMF 5.11.2, 25.11(xii)) are, with
+    z = 1/(4 X^2),
+
+        psi(X) = ln X - 1/(2X) - H_1,   zeta(s, X) = X^(1-s) (1/(s-1) + 1/(2X) + H_s),
+        H_s = sum((-1)^(i-1) b_i(s) z^i, i = 1..M_s),   b_i(s) = T_i C(s+2i-2, 2i-1) / (4^i - 1),
+
+    from B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)) over the tangent numbers
+    (``tangent_numbers``), since (s)_(2i-1) / (2i-1)! = C(s+2i-2, 2i-1); H_1
+    is psi's B_2i / (2i X^2i).  t^-s is completely monotone, so each
+    remainder is below the first term left out (DLMF 2.10(i), 5.11(ii)).
+    |b_i(s) z^i| < 4 Gamma(s+2i-1) / (Gamma(s) (2 pi X)^(2i)) (DLMF
+    24.9), and M_s is the first M whose next term is below
+    2^-(F + bitlen(s) + 1) at X0 (``_em_terms``), so below 2^-F of the
+    bracket's 1/(s-1), or of 1 for psi.  H_s is summed by Horner's rule in
+    integers (``_em_tails``).  The rest, at wp = F + 8 bits in raw mpf, adds
+    a few units of 2^-wp of each part.
+    """
+    X0, terms = _em_shift(F, K)
+    N = max(X0 - libmp.to_int(x), 0)
+    X = libmp.mpf_add(x, libmp.from_int(N))  # exact
+    W = F + (N * (2 * K - 1)).bit_length() + K * (max(mag(x), 0) + 1)
+    sums, errs = _reciprocal_powers(x, N, K, W, mag(x))
+    tails = _em_tails(X, terms, F)
+    wp = F + 8
+    half_X = libmp.mpf_div(libmp.fone, libmp.mpf_shift(X, 1), wp)
+    out = []
+    for s in range(1, K + 1):
+        H, h_err = tails[s - 1]
+        h_err = libmp.mpf_add(h_err, libmp.mpf_shift(libmp.fone, -F - s.bit_length()), 53, libmp.round_up)
+        S = libmp.from_man_exp(sums[s], -W)
+        S_err = libmp.from_man_exp(errs[s], -W)
+        if s == 1:
+            parts = (libmp.mpf_log(X, wp), libmp.mpf_neg(half_X), libmp.mpf_neg(H), libmp.mpf_neg(S))
+            val = libmp.mpf_sum(parts)  # exact
+            err = libmp.mpf_add(h_err, S_err, 53, libmp.round_up)
+            err = libmp.mpf_add(err, libmp.mpf_shift(libmp.fone, max(map(mag, parts)) + 3 - wp), 53, libmp.round_up)
+            out.append((val, err))
+            continue
+        bracket = libmp.mpf_sum((libmp.mpf_div(libmp.fone, libmp.from_int(s - 1), wp), half_X, H), wp)
+        power = libmp.mpf_pow_int(X, 1 - s, wp)
+        tail = libmp.mpf_mul(power, bracket, wp)
+        zeta = libmp.mpf_add(S, tail, wp)
+        val = libmp.mpf_div(zeta, libmp.from_int(-s if s % 2 else s), wp)
+        # the bracket's error, scaled by X^(1-s); the roundings: four of
+        # the tail, one of zeta and one of the division, each below 2^(1-wp)
+        err = libmp.mpf_add(S_err, libmp.mpf_mul(power, h_err, 53, libmp.round_up), 53, libmp.round_up)
+        err = libmp.mpf_add(err, libmp.mpf_shift(zeta, 4 - wp), 53, libmp.round_up)
+        err = libmp.mpf_div(err, libmp.from_int(s), 53, libmp.round_up)
+        out.append((val, err))
+    return out
+
+
+def _reciprocal_powers(x, N: int, K: int, W: int, ex: int):
+    """(S, E): S[s] = floor-rounded sum((x+j)^-s, j < N) in units 2^-W and
+    E[s] a bound on its error in those units, for s = 1..K (index 0 unused).
+
+    With x + j = d 2^-up for an integer d, r = floor(2^(W+up) / d) is
+    1/(x+j) within a unit, and v_s = floor(v_(s-1) r / 2^W) its s-th
+    power.  For y = 1/(x+j), v_s errs by E_s <= y E_(s-1) + y^(s-1) + 1:
+    at most 2s - 1 units where y <= 1, and (2s - 1) y^(s-1) units where
+    y > 1, so for all j below (2s - 1) max(1, 2^(1-ex))^(s-1), 2^(ex-1) <= x.
+    """
+    _, man, exp, _ = x
+    up = max(-exp, 0)
+    base = man << exp + up  # x 2^up, an integer
+    one = 1 << W + up
+    sums = [0] * (K + 1)
+    for j in range(N):
+        r = v = one // (base + (j << up))
+        sums[1] += v
+        for s in range(2, K + 1):
+            v = v * r >> W
+            sums[s] += v
+    grow = max(1 - ex, 0)
+    errs = [0] + [N * (2 * s - 1) << (s - 1) * grow for s in range(1, K + 1)]
+    return sums, errs
+
+
+def _em_tails(X, terms, F: int) -> list:
+    """[(H_s, bound) for s = 1..K] as raw mpf: H_s = sum((-1)^(i-1) b_i(s)
+    z^i, i = 1..M_s) with z = 1/(4X^2), b_i(s) = T_i C(s+2i-2, 2i-1) /
+    (4^i - 1) and M_s = terms[s-1], each within its bound (the floors) of
+    the sum, the bound about 2^-F.
+
+    By Horner's rule as in ``binet``: h_M = b_M, h_i = b_i - z h_(i+1) and
+    H_s = z h_1.  Level i is held in units of 2^(-F1 + (i-1) D), with
+    2^D <= 4X^2 < 2^(D+1), so a step multiplies by r = 2^D / (4X^2) in
+    (1/2, 1], floored from G bits; each b_i is held to the absolute unit
+    of the sum that its level maps to, so none underflows while b_i z^i
+    still counts.  The one division of a level, q_i = T_i / (4^i - 1) in
+    units 2^-E of the level's unit, serves every s: b_i(s) is q_i C >> E,
+    within 2 units for C < 2^E.  So each step errs by at most 4 + |h| 2^-G
+    units (two floors of b_i, one of the product and r's), and an error at
+    level i reaches h_1 times r^(i-1) <= 1.
+    """
+    K, M = len(terms), max(terms)
+    T = tangent_numbers(M)
+    _, man, exp, _ = X
+    m2 = man * man
+    D = m2.bit_length() + 2 * exp + 1  # 2^D <= 4X^2 < 2^(D+1)
+    F1 = F + K.bit_length() + (4 * M).bit_length() + 2
+    E = K + 2 * M  # C(s+2i-2, 2i-1) < 2^(s+2i-2)
+    G = F1 + M + K.bit_length() + 1  # |h| < s 2^(F1 + i) at level i
+    r = (1 << G + m2.bit_length() - 1) // m2  # floor(2^(G+D) / (4X^2))
+    q = [0]
+    for i in range(1, M + 1):
+        d, f = (1 << 2 * i) - 1, F1 - (i - 1) * D + E
+        q.append((T[i - 1] << f) // d if f >= 0 else T[i - 1] // (d << -f))
+    four_X2 = libmp.mpf_shift(libmp.mpf_mul(X, X), 2)  # exact
+    out = []
+    for s, M in enumerate(terms, 1):
+        c = math.comb(s + 2 * M - 2, 2 * M - 1)
+        h, units = q[M] * c >> E, 2
+        for i in range(M - 1, 0, -1):
+            n, k = s + 2 * i, 2 * i + 1  # C(n-2, k-2) from C(n, k)
+            c = c * k * (k - 1) // (n * (n - 1))
+            units += 4 + (abs(h) >> G)
+            h = (q[i] * c >> E) - (h * r >> G)
+        H = libmp.mpf_div(libmp.from_man_exp(h, -F1), four_X2, F + 8)
+        bound = libmp.mpf_div(libmp.from_man_exp(units, -F1), four_X2, 53, libmp.round_up)
+        out.append((H, libmp.mpf_add(bound, libmp.mpf_shift(libmp.fone, mag(H) - F - 7), 53, libmp.round_up)))
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _em_shift(F: int, K: int):
+    """(X0, (M_1, ..., M_K)): the shift point for ``_psi_zeta`` at F bits
+    and the number of tail terms for each s at X0 (``_em_terms``).
+
+    The tail of zeta(K, X) first reaches 2^-F near 2 pi X = F ln 2 + O(K);
+    X0 = ceil(0.17 F) + K is about 1.5 times that X, which was measured
+    the cheapest from 15 to 1000 digits (the reciprocal powers and the
+    tails trade off).  Should the tail still stop falling early, X0 grows
+    by half until it does not; for smaller s the terms fall sooner.
+    """
+    X0 = math.ceil(0.17 * F) + K
+    while _em_terms(F, X0, K) is None:
+        X0 += X0 // 2
+    return X0, tuple(_em_terms(F, X0, s) for s in range(1, K + 1))
+
+
+def _em_terms(F: int, X0: int, s: int):
+    """The first M whose term M + 1 of the tail H_s at X0 is below
+    2^-(F + bitlen(s) + 1), with 4 Gamma(s+2i-1) / (Gamma(s) (2 pi X0)^(2i))
+    bounding term i; None if the terms stop falling first.  At least one
+    term is taken."""
+    ln_2pi_x, floor = math.log(2 * math.pi * X0), -(F + s.bit_length() + 1) * math.log(2)
+    lg_s = math.lgamma(s)
+    i = 1
+    while True:
+        nxt = math.log(4) + math.lgamma(s + 2 * i + 1) - lg_s - (2 * i + 2) * ln_2pi_x
+        if nxt < floor:
+            return i
+        if (s + 2 * i - 1) * (s + 2 * i) >= (2 * math.pi * X0) ** 2:
+            return None
+        i += 1
 
 
 def _stirling_terms(F: int, X0: int) -> int:

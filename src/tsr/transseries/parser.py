@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from ..errors import ExpressionSyntaxError, GridMergeError
+from ..errors import DomainError, ExpressionSyntaxError, GridMergeError
 from ..scanner import Scanner
 from .grid import Group, LogPart, TransseriesT1, assemble, grid_from_groups, groups_from_grid, groups_of
 from .series import PowerSeries
@@ -316,12 +316,38 @@ def _series_json(ps: PowerSeries, order: int):
     return {"coeffs": [str(c) for c in ps.coeffs(order)], "truncated": True}
 
 
-def _series_from_json(obj) -> PowerSeries:
-    if "oracle" in obj:
-        from ..coefficients import named_series
+def _json_kind(value, kind, where: str):
+    """value, if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{where} must be a JSON {'object' if kind is dict else 'array'}, got {value!r}")
+    return value
 
+
+def _json_fraction(value, where: str) -> Fraction:
+    """A rational number written as a string ("-3/2") or a JSON number."""
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise DomainError(f"{where} must be a rational number, got {value!r}")
+
+
+def _json_fractions(obj: dict, key: str, where: str) -> tuple:
+    return tuple(_json_fraction(v, f"{where}[{i}]") for i, v in enumerate(_json_kind(obj.get(key, []), list, where)))
+
+
+def _series_from_json(obj, where: str) -> PowerSeries:
+    _json_kind(obj, dict, where)
+    if "oracle" in obj:
+        from ..coefficients import NAMED_SERIES, named_series
+
+        if obj["oracle"] not in NAMED_SERIES:
+            raise DomainError(f"{where}.oracle names no registered series: {obj['oracle']!r}")
         return named_series(obj["oracle"])
-    head = PowerSeries.from_coeffs([Fraction(c) for c in obj["coeffs"]])
+    if "coeffs" not in obj:
+        raise DomainError(f"{where} needs \"coeffs\" or \"oracle\"")
+    head = PowerSeries.from_coeffs(list(_json_fractions(obj, "coeffs", f"{where}.coeffs")))
     # a truncated series stays infinite, so it writes back truncated; past its head it reads 0
     return PowerSeries(head.coeff) if obj.get("truncated") else head
 
@@ -346,24 +372,34 @@ def ts_to_json(ts: TransseriesT1, order: int = 16) -> dict:
     }
 
 
-def ts_from_json(obj: dict) -> TransseriesT1:
-    gm = obj.get("minus", {})
+def ts_from_json(obj) -> TransseriesT1:
+    """The T1 that ``ts_to_json`` wrote.  Input of another shape is a
+    DomainError that names the field at fault, as "minus.series['1'].coeffs[2]"."""
+    _json_kind(obj, dict, "the transseries")
+    gm = _json_kind(obj.get("minus", {}), dict, "minus")
     series = {}
-    for key, sj in gm.get("series", {}).items():
-        k = tuple(int(v) for v in key.split(",")) if key else ()
-        series[k] = _series_from_json(sj)
-    minus = groups_from_grid(gm.get("lambda", []), gm.get("beta", []), series)
-    lg = obj.get("log", {})
-    log = LogPart(
-        tuple(Fraction(c) for c in lg.get("P", [])),
-        tuple(Fraction(c) for c in lg.get("Q", [])),
-        tuple(Fraction(c) for c in lg.get("R", [])),
-    )
-    plus = [
-        Group(Fraction(t["lambda"]), Fraction(t["beta"]), _series_from_json(t["series"]))
-        for t in obj.get("plus", [])
-    ]
-    if any(grp.mu <= 0 for grp in plus):
-        raise ValueError("plus-part rates must be positive")
+    for key, sj in _json_kind(gm.get("series", {}), dict, "minus.series").items():
+        where = f"minus.series[{key!r}]"
+        if not isinstance(key, str):
+            raise DomainError(f"{where}: the key must be a string")
+        try:
+            k = tuple(int(v) for v in key.split(",")) if key else ()
+        except ValueError:
+            raise DomainError(f"{where}: the key must be a comma-separated multi-index") from None
+        series[k] = _series_from_json(sj, where)
+    try:
+        minus = groups_from_grid(_json_fractions(gm, "lambda", "minus.lambda"), _json_fractions(gm, "beta", "minus.beta"), series)
+    except ValueError as exc:
+        raise DomainError(f"minus: {exc}") from None
+    lg = _json_kind(obj.get("log", {}), dict, "log")
+    log = LogPart(*(_json_fractions(lg, part, f"log.{part}") for part in "PQR"))
+    plus = []
+    for i, t in enumerate(_json_kind(obj.get("plus", []), list, "plus")):
+        where = f"plus[{i}]"
+        _json_kind(t, dict, where)
+        grp = Group(*(_json_fraction(t.get(f), f"{where}.{f}") for f in ("lambda", "beta")), _series_from_json(t.get("series"), f"{where}.series"))
+        if grp.mu <= 0:
+            raise DomainError(f"{where}.lambda: plus-part rates must be positive, got {t['lambda']!r}")
+        plus.append(grp)
     # re-normalize: assemble merges the groups and moves R into the mu = 0 series
     return assemble(minus + plus, log)

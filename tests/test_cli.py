@@ -645,6 +645,8 @@ class TestInputBoundary:
             (("sum", "log(x)", "0"), "log x has no real value at x = 0.0"),
             (("sum", "exp(-x)*x^(1/2)", "-1"), "x^(1/2) has no real value at x = -1.0"),
             (("sum", "exp(700*x)", "2", "--json"), "--json writes a double, and the sum 1.0286666608519891832e+608 is beyond the double range"),
+            (("eval", "ei", "1000", "--json"), "--json writes a double, and the value 1.9720451371412383028e+431 is beyond the double range"),
+            (("integrate", "erfi_integrand", "1", "30", "--json"), "--json writes a double, and the value 1.222148765104476398e+389 is beyond the double range"),
         ],
     )
     def test_a_sum_without_a_real_double_value_is_a_domain_error(self, capsys, argv, message):
@@ -654,6 +656,11 @@ class TestInputBoundary:
 
     def test_a_sum_beyond_the_double_range_prints_as_text(self, cli):
         assert cli("sum", "exp(700*x)", "2")[:2] == (0, "1.0286666608519891832e+608  (error <= 1.15e+588)\n")
+
+    def test_a_real_value_beyond_the_double_range_prints_as_text(self, cli):
+        # --json refuses it (above); the text form prints its digits
+        assert cli("eval", "ei", "1000")[:2] == (0, "1.9720451371412383028e+431\n")
+        assert cli("integrate", "erfi_integrand", "1", "30")[:2] == (0, "1.222148765104476398e+389\n")
 
     @pytest.mark.parametrize("text", ["garbage", "[]", "5", '{"log": 5}', '{"minus": {"series": {"": {"oracle": "nope", "order": 3}}}}'])
     def test_malformed_json_input_is_a_domain_error(self, capsys, monkeypatch, text):

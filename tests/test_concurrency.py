@@ -335,6 +335,36 @@ def test_binet_laplace_bit_identical_from_16_threads_at_1000_digits(monkeypatch)
     assert mp.mp.prec == prec
 
 
+def test_loggamma_taylor_bit_identical_from_16_threads(monkeypatch):
+    # log Gamma's Taylor terms 1..16 at three points and three precisions,
+    # and at 1000 digits at one: the round starts from a one-entry tangent
+    # table and no cached shift, so the threads race to build both while
+    # they sum, and the serial reference runs after them
+    import mpmath as mp
+    from mpmath import libmp
+
+    from tsr.resummation import special
+
+    cases = [(x, libmp.dps_to_prec(d)) for x in (F(1, 10), F(29, 8), F(10**8)) for d in (15, 50, 300)]
+    cases.append((F(29, 8), libmp.dps_to_prec(1000)))
+
+    def raw(k: int) -> list:
+        start = k % len(cases)
+        out = {}
+        for i in [*range(start, len(cases)), *range(start)]:
+            q, prec = cases[i]
+            out[i] = special.loggamma_taylor(libmp.from_rational(q.numerator, q.denominator, prec), 16, prec)
+        return [out[i] for i in range(len(cases))]
+
+    prec = mp.mp.prec
+    monkeypatch.setattr(special, "_tangent", (1,))
+    special._em_shift.cache_clear()
+    results = _pull_together(raw, workers=16)
+    serial = raw(0)
+    assert all(r == serial for r in results)
+    assert mp.mp.prec == prec
+
+
 def test_airy_laplace_bit_identical_from_16_threads():
     # both Airy Borel sums at three points and four precisions: 1/2 and 15
     # through the series of I_(+-1/3), 10^6 through the asymptotic series;

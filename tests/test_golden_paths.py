@@ -6,7 +6,8 @@ stderr of:
 - ``tsr sum`` of JSON input, from stdin (``-``) and from a file
   (``@file``), as text and as ``--json``: the JSON that
   ``tsr parse "#ei" --json --terms 6`` writes, read back by
-  ``ts_from_json``;
+  ``ts_from_json``; and the refusal of a JSON whose coefficient is no
+  rational number, which names the field;
 - ``tsr weights`` as text, with ``--literal`` and with ``--json``, and the
   refusal of an address that is not a string of + and -;
 - ``eval ei 200`` and ``eval erfi_integral 200``, past x = wp bits, where
@@ -37,11 +38,15 @@ GOLDEN = Path(__file__).with_name("golden") / "cli_paths.json"
 EI_JSON = ("parse", "#ei", "--json", "--terms", "6")
 #: stands for the path of a file holding that stdout
 FILE = "@ei6.json"
+#: a last argument that stands for stdin holding MALFORMED_JSON; it is not passed on
+MALFORMED = "<malformed.json"
+MALFORMED_JSON = '{"plus": [{"lambda": "1", "beta": "1/2", "series": {"coeffs": ["1", "x"]}}]}'
 
 CASES = (
     ("sum", "-", "5"),
     ("sum", FILE, "5"),
     ("sum", FILE, "5", "--json"),
+    ("sum", "-", "5", MALFORMED),
     ("weights", "++-"),
     ("weights", "++-", "--literal"),
     ("weights", "++-", "--json"),
@@ -73,6 +78,8 @@ def record(argv) -> dict:
     """The outcome of one case; a JSON-input case first runs ``EI_JSON``."""
     if argv[0] != "sum":
         return _run(argv)
+    if argv[-1] == MALFORMED:
+        return _run(argv[:-1], stdin=MALFORMED_JSON)
     text = _run(EI_JSON)["stdout"]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / FILE[1:]

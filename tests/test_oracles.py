@@ -10,6 +10,7 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from tsr.cli import run
 from tsr.errors import DomainError
@@ -24,7 +25,7 @@ from tsr.operators.catalog import (
     gamma_oracle,
     term_value,
 )
-from tsr.resummation import QuadratureConfig
+from tsr.resummation import QuadratureConfig, special
 from tsr.resummation.special import GUARD
 
 #: (digits, extra bits): the extra bits are the precisions a nested mp.quad
@@ -258,13 +259,44 @@ def test_gamma_taylor_terms_match_numeric_derivatives(x0):
 
 
 def test_gamma_taylor_computes_each_log_gamma_term_once(monkeypatch):
-    # terms 0..11 need psi(0..10) once each, not l_1..l_k again for every k
+    # terms 1..11 of log Gamma come from one shifted sum, and no polygamma
+    # function is evaluated
     calls = []
-    psi = mp.psi
-    monkeypatch.setattr(mp, "psi", lambda m, x: calls.append(m) or psi(m, x))
+    loggamma_taylor = special.loggamma_taylor
+
+    def psi(*args):
+        raise AssertionError("mp.psi called")
+
+    monkeypatch.setattr(mp, "psi", psi)
+    monkeypatch.setattr(special, "loggamma_taylor", lambda *args: calls.append(args) or loggamma_taylor(*args))
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["eval", "gamma", "29/8+w^-1", "--terms", "12", "--prec", "50"]) == 0
-    assert sorted(calls) == list(range(11))
+    assert len(calls) == 1
+
+
+#: dyadic points n / 2^m in (0, 64], m <= 10
+DYADIC = st.integers(0, 10).flatmap(lambda m: st.integers(1, 64 << m).map(lambda n: F(n, 1 << m)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from((15, 30, 50, 100, 300)), DYADIC, st.integers(1, 24))
+@example(50, F(5987, 4096), 1)  # psi near its zero at 1.4616...: 15 bits cancel
+@example(15, F(1, 1024), 24)
+@example(300, F(64), 24)
+def test_loggamma_taylor_terms_within_two_ulp(dps, x0, K):
+    # every term psi(x0) and (-1)^k zeta(k, x0) / k against mpmath's
+    # polygamma at 20 more digits
+    prec = libmp.dps_to_prec(dps)
+    x = libmp.from_rational(x0.numerator, x0.denominator, prec)  # exact: a dyadic
+    got = special.loggamma_taylor(x, K, prec)
+    assert len(got) == K
+    with mp.workdps(dps + 20):
+        for k, (val, bound) in enumerate(got, 1):
+            want = mp.psi(k - 1, mp.make_mpf(x)) / mp.factorial(k)
+            rounded = mp.make_mpf(libmp.mpf_pos(val, prec, libmp.round_nearest))
+            ulp = mp.mpf(2) ** (mp.floor(mp.log(abs(want), 2)) + 1 - prec)
+            assert abs(rounded - want) <= 2 * ulp, (k, x0)
+            assert abs(mp.make_mpf(val) - want) <= mp.make_mpf(bound) + abs(want) * mp.mpf(2) ** (-prec - 40), (k, x0)
 
 
 #: (n, rate, p, c) of c x^n e^(rate x^p)

@@ -1,5 +1,6 @@
 """Expression grammar round trips and error reporting."""
 
+import re
 from fractions import Fraction as F
 from math import comb
 
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_transseries import raw_groups
 
-from tsr.errors import ExpressionSyntaxError, GridMergeError
+from tsr.errors import DomainError, ExpressionSyntaxError, GridMergeError, TsrError
 from tsr.scanner import MAX_NESTING
 from tsr.surreal import parse_nf
-from tsr.transseries import LogPart, assemble, eq_to_order, ts_from_json, ts_mul_minus, ts_parse, ts_print, ts_to_json
+from tsr.transseries import LogPart, TransseriesT1, assemble, eq_to_order, ts_from_json, ts_mul_minus, ts_parse, ts_print, ts_to_json
 
 RATIONALS = st.builds(F, st.integers(-5, 5), st.integers(1, 6))
 
@@ -108,6 +109,55 @@ class TestJson:
         assert obj["plus"][0]["series"] == {"oracle": "ei", "order": 16}
         back = ts_from_json(obj)
         assert back.plus[0].series.coeffs(5) == [1, 1, 2, 6, 24]
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [([], "the transseries"), ({"plus": [{}]}, "plus[0].lambda"), ({"log": {"Q": ["1", "x"]}}, "log.Q[1]"), ({"minus": {"series": {"1": {"coeffs": [None]}}}}, "minus.series['1'].coeffs[0]")],
+    )
+    def test_malformed_json_names_the_field(self, obj, field):
+        with pytest.raises(DomainError, match=re.escape(field)):
+            ts_from_json(obj)
+
+
+#: JSON values, their object keys drawn mostly from a transseries' field names
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats()
+    | st.sampled_from(("1", "-1/2", "0", "3/0", "x", "", "ei", "stirling", "nope", "1,0"))
+    | st.text(max_size=4)
+)
+JSON_KEYS = st.sampled_from(("minus", "plus", "log", "lambda", "beta", "series", "coeffs", "oracle", "truncated", "P", "Q", "R", "", "1", "0,1", "-1", "x")) | st.text(max_size=3)  # fmt: skip
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_KEYS, inner, max_size=4), max_leaves=12)
+JSON_SEEDS = ("exp(-x)*(1/x + 2/x^2) + exp(-3/2*x)*x", "x^2*log(x) + 3 - 1/x", "exp(x)*#ei + exp(2*x)*series![1, 2]", "#stirling")
+
+
+@st.composite
+def mutated_t1_json(draw):
+    """A transseries' JSON with one node, at any depth, replaced by a random JSON value."""
+    obj = ts_to_json(ts_parse(draw(st.sampled_from(JSON_SEEDS))), 4)
+    node, path = obj, []
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        path.append((node, key))
+        node = node[key]
+    if not path:
+        return draw(JSON_VALUES)
+    parent, key = path[-1]
+    parent[key] = draw(JSON_VALUES)
+    return obj
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(JSON_VALUES, mutated_t1_json()))
+def test_any_json_value_reads_as_a_t1_or_a_tsr_error(obj):
+    with time_budget(5):
+        try:
+            ts = ts_from_json(obj)
+        except TsrError:
+            return
+    assert isinstance(ts, TransseriesT1)
 
 
 @pytest.mark.parametrize(
