@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from . import errors
+from . import errors, scanner
 from .resummation import (
     Address,
     QuadratureConfig,
@@ -133,7 +133,7 @@ def _checked(kind, ok, what: str):
 def _point(text: str):
     text = text.strip().replace("omega", "w")
     try:
-        return Fraction(text)
+        return scanner.fraction(text)
     except (ValueError, ZeroDivisionError):
         return parse_nf(text)
 
@@ -142,7 +142,7 @@ def _real(text: str) -> Fraction:
     """A finite real number, exactly: an integer, a decimal or a ratio.  It
     must lie within the range of a double, as the JSON output's value does."""
     try:
-        x = Fraction(text.strip())
+        x = scanner.fraction(text)
     except (ValueError, ZeroDivisionError):
         x = None
     if x is None or abs(x) > sys.float_info.max:

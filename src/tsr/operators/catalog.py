@@ -14,9 +14,11 @@ series (DLMF 9.4, O(|z|^(3/2)) terms), all in integers and raw
 ``mpmath.libmp`` arithmetic at an explicit working precision; none uses
 quadrature or mpmath's own Ei, erfi or Airy functions, which serve as
 references in the tests.  The log Gamma Taylor terms k >= 1, which Gamma's
-share, are one shifted Euler-Maclaurin sum (``special.loggamma_taylor``);
-term 0 of each, the log Gamma and Gamma oracles, stays mpmath's loggamma and
-gamma, so that the oracles check the Stirling sum independently.  The Borel
+share, are rows 1..K of the shifted Euler-Maclaurin sum whose row 0 is
+Binet's function, the Borel sum of ``#stirling`` (``special.loggamma_taylor``
+and ``special.binet``); term 0 of each, the log Gamma and Gamma oracles,
+stays mpmath's loggamma and gamma, so that the oracles check both rows
+independently.  The Borel
 kernels travel with the series: each entry is built from the registered
 ``#name`` series of ``tsr.coefficients``, whose closed-form kernel its resummation reads.
 Entries whose transseries would need an irrational global scale carry it as

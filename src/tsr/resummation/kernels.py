@@ -660,10 +660,11 @@ class CothKernel(BorelFunction):
         Costin 2008, ch. 5), the Borel sum of ``#stirling``.
 
         ``special.binet`` shifts x up to about 0.6 wp and sums the Stirling
-        series there in integers, over the tangent-number table the Bernoulli
-        numbers come from; no Gamma function and no mpmath Gamma table is
-        used, so the catalog's log Gamma oracle (``mp.loggamma``) stays an
-        independent check.  It works at wp = prec + 20 + max(log2 x, 0)
+        series there as row 0 of the Euler-Maclaurin sum whose rows 1..K are
+        log Gamma's Taylor terms (``special.loggamma_taylor``), in integers
+        over the tangent-number table the Bernoulli numbers come from; no
+        Gamma function and no mpmath Gamma table is used, so the catalog's
+        log Gamma oracle (``mp.loggamma``) stays an independent check.  It works at wp = prec + 20 + max(log2 x, 0)
         fraction bits, within a bound of about 2^-wp, below 2^-(prec+16) of
         J ~ 1/(12x).  A Fraction x is rounded to wp bits first, which moves J
         by less than 2^-wp, since |J'(x)| < 1/(2x).  Returns (value, error)

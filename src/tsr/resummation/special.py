@@ -1,19 +1,18 @@
-"""Ei, the erfi integral, Binet's function and the Airy Borel sums in raw ``mpmath.libmp`` arithmetic.
+"""Ei, the erfi integral, Binet's function, the log Gamma Taylor terms and the Airy Borel sums in raw ``mpmath.libmp`` arithmetic.
 
 One implementation serves the catalog's real-line oracles and the closed-form
 Laplace transforms of ``ClosedFormKernel``: the convergent series, DLMF 6.6.1
 for Ei (O(x) terms) and 7.6.4 for integral(e^(s^2), s = 0..x) (O(x^2) terms),
-and past the working bits their asymptotic series, DLMF 6.12.2 and 7.12, so
-the work stays bounded at any x.  The Laplace transform of ``AiryKernel``
+and past the working bits their asymptotic series (``_asymptotic``), so the
+work stays bounded at any x.  The Laplace transform of ``AiryKernel``
 (``airy_laplace``) is a modified Bessel function of order 1/3, summed the same
-two ways; that of ``CothKernel`` is Binet's function (``binet``), a shifted
-Stirling series over the one table of tangent numbers (``tangent_numbers``)
-that the Bernoulli numbers come from too.  The same shift and table give the
-Taylor coefficients of ln Gamma, psi and the Hurwitz zeta values
-(``loggamma_taylor``).  Every function takes an explicit
-precision, works at ``GUARD`` bits above it and returns an unrounded raw mpf;
-nothing reads or writes a context's precision, so threads may call them at
-once.
+two ways.  Binet's function (``binet``, the transform of ``CothKernel``) and
+the Taylor coefficients of ln Gamma (``loggamma_taylor``: psi and Hurwitz
+zeta values) are rows of one shifted Euler-Maclaurin sum (``_em_tails``),
+over the table of tangent numbers (``tangent_numbers``) that the Bernoulli
+numbers come from too.  Every function takes an explicit precision, works at
+``GUARD`` bits above it and returns an unrounded raw mpf; nothing reads or
+writes a context's precision, so threads may call them at once.
 """
 
 from __future__ import annotations
@@ -51,6 +50,23 @@ def _series(first, step, k, weight, wp):
     return libmp.mpf_mul(first, libmp.from_man_exp(total, -wp), wp)
 
 
+def _asymptotic(factor, v, wp):
+    """sum(t_k, k >= 0), t_0 = 1, t_k = t_(k-1) factor(k) / v: past the
+    working bits wp, Ei(v) is e^v / v times it for factor k (DLMF 6.12.2),
+    and integral(e^(s^2), s = 0..x) is e^(x^2) / (2x) times it for factor
+    2k - 1 and v = 2x^2 (DLMF 7.12).  The terms fall while factor(k) < v,
+    to about e^-v sqrt(2 pi v) for Ei and e^-(x^2) for the integral, far
+    below 2^-wp; the sum stops at the first term below 2^-wp of it.
+    """
+    term = total = libmp.fone
+    k = 0
+    while mag(term) > mag(total) - wp:
+        k += 1
+        term = libmp.mpf_div(libmp.mpf_mul_int(term, factor(k), wp), v, wp)
+        total = libmp.mpf_add(total, term, wp)
+    return total
+
+
 def ei(v, prec: int):
     """Ei(v) for a raw v > 0: gamma + ln v + sum(v^k / (k k!), k >= 1).
 
@@ -60,7 +76,7 @@ def ei(v, prec: int):
     """
     wp = prec + GUARD
     if libmp.mpf_gt(v, libmp.from_int(wp)):
-        return libmp.mpf_div(libmp.mpf_mul(libmp.mpf_exp(v, wp), _ei_asymptotic(v, wp), wp), v, wp)
+        return libmp.mpf_div(libmp.mpf_mul(libmp.mpf_exp(v, wp), _asymptotic(lambda k: k, v, wp), wp), v, wp)
     while True:
         parts = (libmp.mpf_euler(wp), libmp.mpf_log(v, wp), _series(v, v, 1, lambda k: k, wp))
         out = libmp.mpf_add(libmp.mpf_add(parts[0], parts[1], wp), parts[2], wp)
@@ -74,24 +90,8 @@ def ei_scaled(z, prec: int):
     """e^(-z) Ei(z) for a raw z > 0, with no e^z formed past z = wp."""
     wp = prec + GUARD
     if libmp.mpf_gt(z, libmp.from_int(wp)):
-        return libmp.mpf_div(_ei_asymptotic(z, wp), z, wp)
+        return libmp.mpf_div(_asymptotic(lambda k: k, z, wp), z, wp)
     return libmp.mpf_mul(libmp.mpf_exp(libmp.mpf_neg(z), wp), ei(z, prec), wp)
-
-
-def _ei_asymptotic(v, wp):
-    """sum(k! / v^k, k >= 0), with Ei(v) = e^v / v times it, for v > wp (DLMF 6.12.2).
-
-    The terms fall while k < v, to about e^-v sqrt(2 pi v) at k = v, which
-    for v > wp is far below 2^-wp; the sum stops at the first term below
-    2^-wp of it.
-    """
-    term = total = libmp.fone
-    k = 0
-    while mag(term) > mag(total) - wp:
-        k += 1
-        term = libmp.mpf_div(libmp.mpf_mul_int(term, k, wp), v, wp)
-        total = libmp.mpf_add(total, term, wp)
-    return total
 
 
 def erfi_integral(v, prec: int):
@@ -103,7 +103,7 @@ def erfi_integral(v, prec: int):
     wp = prec + GUARD
     x2 = libmp.mpf_mul(v, v)  # exact
     if libmp.mpf_gt(x2, libmp.from_int(wp)):
-        total = _erfi_integral_asymptotic(x2, wp)
+        total = _asymptotic(lambda k: 2 * k - 1, libmp.mpf_shift(x2, 1), wp)
         return libmp.mpf_div(libmp.mpf_mul(libmp.mpf_exp(x2, wp), total, wp), libmp.mpf_shift(v, 1), wp)
     return _series(v, libmp.mpf_mul(v, v, wp), 0, lambda k: 2 * k + 1, wp)
 
@@ -113,26 +113,10 @@ def erfi_integral_scaled(z, prec: int):
     series in z itself, sum(z^k / (k! (2k+1))), so no square root is formed."""
     wp = prec + GUARD
     if libmp.mpf_gt(z, libmp.from_int(wp)):
-        return libmp.mpf_div(_erfi_integral_asymptotic(z, wp), libmp.mpf_shift(z, 1), wp)
+        two_z = libmp.mpf_shift(z, 1)
+        return libmp.mpf_div(_asymptotic(lambda k: 2 * k - 1, two_z, wp), two_z, wp)
     series = _series(libmp.fone, z, 0, lambda k: 2 * k + 1, wp)
     return libmp.mpf_mul(libmp.mpf_exp(libmp.mpf_neg(z), wp), series, wp)
-
-
-def _erfi_integral_asymptotic(x2, wp):
-    """sum((2k-1)!! / (2 x^2)^k, k >= 0) for x^2 = ``x2`` > wp, with the
-    integral e^(x^2) / (2x) times it (Dawson's integral, DLMF 7.12).
-
-    The terms fall to about e^-(x^2) at k = x^2, far below 2^-wp; the sum
-    stops at the first term below 2^-wp of it.
-    """
-    two_x2 = libmp.mpf_shift(x2, 1)
-    term = total = libmp.fone
-    k = 0
-    while mag(term) > mag(total) - wp:
-        k += 1
-        term = libmp.mpf_div(libmp.mpf_mul_int(term, 2 * k - 1, wp), two_x2, wp)
-        total = libmp.mpf_add(total, term, wp)
-    return total
 
 
 _TANGENT_LOCK = threading.Lock()
@@ -170,25 +154,17 @@ def binet(x, F: int):
     at a raw x > 0, as raw (value, error bound), the bound about 2^-F for
     any F > log2 x.  No Gamma function is evaluated.
 
-    Below X0 = ceil(0.6 F) the argument is shifted to X = x + N in
-    [X0, X0 + 1) (0.6 was measured the cheapest first call at 1000 and
-    3000 digits, where the product and the sum trade off), since
+    x is shifted to X = x + N >= X0 (``_em_shift``), since
     ln Gamma(X) = ln Gamma(x) + ln(x (x+1) ... (x+N-1)):
 
         J(x) = J(X) + (X - 1/2) ln X - (x + 1/2) ln x - ln P - N,  P = prod(x + j, j = 1..N-1),
 
-    and with N = 0 there is J(X) alone.  J(X) is the Stirling series
-    sum(B_2k / (2k (2k-1) X^(2k-1)), k <= K) (DLMF 5.11.1); for real X > 0
-    its remainder is below the first term left out (DLMF 5.11(ii)).  K is
-    the first K whose next term is below 2^-F at X0, so at every X >= X0,
-    and 2^(1-F) bounds the remainder with the float arithmetic of that
-    choice.  With B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) the sum is
-    s_1 / (4X) by Horner's rule, s_K = a_K and s_k = a_k - z s_(k+1), for
-    a_k = T_k / ((2k-1)(4^k - 1)) and z = 1/(4X^2).  Level k is held in
-    units of 2^(-F1 + (k-1) D), with 2^D <= 4X^2 < 2^(D+1), so a step
-    multiplies by r = 2^D / (4X^2) in (1/2, 1], floored from G bits: each
-    step errs by at most 3 + |s| 2^-G units (two floors and r's), and an
-    error at level k reaches s_1 times r^(k-1) <= 1.
+    and with N = 0 there is J(X) alone.  J(X) = X H_0 is the Stirling
+    series sum(B_2i / (2i (2i-1) X^(2i-1))) (DLMF 5.11.1), row 0 of the
+    Euler-Maclaurin tails (``_em_tails``); for real X > 0 its remainder is
+    below the first term left out (DLMF 5.11(ii)), below 2^-(F+1) at X0
+    (``_em_terms``) and so at every X >= X0, and 2^(1-F) bounds it with
+    the float arithmetic of that choice.
 
     The product is taken two factors at a time, x^2 + (2j+1) x + j(j+1)
     from the integer x^2, and each factor and product is kept to ``keep``
@@ -196,29 +172,13 @@ def binet(x, F: int):
     than N 2^(2-keep).  The logs and their products, at wp bits, are each
     within a few units of the largest part, 2^m, which adds 2^(m+5-wp).
     """
-    X0 = math.ceil(0.6 * F)
+    X0, terms = _em_shift(F, range(1))
     N = max(X0 - libmp.to_int(x), 0)
     X = libmp.mpf_add(x, libmp.from_int(N))  # exact
-    K = _stirling_terms(F, X0)
-    T = tangent_numbers(K)
-    _, man, exp, _ = X
-    m2 = man * man
-    D = m2.bit_length() + 2 * exp + 1  # 2^D <= 4X^2 < 2^(D+1)
-    F1 = F + (3 * K).bit_length() + 2
-    G = F1 + K  # |s| < 2^(F1 + k) at level k
-    r = (1 << G + m2.bit_length() - 1) // m2  # floor(2^(G+D) / (4X^2))
-
-    def a(k):  # floor(a_k) in units of level k
-        d, f = (2 * k - 1) * ((1 << 2 * k) - 1), F1 - (k - 1) * D
-        return (T[k - 1] << f) // d if f >= 0 else T[k - 1] // (d << -f)
-
-    s, units = a(K), 1
-    for k in range(K - 1, 0, -1):
-        units += 3 + (abs(s) >> G)
-        s = a(k) - (s * r >> G)
-    JX = libmp.mpf_div(libmp.from_man_exp(s, -F1 - 2), X, F + 8)
-    bound = libmp.mpf_div(libmp.from_man_exp(units, -F1 - 2), X, 53, libmp.round_up)
-    for e in (1 - F, mag(JX) - F - 7):  # the remainder; the division's rounding
+    [(H, h_err)] = _em_tails(X, range(1), terms, F)
+    JX = libmp.mpf_mul(X, H, F + 8)
+    bound = libmp.mpf_mul(X, h_err, 53, libmp.round_up)
+    for e in (1 - F, mag(JX) - F - 7):  # the remainder; the product's rounding
         bound = libmp.mpf_add(bound, libmp.mpf_shift(libmp.fone, e), 53, libmp.round_up)
     if not N:
         return JX, bound
@@ -280,34 +240,26 @@ def _psi_zeta(x, K: int, F: int) -> list:
 
     The S_s are summed in fixed point, in units 2^-W (``_reciprocal_powers``):
     the unit is below 2^-F of the first term x^-s by about s log2(x) bits.
-    At X the Euler-Maclaurin tails (DLMF 5.11.2, 25.11(xii)) are, with
-    z = 1/(4 X^2),
+    At X the Euler-Maclaurin tails are rows 1..K of ``_em_tails`` (DLMF
+    5.11.2, 25.11(xii)):
 
-        psi(X) = ln X - 1/(2X) - H_1,   zeta(s, X) = X^(1-s) (1/(s-1) + 1/(2X) + H_s),
-        H_s = sum((-1)^(i-1) b_i(s) z^i, i = 1..M_s),   b_i(s) = T_i C(s+2i-2, 2i-1) / (4^i - 1),
+        psi(X) = ln X - 1/(2X) - H_1,   zeta(s, X) = X^(1-s) (1/(s-1) + 1/(2X) + H_s).
 
-    from B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)) over the tangent numbers
-    (``tangent_numbers``), since (s)_(2i-1) / (2i-1)! = C(s+2i-2, 2i-1); H_1
-    is psi's B_2i / (2i X^2i).  t^-s is completely monotone, so each
-    remainder is below the first term left out (DLMF 2.10(i), 5.11(ii)).
-    |b_i(s) z^i| < 4 Gamma(s+2i-1) / (Gamma(s) (2 pi X)^(2i)) (DLMF
-    24.9), and M_s is the first M whose next term is below
-    2^-(F + bitlen(s) + 1) at X0 (``_em_terms``), so below 2^-F of the
-    bracket's 1/(s-1), or of 1 for psi.  H_s is summed by Horner's rule in
-    integers (``_em_tails``).  The rest, at wp = F + 8 bits in raw mpf, adds
-    a few units of 2^-wp of each part.
+    Each tail is within 2^-(F + bitlen(s)) of the series, so within 2^-F
+    of the bracket's 1/(s-1), or of 1 for psi.  The rest, at wp = F + 8
+    bits in raw mpf, adds a few units of 2^-wp of each part.
     """
-    X0, terms = _em_shift(F, K)
+    rows = range(1, K + 1)
+    X0, terms = _em_shift(F, rows)
     N = max(X0 - libmp.to_int(x), 0)
     X = libmp.mpf_add(x, libmp.from_int(N))  # exact
     W = F + (N * (2 * K - 1)).bit_length() + K * (max(mag(x), 0) + 1)
     sums, errs = _reciprocal_powers(x, N, K, W, mag(x))
-    tails = _em_tails(X, terms, F)
+    tails = _em_tails(X, rows, terms, F)
     wp = F + 8
     half_X = libmp.mpf_div(libmp.fone, libmp.mpf_shift(X, 1), wp)
     out = []
-    for s in range(1, K + 1):
-        H, h_err = tails[s - 1]
+    for s, (H, h_err) in zip(rows, tails):
         h_err = libmp.mpf_add(h_err, libmp.mpf_shift(libmp.fone, -F - s.bit_length()), 53, libmp.round_up)
         S = libmp.from_man_exp(sums[s], -W)
         S_err = libmp.from_man_exp(errs[s], -W)
@@ -358,31 +310,40 @@ def _reciprocal_powers(x, N: int, K: int, W: int, ex: int):
     return sums, errs
 
 
-def _em_tails(X, terms, F: int) -> list:
-    """[(H_s, bound) for s = 1..K] as raw mpf: H_s = sum((-1)^(i-1) b_i(s)
-    z^i, i = 1..M_s) with z = 1/(4X^2), b_i(s) = T_i C(s+2i-2, 2i-1) /
-    (4^i - 1) and M_s = terms[s-1], each within its bound (the floors) of
-    the sum, the bound about 2^-F.
+def _em_tails(X, rows, terms, F: int) -> list:
+    """[(H_s, bound) for s in rows] as raw mpf, with z = 1/(4X^2) and
+    M_s from ``terms`` (``_em_shift``):
 
-    By Horner's rule as in ``binet``: h_M = b_M, h_i = b_i - z h_(i+1) and
+        H_s = sum((-1)^(i-1) b_i(s) z^i, i = 1..M_s),
+        b_i(s) = T_i C(s+2i-2, 2i-1) / (4^i - 1),   b_i(0) = T_i / ((2i-1) (4^i - 1)),
+
+    over the tangent numbers (``tangent_numbers``), since B_2i =
+    (-1)^(i-1) 2i T_i / (4^i (4^i - 1)) and (s)_(2i-1) / (2i-1)! =
+    C(s+2i-2, 2i-1).  Row 0 is the limit of C(s+2i-2, 2i-1) / s as s -> 0:
+    X H_0 is the Stirling series of Binet's function (``binet``), and rows
+    s >= 1 are the tails of psi and zeta(s) (``_psi_zeta``).  Each H_s is
+    within its bound, about 2^-F, of the sum.
+
+    By Horner's rule in integers: h_M = b_M, h_i = b_i - z h_(i+1) and
     H_s = z h_1.  Level i is held in units of 2^(-F1 + (i-1) D), with
     2^D <= 4X^2 < 2^(D+1), so a step multiplies by r = 2^D / (4X^2) in
     (1/2, 1], floored from G bits; each b_i is held to the absolute unit
     of the sum that its level maps to, so none underflows while b_i z^i
     still counts.  The one division of a level, q_i = T_i / (4^i - 1) in
-    units 2^-E of the level's unit, serves every s: b_i(s) is q_i C >> E,
-    within 2 units for C < 2^E.  So each step errs by at most 4 + |h| 2^-G
-    units (two floors of b_i, one of the product and r's), and an error at
-    level i reaches h_1 times r^(i-1) <= 1.
+    units 2^-E of the level's unit, serves every row: b_i(s) is q_i C >> E
+    and b_i(0) is floor(q_i / (2i-1)) >> E, within 2 units for C < 2^E.
+    So each step errs by at most 4 + |h| 2^-G units (two floors of b_i,
+    one of the product and r's), and an error at level i reaches h_1
+    times r^(i-1) <= 1.
     """
-    K, M = len(terms), max(terms)
+    K, M = rows[-1], max(terms)
     T = tangent_numbers(M)
     _, man, exp, _ = X
     m2 = man * man
     D = m2.bit_length() + 2 * exp + 1  # 2^D <= 4X^2 < 2^(D+1)
     F1 = F + K.bit_length() + (4 * M).bit_length() + 2
     E = K + 2 * M  # C(s+2i-2, 2i-1) < 2^(s+2i-2)
-    G = F1 + M + K.bit_length() + 1  # |h| < s 2^(F1 + i) at level i
+    G = F1 + M + K.bit_length() + 1  # |h| < max(s, 1) 2^(F1 + i) at level i
     r = (1 << G + m2.bit_length() - 1) // m2  # floor(2^(G+D) / (4X^2))
     q = [0]
     for i in range(1, M + 1):
@@ -390,14 +351,12 @@ def _em_tails(X, terms, F: int) -> list:
         q.append((T[i - 1] << f) // d if f >= 0 else T[i - 1] // (d << -f))
     four_X2 = libmp.mpf_shift(libmp.mpf_mul(X, X), 2)  # exact
     out = []
-    for s, M in enumerate(terms, 1):
-        c = math.comb(s + 2 * M - 2, 2 * M - 1)
-        h, units = q[M] * c >> E, 2
-        for i in range(M - 1, 0, -1):
-            n, k = s + 2 * i, 2 * i + 1  # C(n-2, k-2) from C(n, k)
-            c = c * k * (k - 1) // (n * (n - 1))
+    for s, M in zip(rows, terms):
+        h = units = 0
+        for i in range(M, 0, -1):
             units += 4 + (abs(h) >> G)
-            h = (q[i] * c >> E) - (h * r >> G)
+            b = q[i] * math.comb(s + 2 * i - 2, 2 * i - 1) if s else q[i] // (2 * i - 1)
+            h = (b >> E) - (h * r >> G)
         H = libmp.mpf_div(libmp.from_man_exp(h, -F1), four_X2, F + 8)
         bound = libmp.mpf_div(libmp.from_man_exp(units, -F1), four_X2, 53, libmp.round_up)
         out.append((H, libmp.mpf_add(bound, libmp.mpf_shift(libmp.fone, mag(H) - F - 7), 53, libmp.round_up)))
@@ -405,29 +364,41 @@ def _em_tails(X, terms, F: int) -> list:
 
 
 @functools.lru_cache(maxsize=256)
-def _em_shift(F: int, K: int):
-    """(X0, (M_1, ..., M_K)): the shift point for ``_psi_zeta`` at F bits
-    and the number of tail terms for each s at X0 (``_em_terms``).
+def _em_shift(F: int, rows: range):
+    """(X0, (M_s for s in rows)): the shift point for the tails ``rows`` of
+    ``_em_tails`` at F bits, and each one's number of terms at X0
+    (``_em_terms``).
 
-    The tail of zeta(K, X) first reaches 2^-F near 2 pi X = F ln 2 + O(K);
-    X0 = ceil(0.17 F) + K is about 1.5 times that X, which was measured
-    the cheapest from 15 to 1000 digits (the reciprocal powers and the
-    tails trade off).  Should the tail still stop falling early, X0 grows
-    by half until it does not; for smaller s the terms fall sooner.
+    Row 0 alone (``binet``) shifts to X0 = ceil(0.6 F), rows 1..K
+    (``_psi_zeta``) to ceil(0.17 F) + K, about 1.5 times the X at which
+    the tail of zeta(K, X) first reaches 2^-F (2 pi X = F ln 2 + O(K)).
+    Each was measured the cheapest first call, at 1000 and 3000 digits and
+    from 15 to 1000 (the pair product or the reciprocal powers trade off
+    against the tails); row 0 at 0.17 F takes a tangent table so long that
+    its O(M^2) build made a cold 3000-digit Stirling sum 3.3 times as
+    slow.  Should the tail still stop falling early, X0 grows by half
+    until it does not; for smaller s the terms fall sooner.
     """
-    X0 = math.ceil(0.17 * F) + K
+    K = rows[-1]
+    X0 = math.ceil(0.17 * F) + K if K else math.ceil(0.6 * F)
     while _em_terms(F, X0, K) is None:
         X0 += X0 // 2
-    return X0, tuple(_em_terms(F, X0, s) for s in range(1, K + 1))
+    return X0, tuple(_em_terms(F, X0, s) for s in rows)
 
 
 def _em_terms(F: int, X0: int, s: int):
     """The first M whose term M + 1 of the tail H_s at X0 is below
-    2^-(F + bitlen(s) + 1), with 4 Gamma(s+2i-1) / (Gamma(s) (2 pi X0)^(2i))
-    bounding term i; None if the terms stop falling first.  At least one
-    term is taken."""
+    2^-(F + bitlen(s) + 1), or None if the terms stop falling first; at
+    least one term is taken.  t^-s is completely monotone, so the remainder
+    is below the first term left out (DLMF 2.10(i), 5.11(ii)).
+
+    Term i is below 4 Gamma(s+2i-1) / (Gamma(s) (2 pi X0)^(2i)), as
+    |B_2i| < 4 (2i)! / (2 pi)^(2i) (DLMF 24.9).  Row 0's bound drops the
+    1/Gamma(s) and takes one more factor X0: it bounds the Stirling term
+    X0 b_i(0) z^i = |B_2i| / (2i (2i-1) X0^(2i-1)) of ``binet``.
+    """
     ln_2pi_x, floor = math.log(2 * math.pi * X0), -(F + s.bit_length() + 1) * math.log(2)
-    lg_s = math.lgamma(s)
+    lg_s = math.lgamma(s) if s else -math.log(X0)
     i = 1
     while True:
         nxt = math.log(4) + math.lgamma(s + 2 * i + 1) - lg_s - (2 * i + 2) * ln_2pi_x
@@ -436,17 +407,6 @@ def _em_terms(F: int, X0: int, s: int):
         if (s + 2 * i - 1) * (s + 2 * i) >= (2 * math.pi * X0) ** 2:
             return None
         i += 1
-
-
-def _stirling_terms(F: int, X0: int) -> int:
-    """The first K whose term K + 1 of the Stirling series at X0 is below
-    2^-F: |B_2k| / (2k (2k-1) X0^(2k-1)) = 2 zeta(2k) (2k-2)! X0 / (2 pi X0)^(2k),
-    with zeta(2k) < 2 (DLMF 24.8.1)."""
-    ln_x, ln_2pi_x, floor = math.log(X0), math.log(2 * math.pi * X0), -F * math.log(2)
-    k = 2
-    while math.log(4) + math.lgamma(2 * k - 1) + ln_x - 2 * k * ln_2pi_x >= floor:
-        k += 1
-    return k - 1
 
 
 def airy_laplace(t, side: int, prec: int):

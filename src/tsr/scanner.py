@@ -1,14 +1,33 @@
-"""The text scanner shared by the normal-form and transseries grammars."""
+"""The text scanner shared by the normal-form and transseries grammars, and
+the number reader shared by the CLI's points and the JSON input."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .errors import ExpressionSyntaxError
+from .errors import DomainError, ExpressionSyntaxError
 
 #: the deepest parentheses either grammar reads; its recursion stays far
 #: below Python's limit
 MAX_NESTING = 100
+
+#: the largest decimal exponent ``fraction`` reads: ``Fraction`` builds 10^e
+#: exactly, in time that grows faster than e (seconds for e = 10^7)
+MAX_EXPONENT = 10_000
+
+_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE][-+]?([\d_]*)\s*")
+
+
+def fraction(text: str) -> Fraction:
+    """``Fraction(text)``: an integer, a decimal or a ratio, exactly.  A
+    decimal exponent beyond MAX_EXPONENT in size is a DomainError, raised
+    before 10^e is built; text that is no number is a ValueError."""
+    match = _EXPONENT.fullmatch(text)
+    digits = match[1].replace("_", "").lstrip("0") if match else ""
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+        raise DomainError(f"decimal exponents are limited to {MAX_EXPONENT} in size, got {text.strip()!r}")
+    return Fraction(text)
 
 
 class Scanner:

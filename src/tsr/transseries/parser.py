@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..errors import DomainError, ExpressionSyntaxError, GridMergeError
-from ..scanner import Scanner
+from ..scanner import Scanner, fraction
 from .grid import Group, LogPart, TransseriesT1, assemble, grid_from_groups, groups_from_grid, groups_of
 from .series import PowerSeries
 
@@ -327,9 +327,11 @@ def _json_fraction(value, where: str) -> Fraction:
     """A rational number written as a string ("-3/2") or a JSON number."""
     if isinstance(value, (str, int, float)) and not isinstance(value, bool):
         try:
-            return Fraction(value)
+            return fraction(value) if isinstance(value, str) else Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError):
             pass
+        except DomainError as exc:
+            raise DomainError(f"{where}: {exc}") from None
     raise DomainError(f"{where} must be a rational number, got {value!r}")
 
 

@@ -1,10 +1,12 @@
 """Binet's function as a shifted Stirling series, and its Bernoulli numbers.
 
 ``CothKernel.laplace`` (through ``special.binet``) sums J(x) = ln Gamma(x) -
-(x - 1/2) ln x + x - ln(2 pi)/2 with no Gamma function, over the tangent
-numbers that ``coefficients.bernoulli`` reads too.  These tests check both
-against independent references: the Bernoulli recurrence and mpmath's
-``loggamma``.
+(x - 1/2) ln x + x - ln(2 pi)/2 with no Gamma function, as row 0 of the
+Euler-Maclaurin tails (``special._em_tails``) whose rows 1..K are log
+Gamma's Taylor terms, over the tangent numbers that
+``coefficients.bernoulli`` reads too.  These tests check them against
+independent references: the Bernoulli recurrence, exact rational sums of
+the tails and mpmath's ``loggamma``.
 """
 
 import os
@@ -51,6 +53,40 @@ def test_tangent_numbers_are_the_taylor_coefficients_of_tan():
     # OEIS A000182: tan z = sum(T_k z^(2k-1) / (2k-1)!)
     first = [1, 2, 16, 272, 7936, 353792, 22368256, 1903757312, 209865342976, 29088885112832]
     assert list(special.tangent_numbers(10)[:10]) == first
+
+
+def exact(v) -> F:
+    """A raw mpf as a Fraction."""
+    return F(*libmp.to_rational(v))
+
+
+def tail_term(s: int, i: int, X: F) -> F:
+    """Term i of the tail H_s at X: B_2i C(s+2i-2, 2i-1) / (2i X^(2i)), and
+    B_2i / (2i (2i-1) X^(2i)) in row 0."""
+    c = F(1, 2 * i - 1) if s == 0 else comb(s + 2 * i - 2, 2 * i - 1)
+    return bernoulli(2 * i) * c / (2 * i * X ** (2 * i))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(30, 600), st.integers(0, 2**12), st.integers(0, 12), st.booleans())
+@example(60, 0, 0, True)
+@example(600, 2**12, 12, False)
+def test_em_tails_rows_are_within_their_bounds_of_the_exact_sums(bits, m, e, alone):
+    # rows 0..16 at one shift, or row 0 alone at binet's: each row, summed
+    # in integers, lies within its bound of the exact sum of its terms, and
+    # the first term left out at X0 is below the row's target
+    rows = range(1) if alone else range(17)
+    X0, terms = special._em_shift(bits, rows)
+    X = X0 + F(m, 2**e)
+    tails = special._em_tails(libmp.from_man_exp(X0 * 2**e + m, -e), rows, terms, bits)  # X, exactly
+    for s, M, (H, bound) in zip(rows, terms, tails):
+        assert abs(exact(H) - sum(tail_term(s, i, X) for i in range(1, M + 1))) <= exact(bound)
+        assert exact(bound) < F(1, 2 ** (bits - 2))
+        left_out = abs(tail_term(s, M + 1, F(X0))) * (X0 if s == 0 else 1)
+        assert left_out < F(1, 2 ** (bits + s.bit_length() + 1))
+    # row 0 is the Stirling series of Binet's function: X H_0 = sum(B_2i / (2i (2i-1) X^(2i-1)))
+    stirling = sum(bernoulli(2 * i) / (2 * i * (2 * i - 1) * X ** (2 * i - 1)) for i in range(1, terms[0] + 1))
+    assert abs(X * exact(tails[0][0]) - stirling) <= X * exact(tails[0][1])
 
 
 def binet_reference(x: F, digits: int = 400):

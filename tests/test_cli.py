@@ -647,12 +647,16 @@ class TestInputBoundary:
             (("sum", "exp(700*x)", "2", "--json"), "--json writes a double, and the sum 1.0286666608519891832e+608 is beyond the double range"),
             (("eval", "ei", "1000", "--json"), "--json writes a double, and the value 1.9720451371412383028e+431 is beyond the double range"),
             (("integrate", "erfi_integrand", "1", "30", "--json"), "--json writes a double, and the value 1.222148765104476398e+389 is beyond the double range"),
+            (("sum", "#ei", "1e10000000"), "decimal exponents are limited to 10000 in size, got '1e10000000'"),
+            (("eval", "ei", "-1E+1_000_000"), "decimal exponents are limited to 10000 in size, got '-1E+1_000_000'"),
         ],
     )
     def test_a_sum_without_a_real_double_value_is_a_domain_error(self, capsys, argv, message):
         # these printed a bare ValueError (a complex log or power, an
-        # infinite double's rounding)
-        assert self.outcome(capsys, argv) == (1, f"error: DomainError: {message}\n")
+        # infinite double's rounding); the decimal exponents took seconds
+        # to build 10^e before the range check
+        with time_budget(1.0):
+            assert self.outcome(capsys, argv) == (1, f"error: DomainError: {message}\n")
 
     def test_a_sum_beyond_the_double_range_prints_as_text(self, cli):
         assert cli("sum", "exp(700*x)", "2")[:2] == (0, "1.0286666608519891832e+608  (error <= 1.15e+588)\n")

@@ -337,23 +337,29 @@ def test_binet_laplace_bit_identical_from_16_threads_at_1000_digits(monkeypatch)
 
 def test_loggamma_taylor_bit_identical_from_16_threads(monkeypatch):
     # log Gamma's Taylor terms 1..16 at three points and three precisions,
-    # and at 1000 digits at one: the round starts from a one-entry tangent
-    # table and no cached shift, so the threads race to build both while
-    # they sum, and the serial reference runs after them
+    # and at 1000 digits at one, and Binet's function (row 0 of the same
+    # Euler-Maclaurin sum) at 1000 digits at three points: the round starts
+    # from a one-entry tangent table and no cached shift, so the threads
+    # race to build both while they sum, and the serial reference runs
+    # after them
     import mpmath as mp
     from mpmath import libmp
 
-    from tsr.resummation import special
+    from tsr.resummation import CothKernel, special
 
-    cases = [(x, libmp.dps_to_prec(d)) for x in (F(1, 10), F(29, 8), F(10**8)) for d in (15, 50, 300)]
-    cases.append((F(29, 8), libmp.dps_to_prec(1000)))
+    def taylor(q, prec):
+        return lambda: special.loggamma_taylor(libmp.from_rational(q.numerator, q.denominator, prec), 16, prec)
+
+    def binet(x, prec):
+        return lambda: tuple(v._mpf_ for v in CothKernel().laplace(x, prec))
+
+    cases = [taylor(x, libmp.dps_to_prec(d)) for x in (F(1, 10), F(29, 8), F(10**8)) for d in (15, 50, 300)]
+    cases.append(taylor(F(29, 8), libmp.dps_to_prec(1000)))
+    cases += [binet(x, libmp.dps_to_prec(1000)) for x in (F(1, 10), 3, 10**8)]
 
     def raw(k: int) -> list:
         start = k % len(cases)
-        out = {}
-        for i in [*range(start, len(cases)), *range(start)]:
-            q, prec = cases[i]
-            out[i] = special.loggamma_taylor(libmp.from_rational(q.numerator, q.denominator, prec), 16, prec)
+        out = {i: cases[i]() for i in [*range(start, len(cases)), *range(start)]}
         return [out[i] for i in range(len(cases))]
 
     prec = mp.mp.prec

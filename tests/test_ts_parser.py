@@ -112,10 +112,18 @@ class TestJson:
 
     @pytest.mark.parametrize(
         "obj, field",
-        [([], "the transseries"), ({"plus": [{}]}, "plus[0].lambda"), ({"log": {"Q": ["1", "x"]}}, "log.Q[1]"), ({"minus": {"series": {"1": {"coeffs": [None]}}}}, "minus.series['1'].coeffs[0]")],
+        [
+            ([], "the transseries"),
+            ({"plus": [{}]}, "plus[0].lambda"),
+            ({"log": {"Q": ["1", "x"]}}, "log.Q[1]"),
+            ({"minus": {"series": {"1": {"coeffs": [None]}}}}, "minus.series['1'].coeffs[0]"),
+            ({"log": {"Q": ["1e10000000"]}}, "log.Q[0]: decimal exponents are limited"),
+            ({"minus": {"lambda": ["1"], "beta": ["0"], "series": {"1": {"coeffs": ["2.5e-999999"]}}}}, "minus.series['1'].coeffs[0]: decimal exponents"),
+        ],
     )
     def test_malformed_json_names_the_field(self, obj, field):
-        with pytest.raises(DomainError, match=re.escape(field)):
+        # the decimal exponents ran for minutes building 10^e
+        with time_budget(1.0), pytest.raises(DomainError, match=re.escape(field)):
             ts_from_json(obj)
 
 
