@@ -187,23 +187,23 @@ def _emit_value(ns, payload: dict, text: str) -> None:
 
 
 def _emit_ts(ns, ts) -> None:
-    """A T1 as JSON under --json, else as text.  Only the JSON needs the
-    multi-index grid, which refuses some sums (GridMergeError)."""
+    """A T1 as JSON (each part as its list of groups) under --json, else as text."""
     print(json.dumps(ts_to_json(ts, ns.terms), sort_keys=True) if ns.json else ts_print(ts, ns.terms))
 
 
 def _positional_points(argv: list[str]) -> list[str]:
-    """argv with a leading space on each argument of ``eval`` and
-    ``integrate`` that starts with one '-' (points like -w or -2*w+1).
-    argparse reads such an argument as an option unless it is a plain
-    negative number or contains a space; ``_point`` strips the space."""
-    if not {"eval", "integrate"} & set(argv):
-        return argv
+    """argv with a leading space on each argument that starts with one '-'
+    (-w, -1/x, -#ei, -+).  argparse reads such an argument as an option
+    unless it is a plain negative number or contains a space; ``run`` takes
+    the space off again."""
     return [" " + a if a[:1] == "-" and a[1:2] not in ("", "-") and a != "-h" else a for a in argv]
 
 
 def run(argv=None) -> int:
     ns = build_parser().parse_args(_positional_points(sys.argv[1:] if argv is None else list(argv)))
+    for name, value in vars(ns).items():
+        if isinstance(value, str) and value.startswith(" -"):
+            setattr(ns, name, value[1:])
     for name, value in _DEFAULTS.items():
         vars(ns).setdefault(name, value)
     try:

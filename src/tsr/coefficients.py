@@ -104,6 +104,14 @@ def named_series(name: str) -> PowerSeries:
     return PowerSeries(coeff, kernel=lambda: KernelEntry(kernel()))
 
 
-def series_name(ps: PowerSeries) -> Optional[str]:
-    """The name under which ``ps`` is registered, or None."""
-    return next((name for name in NAMED_SERIES if named_series(name) is ps), None)
+def named_multiple(ps: PowerSeries) -> Optional[tuple[str, Fraction]]:
+    """(name, c) when ``ps`` is c * #name, c nonzero, read off its kernel
+    entry: #name's own kernel object at #name's m (whose c is 1); else None."""
+    entry = ps.kernel
+    if entry is None or not entry.c:
+        return None
+    for name in NAMED_SERIES:
+        own = named_series(name).kernel
+        if own.kernel is entry.kernel and own.m == entry.m:
+            return name, entry.c
+    return None

@@ -6,11 +6,9 @@ class TsrError(Exception):
 
 
 class GridMergeError(TsrError):
-    """Two transseries grids cannot be merged within the configured bounds."""
-
-
-class ResonanceError(TsrError):
-    """Distinct grid points collide in exponential rate (nonresonance violated)."""
+    """Terms that no T1 holds: groups at one rate whose offsets differ by a
+    non-integer, a power of x at a non-integer offset, or a log term
+    outside depth one."""
 
 
 class UndecidableSupport(TsrError):

@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import mpmath as mp
 from mpmath import libmp
 
-from ..coefficients import named_series, series_name
+from ..coefficients import named_multiple, named_series
 from ..errors import DomainError
 from ..resummation import KernelEntry, QuadratureConfig, eb_sum, resolve_default, special
 from ..stream import Stream
@@ -626,8 +626,8 @@ def catalog_manifest() -> dict:
 
     out = {}
     for name, e in catalog().items():
-        named = {series_name(g.series): g.series.kernel for g in groups_of(e.transseries)} if e.transseries else {}
-        named.pop(None, None)
+        groups = groups_of(e.transseries) if e.transseries else []
+        named = {m[0]: g.series.kernel for g in groups if (m := named_multiple(g.series))}
         out[name] = {
             "transseries": ts_to_json(e.transseries) if e.transseries is not None else None,
             "critical_time": {"coef": str(e.crit_coef), "power": str(e.crit_power)},

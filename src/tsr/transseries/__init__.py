@@ -7,7 +7,6 @@ from .grid import (
     TransseriesT1,
     assemble,
     eq_to_order,
-    groups_from_grid,
     groups_of,
     semantic_terms,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "TransseriesT1",
     "assemble",
     "eq_to_order",
-    "groups_from_grid",
     "groups_of",
     "semantic_terms",
     "from_minus_term",

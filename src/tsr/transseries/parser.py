@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..errors import DomainError, ExpressionSyntaxError, GridMergeError
 from ..scanner import Scanner, fraction
-from .grid import Group, LogPart, TransseriesT1, assemble, grid_from_groups, groups_from_grid, groups_of
+from .grid import Group, LogPart, TransseriesT1, assemble
 from .series import PowerSeries
 
 
@@ -308,12 +308,38 @@ def ts_print(ts: TransseriesT1, truncation: int = 8) -> str:
 def _series_json(ps: PowerSeries, order: int):
     if ps.is_finite():
         return {"coeffs": [str(c) for c in ps.coeffs(ps.length or 0)]}
-    from ..coefficients import series_name
+    from ..coefficients import named_multiple
 
-    name = series_name(ps)
-    if name:
-        return {"oracle": name, "order": order}
+    named = named_multiple(ps)
+    if named:
+        name, c = named
+        return {"oracle": name, "order": order} | ({"scale": str(c)} if c != 1 else {})
     return {"coeffs": [str(c) for c in ps.coeffs(order)], "truncated": True}
+
+
+def _trimmed(g: Group) -> Optional[Group]:
+    """The group with its finite series cut to its nonzero span, the offset
+    lowered by the zeros cut at the start (the mu = 0 series keeps them and
+    its offset 0); None for a zero finite series."""
+    s = g.series
+    if s.length is None:
+        return g
+    c = s.coeffs(s.length)
+    nonzero = [l for l, v in enumerate(c) if v]
+    if not nonzero:
+        return None
+    lead = nonzero[0] if g.mu else 0
+    return Group(g.mu, g.offset - lead, PowerSeries.from_coeffs(c[lead : nonzero[-1] + 1]))
+
+
+def _groups_json(groups, order: int) -> list:
+    """Each group x^beta e^(mu x) y as {"lambda": |mu|, "beta", "series"},
+    its finite series first cut to its nonzero span (``_trimmed``), so
+    equal transseries write equal JSON."""
+    return [
+        {"lambda": str(abs(g.mu)), "beta": str(g.offset), "series": _series_json(g.series, order)}
+        for g in filter(None, map(_trimmed, groups))
+    ]
 
 
 def _json_kind(value, kind, where: str):
@@ -346,7 +372,7 @@ def _series_from_json(obj, where: str) -> PowerSeries:
 
         if obj["oracle"] not in NAMED_SERIES:
             raise DomainError(f"{where}.oracle names no registered series: {obj['oracle']!r}")
-        return named_series(obj["oracle"])
+        return named_series(obj["oracle"]).scale(_json_fraction(obj.get("scale", 1), f"{where}.scale"))
     if "coeffs" not in obj:
         raise DomainError(f"{where} needs \"coeffs\" or \"oracle\"")
     head = PowerSeries.from_coeffs(list(_json_fractions(obj, "coeffs", f"{where}.coeffs")))
@@ -355,53 +381,44 @@ def _series_from_json(obj, where: str) -> PowerSeries:
 
 
 def ts_to_json(ts: TransseriesT1, order: int = 16) -> dict:
-    lam, beta, keyed, plus = grid_from_groups(groups_of(ts))
+    """``minus`` and ``plus`` as their lists of groups: ``minus`` the mu = 0
+    series first (lambda = 0), then x^beta e^(-lambda x) y by lambda
+    ascending; ``plus`` x^beta e^(lambda x) y by lambda descending.  An
+    infinite series writes its first ``order`` coefficients, or c * #name
+    as {"oracle": name, "scale": c}."""
     return {
-        "minus": {
-            "lambda": [str(v) for v in lam],
-            "beta": [str(v) for v in beta],
-            "series": {",".join(map(str, k)): _series_json(s, order) for k, s in keyed},
-        },
+        "minus": _groups_json(ts.minus, order),
         "log": {
             "P": [str(c) for c in ts.log.P],
             "Q": [str(c) for c in ts.log.Q],
             "R": [str(c) for c in ts.log.R],
         },
-        "plus": [
-            {"lambda": str(grp.mu), "beta": str(grp.offset), "series": _series_json(grp.series, order)}
-            for grp in plus
-        ],
+        "plus": _groups_json(ts.plus, order),
     }
+
+
+def _groups_from_json(obj: dict, part: str) -> list[Group]:
+    """The groups of ``part``: x^beta e^(-lambda x) y with lambda >= 0 in
+    "minus", x^beta e^(lambda x) y with lambda > 0 in "plus"."""
+    sign = 1 if part == "plus" else -1
+    groups = []
+    for i, t in enumerate(_json_kind(obj.get(part, []), list, part)):
+        where = f"{part}[{i}]"
+        _json_kind(t, dict, where)
+        lam, beta = (_json_fraction(t.get(f), f"{where}.{f}") for f in ("lambda", "beta"))
+        if lam < 0 or (lam == 0 and sign > 0):
+            least = "positive" if sign > 0 else "at least 0"
+            raise DomainError(f"{where}.lambda: {part}-part rates must be {least}, got {t['lambda']!r}")
+        groups.append(Group(sign * lam, beta, _series_from_json(t.get("series"), f"{where}.series")))
+    return groups
 
 
 def ts_from_json(obj) -> TransseriesT1:
     """The T1 that ``ts_to_json`` wrote.  Input of another shape is a
-    DomainError that names the field at fault, as "minus.series['1'].coeffs[2]"."""
+    DomainError that names the field at fault, as "minus[0].series.coeffs[2]"."""
     _json_kind(obj, dict, "the transseries")
-    gm = _json_kind(obj.get("minus", {}), dict, "minus")
-    series = {}
-    for key, sj in _json_kind(gm.get("series", {}), dict, "minus.series").items():
-        where = f"minus.series[{key!r}]"
-        if not isinstance(key, str):
-            raise DomainError(f"{where}: the key must be a string")
-        try:
-            k = tuple(int(v) for v in key.split(",")) if key else ()
-        except ValueError:
-            raise DomainError(f"{where}: the key must be a comma-separated multi-index") from None
-        series[k] = _series_from_json(sj, where)
-    try:
-        minus = groups_from_grid(_json_fractions(gm, "lambda", "minus.lambda"), _json_fractions(gm, "beta", "minus.beta"), series)
-    except ValueError as exc:
-        raise DomainError(f"minus: {exc}") from None
+    minus = _groups_from_json(obj, "minus")
     lg = _json_kind(obj.get("log", {}), dict, "log")
     log = LogPart(*(_json_fractions(lg, part, f"log.{part}") for part in "PQR"))
-    plus = []
-    for i, t in enumerate(_json_kind(obj.get("plus", []), list, "plus")):
-        where = f"plus[{i}]"
-        _json_kind(t, dict, where)
-        grp = Group(*(_json_fraction(t.get(f), f"{where}.{f}") for f in ("lambda", "beta")), _series_from_json(t.get("series"), f"{where}.series"))
-        if grp.mu <= 0:
-            raise DomainError(f"{where}.lambda: plus-part rates must be positive, got {t['lambda']!r}")
-        plus.append(grp)
     # re-normalize: assemble merges the groups and moves R into the mu = 0 series
-    return assemble(minus + plus, log)
+    return assemble(minus + _groups_from_json(obj, "plus"), log)

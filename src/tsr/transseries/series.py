@@ -7,9 +7,9 @@ an oracle may read the series' own lower coefficients, which are memoized
 before it asks.  ``length`` is the greatest possibly-nonzero index of a
 finite series, None for an infinite one.  The kernel is the Borel kernel (a
 ``KernelEntry``, built on first read) the sum uses; ``scale`` carries it,
-``PowerSeries.sum`` (behind ``shift_down``) carries it for unshifted
-multiples of one kernel, and all else drops it.  All
-operations are exact; memoization is recomputation-safe.
+``PowerSeries.sum`` carries it for unshifted multiples of one kernel, and
+all else drops it.  All operations are exact; memoization is
+recomputation-safe.
 """
 
 from __future__ import annotations
@@ -136,10 +136,6 @@ class PowerSeries:
             length=self.length,
             kernel=lambda: self.kernel and self.kernel.scale(c),
         )
-
-    def shift_down(self, d: int) -> "PowerSeries":
-        """Multiply by x^-d (d >= 0): coefficients move to higher indices."""
-        return PowerSeries.sum([(d, self)])
 
     def mul(self, other: "PowerSeries") -> "PowerSeries":
         """Cauchy product (starts at x^-2)."""

@@ -10,7 +10,7 @@ from reference.surreal import nf_from_json_obj
 
 from tsr.cli import build_parser, main, run
 from tsr.surreal import parse_nf
-from tsr.transseries import eq_to_order, ts_from_json, ts_parse
+from tsr.transseries import eq_to_order, ts_from_json, ts_parse, ts_to_json
 
 
 @pytest.fixture
@@ -198,12 +198,27 @@ class TestErrors:
         code, out, err = cli("eval", "airy_bi", "1" + "0" * 300)
         assert (code, out) == (1, "") and "DomainError" in err and "work bound" in err
 
-    @pytest.mark.parametrize("point", ["-w", "-2*w+1", "-w+1/2"])
-    def test_point_with_a_leading_minus(self, cli, point):
-        code, out, err = cli("eval", "exp", point)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *[("eval", "exp", point) for point in ("-w", "-2*w+1", "-w+1/2")],
+            ("parse", "-1/x"),
+            ("sum", "-#ei", "5"),
+            ("borel", "-#ei"),
+            ("weights", "-+"),
+        ],
+        ids=lambda argv: argv[-1] if argv[0] == "eval" else " ".join(argv),
+    )
+    def test_point_with_a_leading_minus(self, cli, argv):
+        # argparse reads an argument that starts with one '-' as an option;
+        # every verb reads it as its positional, as after "--"
+        code, out, err = cli(*argv)
         assert (code, err) == (0, "")
-        assert (code, out, err) == cli("eval", "exp", "--", point)
-        assert cli("integrate", "exp", point, "0", "--terms", "3") == cli("integrate", "exp", "--terms", "3", "--", point, "0")
+        at = next(i for i, a in enumerate(argv) if a[:1] == "-")
+        assert (code, out, err) == cli(*argv[:at], "--", *argv[at:])
+        if argv[0] == "eval":
+            point = argv[-1]
+            assert cli("integrate", "exp", point, "0", "--terms", "3") == cli("integrate", "exp", "--terms", "3", "--", point, "0")
 
     def test_minus_w_is_omega_negated(self, cli):
         assert cli("eval", "exp", "-w")[1] == "w^(-w)\n"
@@ -350,12 +365,31 @@ class TestJsonRoundTrips:
         ],
     )
     def test_text_form_builds_no_json_grid(self, cli, argv):
-        # rate 2 at offset 1/2 needs a generator commensurate with rate 1, so
-        # the JSON grid refuses the result; the text form prints it
+        # rate 2 at offset 1/2 beside rate 1: each group writes itself, so
+        # the JSON of the result reads back to itself
         code, out, _ = cli(*argv)
         assert code == 0 and out.startswith("exp(-x)*(")
         code, out, err = cli(*argv, "--json")
-        assert (code, out) == (1, "") and "GridMergeError" in err
+        assert (code, err) == (0, "")
+        assert ts_to_json(ts_from_json(json.loads(out)), 8) == json.loads(out)
+
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "3*#ei",
+            "-1/2*#stirling",
+            "2*#ei + 3*#ei",
+            "exp(-x) + exp(-2*x)*x^(1/2)",
+            "exp(-x)*#ei + exp(-3/2*x)*x^(1/3)*#erfi",
+            "exp(-x)*x^(1/2)*#erfi + exp(-2*x)*7*#ei",
+        ],
+    )
+    def test_sum_of_the_json_prints_the_same_bytes(self, cli, monkeypatch, expression):
+        # a multiple of a named series writes its scale and reads back with its kernel
+        code, out, _ = cli("parse", expression, "--json")
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        assert cli("sum", "-", "5") == cli("sum", expression, "5")
 
     def test_normal_form_json_reparses(self, cli):
         code, out, _ = cli("eval", "ei", "omega", "--terms", "4", "--json")

@@ -15,7 +15,7 @@ from tsr.resummation import (
     p_integrate_poly,
 )
 from tsr.surreal import SurrealNF, omega
-from tsr.transseries import PowerSeries, assemble, groups_from_grid, ts_parse
+from tsr.transseries import Group, PowerSeries, assemble, ts_parse
 from tsr.resummation.laplace import eb_sum
 
 CFG = QuadratureConfig()
@@ -47,8 +47,7 @@ class TestDerivativeCommutation:
 class TestFiniteGroupSums:
     def test_geometric_groups_sum_exactly(self):
         # sum_k e^(-k x)/x^k: every group is finite, so each is its own sum
-        series = {(k,): PowerSeries.from_coeffs([F(0)] * (k - 1) + [F(1)]) for k in range(1, 9)}
-        ts = assemble(groups_from_grid((F(1),), (F(0),), series))
+        ts = assemble([Group(F(-k), F(0), PowerSeries.from_coeffs([F(0)] * (k - 1) + [F(1)])) for k in range(1, 9)])
         val, err = eb_sum(ts, 12.0, CFG)
         with mp.workdps(50):
             direct = sum(mp.exp(-k * mp.mpf(12)) * mp.mpf(12) ** -k for k in range(1, 9))

@@ -4,15 +4,15 @@ The corpus in ``golden/t1_verbs.json`` pins the output of ``tsr parse``,
 ``diff`` and ``antidiff`` (text and ``--json``), ``mul`` and ``borel``.  The
 expressions cover growing groups at several rates, equal-rate merges with
 integer offset differences on both signs of the rate, non-integer offsets,
-decaying parts whose JSON grid takes one generator and two, log parts and
+decaying parts at commensurate and incommensurate rates, log parts and
 the named series, also beside a polynomial or a multiple of themselves,
-where they keep their kernel; ``borel`` takes power series in 1/x only.  The JSON grid
-(lambda, beta, keys) of a decaying part is derived from its groups alone
-(``grid.grid_from_groups``), so equal transseries print equal JSON however
-they were built.  A case that exits non-zero pins its exit code and stderr
-instead: ``borel`` refuses a transseries with exponential groups rather than
-drop them.  Regenerate the corpus (only when an output change is intended)
-with
+where they keep their kernel; ``borel`` takes power series in 1/x only.
+The JSON writes each part as its list of groups (lambda, beta, series), a
+finite series cut to its nonzero span, so equal transseries print equal
+JSON however they were built; c * #name writes its name and scale.  A case
+that exits non-zero pins its exit code and stderr instead: ``borel``
+refuses a transseries with exponential groups rather than drop them.
+Regenerate the corpus (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden_t1.py
 """
@@ -45,7 +45,7 @@ EXPRESSIONS = (
     # non-integer offsets
     "exp(-x)*x^(1/2)/x + exp(-2*x)/x",
     "exp(x)*x^(1/3) + exp(2*x)*x^(-2/3)/x",
-    # decaying grids: one gcd generator, and two generators
+    # decaying groups at commensurate and incommensurate rates
     "exp(-x)/x + exp(-2*x)/x^2 + exp(-3*x)*#ei",
     "exp(-x)/x + exp(-65/64*x)/x",
     "exp(-x)/x + exp(-17/16*x)/x + exp(-2*x)/x",

@@ -33,8 +33,7 @@ class TestParse:
     def test_grid_minus(self):
         ts = ts_parse("exp(-2*x)*(1/x + 1/x^2)")
         assert [(g.mu, g.offset) for g in ts.minus] == [(-2, 0)]
-        grid = ts_to_json(ts)["minus"]
-        assert (grid["lambda"], list(grid["series"])) == (["2"], ["1"])
+        assert ts_to_json(ts)["minus"] == [{"lambda": "2", "beta": "0", "series": {"coeffs": ["1", "1"]}}]
 
     def test_series_literal(self):
         ts = ts_parse("series![1, 0, 1/2]")
@@ -116,9 +115,12 @@ class TestJson:
             ([], "the transseries"),
             ({"plus": [{}]}, "plus[0].lambda"),
             ({"log": {"Q": ["1", "x"]}}, "log.Q[1]"),
-            ({"minus": {"series": {"1": {"coeffs": [None]}}}}, "minus.series['1'].coeffs[0]"),
+            ({"minus": [{"lambda": "1", "beta": "0", "series": {"coeffs": [None]}}]}, "minus[0].series.coeffs[0]"),
             ({"log": {"Q": ["1e10000000"]}}, "log.Q[0]: decimal exponents are limited"),
-            ({"minus": {"lambda": ["1"], "beta": ["0"], "series": {"1": {"coeffs": ["2.5e-999999"]}}}}, "minus.series['1'].coeffs[0]: decimal exponents"),
+            ({"minus": [{"lambda": "1", "beta": "0", "series": {"coeffs": ["2.5e-999999"]}}]}, "minus[0].series.coeffs[0]: decimal exponents"),
+            ({"minus": {"lambda": ["1"], "beta": ["0"], "series": {"1": {"coeffs": ["1"]}}}}, "minus must be a JSON array"),
+            ({"minus": [{"lambda": "-1", "beta": "0", "series": {"coeffs": ["1"]}}]}, "minus[0].lambda: minus-part rates must be at least 0"),
+            ({"minus": [{"lambda": "0", "beta": "0", "series": {"oracle": "ei", "scale": "x"}}]}, "minus[0].series.scale"),
         ],
     )
     def test_malformed_json_names_the_field(self, obj, field):
@@ -136,9 +138,9 @@ JSON_LEAVES = (
     | st.sampled_from(("1", "-1/2", "0", "3/0", "x", "", "ei", "stirling", "nope", "1,0"))
     | st.text(max_size=4)
 )
-JSON_KEYS = st.sampled_from(("minus", "plus", "log", "lambda", "beta", "series", "coeffs", "oracle", "truncated", "P", "Q", "R", "", "1", "0,1", "-1", "x")) | st.text(max_size=3)  # fmt: skip
+JSON_KEYS = st.sampled_from(("minus", "plus", "log", "lambda", "beta", "series", "coeffs", "oracle", "scale", "truncated", "P", "Q", "R", "", "1", "0,1", "-1", "x")) | st.text(max_size=3)  # fmt: skip
 JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_KEYS, inner, max_size=4), max_leaves=12)
-JSON_SEEDS = ("exp(-x)*(1/x + 2/x^2) + exp(-3/2*x)*x", "x^2*log(x) + 3 - 1/x", "exp(x)*#ei + exp(2*x)*series![1, 2]", "#stirling")
+JSON_SEEDS = ("exp(-x)*(1/x + 2/x^2) + exp(-3/2*x)*x", "x^2*log(x) + 3 - 1/x", "exp(x)*#ei + exp(2*x)*series![1, 2]", "#stirling", "-1/2*#stirling + exp(-x)*x^(1/3)*#erfi")
 
 
 @st.composite
