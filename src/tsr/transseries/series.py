@@ -61,7 +61,8 @@ class PowerSeries:
         parts' coefficients are added into one table, by index, on the first
         read, so a sum of n finite parts costs their total length, not n per
         coefficient; the infinite parts stay lazy.  The sum keeps a kernel
-        only when no part is shifted: that of every part, added.
+        only when no part is shifted: that of every part, added.  Finite
+        parts that add to zero beside an infinite one are left out of it.
         """
         parts = [(d, s) for d, s in parts if s.length is None or s.length > max(-d, 0)]
         if not parts:
@@ -85,9 +86,10 @@ class PowerSeries:
             return c + sum(s.coeff(l - d) for d, s in lazy if d < l) if lazy else c
 
         def kernel():
-            if any(d for d, _ in parts):
+            live = lazy if lazy and finite and not any(head().values()) else parts
+            if any(d for d, _ in live):
                 return None
-            return reduce(lambda k, e: k and e and k + e, (s.kernel for _, s in parts))
+            return reduce(lambda k, e: k and e and k + e, (s.kernel for _, s in live))
 
         return cls(coeff, length=length, kernel=kernel)
 

@@ -365,8 +365,8 @@ class TestJsonRoundTrips:
         ],
     )
     def test_text_form_builds_no_json_grid(self, cli, argv):
-        # rate 2 at offset 1/2 beside rate 1: each group writes itself, so
-        # the JSON of the result reads back to itself
+        # rate 2 at offset 1/2 beside rate 1: the text form prints it, and
+        # --json writes it as a list of groups that reads back to itself
         code, out, _ = cli(*argv)
         assert code == 0 and out.startswith("exp(-x)*(")
         code, out, err = cli(*argv, "--json")
@@ -390,6 +390,20 @@ class TestJsonRoundTrips:
         assert code == 0
         monkeypatch.setattr(sys, "stdin", io.StringIO(out))
         assert cli("sum", "-", "5") == cli("sum", expression, "5")
+
+    @pytest.mark.parametrize(
+        "expression, plain",
+        [
+            ("#ei + series![0]", "#ei"),
+            ("#ei + 1/x - 1/x", "#ei"),
+            ("exp(-x)*(#ei + 1/x) - exp(-x)/x", "exp(-x)*#ei"),
+        ],
+    )
+    def test_finite_parts_adding_to_zero_keep_the_kernel(self, cli, expression, plain):
+        # the sum equals the plain named series, so it writes its JSON and
+        # is summed with its kernel
+        assert cli("parse", expression, "--json") == cli("parse", plain, "--json")
+        assert cli("sum", expression, "5") == cli("sum", plain, "5")
 
     def test_normal_form_json_reparses(self, cli):
         code, out, _ = cli("eval", "ei", "omega", "--terms", "4", "--json")

@@ -31,6 +31,7 @@ class TestParse:
         assert ts.log.Q == (3,)
 
     def test_grid_minus(self):
+        # one decaying group, written in JSON as a one-group list
         ts = ts_parse("exp(-2*x)*(1/x + 1/x^2)")
         assert [(g.mu, g.offset) for g in ts.minus] == [(-2, 0)]
         assert ts_to_json(ts)["minus"] == [{"lambda": "2", "beta": "0", "series": {"coeffs": ["1", "1"]}}]
