@@ -19,13 +19,13 @@ import mpmath as mp
 
 from . import errors, scanner
 from .resummation import (
-    Address,
     QuadratureConfig,
     average_consistency_check,
     borel_transform,
     catalan_weight,
     catalan_weight_literal,
     eb_sum,
+    parse_address,
 )
 from .surreal import parse_nf
 from .transseries import (
@@ -245,9 +245,9 @@ def _dispatch(ns, cfg: QuadratureConfig) -> int:
         return 0
 
     if verb == "weights":
-        address = Address.parse(ns.address)
+        address = parse_address(ns.address)
         w = catalan_weight_literal(address) if ns.literal else catalan_weight(address)
-        _emit_value(ns, {"address": str(address), "weight": str(w)}, str(w))
+        _emit_value(ns, {"address": address, "weight": str(w)}, str(w))
         return 0
 
     if verb == "sum":

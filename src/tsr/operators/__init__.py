@@ -1,9 +1,8 @@
 """The extension operator, surreal antidifferentiation, and the catalog."""
 
-from .prefactor import Prefactor, exp_prefactor, ln_prefactor
+from .prefactor import Prefactor, ln_prefactor
 from .tau import (
     PointData,
-    SurrealPoint,
     analyze_point,
     exp_purely_infinite,
     g_map_exponent,
@@ -22,10 +21,8 @@ from .extension import (
 
 __all__ = [
     "Prefactor",
-    "exp_prefactor",
     "ln_prefactor",
     "PointData",
-    "SurrealPoint",
     "SurrealValue",
     "ValueGroup",
     "analyze_point",

@@ -43,15 +43,9 @@ from mpmath import libmp
 from ..coefficients import named_multiple, named_series
 from ..errors import DomainError
 from ..resummation import KernelEntry, QuadratureConfig, eb_sum, resolve_default, special
+from ..resummation.kernels import _c2mp
 from ..stream import Stream
-from ..transseries import (
-    LogPart,
-    PowerSeries,
-    TransseriesT1,
-    from_minus_term,
-    from_plus_term,
-    assemble,
-)
+from ..transseries import LogPart, PowerSeries, TransseriesT1, assemble
 from ..transseries.grid import Group, groups_of
 from .prefactor import Prefactor
 
@@ -85,13 +79,7 @@ class CatalogFunction:
 
     def critical_time(self, x):
         """crit_coef * x^crit_power at the working precision, x an mpf or an exact Fraction."""
-        if isinstance(x, Fraction):
-            x = mp.mpf(x.numerator) / x.denominator
-        return (
-            mp.mpf(self.crit_coef.numerator)
-            / self.crit_coef.denominator
-            * mp.mpf(x) ** (mp.mpf(self.crit_power.numerator) / self.crit_power.denominator)
-        )
+        return _c2mp(self.crit_coef) * _c2mp(x) ** _c2mp(self.crit_power)
 
     def eb_value(self, x, cfg: QuadratureConfig = None):
         """Resummation-side value: prefactor * eb_sum at the critical time."""
@@ -110,7 +98,7 @@ class CatalogFunction:
             out = scale * val
             err = abs(scale) * err
             if self.ln2pi_coef:
-                term = mp.mpf(self.ln2pi_coef.numerator) / self.ln2pi_coef.denominator * mp.log(2 * mp.pi)
+                term = _c2mp(self.ln2pi_coef) * mp.log(2 * mp.pi)
                 out += term
                 # two units of the term (2 pi, the log, the product) and one of the sum
                 err += (2 * abs(term) + abs(out)) * mp.eps
@@ -313,13 +301,6 @@ def gamma_oracle(x):
 # -- derivative facilities --------------------------------------------------------
 
 
-def _to_mpf(x0):
-    """x0 at the working precision; a Fraction converts exactly (no float)."""
-    if isinstance(x0, Fraction):
-        return mp.mpf(x0.numerator) / x0.denominator
-    return mp.mpf(x0)
-
-
 def term_value(t: TaylorTerm):
     """A Taylor term as a number at the working precision."""
     if t[0] == "num":
@@ -353,7 +334,7 @@ def _laurent_mul(a: dict, b: dict) -> dict:
 def _laurent_eval(q: dict, x0):
     total = Fraction(0) if isinstance(x0, Fraction) else mp.mpf(0)
     for j, c in q.items():
-        cc = c if isinstance(x0, Fraction) else mp.mpf(c.numerator) / c.denominator
+        cc = c if isinstance(x0, Fraction) else _c2mp(c)
         total += cc * x0**j
     return total
 
@@ -378,7 +359,7 @@ def exp_poly_taylor(phi: dict, q0: dict) -> Callable:
         q = qs[k]
         if isinstance(x0, Fraction) and (x0 != 0 or min(q, default=0) >= 0):
             return ("exact", Prefactor.of(1, e=_laurent_eval(phi, x0)), _laurent_eval(q, x0) / factorial(k))
-        x = _to_mpf(x0)
+        x = _c2mp(x0)
         return ("num", mp.exp(_laurent_eval(phi, x)) * _laurent_eval(q, x) / mp.factorial(k))
 
     return taylor
@@ -394,7 +375,7 @@ def shifted_taylor(derivative: Callable, oracle: Callable, exact_value: Optional
     def taylor(x0, k) -> TaylorTerm:
         if k == 0:
             hit = exact_value(x0) if exact_value is not None and isinstance(x0, Fraction) else None
-            return ("exact", *hit) if hit is not None else ("num", oracle(_to_mpf(x0)))
+            return ("exact", *hit) if hit is not None else ("num", oracle(_c2mp(x0)))
         t = derivative(x0, k - 1)
         if t[0] == "exact":
             return ("exact", t[1], t[2] / k)
@@ -408,7 +389,7 @@ def _airy_taylor(kind: str):
     # per point and precision, see ``_airy_raw``), rounded once
     def taylor(x0, k) -> TaylorTerm:
         prec = mp.mp.prec
-        z = _to_mpf(x0)._mpf_
+        z = _c2mp(x0)._mpf_
         coeffs = _airy_coeffs(*_airy_raw(kind, z, prec), z, prec + special.GUARD)
         return ("num", mp.make_mpf(libmp.mpf_pos(next(islice(coeffs, k, None)), prec, _RND)))
 
@@ -426,7 +407,7 @@ def _loggamma_terms(x, prec: int, K: int) -> tuple:
 def _loggamma_taylor(x0, k) -> TaylorTerm:
     # term 0 is the oracle's; terms 1..K are summed once per point and
     # precision, K the least power of two >= k, and at least 16
-    x0m = _to_mpf(x0)
+    x0m = _c2mp(x0)
     if k == 0:
         return ("num", loggamma_oracle(x0m))
     return ("num", _loggamma_terms(x0m._mpf_, mp.mp.prec, max(16, 1 << (k - 1).bit_length()))[k - 1])
@@ -443,7 +424,7 @@ def exp_of_taylor(inner: Callable, oracle: Callable) -> Callable:
 
     @functools.lru_cache(maxsize=8)
     def terms(x0, prec) -> Stream:
-        x = _to_mpf(x0)
+        x = _c2mp(x0)
 
         def gen():
             fx, ls, bs = oracle(x), [], [mp.mpf(1)]
@@ -488,10 +469,9 @@ def elementary_entry(name: str, n: int, rate=0, p: int = 1, c=1, **links) -> Cat
 
 
 def _ei_entry(integrand: CatalogFunction) -> CatalogFunction:
-    ts = from_plus_term(1, 0, named_series("ei"))
     return CatalogFunction(
         name="ei",
-        transseries=ts,
+        transseries=assemble([Group(1, 0, named_series("ei"))]),
         oracle=ei_oracle,
         taylor_term=shifted_taylor(integrand.taylor_term, ei_oracle, None),
         domain_c=0.0,
@@ -500,11 +480,10 @@ def _ei_entry(integrand: CatalogFunction) -> CatalogFunction:
 
 
 def _erfi_integral_entry(integrand: CatalogFunction) -> CatalogFunction:
-    ts = from_plus_term(1, Fraction(1, 2), named_series("erfi"))
     at_zero = lambda q: (Prefactor.one(), Fraction(0)) if q == 0 else None  # noqa: E731
     return CatalogFunction(
         name="erfi_integral",
-        transseries=ts,
+        transseries=assemble([Group(1, Fraction(1, 2), named_series("erfi"))]),
         crit_power=Fraction(2),
         oracle=erfi_integral_oracle,
         taylor_term=shifted_taylor(integrand.taylor_term, erfi_integral_oracle, at_zero),
@@ -517,13 +496,13 @@ def _erfi_integral_entry(integrand: CatalogFunction) -> CatalogFunction:
 def _airy_entry(kind: str) -> CatalogFunction:
     series = named_series("airy_u_alt" if kind == "ai" else "airy_u")
     if kind == "ai":
-        ts = from_minus_term(1, Fraction(5, 6), series)
+        ts = assemble([Group(-1, Fraction(5, 6), series)])
         pref = Prefactor.of(Fraction(1, 2), pi=Fraction(-1, 2)) * Prefactor.rational_power(
             Fraction(2, 3), Fraction(1, 6)
         )
         oracle = airy_ai_oracle
     else:
-        ts = from_plus_term(1, Fraction(5, 6), series)
+        ts = assemble([Group(1, Fraction(5, 6), series)])
         pref = Prefactor.of(1, pi=Fraction(-1, 2)) * Prefactor.rational_power(Fraction(2, 3), Fraction(1, 6))
         oracle = airy_bi_oracle
     return CatalogFunction(

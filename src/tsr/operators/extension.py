@@ -20,12 +20,13 @@ from mpmath import libmp
 
 from ..errors import DomainError, UnsupportedPointError
 from ..resummation import QuadratureConfig
+from ..resummation.kernels import _c2mp
 from ..stream import DEFAULT_ORDER_SCAN
-from ..surreal import LazyNF, SurrealNF, nf_cmp, one
+from ..surreal import LazyNF, SurrealNF, decompose, nf_cmp, one
 from ..transseries import TransseriesT1, ts_add, ts_antidiff, ts_scale
 from .catalog import CatalogFunction, catalog, shifted_taylor, term_value
-from .prefactor import Prefactor, exp_prefactor
-from .tau import SurrealPoint, conway_sum, exp_grid, exp_purely_infinite, tau_eval
+from .prefactor import Prefactor
+from .tau import conway_sum, exp_grid, exp_purely_infinite, tau_eval
 from .values import NumericTaylor, SurrealValue, ValueGroup
 
 
@@ -41,35 +42,41 @@ ExtendResult = Union[mp.mpf, SurrealValue, NumericTaylor]
 
 
 def extend(f: CatalogFunction, point, terms: int = 8, *, cfg: QuadratureConfig = None) -> ExtendResult:
-    """E f at a real, finite-surreal, or infinite-surreal point."""
+    """E f at a point of No: a number or a normal form.
+
+    A number is the normal form of a real point.  ``decompose`` splits the
+    normal form into its purely infinite, real and infinitesimal parts, and
+    they pick the definition: the oracle at a real point, the Taylor series
+    at a finite point x0 + zeta, and the transseries at an infinite point,
+    a negative one reflected to -point.
+    """
     cfg = cfg or QuadratureConfig()
     if isinstance(point, (float, mp.mpf)) and not mp.isfinite(point):
         raise DomainError(f"{f.name} has no value at the non-finite point {point}")
     if isinstance(point, mp.mpf):
         point = Fraction(*libmp.to_rational(point._mpf_))  # a finite mpf is dyadic: exact
     if isinstance(point, (int, float, Fraction)):
-        point = SurrealPoint.real_point(point)
-    if isinstance(point, SurrealNF):
-        point = SurrealPoint.from_nf(point)
+        point = SurrealNF.from_rational(Fraction(point))
+    infinite, x0, zeta = decompose(point)
 
-    if point.kind == "real":
-        f.check_domain(point.real)
+    if infinite.is_zero() and zeta.is_zero():
+        f.check_domain(x0)
         if f.exact_value is not None:
-            hit = f.exact_value(point.real)
+            hit = f.exact_value(x0)
             if hit is not None:
                 pref, q = hit
                 return SurrealValue([ValueGroup(pref, LazyNF.from_nf(SurrealNF.from_rational(q)))])
         with mp.workdps(cfg.precision):
-            return f.oracle(mp.mpf(point.real.numerator) / point.real.denominator)
+            return f.oracle(_c2mp(x0))
 
-    if point.kind == "finite":
-        return _extend_finite(f, point, terms, cfg)
+    if infinite.is_zero():
+        return _extend_finite(f, x0, zeta, terms, cfg)
 
-    if point.is_negative_infinite():
+    if point.terms[0][1] < 0:
         if f.reflected_name is None:
             raise UnsupportedPointError(f"{f.name} has no reflection entry for negative infinite points")
         reflected = catalog()[f.reflected_name]
-        return extend(reflected, SurrealPoint.from_nf(-point.nf), terms, cfg=cfg)
+        return extend(reflected, -point, terms, cfg=cfg)
 
     if f.compose_exp_of is not None:
         base = catalog()[f.compose_exp_of]
@@ -79,16 +86,17 @@ def extend(f: CatalogFunction, point, terms: int = 8, *, cfg: QuadratureConfig =
     # a positive infinite point lies beyond any real domain endpoint
     return tau_eval(
         f.transseries,
-        point.nf,
+        point,
         crit_coef=f.crit_coef,
         crit_power=f.crit_power,
         ln2pi_coef=f.ln2pi_coef,
     ).scale_prefactor(f.prefactor)
 
 
-def _extend_finite(f: CatalogFunction, point: SurrealPoint, terms: int, cfg: QuadratureConfig):
-    """Taylor series in the infinitesimal part, Conway-convergent by design."""
-    x0, zeta = point.real, point.zeta
+def _extend_finite(f: CatalogFunction, x0: Fraction, zeta: SurrealNF, terms: int, cfg: QuadratureConfig):
+    """f at the finite point x0 + zeta, x0 real and zeta a nonzero
+    infinitesimal: the Taylor series at x0 in zeta, Conway-convergent by
+    design."""
     f.check_domain(x0)
     # each term once, at the working precision; the exact stream reuses them
     with mp.workdps(cfg.precision):
@@ -156,7 +164,7 @@ def exp_surreal_value(v: SurrealValue) -> SurrealValue:
 
     lead = exp_purely_infinite(SurrealNF(tuple(head_terms), _normalized=True)) if head_terms else SurrealNF.zero()
     if real:
-        pref = pref * exp_prefactor(real)
+        pref = pref * Prefactor.of(1, e=real)
 
     small = LazyNF(lambda: islice(main, i, None))
     return SurrealValue([ValueGroup(pref, exp_grid(small).shift(lead))])
@@ -211,11 +219,7 @@ def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFu
         ta, tb = a.taylor_term(x0, k), b.taylor_term(x0, k)
         if ta[0] == "exact" and tb[0] == "exact" and ta[1] == tb[1]:
             return ("exact", ta[1], ca * ta[2] + cb * tb[2])
-        return (
-            "num",
-            mp.mpf(ca.numerator) / ca.denominator * term_value(ta)
-            + mp.mpf(cb.numerator) / cb.denominator * term_value(tb),
-        )
+        return ("num", _c2mp(ca) * term_value(ta) + _c2mp(cb) * term_value(tb))
 
     return CatalogFunction(
         name=f"{ca}*{a.name}+{cb}*{b.name}",

@@ -120,11 +120,6 @@ def _exact_root(q: Fraction, n: int) -> Fraction | None:
     return Fraction(a, b) if a**n == q.numerator and b**n == q.denominator else None
 
 
-def exp_prefactor(q: Fraction) -> Prefactor:
-    """e^q as a tag (q rational)."""
-    return Prefactor.of(1, e=q)
-
-
 def ln_prefactor(base: Fraction) -> Prefactor:
     """The constant ln(base) as a tag (it multiplies, the value is additive)."""
     base = Fraction(base)

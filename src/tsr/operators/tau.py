@@ -37,38 +37,12 @@ from ..errors import UnsupportedPointError
 from ..surreal import GT, LT, LazyNF, SurrealNF, decompose, nf_cmp, one
 from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import PowerSeries
-from .prefactor import Prefactor, exp_prefactor, ln_prefactor
+from .prefactor import Prefactor, ln_prefactor
 from .values import SurrealValue, ValueGroup
 
 #: the zero term a generator yields for a search step that found no term;
 #: the ``LazyNF`` drops it unread and counts it against its search budget
 _NOTHING = (SurrealNF.zero(), 0)
-
-
-@dataclass(frozen=True)
-class SurrealPoint:
-    """A point of No in the trichotomy real / finite / positive infinite."""
-
-    kind: str  # "real" | "finite" | "infinite"
-    real: Optional[Fraction] = None
-    zeta: Optional[SurrealNF] = None  # infinitesimal part for finite points
-    nf: Optional[SurrealNF] = None  # full normal form for infinite points
-
-    @classmethod
-    def from_nf(cls, a: SurrealNF) -> "SurrealPoint":
-        infinite, real, small = decompose(a)
-        if not infinite.is_zero():
-            return cls("infinite", nf=a)
-        if not small.is_zero():
-            return cls("finite", real=real, zeta=small)
-        return cls("real", real=real)
-
-    @classmethod
-    def real_point(cls, q) -> "SurrealPoint":
-        return cls("real", real=Fraction(q))
-
-    def is_negative_infinite(self) -> bool:
-        return self.kind == "infinite" and self.nf.terms[0][1] < 0
 
 
 # -- the imported exponential identities ---------------------------------------
@@ -329,7 +303,7 @@ def tau_eval_group(mu: Fraction, offset: Fraction, ps: PowerSeries, pt: PointDat
     # mu * t0 has exponents p, p - 1, ..., 0, so exp(mu * t0) = w^E e^q
     lead = SurrealNF.monomial(SurrealNF.from_rational(pt.t0_lead_exp), mu * pt.t0_lead_coef)
     infinite, real, _ = decompose(lead * (one() + pt.u))
-    return ValueGroup(exp_prefactor(real) * series_pref, series_stream.shift(exp_purely_infinite(infinite)))
+    return ValueGroup(Prefactor.of(1, e=real) * series_pref, series_stream.shift(exp_purely_infinite(infinite)))
 
 
 def tau_eval(

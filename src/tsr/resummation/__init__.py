@@ -2,13 +2,12 @@
 
 from .borel import BorelPoly, borel_transform, p_integrate_poly
 from .averaging import (
-    Address,
     ConsistencyReport,
-    all_addresses,
     average_consistency_check,
     catalan_number,
     catalan_weight,
     catalan_weight_literal,
+    parse_address,
 )
 from .kernels import (
     AiryKernel,
@@ -33,25 +32,16 @@ from .laplace import (
 )
 
 
-def p_integrate(f, m: int = 1):
-    """P^m: m-fold antidifferentiation from 0 in the Borel plane."""
-    if isinstance(f, BorelPoly):
-        return p_integrate_poly(f, m)
-    return f.p_integral(m)
-
-
 __all__ = [
     "BorelPoly",
     "borel_transform",
-    "p_integrate",
     "p_integrate_poly",
-    "Address",
     "ConsistencyReport",
-    "all_addresses",
     "average_consistency_check",
     "catalan_number",
     "catalan_weight",
     "catalan_weight_literal",
+    "parse_address",
     "AiryKernel",
     "BorelFunction",
     "ClosedFormKernel",

@@ -1,9 +1,10 @@
-"""Ecalle addresses and Catalan averaging weights.
+"""Ecalle addresses and Catalan averaging weights: the diagnostic behind
+``tsr weights`` and ``tsr check averaging``.
 
 An address records how a forward path in the Borel plane threads the
-singularities: one sign per crossed gap.  A weight family is consistent when
-summing out the last sign reproduces the shorter address's weight, with the
-empty address carrying weight 1.
+singularities: one sign per crossed gap, written as a string of + and -.
+A weight family is consistent when summing out the last sign reproduces the
+shorter address's weight, with the empty address carrying weight 1.
 
 The literal Catalan formula, 4^-n times the product of Catalan numbers of
 the sign-run lengths, fails that condition already at n = 1 (both length-one
@@ -25,77 +26,46 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..errors import DomainError
 
-WeightFamily = Callable[["Address"], Fraction]
+WeightFamily = Callable[[str], Fraction]
 
 
-@dataclass(frozen=True)
-class Address:
-    """Finite sequence over {+,-} recording gap crossings."""
-
-    eps: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(e not in (1, -1) for e in self.eps):
-            raise ValueError("address entries must be +1 or -1")
-
-    @classmethod
-    def parse(cls, text: str) -> "Address":
-        if any(ch not in "+-" for ch in text):
-            raise DomainError(f"an address is a string of + and -, got {text!r}")
-        return cls(tuple(1 if ch == "+" else -1 for ch in text))
-
-    def __len__(self) -> int:
-        return len(self.eps)
-
-    def __str__(self) -> str:
-        return "".join("+" if e > 0 else "-" for e in self.eps)
-
-    def blocks(self) -> tuple[int, ...]:
-        """Run-length encoding of consecutive equal signs."""
-        out = []
-        for _, run in itertools.groupby(self.eps):
-            out.append(len(list(run)))
-        return tuple(out)
-
-    def extended(self, sign: int) -> "Address":
-        return Address(self.eps + (sign,))
+def parse_address(text: str) -> str:
+    """``text`` as an address; DomainError unless it is a string of + and -."""
+    if any(ch not in "+-" for ch in text):
+        raise DomainError(f"an address is a string of + and -, got {text!r}")
+    return text
 
 
-def all_addresses(n: int) -> Iterator[Address]:
-    for eps in itertools.product((1, -1), repeat=n):
-        yield Address(eps)
+def _runs(address: str) -> list[int]:
+    """The lengths of the address's runs of equal signs."""
+    return [len(list(run)) for _, run in itertools.groupby(parse_address(address))]
 
 
 def catalan_number(n: int) -> Fraction:
     return Fraction(comb(2 * n, n), n + 1)
 
 
-def catalan_weight_literal(a: Address) -> Fraction:
+def catalan_weight_literal(a: str) -> Fraction:
     """The printed formula: 4^-n prod (2 n_i)! / (n_i! (n_i + 1)!)."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    out = Fraction(1, 4**n)
-    for b in a.blocks():
+    out = Fraction(1, 4 ** len(a))
+    for b in _runs(a):
         out *= catalan_number(b)
     return out
 
 
-def catalan_weight(a: Address) -> Fraction:
+def catalan_weight(a: str) -> Fraction:
     """The consistent Catalan family (central binomial on the last run)."""
-    n = len(a)
-    if n == 0:
+    runs = _runs(a)
+    if not runs:
         return Fraction(1)
-    blocks = a.blocks()
-    out = Fraction(1, 4**n)
-    for b in blocks[:-1]:
+    out = Fraction(1, 4 ** len(a))
+    for b in runs[:-1]:
         out *= catalan_number(b)
-    last = blocks[-1]
-    return out * comb(2 * last, last)
+    return out * comb(2 * runs[-1], runs[-1])
 
 
 @dataclass
@@ -124,13 +94,13 @@ def average_consistency_check(
     first_failure = lhs = rhs = None
     passed = True
     for n in range(n_max):
-        for a in all_addresses(n):
-            children = weight(a.extended(1)) + weight(a.extended(-1))
+        for a in map("".join, itertools.product("+-", repeat=n)):
+            children = weight(a + "+") + weight(a + "-")
             if children != weight(a):
                 passed = False
-                first_failure, lhs, rhs = str(a) or "(empty)", children, weight(a)
+                first_failure, lhs, rhs = a or "(empty)", children, weight(a)
                 break
         if not passed:
             break
-    mass = {n: sum((weight(a) for a in all_addresses(n)), Fraction(0)) for n in range(n_max + 1)}
+    mass = {n: sum(map(weight, map("".join, itertools.product("+-", repeat=n))), Fraction(0)) for n in range(n_max + 1)}
     return ConsistencyReport(family, n_max, passed, first_failure, lhs, rhs, mass)

@@ -115,7 +115,7 @@ class ClosedFormKernel(BorelFunction):
         """
         for t in self.terms:
             if t.a < -1 or (t.a == -1 and t.b):
-                raise NotRegularizableError(f"v^{t.a} log(v)^{t.b} is not integrable; apply p_integrate first")
+                raise NotRegularizableError(f"v^{t.a} log(v)^{t.b} is not integrable; take its p_integral first")
         wp = prec + 32 + prec.bit_length()
         for _ in range(3):
             lo, hi = self._transform(x, wp)
@@ -258,8 +258,12 @@ def _interval(q, wp: int) -> tuple:
     return v, v
 
 
-def _c2mp(q: Fraction):
-    return mp.mpf(q.numerator) / q.denominator
+def _c2mp(q) -> mp.mpf:
+    """q at the working precision: a Fraction as the quotient of its two
+    integers (no float), anything else through ``mp.mpf``."""
+    if isinstance(q, Fraction):
+        return mp.mpf(q.numerator) / q.denominator
+    return mp.mpf(q)
 
 
 def _integers(coeffs: Sequence[Fraction]) -> list[int]:

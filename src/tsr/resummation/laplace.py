@@ -117,7 +117,7 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
         total, err = closed(x, libmp.dps_to_prec(cfg.precision))
         return _within_tolerance(total, err, cfg)
     with mp.workdps(cfg.precision):
-        x = _c2mp(x) if isinstance(x, Fraction) else mp.mpf(x)
+        x = _c2mp(x)
         c1, c3 = mp.mpf(c1), mp.mpf(c3)
         abs_tol = mp.mpf(cfg.abs_tol)
 
@@ -336,7 +336,7 @@ def eb_sum(
     """
     cfg = cfg or QuadratureConfig()
     with mp.workdps(cfg.precision):
-        x = _c2mp(x) if isinstance(x, Fraction) else mp.mpf(x)
+        x = _c2mp(x)
         total = mp.mpf(0)
         err = mp.mpf(0)
 

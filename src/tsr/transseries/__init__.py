@@ -11,8 +11,6 @@ from .grid import (
     semantic_terms,
 )
 from .calculus import (
-    from_minus_term,
-    from_plus_term,
     ts_add,
     ts_antidiff,
     ts_diff,
@@ -30,8 +28,6 @@ __all__ = [
     "eq_to_order",
     "groups_of",
     "semantic_terms",
-    "from_minus_term",
-    "from_plus_term",
     "ts_add",
     "ts_antidiff",
     "ts_diff",

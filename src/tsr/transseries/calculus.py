@@ -136,19 +136,6 @@ def ts_antidiff(a: TransseriesT1) -> TransseriesT1:
     return assemble(groups + _pure_powers(powers), LogPart(P))
 
 
-# -- constructors used by the catalog -----------------------------------------
-
-
-def from_plus_term(lam, beta, ps: PowerSeries) -> TransseriesT1:
-    if Fraction(lam) <= 0:
-        raise ValueError("plus-part rates must be positive")
-    return assemble([Group(Fraction(lam), Fraction(beta), ps)], LogPart())
-
-
-def from_minus_term(rate, offset, ps: PowerSeries) -> TransseriesT1:
-    return assemble([Group(-Fraction(rate), Fraction(offset), ps)], LogPart())
-
-
 __all__ = [
     "ts_add",
     "ts_scale",
@@ -157,6 +144,4 @@ __all__ = [
     "ts_antidiff",
     "eq_to_order",
     "semantic_terms",
-    "from_plus_term",
-    "from_minus_term",
 ]

@@ -1,6 +1,7 @@
 import contextlib
 import random
 import signal
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -41,18 +42,24 @@ def rng() -> random.Random:
 
 @contextlib.contextmanager
 def time_budget(seconds: float):
-    """Raise TimeoutError in this (main) thread if the block runs too long."""
+    """Raise TimeoutError in this (main) thread if the block runs too long:
+    from SIGALRM at the budget, and again after the block if it overran, for
+    an alarm whose exception was swallowed (one raised in a gc callback)."""
 
     def on_alarm(signum, frame):
         raise TimeoutError(f"no result within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, on_alarm)
+    start = time.perf_counter()
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    elapsed = time.perf_counter() - start
+    if elapsed > seconds:
+        raise TimeoutError(f"no result within {seconds} s: the block took {elapsed:.2f} s")
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from tsr.resummation import Address, BorelPoly
+from tsr.resummation import BorelPoly
 
 
 def convolve(f: BorelPoly, g: BorelPoly) -> BorelPoly:
@@ -28,5 +28,5 @@ def convolve(f: BorelPoly, g: BorelPoly) -> BorelPoly:
     return BorelPoly(tuple(out))
 
 
-def half_half_weight(a: Address) -> Fraction:
+def half_half_weight(a: str) -> Fraction:
     return Fraction(1, 2 ** len(a))

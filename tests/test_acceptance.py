@@ -18,7 +18,6 @@ from tsr.coefficients import airy_u, stirling_coeff
 from tsr.operators import antidiff_no, catalog, extend, integrate
 from tsr.resummation import (
     CothKernel,
-    all_addresses,
     average_consistency_check,
     borel_transform,
     catalan_weight,

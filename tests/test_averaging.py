@@ -1,5 +1,6 @@
 """Addresses, Catalan weights, and the consistency diagnostic."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -7,45 +8,47 @@ from reference.resummation import half_half_weight
 
 from tsr.errors import DomainError
 from tsr.resummation import (
-    Address,
-    all_addresses,
     average_consistency_check,
+    catalan_number,
     catalan_weight,
     catalan_weight_literal,
+    parse_address,
 )
 
 
 class TestAddress:
     def test_blocks(self):
-        assert Address.parse("++-+++").blocks() == (2, 1, 3)
-        assert Address.parse("+").blocks() == (1,)
-        assert Address(()).blocks() == ()
+        # the literal weight is 4^-n times the Catalan numbers of the runs
+        runs = catalan_number(2) * catalan_number(1) * catalan_number(3)
+        assert catalan_weight_literal("++-+++") == runs / 4**6
+        assert parse_address("++-+++") == "++-+++"
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(DomainError):
-            Address.parse("+x-")
+        for weight in (parse_address, catalan_weight, catalan_weight_literal):
+            with pytest.raises(DomainError):
+                weight("+x-")
 
 
 class TestWeights:
     def test_empty_address(self):
-        assert catalan_weight(Address(())) == 1
-        assert catalan_weight_literal(Address(())) == 1
+        assert catalan_weight("") == 1
+        assert catalan_weight_literal("") == 1
 
     def test_literal_formula_values(self):
         # direct evaluation of the printed formula
-        assert catalan_weight_literal(Address.parse("+")) == F(1, 4)
-        assert catalan_weight_literal(Address.parse("++-")) == F(1, 32)
+        assert catalan_weight_literal("+") == F(1, 4)
+        assert catalan_weight_literal("++-") == F(1, 32)
 
     def test_consistent_family_values(self):
-        assert catalan_weight(Address.parse("+")) == F(1, 2)
-        assert catalan_weight(Address.parse("++")) == F(3, 8)
-        assert catalan_weight(Address.parse("+-")) == F(1, 8)
-        assert catalan_weight(Address.parse("++-")) == F(1, 16)
+        assert catalan_weight("+") == F(1, 2)
+        assert catalan_weight("++") == F(3, 8)
+        assert catalan_weight("+-") == F(1, 8)
+        assert catalan_weight("++-") == F(1, 16)
 
     def test_sign_flip_symmetry(self):
         for n in range(5):
-            for a in all_addresses(n):
-                flipped = Address(tuple(-e for e in a.eps))
+            for a in map("".join, itertools.product("+-", repeat=n)):
+                flipped = a.translate(str.maketrans("+-", "-+"))
                 assert catalan_weight(a) == catalan_weight(flipped)
 
 

@@ -6,7 +6,7 @@ from math import factorial
 
 from reference.resummation import convolve
 
-from tsr.resummation import BorelPoly, borel_transform, p_integrate
+from tsr.resummation import BorelPoly, borel_transform, p_integrate_poly
 from tsr.transseries import PowerSeries
 
 
@@ -74,11 +74,11 @@ class TestConvolution:
 
 class TestPIntegrate:
     def test_poly_once(self):
-        assert p_integrate(BorelPoly((F(1),))).coeffs == (0, 1)
+        assert p_integrate_poly(BorelPoly((F(1),))).coeffs == (0, 1)
 
     def test_equals_unit_convolution(self, rng):
         b = BorelPoly(tuple(F(rng.randint(-5, 5)) for _ in range(8)))
-        assert p_integrate(b, 1).coeffs[: len(b.coeffs) + 1] == convolve(UNIT, b).coeffs
+        assert p_integrate_poly(b, 1).coeffs[: len(b.coeffs) + 1] == convolve(UNIT, b).coeffs
 
     def test_pole_becomes_log(self):
         from tsr.resummation import pole_kernel

@@ -11,7 +11,6 @@ from tsr.errors import DomainError, UnsupportedPointError
 from tsr.operators import (
     NumericTaylor,
     Prefactor,
-    SurrealPoint,
     SurrealValue,
     antidiff_no,
     catalog,
@@ -200,18 +199,22 @@ class TestExtend:
             assert abs(v - mp.ei(5)) < 1e-40
 
     def test_mpf_point_is_the_exact_real_point(self):
-        # a finite mpf is dyadic, so it takes the Fraction path: the working
+        # a finite mpf is dyadic, so it is the same real point as its
+        # Fraction and as the normal form of that Fraction: the working
         # precision of cfg, and exact values where the entry has them
         cfg = QuadratureConfig(precision=40)
         v = extend(catalog()["ei"], mp.mpf(3), cfg=cfg)
         assert v == extend(catalog()["ei"], F(3), cfg=cfg)
+        assert v == extend(catalog()["ei"], SurrealNF.from_rational(F(3)), cfg=cfg)
         assert v._mpf_[3] >= mp.libmp.dps_to_prec(40)  # mantissa bits
         with mp.workdps(40):
             assert abs(v - mp.ei(3)) <= mp.mpf(10) ** -38 * mp.ei(3)
         for q in (F(2), F(-5, 4)):
-            exact = extend(catalog()["exp"], mp.mpf(q.numerator) / q.denominator)
-            assert isinstance(exact, SurrealValue)
-            assert exact.render(2) == extend(catalog()["exp"], q).render(2)
+            want = extend(catalog()["exp"], q).render(2)
+            for point in (mp.mpf(q.numerator) / q.denominator, SurrealNF.from_rational(q)):
+                exact = extend(catalog()["exp"], point)
+                assert isinstance(exact, SurrealValue)
+                assert exact.render(2) == want
         with pytest.raises(DomainError):
             extend(catalog()["ei"], mp.mpf(-3))
 

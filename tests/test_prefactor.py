@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from tsr.operators import Prefactor, exp_prefactor
+from tsr.operators import Prefactor
 
 
 class TestAlgebra:
@@ -17,7 +17,7 @@ class TestAlgebra:
         assert dict(c.powers) == {"pi": F(1, 2)}
 
     def test_exp_tag(self):
-        assert exp_prefactor(F(3)) * exp_prefactor(F(-3)) == Prefactor.one()
+        assert Prefactor.of(1, e=F(3)) * Prefactor.of(1, e=F(-3)) == Prefactor.one()
 
     def test_exact_root_extraction(self):
         assert Prefactor.rational_power(F(8, 27), F(1, 3)) == Prefactor.of(F(2, 3))

@@ -41,7 +41,6 @@ ALLOWED = {
     "operators/values.py:NumericTaylor.sign": "each value kind signs itself, so the law suites need not ask which kind they hold",
     "operators/values.py:NumericTaylor.numeric_const": "each value kind reads itself as a real constant for the law suites",
     "operators/values.py:DecoratedValue.numeric_const": "each value kind reads itself as a real constant for the law suites",
-    "resummation/__init__.py:p_integrate": "P^m of a kernel or polynomial: ROADMAP item 2's integral of Ei sums through it",
     "resummation/kernels.py:BorelFunction.p_integral": "the refusal of a kernel without a P rule, for item 2's P-integrated sums",
     "resummation/kernels.py:ClosedFormKernel.p_integral": "the P rule of the closed forms, for item 2's P-integrated sums",
     "resummation/kernels.py:ClosedFormKernel._transform.up": "steps L_a up to a >= 1, which only P-integrated kernels carry",

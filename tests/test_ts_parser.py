@@ -30,7 +30,7 @@ class TestParse:
         assert ts.log.P == (0, 0, 1)
         assert ts.log.Q == (3,)
 
-    def test_grid_minus(self):
+    def test_one_decaying_group(self):
         # one decaying group, written in JSON as a one-group list
         ts = ts_parse("exp(-2*x)*(1/x + 1/x^2)")
         assert [(g.mu, g.offset) for g in ts.minus] == [(-2, 0)]
