@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath import libmp
 
 from . import errors, scanner
 from .resummation import (
@@ -261,9 +262,10 @@ def _dispatch(ns, cfg: QuadratureConfig) -> int:
         # rounding to the printed digits, or to the JSON double
         with mp.workdps(cfg.precision + 10):
             emitted = float(val) if ns.json else mp.mpf(text)
-            bound = _rounded_up(err + abs(val - emitted))
+            n, e = _rounded_up(err + abs(val - emitted))
+            bound = mp.nstr(mp.mpf(f"{n}e{e}"), 3)
         if ns.json:
-            print(json.dumps({"error_estimate": _float_up(Fraction(bound)), "value": emitted}, sort_keys=True))
+            print(json.dumps({"error_estimate": _float_up(n, e), "value": emitted}, sort_keys=True))
         else:
             print(f"{text}  (error <= {bound})")
         return 0
@@ -311,18 +313,31 @@ def _entry(name: str):
     raise errors.DomainError(f"unknown catalog entry {name!r}; see `tsr catalog`")
 
 
-def _rounded_up(err) -> str:
-    """err to three significant digits, rounded up, so a bound stays a bound."""
+def _rounded_up(err) -> tuple[int, int]:
+    """(n, e) with err <= n 10^e and 100 <= n <= 1000, or (0, 0) for 0: err
+    to three significant digits, rounded up, so a bound stays a bound.  n is
+    the ceiling of t >= err/10^e, from directed rounding at 64 bits past
+    err's and 4|e| more up to |e| = 1000, where that makes n the least.
+    Beyond, n may be a unit high, but no exact 10^e, a huge number, is built."""
     if not err:
-        return mp.nstr(err, 3)
-    q = Fraction(*mp.libmp.to_rational(err._mpf_))
-    e = int(mp.floor(mp.log10(err))) - 2  # 10^e is the third digit's unit, or one off
-    e += (q >= 1000 * Fraction(10) ** e) - (q < 100 * Fraction(10) ** e)
-    return mp.nstr(mp.mpf(f"{-(-q // Fraction(10) ** e)}e{e}"), 3)
+        return 0, 0
+    s, up = err._mpf_, libmp.round_ceiling
+    wp = (s[2] + s[3]).bit_length() + 64
+    e = libmp.to_int(libmp.mpf_div(libmp.mpf_log(s, wp), libmp.mpf_ln10(wp), wp), libmp.round_floor) - 3
+    while True:  # from 10^e <= err/100 up to the third digit's unit
+        wp = s[3] + 64 + (4 * abs(e) if abs(e) <= 1000 else 0)
+        ten = libmp.mpf_pow_int(libmp.from_int(10), abs(e), wp, libmp.round_floor if e > 0 else up)
+        t = libmp.mpf_div(s, ten, wp, up) if e > 0 else libmp.mpf_mul(s, ten, wp, up)
+        if libmp.mpf_cmp(t, libmp.from_int(1000)) < 0:
+            return libmp.to_int(libmp.mpf_ceil(t)), e
+        e += 1
 
 
-def _float_up(q: Fraction) -> float:
-    """The least double not below q."""
+def _float_up(n: int, e: int) -> float:
+    """The least double not below q = n 10^e, 0 <= n <= 1000.  An e below
+    -400 is read as -400: for q under 10^-397 that double is the least
+    positive one."""
+    q = n * Fraction(10) ** max(e, -400)
     f = float(q)
     return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 

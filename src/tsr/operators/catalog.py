@@ -45,7 +45,7 @@ from ..errors import DomainError
 from ..resummation import KernelEntry, QuadratureConfig, eb_sum, resolve_default, special
 from ..resummation.kernels import _c2mp
 from ..stream import Stream
-from ..transseries import LogPart, PowerSeries, TransseriesT1, assemble
+from ..transseries import LogPart, PowerSeries, TransseriesT1, assemble, ts_to_json
 from ..transseries.grid import Group, groups_of
 from .prefactor import Prefactor
 
@@ -601,8 +601,6 @@ def catalog() -> dict[str, CatalogFunction]:
 def catalog_manifest() -> dict:
     """JSON-ready manifest: per entry the kernels, their growth constants
     (c1, c3), with which ``laplace`` bounds the tail, and the tolerances."""
-    from ..transseries import ts_to_json
-
     out = {}
     for name, e in catalog().items():
         groups = groups_of(e.transseries) if e.transseries else []

@@ -15,7 +15,7 @@ import mpmath as mp
 from ..resummation import QuadratureConfig, quad_interval
 from ..surreal import SurrealNF, omega, one
 from ..transseries import eq_to_order, ts_add, ts_antidiff, ts_diff, ts_mul_minus, ts_parse, ts_scale
-from .catalog import CatalogFunction, catalog, monomial_entry, term_value
+from .catalog import catalog, monomial_entry, term_value
 from .extension import antidiff_no, combine_entries, extend, integrate
 from .tau import tau_eval
 
@@ -121,7 +121,7 @@ def antidiff_laws(cfg: QuadratureConfig = None) -> LawReport:
     return report
 
 
-def extension_laws(cfg: QuadratureConfig = None, samples: int = 100) -> LawReport:
+def extension_laws(cfg: QuadratureConfig = None) -> LawReport:
     """The four extension-operator laws."""
     cfg = cfg or QuadratureConfig()
     reg = catalog()
@@ -133,7 +133,7 @@ def extension_laws(cfg: QuadratureConfig = None, samples: int = 100) -> LawRepor
         worst = mp.mpf(0)
         for name, lo, hi in [("ei", 4.0, 12.0), ("erfi_integral", 1.0, 3.0), ("loggamma", 4.0, 12.0)]:
             e = reg[name]
-            for _ in range(samples // 10):
+            for _ in range(10):
                 x = mp.mpf(rng.uniform(lo, hi))
                 val, _ = e.eb_value(x, cfg)
                 ref = e.oracle(x)
@@ -181,19 +181,12 @@ def extension_laws(cfg: QuadratureConfig = None, samples: int = 100) -> LawRepor
     return report
 
 
-def integral_laws(
-    cfg: QuadratureConfig = None,
-    f: CatalogFunction = None,
-    g: CatalogFunction = None,
-    a: float = 2.0,
-    b: float = 4.0,
-) -> LawReport:
+def integral_laws(cfg: QuadratureConfig = None) -> LawReport:
     """The seven integral-operator properties on catalog entries."""
     cfg = cfg or QuadratureConfig()
     reg = catalog()
-    f = f or reg["ei_integrand"]
-    g = g or reg["exp"]
-    a, b = mp.mpf(a), mp.mpf(b)
+    f, g = reg["ei_integrand"], reg["exp"]
+    a, b = mp.mpf(2), mp.mpf(4)
     mid = (a + b) / 2
     prec = mp.libmp.dps_to_prec(cfg.precision)
     report = LawReport("integral")

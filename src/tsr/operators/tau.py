@@ -37,7 +37,7 @@ from ..errors import UnsupportedPointError
 from ..surreal import GT, LT, LazyNF, SurrealNF, decompose, nf_cmp, one
 from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import PowerSeries
-from .prefactor import Prefactor, ln_prefactor
+from .prefactor import Prefactor, _exact_root, ln_prefactor
 from .values import SurrealValue, ValueGroup
 
 #: the zero term a generator yields for a search step that found no term;
@@ -218,8 +218,6 @@ def analyze_point(nu: SurrealNF, *, crit_coef: Fraction = Fraction(1), crit_powe
 def _rational_pow(base: Fraction, q: Fraction) -> Fraction:
     if q.denominator == 1:
         return base ** int(q)
-    from .prefactor import _exact_root
-
     root = _exact_root(base, q.denominator)
     if root is None:
         raise UnsupportedPointError(f"{base}^{q} is irrational; unsupported leader coefficient")

@@ -16,7 +16,6 @@ from .kernels import (
     CothKernel,
     KernelEntry,
     PadeKernel,
-    log_kernel,
     pade_continue,
     pole_kernel,
     sqrt_branch_kernel,
@@ -47,7 +46,6 @@ __all__ = [
     "ClosedFormKernel",
     "CothKernel",
     "PadeKernel",
-    "log_kernel",
     "pade_continue",
     "pole_kernel",
     "sqrt_branch_kernel",

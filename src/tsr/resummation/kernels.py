@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import mpmath as mp
 from mpmath import libmp
@@ -273,17 +273,6 @@ def _integers(coeffs: Sequence[Fraction]) -> list[int]:
     return [c.numerator * (lcm // c.denominator) for c in coeffs]
 
 
-def _at_prec(cache: dict, build: Callable, prec: Optional[int] = None):
-    """build()'s value at a precision, by default the working precision,
-    built once per precision and kept in ``cache``; a lost race between
-    threads stores an equal value."""
-    prec = mp.mp.prec if prec is None else prec
-    out = cache.get(prec)
-    if out is None:
-        out = cache[prec] = build()
-    return out
-
-
 def _vpow_taylor(a: Fraction, b: int, K: int) -> list[Fraction]:
     """Exact Taylor of w -> (1-w)^a log(1-w)^b in powers of w."""
     binom = [Fraction(1)]
@@ -443,10 +432,7 @@ class PadeKernel(BorelFunction):
     exact ``num`` and ``den`` are cleared once, in ``__init__``, to integer
     lists over one common denominator, which no precision changes, so no mpf
     copy of them is kept; ``value`` reads the working precision only to round
-    its result.  The poles are found exactly over Q (``positive_roots``) once
-    per precision and kept on the instance.  This is safe: the coefficients
-    are immutable and each pole list is a pure function of (coefficients,
-    precision), so a lost race between threads writes equal lists.
+    its result.  ``singularities`` finds the poles exactly over Q each time.
     """
 
     def __init__(self, num: Sequence[Fraction], den: Sequence[Fraction], growth=(2.0, 1.0), name: str = ""):
@@ -454,21 +440,14 @@ class PadeKernel(BorelFunction):
         self.den = tuple(Fraction(c) for c in den)
         self.growth = growth
         self.name = name
-        self._poles: dict[int, list] = {}
         cleared = _integers(self.num + self.den)
         self._int_num, self._int_den = cleared[: len(self.num)], cleared[len(self.num) :]
-
-    def real_positive_poles(self, prec: int) -> list[tuple[Fraction, int]]:
-        """The denominator's distinct real positive roots with their orders,
-        each simple one to 2^-(prec+32) of itself (``positive_roots``),
-        found once per precision."""
-        return _at_prec(self._poles, lambda: positive_roots(self.den, prec), prec)
 
     def singularities(self) -> list[Fraction]:
         """The poles at the working precision.  A pole of order 2 or more has
         no principal value, so it raises SingularPointError here, before any
         quadrature."""
-        poles = self.real_positive_poles(mp.mp.prec)
+        poles = positive_roots(self.den, mp.mp.prec)
         for p, order in poles:
             if order > 1:
                 raise SingularPointError(f"Pade pole of order {order} at p = {float(p):.15g} has no principal value")
@@ -629,13 +608,6 @@ def sqrt_branch_kernel(location=1, scale=Fraction(1, 2)) -> ClosedFormKernel:
     """scale * (1 - p/location)^(-1/2); the average vanishes beyond the cut."""
     return ClosedFormKernel(
         Fraction(location), [(Fraction(scale), Fraction(-1, 2), 0)], growth=(abs(float(scale)), 0.0), name="sqrt-branch"
-    )
-
-
-def log_kernel(location=1, scale=1) -> ClosedFormKernel:
-    """-scale * log(1 - p/location) (the P-integral of the pole kernel)."""
-    return ClosedFormKernel(
-        Fraction(location), [(-Fraction(scale), Fraction(0), 1)], growth=(4.0 * abs(float(scale)), 0.25), name="log"
     )
 
 

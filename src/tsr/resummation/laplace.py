@@ -67,16 +67,17 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import mpmath as mp
 from mpmath import libmp
 
-from ..errors import DomainError, GrowthBoundViolated, ToleranceNotMet
+from ..errors import DegenerateTableError, DomainError, GrowthBoundViolated, ToleranceNotMet
 from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import PowerSeries
 from .borel import borel_transform
-from .kernels import BorelFunction, KernelEntry, _c2mp, pade_continue
+from . import special
+from .kernels import BorelFunction, KernelEntry, _c2mp, _interval, pade_continue
 
 
 #: Half-width of a pole's window, narrowed to half the first pole's distance
@@ -306,8 +307,6 @@ def resolve_default(series: PowerSeries) -> KernelEntry:
     Degenerate Pade blocks (rank-deficient Toeplitz systems) are resolved by
     stepping down to the largest solvable balanced table entry.
     """
-    from ..errors import DegenerateTableError
-
     poly = borel_transform(series, 24)
     m = n = 11
     while n >= 1:
@@ -336,7 +335,7 @@ def eb_sum(
     """
     cfg = cfg or QuadratureConfig()
     with mp.workdps(cfg.precision):
-        x = _c2mp(x)
+        given, x = x, _c2mp(x)
         total = mp.mpf(0)
         err = mp.mpf(0)
 
@@ -360,7 +359,7 @@ def eb_sum(
             series = grp.series
             if series.length == 0:
                 continue
-            growth = mp.exp(_c2mp(grp.mu) * x)
+            growth = _exp_rate(grp.mu, given, libmp.dps_to_prec(cfg.precision))
             if series.is_finite():
                 # finite sums are their own Borel sums: e^(mu x) sum(c_l x^(offset - l))
                 val = verr = mp.mpf(0)
@@ -382,8 +381,8 @@ def eb_sum(
                         verr += (3 + abs(e) + (abs(e * mp.log(x)) if rounded_e else 0)) / 2 * abs(t) + abs(val)
                 term = growth * val
                 total += term
-                # e^(mu x) is off by a unit, 3 |mu x| halves for the roundings
-                # of mu, x and mu x, and the product by half a unit more
+                # e^(mu x) is off by a unit (``_exp_rate``), the product by
+                # half a unit more, and 2 |mu x| units stay as a margin
                 err += (abs(growth) * verr + (2 + 2 * abs(_c2mp(grp.mu) * x)) * abs(term)) * mp.eps
                 continue
             entry = (resolver(series) if resolver is not None else series.kernel) or resolve_default(series)
@@ -397,9 +396,18 @@ def eb_sum(
             err += abs(pre) * (abs(scale) * lerr)
             if getattr(kernel, "laplace", None) is not None:
                 # a closed form's error is a rounding bound, so it also takes
-                # the move of e^(mu x) when x is off by a rounding
+                # |mu x| units as a margin for e^(mu x)
                 err += abs(term) * abs(_c2mp(grp.mu) * x) * mp.eps
         return total, err
+
+
+def _exp_rate(mu: Fraction, x, prec: int) -> mp.mpf:
+    """e^(mu x) to prec bits, with mu x formed at enough bits past prec that
+    its rounding moves e^(mu x) by under a unit.  Rounding x to prec bits, at
+    x = 10^300 and 50 digits, would move it by a factor e^(10^250)."""
+    wp = prec + max(special.mag(_interval(x, 53)[0]) + mu.numerator.bit_length(), 0) + 10
+    mux = libmp.mpf_mul(_interval(mu, wp)[0], _interval(x, wp)[0])
+    return mp.make_mpf(libmp.mpf_exp(mux, prec, libmp.round_nearest))
 
 
 # -- Watson's Lemma diagnostic ---------------------------------------------------
@@ -428,7 +436,6 @@ def watson_check(
     a: int = 1,
     b: int = 0,
     K: int = 4,
-    xs: Sequence[float] = (4.0, 6.0, 8.0, 12.0),
     cfg: QuadratureConfig = None,
 ) -> WatsonReport:
     """Check L[f](x) against sum(f_k Gamma(ka+b+1) x^(-ka-b-1), k <= K).
@@ -443,8 +450,7 @@ def watson_check(
         power = (K + 1) * a + b + 1
         ratios = []
         diffs = []
-        for xv in xs:
-            x = mp.mpf(xv)
+        for x in map(mp.mpf, (4, 6, 8, 12)):
             val, _ = laplace(f, x, cfg)
             partial = mp.mpf(0)
             for k in range(K + 1):
@@ -463,6 +469,6 @@ def watson_check(
         if max(diffs) <= tiny:
             report.passed = True
         else:
-            slope = mp.log(diffs[-1] / diffs[-2]) / mp.log(mp.mpf(xs[-1]) / mp.mpf(xs[-2]))
+            slope = mp.log(diffs[-1] / diffs[-2]) / mp.log(mp.mpf(12) / 8)  # the last two points
             report.passed = bool(slope <= -(power - 0.75))
     return report

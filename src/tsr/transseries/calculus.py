@@ -20,15 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DomainError
-from .grid import (
-    Group,
-    LogPart,
-    TransseriesT1,
-    assemble,
-    eq_to_order,
-    groups_of,
-    semantic_terms,
-)
+from .grid import Group, LogPart, TransseriesT1, assemble, groups_of
 from .series import PowerSeries
 
 

@@ -4,15 +4,13 @@ A transseries here is a triple
 
 * ``minus``  -- sum(j) x^(beta_j) e^(-lambda_j x) y_j(x), lambda_j > 0 distinct,
   a tuple of ``Group``s, one per rate, rates ascending, after the mu = 0 series
-* ``log``    -- P(x) log x + Q(x) + R(1/x) with R constant-free
+* ``log``    -- P(x) log x + Q(x)
 * ``plus``   -- sum(j) x^(beta_j) e^(lambda_j x) y_j(x), lambda_j > 0 distinct,
   a tuple of ``Group``s, one per rate, rates descending
 
-with all series y O(1/x).  Internally the representation is normalized to
-m = 0: the R component is empty and every pure inverse power lives in the
-mu = 0 series.  ``assemble`` folds an R into that series and is the one
-place a power of x moves between Q and it; the ``TransseriesT1``
-constructor rejects a nonempty R.  ``assemble`` merges the groups of each sign with ``_merge_rates``,
+with all series y O(1/x).  Every pure inverse power R(1/x) lives in the
+mu = 0 series, and ``assemble`` is the one place a power of x moves between
+Q and it.  ``assemble`` merges the groups of each sign with ``_merge_rates``,
 which sums the groups of one rate at their highest offset as one flat
 ``PowerSeries.sum``.  The JSON form (``parser.ts_to_json``) writes each
 part as its list of groups.
@@ -31,16 +29,14 @@ from .series import PowerSeries
 
 @dataclass
 class LogPart:
-    """P(x) log x + Q(x) + R(1/x); R stored as coefficients of x^-1, x^-2, ..."""
+    """P(x) log x + Q(x), each polynomial as its coefficients from x^0 up."""
 
     P: tuple[Fraction, ...] = ()
     Q: tuple[Fraction, ...] = ()
-    R: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
         self.P = _trim(tuple(Fraction(c) for c in self.P))
         self.Q = _trim(tuple(Fraction(c) for c in self.Q))
-        self.R = _trim(tuple(Fraction(c) for c in self.R))
 
     def p_coeff(self, i: int) -> Fraction:
         return self.P[i] if i < len(self.P) else Fraction(0)
@@ -49,16 +45,14 @@ class LogPart:
         return self.Q[i] if i < len(self.Q) else Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.P and not self.Q and not self.R
+        return not self.P and not self.Q
 
     def __add__(self, other: "LogPart") -> "LogPart":
-        return LogPart(_poly_add(self.P, other.P), _poly_add(self.Q, other.Q), _poly_add(self.R, other.R))
+        return LogPart(_poly_add(self.P, other.P), _poly_add(self.Q, other.Q))
 
     def scale(self, c: Fraction) -> "LogPart":
         c = Fraction(c)
-        return LogPart(
-            tuple(c * v for v in self.P), tuple(c * v for v in self.Q), tuple(c * v for v in self.R)
-        )
+        return LogPart(tuple(c * v for v in self.P), tuple(c * v for v in self.Q))
 
 
 def _trim(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -90,19 +84,13 @@ class Group:
 
 @dataclass
 class TransseriesT1:
-    """minus + log + plus with R empty: ``assemble`` folds R(1/x) into the
-    mu = 0 series, and the constructor rejects a nonempty R.  ``minus`` and
-    ``plus`` hold the groups as ``assemble`` leaves them: one per rate, the
-    mu = 0 series first and decaying rates ascending, growing rates
-    descending."""
+    """minus + log + plus.  ``minus`` and ``plus`` hold the groups as
+    ``assemble`` leaves them: one per rate, the mu = 0 series first and
+    decaying rates ascending, growing rates descending."""
 
     minus: tuple[Group, ...] = ()
     log: LogPart = field(default_factory=LogPart)
     plus: tuple[Group, ...] = ()
-
-    def __post_init__(self):
-        if self.log.R:
-            raise ValueError("a T1 keeps R(1/x) in its mu = 0 series; build it with assemble")
 
 
 # -- raw-group assembly -------------------------------------------------------
@@ -117,10 +105,10 @@ def assemble(groups: Iterable[Group], log: LogPart = None) -> TransseriesT1:
     """Build a normalized TransseriesT1 from raw groups plus a log part.
 
     A mu = 0 group x^a * s puts its first a coefficients into Q, as the
-    powers x^(a-1) ... x^0, and the rest into the mu = 0 series beside R(1/x)."""
+    powers x^(a-1) ... x^0, and the rest into the mu = 0 series."""
     log = log if log is not None else LogPart()
     Q = list(log.Q)
-    parts = [(0, PowerSeries.from_coeffs(log.R))]
+    parts = []
     rated: list[Group] = []
     for grp in groups:
         if grp.mu:
@@ -138,7 +126,7 @@ def assemble(groups: Iterable[Group], log: LogPart = None) -> TransseriesT1:
     if base.length != 0:
         minus.insert(0, Group(Fraction(0), Fraction(0), base))
     plus = _merge_rates([g for g in rated if g.mu > 0])
-    return TransseriesT1(minus=tuple(minus), log=LogPart(log.P, tuple(Q), ()), plus=tuple(plus))
+    return TransseriesT1(minus=tuple(minus), log=LogPart(log.P, tuple(Q)), plus=tuple(plus))
 
 
 def _merge_rates(groups: list[Group]) -> list[Group]:

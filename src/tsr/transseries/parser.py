@@ -203,7 +203,7 @@ def _assemble_raw(terms: list[_Raw]) -> TransseriesT1:
             groups.append(Group(t.mu, t.pow + 1, PowerSeries.from_coeffs([t.coef])))
         else:
             groups.append(Group(t.mu, t.pow, t.series.scale(t.coef)))
-    return assemble(groups, LogPart(tuple(P), (), ()))
+    return assemble(groups, LogPart(tuple(P)))
 
 
 # -- printing ------------------------------------------------------------------
@@ -385,13 +385,14 @@ def ts_to_json(ts: TransseriesT1, order: int = 16) -> dict:
     series first (lambda = 0), then x^beta e^(-lambda x) y by lambda
     ascending; ``plus`` x^beta e^(lambda x) y by lambda descending.  An
     infinite series writes its first ``order`` coefficients, or c * #name
-    as {"oracle": name, "scale": c}."""
+    as {"oracle": name, "scale": c}.  R(1/x) is in the mu = 0 series, so
+    "log" writes "R" empty."""
     return {
         "minus": _groups_json(ts.minus, order),
         "log": {
             "P": [str(c) for c in ts.log.P],
             "Q": [str(c) for c in ts.log.Q],
-            "R": [str(c) for c in ts.log.R],
+            "R": [],
         },
         "plus": _groups_json(ts.plus, order),
     }
@@ -419,6 +420,7 @@ def ts_from_json(obj) -> TransseriesT1:
     _json_kind(obj, dict, "the transseries")
     minus = _groups_from_json(obj, "minus")
     lg = _json_kind(obj.get("log", {}), dict, "log")
-    log = LogPart(*(_json_fractions(lg, part, f"log.{part}") for part in "PQR"))
-    # re-normalize: assemble merges the groups and moves R into the mu = 0 series
-    return assemble(minus + _groups_from_json(obj, "plus"), log)
+    P, Q, R = (_json_fractions(lg, part, f"log.{part}") for part in "PQR")
+    # re-normalize: assemble merges the groups, R(1/x) into the mu = 0 series
+    r = Group(0, 0, PowerSeries.from_coeffs(R))
+    return assemble([r] + minus + _groups_from_json(obj, "plus"), LogPart(P, Q))

@@ -67,7 +67,7 @@ def law_reports() -> dict:
     """Each operator-law suite's report, computed once per session at STRICT_CFG."""
     return {
         "antidiff": antidiff_laws(STRICT_CFG),
-        "extension": extension_laws(STRICT_CFG, samples=30),
+        "extension": extension_laws(STRICT_CFG),
         "integral": integral_laws(STRICT_CFG),
     }
 

@@ -41,7 +41,18 @@ from mpmath import libmp
 
 from tsr.errors import SingularPointError
 from tsr.resummation import AiryKernel, CothKernel, special
-from tsr.resummation.kernels import _at_prec, _c2mp, _horner
+from tsr.resummation.kernels import _c2mp, _horner
+
+
+def _at_prec(cache: dict, build):
+    """build()'s value at the working precision, built once per precision
+    and kept in ``cache``; a lost race between threads stores an equal
+    value."""
+    prec = mp.mp.prec
+    out = cache.get(prec)
+    if out is None:
+        out = cache[prec] = build()
+    return out
 
 
 class CothReference(CothKernel):

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+from fractions import Fraction as F
 
 import pytest
 from conftest import time_budget
@@ -596,6 +597,37 @@ class TestSumPoint:
         value, err = out.split("  (error <= ")
         with mp.workdps(40):
             assert abs(mp.mpf(value) - mp.exp(-10) * mp.ei(10)) <= mp.mpf(err.rstrip(")\n"))
+
+    @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "expr, mu, x",
+        [
+            ("exp(2*x)", 2, "1e7"),
+            ("exp(-x)", -1, "1e8"),
+            ("exp(-x)", -1, "1e300"),
+            ("exp(x)", 1, "-1e300"),
+            ("exp(-3/2*x)", -1.5, "1e300"),
+            ("exp(2*x)", 2, "-1e300"),
+        ],
+    )
+    def test_an_exponential_far_out_prints_its_bound_at_once(self, cli, expr, mu, x, json_out):
+        # the bound is rounded up to three digits without an exact 10^e,
+        # which at e^(-10^300) would have about 4*10^299 digits
+        import mpmath as mp
+
+        with time_budget(1.0):
+            code, out, err = cli("sum", expr, x, *(["--json"] if json_out else []))
+        if code == 1:  # a --json sum beyond the double range
+            assert json_out and out == "" and "DomainError" in err and "beyond the double range" in err
+            return
+        assert code == 0, err
+        if json_out:
+            payload = json.loads(out)
+            value, bound = payload["value"], payload["error_estimate"]
+        else:
+            value, bound = out.rstrip(")\n").split("  (error <= ")
+        with mp.workdps(400):  # past the sum's 50 digits by 20 or more, and x = 10^300 exactly
+            assert abs(mp.exp(mu * mp.mpf(int(F(x)))) - mp.mpf(value)) <= mp.mpf(bound)
 
 
 class TestGoldenStability:

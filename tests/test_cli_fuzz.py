@@ -27,7 +27,7 @@ from tsr.transseries import ts_from_json, ts_to_json
 
 ATOMS = ("x", "#ei", "#erfi", "#stirling", "#airy_u", "#airy_u_alt", "exp(-x)", "exp(x)", "exp(-3/2*x)", "exp(2*x)", "log(x)", "x^(1/2)", "x^2", "1/x", "3", "1/3", "series![1, 2]")  # fmt: skip
 BROKEN = ("", "(", "x/0", "1/0", "#nope", "exp(x", "x^x", "exp(x^2)", "log(log(x))", "2**x")
-POINTS = ("3", "1/2", "-1", "0", "2.5", "20", "3+w^-1", "w", "omega", "2*w+1", "w-3", "1/2*w", "-w", "w^2", "w^(1/2)", "w+w^-1", "nan", "1e400", "abc", "1/0")  # fmt: skip
+POINTS = ("3", "1/2", "-1", "0", "2.5", "20", "3+w^-1", "w", "omega", "2*w+1", "w-3", "1/2*w", "-w", "w^2", "w^(1/2)", "w+w^-1", "nan", "1e400", "1e8", "1e300", "-1e300", "abc", "1/0")  # fmt: skip
 ENTRIES = ("exp", "exp_neg", "ei_integrand", "ei", "erfi_integrand", "erfi_integral", "airy_ai", "airy_bi", "loggamma", "gamma", "exp_neg_over_x", "monomial_2", "nope")  # fmt: skip
 ADDRESSES = ("+", "++-", "-+-+", "", "+x", "0")
 

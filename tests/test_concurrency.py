@@ -265,12 +265,12 @@ def test_closed_form_laplace_bit_identical_from_16_threads():
     # pole, square-root branch, log and derived kernels at two points and
     # three precisions: each thread takes every case, from a different
     # start, and no precision leaks between threads, ten rounds in a row
-    from tsr.resummation import QuadratureConfig, laplace, log_kernel, pole_kernel, sqrt_branch_kernel
+    from tsr.resummation import QuadratureConfig, laplace, pole_kernel, sqrt_branch_kernel
     from tsr.transseries import groups_of
 
     # the kernels ts_antidiff derives: a pole at -1, and log(1 - p/2) plus a polynomial
     derived = [groups_of(ts_antidiff(ts_parse(e)))[0].series.kernel.kernel for e in ("exp(-x)/x", "x*exp(2*x)*series![1, 2, 3]")]
-    kernels = [pole_kernel(1), sqrt_branch_kernel(1), log_kernel(1), sqrt_branch_kernel(1).p_integral(1), *derived]
+    kernels = [pole_kernel(1), sqrt_branch_kernel(1), pole_kernel(1).p_integral(1), sqrt_branch_kernel(1).p_integral(1), *derived]
     cases = [(k, x, QuadratureConfig(precision=d)) for k in kernels for x in (3, 7) for d in (20, 40, 80)]
 
     def raw(k: int) -> list:
@@ -402,13 +402,14 @@ def test_pade_poles_bit_identical_from_16_threads():
     # four precisions, each thread taking them in a different order, on a
     # fresh kernel each round so that every search starts cold
     from tsr.resummation import resolve_default
+    from tsr.resummation.kernels import positive_roots
     from tsr.transseries import groups_of
 
     series = groups_of(ts_parse("#ei + #erfi"))[0].series
     precs = (53, 83, 113, 170)
-    serial = [resolve_default(series).kernel.real_positive_poles(p) for p in precs]
+    serial = [positive_roots(resolve_default(series).kernel.den, p) for p in precs]
     assert all(len(poles) == 11 for poles in serial)
     for _ in range(3):
         kernel = resolve_default(series).kernel
-        results = _pull_together(lambda k: [kernel.real_positive_poles(precs[(k + i) % 4]) for i in range(4)], workers=16)
+        results = _pull_together(lambda k: [positive_roots(kernel.den, precs[(k + i) % 4]) for i in range(4)], workers=16)
         assert all(got == [serial[(k + i) % 4] for i in range(4)] for k, got in enumerate(results))

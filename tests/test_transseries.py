@@ -283,23 +283,11 @@ def test_antidiff_of_a_finite_group_ends_at_its_offset(mu, y, extra):
 
 
 class TestNormalForm:
-    def test_constructor_rejects_r(self):
-        with pytest.raises(ValueError):
-            TransseriesT1(log=LogPart(R=(F(1),)))
-
-    @pytest.mark.parametrize(
-        "ts",
-        [
-            lambda: assemble([], LogPart(R=(F(1),))),
-            lambda: ts_from_json({"log": {"R": ["1"]}}),
-        ],
-    )
-    def test_assemble_folds_r_into_the_k0_series(self, ts):
-        got, want = ts(), ts_parse("1/x")
-        assert not got.log.R
+    def test_assemble_folds_r_into_the_k0_series(self):
+        # ts_from_json hands a JSON "R" to assemble as the mu = 0 series
+        got, want = ts_from_json({"log": {"R": ["1"]}}), ts_parse("1/x")
         assert eq_to_order(got, want, 12)
         assert ts_to_json(got) == ts_to_json(want)
-
 
     def test_a_power_times_an_infinite_series_splits_at_x0(self):
         # x^2 (1/x + 1/x^2 + 2/x^3 + 6/x^4 + ...) = x + 1 + 2/x + 6/x^2 + ...
