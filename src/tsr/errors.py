@@ -26,13 +26,9 @@ class SingularPointError(TsrError):
 class ToleranceNotMet(TsrError):
     """Quadrature finished above the requested tolerance."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class GrowthBoundViolated(TsrError):
-    """Laplace variable does not exceed the kernel's lateral growth bound."""
+    """Laplace variable at or below 0, or a quadrature kernel's growth bound."""
 
 
 class DegenerateTableError(TsrError):

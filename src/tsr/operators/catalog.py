@@ -78,8 +78,10 @@ class CatalogFunction:
         return series.kernel or resolve_default(series)
 
     def critical_time(self, x):
-        """crit_coef * x^crit_power at the working precision, x an mpf or an exact Fraction."""
-        return _c2mp(self.crit_coef) * _c2mp(x) ** _c2mp(self.crit_power)
+        """crit_coef * x^crit_power (x an mpf or a Fraction) at 20 more bits, rounded once."""
+        with mp.workprec(mp.mp.prec + 20):
+            t = _c2mp(self.crit_coef) * _c2mp(x) ** _c2mp(self.crit_power)
+        return +t
 
     def eb_value(self, x, cfg: QuadratureConfig = None):
         """Resummation-side value: prefactor * eb_sum at the critical time."""
@@ -599,8 +601,8 @@ def catalog() -> dict[str, CatalogFunction]:
 
 
 def catalog_manifest() -> dict:
-    """JSON-ready manifest: per entry the kernels, their growth constants
-    (c1, c3), with which ``laplace`` bounds the tail, and the tolerances."""
+    """JSON-ready manifest: per entry the kernels, their regularization
+    orders and the tolerances."""
     out = {}
     for name, e in catalog().items():
         groups = groups_of(e.transseries) if e.transseries else []
@@ -612,7 +614,6 @@ def catalog_manifest() -> dict:
             "ln2pi_coef": str(e.ln2pi_coef),
             "kernels": {k: type(v.kernel).__name__ for k, v in named.items()},
             "regularization_m": {k: v.m for k, v in named.items()},
-            "growth": {k: list(v.kernel.growth) for k, v in named.items()},
             "domain_c": e.domain_c,
             "tolerance": e.tolerance,
             "composes": e.compose_exp_of,

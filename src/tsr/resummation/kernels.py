@@ -1,27 +1,27 @@
 """Borel-plane functions: closed-form kernels, the Binet and Airy kernels, Pade approximants.
 
-Every kernel provides exact small-p Taylor coefficients, growth constants
-and, where a rule exists, its antiderivative from 0 (the P operator).
-Closed forms are linear combinations of
+Every kernel provides exact small-p Taylor coefficients and, where a rule
+exists, its antiderivative from 0 (the P operator).  Closed forms are
+linear combinations of
 
     v^a (log v)^b,   v = 1 - p/s
 
 around a single singularity s, plus a polynomial, with a in Z/2; that family
 is closed under P, which is how pole kernels regularize to logs, and each
-closed form sums its own Laplace transform exactly (``ClosedFormKernel.laplace``)
-without a value at any point.  So do the Binet kernel, whose transform is
-ln Gamma less its Stirling part (``CothKernel.laplace``), and the Airy
-kernel, whose transform is a modified Bessel function of order 1/3
-(``AiryKernel.laplace``).  Pade kernels are summed by quadrature: they give
-their value on the ray, correctly rounded from integer coefficients that no
-precision changes, and their simple poles there, the only points a
-quadrature sum folds at.  The values of the Binet and Airy kernels are
-the tests' independent reference for the closed forms (``tests/reference``).
-A Pade kernel's poles are found exactly over Q: Descartes' rule of signs
-with bisection isolates the denominator's real positive roots and their
-orders, and bisection refines each simple one to a binary fraction at an
-explicit precision (``positive_roots``).  A pole of order 2 or more has no
-principal value and is refused.
+closed form sums its own Laplace transform exactly at every x > 0
+(``ClosedFormKernel.laplace``) without a value at any point.  So do the
+Binet kernel, whose transform is ln Gamma less its Stirling part
+(``CothKernel.laplace``), and the Airy kernel, whose transform is a modified
+Bessel function of order 1/3 (``AiryKernel.laplace``).  Pade kernels are
+summed by quadrature: they give their value on the ray, correctly rounded
+from integer coefficients that no precision changes, and their simple poles
+there, the only points a quadrature sum folds at.  The values of the Binet
+and Airy kernels are the tests' independent reference for the closed forms
+(``tests/reference``).  A Pade kernel's poles are found exactly over Q:
+Descartes' rule of signs with bisection isolates the denominator's real
+positive roots and their orders, and bisection refines each simple one to a
+binary fraction at an explicit precision (``positive_roots``).  A pole of
+order 2 or more has no principal value and is refused.
 
 A series carries its kernel as a :class:`KernelEntry` (kernel, m, c): its
 Borel transform is c times the kernel, so every rational multiple of a
@@ -44,15 +44,12 @@ from .borel import BorelPoly, borel_transform, p_integrate_poly
 
 
 class BorelFunction:
-    """Interface shared by every Borel-plane representation: ``growth`` and
-    ``taylor(K)``, the exact small-p coefficients f_0..f_K; a closed form
-    adds ``laplace(x, prec)``, a quadrature kernel ``value(p)`` (the half-sum
-    of the lateral continuations) and ``singularities()`` (its simple poles
-    on the positive axis, ascending, as binary fractions: the points a
-    quadrature sum folds at)."""
-
-    #: (c1, c3) with |F| <= c1 exp(c3 p) far out; c3 bounds the Laplace domain
-    growth: tuple[float, float] = (1.0, 0.0)
+    """Interface shared by every Borel-plane representation: ``taylor(K)``,
+    the exact small-p coefficients f_0..f_K; a closed form adds
+    ``laplace(x, prec)``, a quadrature kernel ``value(p)`` (the half-sum of
+    the lateral continuations), ``singularities()`` (its simple poles on the
+    positive axis, ascending, as binary fractions: the points a quadrature
+    sum folds at) and ``growth`` (see ``PadeKernel``)."""
 
     def p_integral(self, m: int = 1) -> "BorelFunction":
         raise NotRegularizableError(f"{type(self).__name__} has no P rule")
@@ -73,7 +70,7 @@ class ClosedFormKernel(BorelFunction):
     known in closed form (``laplace``).
     """
 
-    def __init__(self, s: Fraction, terms: Sequence[tuple], poly: BorelPoly = BorelPoly(()), growth=(2.0, 1.0), name: str = ""):
+    def __init__(self, s: Fraction, terms: Sequence[tuple], poly: BorelPoly = BorelPoly(()), name: str = ""):
         self.s = Fraction(s)
         if self.s == 0:
             raise ValueError("the reference point cannot be the origin")
@@ -84,7 +81,6 @@ class ClosedFormKernel(BorelFunction):
             if t.a.denominator not in (1, 2) or (t.b and t.a.denominator != 1):
                 raise ValueError(f"v^{t.a} log(v)^{t.b}: exponents are in Z/2, and only integer ones take a log")
         self.poly = poly
-        self.growth = growth
         self.name = name
         self._has_log = any(t.b for t in self.terms)
 
@@ -237,9 +233,7 @@ class ClosedFormKernel(BorelFunction):
             else:
                 raise NotRegularizableError("no rule for v^-1 log v")
         poly = p_integrate_poly(self.poly, 1) + BorelPoly((const,))
-        # |P F| <= c1 p e^(c3 p) <= 4 c1 e^(max(c3, 1/4) p)
-        growth = (4 * self.growth[0], max(self.growth[1], 0.25))
-        out = ClosedFormKernel(s, new_terms, poly, growth, self.name and f"P({self.name})")
+        out = ClosedFormKernel(s, new_terms, poly, self.name and f"P({self.name})")
         return out.p_integral(m - 1)
 
 
@@ -435,10 +429,13 @@ class PadeKernel(BorelFunction):
     its result.  ``singularities`` finds the poles exactly over Q each time.
     """
 
-    def __init__(self, num: Sequence[Fraction], den: Sequence[Fraction], growth=(2.0, 1.0), name: str = ""):
+    #: (c1, c3) with |F| <= c1 exp(c3 p) far out, set by hand, since a fit's
+    #: tail is not known: the quadrature bounds its tail with them at x > c3
+    growth = (2.0, 1.0)
+
+    def __init__(self, num: Sequence[Fraction], den: Sequence[Fraction], name: str = ""):
         self.num = tuple(Fraction(c) for c in num)
         self.den = tuple(Fraction(c) for c in den)
-        self.growth = growth
         self.name = name
         cleared = _integers(self.num + self.den)
         self._int_num, self._int_den = cleared[: len(self.num)], cleared[len(self.num) :]
@@ -573,12 +570,11 @@ def derive_antidiff_kernel(mu: Fraction, offset: Fraction, y, w) -> Optional[Ker
         r = coeffs[0] - lam * q[0] if q else coeffs[0]
         return BorelPoly(tuple(q)), r
 
-    growth = (float(4 * (1 + sum(abs(c) for c in Y.coeffs))), 0.25 if lam > 0 else 0.0)
     if offset == 0:
         Q, r = divide(Y)
         # W = Q(p) + (r/lam) v^-1, v = 1 - p/lam
         terms = [(r / lam, Fraction(-1), 0)] if r else []
-        kernel = ClosedFormKernel(lam, terms, Q, growth, name=f"anti({lam})")
+        kernel = ClosedFormKernel(lam, terms, Q, name=f"anti({lam})")
         m = 1 if (lam > 0 and r != 0) else 0
         return KernelEntry(kernel, m=m)
     # offset == 1
@@ -586,7 +582,7 @@ def derive_antidiff_kernel(mu: Fraction, offset: Fraction, y, w) -> Optional[Ker
     Q, r = divide(dY)
     poly = p_integrate_poly(Q, 1) + BorelPoly((Fraction(w.coeff(1)),))
     terms = [(-r, Fraction(0), 1)] if r else []  # -r log v
-    kernel = ClosedFormKernel(lam, terms, poly, growth, name=f"anti({lam})")
+    kernel = ClosedFormKernel(lam, terms, poly, name=f"anti({lam})")
     return KernelEntry(kernel, m=0)
 
 
@@ -594,21 +590,13 @@ def derive_antidiff_kernel(mu: Fraction, offset: Fraction, y, w) -> Optional[Ker
 
 
 def pole_kernel(location=1, scale=1) -> ClosedFormKernel:
-    """scale / (1 - p/location): the factorially divergent model kernel.
-
-    The averaged value decays like 1/p beyond the pole, so c3 = 0: its
-    Laplace sum exists at every x > 0.
-    """
-    return ClosedFormKernel(
-        Fraction(location), [(Fraction(scale), Fraction(-1), 0)], growth=(4.0 * abs(float(scale)), 0.0), name="pole"
-    )
+    """scale / (1 - p/location): the factorially divergent model kernel."""
+    return ClosedFormKernel(Fraction(location), [(Fraction(scale), Fraction(-1), 0)], name="pole")
 
 
 def sqrt_branch_kernel(location=1, scale=Fraction(1, 2)) -> ClosedFormKernel:
     """scale * (1 - p/location)^(-1/2); the average vanishes beyond the cut."""
-    return ClosedFormKernel(
-        Fraction(location), [(Fraction(scale), Fraction(-1, 2), 0)], growth=(abs(float(scale)), 0.0), name="sqrt-branch"
-    )
+    return ClosedFormKernel(Fraction(location), [(Fraction(scale), Fraction(-1, 2), 0)], name="sqrt-branch")
 
 
 class CothKernel(BorelFunction):
@@ -621,7 +609,6 @@ class CothKernel(BorelFunction):
     the transform against the sum.
     """
 
-    growth = (1.0, 0.0)  # falls from 1/12 at p = 0 like 1/(2p): subexponential
     name = "coth"
 
     def taylor(self, K: int) -> list[Fraction]:
@@ -674,13 +661,6 @@ class AiryKernel(BorelFunction):
     the sum: by tsr's quadrature on the Ai side, and by mpmath's, split at
     p = 2, on the Bi side, since tsr's quadrature folds at poles only.
     """
-
-    #: c1 claims |F| <= 1.25: on the Ai side everywhere (0 < F <= 1), on the
-    #: Bi side only past p = 2.33, since near its log branch point at p = 2
-    #: F exceeds 1.25 on about (1.64, 2.33).  tsr sums both sides in closed
-    #: form, which reads c3 = 0 alone, so both sum for every x > 0; only
-    #: the tests' quadrature of the Ai side reads c1
-    growth = (1.25, 0.0)
 
     def __init__(self, side: int):
         if side not in (1, -1):

@@ -8,8 +8,8 @@ derives) sums that integral exactly, through Ei, erfi and erfc and
 integration by parts, without evaluating the kernel at any point, and so
 do the Binet (coth) kernel of ``#stirling``, through ln Gamma (Binet's
 formula), and the Airy kernels of ``#airy_u`` and ``#airy_u_alt``, through
-modified Bessel functions of order 1/3; their reported error is a bound on
-the rounding.
+modified Bessel functions of order 1/3; each sums at every x > 0, and its
+reported error is a bound on the rounding.
 
 Quadrature, with level-difference estimates, remains for the Pade kernels
 and for the tests, which sum a closed-form kernel's values by quadrature to
@@ -25,7 +25,7 @@ integrand(s - t) + integrand(s + t) over 0 < t < w.  s is the pole's binary
 fraction exactly and s -+ t are formed without rounding, so the pole's
 +-A/t terms cancel and the fold is analytic in t.  The smooth spans between
 windows are cut into panels, and the far tail is bounded by the kernel's
-exponential growth constants.
+exponential growth constants (c1, c3), so a quadrature sums at x > c3 only.
 
 Every panel, span or fold, is summed by one nested open rule, Fejer's
 second (Waldvogel, BIT 46, 2006): its levels have n = 2, 4, ..., 256
@@ -104,22 +104,24 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
     """integral(e^(-xp) avg(f)(p), p = 0..inf) with an error estimate.
 
     A kernel with a ``laplace(x, prec)`` method (the closed forms) sums
-    itself, and its error is a rounding bound; every other kernel is summed
-    in one loop over the pieces ``_pieces`` lays out.  The kernel is asked,
-    not its type checked, so a wrapper that forwards attributes takes the
-    same path.
+    itself at every x > 0, and its error is a rounding bound; every other
+    kernel is summed at x > c3 (its ``growth``) in one loop over the pieces
+    ``_pieces`` lays out.  The kernel is asked, not its type checked, so a
+    wrapper that forwards attributes takes the same path.
     """
     cfg = cfg or QuadratureConfig()
-    c1, c3 = f.growth
-    if _exact(x) <= Fraction(c3):
-        raise GrowthBoundViolated(f"need x > {c3}, got {x}")
+    _finite(x)
+    if not x > 0:
+        raise GrowthBoundViolated(f"need x > 0, got {x}")
     closed = getattr(f, "laplace", None)
     if closed is not None:
         total, err = closed(x, libmp.dps_to_prec(cfg.precision))
         return _within_tolerance(total, err, cfg)
+    c1, c3 = f.growth
+    if not x > c3:
+        raise GrowthBoundViolated(f"need x > {c3}, got {x}")
     with mp.workdps(cfg.precision):
         x = _c2mp(x)
-        c1, c3 = mp.mpf(c1), mp.mpf(c3)
         abs_tol = mp.mpf(cfg.abs_tol)
 
         # each pole's binary fraction exactly: mp.mpf and _c2mp would round it
@@ -153,9 +155,10 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
         return _within_tolerance(total, err, cfg)
 
 
-def _exact(x) -> Fraction:
-    """x (a Fraction, int, float or mpf) as an exact Fraction."""
-    return Fraction(*libmp.to_rational(x._mpf_)) if hasattr(x, "_mpf_") else Fraction(x)
+def _finite(x):
+    """Raise DomainError for a non-finite float or mpf x."""
+    if isinstance(x, (float, mp.mpf)) and not mp.isfinite(x):
+        raise DomainError(f"no Laplace sum at the non-finite point x = {x}")
 
 
 def _within_tolerance(total, err, cfg: QuadratureConfig) -> tuple:
@@ -163,10 +166,8 @@ def _within_tolerance(total, err, cfg: QuadratureConfig) -> tuple:
     raises ToleranceNotMet; the comparison is exact."""
     rel = libmp.mpf_mul(libmp.from_float(cfg.rel_tol), libmp.mpf_abs(total._mpf_))
     if libmp.mpf_gt(err._mpf_, libmp.from_float(cfg.abs_tol)) and libmp.mpf_gt(err._mpf_, rel):
-        raise ToleranceNotMet(
-            f"achieved error {mp.nstr(err, 5)} above tolerance {mp.nstr(max(cfg.abs_tol, cfg.rel_tol * abs(total)), 5)}",
-            achieved=float(err),
-        )
+        limit = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        raise ToleranceNotMet(f"achieved error {mp.nstr(err, 5)} above tolerance {mp.nstr(limit, 5)}")
     return total, err
 
 
@@ -331,9 +332,10 @@ def eb_sum(
     series y is summed through its Borel kernel entry c K (resolver-supplied,
     else the series' own, else a generic Pade fit), as c x^m L[man P^m K](x):
     the Laplace integral of the kernel's m-fold P-integral, times c x^m.
-    Each sum is weighted by its transmonomial.
+    Each sum is weighted by its transmonomial; a non-finite x is a DomainError.
     """
     cfg = cfg or QuadratureConfig()
+    _finite(x)
     with mp.workdps(cfg.precision):
         given, x = x, _c2mp(x)
         total = mp.mpf(0)
@@ -359,7 +361,7 @@ def eb_sum(
             series = grp.series
             if series.length == 0:
                 continue
-            growth = _exp_rate(grp.mu, given, libmp.dps_to_prec(cfg.precision))
+            exp_mux = _exp_rate(grp.mu, given, libmp.dps_to_prec(cfg.precision))
             if series.is_finite():
                 # finite sums are their own Borel sums: e^(mu x) sum(c_l x^(offset - l))
                 val = verr = mp.mpf(0)
@@ -379,24 +381,25 @@ def eb_sum(
                         # unit of the running sum
                         rounded_e = x and q.denominator & (q.denominator - 1)
                         verr += (3 + abs(e) + (abs(e * mp.log(x)) if rounded_e else 0)) / 2 * abs(t) + abs(val)
-                term = growth * val
+                term = exp_mux * val
                 total += term
-                # e^(mu x) is off by a unit (``_exp_rate``), the product by
-                # half a unit more, and 2 |mu x| units stay as a margin
-                err += (abs(growth) * verr + (2 + 2 * abs(_c2mp(grp.mu) * x)) * abs(term)) * mp.eps
+                # e^(mu x) is off by a unit (``_exp_rate``) and the product by
+                # half a unit more; x may be rounded (``eb_value``'s critical
+                # time), and each unit of x moves e^(mu x) by |mu x| units
+                err += (abs(exp_mux) * verr + (2 + 2 * abs(_c2mp(grp.mu) * x)) * abs(term)) * mp.eps
                 continue
             entry = (resolver(series) if resolver is not None else series.kernel) or resolve_default(series)
             # c x^m L[man P^m K](x): the regularized sum of one series
             kernel = entry.kernel.p_integral(entry.m) if entry.m else entry.kernel
             val, lerr = laplace(kernel, x, cfg)
-            pre = x ** _c2mp(grp.offset) * growth
+            pre = x ** _c2mp(grp.offset) * exp_mux
             scale = _c2mp(entry.c) * x**entry.m
             term = pre * (scale * val)
             total += term
             err += abs(pre) * (abs(scale) * lerr)
             if getattr(kernel, "laplace", None) is not None:
-                # a closed form's error is a rounding bound, so it also takes
-                # |mu x| units as a margin for e^(mu x)
+                # a closed form's error bounds its own rounding, and |mu x|
+                # units more pay for a rounded x, as above
                 err += abs(term) * abs(_c2mp(grp.mu) * x) * mp.eps
         return total, err
 

@@ -2,9 +2,10 @@
 for their closed-form Laplace sums.
 
 ``CothKernel`` and ``AiryKernel`` sum their transforms in closed form, so
-``tsr`` never evaluates them at a point.  The subclasses here add the values,
-so a test can integrate them by quadrature (``conftest.QuadratureOnly``)
-and compare with the closed form.  The Airy values sum one convergent
+``tsr`` never evaluates them at a point.  The subclasses here add the values
+and the growth constants that bound a quadrature's tail, so a test can
+integrate them by quadrature (``conftest.QuadratureOnly``) and compare with
+the closed form.  The Airy values sum one convergent
 series (DLMF 15.8), chosen by z = side p/2 so that its ratio is at most 5/8:
 
 - |z| <= 3/5: Maclaurin, sum(a_k z^k), a_k = (1/6)_k (5/6)_k / k!^2;
@@ -59,6 +60,8 @@ class CothReference(CothKernel):
     """The Binet kernel with its values: the closed form, or the even Taylor
     polynomial near 0 where the closed form cancels."""
 
+    growth = (1.0, 0.0)  # falls from 1/12 at p = 0 like 1/(2p): subexponential
+
     def __init__(self):
         self._mp_taylor: dict[int, tuple] = {}
 
@@ -84,6 +87,13 @@ class CothReference(CothKernel):
 
 class AiryReference(AiryKernel):
     """The Airy kernel with its values (see the module docstring)."""
+
+    #: c1 claims |F| <= 1.25: on the Ai side everywhere (0 < F <= 1), on the
+    #: Bi side only past p = 2.33, since near its log branch point at p = 2
+    #: F exceeds 1.25 on about (1.64, 2.33).  Only the tests' quadrature of
+    #: the Ai side reads the constants; tsr sums both sides in closed form
+    #: at every x > 0
+    growth = (1.25, 0.0)
 
     def __init__(self, side: int):
         super().__init__(side)

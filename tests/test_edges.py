@@ -56,12 +56,12 @@ class TestFiniteGroupSums:
 
 class TestRegularization:
     def test_non_integrable_branch_rejected(self):
-        bad = ClosedFormKernel(F(1), [(F(1), F(-3, 2), 0)], growth=(2.0, 0.0))
+        bad = ClosedFormKernel(F(1), [(F(1), F(-3, 2), 0)])
         with pytest.raises(NotRegularizableError):
             laplace(bad, 6, CFG)
 
     def test_p_integral_makes_it_integrable(self):
-        bad = ClosedFormKernel(F(1), [(F(1), F(-3, 2), 0)], growth=(2.0, 0.0))
+        bad = ClosedFormKernel(F(1), [(F(1), F(-3, 2), 0)])
         fixed = bad.p_integral(1)
         val, err = laplace(fixed, 6, CFG)
         assert mp.isfinite(val)

@@ -80,9 +80,16 @@ class TestLaplace:
             assert mpf_close(lhs, ref, 1e-14)
 
     def test_growth_bound(self):
-        k = pole_kernel(1).p_integral(1)  # the log kernel, c3 = 1/4
-        with pytest.raises(GrowthBoundViolated):
-            laplace(k, 0.1, CFG)
+        # a closed form sums at every x > 0: the log kernel's x L[-log|1-p|]
+        # is e^(-x) Ei(x), here at x = 1/10; x <= 0 is refused
+        k = pole_kernel(1).p_integral(1)
+        val, err = laplace(k, F(1, 10), CFG)
+        with mp.workdps(CFG.precision + 30):
+            x = mp.mpf(1) / 10
+            assert abs(val - mp.exp(-x) * mp.ei(x) / x) <= err
+        for x in (0, -1):
+            with pytest.raises(GrowthBoundViolated):
+                laplace(k, x, CFG)
 
     def test_halving_tolerance_stays_within_estimate(self):
         # quadrature convergence: refining changes results less than the estimate
@@ -603,6 +610,48 @@ def test_gamma_and_log_gamma_within_their_reported_error(name, x, digits):
         assert name == "gamma" or err <= max(1, abs(ref)) * mp.mpf(10) ** (2 - digits)
 
 
+#: each entry eb_value sums, with mpmath's value and the interval x is drawn
+#: from; at every x but a binary fraction the critical time is rounded
+EB_VALUE_REFS = {
+    "airy_ai": (mp.airyai, 2, 60),
+    "airy_bi": (mp.airybi, 2, 60),
+    "erfi_integral": (CATALOG_REFS["erfi_integral"], 1, 12),
+    "ei": (mp.ei, 3, 30),
+    "loggamma": (mp.loggamma, 3, 30),
+    "gamma": (mp.gamma, 3, 30),
+    "exp": (mp.exp, 1, 60),
+    "exp_neg": (lambda t: mp.exp(-t), 1, 60),
+    "erfi_integrand": (lambda t: mp.exp(t * t), 1, 12),
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(EB_VALUE_REFS)), st.sampled_from((15, 30, 50)), st.data())
+def test_eb_value_is_within_its_reported_error_of_mpmath(name, digits, data):
+    # eb_value rounds the critical time t before eb_sum sees it, and a unit
+    # of t moves e^(mu t) by |mu t| units: eb_sum's |mu x| allowances pay for
+    # that, at non-dyadic x, in kernel groups and finite groups alike
+    ref, lo, hi = EB_VALUE_REFS[name]
+    x = data.draw(st.fractions(lo, hi, max_denominator=1000).filter(lambda q: q.denominator & (q.denominator - 1)), label="x")
+    val, err = catalog()[name].eb_value(x, QuadratureConfig(precision=digits))
+    with mp.workdps(digits + 40):
+        assert abs(val - ref(mp_fraction(x))) <= err
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), mp.nan, mp.inf, -mp.inf], ids=repr)
+def test_a_non_finite_point_is_a_domain_error(x):
+    # a kernel group, a finite group and the log part under eb_sum and
+    # eb_value, and a closed-form and a Pade kernel under laplace
+    for expr in ("#ei", "exp(-x)", "x^2 + log(x)"):
+        with pytest.raises(DomainError, match="non-finite"):
+            eb_sum(ts_parse(expr), x, CFG)
+    with pytest.raises(DomainError, match="non-finite"):
+        catalog()["ei"].eb_value(x, CFG)
+    for kernel in (pole_kernel(1), PadeKernel([F(8)], [F(1), F(-3)])):
+        with pytest.raises(DomainError, match="non-finite"):
+            laplace(kernel, x, CFG)
+
+
 @pytest.mark.parametrize("name, x, parent", [("airy_ai", 3, 847), ("airy_ai", 8, 282)])
 def test_spans_take_half_the_kernel_evaluations(monkeypatch, name, x, parent):
     # parent: the count when tanh-sinh summed the smooth spans; the nested
@@ -620,7 +669,7 @@ def test_kernel_infinite_at_the_branch_point_sums_in_closed_form():
     # (1-p)^(-1/2)/2 + log(1-p), infinite at p = 1 in both terms, which a
     # quadrature could not evaluate there: the closed form adds the terms'
     # own transforms
-    kernel = ClosedFormKernel(F(1), [(F(1, 2), F(-1, 2), 0), (F(1), F(0), 1)], growth=(4.0, 0.25))
+    kernel = ClosedFormKernel(F(1), [(F(1, 2), F(-1, 2), 0), (F(1), F(0), 1)])
     val, err = laplace(kernel, 3, QuadratureConfig(precision=30))
     with mp.workdps(60):
         x = mp.mpf(3)
@@ -648,21 +697,24 @@ def averaged_power_transform(s, a, b, x):
     return mp.diff(G, a) if b else G(a)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=80, deadline=None)
 @given(
     st.fractions(F(1, 8), 40, max_denominator=8),
     st.booleans(),
     st.integers(-2, 10).map(lambda n: F(n, 2)),
     st.sampled_from((0, 1)),
-    st.fractions(0, 60, max_denominator=16),
+    st.one_of(st.fractions(F(1, 1024), F(1, 4), max_denominator=1024), st.fractions(F(17, 64), F(3857, 64), max_denominator=64)),
     st.integers(15, 120),
 )
-def test_closed_form_matches_mpmath(s, decaying, a, b, dx, digits):
-    # every exponent the family takes, a sign of s each way, and x past c3
+@example(s=F(1), decaying=False, a=F(-1), b=0, x=F(1, 1000), digits=30)
+@example(s=F(1), decaying=False, a=F(0), b=1, x=F(1, 100), digits=30)
+@example(s=F(1, 8), decaying=True, a=F(-1, 2), b=0, x=F(1, 64), digits=50)
+def test_closed_form_matches_mpmath(s, decaying, a, b, x, digits):
+    # every exponent the family takes, a sign of s each way, and x from near
+    # 0 to 60: a closed form sums at every x > 0
     assume(not b or (a.denominator == 1 and a >= 0))
     s = -s if decaying else s
-    kernel = ClosedFormKernel(s, [(F(1), a, b)], growth=(1.0, 0.25))
-    x = F(1, 4) + F(1, 64) + dx
+    kernel = ClosedFormKernel(s, [(F(1), a, b)])
     val, err = laplace(kernel, x, QuadratureConfig(precision=digits))
     with mp.workdps(digits + 30):
         ref = averaged_power_transform(mp_fraction(s), mp_fraction(a), b, mp_fraction(x))

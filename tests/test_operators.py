@@ -179,11 +179,16 @@ class TestCatalog:
 
     @pytest.mark.parametrize("name", ["ei", "erfi_integral", "loggamma", "gamma"])
     def test_eb_value_takes_an_exact_point(self, name):
-        # x is rounded once, at the working precision, as eb_sum does
-        entry, cfg = catalog()[name], QuadratureConfig(precision=30)
+        # the critical time c x^p is formed from the exact x and rounded once,
+        # at the working precision: 961/9 for the erfi integral, 31/3 itself
+        # for the others, which then sum as the rounded x does
+        entry, cfg, x = catalog()[name], QuadratureConfig(precision=30), F(31, 3)
+        t = entry.crit_coef * x ** int(entry.crit_power)
         with mp.workdps(30):
+            assert entry.critical_time(x) == mp.mpf(t.numerator) / t.denominator
             rounded = mp.mpf(31) / 3
-        assert entry.eb_value(F(31, 3), cfg) == entry.eb_value(rounded, cfg)
+        if entry.crit_power == 1:
+            assert entry.eb_value(x, cfg) == entry.eb_value(rounded, cfg)
 
     def test_erfi_integral_value_term_keeps_precision(self):
         with mp.workdps(50):

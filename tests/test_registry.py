@@ -195,14 +195,3 @@ def test_erfi_sum_is_the_closed_form():
         assert abs(val - exact) <= err
     assert '"error_estimate"' in buf.getvalue()
 
-
-def test_manifest_growth_is_each_kernels_growth():
-    # the (c1, c3) the manifest reports are the constants laplace bounds the tail with
-    from tsr.operators import catalog_manifest
-
-    manifest = catalog_manifest()
-    assert any(entry["growth"] for entry in manifest.values())
-    for entry in manifest.values():
-        assert set(entry["growth"]) == set(entry["kernels"])
-        for name, growth in entry["growth"].items():
-            assert growth == list(named_series(name).kernel.kernel.growth)
