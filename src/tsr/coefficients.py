@@ -106,12 +106,11 @@ def named_series(name: str) -> PowerSeries:
 
 def named_multiple(ps: PowerSeries) -> Optional[tuple[str, Fraction]]:
     """(name, c) when ``ps`` is c * #name, c nonzero, read off its kernel
-    entry: #name's own kernel object at #name's m (whose c is 1); else None."""
+    entry: #name's own kernel object (whose c is 1); else None."""
     entry = ps.kernel
     if entry is None or not entry.c:
         return None
     for name in NAMED_SERIES:
-        own = named_series(name).kernel
-        if own.kernel is entry.kernel and own.m == entry.m:
+        if named_series(name).kernel.kernel is entry.kernel:
             return name, entry.c
     return None

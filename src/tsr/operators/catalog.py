@@ -43,7 +43,7 @@ from mpmath import libmp
 from ..coefficients import named_multiple, named_series
 from ..errors import DomainError
 from ..resummation import KernelEntry, QuadratureConfig, eb_sum, resolve_default, special
-from ..resummation.kernels import _c2mp
+from ..resummation.kernels import _c2mp, _interval
 from ..stream import Stream
 from ..transseries import LogPart, PowerSeries, TransseriesT1, assemble, ts_to_json
 from ..transseries.grid import Group, groups_of
@@ -78,10 +78,21 @@ class CatalogFunction:
         return series.kernel or resolve_default(series)
 
     def critical_time(self, x):
-        """crit_coef * x^crit_power (x an mpf or a Fraction) at 20 more bits, rounded once."""
-        with mp.workprec(mp.mp.prec + 20):
-            t = _c2mp(self.crit_coef) * _c2mp(x) ** _c2mp(self.crit_power)
-        return +t
+        """t = crit_coef * x^crit_power, exact for an integer power: a Fraction,
+        or a binary x's binary power.  Airy's (2/3) x^(3/2) is rounded once, 30
+        bits past the working precision and t's integer bits: its sum moves by
+        at most 2t + 2 units per unit of t (``AiryKernel.laplace``), so by under
+        2^-20 units, and ``eb_value`` pays one.  A power other than 1 needs x >= 0."""
+        c, p = self.crit_coef, self.crit_power
+        if p != 1 and x < 0:
+            raise DomainError(f"{self.name}: its transseries in t = {c} x^{p} holds for x > 0 only; got {x}")
+        if p.denominator == 1:
+            if isinstance(x, (int, Fraction)):
+                return c * Fraction(x) ** int(p)
+            t = functools.reduce(libmp.mpf_mul, [_interval(x, 53)[0]] * int(p))  # exact
+            return mp.make_mpf(t) if c == 1 else c * Fraction(*libmp.to_rational(t))
+        with mp.workprec(mp.mp.prec + 30 + max(math.ceil(p * special.mag(_interval(x, 53)[1])), 0)):
+            return +(_c2mp(c) * _c2mp(x) ** _c2mp(p))
 
     def eb_value(self, x, cfg: QuadratureConfig = None):
         """Resummation-side value: prefactor * eb_sum at the critical time."""
@@ -99,6 +110,8 @@ class CatalogFunction:
             scale = self.prefactor.numeric()
             out = scale * val
             err = abs(scale) * err
+            if self.crit_power.denominator != 1:
+                err += abs(out) * mp.eps  # for the rounding of t, see ``critical_time``
             if self.ln2pi_coef:
                 term = _c2mp(self.ln2pi_coef) * mp.log(2 * mp.pi)
                 out += term
@@ -601,8 +614,7 @@ def catalog() -> dict[str, CatalogFunction]:
 
 
 def catalog_manifest() -> dict:
-    """JSON-ready manifest: per entry the kernels, their regularization
-    orders and the tolerances."""
+    """JSON-ready manifest: per entry the kernels and the tolerances."""
     out = {}
     for name, e in catalog().items():
         groups = groups_of(e.transseries) if e.transseries else []
@@ -613,7 +625,6 @@ def catalog_manifest() -> dict:
             "prefactor": e.prefactor.render(),
             "ln2pi_coef": str(e.ln2pi_coef),
             "kernels": {k: type(v.kernel).__name__ for k, v in named.items()},
-            "regularization_m": {k: v.m for k, v in named.items()},
             "domain_c": e.domain_c,
             "tolerance": e.tolerance,
             "composes": e.compose_exp_of,

@@ -36,9 +36,6 @@ def borel_transform(s: PowerSeries, K: int) -> BorelPoly:
     return BorelPoly(tuple(s.coeff(k + 1) / factorial(k) for k in range(K + 1)))
 
 
-def p_integrate_poly(b: BorelPoly, m: int = 1) -> BorelPoly:
-    """P^m on polynomials: m-fold antiderivative from 0 (equals (1*)^m b)."""
-    out = b
-    for _ in range(m):
-        out = BorelPoly((Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(out.coeffs)))
-    return out
+def p_integrate_poly(b: BorelPoly) -> BorelPoly:
+    """P on polynomials: the antiderivative from 0 (equals 1 * b)."""
+    return BorelPoly((Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(b.coeffs)))

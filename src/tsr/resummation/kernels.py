@@ -23,7 +23,7 @@ positive roots and their orders, and bisection refines each simple one to a
 binary fraction at an explicit precision (``positive_roots``).  A pole of
 order 2 or more has no principal value and is refused.
 
-A series carries its kernel as a :class:`KernelEntry` (kernel, m, c): its
+A series carries its kernel as a :class:`KernelEntry` (kernel, c): its
 Borel transform is c times the kernel, so every rational multiple of a
 registered series shares the registered kernel object.
 """
@@ -50,9 +50,6 @@ class BorelFunction:
     the lateral continuations), ``singularities()`` (its simple poles on the
     positive axis, ascending, as binary fractions: the points a quadrature
     sum folds at) and ``growth`` (see ``PadeKernel``)."""
-
-    def p_integral(self, m: int = 1) -> "BorelFunction":
-        raise NotRegularizableError(f"{type(self).__name__} has no P rule")
 
 
 @dataclass(frozen=True)
@@ -211,9 +208,7 @@ class ClosedFormKernel(BorelFunction):
                 out[k] += t.coef * tc[k] / self.s**k
         return out
 
-    def p_integral(self, m: int = 1) -> "ClosedFormKernel":
-        if m == 0:
-            return self
+    def p_integral(self) -> "ClosedFormKernel":
         s = self.s
         new_terms: list[tuple] = []
         const = Fraction(0)
@@ -232,9 +227,8 @@ class ClosedFormKernel(BorelFunction):
                 new_terms.append((c * s / (a + 1) ** 2, a + 1, 0))
             else:
                 raise NotRegularizableError("no rule for v^-1 log v")
-        poly = p_integrate_poly(self.poly, 1) + BorelPoly((const,))
-        out = ClosedFormKernel(s, new_terms, poly, self.name and f"P({self.name})")
-        return out.p_integral(m - 1)
+        poly = p_integrate_poly(self.poly) + BorelPoly((const,))
+        return ClosedFormKernel(s, new_terms, poly, self.name and f"P({self.name})")
 
 
 _UP = libmp.round_up
@@ -518,23 +512,21 @@ def _fixed_horner(coeffs: list, node: int, frac: int, g: int) -> tuple[int, int]
 
 @dataclass(frozen=True)
 class KernelEntry:
-    """c times a Borel kernel, and the order m of the P^m regularization its
-    sum uses.  The Laplace transform is linear, so the sum integrates the
-    kernel alone and multiplies by c."""
+    """c times a Borel kernel.  The Laplace transform is linear, so the sum
+    integrates the kernel alone and multiplies by c."""
 
     kernel: BorelFunction
-    m: int = 0
     c: Fraction = Fraction(1)
 
     def scale(self, c) -> "KernelEntry":
-        return KernelEntry(self.kernel, self.m, self.c * Fraction(c))
+        return KernelEntry(self.kernel, self.c * Fraction(c))
 
     def __add__(self, other: "KernelEntry") -> Optional["KernelEntry"]:
         """The entry of a sum of series: (c + d) * K for c * K + d * K, else
         None (a sum of different kernels is left to the Pade fallback)."""
-        if self.kernel is not other.kernel or self.m != other.m:
+        if self.kernel is not other.kernel:
             return None
-        return KernelEntry(self.kernel, self.m, self.c + other.c)
+        return KernelEntry(self.kernel, self.c + other.c)
 
 
 def derive_antidiff_kernel(mu: Fraction, offset: Fraction, y, w) -> Optional[KernelEntry]:
@@ -547,7 +539,8 @@ def derive_antidiff_kernel(mu: Fraction, offset: Fraction, y, w) -> Optional[Ker
         b = 1:  W = w_1 + int_0^p Y'(s)/(mu - s) ds   (a log plus a polynomial)
 
     where Y is the polynomial Borel transform of y.  For decaying groups the
-    reference point mu is negative, so W is analytic on the Laplace ray.
+    reference point mu is negative, so W is analytic on the Laplace ray; for
+    growing ones its pole v^-1 at mu is summed as the principal value.
     """
     if y.length is None or offset not in (0, 1):
         return None
@@ -574,16 +567,13 @@ def derive_antidiff_kernel(mu: Fraction, offset: Fraction, y, w) -> Optional[Ker
         Q, r = divide(Y)
         # W = Q(p) + (r/lam) v^-1, v = 1 - p/lam
         terms = [(r / lam, Fraction(-1), 0)] if r else []
-        kernel = ClosedFormKernel(lam, terms, Q, name=f"anti({lam})")
-        m = 1 if (lam > 0 and r != 0) else 0
-        return KernelEntry(kernel, m=m)
+        return KernelEntry(ClosedFormKernel(lam, terms, Q, name=f"anti({lam})"))
     # offset == 1
     dY = BorelPoly(tuple((k + 1) * c for k, c in enumerate(Y.coeffs[1:])))
     Q, r = divide(dY)
-    poly = p_integrate_poly(Q, 1) + BorelPoly((Fraction(w.coeff(1)),))
+    poly = p_integrate_poly(Q) + BorelPoly((Fraction(w.coeff(1)),))
     terms = [(-r, Fraction(0), 1)] if r else []  # -r log v
-    kernel = ClosedFormKernel(lam, terms, poly, name=f"anti({lam})")
-    return KernelEntry(kernel, m=0)
+    return KernelEntry(ClosedFormKernel(lam, terms, poly, name=f"anti({lam})"))
 
 
 # -- canonical kernels ---------------------------------------------------------

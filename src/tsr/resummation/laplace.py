@@ -312,7 +312,7 @@ def resolve_default(series: PowerSeries) -> KernelEntry:
     m = n = 11
     while n >= 1:
         try:
-            return KernelEntry(pade_continue(poly, (m, n)), m=0)
+            return KernelEntry(pade_continue(poly, (m, n)))
         except DegenerateTableError:
             m -= 1
             n -= 1
@@ -330,9 +330,10 @@ def eb_sum(
 
     A finite grid series and the log part evaluate exactly.  Every other
     series y is summed through its Borel kernel entry c K (resolver-supplied,
-    else the series' own, else a generic Pade fit), as c x^m L[man P^m K](x):
-    the Laplace integral of the kernel's m-fold P-integral, times c x^m.
-    Each sum is weighted by its transmonomial; a non-finite x is a DomainError.
+    else the series' own, else a generic Pade fit), as c L[K](x) at the x
+    given (a closed form encloses a Fraction), times its transmonomial
+    x^beta e^(mu x), e^(mu x) formed from that x too; a non-finite x is a
+    DomainError.
     """
     cfg = cfg or QuadratureConfig()
     _finite(x)
@@ -384,23 +385,15 @@ def eb_sum(
                 term = exp_mux * val
                 total += term
                 # e^(mu x) is off by a unit (``_exp_rate``) and the product by
-                # half a unit more; x may be rounded (``eb_value``'s critical
-                # time), and each unit of x moves e^(mu x) by |mu x| units
-                err += (abs(exp_mux) * verr + (2 + 2 * abs(_c2mp(grp.mu) * x)) * abs(term)) * mp.eps
+                # half a unit more
+                err += (abs(exp_mux) * verr + 2 * abs(term)) * mp.eps
                 continue
             entry = (resolver(series) if resolver is not None else series.kernel) or resolve_default(series)
-            # c x^m L[man P^m K](x): the regularized sum of one series
-            kernel = entry.kernel.p_integral(entry.m) if entry.m else entry.kernel
-            val, lerr = laplace(kernel, x, cfg)
+            val, lerr = laplace(entry.kernel, given, cfg)
             pre = x ** _c2mp(grp.offset) * exp_mux
-            scale = _c2mp(entry.c) * x**entry.m
-            term = pre * (scale * val)
-            total += term
+            scale = _c2mp(entry.c)
+            total += pre * (scale * val)
             err += abs(pre) * (abs(scale) * lerr)
-            if getattr(kernel, "laplace", None) is not None:
-                # a closed form's error bounds its own rounding, and |mu x|
-                # units more pay for a rounded x, as above
-                err += abs(term) * abs(_c2mp(grp.mu) * x) * mp.eps
         return total, err
 
 

@@ -134,6 +134,4 @@ __all__ = [
     "ts_mul_minus",
     "ts_diff",
     "ts_antidiff",
-    "eq_to_order",
-    "semantic_terms",
 ]

@@ -78,18 +78,18 @@ class TestPIntegrate:
 
     def test_equals_unit_convolution(self, rng):
         b = BorelPoly(tuple(F(rng.randint(-5, 5)) for _ in range(8)))
-        assert p_integrate_poly(b, 1).coeffs[: len(b.coeffs) + 1] == convolve(UNIT, b).coeffs
+        assert p_integrate_poly(b).coeffs[: len(b.coeffs) + 1] == convolve(UNIT, b).coeffs
 
     def test_pole_becomes_log(self):
         from tsr.resummation import pole_kernel
 
-        k = pole_kernel(1).p_integral(1)
+        k = pole_kernel(1).p_integral()
         # -log(1-p): Taylor 0, 1, 1/2, 1/3, ...
         assert k.taylor(5) == [0, 1, F(1, 2), F(1, 3), F(1, 4), F(1, 5)]
 
     def test_double_integral_of_pole_by_differentiation(self):
         # P^2 of 1/(1-p), checked against its exact Taylor (twice-integrated)
-        k2 = __import__("tsr.resummation", fromlist=["pole_kernel"]).pole_kernel(1).p_integral(2)
+        k2 = __import__("tsr.resummation", fromlist=["pole_kernel"]).pole_kernel(1).p_integral().p_integral()
         # d^2/dp^2 of the Taylor must give back the geometric series
         t = k2.taylor(8)
         second = [t[k] * k * (k - 1) for k in range(2, 9)]

@@ -166,7 +166,7 @@ class TestVerbs:
     def test_catalog_manifest(self, cli):
         code, out, _ = cli("catalog", "--manifest")
         man = json.loads(out)
-        assert man["ei"]["regularization_m"] == {"ei": 0}
+        assert man["ei"]["kernels"] == {"ei": "ClosedFormKernel"} and "regularization_m" not in man["ei"]
 
 
 class TestErrors:
@@ -628,6 +628,23 @@ class TestSumPoint:
             value, bound = out.rstrip(")\n").split("  (error <= ")
         with mp.workdps(400):  # past the sum's 50 digits by 20 or more, and x = 10^300 exactly
             assert abs(mp.exp(mu * mp.mpf(int(F(x)))) - mp.mpf(value)) <= mp.mpf(bound)
+            # the exact x forms e^(mu x) to the working precision: the bound
+            # is a few units of the value, not a factor e^(|mu x| 2^-prec)
+            assert json_out or mp.mpf(bound) <= mp.mpf(10) ** -18 * abs(mp.mpf(value))
+
+    def test_a_sum_near_a_zero_of_ei_is_right_in_every_digit(self, cli):
+        # e^(-x) Ei(x) at x = 0.37250741, 8e-10 from Ei's zero: the kernel is
+        # summed at the exact x, not at x rounded to 15 digits, which would
+        # move the sum by about 2 parts in 10^8
+        import mpmath as mp
+
+        code, out, err = cli("sum", "#ei", "0.37250741", "--prec", "15")
+        assert code == 0, err
+        value, bound = out.rstrip(")\n").split("  (error <= ")
+        assert value == "-2.09758682101858e-9"
+        with mp.workdps(50):
+            x = mp.mpf(37250741) / 10**8
+            assert abs(mp.mpf(value) - mp.exp(-x) * mp.ei(x)) <= mp.mpf(bound)
 
 
 class TestGoldenStability:

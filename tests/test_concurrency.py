@@ -270,7 +270,7 @@ def test_closed_form_laplace_bit_identical_from_16_threads():
 
     # the kernels ts_antidiff derives: a pole at -1, and log(1 - p/2) plus a polynomial
     derived = [groups_of(ts_antidiff(ts_parse(e)))[0].series.kernel.kernel for e in ("exp(-x)/x", "x*exp(2*x)*series![1, 2, 3]")]
-    kernels = [pole_kernel(1), sqrt_branch_kernel(1), pole_kernel(1).p_integral(1), sqrt_branch_kernel(1).p_integral(1), *derived]
+    kernels = [pole_kernel(1), sqrt_branch_kernel(1), pole_kernel(1).p_integral(), sqrt_branch_kernel(1).p_integral(), *derived]
     cases = [(k, x, QuadratureConfig(precision=d)) for k in kernels for x in (3, 7) for d in (20, 40, 80)]
 
     def raw(k: int) -> list:

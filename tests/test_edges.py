@@ -38,7 +38,7 @@ class TestDerivativeCommutation:
             dot = y.diff_combo(b, -lam)
             lhs = borel_transform(dot, 8)
             By = borel_transform(y, 8)
-            integrated = p_integrate_poly(By, 1)
+            integrated = p_integrate_poly(By)
             for k in range(9):
                 rhs = b * integrated.coeff(k) - lam * By.coeff(k) - (By.coeff(k - 1) if k else F(0))
                 assert lhs.coeff(k) == rhs
@@ -62,7 +62,7 @@ class TestRegularization:
 
     def test_p_integral_makes_it_integrable(self):
         bad = ClosedFormKernel(F(1), [(F(1), F(-3, 2), 0)])
-        fixed = bad.p_integral(1)
+        fixed = bad.p_integral()
         val, err = laplace(fixed, 6, CFG)
         assert mp.isfinite(val)
 

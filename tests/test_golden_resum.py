@@ -33,7 +33,7 @@ from tsr.resummation import QuadratureConfig, eb_sum, laplace, pole_kernel, sqrt
 from tsr.transseries import ts_parse
 
 GOLDEN = Path(__file__).with_name("golden") / "resum_values.json"
-KERNELS = {"log": lambda s: pole_kernel(s).p_integral(1), "sqrt_branch": sqrt_branch_kernel}
+KERNELS = {"log": lambda s: pole_kernel(s).p_integral(), "sqrt_branch": sqrt_branch_kernel}
 
 CASES = (
     [("eb_sum", expr, 10.0, 30) for expr in ("2*#ei", "1/3*#ei", "5/4*#ei")]

@@ -67,7 +67,7 @@ class TestLaplace:
         # x L[-log|1-p|] = PV L[1/(1-p)] (integration by parts)
         x = 6
         pv, _ = laplace(pole_kernel(1), x, CFG)
-        lg, _ = laplace(pole_kernel(1).p_integral(1), x, CFG)
+        lg, _ = laplace(pole_kernel(1).p_integral(), x, CFG)
         assert mpf_close(x * lg, pv, 1e-12)
 
     def test_branch_kernel_is_erfi_integral(self):
@@ -82,7 +82,7 @@ class TestLaplace:
     def test_growth_bound(self):
         # a closed form sums at every x > 0: the log kernel's x L[-log|1-p|]
         # is e^(-x) Ei(x), here at x = 1/10; x <= 0 is refused
-        k = pole_kernel(1).p_integral(1)
+        k = pole_kernel(1).p_integral()
         val, err = laplace(k, F(1, 10), CFG)
         with mp.workdps(CFG.precision + 30):
             x = mp.mpf(1) / 10
@@ -188,7 +188,7 @@ class TestEbSum:
 
     def test_ei_transseries(self):
         ei_ts = ts_antidiff(ts_parse("exp(x)/x"))
-        val, err = eb_sum(ei_ts, 10, CFG, resolver=lambda s: KernelEntry(pole_kernel(1), 1))
+        val, err = eb_sum(ei_ts, 10, CFG, resolver=lambda s: KernelEntry(pole_kernel(1)))
         ref = mp.ei(10)
         assert mpf_close(val, ref, 1e-10)
 
@@ -611,7 +611,7 @@ def test_gamma_and_log_gamma_within_their_reported_error(name, x, digits):
 
 
 #: each entry eb_value sums, with mpmath's value and the interval x is drawn
-#: from; at every x but a binary fraction the critical time is rounded
+#: from; Airy's critical time (2/3) x^(3/2) is rounded, every other is exact
 EB_VALUE_REFS = {
     "airy_ai": (mp.airyai, 2, 60),
     "airy_bi": (mp.airybi, 2, 60),
@@ -628,14 +628,64 @@ EB_VALUE_REFS = {
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(EB_VALUE_REFS)), st.sampled_from((15, 30, 50)), st.data())
 def test_eb_value_is_within_its_reported_error_of_mpmath(name, digits, data):
-    # eb_value rounds the critical time t before eb_sum sees it, and a unit
-    # of t moves e^(mu t) by |mu t| units: eb_sum's |mu x| allowances pay for
-    # that, at non-dyadic x, in kernel groups and finite groups alike
+    # eb_sum sums at the critical time t it is given, exact for an integer
+    # power; Airy's t is rounded at guard bits, and eb_value pays a unit for
+    # it, so no |mu t| allowance is paid at non-dyadic x
     ref, lo, hi = EB_VALUE_REFS[name]
     x = data.draw(st.fractions(lo, hi, max_denominator=1000).filter(lambda q: q.denominator & (q.denominator - 1)), label="x")
     val, err = catalog()[name].eb_value(x, QuadratureConfig(precision=digits))
     with mp.workdps(digits + 40):
         assert abs(val - ref(mp_fraction(x))) <= err
+
+
+#: sums of closed-form kernels, each with mpmath's closed form of it
+RATIONAL_POINT_SUMS = {
+    "#ei": lambda x: mp.exp(-x) * mp.ei(x),
+    "x*exp(x)*#ei": lambda x: x * mp.ei(x),
+    "exp(-x)*#ei": lambda x: mp.exp(-2 * x) * mp.ei(x),
+    "exp(3*x)*#ei": lambda x: mp.exp(2 * x) * mp.ei(x),
+    "exp(-5*x)*#ei": lambda x: mp.exp(-6 * x) * mp.ei(x),
+    "antidiff exp(x)/x": mp.ei,
+    "#erfi": lambda x: mp.exp(-x) * mp.sqrt(mp.pi / x) / 2 * mp.erfi(mp.sqrt(x)),
+    "#stirling": lambda x: mp.loggamma(x) - (x - mp.mpf(1) / 2) * mp.log(x) + x - mp.log(2 * mp.pi) / 2,
+}
+#: 37250741/10^8 lies 8e-10 from Ei's zero, where a rounded x moves e^(-x) Ei(x)
+#: by about 2 parts in 10^8
+NEAR_EI_ZERO = F(37250741, 10**8)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(RATIONAL_POINT_SUMS)),
+    st.sampled_from((15, 30)),
+    st.sampled_from((3, 7, 999983, 1000003)).flatmap(lambda d: st.integers(d // 20 + 1, 40 * d).map(lambda n: F(n, d))),
+)
+@example(expr="#ei", digits=15, x=NEAR_EI_ZERO)
+@example(expr="#ei", digits=30, x=NEAR_EI_ZERO)
+@example(expr="x*exp(x)*#ei", digits=15, x=NEAR_EI_ZERO)
+@example(expr="antidiff exp(x)/x", digits=15, x=NEAR_EI_ZERO)
+def test_a_sum_at_a_rational_point_is_within_its_error(expr, digits, x):
+    # eb_sum sums each kernel at the x it is given, a non-dyadic rational
+    # here, and forms e^(mu x) from it too: no |mu x| allowance is paid
+    ts = ts_antidiff(ts_parse("exp(x)/x")) if expr.startswith("antidiff") else ts_parse(expr)
+    val, err = eb_sum(ts, x, QuadratureConfig(precision=digits))
+    with mp.workdps(digits + 40):
+        assert abs(val - RATIONAL_POINT_SUMS[expr](mp_fraction(x))) <= err
+
+
+@pytest.mark.parametrize("name", ["erfi_integral", "airy_ai", "airy_bi"])
+def test_a_critical_power_other_than_1_refuses_a_negative_point(name):
+    # the transseries in t = c x^p describes x > 0: at x = -3 the erfi
+    # integral's t = 9 would sum to +1444.5 for a true -1444.5, and Airy's
+    # x^(3/2) has no real value
+    for x in (-3, F(-1, 3), -2.5, mp.mpf(-3)):
+        with pytest.raises(DomainError, match="x > 0 only"):
+            catalog()[name].eb_value(x, CFG)
+    # a critical power of 1 takes the point as it is
+    with mp.workdps(CFG.precision + 20):
+        for entry, ref in (("exp", mp.exp(-3)), ("exp_neg", mp.exp(3)), ("ei_integrand", -mp.exp(-3) / 3)):
+            val, err = catalog()[entry].eb_value(-3, CFG)
+            assert abs(val - ref) <= err
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), mp.nan, mp.inf, -mp.inf], ids=repr)

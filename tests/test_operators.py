@@ -157,7 +157,9 @@ class TestCatalog:
     def test_manifest_shape(self):
         man = catalog_manifest()
         assert man["ei"]["kernels"] == {"ei": "ClosedFormKernel"}
-        assert man["ei"]["regularization_m"] == {"ei": 0}
+        assert set(man["ei"]) == {
+            "transseries", "critical_time", "prefactor", "ln2pi_coef", "kernels", "domain_c", "tolerance", "composes"
+        }
         assert man["erfi_integral"]["critical_time"] == {"coef": "1", "power": "2"}
         assert man["loggamma"]["ln2pi_coef"] == "1/2"
         assert man["airy_ai"]["critical_time"] == {"coef": "2/3", "power": "3/2"}
@@ -179,16 +181,17 @@ class TestCatalog:
 
     @pytest.mark.parametrize("name", ["ei", "erfi_integral", "loggamma", "gamma"])
     def test_eb_value_takes_an_exact_point(self, name):
-        # the critical time c x^p is formed from the exact x and rounded once,
-        # at the working precision: 961/9 for the erfi integral, 31/3 itself
-        # for the others, which then sum as the rounded x does
+        # an integer power's critical time is exact, 961/9 for the erfi
+        # integral and 31/3 itself for the others, and the sum is taken there:
+        # within its error of mpmath at the exact 31/3, not at a rounded one
         entry, cfg, x = catalog()[name], QuadratureConfig(precision=30), F(31, 3)
-        t = entry.crit_coef * x ** int(entry.crit_power)
         with mp.workdps(30):
-            assert entry.critical_time(x) == mp.mpf(t.numerator) / t.denominator
-            rounded = mp.mpf(31) / 3
-        if entry.crit_power == 1:
-            assert entry.eb_value(x, cfg) == entry.eb_value(rounded, cfg)
+            t = entry.critical_time(x)
+        assert type(t) is F and t == (F(961, 9) if name == "erfi_integral" else x)
+        ref = {"ei": mp.ei, "erfi_integral": lambda t: mp.sqrt(mp.pi) / 2 * mp.erfi(t), "loggamma": mp.loggamma, "gamma": mp.gamma}
+        val, err = entry.eb_value(x, cfg)
+        with mp.workdps(70):
+            assert abs(val - ref[name](mp.mpf(31) / 3)) <= err
 
     def test_erfi_integral_value_term_keeps_precision(self):
         with mp.workdps(50):

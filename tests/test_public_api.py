@@ -1,18 +1,26 @@
-"""Every name a package exports in ``__all__`` exists, and none is listed
-twice; the surreal and transseries layers import no layer above them."""
+"""Every name a module exports in ``__all__`` exists, and none is listed
+twice in a package's; the surreal and transseries layers import no layer
+above them."""
 
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import tsr
+
 PACKAGES = ["tsr.surreal", "tsr.transseries", "tsr.resummation", "tsr.operators"]
+#: every module under tsr that defines ``__all__``, so that ``import *`` works
+EXPORTING = sorted(
+    info.name for info in pkgutil.walk_packages(tsr.__path__, "tsr.") if hasattr(importlib.import_module(info.name), "__all__")
+)
 
 
-@pytest.mark.parametrize("package", PACKAGES)
+@pytest.mark.parametrize("package", EXPORTING)
 def test_all_names_resolve(package):
     mod = importlib.import_module(package)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]

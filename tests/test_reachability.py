@@ -40,7 +40,6 @@ ALLOWED = {
     "operators/values.py:NumericTaylor.sign": "each value kind signs itself, so the law suites need not ask which kind they hold",
     "operators/values.py:NumericTaylor.numeric_const": "each value kind reads itself as a real constant for the law suites",
     "operators/values.py:DecoratedValue.numeric_const": "each value kind reads itself as a real constant for the law suites",
-    "resummation/kernels.py:BorelFunction.p_integral": "the refusal of a kernel without a P rule, for item 2's P-integrated sums",
     "resummation/kernels.py:ClosedFormKernel._transform.up": "steps L_a up to a >= 1, which only P-integrated kernels carry",
     "resummation/kernels.py:ClosedFormKernel._transform.up_log": "steps M_a up to a >= 1, which only P-integrated kernels carry",
     "resummation/kernels.py:PadeKernel.taylor": "the kernel interface's exact coefficients, which watson_check reads of any kernel",
