@@ -43,7 +43,8 @@ from mpmath import libmp
 from ..coefficients import named_multiple, named_series
 from ..errors import DomainError
 from ..resummation import KernelEntry, QuadratureConfig, eb_sum, resolve_default, special
-from ..resummation.kernels import _c2mp, _interval
+from ..resummation.laplace import _exp_rate
+from ..resummation.kernels import _ball, _c2mp, _interval, _rounded
 from ..stream import Stream
 from ..transseries import LogPart, PowerSeries, TransseriesT1, assemble, ts_to_json
 from ..transseries.grid import Group, groups_of
@@ -63,7 +64,6 @@ class CatalogFunction:
     prefactor: Prefactor = field(default_factory=Prefactor.one)
     ln2pi_coef: Fraction = Fraction(0)
     domain_c: Optional[float] = None
-    tolerance: float = 1e-10
     exact_value: Optional[Callable] = None  # x0 -> (Prefactor, Fraction) | None
     antiderivative: Optional[Callable[[], CatalogFunction]] = None  # the stored A_No of this entry
     reflected_name: Optional[str] = None
@@ -77,12 +77,13 @@ class CatalogFunction:
         finite series itself and never asks)."""
         return series.kernel or resolve_default(series)
 
-    def critical_time(self, x):
+    def critical_time(self, x, prec: int):
         """t = crit_coef * x^crit_power, exact for an integer power: a Fraction,
         or a binary x's binary power.  Airy's (2/3) x^(3/2) is rounded once, 30
-        bits past the working precision and t's integer bits: its sum moves by
-        at most 2t + 2 units per unit of t (``AiryKernel.laplace``), so by under
-        2^-20 units, and ``eb_value`` pays one.  A power other than 1 needs x >= 0."""
+        bits past ``prec`` and t's integer bits: its sum moves by at most
+        2t + 2 units per unit of t (``AiryKernel.laplace``), so by under
+        2^-20 units, and ``eb_value`` pays one.  A power other than 1 needs
+        x >= 0.  No context precision is read or set."""
         c, p = self.crit_coef, self.crit_power
         if p != 1 and x < 0:
             raise DomainError(f"{self.name}: its transseries in t = {c} x^{p} holds for x > 0 only; got {x}")
@@ -91,33 +92,35 @@ class CatalogFunction:
                 return c * Fraction(x) ** int(p)
             t = functools.reduce(libmp.mpf_mul, [_interval(x, 53)[0]] * int(p))  # exact
             return mp.make_mpf(t) if c == 1 else c * Fraction(*libmp.to_rational(t))
-        with mp.workprec(mp.mp.prec + 30 + max(math.ceil(p * special.mag(_interval(x, 53)[1])), 0)):
-            return +(_c2mp(c) * _c2mp(x) ** _c2mp(p))
+        wp = prec + 30 + max(math.ceil(p * special.mag(_interval(x, 53)[1])), 0)
+        near = lambda q: libmp.from_rational(q.numerator, q.denominator, wp, _RND)  # noqa: E731
+        xp = libmp.mpf_pow(near(Fraction(x)) if isinstance(x, Fraction) else _interval(x, wp)[0], near(p), wp, _RND)
+        return mp.make_mpf(libmp.mpf_mul(near(c), xp, wp, _RND))
 
     def eb_value(self, x, cfg: QuadratureConfig = None):
-        """Resummation-side value: prefactor * eb_sum at the critical time."""
+        """Resummation-side value: prefactor * eb_sum at the critical time.
+
+        The value is one raw interval at ``GUARD`` bits past the precision:
+        the ball of ``eb_sum``'s value and error times the prefactor's
+        enclosure, plus that of ln(2 pi) times its coefficient, or e to the
+        ball of the entry it is the exponential of.  Returns its midpoint
+        rounded to the precision and its radius plus that rounding.  No
+        context precision is read or set."""
         cfg = cfg or QuadratureConfig()
+        prec = libmp.dps_to_prec(cfg.precision)
+        wp = prec + special.GUARD
         if self.compose_exp_of is not None:
-            base = catalog()[self.compose_exp_of]
-            inner, err = base.eb_value(x, cfg)
-            with mp.workdps(cfg.precision):
-                val = mp.exp(inner)
-                # e^inner moves by |val| err, and its rounding adds a unit
-                return val, abs(val) * (err + mp.eps)
-        with mp.workdps(cfg.precision):
-            t = self.critical_time(x)
-            val, err = eb_sum(self.transseries, t, cfg, resolver=self.resolver)
-            scale = self.prefactor.numeric()
-            out = scale * val
-            err = abs(scale) * err
-            if self.crit_power.denominator != 1:
-                err += abs(out) * mp.eps  # for the rounding of t, see ``critical_time``
-            if self.ln2pi_coef:
-                term = _c2mp(self.ln2pi_coef) * mp.log(2 * mp.pi)
-                out += term
-                # two units of the term (2 pi, the log, the product) and one of the sum
-                err += (2 * abs(term) + abs(out)) * mp.eps
-            return out, err
+            inner = catalog()[self.compose_exp_of].eb_value(x, cfg)
+            return _rounded(libmp.mpi_exp(_ball(*inner, wp), wp), prec)
+        val = eb_sum(self.transseries, self.critical_time(x, prec), cfg, resolver=self.resolver)
+        out = libmp.mpi_mul(self.prefactor.enclosure(wp), _ball(*val, wp), wp)
+        if self.ln2pi_coef:
+            out = libmp.mpi_add(out, Prefactor.of(self.ln2pi_coef, ln2pi=1).enclosure(wp), wp)
+        val, err = _rounded(out, prec)
+        if self.crit_power.denominator != 1:
+            # a unit for the rounding of t, see ``critical_time``
+            err = mp.make_mpf(libmp.mpf_add(err._mpf_, libmp.mpf_shift(libmp.mpf_abs(val._mpf_), 1 - prec), 53, libmp.round_up))
+        return val, err
 
     def check_domain(self, x):
         """Raise DomainError unless x (an mpf or an exact Fraction) lies in the domain."""
@@ -347,19 +350,21 @@ def _laurent_mul(a: dict, b: dict) -> dict:
 
 
 def _laurent_eval(q: dict, x0):
-    total = Fraction(0) if isinstance(x0, Fraction) else mp.mpf(0)
+    total = Fraction(0) if isinstance(x0, Fraction) else 0
     for j, c in q.items():
-        cc = c if isinstance(x0, Fraction) else _c2mp(c)
-        total += cc * x0**j
+        total += c * x0**j if isinstance(x0, Fraction) else x0**j * c.numerator / c.denominator
     return total
 
 
-def exp_poly_taylor(phi: dict, q0: dict) -> Callable:
-    """Taylor facility of f = e^phi * q0, phi a polynomial and q0 a Laurent one.
+def exp_poly_taylor(rate: Fraction, p: int, q0: dict) -> Callable:
+    """Taylor facility of f = e^phi * q0, phi = rate x^p and q0 a Laurent polynomial.
 
     f^(k) = e^phi * q_k with q_(k+1) = q_k' + phi' * q_k.  A term is exact at
-    a Fraction x0 unless x0 = 0 and q_k has a negative power.
+    a Fraction x0 unless x0 = 0 and q_k has a negative power.  Elsewhere
+    x0^p is formed exactly from the mpf x0, and e^phi from it at guard bits
+    (``_exp_rate``), rounded once to the working precision.
     """
+    phi = {p: rate}
     dphi = _laurent_diff(phi)
 
     def polys():
@@ -374,8 +379,10 @@ def exp_poly_taylor(phi: dict, q0: dict) -> Callable:
         q = qs[k]
         if isinstance(x0, Fraction) and (x0 != 0 or min(q, default=0) >= 0):
             return ("exact", Prefactor.of(1, e=_laurent_eval(phi, x0)), _laurent_eval(q, x0) / factorial(k))
-        x = _c2mp(x0)
-        return ("num", mp.exp(_laurent_eval(phi, x)) * _laurent_eval(q, x) / mp.factorial(k))
+        x, prec = _c2mp(x0), mp.mp.prec
+        xp = mp.make_mpf(functools.reduce(libmp.mpf_mul, [x._mpf_] * p))  # exact
+        e_phi = _rounded(_exp_rate(rate, xp, prec + special.GUARD), prec)[0]
+        return ("num", e_phi * _laurent_eval(q, x) / factorial(k))
 
     return taylor
 
@@ -464,20 +471,13 @@ def elementary_entry(name: str, n: int, rate=0, p: int = 1, c=1, **links) -> Cat
     and the Taylor facility e^phi q_k (``exp_poly_taylor``).  ``links`` sets
     the entry's other fields (exact value, domain, antiderivative, reflection)."""
     rate, c = Fraction(rate), Fraction(c)
-
-    def oracle(x):
-        x = mp.mpf(x)
-        v = mp.exp(x**p * rate.numerator / rate.denominator)
-        v = v * x**n if n >= 0 else v / x**-n
-        return v * c.numerator / c.denominator
-
+    taylor = exp_poly_taylor(rate, p, {n: c})
     return CatalogFunction(
         name=name,
         transseries=assemble([Group(rate, Fraction(n, p) + 1, PowerSeries.from_coeffs([c]))]),
         crit_power=Fraction(p),
-        oracle=oracle,
-        taylor_term=exp_poly_taylor({p: rate}, {n: c}),
-        tolerance=1e-24,
+        oracle=lambda x: taylor(mp.mpf(x), 0)[1],
+        taylor_term=taylor,
         taylor_degree=None if rate else n,
         **links,
     )
@@ -490,7 +490,6 @@ def _ei_entry(integrand: CatalogFunction) -> CatalogFunction:
         oracle=ei_oracle,
         taylor_term=shifted_taylor(integrand.taylor_term, ei_oracle, None),
         domain_c=0.0,
-        tolerance=1e-10,
     )
 
 
@@ -503,7 +502,6 @@ def _erfi_integral_entry(integrand: CatalogFunction) -> CatalogFunction:
         oracle=erfi_integral_oracle,
         taylor_term=shifted_taylor(integrand.taylor_term, erfi_integral_oracle, at_zero),
         domain_c=None,
-        tolerance=1e-12,
         exact_value=at_zero,
     )
 
@@ -529,7 +527,6 @@ def _airy_entry(kind: str) -> CatalogFunction:
         oracle=oracle,
         taylor_term=_airy_taylor(kind),
         domain_c=None,
-        tolerance=2e-6 if kind == "bi" else 1e-8,
     )
 
 
@@ -545,7 +542,6 @@ def _loggamma_entry() -> CatalogFunction:
         oracle=loggamma_oracle,
         taylor_term=_loggamma_taylor,
         domain_c=0.0,
-        tolerance=1e-10,
     )
 
 
@@ -556,7 +552,6 @@ def _gamma_entry() -> CatalogFunction:
         oracle=gamma_oracle,
         taylor_term=exp_of_taylor(_loggamma_taylor, gamma_oracle),
         domain_c=0.0,
-        tolerance=1e-10,
         compose_exp_of="loggamma",
     )
 
@@ -614,7 +609,7 @@ def catalog() -> dict[str, CatalogFunction]:
 
 
 def catalog_manifest() -> dict:
-    """JSON-ready manifest: per entry the kernels and the tolerances."""
+    """JSON-ready manifest: per entry its transseries, critical time, prefactor and kernels."""
     out = {}
     for name, e in catalog().items():
         groups = groups_of(e.transseries) if e.transseries else []
@@ -626,7 +621,6 @@ def catalog_manifest() -> dict:
             "ln2pi_coef": str(e.ln2pi_coef),
             "kernels": {k: type(v.kernel).__name__ for k, v in named.items()},
             "domain_c": e.domain_c,
-            "tolerance": e.tolerance,
             "composes": e.compose_exp_of,
         }
     return out

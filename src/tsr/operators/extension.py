@@ -201,7 +201,6 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
         oracle=oracle,
         taylor_term=shifted_taylor(f.taylor_term, oracle, None),
         domain_c=f.domain_c,
-        tolerance=max(f.tolerance, 1e-9),
     )
     return anti_entry
 
@@ -230,7 +229,6 @@ def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFu
         crit_power=a.crit_power,
         ln2pi_coef=a.ln2pi_coef * ca + b.ln2pi_coef * cb,
         domain_c=max(filter(lambda v: v is not None, [a.domain_c, b.domain_c]), default=None),
-        tolerance=max(a.tolerance, b.tolerance),
         taylor_degree=None if None in degrees else max(degrees),
     )
 

@@ -4,31 +4,30 @@ Coefficient arithmetic stays exact-rational throughout the library, so the
 irrational scales that show up in the function catalog (powers of e, pi, and
 surds like (2/3)^(1/6)) ride along as symbolic tags: a rational factor times
 a product of named bases raised to rational powers.  Numeric contexts
-evaluate them with mpmath at the working precision.
+enclose them in raw ``mpmath.libmp`` intervals at an explicit precision
+(``Prefactor.enclosure``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
 import mpmath as mp
+from mpmath import libmp
 
-#: named bases other than e, whose power e^q ``numeric`` takes as exp(q)
-_BASE_VALUES = {
-    "pi": lambda: mp.pi,
-    "ln2pi": lambda: mp.log(2 * mp.pi),
-}
+from ..resummation.kernels import _interval, _rounded
 
 
-def _base_value(sym: str):
-    if sym in _BASE_VALUES:
-        return _BASE_VALUES[sym]()
+def _base(sym: str, wp: int) -> tuple:
+    """A raw interval at wp bits holding a named base other than e."""
+    if sym in ("pi", "ln2pi"):
+        pi = libmp.mpf_pi(wp, libmp.round_floor), libmp.mpf_pi(wp, libmp.round_ceiling)
+        return pi if sym == "pi" else libmp.mpi_log(libmp.mpi_mul(pi, (libmp.ftwo, libmp.ftwo)), wp)
     if sym.startswith("rat:"):
-        q = Fraction(sym[4:])
-        return mp.mpf(q.numerator) / q.denominator
+        return _interval(Fraction(sym[4:]), wp)
     if sym.startswith("ln:"):
-        q = Fraction(sym[3:])
-        return mp.log(mp.mpf(q.numerator) / q.denominator)
+        return libmp.mpi_log(_interval(Fraction(sym[3:]), wp), wp)
     raise KeyError(f"unknown prefactor base {sym!r}")
 
 
@@ -70,12 +69,20 @@ class Prefactor:
             self.factor * other.factor, tuple(sorted((k, v) for k, v in acc.items() if v))
         )
 
-    def numeric(self):
-        out = mp.mpf(self.factor.numerator) / self.factor.denominator
+    def enclosure(self, wp: int) -> tuple:
+        """A raw interval at wp bits holding the prefactor; no context
+        precision is read or set."""
+        out = _interval(self.factor, wp)
         for sym, q in self.powers:
-            q = mp.mpf(q.numerator) / q.denominator
-            out *= mp.exp(q) if sym == "e" else _base_value(sym) ** q
+            power = libmp.mpi_exp(_interval(q, wp), wp) if sym == "e" else libmp.mpi_pow(_base(sym, wp), _interval(q, wp), wp)
+            out = libmp.mpi_mul(out, power, wp)
         return out
+
+    def numeric(self):
+        """The prefactor at the working precision: its enclosure's midpoint
+        20 bits past it, rounded."""
+        prec = mp.mp.prec
+        return _rounded(self.enclosure(prec + 20), prec)[0]
 
     def render(self) -> str:
         bits = []

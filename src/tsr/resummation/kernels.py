@@ -102,9 +102,8 @@ class ClosedFormKernel(BorelFunction):
         the interval is below 2^-(prec+2) of its midpoint (the recurrence
         and a cancelling combination of terms lose bits).  Returns (value,
         error) as mpf: the midpoint rounded to ``prec`` bits, and a bound on
-        its distance from the transform with two units in its last place to
-        spare.  No context precision is read or set, so threads may call it
-        at once.
+        its distance from the transform (``_rounded``).  No context precision
+        is read or set, so threads may call it at once.
         """
         for t in self.terms:
             if t.a < -1 or (t.a == -1 and t.b):
@@ -118,12 +117,7 @@ class ClosedFormKernel(BorelFunction):
             if short <= 0:
                 break
             wp += min(short, 4 * prec) + 16
-        val = libmp.mpf_pos(mid, prec, libmp.round_nearest)
-        err = libmp.mpf_add(rad, libmp.mpf_abs(libmp.mpf_sub(val, mid)), 53, _UP)
-        # and |val| 2^(2-prec), for the rounding of the rational multiple and
-        # the prefactor a caller applies at the same precision
-        err = libmp.mpf_add(err, libmp.mpf_shift(libmp.mpf_abs(val), 2 - prec), 53, _UP)
-        return mp.make_mpf(val), mp.make_mpf(err)
+        return _rounded((lo, hi), prec)
 
     def _transform(self, x, wp: int) -> tuple:
         """A raw interval at wp bits holding L[F](x) (see ``laplace``)."""
@@ -244,6 +238,24 @@ def _interval(q, wp: int) -> tuple:
         return libmp.from_rational(n, d, wp, libmp.round_floor), libmp.from_rational(n, d, wp, libmp.round_ceiling)
     v = q._mpf_ if hasattr(q, "_mpf_") else libmp.from_float(q) if isinstance(q, float) else libmp.from_int(q)
     return v, v
+
+
+def _ball(value, error, wp: int) -> tuple:
+    """The raw interval [value - error, value + error] of two mpf, widened
+    outward to wp bits."""
+    v, e = value._mpf_, error._mpf_
+    return libmp.mpf_sub(v, e, wp, libmp.round_floor), libmp.mpf_add(v, e, wp, libmp.round_ceiling)
+
+
+def _rounded(iv, prec: int) -> tuple:
+    """(value, error) as mpf from a raw interval: its midpoint rounded to
+    prec bits, and a bound on the distance from that to every point of the
+    interval, the radius plus the rounding."""
+    lo, hi = iv
+    mid = libmp.mpf_shift(libmp.mpf_add(lo, hi), -1)
+    val = libmp.mpf_pos(mid, prec, libmp.round_nearest)
+    err = libmp.mpf_add(libmp.mpf_sub(hi, mid, 53, _UP), libmp.mpf_abs(libmp.mpf_sub(val, mid)), 53, _UP)
+    return mp.make_mpf(val), mp.make_mpf(err)
 
 
 def _c2mp(q) -> mp.mpf:
@@ -622,10 +634,8 @@ class CothKernel(BorelFunction):
         J ~ 1/(12x).  A Fraction x is rounded to wp bits first, which moves J
         by less than 2^-wp, since |J'(x)| < 1/(2x).  Returns (value, error)
         as mpf: the sum rounded to ``prec`` bits, and its bound plus |value|
-        2^-prec for the rounding and |value| 2^(2-prec) for the rational
-        multiple and the prefactor a caller applies at the same precision.
-        The error is built from magnitudes alone.  No context precision is
-        read or set, so threads may call it at once.
+        2^-prec for the rounding.  The error is built from magnitudes alone.
+        No context precision is read or set, so threads may call it at once.
         """
         wp = prec + special.GUARD + max(special.mag(_interval(x, 53)[0]), 0)
         X, hi = _interval(x, wp)
@@ -633,7 +643,7 @@ class CothKernel(BorelFunction):
         if X != hi:
             bound = libmp.mpf_add(bound, libmp.mpf_shift(libmp.fone, -wp), 53, _UP)
         val = libmp.mpf_pos(mid, prec, libmp.round_nearest)
-        err = libmp.mpf_add(bound, libmp.mpf_shift(libmp.mpf_mul_int(libmp.mpf_abs(val), 5, 53, _UP), -prec), 53, _UP)
+        err = libmp.mpf_add(bound, libmp.mpf_shift(libmp.mpf_abs(val), -prec), 53, _UP)
         return mp.make_mpf(val), mp.make_mpf(err)
 
 
@@ -672,15 +682,14 @@ class AiryKernel(BorelFunction):
         first.  That moves the transform by at most 2 (x + 1) 2^-wp of
         itself, since |x L'(x)| <= (x + 1) L(x) on either side (from the
         Bessel form and DLMF 10.29.2).  Returns (value, error) as mpf: the
-        sum rounded to ``prec`` bits, and its bound plus |value| 2^(3-prec)
-        for that move, the rounding, and the rational multiple and the
-        prefactor a caller applies at the same precision.  No context
-        precision is read or set, so threads may call it at once.
+        sum rounded to ``prec`` bits, and its bound plus |value| 2^(1-prec)
+        for that move and the rounding.  No context precision is read or
+        set, so threads may call it at once.
         """
         X = _interval(x, prec + special.GUARD + 1 + max(special.mag(_interval(x, 53)[0]), 0))[0]
         mid, bound = special.airy_laplace(X, self.side, prec)
         val = libmp.mpf_pos(mid, prec, libmp.round_nearest)
-        err = libmp.mpf_add(bound, libmp.mpf_shift(libmp.mpf_abs(val), 3 - prec), 53, _UP)
+        err = libmp.mpf_add(bound, libmp.mpf_shift(libmp.mpf_abs(val), 1 - prec), 53, _UP)
         return mp.make_mpf(val), mp.make_mpf(err)
 
 

@@ -77,7 +77,7 @@ from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import PowerSeries
 from .borel import borel_transform
 from . import special
-from .kernels import BorelFunction, KernelEntry, _c2mp, _interval, pade_continue
+from .kernels import _ZERO, BorelFunction, KernelEntry, _ball, _c2mp, _interval, _rounded, pade_continue
 
 
 #: Half-width of a pole's window, narrowed to half the first pole's distance
@@ -334,76 +334,59 @@ def eb_sum(
     given (a closed form encloses a Fraction), times its transmonomial
     x^beta e^(mu x), e^(mu x) formed from that x too; a non-finite x is a
     DomainError.
+
+    The sum is one raw interval at ``GUARD`` bits past the precision, built
+    from an enclosure of x: each power, log and exponential is an interval,
+    and each Laplace sum the ball of its value and error.  Returns its
+    midpoint rounded to the precision, and as the error the radius plus that
+    rounding (``_rounded``).  No context precision is read or set.
     """
     cfg = cfg or QuadratureConfig()
     _finite(x)
-    with mp.workdps(cfg.precision):
-        given, x = x, _c2mp(x)
-        total = mp.mpf(0)
-        err = mp.mpf(0)
+    prec = libmp.dps_to_prec(cfg.precision)
+    wp = prec + special.GUARD
+    X = _interval(x, wp)
+    total = _ZERO
 
-        lp = ts.log
-        if lp.P and x <= 0:
-            raise DomainError(f"log x has no real value at x = {x}")
-        if not lp.is_zero():
-            lx = mp.log(x)
-            for i, c, logs in [(i, c, 1) for i, c in enumerate(lp.P)] + [(i, c, 0) for i, c in enumerate(lp.Q)]:
-                power = _c2mp(c) * x**i
-                t = power * lx if logs else power
-                total += t
-                # the exact part's rounding (mp.eps is a unit at 1): half a
-                # unit of a term for each of c, x^i, log x and the product,
-                # i halves for x's own rounding, and half a unit of c x^i
-                # for it through log x; a unit of the running total per
-                # addition, half of it spare for adding the groups' sums below
-                err += ((2 + i / 2) * abs(t) + logs * abs(power) / 2 + abs(total)) * mp.eps
+    lp = ts.log
+    if lp.P and x <= 0:
+        raise DomainError(f"log x has no real value at x = {libmp.to_str(X[0], cfg.precision)}")
+    if not lp.is_zero():
+        LX = libmp.mpi_log(X, wp) if lp.P else None
+        for i, c, logs in [(i, c, 1) for i, c in enumerate(lp.P)] + [(i, c, 0) for i, c in enumerate(lp.Q)]:
+            t = libmp.mpi_mul(_interval(c, wp), libmp.mpi_pow_int(X, i, wp), wp)
+            total = libmp.mpi_add(total, libmp.mpi_mul(t, LX, wp) if logs else t, wp)
 
-        for grp in groups_of(ts):
-            series = grp.series
-            if series.length == 0:
-                continue
-            exp_mux = _exp_rate(grp.mu, given, libmp.dps_to_prec(cfg.precision))
-            if series.is_finite():
-                # finite sums are their own Borel sums: e^(mu x) sum(c_l x^(offset - l))
-                val = verr = mp.mpf(0)
-                for l in range(1, series.length + 1):
-                    if c := series.coeff(l):
-                        q = grp.offset - l
-                        if not x and q < 0:
-                            raise DomainError(f"x^({q}) has no value at x = 0")
-                        if x < 0 and q.denominator != 1:
-                            raise DomainError(f"x^({q}) has no real value at x = {x}")
-                        e = _c2mp(q)
-                        t = _c2mp(c) * x**e
-                        val += t
-                        # half a unit of the term for each of c, x^e and the
-                        # product, |e| halves for x's own rounding, |e ln x|
-                        # halves for e's when it is no binary fraction, and a
-                        # unit of the running sum
-                        rounded_e = x and q.denominator & (q.denominator - 1)
-                        verr += (3 + abs(e) + (abs(e * mp.log(x)) if rounded_e else 0)) / 2 * abs(t) + abs(val)
-                term = exp_mux * val
-                total += term
-                # e^(mu x) is off by a unit (``_exp_rate``) and the product by
-                # half a unit more
-                err += (abs(exp_mux) * verr + 2 * abs(term)) * mp.eps
-                continue
+    for grp in groups_of(ts):
+        series = grp.series
+        if series.length == 0:
+            continue
+        if series.is_finite():
+            # finite sums are their own Borel sums: e^(mu x) sum(c_l x^(offset - l))
+            val = _ZERO
+            for l in range(1, series.length + 1):
+                if c := series.coeff(l):
+                    q = grp.offset - l
+                    if not x and q < 0:
+                        raise DomainError(f"x^({q}) has no value at x = 0")
+                    if x < 0 and q.denominator != 1:
+                        raise DomainError(f"x^({q}) has no real value at x = {libmp.to_str(X[0], cfg.precision)}")
+                    val = libmp.mpi_add(val, libmp.mpi_mul(_interval(c, wp), libmp.mpi_pow(X, _interval(q, wp), wp), wp), wp)
+        else:
             entry = (resolver(series) if resolver is not None else series.kernel) or resolve_default(series)
-            val, lerr = laplace(entry.kernel, given, cfg)
-            pre = x ** _c2mp(grp.offset) * exp_mux
-            scale = _c2mp(entry.c)
-            total += pre * (scale * val)
-            err += abs(pre) * (abs(scale) * lerr)
-        return total, err
+            val = libmp.mpi_mul(_interval(entry.c, wp), _ball(*laplace(entry.kernel, x, cfg), wp), wp)
+            val = libmp.mpi_mul(libmp.mpi_pow(X, _interval(grp.offset, wp), wp), val, wp)
+        total = libmp.mpi_add(total, libmp.mpi_mul(_exp_rate(grp.mu, x, wp), val, wp), wp)
+    return _rounded(total, prec)
 
 
-def _exp_rate(mu: Fraction, x, prec: int) -> mp.mpf:
-    """e^(mu x) to prec bits, with mu x formed at enough bits past prec that
-    its rounding moves e^(mu x) by under a unit.  Rounding x to prec bits, at
-    x = 10^300 and 50 digits, would move it by a factor e^(10^250)."""
+def _exp_rate(mu: Fraction, x, prec: int) -> tuple:
+    """An interval at prec bits holding e^(mu x), with mu x enclosed at
+    enough bits past prec that its width widens e^(mu x) by under a unit.
+    Rounding x to prec bits, at x = 10^300 and 50 digits, would move it by a
+    factor e^(10^250)."""
     wp = prec + max(special.mag(_interval(x, 53)[0]) + mu.numerator.bit_length(), 0) + 10
-    mux = libmp.mpf_mul(_interval(mu, wp)[0], _interval(x, wp)[0])
-    return mp.make_mpf(libmp.mpf_exp(mux, prec, libmp.round_nearest))
+    return libmp.mpi_exp(libmp.mpi_mul(_interval(mu, wp), _interval(x, wp), wp), prec)
 
 
 # -- Watson's Lemma diagnostic ---------------------------------------------------

@@ -413,3 +413,32 @@ def test_pade_poles_bit_identical_from_16_threads():
         kernel = resolve_default(series).kernel
         results = _pull_together(lambda k: [positive_roots(kernel.den, precs[(k + i) % 4]) for i in range(4)], workers=16)
         assert all(got == [serial[(k + i) % 4] for i in range(4)] for k, got in enumerate(results))
+
+
+def test_eb_sum_and_eb_value_bit_identical_from_16_threads():
+    # kernel groups, finite groups and log parts under eb_sum, and the
+    # prefactors, ln(2 pi) terms, exponential and rounded critical times
+    # under eb_value, at four precisions: each thread takes every case from
+    # a different start, so the precisions mix, and no thread's precision
+    # reaches another's results, five rounds in a row
+    import mpmath as mp
+
+    from tsr.operators import catalog
+    from tsr.resummation import QuadratureConfig, eb_sum
+
+    exprs = ("#ei", "x*exp(x)*#ei + log(x)*x^2 - 3", "exp(-x)*x^(1/3)*#erfi", "#stirling + x^2*log(x)", "exp(-2*x)*(1/x + 2/x^2) + #airy_u_alt")  # fmt: skip
+    digits = (15, 30, 50, 100)
+    sums = [(ts_parse(e), x, QuadratureConfig(precision=d)) for e in exprs for x in (3, F(31, 3), 7.25) for d in digits]
+    values = [(name, QuadratureConfig(precision=d)) for name in ("ei", "erfi_integral", "loggamma", "gamma", "airy_ai", "airy_bi") for d in digits]
+    cases = [lambda c=c: eb_sum(*c) for c in sums] + [lambda v=v: catalog()[v[0]].eb_value(F(37, 3), v[1]) for v in values]
+
+    def raw(k: int) -> list:
+        start = k * len(cases) // 16
+        out = {i: cases[i]() for i in [*range(start, len(cases)), *range(start)]}
+        return [(v._mpf_, e._mpf_) for v, e in (out[i] for i in range(len(cases)))]
+
+    prec = mp.mp.prec
+    serial = raw(0)
+    for _ in range(5):
+        assert all(r == serial for r in _pull_together(raw, workers=16))
+    assert mp.mp.prec == prec

@@ -9,7 +9,7 @@ as Bessel functions of order 1/3; ei, loggamma, gamma, and erfi_integral's
 square-root branch), ``laplace`` of the log and square-root branch kernels, and the
 stdout of one ``tsr sum`` through the coth kernel.  Each value also lies
 within its reported error, and within its tolerance, of an mpmath
-reference.  Values and error estimates are stored as raw
+reference; an ``eb_value``'s tolerance is 2^8 units of its precision.  Values and error estimates are stored as raw
 ``(sign, man, exp, bc)`` tuples, not as decimal text, because an mpf's repr
 depends on the precision in force when it is printed.  Regenerate the corpus
 (only when an output change is intended) with
@@ -112,7 +112,7 @@ def _reference(case):
             "airy_bi": mp.airybi,
             "erfi_integral": lambda t: mp.sqrt(mp.pi) / 2 * mp.erfi(t),
         }[what](x)
-        return ref, catalog()[what].tolerance * max(1, abs(ref))
+        return ref, abs(ref) * mp.ldexp(1, 8 - mp.libmp.dps_to_prec(case[3]))
     if kind == "laplace":
         # L[-log|1-p|](x) = e^(-x) Ei(x) / x, and
         # L[(1-p)^(-1/2) / 2](x) = e^(-x) x^(-1/2) int_0^sqrt(x) e^(s^2) ds

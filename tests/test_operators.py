@@ -118,7 +118,8 @@ class TestCatalog:
         val, err = e.eb_value(x, CFG)
         with mp.workdps(CFG.precision + 10):
             ref = e.oracle(mp.mpf(x))
-        assert abs(val - ref) <= e.tolerance * max(1, abs(ref))
+            # the oracle, at 10 more digits, is good to a unit of them
+            assert abs(val - ref) <= err + abs(ref) * mp.mpf(10) ** -(CFG.precision + 9)
 
     def test_transseries_of_pure_series_is_itself(self):
         # Watson-fit: asymptotic coefficients recovered from eb_sum values
@@ -158,7 +159,7 @@ class TestCatalog:
         man = catalog_manifest()
         assert man["ei"]["kernels"] == {"ei": "ClosedFormKernel"}
         assert set(man["ei"]) == {
-            "transseries", "critical_time", "prefactor", "ln2pi_coef", "kernels", "domain_c", "tolerance", "composes"
+            "transseries", "critical_time", "prefactor", "ln2pi_coef", "kernels", "domain_c", "composes"
         }
         assert man["erfi_integral"]["critical_time"] == {"coef": "1", "power": "2"}
         assert man["loggamma"]["ln2pi_coef"] == "1/2"
@@ -185,8 +186,7 @@ class TestCatalog:
         # integral and 31/3 itself for the others, and the sum is taken there:
         # within its error of mpmath at the exact 31/3, not at a rounded one
         entry, cfg, x = catalog()[name], QuadratureConfig(precision=30), F(31, 3)
-        with mp.workdps(30):
-            t = entry.critical_time(x)
+        t = entry.critical_time(x, mp.libmp.dps_to_prec(30))
         assert type(t) is F and t == (F(961, 9) if name == "erfi_integral" else x)
         ref = {"ei": mp.ei, "erfi_integral": lambda t: mp.sqrt(mp.pi) / 2 * mp.erfi(t), "loggamma": mp.loggamma, "gamma": mp.gamma}
         val, err = entry.eb_value(x, cfg)

@@ -305,6 +305,23 @@ ELEMENTARY_SPECS = list(
 )
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.fractions(1, 12, max_denominator=1000), st.sampled_from((15, 30, 50)))
+def test_erfi_integrand_is_within_a_unit_of_mpmath(x, digits):
+    # e^(x^2) moves by x^2 times a rounding of x^2, up to 144 units at x = 12,
+    # so x^2 is formed exactly from the mpf x and e^(x^2) past the precision,
+    # then rounded: the oracle and the Taylor terms 0 and 1 each stay within
+    # a unit, 2^(1 - prec) of the value
+    entry = catalog()["erfi_integrand"]
+    with mp.workdps(digits):
+        x = _mpf(x)
+        got = (entry.oracle(x), entry.taylor_term(x, 0)[1], entry.taylor_term(x, 1)[1])
+    with mp.workdps(digits + 40):
+        e = mp.exp(x * x)
+        for value, ref in zip(got, (e, e, 2 * x * e)):
+            assert abs(value - ref) <= abs(ref) * mp.ldexp(1, 1 - libmp.dps_to_prec(digits)), (x, digits)
+
+
 @pytest.mark.parametrize("spec", ELEMENTARY_SPECS, ids=str)
 def test_elementary_entry_views_agree(spec):
     # the finite group's Borel sum and the Taylor facility's term 0, at an
