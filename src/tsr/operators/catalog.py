@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import count, islice
 from math import factorial
@@ -44,7 +44,7 @@ from ..coefficients import named_multiple, named_series
 from ..errors import DomainError
 from ..resummation import KernelEntry, QuadratureConfig, eb_sum, resolve_default, special
 from ..resummation.laplace import _exp_rate
-from ..resummation.kernels import _ball, _c2mp, _interval, _rounded
+from ..resummation.kernels import _ball, _c2mp, _exp, _interval, _rounded
 from ..stream import Stream
 from ..transseries import LogPart, PowerSeries, TransseriesT1, assemble, ts_to_json
 from ..transseries.grid import Group, groups_of
@@ -110,8 +110,12 @@ class CatalogFunction:
         prec = libmp.dps_to_prec(cfg.precision)
         wp = prec + special.GUARD
         if self.compose_exp_of is not None:
-            inner = catalog()[self.compose_exp_of].eb_value(x, cfg)
-            return _rounded(libmp.mpi_exp(_ball(*inner, wp), wp), prec)
+            # e^y moves by a factor e^d when y does by d: y = ln Gamma(x) is
+            # summed and enclosed its integer bits past the precision
+            e = special.mag(_interval(x, 53)[1])
+            bits = max(e, 0) + (abs(e) + 2).bit_length()  # |ln Gamma(x)| < 2^bits
+            inner = catalog()[self.compose_exp_of].eb_value(x, replace(cfg, precision=cfg.precision + bits // 3 + 1))
+            return _rounded(_exp(_ball(*inner, wp + bits), wp), prec)
         val = eb_sum(self.transseries, self.critical_time(x, prec), cfg, resolver=self.resolver)
         out = libmp.mpi_mul(self.prefactor.enclosure(wp), _ball(*val, wp), wp)
         if self.ln2pi_coef:
@@ -349,20 +353,20 @@ def _laurent_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _laurent_eval(q: dict, x0):
-    total = Fraction(0) if isinstance(x0, Fraction) else 0
-    for j, c in q.items():
-        total += c * x0**j if isinstance(x0, Fraction) else x0**j * c.numerator / c.denominator
-    return total
+def _laurent_eval(q: dict, x0: Fraction) -> Fraction:
+    return sum((c * x0**j for j, c in q.items()), Fraction(0))
 
 
 def exp_poly_taylor(rate: Fraction, p: int, q0: dict) -> Callable:
     """Taylor facility of f = e^phi * q0, phi = rate x^p and q0 a Laurent polynomial.
 
     f^(k) = e^phi * q_k with q_(k+1) = q_k' + phi' * q_k.  A term is exact at
-    a Fraction x0 unless x0 = 0 and q_k has a negative power.  Elsewhere
-    x0^p is formed exactly from the mpf x0, and e^phi from it at guard bits
-    (``_exp_rate``), rounded once to the working precision.
+    a Fraction x0; a negative power of q_k at x0 = 0, or a non-finite x0, is
+    a DomainError.  Elsewhere x0 is read once as a raw mpf at the working
+    precision, and e^phi is the midpoint of ``_exp_rate``'s enclosure of
+    e^(rate x0^p), x0^p exact, at guard bits, rounded once.  q_k(x0), the
+    product and the division by k! are raw ``libmp`` operations, each
+    rounded as the mpf operators round it.
     """
     phi = {p: rate}
     dphi = _laurent_diff(phi)
@@ -377,12 +381,28 @@ def exp_poly_taylor(rate: Fraction, p: int, q0: dict) -> Callable:
 
     def taylor(x0, k) -> TaylorTerm:
         q = qs[k]
-        if isinstance(x0, Fraction) and (x0 != 0 or min(q, default=0) >= 0):
+        if not x0 and (low := min(q, default=0)) < 0:
+            raise DomainError(f"x^({low}) has no value at x = 0")
+        if isinstance(x0, Fraction):
             return ("exact", Prefactor.of(1, e=_laurent_eval(phi, x0)), _laurent_eval(q, x0) / factorial(k))
-        x, prec = _c2mp(x0), mp.mp.prec
-        xp = mp.make_mpf(functools.reduce(libmp.mpf_mul, [x._mpf_] * p))  # exact
-        e_phi = _rounded(_exp_rate(rate, xp, prec + special.GUARD), prec)[0]
-        return ("num", e_phi * _laurent_eval(q, x) / factorial(k))
+        prec = mp.mp.prec
+        x = libmp.mpf_pos(x0._mpf_, prec, _RND) if isinstance(x0, mp.mpf) else mp.mpf(x0)._mpf_
+        if not x[1] and x[2]:
+            raise DomainError(f"no value at the non-finite point x = {x0}")
+        lo, hi = _exp_rate(rate, mp.make_mpf(functools.reduce(libmp.mpf_mul, [x] * p)), prec + special.GUARD)
+        e_phi = libmp.mpf_pos(libmp.mpf_shift(libmp.mpf_add(lo, hi), -1), prec, _RND)
+        total = libmp.fzero
+        for j, c in q.items():
+            t = libmp.mpf_pow_int(x, j, prec, _RND)
+            if c.numerator != 1:
+                t = libmp.mpf_mul_int(t, c.numerator, prec, _RND)
+            if c.denominator != 1:
+                t = libmp.mpf_div(t, libmp.from_int(c.denominator), prec, _RND)
+            total = libmp.mpf_add(total, t, prec, _RND)
+        val = libmp.mpf_mul(e_phi, total, prec, _RND)
+        if k > 1:
+            val = libmp.mpf_div(val, libmp.from_int(factorial(k)), prec, _RND)
+        return ("num", mp.make_mpf(val))
 
     return taylor
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath import libmp
 
-from ..resummation.kernels import _interval, _rounded
+from ..resummation.kernels import _exp, _interval, _rounded
 
 
 def _base(sym: str, wp: int) -> tuple:
@@ -74,7 +74,7 @@ class Prefactor:
         precision is read or set."""
         out = _interval(self.factor, wp)
         for sym, q in self.powers:
-            power = libmp.mpi_exp(_interval(q, wp), wp) if sym == "e" else libmp.mpi_pow(_base(sym, wp), _interval(q, wp), wp)
+            power = _exp(_interval(q, wp), wp) if sym == "e" else libmp.mpi_pow(_base(sym, wp), _interval(q, wp), wp)
             out = libmp.mpi_mul(out, power, wp)
         return out
 

@@ -247,6 +247,29 @@ def _ball(value, error, wp: int) -> tuple:
     return libmp.mpf_sub(v, e, wp, libmp.round_floor), libmp.mpf_add(v, e, wp, libmp.round_ceiling)
 
 
+def _exp(iv, prec: int) -> tuple:
+    """e to a raw interval, at prec bits.  Each end's ``mpf_exp`` is taken 16
+    bits past prec and trusted only to lie within a unit there of e^t (it
+    works 14 bits past what it is asked for); being rounded down, it is
+    moved a unit down for the lower bound and two up for the upper, each
+    rounded outward to prec.  e^0 = 1 is exact.  ``mpi_exp`` trusts the
+    directed roundings of one approximation, and where that lies just across
+    a grid point from e^t, as at every tiny t, its upper bound is below e^t.
+    A point takes one exponential."""
+    wp = prec + 16
+    lo_t, hi_t = iv
+    lo = libmp.mpf_exp(lo_t, wp, libmp.round_floor)
+    hi = lo if hi_t == lo_t else libmp.mpf_exp(hi_t, wp, libmp.round_floor)
+
+    def moved(t, e, units, rnd):
+        if not t[1]:  # e^0, e^(+-inf)
+            return e
+        s = wp - e[3]
+        return libmp.from_man_exp((e[1] << s) + units, e[2] - s, prec, rnd)
+
+    return moved(lo_t, lo, -1, libmp.round_floor), moved(hi_t, hi, 2, libmp.round_ceiling)
+
+
 def _rounded(iv, prec: int) -> tuple:
     """(value, error) as mpf from a raw interval: its midpoint rounded to
     prec bits, and a bound on the distance from that to every point of the

@@ -77,7 +77,7 @@ from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import PowerSeries
 from .borel import borel_transform
 from . import special
-from .kernels import _ZERO, BorelFunction, KernelEntry, _ball, _c2mp, _interval, _rounded, pade_continue
+from .kernels import _ZERO, BorelFunction, KernelEntry, _ball, _c2mp, _exp, _interval, _rounded, pade_continue
 
 
 #: Half-width of a pole's window, narrowed to half the first pole's distance
@@ -381,12 +381,14 @@ def eb_sum(
 
 
 def _exp_rate(mu: Fraction, x, prec: int) -> tuple:
-    """An interval at prec bits holding e^(mu x), with mu x enclosed at
-    enough bits past prec that its width widens e^(mu x) by under a unit.
-    Rounding x to prec bits, at x = 10^300 and 50 digits, would move it by a
-    factor e^(10^250)."""
+    """An interval at prec bits holding e^(mu x) (``kernels._exp``), with mu x
+    enclosed at enough bits past prec that its width widens e^(mu x) by under
+    a unit.  Rounding x to prec bits, at x = 10^300 and 50 digits, would move
+    it by a factor e^(10^250).  Where mu x is exact at those bits (a dyadic
+    mu at an int, float or mpf x), the enclosure is a point: one
+    exponential."""
     wp = prec + max(special.mag(_interval(x, 53)[0]) + mu.numerator.bit_length(), 0) + 10
-    return libmp.mpi_exp(libmp.mpi_mul(_interval(mu, wp), _interval(x, wp), wp), prec)
+    return _exp(libmp.mpi_mul(_interval(mu, wp), _interval(x, wp), wp), prec)
 
 
 # -- Watson's Lemma diagnostic ---------------------------------------------------

@@ -230,12 +230,24 @@ def test_recurrence_series_concurrent_pull():
 def test_real_line_oracles_thread_safe():
     import mpmath as mp
 
-    from tsr.operators.catalog import airy_ai_oracle, airy_bi_oracle, ei_oracle, erfi_integral_oracle
+    from tsr.operators.catalog import airy_ai_oracle, airy_bi_oracle, catalog, ei_oracle, erfi_integral_oracle
 
+    # the five elementary entries' oracles and their first derivatives
+    elementary = [
+        fn
+        for e in ("exp", "exp_neg", "ei_integrand", "exp_neg_over_x", "erfi_integrand")
+        for fn in (catalog()[e].oracle, lambda x, e=e: catalog()[e].taylor_term(x, 1)[1])
+    ]
     # 40 points each, inside every oracle's domain
     calls = [
         (oracle, [mp.mpf(k) / 4 + shift for k in range(40)])
-        for oracle, shift in ((ei_oracle, mp.mpf(1) / 64), (erfi_integral_oracle, -5), (airy_ai_oracle, -3), (airy_bi_oracle, -3))
+        for oracle, shift in (
+            (ei_oracle, mp.mpf(1) / 64),
+            (erfi_integral_oracle, -5),
+            (airy_ai_oracle, -3),
+            (airy_bi_oracle, -3),
+            *((fn, -mp.mpf(319) / 64) for fn in elementary),
+        )
     ]
     with mp.workdps(30):  # set once; no thread touches the global precision
         serial = [[oracle(x) for x in xs] for oracle, xs in calls]

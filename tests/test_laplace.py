@@ -32,10 +32,12 @@ from tsr.resummation import (
     pole_kernel,
     quad_interval,
     resolve_default,
+    special,
     sqrt_branch_kernel,
     watson_check,
 )
-from tsr.resummation.kernels import positive_roots
+from tsr.resummation.kernels import _interval, positive_roots
+from tsr.resummation.laplace import _exp_rate
 from tsr.transseries import PowerSeries, ts_antidiff, ts_parse
 from tsr.transseries.grid import groups_of
 
@@ -600,15 +602,16 @@ def test_airy_sums_within_their_reported_error(name, x, digits):
 @pytest.mark.parametrize("name", ["loggamma", "gamma"])
 def test_gamma_and_log_gamma_within_their_reported_error(name, x, digits):
     # Binet's function in closed form, from near the pole at 0 to 10^8, with
-    # x rounded to the precision first; log Gamma's error is at the
-    # precision, not at a quadrature's tolerance
+    # x rounded to the precision first; each error is at the precision, not
+    # at a quadrature's tolerance, Gamma's too, since its log Gamma is summed
+    # past the precision
     with mp.workdps(digits):
         x = mp_fraction(F(x))
     val, err = catalog()[name].eb_value(x, QuadratureConfig(precision=digits))
     with mp.workdps(digits + 30):
         ref = CATALOG_REFS[name](x)
         assert abs(val - ref) <= err
-        assert name == "gamma" or err <= max(1, abs(ref)) * mp.mpf(10) ** (2 - digits)
+        assert err <= max(1, abs(ref)) * mp.mpf(10) ** (2 - digits)
 
 
 #: each entry eb_value sums, with mpmath's value and the interval x is drawn
@@ -1103,3 +1106,80 @@ class TestFractionFreeSolve:
             k = resolve_default(series).kernel
             assert k.name == f"pade({d},{d})"
             assert (list(k.num), list(k.den)) == ref
+
+
+def _points():
+    """ints, floats and mpf of 15 to 1000 digits, of both signs, with 0 and
+    10^300, each with its mantissa's bits."""
+    for x in (0, 1, -7, 10**300, 0.0, 2.5, -0.1, 1e-300, 1e300):
+        yield x, _interval(x, 53)[0][3]
+    for digits in (15, 50, 300, 1000):
+        with mp.workdps(digits):
+            for x in (mp.mpf(1) / 3, -mp.sqrt(2) * 10**5, mp.pi / 10**40):
+                yield x, x._mpf_[3]
+
+
+@pytest.mark.parametrize("mu", [F(1), F(-1), F(2), F(1, 2), F(-3, 4)], ids=str)
+@pytest.mark.parametrize("prec", [53, 186, 3342])
+def test_exp_rate_encloses_as_tightly_as_mpi_exp(monkeypatch, mu, prec):
+    # e^(mu x) lies inside the bounds, which are mpi_exp's of the same mu x
+    # wherever e^(mu x) is more than 2^-12 units from the prec-bit grid;
+    # nearer it (as at x = pi 10^-40) each may be a unit wider.  An exact mu
+    # x, as from a mantissa of at most prec bits, is one exponential
+    calls = []
+    mpf_exp = libmp.mpf_exp
+    monkeypatch.setattr(libmp, "mpf_exp", lambda *a: calls.append(a) or mpf_exp(*a))
+
+    def check(x):
+        wp = prec + max(special.mag(_interval(x, 53)[0]) + mu.numerator.bit_length(), 0) + 10
+        want = libmp.mpi_exp(libmp.mpi_mul(_interval(mu, wp), _interval(x, wp), wp), prec)
+        calls.clear()
+        got = _exp_rate(mu, x, prec)
+        n = len(calls)
+        if not x:
+            assert got == (libmp.fone, libmp.fone)
+            return n
+        with mp.workprec(wp + prec + 2 * abs(special.mag(_interval(x, 53)[0])) + 400):  # e^(mu x) past a unit
+            xm = mp.mpf(x.numerator) / x.denominator if isinstance(x, F) else mp.mpf(x)
+            exact = mp.exp(mu.numerator * xm / mu.denominator)
+            lo, hi = mp.make_mpf(got[0]), mp.make_mpf(got[1])
+            assert lo < exact < hi, (mu, x, prec)
+            units = mp.ldexp(exact, prec - mp.mag(exact))
+            if abs(units - mp.nint(units)) > mp.ldexp(1, -12):
+                assert got == want, (mu, x, prec)
+            else:
+                unit = mp.ldexp(1, mp.mag(exact) - prec)
+                assert lo >= mp.make_mpf(want[0]) - unit and hi <= mp.make_mpf(want[1]) + 2 * unit, (mu, x, prec)
+        return n
+
+    for x, bits in _points():
+        n = check(x)
+        assert n == 1 or bits > prec, (mu, x, prec)
+    # a Fraction x that is no binary fraction is enclosed: two exponentials
+    for x in (F(1, 3), F(-10**30, 7), F(1, 10**40)):
+        assert check(x) == 2
+    # a binary fraction is exact
+    assert check(F(3, 2**140)) == 1
+
+
+@pytest.mark.parametrize("x", [15, 1000, 10**8])
+def test_gamma_eb_value_keeps_every_digit(x):
+    # e^(ln Gamma) moves by a factor e^d when ln Gamma moves by d, so its
+    # sum is taken |ln Gamma(x)|'s integer bits past the precision
+    val, err = catalog()["gamma"].eb_value(x, QuadratureConfig(precision=30))
+    with mp.workdps(80):
+        ref = mp.gamma(x)
+        assert abs(val - ref) <= err
+        assert abs(val - ref) <= abs(ref) * mp.ldexp(1, 2 - libmp.dps_to_prec(30))
+
+
+@pytest.mark.parametrize("x", [F(1, 2**133), F(-1, 2**133), 3 * mp.ldexp(1, -140), 2.0**-100], ids=str)
+@pytest.mark.parametrize("expr", ["exp(x)", "exp(-x)", "x*exp(2*x)"])
+def test_a_rate_at_a_tiny_point_is_within_its_error(expr, x):
+    # e^(mu x) = 1 + mu x + ..., where 1 + mu x is a binary fraction at the
+    # working bits: an enclosure [1 + mu x, 1 + mu x] would report no error
+    val, err = eb_sum(ts_parse(expr), x, QuadratureConfig(precision=50))
+    with mp.workdps(200):
+        xm = mp.mpf(x.numerator) / x.denominator if isinstance(x, F) else mp.mpf(x)
+        ref = {"exp(x)": mp.exp(xm), "exp(-x)": mp.exp(-xm), "x*exp(2*x)": xm * mp.exp(2 * xm)}[expr]
+        assert 0 < abs(val - ref) <= err

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
+from reference.elementary import exp_poly_term
 from tsr.cli import run
 from tsr.errors import DomainError
 from tsr.operators import antidiff_no, extend
@@ -338,3 +339,63 @@ def test_elementary_entry_views_agree(spec):
             views = (entry.eb_value(_mpf(x))[0], *(term_value(entry.taylor_term(x0, 0)) for x0 in (x, _mpf(x))))
             for got in views:
                 assert abs(got - want) <= bound, (x, dps, got, want)
+
+
+#: the five elementary entries c x^n e^(rate x^p) as (n, rate, p, c)
+ELEMENTARY = {
+    "exp": (0, F(1), 1, F(1)),
+    "exp_neg": (0, F(-1), 1, F(1)),
+    "ei_integrand": (-1, F(1), 1, F(1)),
+    "exp_neg_over_x": (-1, F(-1), 1, F(1)),
+    "erfi_integrand": (0, F(1), 2, F(1)),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(ELEMENTARY)),
+    k=st.sampled_from((0, 1, 3, 12)),
+    precision=PRECISIONS,
+    q=st.fractions(-30, 30, max_denominator=10**6).filter(bool),
+)
+@example(name="erfi_integrand", k=12, precision=(100, 40), q=F(-30))
+@example(name="exp_neg_over_x", k=3, precision=(15, 0), q=F(-1, 3))
+@example(name="exp", k=0, precision=(50, 0), q=F(1, 2**40))
+def test_decimal_taylor_terms_bit_identical_to_the_reference(name, k, precision, q):
+    # one exponential and raw libmp arithmetic give the mpf operators' bits,
+    # at points given at the precision and 20 or 40 bits past it, which the
+    # term rounds to the precision first
+    digits, extra = precision
+    with mp.workdps(digits + extra // 3):
+        x = _mpf(q)
+    with mp.workdps(digits):
+        got = catalog()[name].taylor_term(x, k)
+        want = exp_poly_term(*ELEMENTARY[name], x, k)
+        assert got[0] == "num" and got[1]._mpf_ == want._mpf_, (name, k, digits, q)
+        if k == 0:
+            assert catalog()[name].oracle(x)._mpf_ == want._mpf_
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTARY))
+@pytest.mark.parametrize("x", [mp.inf, -mp.inf, mp.nan, float("inf"), float("nan")], ids=repr)
+def test_elementary_terms_at_a_non_finite_point_are_a_domain_error(name, x):
+    entry = catalog()[name]
+    with pytest.raises(DomainError, match="non-finite point"):
+        entry.oracle(x)
+    for k in (0, 1):
+        with pytest.raises(DomainError, match="non-finite point"):
+            entry.taylor_term(x, k)
+
+
+@pytest.mark.parametrize("x", [F(0), mp.mpf(0), 0, 0.0], ids=repr)
+def test_a_negative_power_at_zero_is_a_domain_error(x):
+    for name in ("ei_integrand", "exp_neg_over_x"):
+        with pytest.raises(DomainError, match=r"x\^\(-1\) has no value at x = 0"):
+            catalog()[name].taylor_term(x, 0)
+        with pytest.raises(DomainError, match=r"x\^\(-4\) has no value at x = 0"):
+            catalog()[name].taylor_term(x, 3)
+        if not isinstance(x, F):  # an oracle takes a real number, not a Fraction
+            with pytest.raises(DomainError, match="has no value at x = 0"):
+                catalog()[name].oracle(x)
+    # no negative power: a value
+    assert catalog()["exp"].taylor_term(x, 1)[-1] == 1

@@ -60,3 +60,14 @@ class TestRendering:
         with mp.workdps(40):
             expect = mp.mpf(3) / 4 * mp.e * mp.sqrt(mp.pi)
             assert abs(p.numeric() - expect) < 1e-35
+
+    @pytest.mark.parametrize("q", [F(3, 2**140), F(-3, 2**140), F(1, 3 * 2**140), F(5, 2)], ids=str)
+    @pytest.mark.parametrize("wp", [73, 206])
+    def test_enclosure_of_a_power_of_e_holds_it(self, q, wp):
+        # at a tiny q, e^q = 1 + q + ..., and 1 + q is a binary fraction at
+        # wp bits: an enclosure rounded from one approximation both ways
+        # would be [1 + q, 1 + q], below e^q
+        lo, hi = Prefactor.of(1, e=q).enclosure(wp)
+        with mp.workprec(2 * wp + 400):
+            exact = mp.exp(mp.mpf(q.numerator) / q.denominator)
+            assert mp.make_mpf(lo) < exact < mp.make_mpf(hi)
