@@ -143,14 +143,15 @@ class CatalogFunction:
 # Taylor terms per (point, precision, count), are bounded
 # ``functools.lru_cache``s of immutable values.  The Ei and erfi-integral
 # series live in ``tsr.resummation.special``, which the closed-form Laplace
-# transforms share.
+# transforms share.  Every oracle reads its point through ``_c2mp``, so a
+# Fraction is its quotient at the working precision, as an mpf point is.
 
 _RND = libmp.round_nearest
 
 
 def ei_oracle(x):
     """Ei(x) for x > 0 (DLMF 6.6.1, and 6.12.2 past the working bits)."""
-    x = mp.mpf(x)
+    x = _c2mp(x)
     if x <= 0:
         raise DomainError("Ei oracle implemented for x > 0")
     prec = mp.mp.prec
@@ -159,7 +160,7 @@ def ei_oracle(x):
 
 def erfi_integral_oracle(x):
     """integral(e^(s^2), s = 0..x) (DLMF 7.6.4, and 7.12 past the working bits)."""
-    x = mp.mpf(x)
+    x = _c2mp(x)
     prec = mp.mp.prec
     return mp.make_mpf(libmp.mpf_pos(special.erfi_integral(x._mpf_, prec), prec, _RND))
 
@@ -301,23 +302,23 @@ def _airy_raw(kind: str, z, prec: int):
 
 def airy_ai_oracle(z):
     prec = mp.mp.prec
-    return mp.make_mpf(libmp.mpf_pos(_airy_raw("ai", mp.mpf(z)._mpf_, prec)[0], prec, _RND))
+    return mp.make_mpf(libmp.mpf_pos(_airy_raw("ai", _c2mp(z)._mpf_, prec)[0], prec, _RND))
 
 
 def airy_bi_oracle(z):
     prec = mp.mp.prec
-    return mp.make_mpf(libmp.mpf_pos(_airy_raw("bi", mp.mpf(z)._mpf_, prec)[0], prec, _RND))
+    return mp.make_mpf(libmp.mpf_pos(_airy_raw("bi", _c2mp(z)._mpf_, prec)[0], prec, _RND))
 
 
 def loggamma_oracle(x):
-    x = mp.mpf(x)
+    x = _c2mp(x)
     if x <= 0:
         raise DomainError("log Gamma oracle needs x > 0")
     return mp.loggamma(x)
 
 
 def gamma_oracle(x):
-    return mp.gamma(mp.mpf(x))
+    return mp.gamma(_c2mp(x))
 
 
 # -- derivative facilities --------------------------------------------------------
@@ -496,7 +497,7 @@ def elementary_entry(name: str, n: int, rate=0, p: int = 1, c=1, **links) -> Cat
         name=name,
         transseries=assemble([Group(rate, Fraction(n, p) + 1, PowerSeries.from_coeffs([c]))]),
         crit_power=Fraction(p),
-        oracle=lambda x: taylor(mp.mpf(x), 0)[1],
+        oracle=lambda x: taylor(_c2mp(x), 0)[1],
         taylor_term=taylor,
         taylor_degree=None if rate else n,
         **links,

@@ -36,7 +36,11 @@ t = 0, and adjacent panels share no point.  Working precision and
 tolerances come from :class:`QuadratureConfig`; window and panel sizes are
 fixed (``PV_WINDOW``, ``_SPAN_PANELS``), because each panel refines itself
 to the tolerance, so they decide where the work goes, not how accurate the
-sum is.
+sum is.  ``_levels`` yields a panel's levels in turn, and each caller
+applies its own stopping test: a Laplace panel's is below, and
+``quad_interval``, which reports no error, also stops where the levels'
+geometric decay predicts the error to be below its precision, and refuses
+a panel that no level through n = 256 settles.
 
 The absolute tolerance governs the quadrature's work, not the working
 precision.  Each panel is summed by the rule at rising level until two
@@ -262,37 +266,75 @@ def _fejer_rule(n: int, prec: int) -> tuple:
     return tuple(map(make, cos[1:-1])), tuple(map(make, weights))
 
 
-def _panel(fn, a, b, eps, prec: int):
-    """integral(fn, a..b) by the nested rule, raising its level until two
-    successive levels I_k, I_(k-1) differ by at most eps; |I_k - I_(k-1)|
-    is the error.  Each level keeps the values it has, at its even nodes,
+def _levels(fn, a, b, prec: int):
+    """I_2, I_4, ..., I_256: integral(fn, a..b) by the nested rule at each
+    level in turn.  Each level keeps the values it has, at its even nodes,
     and evaluates fn only at its new odd ones, mapped from [-1, 1] onto
     [a, b]."""
     half, mid = (b - a) / 2, (b + a) / 2
-    ys, level, n = [], None, 2
+    ys, n = [], 2
     while n <= _TOP:
         nodes, weights = _fejer_rule(n, prec)
         new = [fn(mid + half * t) for t in nodes[::2]]
         ys = [y for pair in zip(new, ys) for y in pair] + new[-1:]
-        prev, level = level, half * mp.fdot(weights, ys)
-        if prev is not None and abs(level - prev) <= eps:
-            break
+        yield half * mp.fdot(weights, ys)
         n *= 2
-    return level, abs(level - prev)
+
+
+def _panel(fn, a, b, eps, prec: int):
+    """integral(fn, a..b) by the nested rule, raising its level until two
+    successive levels I_k, I_(k-1) differ by at most eps; |I_k - I_(k-1)|
+    is the error."""
+    levels = _levels(fn, a, b, prec)
+    prev = next(levels)
+    for level in levels:
+        diff = abs(level - prev)
+        if diff <= eps:
+            break
+        prev = level
+    return level, diff
 
 
 def quad_interval(fn, a, b, prec: int) -> mp.mpf:
     """integral(fn, a..b) of an fn analytic on [a, b], at ``prec`` bits.
 
     [a, b] is cut as a smooth Laplace span is (``_split_span``), and each
-    panel is summed by the nested rule until two levels differ by at most
-    2^-prec; fn is evaluated at prec + 20 bits, never at a panel's end.
-    Returns the value alone: no error estimate comes with it.
+    panel is summed by the nested rule; fn is evaluated at prec + 20 bits,
+    never at a panel's end.  A panel stops at the first level I_n whose
+    difference d_n = |I_n - I_(n/2)| is at most 2^-prec, or whose error the
+    levels' decay predicts to be at most 2^-(prec + 16).  The rule's error
+    on an analytic fn falls like C rho^-n, so d_n is about the error of
+    I_(n/2), and at a constant rate the error of I_n is d_n (d_n/d_(n/2))^2.
+    The prediction takes the slowest rate any two levels have shown,
+    d_n (d_m/d_(m/2))^(2n/m) for the worst m <= n: an entire factor's fast
+    early decay can hide a pole's slower one.  The 16 guard bits cover
+    the estimate's error before the decay is geometric.  A panel where no
+    level through n = 256 passes raises ToleranceNotMet.  Returns the value
+    alone: no error estimate comes with it.
     """
     with mp.workprec(prec + 20):
         pts = _split_span(mp.mpf(a), mp.mpf(b))
-        eps = mp.ldexp(1, -prec)
-        return mp.fsum(_panel(fn, lo, hi, eps, prec)[0] for lo, hi in zip(pts, pts[1:]))
+        eps, far = mp.ldexp(1, -prec), mp.ldexp(1, -prec - 16)
+        total = []
+        for lo, hi in zip(pts, pts[1:]):
+            levels = _levels(fn, lo, hi, prec)
+            prev, before, slowest = next(levels), None, 0
+            for level in levels:
+                diff = abs(level - prev)
+                if before is not None:
+                    # max over m <= n of (d_m/d_(m/2))^(2n/m): each earlier
+                    # ratio's power doubles with n
+                    slowest = max(slowest * slowest, (diff / before) ** 2)
+                if diff <= eps or before is not None and diff * slowest <= far:
+                    break
+                prev, before = level, diff
+            else:
+                raise ToleranceNotMet(
+                    f"quad_interval: the panel [{mp.nstr(lo, 8)}, {mp.nstr(hi, 8)}] does not converge at {prec} bits: "
+                    f"its last two levels differ by {mp.nstr(diff, 5)}"
+                )
+            total.append(level)
+        return mp.fsum(total)
 
 
 # -- Ecalle-Borel summation ------------------------------------------------------

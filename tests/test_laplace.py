@@ -14,7 +14,7 @@ from mpmath import libmp
 from conftest import QuadratureOnly
 from reference.kernels import AiryReference, CothReference
 from reference.resummation import convolve
-from tsr.errors import DegenerateTableError, DomainError, GrowthBoundViolated, SingularPointError
+from tsr.errors import DegenerateTableError, DomainError, GrowthBoundViolated, SingularPointError, ToleranceNotMet
 from tsr.coefficients import NAMED_SERIES, named_series
 from tsr.operators import antidiff_no, catalog
 from tsr.resummation import (
@@ -857,6 +857,103 @@ def test_quad_interval_meets_its_precision(case, digits):
         assert abs(got - ref) <= mp.ldexp(1, -prec) * max(1, abs(ref))
 
 
+def quad_factor(kind, arg=None):
+    """One factor of a quad_interval integrand, read at the working
+    precision, and its pole (None for an entire factor)."""
+    if kind == "exp":
+        return (lambda s: mp.exp(mp_fraction(arg) * s)), None
+    if kind == "exp_over_s":
+        return (lambda s: mp.exp(s) / s), F(0)
+    if kind == "pole":
+        return (lambda s: 1 / (s - mp_fraction(arg))), arg
+    if kind == "sin":
+        return (lambda s: mp.sin(arg * s)), None
+    return (lambda s: mp.polyval(arg, s)), None
+
+
+@st.composite
+def quad_cases(draw):
+    """(a, b, factors): an interval of up to three panels and one or two
+    factors e^(alpha s), e^s/s, 1/(s - c), sin(k s) or an integer polynomial,
+    each pole (c, and 0 for e^s/s) at least 1/8 outside [a, b]."""
+    a = F(draw(st.integers(-8, 8)), 4)
+    b = a + F(draw(st.integers(1, 12)), 4)
+    kinds = ["exp", "pole", "sin", "poly"] + ([] if a - F(1, 8) < 0 < b + F(1, 8) else ["exp_over_s"])
+    factors = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2)):
+        if kind == "exp":
+            factors.append((kind, F(draw(st.integers(-8, 8)), 2)))
+        elif kind == "pole":
+            gap = F(draw(st.integers(1, 16)), 8)
+            factors.append((kind, draw(st.sampled_from([a - gap, b + gap]))))
+        elif kind == "sin":
+            factors.append((kind, draw(st.integers(1, 8))))
+        elif kind == "poly":
+            factors.append((kind, draw(st.lists(st.integers(-5, 5), min_size=1, max_size=7))))
+        else:
+            factors.append((kind,))
+    return a, b, factors
+
+
+def reference_integral(fn, a, b, poles):
+    """integral(fn, a..b) by mpmath's tanh-sinh rule at the working
+    precision, with its error estimate: [a, b] is cut toward each pole at
+    distances d, 3d, 7d, ... from the nearer end, d the pole's distance from
+    it, so that no piece is longer than its distance from the pole."""
+    cuts = {a, b}
+    for p in poles:
+        end, sign = (a, 1) if p < a else (b, -1)
+        step = abs(end - p)
+        while step < b - a:
+            cuts.add(end + sign * step)
+            step = 2 * step + abs(end - p)
+    return mp.quad(fn, [mp_fraction(c) for c in sorted(cuts)], error=True)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(quad_cases(), st.sampled_from([15, 30, 50, 100]))
+# an entire factor's fast early decay hides the pole's slower one: from the
+# last two levels alone, I_64 of the first was 4e-6 units of 2^-prec off,
+# where it was 235
+@example((F(1), F(5, 4), [("sin", 6), ("pole", F(-7, 8))]), 100)
+@example((F(1), F(5, 4), [("exp", F(4)), ("pole", F(-7, 8))]), 100)
+@example((F(1), F(5, 4), [("exp", F(-7, 2)), ("pole", F(21, 8))]), 50)
+@example((F(2), F(3), [("exp_over_s",)]), 50)
+def test_quad_interval_is_within_its_precision_or_refuses(case, digits):
+    a, b, factors = case
+    fns, poles = zip(*(quad_factor(*f) for f in factors))
+    fn = fns[0] if len(fns) == 1 else lambda s: fns[0](s) * fns[1](s)
+    prec = libmp.dps_to_prec(digits)
+    try:
+        got = quad_interval(fn, mp_fraction(a), mp_fraction(b), prec)
+    except ToleranceNotMet:
+        return
+    with mp.workdps(digits + 40):
+        ref, err = reference_integral(fn, a, b, [p for p in poles if p is not None])
+        unit = mp.ldexp(1, -prec) * max(1, abs(ref))
+        assert err <= unit / 2**20
+        assert abs(got - ref) <= unit, (case, digits)
+
+
+@pytest.mark.parametrize(
+    "fn, a, b, digits",
+    [(lambda x: mp.sqrt(x + mp.mpf(1) / 100), 0, 1, 50), (lambda x: 1 / (x - mp.mpf(9) / 10), 1, 2, 100)],
+    ids=["sqrt_near_its_branch_point", "pole_a_tenth_outside"],
+)
+def test_quad_interval_refuses_a_panel_that_does_not_converge(fn, a, b, digits):
+    # no level through n = 256 settles: the top one is 1.1e-29 and 1.5e-71 off
+    with pytest.raises(ToleranceNotMet, match=r"panel \[.*\] does not converge"):
+        quad_interval(fn, a, b, libmp.dps_to_prec(digits))
+
+
+def test_quad_interval_stops_at_the_extrapolated_error():
+    # the levels' geometric decay shows I_64 within 2^-169: 63 points, where
+    # waiting for two levels to agree took I_128, 127 points
+    points = []
+    quad_interval(lambda s: points.append(s) or mp.exp(s) / s, 2, 3, 169)
+    assert len(points) == 63
+
+
 def test_laplace_leaves_mpmath_node_caches_alone():
     rules = (mp.mp._tanh_sinh, mp.mp._gauss_legendre)
     sizes = [(len(r.interval_count), len(r.transformed_cache)) for r in rules]
@@ -1106,6 +1203,21 @@ class TestFractionFreeSolve:
             k = resolve_default(series).kernel
             assert k.name == f"pade({d},{d})"
             assert (list(k.num), list(k.den)) == ref
+
+
+@pytest.mark.parametrize("q", [F(0), F(1), F(-1), F(3, 4), F(-5, 2**70), F(2**60 + 1, 8), F(1, 3)], ids=str)
+@pytest.mark.parametrize("wp", [53, 64])
+def test_interval_of_a_binary_fraction_is_one_exact_point(monkeypatch, q, wp):
+    # the two directed quotients, bit for bit; a binary fraction of at most
+    # wp bits is one point and takes no division
+    n, d = q.numerator, q.denominator
+    want = libmp.from_rational(n, d, wp, libmp.round_floor), libmp.from_rational(n, d, wp, libmp.round_ceiling)
+    calls = []
+    from_rational = libmp.from_rational
+    monkeypatch.setattr(libmp, "from_rational", lambda *a: calls.append(a) or from_rational(*a))
+    assert _interval(q, wp) == want
+    point = not d & (d - 1) and n.bit_length() <= wp
+    assert (want[0] == want[1]) == point and (not calls) == point
 
 
 def _points():

@@ -394,8 +394,16 @@ def test_a_negative_power_at_zero_is_a_domain_error(x):
             catalog()[name].taylor_term(x, 0)
         with pytest.raises(DomainError, match=r"x\^\(-4\) has no value at x = 0"):
             catalog()[name].taylor_term(x, 3)
-        if not isinstance(x, F):  # an oracle takes a real number, not a Fraction
-            with pytest.raises(DomainError, match="has no value at x = 0"):
-                catalog()[name].oracle(x)
+        with pytest.raises(DomainError, match="has no value at x = 0"):
+            catalog()[name].oracle(x)
     # no negative power: a value
     assert catalog()["exp"].taylor_term(x, 1)[-1] == 1
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+@pytest.mark.parametrize("dps", [15, 50])
+def test_an_oracle_reads_a_fraction_at_the_working_precision(name, dps):
+    # a Fraction point is its quotient at the working precision, bit for bit
+    # the value at that mpf
+    with mp.workdps(dps):
+        assert catalog()[name].oracle(F(7, 3))._mpf_ == catalog()[name].oracle(mp.mpf(7) / 3)._mpf_
