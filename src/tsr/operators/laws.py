@@ -62,6 +62,15 @@ def _rel_close(a, b, tol):
     return abs(a - b) <= tol * max(1, abs(a), abs(b))
 
 
+def _quad_prec(cfg: QuadratureConfig) -> int:
+    """Bits for a law's quadrature: the working precision, but at most 50
+    digits, far past the 1e-9 and 1e-12 the laws hold to.  Each integrand
+    has a pole a few panel lengths off, so no level of the nested rule
+    settles its panel past a few hundred digits, and quad_interval would
+    refuse it."""
+    return mp.libmp.dps_to_prec(min(cfg.precision, 50))
+
+
 def antidiff_laws(cfg: QuadratureConfig = None) -> LawReport:
     """The six antidifferentiation-operator laws on the catalog."""
     cfg = cfg or QuadratureConfig()
@@ -116,7 +125,7 @@ def antidiff_laws(cfg: QuadratureConfig = None) -> LawReport:
         f = reg["ei_integrand"]
         anti = antidiff_no(f)  # the Ei entry
         shifted = anti.oracle(mp.mpf(5)) - anti.oracle(mp.mpf(3))
-        direct = quad_interval(f.oracle, 3, 5, mp.libmp.dps_to_prec(cfg.precision))
+        direct = quad_interval(f.oracle, 3, 5, _quad_prec(cfg))
         report.record("vi_constant_difference", _rel_close(shifted, direct, 1e-12))
     return report
 
@@ -188,7 +197,7 @@ def integral_laws(cfg: QuadratureConfig = None) -> LawReport:
     f, g = reg["ei_integrand"], reg["exp"]
     a, b = mp.mpf(2), mp.mpf(4)
     mid = (a + b) / 2
-    prec = mp.libmp.dps_to_prec(cfg.precision)
+    prec = _quad_prec(cfg)
     report = LawReport("integral")
     with mp.workdps(cfg.precision):
         # (a) d/dx int_a^x f = f

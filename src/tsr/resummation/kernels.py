@@ -232,13 +232,9 @@ _ONE = (libmp.fone, libmp.fone)
 
 def _interval(q, wp: int) -> tuple:
     """A raw interval holding q (a Fraction, int, float or mpf): exact unless
-    q is a Fraction that is not a binary fraction of at most wp bits.  Such a
-    binary fraction is one point, formed without a division."""
+    q is a Fraction that is not a binary fraction of at most wp bits."""
     if isinstance(q, Fraction):
         n, d = q.numerator, q.denominator
-        if not d & (d - 1) and n.bit_length() <= wp:
-            v = libmp.from_man_exp(n, 1 - d.bit_length())
-            return v, v
         return libmp.from_rational(n, d, wp, libmp.round_floor), libmp.from_rational(n, d, wp, libmp.round_ceiling)
     v = q._mpf_ if hasattr(q, "_mpf_") else libmp.from_float(q) if isinstance(q, float) else libmp.from_int(q)
     return v, v

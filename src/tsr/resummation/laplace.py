@@ -39,8 +39,9 @@ to the tolerance, so they decide where the work goes, not how accurate the
 sum is.  ``_levels`` yields a panel's levels in turn, and each caller
 applies its own stopping test: a Laplace panel's is below, and
 ``quad_interval``, which reports no error, also stops where the levels'
-geometric decay predicts the error to be below its precision, and refuses
-a panel that no level through n = 256 settles.
+geometric decay predicts the error to be below its precision, both
+relative to the panel's value, and refuses a panel that no level through
+n = 256 settles.
 
 The absolute tolerance governs the quadrature's work, not the working
 precision.  Each panel is summed by the rule at rising level until two
@@ -301,8 +302,9 @@ def quad_interval(fn, a, b, prec: int) -> mp.mpf:
     [a, b] is cut as a smooth Laplace span is (``_split_span``), and each
     panel is summed by the nested rule; fn is evaluated at prec + 20 bits,
     never at a panel's end.  A panel stops at the first level I_n whose
-    difference d_n = |I_n - I_(n/2)| is at most 2^-prec, or whose error the
-    levels' decay predicts to be at most 2^-(prec + 16).  The rule's error
+    difference d_n = |I_n - I_(n/2)| is at most 2^-prec max(1, |I_n|), or
+    whose error the levels' decay predicts to be at most 2^-(prec + 16)
+    max(1, |I_n|): relative, as fn's own rounding is.  The rule's error
     on an analytic fn falls like C rho^-n, so d_n is about the error of
     I_(n/2), and at a constant rate the error of I_n is d_n (d_n/d_(n/2))^2.
     The prediction takes the slowest rate any two levels have shown,
@@ -325,7 +327,8 @@ def quad_interval(fn, a, b, prec: int) -> mp.mpf:
                     # max over m <= n of (d_m/d_(m/2))^(2n/m): each earlier
                     # ratio's power doubles with n
                     slowest = max(slowest * slowest, (diff / before) ** 2)
-                if diff <= eps or before is not None and diff * slowest <= far:
+                scale = max(1, abs(level))
+                if diff <= eps * scale or before is not None and diff * slowest <= far * scale:
                     break
                 prev, before = level, diff
             else:
