@@ -12,7 +12,6 @@ from .catalog import CatalogFunction, catalog, catalog_manifest, monomial_entry
 from .values import DecoratedValue, NumericTaylor, SurrealValue, ValueGroup
 from .extension import (
     antidiff_no,
-    combine_entries,
     exp_surreal_value,
     extend,
     integrate,
@@ -36,7 +35,6 @@ __all__ = [
     "DecoratedValue",
     "NumericTaylor",
     "antidiff_no",
-    "combine_entries",
     "exp_surreal_value",
     "extend",
     "integrate",

@@ -23,7 +23,7 @@ from ..resummation import QuadratureConfig
 from ..resummation.kernels import _c2mp
 from ..stream import DEFAULT_ORDER_SCAN
 from ..surreal import LazyNF, SurrealNF, decompose, nf_cmp, one
-from ..transseries import TransseriesT1, ts_add, ts_antidiff, ts_scale
+from ..transseries import TransseriesT1, ts_antidiff
 from .catalog import CatalogFunction, catalog, shifted_taylor, term_value
 from .prefactor import Prefactor
 from .tau import conway_sum, exp_grid, exp_purely_infinite, tau_eval
@@ -203,34 +203,6 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
         domain_c=f.domain_c,
     )
     return anti_entry
-
-
-def combine_entries(a: CatalogFunction, ca, b: CatalogFunction, cb) -> CatalogFunction:
-    """ca*a + cb*b for entries sharing a critical time."""
-    if (a.crit_coef, a.crit_power) != (b.crit_coef, b.crit_power):
-        raise UnsupportedPointError("combining entries across critical times")
-    if not a.prefactor.is_one() or not b.prefactor.is_one():
-        raise UnsupportedPointError("combining entries with symbolic prefactors")
-    ca, cb = Fraction(ca), Fraction(cb)
-    degrees = (a.taylor_degree, b.taylor_degree)  # a polynomial's Taylor series ends at its degree
-
-    def taylor(x0, k):
-        ta, tb = a.taylor_term(x0, k), b.taylor_term(x0, k)
-        if ta[0] == "exact" and tb[0] == "exact" and ta[1] == tb[1]:
-            return ("exact", ta[1], ca * ta[2] + cb * tb[2])
-        return ("num", _c2mp(ca) * term_value(ta) + _c2mp(cb) * term_value(tb))
-
-    return CatalogFunction(
-        name=f"{ca}*{a.name}+{cb}*{b.name}",
-        transseries=ts_add(ts_scale(ca, a.transseries), ts_scale(cb, b.transseries)),
-        oracle=lambda x: a.oracle(x) * ca.numerator / ca.denominator + b.oracle(x) * cb.numerator / cb.denominator,
-        taylor_term=taylor,
-        crit_coef=a.crit_coef,
-        crit_power=a.crit_power,
-        ln2pi_coef=a.ln2pi_coef * ca + b.ln2pi_coef * cb,
-        domain_c=max(filter(lambda v: v is not None, [a.domain_c, b.domain_c]), default=None),
-        taylor_degree=None if None in degrees else max(degrees),
-    )
 
 
 def integrate(f: CatalogFunction, a, b, terms: int = 8, *, cfg: QuadratureConfig = None):

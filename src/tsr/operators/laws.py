@@ -12,11 +12,13 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ..resummation import QuadratureConfig, quad_interval
+from ..errors import ToleranceNotMet
+from ..resummation import QuadratureConfig, eb_sum
+from ..resummation.laplace import _panel, _split_span
 from ..surreal import SurrealNF, omega, one
 from ..transseries import eq_to_order, ts_add, ts_antidiff, ts_diff, ts_mul_minus, ts_parse, ts_scale
 from .catalog import catalog, monomial_entry, term_value
-from .extension import antidiff_no, combine_entries, extend, integrate
+from .extension import antidiff_no, extend, integrate
 from .tau import tau_eval
 
 
@@ -64,11 +66,35 @@ def _rel_close(a, b, tol):
 
 def _quad_prec(cfg: QuadratureConfig) -> int:
     """Bits for a law's quadrature: the working precision, but at most 50
-    digits, far past the 1e-9 and 1e-12 the laws hold to.  Each integrand
-    has a pole a few panel lengths off, so no level of the nested rule
-    settles its panel past a few hundred digits, and quad_interval would
-    refuse it."""
+    digits, a cap on the cost of the node sums only; the stop is
+    ``QUAD_TOL``."""
     return mp.libmp.dps_to_prec(min(cfg.precision, 50))
+
+
+#: Where a law's quadrature stops a panel: a thousandth of the tightest law
+#: tolerance (1e-12) on integrals below 10^3.
+QUAD_TOL = 1e-15
+
+
+def _quad(fn, a, b, prec: int):
+    """integral(fn, a..b) of an fn analytic on [a, b]: [a, b] cut as a
+    smooth Laplace span is, and each panel summed by the nested rule until
+    two levels differ by at most max(QUAD_TOL, 8 2^-prec), at prec + 20
+    bits.  A panel whose last two levels differ by more raises
+    ToleranceNotMet, so no law compares against an unsettled integral."""
+    with mp.workprec(prec + 20):
+        eps = max(mp.mpf(QUAD_TOL), mp.ldexp(1, 3 - prec))
+        pts = _split_span(mp.mpf(a), mp.mpf(b))
+        total = []
+        for lo, hi in zip(pts, pts[1:]):
+            val, diff = _panel(fn, lo, hi, eps, prec)
+            if diff > eps:
+                raise ToleranceNotMet(
+                    f"the panel [{mp.nstr(lo, 8)}, {mp.nstr(hi, 8)}] does not settle at {prec} bits: "
+                    f"its last two levels differ by {mp.nstr(diff, 5)}"
+                )
+            total.append(val)
+        return mp.fsum(total)
 
 
 def antidiff_laws(cfg: QuadratureConfig = None) -> LawReport:
@@ -92,8 +118,7 @@ def antidiff_laws(cfg: QuadratureConfig = None) -> LawReport:
 
         # (ii) linearity
         f, g = reg["ei_integrand"], reg["exp"]
-        combo = combine_entries(f, Fraction(2, 3), g, Fraction(-1, 2))
-        lhs = ts_antidiff(combo.transseries)
+        lhs = ts_antidiff(ts_add(ts_scale(Fraction(2, 3), f.transseries), ts_scale(Fraction(-1, 2), g.transseries)))
         rhs = ts_add(
             ts_scale(Fraction(2, 3), ts_antidiff(f.transseries)),
             ts_scale(Fraction(-1, 2), ts_antidiff(g.transseries)),
@@ -125,7 +150,7 @@ def antidiff_laws(cfg: QuadratureConfig = None) -> LawReport:
         f = reg["ei_integrand"]
         anti = antidiff_no(f)  # the Ei entry
         shifted = anti.oracle(mp.mpf(5)) - anti.oracle(mp.mpf(3))
-        direct = quad_interval(f.oracle, 3, 5, _quad_prec(cfg))
+        direct = _quad(f.oracle, 3, 5, _quad_prec(cfg))
         report.record("vi_constant_difference", _rel_close(shifted, direct, 1e-12))
     return report
 
@@ -153,8 +178,7 @@ def extension_laws(cfg: QuadratureConfig = None) -> LawReport:
 
         # (ii) linearity over rational combinations at an infinite point
         f, g = reg["ei_integrand"], reg["exp"]
-        combo = combine_entries(f, Fraction(3), g, Fraction(-2))
-        lhs = extend(combo, omega(), 6, cfg=cfg)
+        lhs = tau_eval(ts_add(ts_scale(3, f.transseries), ts_scale(-2, g.transseries)), omega())
         rhs = extend(f, omega(), 8, cfg=cfg).scale(3) + extend(g, omega(), 8, cfg=cfg).scale(-2)
         report.record("ii_linearity", lhs.exact_nf(6) == rhs.exact_nf(6))
 
@@ -206,8 +230,10 @@ def integral_laws(cfg: QuadratureConfig = None) -> LawReport:
         report.record("a_derivative", _rel_close(got, f.oracle(b), 1e-6))
 
         # (b) linearity
-        combo = combine_entries(f, Fraction(2), g, Fraction(1, 3))
-        lhs = as_number(integrate(combo, float(a), float(b), cfg=cfg))
+        # the Borel sum of the combination's antiderivative, as integrate
+        # takes it for an entry with no stored antiderivative
+        anti_ts = ts_antidiff(ts_add(ts_scale(2, f.transseries), ts_scale(Fraction(1, 3), g.transseries)))
+        lhs = eb_sum(anti_ts, b, cfg)[0] - eb_sum(anti_ts, a, cfg)[0]
         rhs = 2 * as_number(integrate(f, float(a), float(b), cfg=cfg)) + as_number(
             integrate(g, float(a), float(b), cfg=cfg)
         ) / 3
@@ -231,14 +257,14 @@ def integral_laws(cfg: QuadratureConfig = None) -> LawReport:
             return term_value(entry.taylor_term(mp.mpf(x), 1))
 
         a0, b0 = mp.mpf(2), mp.mpf(3)
-        lhs = quad_interval(lambda s: deriv(ei, s) * g.oracle(s), a0, b0, prec)
+        lhs = _quad(lambda s: deriv(ei, s) * g.oracle(s), a0, b0, prec)
         boundary = ei.oracle(b0) * g.oracle(b0) - ei.oracle(a0) * g.oracle(a0)
-        rhs = boundary - quad_interval(lambda s: ei.oracle(s) * deriv(g, s), a0, b0, prec)
+        rhs = boundary - _quad(lambda s: ei.oracle(s) * deriv(g, s), a0, b0, prec)
         report.record("e_by_parts", _rel_close(lhs, rhs, 1e-9))
 
         # (f) substitution along the affine map t -> 2t + 1
         p, q = mp.mpf(2), mp.mpf(1)
-        lhs = quad_interval(lambda t: f.oracle(p * t + q) * p, 1, 2, prec)
+        lhs = _quad(lambda t: f.oracle(p * t + q) * p, 1, 2, prec)
         rhs = integrate(f, float(p * 1 + q), float(p * 2 + q), cfg=cfg)
         report.record("f_substitution", _rel_close(lhs, rhs, 1e-9))
 

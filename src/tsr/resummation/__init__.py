@@ -25,7 +25,6 @@ from .laplace import (
     WatsonReport,
     eb_sum,
     laplace,
-    quad_interval,
     resolve_default,
     watson_check,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "WatsonReport",
     "eb_sum",
     "laplace",
-    "quad_interval",
     "resolve_default",
     "watson_check",
 ]

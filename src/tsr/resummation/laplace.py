@@ -36,12 +36,10 @@ t = 0, and adjacent panels share no point.  Working precision and
 tolerances come from :class:`QuadratureConfig`; window and panel sizes are
 fixed (``PV_WINDOW``, ``_SPAN_PANELS``), because each panel refines itself
 to the tolerance, so they decide where the work goes, not how accurate the
-sum is.  ``_levels`` yields a panel's levels in turn, and each caller
-applies its own stopping test: a Laplace panel's is below, and
-``quad_interval``, which reports no error, also stops where the levels'
-geometric decay predicts the error to be below its precision, both
-relative to the panel's value, and refuses a panel that no level through
-n = 256 settles.
+sum is.  ``_levels`` yields a panel's levels in turn, and ``_panel``
+stops at the first that meets the test below.  The law suites of
+``tsr check laws`` sum their integrals over [a, b] by the same panels and
+the same test (``operators.laws._quad``).
 
 The absolute tolerance governs the quadrature's work, not the working
 precision.  Each panel is summed by the rule at rising level until two
@@ -294,50 +292,6 @@ def _panel(fn, a, b, eps, prec: int):
             break
         prev = level
     return level, diff
-
-
-def quad_interval(fn, a, b, prec: int) -> mp.mpf:
-    """integral(fn, a..b) of an fn analytic on [a, b], at ``prec`` bits.
-
-    [a, b] is cut as a smooth Laplace span is (``_split_span``), and each
-    panel is summed by the nested rule; fn is evaluated at prec + 20 bits,
-    never at a panel's end.  A panel stops at the first level I_n whose
-    difference d_n = |I_n - I_(n/2)| is at most 2^-prec max(1, |I_n|), or
-    whose error the levels' decay predicts to be at most 2^-(prec + 16)
-    max(1, |I_n|): relative, as fn's own rounding is.  The rule's error
-    on an analytic fn falls like C rho^-n, so d_n is about the error of
-    I_(n/2), and at a constant rate the error of I_n is d_n (d_n/d_(n/2))^2.
-    The prediction takes the slowest rate any two levels have shown,
-    d_n (d_m/d_(m/2))^(2n/m) for the worst m <= n: an entire factor's fast
-    early decay can hide a pole's slower one.  The 16 guard bits cover
-    the estimate's error before the decay is geometric.  A panel where no
-    level through n = 256 passes raises ToleranceNotMet.  Returns the value
-    alone: no error estimate comes with it.
-    """
-    with mp.workprec(prec + 20):
-        pts = _split_span(mp.mpf(a), mp.mpf(b))
-        eps, far = mp.ldexp(1, -prec), mp.ldexp(1, -prec - 16)
-        total = []
-        for lo, hi in zip(pts, pts[1:]):
-            levels = _levels(fn, lo, hi, prec)
-            prev, before, slowest = next(levels), None, 0
-            for level in levels:
-                diff = abs(level - prev)
-                if before is not None:
-                    # max over m <= n of (d_m/d_(m/2))^(2n/m): each earlier
-                    # ratio's power doubles with n
-                    slowest = max(slowest * slowest, (diff / before) ** 2)
-                scale = max(1, abs(level))
-                if diff <= eps * scale or before is not None and diff * slowest <= far * scale:
-                    break
-                prev, before = level, diff
-            else:
-                raise ToleranceNotMet(
-                    f"quad_interval: the panel [{mp.nstr(lo, 8)}, {mp.nstr(hi, 8)}] does not converge at {prec} bits: "
-                    f"its last two levels differ by {mp.nstr(diff, 5)}"
-                )
-            total.append(level)
-        return mp.fsum(total)
 
 
 # -- Ecalle-Borel summation ------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import importlib
 from fractions import Fraction as F
-from math import factorial, log2, sqrt
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -17,6 +17,7 @@ from reference.resummation import convolve
 from tsr.errors import DegenerateTableError, DomainError, GrowthBoundViolated, SingularPointError, ToleranceNotMet
 from tsr.coefficients import NAMED_SERIES, named_series
 from tsr.operators import antidiff_no, catalog
+from tsr.operators.laws import QUAD_TOL, _quad
 from tsr.resummation import (
     AiryKernel,
     BorelPoly,
@@ -30,14 +31,13 @@ from tsr.resummation import (
     laplace,
     pade_continue,
     pole_kernel,
-    quad_interval,
     resolve_default,
     special,
     sqrt_branch_kernel,
     watson_check,
 )
 from tsr.resummation.kernels import _interval, positive_roots
-from tsr.resummation.laplace import _exp_rate, _split_span
+from tsr.resummation.laplace import _exp_rate
 from tsr.transseries import PowerSeries, ts_antidiff, ts_parse
 from tsr.transseries.grid import groups_of
 
@@ -848,17 +848,18 @@ QUAD_CASES = {
 
 @pytest.mark.parametrize("digits", [15, 30, 50, 100])
 @pytest.mark.parametrize("case", sorted(QUAD_CASES))
-def test_quad_interval_meets_its_precision(case, digits):
+def test_law_quadrature_meets_its_tolerance(case, digits):
+    # each panel stops where two levels agree to QUAD_TOL, a thousandth of
+    # the laws' tightest tolerance
     fn, a, b, exact = QUAD_CASES[case]
-    prec = libmp.dps_to_prec(digits)
-    got = quad_interval(fn, a, b, prec)
+    got = _quad(fn, a, b, libmp.dps_to_prec(digits))
     with mp.workdps(digits + 40):
         ref = exact()
-        assert abs(got - ref) <= mp.ldexp(1, -prec) * max(1, abs(ref))
+        assert abs(got - ref) <= mp.mpf(1e-13) * max(1, abs(ref))
 
 
 def quad_factor(kind, arg=None):
-    """One factor of a quad_interval integrand, read at the working
+    """One factor of a law quadrature's integrand, read at the working
     precision, and its pole (None for an entire factor)."""
     if kind == "exp":
         return (lambda s: mp.exp(mp_fraction(arg) * s)), None
@@ -910,80 +911,51 @@ def reference_integral(fn, a, b, poles):
     return mp.quad(fn, [mp_fraction(c) for c in sorted(cuts)], error=True)
 
 
-def top_level_bits(a, b, poles):
-    """log2 of rho^256 on the worst panel of [a, b], where quad_interval's
-    top level has an error of about C rho^-256: a real pole p lies on the
-    Bernstein ellipse of a panel [lo, hi] with rho = u + sqrt(u^2 - 1),
-    u = |2p - lo - hi| / (hi - lo).  Infinite without a pole."""
-    edges = [float(e) for e in _split_span(mp_fraction(a), mp_fraction(b))]
-    bits = float("inf")
-    for p in map(float, poles):
-        for lo, hi in zip(edges, edges[1:]):
-            u = abs(2 * p - lo - hi) / (hi - lo)
-            bits = min(bits, 256 * log2(u + sqrt(u * u - 1)))
-    return bits
-
-
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(quad_cases(), st.sampled_from([15, 30, 50, 100]))
-# an entire factor's fast early decay hides the pole's slower one: from the
-# last two levels alone, I_64 of the first was 4e-6 units of 2^-prec off,
-# where it was 235
 @example((F(1), F(5, 4), [("sin", 6), ("pole", F(-7, 8))]), 100)
-@example((F(1), F(5, 4), [("exp", F(4)), ("pole", F(-7, 8))]), 100)
 @example((F(1), F(5, 4), [("exp", F(-7, 2)), ("pole", F(21, 8))]), 50)
 @example((F(2), F(3), [("exp_over_s",)]), 50)
-def test_quad_interval_is_within_its_precision_or_refuses(case, digits):
+# about 3e7: its rounding at 15 digits, |I| 2^-73, is above QUAD_TOL, so
+# the panel [4, 5] is refused there and summed at 30 digits
+@example((F(3), F(5), [("exp", F(4)), ("sin", 4)]), 15)
+@example((F(3), F(5), [("exp", F(4)), ("sin", 4)]), 30)
+def test_law_quadrature_is_within_its_tolerance_or_refuses(case, digits):
     a, b, factors = case
     fns, poles = zip(*(quad_factor(*f) for f in factors))
     poles = [p for p in poles if p is not None]
     fn = fns[0] if len(fns) == 1 else lambda s: fns[0](s) * fns[1](s)
     prec = libmp.dps_to_prec(digits)
     try:
-        got = quad_interval(fn, mp_fraction(a), mp_fraction(b), prec)
+        got = _quad(fn, mp_fraction(a), mp_fraction(b), prec)
     except ToleranceNotMet:
-        # right only where a pole keeps the top level's error within 2^32
-        # of the 2^-(prec + 16) its extrapolation must reach; of the 124
-        # cases one is refused, with 256 log2(rho) = 294 at 336 bits
-        assert top_level_bits(a, b, poles) < prec + 48, (case, digits)
+        # right only where the integrand's rounding at prec + 20 bits keeps
+        # two levels from agreeing to QUAD_TOL; each pole lies at least 1/8
+        # outside, so the top level of every panel of unit length settles it
+        with mp.workdps(digits + 40):
+            mass = reference_integral(lambda s: abs(fn(s)), a, b, poles)[0]
+        assert mass * mp.ldexp(1, -prec - 20) > QUAD_TOL / 1024, (case, digits)
         return
     with mp.workdps(digits + 40):
         ref, err = reference_integral(fn, a, b, poles)
-        unit = mp.ldexp(1, -prec) * max(1, abs(ref))
-        assert err <= unit / 2**20
-        assert abs(got - ref) <= unit, (case, digits)
+        assert err <= mp.mpf(1e-20) * max(1, abs(ref))
+        assert abs(got - ref) <= mp.mpf(1e-13) * max(1, abs(ref)), (case, digits)
 
 
 @pytest.mark.parametrize(
     "fn, a, b, digits",
-    [(lambda x: mp.sqrt(x + mp.mpf(1) / 100), 0, 1, 50), (lambda x: 1 / (x - mp.mpf(9) / 10), 1, 2, 100)],
-    ids=["sqrt_near_its_branch_point", "pole_a_tenth_outside"],
+    [
+        *((lambda s: 1 / (s - mp.mpf(999) / 1000), 1, 2, digits) for digits in (15, 50, 100)),
+        (lambda s: mp.exp(8 * s) * mp.sin(8 * s), 3, 5, 15),
+    ],
+    ids=["pole_a_thousandth_outside-15", "pole_a_thousandth_outside-50", "pole_a_thousandth_outside-100", "large-15"],
 )
-def test_quad_interval_refuses_a_panel_that_does_not_converge(fn, a, b, digits):
-    # no level through n = 256 settles: the top one is 1.1e-29 and 1.5e-71 off
-    with pytest.raises(ToleranceNotMet, match=r"panel \[.*\] does not converge"):
-        quad_interval(fn, a, b, libmp.dps_to_prec(digits))
-
-
-@pytest.mark.parametrize("digits", [15, 30, 50, 100])
-def test_quad_interval_holds_a_large_integral_to_its_relative_precision(digits):
-    # the integral is about 2^54, and a panel's levels agree to no better
-    # than its rounding, about |I| 2^-(prec + 20): a stop at an absolute
-    # 2^-prec refused [3, 4] at 15, 30 and 50 digits
-    prec = libmp.dps_to_prec(digits)
-    got = quad_interval(lambda s: mp.exp(8 * s) * mp.sin(8 * s), 3, 5, prec)
-    with mp.workdps(digits + 40):
-        anti = lambda s: mp.exp(8 * s) * (mp.sin(8 * s) - mp.cos(8 * s)) / 16
-        ref = anti(5) - anti(3)
-        assert abs(got - ref) <= mp.ldexp(1, -prec) * abs(ref)
-
-
-def test_quad_interval_stops_at_the_extrapolated_error():
-    # the levels' geometric decay shows I_64 within 2^-169: 63 points, where
-    # waiting for two levels to agree took I_128, 127 points
-    points = []
-    quad_interval(lambda s: points.append(s) or mp.exp(s) / s, 2, 3, 169)
-    assert len(points) == 63
+def test_law_quadrature_refuses_a_panel_that_does_not_settle(fn, a, b, digits):
+    # the pole leaves the top two levels 1.6e-4 apart at every precision;
+    # the integral of about 2^54 has levels that agree only to its
+    # rounding at 73 bits, about 2^-19, far above QUAD_TOL
+    with pytest.raises(ToleranceNotMet, match=r"panel \[.*\] does not settle"):
+        _quad(fn, a, b, libmp.dps_to_prec(digits))
 
 
 def test_laplace_leaves_mpmath_node_caches_alone():
@@ -1044,7 +1016,7 @@ def test_no_point_is_evaluated_twice(monkeypatch):
     monkeypatch.setattr(PadeKernel, "value", lambda self, p: seen.append(p._mpf_) or plain(self, p))
     eb_sum(ts_parse("3*#ei - 1/2*#stirling"), 5.203125, QuadratureConfig(precision=30))
     points = []
-    quad_interval(lambda s: points.append(s._mpf_) or mp.exp(s) / s, 2, 9, 166)
+    _quad(lambda s: points.append(s._mpf_) or mp.exp(s) / s, 2, 9, 166)
     for got in (seen, points):
         assert got and len(set(got)) == len(got)
 

@@ -4,9 +4,12 @@ The suites run once per session, at the stricter configuration acceptance
 criterion 10 also reads (the ``law_reports`` fixture in conftest.py).
 """
 
+import mpmath as mp
+import pytest
+
 from tsr.cli import run
 from tsr.operators import laws
-from tsr.resummation import quad_interval
+from tsr.resummation import QuadratureConfig
 
 
 def test_antidiff_laws(law_reports):
@@ -24,11 +27,12 @@ def test_integral_laws(law_reports):
     assert report.passed, report.summary()
 
 
-def test_law_suite_quadratures_stop_at_the_extrapolated_error(monkeypatch):
-    # (vi) and the integral suite's (e) and (f) integrate by quad_interval at
-    # 50 digits: 126 + 63 + 63 + 63 points, where waiting for two levels to
-    # agree took 254 + 127 + 127 + 127
+def test_law_suite_quadratures_take_155_points(monkeypatch):
+    # (vi) over two panels, and the integral suite's (e), twice, and (f)
+    # over one: each panel's levels first agree to QUAD_TOL at I_32, 31
+    # points
     counts = []
+    plain = laws._quad
 
     def counted(fn, a, b, prec):
         counts.append(0)
@@ -37,17 +41,37 @@ def test_law_suite_quadratures_stop_at_the_extrapolated_error(monkeypatch):
             counts[-1] += 1
             return fn(s)
 
-        return quad_interval(point, a, b, prec)
+        return plain(point, a, b, prec)
 
-    monkeypatch.setattr(laws, "quad_interval", counted)
+    monkeypatch.setattr(laws, "_quad", counted)
     assert laws.antidiff_laws().passed and laws.integral_laws().passed
-    assert counts == [126, 63, 63, 63]
+    assert counts == [62, 31, 31, 31]
+
+
+@pytest.mark.parametrize("digits", [10, 15, 30, 50, 100, 300])
+def test_law_integrals_are_within_1e13_of_mpmath(monkeypatch, digits):
+    got = []
+    plain = laws._quad
+    monkeypatch.setattr(laws, "_quad", lambda *args: got.append(plain(*args)) or got[-1])
+    cfg = QuadratureConfig(precision=digits)
+    assert laws.antidiff_laws(cfg).passed and laws.integral_laws(cfg).passed
+    with mp.workdps(digits + 20):
+        ei_ei = mp.ei(6) - mp.ei(4)  # integral(e^(2s)/s, s = 2..3)
+        want = [
+            mp.ei(5) - mp.ei(3),  # (vi): integral(e^s/s, s = 3..5)
+            ei_ei,  # (e): integral(Ei'(s) e^s, s = 2..3)
+            mp.ei(3) * mp.exp(3) - mp.ei(2) * mp.exp(2) - ei_ei,  # (e): integral(Ei(s) e^s, s = 2..3)
+            mp.ei(5) - mp.ei(3),  # (f): integral(2 e^(2t+1)/(2t+1), t = 1..2)
+        ]
+        assert len(got) == len(want)
+        for value, ref in zip(got, want):
+            assert abs(value - ref) <= mp.mpf(1e-13) * abs(ref), (value, ref)
 
 
 def test_check_laws_passes_at_a_precision_past_the_rules_reach(capsys):
-    # at 300 digits no level through n = 256 settles (vi)'s panel [3, 4],
-    # whose pole at 0 sits at u = -7 in its coordinates (rho about 13.9,
-    # rho^-256 about 10^-293): the laws integrate at no more than 50 digits
+    # each panel stops where its levels agree to QUAD_TOL, whatever the
+    # precision, so at 300 digits the laws settle at the same levels as at
+    # 50; _quad_prec only caps the cost of the node sums
     assert run(["check", "laws", "--prec", "300"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 19 and "FAIL" not in out, out

@@ -35,7 +35,6 @@ PACKAGE = SRC / "tsr"
 #: Functions the product calls that no pinned case reaches, each with its reason.
 ALLOWED = {
     "cli.py:main": "the console-script entry point; the replay calls `run`, which it wraps",
-    "operators/extension.py:combine_entries.taylor": "the Taylor facility of a combined entry, for extend at x0 + 1/w; the law suites read only its series and oracle",
     "operators/values.py:SurrealValue.sign": "each value kind signs itself, so the law suites need not ask which kind they hold",
     "operators/values.py:NumericTaylor.sign": "each value kind signs itself, so the law suites need not ask which kind they hold",
     "operators/values.py:NumericTaylor.numeric_const": "each value kind reads itself as a real constant for the law suites",

@@ -19,11 +19,9 @@ from tsr.operators import (
     NumericTaylor,
     SurrealValue,
     catalog,
-    combine_entries,
     extend,
     integrate,
 )
-from tsr.operators.catalog import monomial_entry
 from tsr.operators.laws import as_number
 from tsr.resummation import QuadratureConfig
 from tsr.surreal import parse_nf
@@ -111,7 +109,7 @@ def test_integrate_is_the_difference_of_the_endpoint_values():
     "value, sign",
     [
         # -e^(-3) w^w leads e^3 w^(-w), though its group comes second
-        (lambda: extend(combine_entries(catalog()["exp_neg"], 1, catalog()["exp"], -1), parse_nf("w-3")), -1),
+        (lambda: _extend("exp_neg", "w-3") + _extend("exp", "w-3").scale(-1), -1),
         (lambda: _extend("exp_neg", "w"), 1),
         (lambda: _extend("exp", "-w"), 1),
         (lambda: SurrealValue.zero(), 0),
@@ -188,19 +186,3 @@ class TestBenchmarkContract:
                 assert abs(payload["offset"] - mp.exp(-2)) < mp.mpf(10) ** -25
         if kind == "taylor":
             assert len(payload["coeffs"]) == 4
-
-
-def test_a_combination_of_polynomials_ends_at_the_larger_degree():
-    both = combine_entries(monomial_entry(1), 2, monomial_entry(2), 3)
-    assert both.taylor_degree == 2
-    assert extend(both, parse_nf("3+w^-1"), cfg=CFG).exact_nf(8) == parse_nf("33 + 20*w^-1 + 3*w^-2")
-
-
-def test_a_combination_takes_the_same_combination_of_the_taylor_terms():
-    point = parse_nf("3+w^-1")
-    got = extend(combine_entries(catalog()["ei_integrand"], F(2, 3), catalog()["exp"], F(-1, 2)), point, cfg=CFG)
-    want = _extend("ei_integrand", "3+w^-1", 8).scale(F(2, 3)) + _extend("exp", "3+w^-1", 8).scale(F(-1, 2))
-    assert [(g.prefactor, g.stream.truncate(8)) for g in got.merged().groups] == [
-        (g.prefactor, g.stream.truncate(8)) for g in want.merged().groups
-    ]
-    assert got.render(2) == "e^(3)*(-5/18 - 19/54*w^(-1) + ...)"
