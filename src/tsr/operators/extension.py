@@ -166,8 +166,7 @@ def exp_surreal_value(v: SurrealValue) -> SurrealValue:
     if real:
         pref = pref * Prefactor.of(1, e=real)
 
-    small = LazyNF(lambda: islice(main, i, None))
-    return SurrealValue([ValueGroup(pref, exp_grid(small).shift(lead))])
+    return SurrealValue([ValueGroup(pref, exp_grid(main.drop(i)).shift(lead))])
 
 
 # -- antidifferentiation and the integral ----------------------------------------

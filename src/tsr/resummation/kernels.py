@@ -143,6 +143,7 @@ class ClosedFormKernel(BorelFunction):
             L, M = Y, None
             if (-1, 0) in need or self._has_log:
                 have[(-1, 0)] = base = self._base(-1, X, S, wp)
+            if self._has_log:
                 M = libmp.mpi_neg(libmp.mpi_mul(base, YS, wp))
             for a in range(max(ints) + 1):
                 have[(a, 0)], have[(a, 1)] = L, M
@@ -232,10 +233,14 @@ _ONE = (libmp.fone, libmp.fone)
 
 def _interval(q, wp: int) -> tuple:
     """A raw interval holding q (a Fraction, int, float or mpf): exact unless
-    q is a Fraction that is not a binary fraction of at most wp bits."""
+    q is a Fraction that is not a binary fraction of at most wp bits, and a
+    point when it is exact."""
     if isinstance(q, Fraction):
         n, d = q.numerator, q.denominator
-        return libmp.from_rational(n, d, wp, libmp.round_floor), libmp.from_rational(n, d, wp, libmp.round_ceiling)
+        if d & (d - 1) or n.bit_length() > wp:
+            return libmp.from_rational(n, d, wp, libmp.round_floor), libmp.from_rational(n, d, wp, libmp.round_ceiling)
+        v = libmp.from_man_exp(n, 1 - d.bit_length())
+        return v, v
     v = q._mpf_ if hasattr(q, "_mpf_") else libmp.from_float(q) if isinstance(q, float) else libmp.from_int(q)
     return v, v
 

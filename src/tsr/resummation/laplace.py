@@ -68,6 +68,7 @@ derives no kernel.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -160,7 +161,8 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
 
 def _finite(x):
     """Raise DomainError for a non-finite float or mpf x."""
-    if isinstance(x, (float, mp.mpf)) and not mp.isfinite(x):
+    finite = math.isfinite(x) if isinstance(x, float) else not isinstance(x, mp.mpf) or mp.isfinite(x)
+    if not finite:
         raise DomainError(f"no Laplace sum at the non-finite point x = {x}")
 
 
@@ -221,18 +223,22 @@ _TOP = 256
 
 
 @functools.lru_cache(maxsize=None)
-def _cosines(prec: int) -> tuple:
-    """cos(m pi / _TOP), m = 0.._TOP, as fixed-point integers with prec + 40
-    fraction bits, from raw ``libmp`` at an explicit precision.  One cosine
-    and sine of m pi / _TOP, m <= _TOP/4, give the rest."""
-    bits, q = prec + 40, _TOP // 4
-    out = [0] * (_TOP + 1)
-    for m in range(q + 1):
-        c, s = libmp.mpf_cos_sin_pi(libmp.from_rational(m, _TOP, bits), bits + 10)
-        out[m], out[2 * q - m] = libmp.to_fixed(c, bits), libmp.to_fixed(s, bits)
-    for m in range(2 * q):
-        out[_TOP - m] = -out[m]
-    return tuple(out)
+def _cos_sin(m: int, prec: int) -> tuple:
+    """cos and sin of m pi / _TOP, 0 <= m <= _TOP/4, as fixed-point
+    integers with prec + 40 fraction bits, from raw ``libmp`` at an explicit
+    precision."""
+    bits = prec + 40
+    c, s = libmp.mpf_cos_sin_pi(libmp.from_rational(m, _TOP, bits), bits + 10)
+    return libmp.to_fixed(c, bits), libmp.to_fixed(s, bits)
+
+
+def _cosine(k: int, prec: int) -> int:
+    """cos(k pi / _TOP), 0 <= k <= _TOP, as ``_cos_sin`` gives it: the
+    cosine of k < _TOP/4, the sine of _TOP/2 - k up to _TOP/2, and the
+    negated cosine of _TOP - k past it."""
+    if k > _TOP // 2:
+        return -_cosine(_TOP - k, prec)
+    return _cos_sin(k, prec)[0] if k < _TOP // 4 else _cos_sin(_TOP // 2 - k, prec)[1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,13 +251,14 @@ def _fejer_rule(n: int, prec: int) -> tuple:
 
     (Waldvogel, BIT 46, 2006).  The weights are positive and the rule is
     exact to degree n - 1.  The sums run in fixed-point integers with 20
-    bits beyond the node sums' prec + 20, from one table of cosines, with
+    bits beyond the node sums' prec + 20, from the n/4 + 1 cosines and
+    sines of m pi/_TOP that level n reaches (``_cos_sin``), with
     sin(m pi/n) = cos((n/2 - m) pi/n), so level n's nodes are level 2n's
     even nodes bit for bit.  Nothing reads or writes a context's precision;
     the results are mpf rounded to prec + 20 bits.
     """
     bits = prec + 40
-    cos = _cosines(prec)[:: _TOP // n]  # cos(m pi/n), m = 0..n
+    cos = tuple(_cosine(m * (_TOP // n), prec) for m in range(n + 1))  # cos(m pi/n)
     period = cos + cos[-2:0:-1]  # cos(m pi/n), m = 0..2n-1
     sin = lambda m: period[(n // 2 - m) % (2 * n)]
     d = [(1 << bits) // (2 * k - 1) for k in range(1, n // 2 + 1)]
@@ -370,12 +377,22 @@ def eb_sum(
                         raise DomainError(f"x^({q}) has no value at x = 0")
                     if x < 0 and q.denominator != 1:
                         raise DomainError(f"x^({q}) has no real value at x = {libmp.to_str(X[0], cfg.precision)}")
-                    val = libmp.mpi_add(val, libmp.mpi_mul(_interval(c, wp), libmp.mpi_pow(X, _interval(q, wp), wp), wp), wp)
+                    t = _interval(c, wp)
+                    if q:
+                        t = libmp.mpi_mul(t, libmp.mpi_pow(X, _interval(q, wp), wp), wp)
+                    val = libmp.mpi_add(val, t, wp)
         else:
             entry = (resolver(series) if resolver is not None else series.kernel) or resolve_default(series)
-            val = libmp.mpi_mul(_interval(entry.c, wp), _ball(*laplace(entry.kernel, x, cfg), wp), wp)
-            val = libmp.mpi_mul(libmp.mpi_pow(X, _interval(grp.offset, wp), wp), val, wp)
-        total = libmp.mpi_add(total, libmp.mpi_mul(_exp_rate(grp.mu, x, wp), val, wp), wp)
+            val = _ball(*laplace(entry.kernel, x, cfg), wp)
+            if entry.c != 1:
+                val = libmp.mpi_mul(_interval(entry.c, wp), val, wp)
+            if grp.offset:
+                val = libmp.mpi_mul(libmp.mpi_pow(X, _interval(grp.offset, wp), wp), val, wp)
+        # each val has at most wp bits, so a factor of exactly 1 (c, x^0,
+        # e^(0 x)) would leave it as it is, and is skipped
+        if grp.mu:
+            val = libmp.mpi_mul(_exp_rate(grp.mu, x, wp), val, wp)
+        total = libmp.mpi_add(total, val, wp)
     return _rounded(total, prec)
 
 

@@ -3,15 +3,21 @@
 A :class:`LazyNF` is a stream of (exponent, coefficient) terms in strictly
 decreasing exponent order, memoized as demanded.
 
-The stream keeps one search budget for every generator: a generator yields
-a zero term for each search step that found nothing (a cancelling sum, a
-zero coefficient), and DEFAULT_ORDER_SCAN of them in a row raise
+Order is checked where terms are generated: a stream built from a generator
+compares each exponent with the one before.  A stream derived from checked
+terms (``from_nf``, ``scale``, ``shift``, ``drop`` and the merge of a sum)
+keeps their order and maps them without comparing them again.
+
+The stream keeps one search budget for every generator and every sum: a
+zero term is a search step that found nothing (a cancelling sum, a zero
+coefficient), and DEFAULT_ORDER_SCAN of them in a row raise
 :class:`UndecidableSupport`.  A generator known to be finite skips zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator
 
 from ..errors import UndecidableSupport
@@ -29,11 +35,19 @@ class LazyNF:
     """
 
     def __init__(self, gen_fn: Callable[[], Iterator[Term]]):
-        self._terms = Stream(lambda: _checked(gen_fn()))
+        self._terms = Stream(lambda: _checked(gen_fn(), ordered=False))
+
+    @classmethod
+    def _derived(cls, gen_fn: Callable[[], Iterator[Term]]) -> "LazyNF":
+        """The stream of gen_fn's terms, already nonzero with Fraction
+        coefficients and strictly decreasing exponents."""
+        out = cls.__new__(cls)
+        out._terms = Stream(gen_fn)
+        return out
 
     @classmethod
     def from_nf(cls, a: SurrealNF) -> "LazyNF":
-        return cls(lambda: iter(a.terms))
+        return cls._derived(lambda: iter(a.terms))
 
     def term(self, i: int) -> Term | None:
         try:
@@ -52,14 +66,18 @@ class LazyNF:
         return iter(self._terms)
 
     def scale(self, c: Fraction) -> "LazyNF":
-        c = Fraction(c)
-        if c == 0:
+        c = c if type(c) is Fraction else Fraction(c)
+        if not c:
             return LazyNF.from_nf(SurrealNF.zero())
-        return LazyNF(lambda: ((e, c * r) for e, r in self))
+        return LazyNF._derived(lambda: ((e, c * r) for e, r in self))
 
     def shift(self, offset: SurrealNF) -> "LazyNF":
         """Multiply by the monomial w^offset."""
-        return LazyNF(lambda: ((e + offset, r) for e, r in self))
+        return LazyNF._derived(lambda: ((e + offset, r) for e, r in self))
+
+    def drop(self, n: int) -> "LazyNF":
+        """The stream after its first n terms."""
+        return LazyNF._derived(lambda: islice(self, n, None))
 
     def __add__(self, other: "LazyNF") -> "LazyNF":
         """The termwise sum; a cancelling pair is a search step that found
@@ -80,7 +98,7 @@ class LazyNF:
                     yield (ta[0], ta[1] + tb[1])
                     ta, tb = next(a, None), next(b, None)
 
-        return LazyNF(gen)
+        return LazyNF._derived(lambda: _checked(gen(), ordered=True))
 
     def render(self, n_terms: int) -> str:
         from .render import render_nf
@@ -92,20 +110,22 @@ class LazyNF:
         return text
 
 
-def _checked(terms: Iterator[Term]) -> Iterator[Term]:
-    """Drop zero coefficients and insist on strictly decreasing exponents.
+def _checked(terms: Iterator[Term], *, ordered: bool) -> Iterator[Term]:
+    """Drop zero coefficients, and unless the terms are known to be
+    ``ordered``, insist on strictly decreasing exponents: order is checked
+    where terms are generated, not again in a stream derived from them.
 
     A zero coefficient is a search step that found nothing, and its exponent
     is not read; DEFAULT_ORDER_SCAN of them in a row raise UndecidableSupport.
     """
     prev, n, zeros = None, 0, 0
     for e, c in terms:
-        if c == 0:
+        if not c:
             zeros += 1
             if zeros >= DEFAULT_ORDER_SCAN:
                 raise UndecidableSupport(f"{zeros} search steps in a row found no term")
             continue
-        if n and nf_cmp(e, prev) != LT:
+        if n and not ordered and nf_cmp(e, prev) != LT:
             raise ValueError(f"exponents not strictly decreasing at term {n}")
         prev, n, zeros = e, n + 1, 0
-        yield (e, Fraction(c))
+        yield (e, c) if type(c) is Fraction else (e, Fraction(c))

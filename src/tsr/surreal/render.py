@@ -14,42 +14,41 @@ from ..scanner import Scanner
 from .normal_form import SurrealNF
 
 
-def _render_exponent(e: SurrealNF) -> str:
-    if e.is_rational():
-        q = e.as_rational()
-        if q.denominator == 1 and q >= 0:
-            return str(q)
-        return f"({q})"
-    if len(e.terms) == 1 and e.terms[0][1] == 1 and e.terms[0][0].is_rational() and e.terms[0][0].as_rational() == 1:
-        return "w"
-    return f"({render_nf(e, compact=True)})"
-
-
-def _render_term(e: SurrealNF, c: Fraction) -> str:
-    c = abs(c)
-    if e.is_zero():
-        return str(c)
-    if e.is_rational() and e.as_rational() == 1:
-        mono = "w"
-    else:
-        mono = f"w^{_render_exponent(e)}"
-    if c == 1:
-        return mono
-    return f"{c}*{mono}"
-
-
 def render_nf(a: SurrealNF, *, compact: bool = False) -> str:
-    if a.is_zero():
+    """The text of a, each coefficient formatted from its numerator and
+    denominator."""
+    if not a.terms:
         return "0"
     plus, minus = (" + ", " - ") if not compact else ("+", "-")
     parts = []
     for i, (e, c) in enumerate(a.terms):
-        body = _render_term(e, c)
-        if i == 0:
-            parts.append(body if c > 0 else "-" + body)
+        n, d = c.numerator, c.denominator
+        sign = (plus if i else "") if n > 0 else (minus if i else "-")
+        coef = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+        if not e.terms:
+            parts.append(sign + coef)
+        elif coef == "1":
+            parts.append(sign + _monomial(e))
         else:
-            parts.append((plus if c > 0 else minus) + body)
+            parts.append(f"{sign}{coef}*{_monomial(e)}")
     return "".join(parts)
+
+
+def _monomial(e: SurrealNF) -> str:
+    """The text of w^e for a nonzero exponent e."""
+    if len(e.terms) == 1:
+        e0, c0 = e.terms[0]
+        n, d = c0.numerator, c0.denominator
+        if not e0.terms:  # a rational exponent
+            if d != 1:
+                return f"w^({n}/{d})"
+            return "w" if n == 1 else f"w^{n}" if n > 0 else f"w^({n})"
+        if n == d == 1 and e0.terms == _ONE.terms:
+            return "w^w"
+    return f"w^({render_nf(e, compact=True)})"
+
+
+_ONE = SurrealNF.from_rational(1)
 
 
 def parse_nf(text: str) -> SurrealNF:

@@ -175,7 +175,8 @@ def test_clenshaw_curtis_tables_built_race_free():
     results = _pull_together(lambda k: [laplace._fejer_rule(*key) for key in keys[k::4] + keys])
     assert mp.mp.prec == prec  # building the tables leaves the global precision alone
     serial = [laplace._fejer_rule.__wrapped__(*key) for key in keys]
-    assert all(laplace._cosines(p) == laplace._cosines.__wrapped__(p) for p in {p for _, p in keys})
+    cached = [(m, p) for p in {p for _, p in keys} for m in range(laplace._TOP // 4 + 1)]
+    assert all(laplace._cos_sin(*key) == laplace._cos_sin.__wrapped__(*key) for key in cached)
     for k, got in enumerate(results):
         assert got == [laplace._fejer_rule.__wrapped__(*key) for key in keys[k::4]] + serial
 

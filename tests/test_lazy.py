@@ -6,9 +6,13 @@ from math import factorial
 
 import pytest
 from conftest import time_budget
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference.surreal import NotStabilizedError, lim
+from test_normal_form import nfs, rationals
 
 from tsr.errors import UndecidableSupport
+from tsr.surreal import lazy
 from tsr.stream import DEFAULT_ORDER_SCAN
 from tsr.surreal import LazyNF, SurrealNF, omega, one
 
@@ -136,3 +140,52 @@ def test_the_stream_keeps_the_search_budget(steps):
     else:
         with pytest.raises(UndecidableSupport):
             stream.term(1)
+
+
+# -- derived streams ----------------------------------------------------------
+# scale, shift, drop and the merge of a sum map terms that were checked where
+# they were generated, and compare no exponents of their own.
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(nfs(), nfs(), rationals.filter(bool), nfs(1), st.integers(0, 8))
+def test_derived_layers_agree_with_the_exact_normal_form(a, b, c, o, n):
+    generated = LazyNF(lambda: iter(a.terms))
+    got = (generated.scale(c).shift(o) + LazyNF.from_nf(b)).truncate(n)
+    exact = a * SurrealNF.monomial(o, c) + b
+    assert got.terms == exact.terms[:n] and all(type(r) is F for _, r in got.terms)
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        lambda s: s.scale(F(-2, 3)),
+        lambda s: s.shift(W),
+        lambda s: s.drop(1),
+        lambda s: s.scale(2).shift(one()) + LazyNF.from_nf(SurrealNF.from_rational(-5)),
+    ],
+    ids=["scale", "shift", "drop", "sum"],
+)
+def test_an_unordered_generator_raises_through_derived_layers(layer):
+    bad = LazyNF(lambda: iter([(W, F(1)), (one(), F(1)), (W, F(2))]))
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        layer(bad).terms(3)
+
+
+def test_derived_layers_compare_each_term_once(monkeypatch):
+    calls = []
+    real = lazy.nf_cmp
+    monkeypatch.setattr(lazy, "nf_cmp", lambda a, b: calls.append(1) or real(a, b))
+    n = 40
+    evens = lambda: LazyNF(lambda: ((inv_omega_pow(2 * k), F(k)) for k in count(1)))
+    # one generated stream through scale and shift layers: its own order check only
+    evens().scale(3).shift(W).scale(F(1, 2)).shift(one()).terms(n)
+    assert len(calls) <= n
+    # two generated streams (x^-2, x^-4, ... shifted to x^-3, x^-5, ...) merged
+    # and scaled: each pulled term is compared once where it is generated and
+    # once in the merge
+    calls.clear()
+    x, y = evens().scale(3).shift(inv_omega_pow(1)), evens().scale(F(-1, 2))
+    summed = (x + y).scale(2).shift(W)
+    assert [e for e, _ in summed.terms(n)] == [W + inv_omega_pow(k) for k in range(2, n + 2)]
+    assert len(calls) <= 2 * (n + 2)

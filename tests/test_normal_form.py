@@ -121,7 +121,19 @@ class TestOmegaMap:
 class TestRendering:
     @pytest.mark.parametrize(
         "text",
-        ["0", "w^w - 1", "w^(w-1) + w^(w-2) + 2*w^(w-3)", "3/4", "-w + 1/2", "w^(-1)", "-5 + 1/2*w^(-2)"],
+        [
+            "0",
+            "w^w - 1",
+            "w^(w-1) + w^(w-2) + 2*w^(w-3)",
+            "3/4",
+            "-w + 1/2",
+            "w^(-1)",
+            "-5 + 1/2*w^(-2)",
+            "w^(-1/2)",
+            "-1/3*w^(w^(-1))",
+            "w^(2/3) - 3",
+            "-2*w^(1/2) - 7/2*w^(-7/3) + w^(-3)",
+        ],
     )
     def test_round_trip_from_text(self, text):
         assert render_nf(parse_nf(text)) == text
@@ -134,6 +146,12 @@ class TestRendering:
     def test_canonical_examples(self):
         assert render_nf(SurrealNF.monomial(W) - one()) == "w^w - 1"
         assert render_nf(SurrealNF.zero()) == "0"
+        assert render_nf(SurrealNF.monomial(SurrealNF.from_rational(F(-1, 2)))) == "w^(-1/2)"
+        inv_w = SurrealNF.monomial(SurrealNF.from_rational(-1))
+        assert render_nf(SurrealNF.monomial(inv_w, F(-1, 3))) == "-1/3*w^(w^(-1))"
+        two_thirds = SurrealNF.monomial(SurrealNF.from_rational(F(2, 3))) - 3
+        assert render_nf(two_thirds) == "w^(2/3) - 3"
+        assert render_nf(two_thirds, compact=True) == "w^(2/3)-3"
 
     def test_json_round_trip(self, rng):
         for _ in range(100):
