@@ -14,14 +14,17 @@ Binet kernel, whose transform is ln Gamma less its Stirling part
 (``CothKernel.laplace``), and the Airy kernel, whose transform is a modified
 Bessel function of order 1/3 (``AiryKernel.laplace``).  Pade kernels are
 summed by quadrature: they give their value on the ray, correctly rounded
-from integer coefficients that no precision changes, and their simple poles
-there, the only points a quadrature sum folds at.  The values of the Binet
-and Airy kernels are the tests' independent reference for the closed forms
+from integer coefficients that no precision changes, their simple poles
+there and the residue at each, exactly (``PadeKernel.residue``), so that a
+quadrature sum subtracts each pole's part and sums it in closed form
+(``pole_kernel``) instead of folding at it.  The values of the Binet and
+Airy kernels are the tests' independent reference for the closed forms
 (``tests/reference``).  A Pade kernel's poles are found exactly over Q:
 Descartes' rule of signs with bisection isolates the denominator's real
-positive roots and their orders, and bisection refines each simple one to a
-binary fraction at an explicit precision (``positive_roots``).  A pole of
-order 2 or more has no principal value and is refused.
+positive roots and their orders, and Newton steps inside a bisection
+bracket refine each simple one to a binary fraction at an explicit
+precision (``positive_roots``).  A pole of order 2 or more has no principal
+value and is refused.
 
 A series carries its kernel as a :class:`KernelEntry` (kernel, c): its
 Borel transform is c times the kernel, so every rational multiple of a
@@ -48,8 +51,9 @@ class BorelFunction:
     the exact small-p coefficients f_0..f_K; a closed form adds
     ``laplace(x, prec)``, a quadrature kernel ``value(p)`` (the half-sum of
     the lateral continuations), ``singularities()`` (its simple poles on the
-    positive axis, ascending, as binary fractions: the points a quadrature
-    sum folds at) and ``growth`` (see ``PadeKernel``)."""
+    positive axis, ascending, as binary fractions), ``residue(s)`` at each
+    (the parts r/(p - s) a quadrature sum subtracts and sums in closed form)
+    and ``growth`` (see ``PadeKernel``)."""
 
 
 @dataclass(frozen=True)
@@ -325,8 +329,9 @@ def positive_roots(coeffs: Sequence[Fraction], prec: int) -> list[tuple[Fraction
     the roots are isolated in (0, 2^k), a Fujiwara bound, by Descartes' rule
     of signs with bisection (Collins & Akritas, 1976), in integer Taylor
     shifts and sign counts.  An interval whose count is 1 holds one simple
-    root, which bisection refines inside it (``_refine``) to
-    2^-(prec+32) of itself (32 guard bits, about 10 digits).  A dyadic root
+    root, which Newton steps inside a bisection bracket refine (``_refine``)
+    to 2^-(prec+32) of itself (32 guard bits, about 10 digits), to the
+    binary fraction bisection would give.  A dyadic root
     that a bisection lands on is divided out, and the number of divisions is
     its order.  An interval narrower than 2^-(prec+10) of its lower end whose
     count v is still 2 or more is taken for one root of order v at its
@@ -415,34 +420,66 @@ def _horner(coeffs, p):
 def _refine(a: list, c: int, e: int, bits: int) -> Fraction:
     """The simple root of a (integers, lowest degree first) in the open
     interval (c 2^e, (c+1) 2^e), whose ends are no roots, to 2^-bits of
-    itself, by bisection on the signs of a.
+    itself: the root if it is a point of the grid below, else the midpoint
+    of the one-unit bracket around it, which is what bisection returns.
 
     An interval from 0 is halved until its lower end is positive, so the
     root is known to a factor of 2.  Then p = m 2^-s on a grid of step
-    2^-s at most 2^-bits of the lower end, and the bracket [lo, hi] of
-    grid points is halved until hi - lo = 1; it returns the midpoint, or
-    an exact root that a halving lands on.
+    2^-s at most 2^-bits of the lower end, and the bracket [lo, hi] of grid
+    points, where a has opposite signs, narrows until hi - lo = 1.  A root
+    u 2^-k in lowest terms has 2^k dividing a's leading coefficient (the
+    rational root theorem), so only the first k + e halvings can land on
+    one, and those are taken as bisection does.  Each later step is
+    Newton's from the end where |a| is smaller, rounded to the grid and at
+    least one unit.  It costs two evaluations, the value and the
+    derivative, so it is taken only inside the bracket and when it is one
+    unit or at most a quarter of the Newton step before it.  Otherwise the
+    bracket is halved, and 1, 2, 4, ... further halvings pass before the
+    derivative is evaluated again.  Newton from the near end matters where
+    the root lies close to an end: the pole of the fit of
+    ``3*#ei - 1/2*#stirling`` is 4e-33 below the end 1, and a step from
+    the midpoint overshoots past 1 by about the square of its distance.
     """
     while c == 0:
         e -= 1
-        y = sum(_on_grid(a, -e))  # a(2^e), up to a positive factor
+        y = _horner(_on_grid(a, -e), 1)  # a(2^e), up to a positive factor
         if not y:
             return _dyadic(1, e)
         c = int((y > 0) == (a[0] > 0))  # a keeps its sign at 0 up to 2^e
     shift = max(0, bits + 1 - c.bit_length())
     s = shift - e
     b = _on_grid(a, s)
+    slope = [i * x for i, x in enumerate(b)][1:]
     lo, hi = c << shift, (c + 1) << shift
-    low_negative = _horner(b, lo) < 0
+    ylo, yhi = _horner(b, lo), None
+    halvings = max(0, (a[-1] & -a[-1]).bit_length() - 1 + e)  # those that can land on a root
+    backoff, last = 1, 0
     while hi - lo > 1:
-        m = (lo + hi) >> 1
+        m = None
+        if halvings:
+            halvings -= 1
+        else:
+            if yhi is None:
+                yhi = _horner(b, hi)
+            p, y = (lo, ylo) if abs(ylo) <= abs(yhi) else (hi, yhi)
+            d = _horner(slope, p)
+            if d:
+                if d < 0:
+                    y, d = -y, -d
+                step = (d - 2 * y) // (2 * d) or (-1 if y > 0 else 1)  # -y/d to the nearest unit
+                if lo < p + step < hi and (abs(step) == 1 or not last or 4 * abs(step) <= last):
+                    m, last = p + step, abs(step)
+            if m is None:
+                halvings, backoff, last = backoff, 2 * backoff, 0
+        if m is None:
+            m = (lo + hi) >> 1
         y = _horner(b, m)
         if not y:
             return _dyadic(m, -s)
-        if (y < 0) == low_negative:
-            lo = m
+        if (y < 0) == (ylo < 0):
+            lo, ylo = m, y
         else:
-            hi = m
+            hi, yhi = m, y
     return _dyadic(lo + hi, -s - 1)
 
 
@@ -460,7 +497,8 @@ class PadeKernel(BorelFunction):
     exact ``num`` and ``den`` are cleared once, in ``__init__``, to integer
     lists over one common denominator, which no precision changes, so no mpf
     copy of them is kept; ``value`` reads the working precision only to round
-    its result.  ``singularities`` finds the poles exactly over Q each time.
+    its result.  ``singularities`` finds the poles exactly over Q each time,
+    and ``residue`` gives each pole's residue exactly.
     """
 
     #: (c1, c3) with |F| <= c1 exp(c3 p) far out, set by hand, since a fit's
@@ -483,6 +521,17 @@ class PadeKernel(BorelFunction):
             if order > 1:
                 raise SingularPointError(f"Pade pole of order {order} at p = {float(p):.15g} has no principal value")
         return [p for p, _ in poles]
+
+    def residue(self, s: Fraction) -> Fraction:
+        """num(s)/den'(s) at a pole s that ``singularities`` gave, exactly:
+        r/(p - s) is the pole's part of num/den.  s is a binary fraction
+        m 2^-k, so both integer lists are evaluated on m as ``value``'s
+        exact branch evaluates them (``_on_grid``)."""
+        slope = [i * c for i, c in enumerate(self._int_den)][1:]
+        n = max(len(self._int_num), len(slope)) - 1
+        k = s.denominator.bit_length() - 1
+        num, den = (_horner(_on_grid(c + [0] * (n + 1 - len(c)), k), s.numerator) for c in (self._int_num, slope))
+        return Fraction(num, den)
 
     def taylor(self, K: int) -> list[Fraction]:
         out: list[Fraction] = []
@@ -687,7 +736,8 @@ class AiryKernel(BorelFunction):
     kernel's values (the ``tests/reference`` subclass, a sum of one of four
     convergent 2F1 series), integrate them and check the transform against
     the sum: by tsr's quadrature on the Ai side, and by mpmath's, split at
-    p = 2, on the Bi side, since tsr's quadrature folds at poles only.
+    p = 2, on the Bi side, since tsr's quadrature subtracts simple poles
+    only.
     """
 
     def __init__(self, side: int):

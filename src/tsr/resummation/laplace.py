@@ -14,44 +14,49 @@ reported error is a bound on the rounding.
 Quadrature, with level-difference estimates, remains for the Pade kernels
 and for the tests, which sum a closed-form kernel's values by quadrature to
 check its transform.  A Pade kernel gives its value at a point, correctly
-rounded from integer coefficients with no per-precision mpf cache, and its
-simple poles on the ray (``singularities``): its denominator's real
-positive roots, isolated exactly over Q and refined by bisection at the
-working precision to binary fractions (``kernels.positive_roots``).  A
-pole of order 2 or more has no principal value, so ``singularities``
-refuses it with SingularPointError before any quadrature.  Each pole s gets
-a symmetric window, whose principal value is summed as the fold
-integrand(s - t) + integrand(s + t) over 0 < t < w.  s is the pole's binary
-fraction exactly and s -+ t are formed without rounding, so the pole's
-+-A/t terms cancel and the fold is analytic in t.  The smooth spans between
-windows are cut into panels, and the far tail is bounded by the kernel's
-exponential growth constants (c1, c3), so a quadrature sums at x > c3 only.
+rounded from integer coefficients with no per-precision mpf cache, its
+simple poles on the ray (``singularities``) and the residue at each
+(``residue``).  The poles are its denominator's real positive roots,
+isolated exactly over Q and refined by Newton steps inside a bisection
+bracket at the working precision to binary fractions
+(``kernels.positive_roots``).  A pole of order 2 or more has no principal
+value, so ``singularities`` refuses it with SingularPointError before any
+quadrature.  Each simple pole s is subtracted, not folded at (Davis &
+Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984, 2.12): its
+part r/(p - s), r = num(s)/den'(s) exactly at s's binary fraction, has the
+principal value -r e^(-xs) Ei(xs), which ``pole_kernel(s, -r/s)`` sums in
+closed form with its own error ball, and the quadrature sums the rest,
+e^(-xp) (F(p) - sum(r/(p - s))), over spans cut at the poles, [0, s_1],
+..., [s_k, T], each cut into panels.  The far tail is bounded by the
+kernel's exponential growth constants (c1, c3), so a quadrature sums at
+x > c3 only, and T >= s_k + 1.
 
-Every panel, span or fold, is summed by one nested open rule, Fejer's
-second (Waldvogel, BIT 46, 2006): its levels have n = 2, 4, ..., 256
-intervals and the nodes cos(j pi/n), 0 < j < n, so level n's nodes are level
-2n's even nodes and each level evaluates the integrand only at its n new odd
-nodes.  No level evaluates the end of a panel: a fold is never evaluated at
-t = 0, and adjacent panels share no point.  Working precision and
-tolerances come from :class:`QuadratureConfig`; window and panel sizes are
-fixed (``PV_WINDOW``, ``_SPAN_PANELS``), because each panel refines itself
-to the tolerance, so they decide where the work goes, not how accurate the
-sum is.  ``_levels`` yields a panel's levels in turn, and ``_panel``
-stops at the first that meets the test below.  The law suites of
-``tsr check laws`` sum their integrals over [a, b] by the same panels and
-the same test (``operators.laws._quad``).
+Every panel is summed by one nested open rule, Fejer's second (Waldvogel,
+BIT 46, 2006): its levels have n = 2, 4, ..., 256 intervals and the nodes
+cos(j pi/n), 0 < j < n, so level n's nodes are level 2n's even nodes and
+each level evaluates the integrand only at its n new odd nodes.  No level
+evaluates the end of a panel: no pole is evaluated, and adjacent panels
+share no point.  Working precision and tolerances come from
+:class:`QuadratureConfig`; panel sizes are fixed (``_SPAN_PANELS``),
+because each panel refines itself to the tolerance, so they decide where
+the work goes, not how accurate the sum is.  ``_levels`` yields a panel's
+levels in turn, and ``_panel`` stops at the first that meets the test
+below.  The law suites of ``tsr check laws`` sum their integrals over
+[a, b] by the same panels and the same test (``operators.laws._quad``).
 
 The absolute tolerance governs the quadrature's work, not the working
 precision.  Each panel is summed by the rule at rising level until two
 successive levels differ by at most ``abs_tol/100``, or by the working
-precision's floor if that is coarser, and the tail is cut where its bound
+precision's floor if that is coarser, and T is where the tail's bound
 falls to ``abs_tol/10``.  The error reported with a value (the CLI's
 "(error <= E)"; its ``--tol T`` sets ``rel_tol = T`` and
-``abs_tol = T/100``) is then the sum of those last level differences, one
-per panel, and the tail bound.  A level difference estimates a panel's
-error; it is not a proof, and the error of a Pade fit is not part of it.
-Either way a value whose error exceeds max(abs_tol, rel_tol |value|) raises
-``ToleranceNotMet``.
+``abs_tol = T/100``) is then the sum of the poles' balls, which hold their
+rounding, of those last level differences, one per panel, and of the tail
+bounds: the kernel's, c1 e^(-(x - c3) T)/(x - c3), and the subtracted
+terms', sum(|r|) e^(-xT)/x, plus the rounding of the total.  A level
+difference estimates a panel's error; it is not a proof, and the error of a
+Pade fit is not part of it.  Either way a value whose error exceeds
+max(abs_tol, rel_tol |value|) raises ``ToleranceNotMet``.
 
 ``eb_sum`` sums each series through the kernel it carries (the registered
 closed form of a ``#name``, see ``tsr.coefficients``, times the rational
@@ -81,13 +86,10 @@ from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import PowerSeries
 from .borel import borel_transform
 from . import special
-from .kernels import _ZERO, BorelFunction, KernelEntry, _ball, _c2mp, _exp, _interval, _rounded, pade_continue
+from .kernels import _ZERO, BorelFunction, KernelEntry, _ball, _c2mp, _exp, _interval, _rounded, pade_continue, pole_kernel
 
 
-#: Half-width of a pole's window, narrowed to half the first pole's distance
-#: from 0 and to a third of each gap between two.
-PV_WINDOW = 0.25
-#: Most equal panels a smooth span between windows is cut into.
+#: Most equal panels a span between poles is cut into.
 _SPAN_PANELS = 16
 
 
@@ -109,9 +111,12 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
 
     A kernel with a ``laplace(x, prec)`` method (the closed forms) sums
     itself at every x > 0, and its error is a rounding bound; every other
-    kernel is summed at x > c3 (its ``growth``) in one loop over the pieces
-    ``_pieces`` lays out.  The kernel is asked, not its type checked, so a
-    wrapper that forwards attributes takes the same path.
+    kernel is summed at x > c3 (its ``growth``): each pole's part in closed
+    form, at the x given, and the rest by quadrature, at x rounded to the
+    working precision, in one loop over the panels of the spans between the
+    poles.  The parts are added as balls in one interval at 20 guard bits.
+    The kernel is asked, not its type checked, so a wrapper that forwards
+    attributes takes the same path.
     """
     cfg = cfg or QuadratureConfig()
     _finite(x)
@@ -125,38 +130,46 @@ def laplace(f: BorelFunction, x, cfg: QuadratureConfig = None) -> tuple[mp.mpf, 
     if not x > c3:
         raise GrowthBoundViolated(f"need x > {c3}, got {x}")
     with mp.workdps(cfg.precision):
-        x = _c2mp(x)
+        prec = mp.mp.prec
+        wp = prec + 20
+        X = _c2mp(x)
         abs_tol = mp.mpf(cfg.abs_tol)
 
-        # each pole's binary fraction exactly: mp.mpf and _c2mp would round it
-        locs = [mp.make_mpf(libmp.from_man_exp(s.numerator, 1 - s.denominator.bit_length())) for s in f.singularities()]
-        w = mp.mpf(PV_WINDOW)
-        if locs:
-            w = min([w, locs[0] / 2] + [(b - a) / 3 for a, b in zip(locs, locs[1:])])
-        T = mp.log(10 * c1 / (abs_tol * (x - c3))) / (x - c3)
-        if locs:
-            T = max(T, locs[-1] + 2 * w + 1)
-        T = max(T, mp.mpf(2))
+        # each pole's principal value in closed form, at the x given and the
+        # guard bits, as a ball
+        poles = [(s, f.residue(s)) for s in f.singularities()]
+        total = _ZERO
+        for s, r in poles:
+            total = libmp.mpi_add(total, _ball(*pole_kernel(s, -r / s).laplace(x, wp), wp), wp)
 
-        total = err = mp.mpf(0)
+        # each pole's binary fraction exactly: mp.mpf and _c2mp would round it
+        locs = [mp.make_mpf(libmp.from_man_exp(s.numerator, 1 - s.denominator.bit_length())) for s, _ in poles]
+        # the tail past T, the kernel's by its growth and the subtracted
+        # terms' by |r/(p - s)| <= |r|, falls to a tenth of the tolerance
+        R = mp.fsum(abs(_c2mp(r)) for _, r in poles)
+        T = mp.log(10 * c1 / (abs_tol * (X - c3))) / (X - c3)
+        if R:
+            T = max(T, mp.log(10 * R / (abs_tol * X)) / X)
+        T = max([T, mp.mpf(2)] + [mp.fadd(loc, 1, exact=True) for loc in locs])
+        tail = c1 * mp.exp(-(X - c3) * T) / (X - c3) + R * mp.exp(-X * T) / X
+
         # each panel stops refining at a hundredth of the absolute tolerance,
         # or at the working precision's floor if that is coarser
         eps = max(abs_tol / 100, mp.eps / 8)
-        prec = mp.mp.prec
-        for fn, pts in _pieces(f, x, locs, w, T):
-            v = e = mp.mpf(0)
-            with mp.workprec(prec + 20):  # guard bits for the node sums
-                for a, b in zip(pts, pts[1:]):
-                    if a != b:
-                        pv, pe = _panel(fn, a, b, eps, prec)
-                        v += pv
-                        e += pe
-            total += +v
-            err += abs(e)
-
-        # exponential tail bound for p > T
-        err += c1 * mp.exp(-(x - c3) * T) / (x - c3)
-        return _within_tolerance(total, err, cfg)
+        edges = [mp.mpf(0)] + locs + [T]
+        panels = []
+        for a, b in zip(edges, edges[1:]):
+            pts = _split_span(a, b)
+            if not a:
+                pts[1:1] = _cuts_near_zero(X, pts[1])
+            panels += zip(pts, pts[1:])
+        with mp.workprec(wp):  # guard bits for the node sums
+            rs = [_c2mp(r) for _, r in poles]
+            remainder = lambda p: mp.exp(-X * p) * (f.value(p) - mp.fsum(r / (p - s) for s, r in zip(locs, rs)))
+            for a, b in panels:
+                total = libmp.mpi_add(total, _ball(*_panel(remainder, a, b, eps, prec), wp), wp)
+        val, err = _rounded(libmp.mpi_add(total, _ball(mp.mpf(0), tail, wp), wp), prec)
+        return _within_tolerance(val, err, cfg)
 
 
 def _finite(x):
@@ -174,27 +187,6 @@ def _within_tolerance(total, err, cfg: QuadratureConfig) -> tuple:
         limit = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         raise ToleranceNotMet(f"achieved error {mp.nstr(err, 5)} above tolerance {mp.nstr(limit, 5)}")
     return total, err
-
-
-def _pieces(f: BorelFunction, x, locs, w, T):
-    """The (integrand, panel edges) pieces of a Laplace integral, in the
-    order they are summed: the smooth spans between windows, then each
-    pole's window, as one fold.  Each is built only when the one before has
-    been summed, so the first piece to fail is the one that raises.  The
-    window edges and the fold's points are formed exactly."""
-    integrand = lambda p: mp.exp(-x * p) * f.value(p)
-    edges = [mp.mpf(0)] + [mp.fadd(loc, e, exact=True) for loc in locs for e in (-w, w)] + [T]
-    for a, b in zip(edges[::2], edges[1::2]):
-        if a < b:
-            pts = _split_span(a, b)
-            if a == 0:
-                pts[1:1] = _cuts_near_zero(x, pts[1])
-            yield integrand, pts
-    for loc in locs:
-        # the principal value as a fold: the pole's +-A/t cancel, so the
-        # sum is analytic in t
-        fold = lambda t, loc=loc: integrand(mp.fsub(loc, t, exact=True)) + integrand(mp.fadd(loc, t, exact=True))
-        yield fold, [0, w]
 
 
 def _cuts_near_zero(x, h):

@@ -27,8 +27,8 @@ coefficients are fixed-point integers, built once per working precision
 and kept on the kernel; a value is a Horner sum over as many of them as its
 ratio needs, in integer arithmetic.
 
-tsr's quadrature folds at poles only, so it cannot sum the Bi-side kernel
-across its log branch point at p = 2: that kernel's ``singularities``
+tsr's quadrature subtracts simple poles only, so it cannot sum the Bi-side
+kernel across its log branch point at p = 2: that kernel's ``singularities``
 refuses with a SingularPointError, and the tests sum it with mpmath's
 quadrature, split at p = 2.
 """
@@ -101,10 +101,11 @@ class AiryReference(AiryKernel):
 
     def singularities(self) -> list:
         """None on the Ai side.  The Bi side's log branch point at p = 2 is no
-        pole, so a quadrature sum, which folds at poles only, is refused."""
+        pole, so a quadrature sum, which subtracts simple poles only, is
+        refused."""
         if self.side > 0:
             raise SingularPointError(
-                "the Bi-side Airy kernel has a log branch point at p = 2; tsr's quadrature folds at poles only"
+                "the Bi-side Airy kernel has a log branch point at p = 2; tsr's quadrature subtracts simple poles only"
             )
         return []
 

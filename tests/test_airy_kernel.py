@@ -79,7 +79,8 @@ def test_growth_bounds_the_kernel_past_the_laplace_cutoff(side):
 
 def test_tsr_quadrature_refuses_the_bi_side_kernel():
     # the Bi side's log branch point at p = 2 is no pole, and tsr's
-    # quadrature folds at poles only, so it refuses that kernel by name;
+    # quadrature subtracts simple poles only, so it refuses that kernel by
+    # name;
     # the Ai side, analytic on the ray, sums
     cfg = QuadratureConfig(precision=15)
     with pytest.raises(SingularPointError, match="p = 2"):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 from conftest import QuadratureOnly
+from reference import roots
 from reference.kernels import AiryReference, CothReference
 from reference.resummation import convolve
 from tsr.errors import DegenerateTableError, DomainError, GrowthBoundViolated, SingularPointError, ToleranceNotMet
@@ -36,6 +37,7 @@ from tsr.resummation import (
     sqrt_branch_kernel,
     watson_check,
 )
+from tsr.resummation import kernels
 from tsr.resummation.kernels import _interval, positive_roots
 from tsr.resummation.laplace import _exp_rate
 from tsr.transseries import PowerSeries, ts_antidiff, ts_parse
@@ -352,7 +354,9 @@ def test_pole_fold_is_the_principal_value(s, c, x, digits):
     st.sampled_from((30, 50)),
 )
 def test_pade_folds_at_both_poles(poles, c, x, digits):
-    # c/((1 - p/a)(1 - p/b)) = c A/(1 - p/a) + c B/(1 - p/b): one fold per pole
+    # c/((1 - p/a)(1 - p/b)) = c A/(1 - p/a) + c B/(1 - p/b): each pole's
+    # part is subtracted and summed in closed form, and the quadrature sums
+    # what is left, which is zero up to the poles' rounding
     a, b = poles
     pade = PadeKernel([F(c)], [F(1), -1 / a - 1 / b, 1 / (a * b)])
     locations = pade.singularities()
@@ -397,6 +401,14 @@ def test_pole_search_finds_each_pole_with_its_order(qs, orders, pairs, digits):
     found = positive_roots(den, prec)
     assert [e for _, e in found] == [e for _, e in expected]
     assert all(abs(p - q) <= q / 2**prec for (p, _), (q, _) in zip(found, expected))
+    # each simple pole is bisection's, at no more than 1.25 times its
+    # evaluations, at the draw's precision and at 1000 digits
+    for bits in (prec, libmp.dps_to_prec(1000)):
+        _, calls = refinements(den, bits)
+        check_refinements(calls, full=bits == prec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_refine", lambda *args: roots.refine(*args)[0])
+        assert positive_roots(den, prec) == found
     kernel = PadeKernel([F(1)], den)
     with mp.workprec(prec):
         if max(e for _, e in expected) > 1:
@@ -404,6 +416,123 @@ def test_pole_search_finds_each_pole_with_its_order(qs, orders, pairs, digits):
                 kernel.singularities()
         else:
             assert kernel.singularities() == [p for p, _ in found]
+
+
+def refinements(den: list, prec: int) -> tuple:
+    """positive_roots(den, prec), and for each simple root that ``_refine``
+    refined its arguments, its root and its Horner evaluations (value and
+    derivative)."""
+    calls, count = [], [0]
+    refine, horner = kernels._refine, kernels._horner
+
+    def counted(coeffs, m):
+        count[0] += 1
+        return horner(coeffs, m)
+
+    def recorded(*args):
+        count[0] = 0
+        root = refine(*args)
+        calls.append((args, root, count[0]))
+        return root
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_refine", recorded)
+        patch.setattr(kernels, "_horner", counted)
+        found = positive_roots(den, prec)
+    return found, calls
+
+
+def check_refinements(calls: list, full: bool):
+    """Each refinement returned bisection's root, at no more than 1.25
+    times bisection's evaluations.  Unless ``full``, bisection runs only
+    until it has made n/1.25 of them, n the refinement's: past that the
+    cost holds, and the roots are compared only where it stopped before."""
+    for args, root, n in calls:
+        ref, evals = roots.refine(*args, budget=None if full else -(-4 * n // 5))
+        assert ref is not None or not full
+        if ref is not None:
+            assert ref == root and n <= 1.25 * evals, (args[1:], n, evals)
+
+
+#: series that carry no kernel, so each is summed through its Pade fit
+PADE_FITS = ["#ei + #erfi", "#ei*#ei", "#ei/x", "3*#ei - 1/2*#stirling"]
+
+
+def pade_fit(expr: str) -> PadeKernel:
+    return resolve_default(groups_of(ts_parse(expr))[0].series).kernel
+
+
+@pytest.mark.parametrize("digits", [15, 30, 100, 300, 1000])
+@pytest.mark.parametrize("expr", PADE_FITS)
+def test_newton_refinement_costs_no_more_than_bisection(expr, digits):
+    # bisection is run in full up to 100 digits, where it takes one
+    # evaluation per bit; past that only as far as the cost comparison needs
+    _, calls = refinements(pade_fit(expr).den, libmp.dps_to_prec(digits))
+    check_refinements(calls, full=digits <= 100)
+
+
+@pytest.mark.parametrize("expr", ["#ei + #erfi", "#ei*#ei"])
+def test_newton_refines_a_pole_to_1000_digits_in_few_evaluations(expr):
+    # bisection takes about 3358, one per bit
+    _, calls = refinements(pade_fit(expr).den, libmp.dps_to_prec(1000))
+    assert calls and max(n for *_, n in calls) <= 64
+
+
+@pytest.mark.parametrize("expr, most, parent", [("3*#ei - 1/2*#stirling", 170, 306), ("#ei + #erfi", 400, 1688)])
+def test_subtracted_poles_halve_the_kernel_evaluations(monkeypatch, expr, most, parent):
+    # parent: the count when each pole's principal value was a fold of a
+    # window around it; its part is now summed in closed form
+    run = lambda: eb_sum(ts_parse(expr), 5, QuadratureConfig(precision=30))
+    assert 0 < counted_evaluations(monkeypatch, run) <= most < parent
+
+
+@st.composite
+def pole_sets(draw):
+    """(poles, pair): one to four simple positive poles, among them maybe
+    a pole 2^-20 above the first, one below 1/16 and one past the natural
+    cutoff T of the tail (at most 15 at x >= 3), and maybe a complex pair
+    a +- bi, b > 0, which is no pole on the ray."""
+    poles = draw(st.lists(st.fractions(F(1, 16), 20, max_denominator=64), min_size=1, max_size=2, unique=True))
+    if draw(st.booleans()):
+        poles.append(poles[0] + F(1, 2**20))
+    if draw(st.booleans()):
+        poles.append(draw(st.fractions(F(1, 1000), F(1, 16), max_denominator=1000).filter(lambda q: q < F(1, 16))))
+    if draw(st.booleans()):
+        poles.append(draw(st.fractions(20, 60, max_denominator=4)))
+    pair = draw(st.none() | st.tuples(st.fractions(-4, 4, max_denominator=8), st.fractions(F(1, 4), 4, max_denominator=8)))
+    return sorted(set(poles))[:4], pair
+
+
+def partial_fraction_sum(c, poles: list, pair, x):
+    """L[c/den](x), den = prod(1 - p/q) (1 - p/z)(1 - p/conj z), z = a + bi,
+    from its partial fractions A/(1 - p/q), A = c / prod(1 - q/q') over the
+    other roots q', at the working precision: A q e^(-xq) Ei(xq) at a
+    positive pole, the principal value, and -A z e^(-xz) E1(-xz) at z."""
+    qs = [mp_fraction(q) for q in poles] + ([mp.mpc(*map(mp_fraction, pair)), mp.mpc(mp_fraction(pair[0]), -mp_fraction(pair[1]))] if pair else [])
+    x, total = mp_fraction(x), 0
+    for i, q in enumerate(qs):
+        A = mp_fraction(c) / mp.fprod(1 - q / r for j, r in enumerate(qs) if j != i)
+        total += A * q * mp.exp(-x * q) * (mp.ei(x * q) if i < len(poles) else -mp.e1(-x * q))
+    return mp.re(total)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(pole_sets(), st.fractions(-8, 8, max_denominator=6).filter(bool), st.fractions(3, 12, max_denominator=8), st.sampled_from((15, 30, 50)))
+@example(case=([F(1), 1 + F(1, 2**20)], None), c=F(1), x=F(5), digits=30)
+@example(case=([F(1, 3), F(1003, 3000)], None), c=F(1), x=F(5), digits=30)
+def test_subtracted_poles_are_within_the_reported_error(case, c, x, digits):
+    # each pole's part r/(p - s) is summed in closed form and the rest by
+    # quadrature, so the sum lies within its reported error of the partial
+    # fractions' at every spacing of the poles: the two examples were
+    # refused with ToleranceNotMet when a window folded at each pole
+    poles, pair = case
+    factors = [[F(1), -1 / q] for q in poles]
+    if pair:
+        a, b = pair
+        factors.append([F(1), -2 * a / (a * a + b * b), 1 / (a * a + b * b)])
+    val, err = laplace(PadeKernel([c], _product(factors)), x, QuadratureConfig(precision=digits))
+    with mp.workdps(digits + 20):
+        assert abs(val - partial_fraction_sum(c, poles, pair, x)) <= err
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -465,7 +594,8 @@ def quadrature_kernel(name: str) -> QuadratureOnly:
 @pytest.mark.parametrize("name", ["pade", "airy_u_alt"])
 def test_work_does_not_grow_with_the_precision(monkeypatch, name):
     # the quadrature's panels stop at the tolerance, so 100 digits cost about
-    # what 30 do, with a pole's fold (the Pade fit of #ei + #erfi) or without
+    # what 30 do, with poles subtracted (the Pade fit of #ei + #erfi) or
+    # without
     if name == "pade":
         kernel = resolve_default(groups_of(ts_parse("#ei + #erfi"))[0].series).kernel
     else:
@@ -964,7 +1094,8 @@ def test_laplace_leaves_mpmath_node_caches_alone():
     cfg = QuadratureConfig(precision=15)
     pade = PadeKernel([F(1)], [F(1), F(-1)])
     for i in range(25):
-        # a Pade pole's fold and the spans beside it build no mpmath nodes
+        # a Pade pole's closed-form part and the spans beside it build no
+        # mpmath nodes
         laplace(pade, 5 + mp.mpf(2 * i + 1) / 7, cfg)
     assert [(len(r.interval_count), len(r.transformed_cache)) for r in rules] == sizes
 
@@ -994,9 +1125,9 @@ def pade_transform(kernel: PadeKernel, x):
 def test_pade_sum_is_within_its_reported_error_of_its_fit(expr, x, digits):
     # each series carries no kernel, so it is summed through its Pade fit R;
     # the reported error is the quadrature's, so the sum lies within it of
-    # L[R](x), the exact transform of the same R.  The folds meet that only
-    # at each pole's exact binary fraction: rounded to the precision, the
-    # pole leaves a residue that the level differences do not see
+    # L[R](x), the exact transform of the same R.  Each pole's part is
+    # subtracted at the pole's binary fraction, with its residue there, and
+    # summed in closed form; the level differences see what that leaves
     ts = ts_parse(expr)
     val, err = eb_sum(ts, x, QuadratureConfig(precision=digits))
     with mp.workdps(60):
@@ -1010,7 +1141,7 @@ def test_pade_sum_is_within_its_reported_error_of_its_fit(expr, x, digits):
 
 def test_no_point_is_evaluated_twice(monkeypatch):
     # the open rule evaluates no panel's end: adjacent panels share no point
-    # and a fold never meets its pole
+    # and no panel meets the pole at its end
     seen = []
     plain = PadeKernel.value
     monkeypatch.setattr(PadeKernel, "value", lambda self, p: seen.append(p._mpf_) or plain(self, p))
