@@ -139,9 +139,10 @@ class CatalogFunction:
 # caller's ``mp.mp.prec`` plus guard bits, and round once to the caller's
 # precision.
 # They never write the global precision, so threads may call them at once;
-# the memos, Airy's (y, y') per (kind, point, precision) and the log Gamma
-# Taylor terms per (point, precision, count), are bounded
-# ``functools.lru_cache``s of immutable values.  The Ei and erfi-integral
+# the memos, Airy's (y, y') per (kind, point, precision) and its values at
+# 0 per (kind, ``special.precision_class``), and the log Gamma Taylor terms
+# per (point, precision, count), are bounded ``functools.lru_cache``s of
+# immutable values.  The Ei and erfi-integral
 # series live in ``tsr.resummation.special``, which the closed-form Laplace
 # transforms share.  Every oracle reads its point through ``_c2mp``, so a
 # Fraction is its quotient at the working precision, as an mpf point is.
@@ -176,7 +177,18 @@ def _airy_coeffs(y0, y1, z0, wp):
         prev, c, nxt = c, nxt, libmp.mpf_div(step, libmp.from_int((n + 1) * (n + 2)), wp)
 
 
-def _airy_at_zero(kind: str, wp):
+def _airy_at_zero(kind: str, wp: int):
+    """(y(0), y'(0)) of Ai or Bi as raw mpf, each within a unit at wp bits.
+
+    Both are computed once per precision class, wp rounded up to a multiple
+    of 64 bits (``special.precision_class``), and rounded to nearest at wp:
+    a value depends on wp alone, never on the precisions asked for before."""
+    y, dy = _airy_at_zero_class(kind, special.precision_class(wp))
+    return libmp.mpf_pos(y, wp, _RND), libmp.mpf_pos(dy, wp, _RND)
+
+
+@functools.lru_cache(maxsize=128)
+def _airy_at_zero_class(kind: str, wp: int):
     """(y(0), y'(0)) of Ai or Bi as raw mpf at wp bits (DLMF 9.2.3-9.2.6): Ai(0) =
     3^(-1/6) g / (2 pi), Ai'(0) = -3^(-1/3) / g and Bi = sqrt(3) (Ai, -Ai') at 0, where
     g = Gamma(1/3), from the AGM (``special.gamma_third``)."""

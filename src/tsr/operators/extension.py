@@ -44,11 +44,11 @@ ExtendResult = Union[mp.mpf, SurrealValue, NumericTaylor]
 def extend(f: CatalogFunction, point, terms: int = 8, *, cfg: QuadratureConfig = None) -> ExtendResult:
     """E f at a point of No: a number or a normal form.
 
-    A number is the normal form of a real point.  ``decompose`` splits the
-    normal form into its purely infinite, real and infinitesimal parts, and
-    they pick the definition: the oracle at a real point, the Taylor series
-    at a finite point x0 + zeta, and the transseries at an infinite point,
-    a negative one reflected to -point.
+    A number is a real point as it is; ``decompose`` splits a normal form
+    into its purely infinite, real and infinitesimal parts.  They pick the
+    definition: the oracle at a real point, the Taylor series at a finite
+    point x0 + zeta, and the transseries at an infinite point, a negative
+    one reflected to -point.
     """
     cfg = cfg or QuadratureConfig()
     if isinstance(point, (float, mp.mpf)) and not mp.isfinite(point):
@@ -56,8 +56,9 @@ def extend(f: CatalogFunction, point, terms: int = 8, *, cfg: QuadratureConfig =
     if isinstance(point, mp.mpf):
         point = Fraction(*libmp.to_rational(point._mpf_))  # a finite mpf is dyadic: exact
     if isinstance(point, (int, float, Fraction)):
-        point = SurrealNF.from_rational(Fraction(point))
-    infinite, x0, zeta = decompose(point)
+        infinite, x0, zeta = SurrealNF.zero(), Fraction(point), SurrealNF.zero()
+    else:
+        infinite, x0, zeta = decompose(point)
 
     if infinite.is_zero() and zeta.is_zero():
         f.check_domain(x0)

@@ -72,33 +72,36 @@ def conway_sum(coeff: Callable[[int], Fraction], z: SurrealNF, *, length: Option
 
     Partial sums stabilize leader by leader: z^k only reaches exponents at or
     below k * (leading exponent of z), so once c_k z^k is added, the terms
-    above (k + 1) * top are final.  With ``length`` the coefficients from
-    c_length on are known to be zero: the sum is final after c_(length-1)
-    z^(length-1), and the stream ends there.  Without it, a zero coefficient
-    with every term of the partial sum out is a search step that found
-    nothing, and the stream keeps the budget for such steps.
+    above (k + 1) * top are final.  Only the terms not yet final are kept:
+    each step merges c_k z^k into them and emits their final head, so a
+    step's work does not grow with the terms emitted before it.  With
+    ``length`` the coefficients from c_length on are known to be zero: the
+    sum is final after c_(length-1) z^(length-1), and the stream ends there.
+    Without it, a zero coefficient with no term pending is a search step
+    that found nothing, and the stream keeps the budget for such steps.
     """
     top = z.terms[0][0]  # leading (negative) exponent
 
     def gen() -> Iterator:
-        total = SurrealNF.zero()
+        pending = SurrealNF.zero()  # the partial sum less the terms emitted
         zk = one()
-        emitted = 0
         for k in count():
             if k:
                 zk = zk * z
             c = coeff(k)
             if c:
-                total = total + zk * c
+                pending = pending + zk * c
             final = length is not None and k + 1 >= length
-            horizon = (k + 1) * top
-            safe = total.terms if final else [t for t in total.terms if nf_cmp(t[0], horizon) == GT]
-            while emitted < len(safe):
-                yield safe[emitted]
-                emitted += 1
+            terms = pending.terms
+            i = len(terms)
+            if not final:
+                horizon = (k + 1) * top
+                i = next((j for j, t in enumerate(terms) if nf_cmp(t[0], horizon) != GT), i)
+            yield from terms[:i]
             if final:
                 return
-            if length is None and not c and emitted == len(total.terms):
+            pending = SurrealNF(terms[i:], _normalized=True)
+            if length is None and not c and not pending.terms:
                 yield _NOTHING
 
     return LazyNF(gen)

@@ -517,8 +517,22 @@ def _airy_bessel(t, side: int, wp: int):
     return val, err
 
 
+def precision_class(prec: int) -> int:
+    """prec rounded up to a multiple of 64 bits: a constant that depends on
+    the precision alone is computed once at its class and rounded to each
+    precision of the class, so its value depends on prec alone."""
+    return -(-prec // 64) * 64
+
+
 def gamma_third(prec: int):
-    """Gamma(1/3) as a raw mpf, good to a unit at prec bits, from the AGM:
+    """Gamma(1/3) as a raw mpf, good to a unit at prec bits: computed once
+    per ``precision_class`` and rounded to nearest at prec."""
+    return libmp.mpf_pos(_gamma_third_class(precision_class(prec)), prec, libmp.round_nearest)
+
+
+@functools.lru_cache(maxsize=128)
+def _gamma_third_class(prec: int):
+    """Gamma(1/3) to a unit at prec bits from the AGM:
     Gamma(1/3)^3 = 2^(4/3) pi^2 / (3^(1/4) agm(1, (sqrt 6 + sqrt 2) / 4)),
     the complete elliptic integral at the singular value k_3 = sin(pi/12)
     (Borwein & Borwein, *Pi and the AGM*, 1987, ch. 1; DLMF 19.8.5)."""

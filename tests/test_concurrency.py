@@ -410,6 +410,53 @@ def test_airy_laplace_bit_identical_from_16_threads():
     assert mp.mp.prec == prec
 
 
+def test_airy_oracles_at_mixed_precisions_bit_identical_from_16_threads():
+    # Ai and Bi as their oracles round them, their Taylor coefficients and
+    # the Airy Borel sums, at precisions in one class and across classes:
+    # each round starts from cleared caches of the sums, the values at 0 and
+    # Gamma(1/3), each thread takes every case from a different start, so
+    # the threads race to fill the class caches at mixed precisions, and the
+    # serial reference runs after them
+    import mpmath as mp
+    from mpmath import libmp
+
+    from tsr.operators.catalog import _airy_at_zero_class, _airy_coeffs, _airy_raw
+    from tsr.resummation import special
+
+    def oracle(kind, z, prec):
+        return libmp.mpf_pos(_airy_raw(kind, z, prec)[0], prec, libmp.round_nearest)
+
+    def taylor(kind, z, prec):
+        coeffs = _airy_coeffs(*_airy_raw(kind, z, prec), z, prec + special.GUARD)
+        return tuple(libmp.mpf_pos(next(coeffs), prec, libmp.round_nearest) for _ in range(6))
+
+    points = [libmp.from_rational(q.numerator, q.denominator, 53, libmp.round_nearest) for q in (F(-29, 8), F(0), F(1, 3), F(17, 4))]
+    precs = (53, 60, 64, 100, 128, 129, 200, 333)
+    cases = [lambda k=k, z=z, p=p: oracle(k, z, p) for k in ("ai", "bi") for z in points for p in precs]
+    cases += [lambda k=k, p=p: taylor(k, points[2], p) for k in ("ai", "bi") for p in precs]
+    cases += [lambda s=s, p=p: special.airy_laplace(libmp.from_int(3), s, p) for s in (1, -1) for p in precs]
+
+    def clear():
+        _airy_raw.cache_clear()
+        _airy_at_zero_class.cache_clear()
+        special._gamma_third_class.cache_clear()
+
+    def raw(k: int) -> list:
+        start = k * len(cases) // 16
+        out = {i: cases[i]() for i in [*range(start, len(cases)), *range(start)]}
+        return [out[i] for i in range(len(cases))]
+
+    prec = mp.mp.prec
+    rounds = []
+    for _ in range(3):
+        clear()
+        rounds.append(_pull_together(raw, workers=16))
+    clear()
+    serial = raw(0)
+    assert all(r == serial for results in rounds for r in results)
+    assert mp.mp.prec == prec
+
+
 def test_pade_poles_bit_identical_from_16_threads():
     # the exact pole search of the #ei + #erfi fit (11 poles on [1, 54]) at
     # four precisions, each thread taking them in a different order, on a

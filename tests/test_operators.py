@@ -227,6 +227,25 @@ class TestExtend:
         with pytest.raises(DomainError):
             extend(catalog()["ei"], mp.mpf(-3))
 
+    def test_number_point_is_not_decomposed(self, monkeypatch):
+        # an int, float, Fraction or mpf is a real point as it is: it goes to
+        # the oracle or the exact value without a normal form to decompose,
+        # with the same value as its normal form's
+        import tsr.operators.extension as extension
+
+        cfg = QuadratureConfig(precision=40)
+        cases = [("ei", p) for p in (3, 2.5, F(7, 3), mp.mpf(3) / 8)] + [("airy_bi", -2.25), ("exp", F(-5, 4))]
+        exact = [F(*mp.libmp.to_rational(p._mpf_)) if isinstance(p, mp.mpf) else F(p) for _, p in cases]
+        want = [extend(catalog()[name], SurrealNF.from_rational(q), cfg=cfg) for (name, _), q in zip(cases, exact)]
+
+        def refuse(_):
+            raise AssertionError("a number point was decomposed")
+
+        monkeypatch.setattr(extension, "decompose", refuse)
+        got = [extend(catalog()[name], p, cfg=cfg) for name, p in cases]
+        assert all(isinstance(g, mp.mpf) for g in got[:-1])
+        assert got[:-1] == want[:-1] and got[-1].render(5) == want[-1].render(5)
+
     @pytest.mark.parametrize("point", [mp.inf, -mp.inf, mp.nan, float("inf")])
     def test_non_finite_real_point_is_a_domain_error(self, point):
         with pytest.raises(DomainError):

@@ -185,6 +185,69 @@ def test_airy_ai_within_the_work_bound(z):
         assert _ulps(airy_ai_oracle(z), _reference(mp.airyai, z)) <= 2
 
 
+#: the nearest doubles to the seventh zero of Bi and the third of Ai
+_BI_ZERO_7, _AI_ZERO_3 = -9.538194379346239, -5.520559828095551
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    dps=st.integers(15, 100),
+    z=st.one_of(grid(-30 * 1024, 30 * 1024, 1024).map(_mpf), st.floats(-30, 30).map(mp.mpf)),
+    name=st.sampled_from(("airy_ai", "airy_bi")),
+)
+@example(dps=15, z=mp.mpf(_BI_ZERO_7), name="airy_bi")
+@example(dps=30, z=mp.mpf(_AI_ZERO_3), name="airy_ai")
+@example(dps=100, z=mp.mpf(30), name="airy_ai")
+@example(dps=64, z=mp.mpf(-30), name="airy_bi")
+def test_airy_oracles_within_their_rounding_of_mpmath(dps, z, name):
+    # at dyadic points and at doubles (full 53-bit mantissas): the value is
+    # mpmath's at 20 more digits rounded to the precision, within half a
+    # unit of its last place; on z < 0, where the sum is good to its guard
+    # bits of the modulus |z|^(-1/4) / sqrt(pi) (DLMF 9.8) and a value near
+    # a zero is smaller, also within 2^-(prec+10) of the modulus
+    oracle = {"airy_ai": airy_ai_oracle, "airy_bi": airy_bi_oracle}[name]
+    with mp.workdps(dps):
+        got, prec = oracle(z), mp.mp.prec
+    with mp.workdps(dps + 20):
+        ref = getattr(mp, name.replace("_", ""))(z)
+        _, man, exp, bc = got._mpf_
+        slack = mp.ldexp(1, exp + bc - prec - 1)  # half a unit of got's last place
+        if z < 0:
+            slack += mp.ldexp(abs(z) ** mp.mpf(-0.25) / mp.sqrt(mp.pi), -prec - 10)
+        assert abs(got - ref) <= slack * (1 + mp.ldexp(1, -10)), (name, z, dps)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(order=st.permutations(range(12)))
+def test_airy_values_do_not_depend_on_the_order_of_precisions(order):
+    # Ai and Bi, their values at 0 and the Airy Borel sums at precisions in
+    # one class and across classes: every value is bit-identical whichever
+    # order they are asked for in from cleared caches
+    from tsr.operators.catalog import _airy_at_zero_class, _airy_raw
+
+    z = libmp.from_rational(-29, 8, 53, libmp.round_nearest)
+    t = libmp.from_int(3)
+    precs = (53, 60, 64, 65, 100, 128, 129, 200, 333, 64 * 7, 449, 1000)
+
+    def values(indices):
+        _airy_raw.cache_clear()
+        _airy_at_zero_class.cache_clear()
+        special._gamma_third_class.cache_clear()
+        out = {}
+        for i in indices:
+            p = precs[i]
+            out[i] = (
+                _airy_raw("ai", z, p),
+                _airy_raw("bi", libmp.mpf_neg(z), p),
+                _airy_raw("ai", libmp.fzero, p),
+                special.airy_laplace(t, 1 if i % 2 else -1, p),
+                special.gamma_third(p),
+            )
+        return [out[i] for i in range(len(precs))]
+
+    assert values(order) == values(range(len(precs)))
+
+
 @pytest.mark.parametrize("dps", [15, 30, 50, 100])
 def test_ei_oracle_at_its_zero(dps):
     # at the mpf nearest the zero of Ei the three parts of the sum cancel

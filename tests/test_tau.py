@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tsr.errors import UndecidableSupport, UnsupportedPointError
 from tsr.operators import SurrealValue, analyze_point, catalog, exp_surreal_value, extend, monomial_entry, tau_eval
+from tsr.operators import tau
 from tsr.operators.tau import conway_sum, eval_series_at, exp_grid, tau_eval_group
 from tsr.surreal import GT, LazyNF, SurrealNF, decompose, nf_cmp, omega, one, parse_nf
 from tsr.surreal import normal_form
@@ -335,3 +336,54 @@ def test_conway_sum_with_a_length_runs_past_a_long_zero_run():
         assert conway_sum(lambda k: F(int(k == 70)), w_power(-1), length=71).truncate(5) == w_power(-70)
         (group,) = extend(monomial_entry(70), parse_nf("w^-1")).merged().groups
         assert group.stream.truncate(5) == w_power(-70)
+
+
+@st.composite
+def finite_infinitesimals(draw):
+    """1 to 3 terms at distinct negative exponents: rationals, or -w."""
+    exponents = st.one_of(st.builds(F, st.integers(-12, -1), st.integers(1, 3)).map(SurrealNF.from_rational), st.just(-omega()))
+    return SurrealNF([(e, draw(nonzero)) for e in draw(st.lists(exponents, min_size=1, max_size=3, unique=True))])
+
+
+@PROPERTY
+@given(z=finite_infinitesimals(), coeffs=st.lists(small, min_size=1, max_size=8))
+def test_conway_sum_is_the_truncated_finite_sum(z, coeffs):
+    # with a length, the whole stream is sum(c_k z^k, k < n); without one,
+    # its terms above n times z's leading exponent are that sum's
+    direct, zk = SurrealNF.zero(), one()
+    for c in coeffs:
+        direct, zk = direct + zk * c, zk * z
+    n = len(coeffs)
+
+    def coeff(k):
+        return coeffs[k] if k < n else F(0)
+
+    assert list(conway_sum(coeff, z, length=n)) == list(direct.terms)
+    horizon = n * z.terms[0][0]
+    head = [t for t in direct.terms if nf_cmp(t[0], horizon) == GT]
+    assert conway_sum(coeff, z).terms(len(head)) == head
+
+
+def test_conway_sum_of_a_monomial_compares_linearly(monkeypatch):
+    # each step merges one term into the few not yet final, so the
+    # exponent comparisons grow linearly in the terms pulled (re-merging
+    # every emitted term grows them quadratically)
+    calls = [0]
+
+    def counted(a, b, cmp=nf_cmp):
+        calls[0] += 1
+        return cmp(a, b)
+
+    monkeypatch.setattr(normal_form, "nf_cmp", counted)
+    monkeypatch.setattr(tau, "nf_cmp", counted)
+    z = SurrealNF.monomial(SurrealNF.from_rational(-1), F(2, 3))
+    counts = {}
+    for n in (100, 200, 400):
+        for length in (n, None):
+            stream = conway_sum(lambda k: F(1, factorial(k)), z, length=length)
+            calls[0] = 0
+            assert len(stream.terms(n)) == n
+            counts[n, length] = calls[0]
+    for length in (400, None):
+        assert counts[400, length] <= 5 * 400
+    assert counts[400, None] <= 2 * counts[200, None] + 10 and counts[200, None] <= 2 * counts[100, None] + 10
