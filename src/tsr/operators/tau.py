@@ -7,15 +7,21 @@ Transmonomials map through two imported exponential identities,
     log w = w^(1/w)              (equivalently exp(r*w^(1/w)) = w^r),
 
 together with binomial re-expansion of the infinitesimal tilt.  The critical
-time is t0 = b * w^p * (1 + u) with p > 0 and 1 + u = (1 + s/(r w))^p, so a
-series sum(c_l t0^(offset - l)) has a closed-form coefficient at each leader
+time is t0 = b * w^p * (1 + u) with p > 0 and 1 + u = (1 + s/(r w))^p.  The
+point is read as the rationals r, s and the power p it is made of: s != 0
+needs an integer p, and then u = sum(binom(p, j) (s/r)^j w^-j, j = 1..p) is
+written down term by term, with no normal-form power.  A series
+sum(c_l t0^(offset - l)) has a closed-form coefficient at each leader
 w^(p*offset - m): a finite sum over l <= m/p of binomial terms.  Every stream
 produced here is an exact Conway Limit emitted one leader at a time.
 
-A group's exponential e^(mu t0) is a monomial: s != 0 needs an integer p, so
-mu t0 has exponents p, p - 1, ..., 0 only, and its exponential is w^E e^q
-with no infinitesimal part.  A group's value is its series stream shifted by
-E, with the tag e^q in its prefactor.
+A group's exponential e^(mu t0) is a monomial: mu t0 = mu b w^p (1 + u) has
+the exponents p, p - 1, ..., 0 only, its w^0 coefficient is the real part q
+and the rest is purely infinite, so its exponential is w^E e^q with no
+infinitesimal part.  Every exponent of E is at least 1, above the rational
+exponent of any leader, so the group's leaders are generated with E in
+their exponents (E's terms, then the rational part), and e^q is a tag in the
+group's prefactor.
 
 Two exact sums of infinitesimals live here.  ``exp_grid`` takes a
 lazy stream with rational exponents, all multiples of one step m = w^step,
@@ -30,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd
+from math import comb, gcd
 from typing import Callable, Iterator, Optional
 
 from ..errors import UnsupportedPointError
-from ..surreal import GT, LT, LazyNF, SurrealNF, decompose, nf_cmp, one
+from ..surreal import GT, LT, LazyNF, SurrealNF, nf_cmp, one
 from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import PowerSeries
 from .prefactor import Prefactor, _exact_root, ln_prefactor
@@ -64,7 +70,7 @@ def exp_purely_infinite(a: SurrealNF) -> SurrealNF:
         if nf_cmp(y, SurrealNF.zero()) != GT:
             raise ValueError("argument must be purely infinite")
         out.append((g_map_exponent(y), r))
-    return SurrealNF(out)
+    return SurrealNF(out, _normalized=True)  # g keeps the exponents in order
 
 
 def conway_sum(coeff: Callable[[int], Fraction], z: SurrealNF, *, length: Optional[int] = None) -> LazyNF:
@@ -180,7 +186,7 @@ class PointData:
     s: Fraction
     t0_lead_exp: Fraction  # t0 = r1 * w^(e1) * (1 + u)
     t0_lead_coef: Fraction
-    u: SurrealNF  # exact infinitesimal tilt (finite normal form)
+    u: SurrealNF  # the tilt (1 + s/(r w))^q - 1: binom(q, j) (s/r)^j w^-j, j = 1..q; 0 if s = 0
 
 
 def analyze_point(nu: SurrealNF, *, crit_coef: Fraction = Fraction(1), crit_power: Fraction = Fraction(1)) -> PointData:
@@ -200,22 +206,17 @@ def analyze_point(nu: SurrealNF, *, crit_coef: Fraction = Fraction(1), crit_powe
     if crit_power <= 0:
         raise UnsupportedPointError(f"critical power {crit_power}: the critical time must be positive infinite")
 
-    e1 = crit_power
-    # nu^q = r^q w^q (1 + s/(r w))^q
+    # nu^p = r^p w^p (1 + x/w)^p with x = s/r, and for an integer p the tilt
+    # (1 + x/w)^p - 1 is the binomial sum of x^j w^-j, j = 1..p, in order
     if s == 0:
         u = SurrealNF.zero()
-        lead_coef = _rational_pow(r, crit_power)
+    elif crit_power.denominator != 1:
+        raise UnsupportedPointError("fractional critical powers need s = 0 in the evaluation point")
     else:
-        if crit_power.denominator != 1:
-            raise UnsupportedPointError(
-                "fractional critical powers need s = 0 in the evaluation point"
-            )
-        u_base = SurrealNF.monomial(SurrealNF.from_rational(-1), s / r)  # s/(r w)
-        u = (one() + u_base) ** int(crit_power) - one()
-        lead_coef = r ** int(crit_power)
-    if lead_coef.denominator != 1 and crit_power.denominator != 1:
-        raise UnsupportedPointError("critical leader coefficient is irrational")
-    return PointData(r=r, s=s, t0_lead_exp=e1, t0_lead_coef=Fraction(crit_coef) * lead_coef, u=u)
+        p, x = int(crit_power), s / r
+        u = SurrealNF([(SurrealNF.from_rational(-j), comb(p, j) * x**j) for j in range(1, p + 1)], _normalized=True)
+    lead_coef = _rational_pow(r, crit_power)
+    return PointData(r=r, s=s, t0_lead_exp=crit_power, t0_lead_coef=Fraction(crit_coef) * lead_coef, u=u)
 
 
 def _rational_pow(base: Fraction, q: Fraction) -> Fraction:
@@ -227,8 +228,10 @@ def _rational_pow(base: Fraction, q: Fraction) -> Fraction:
     return root**q.numerator
 
 
-def eval_series_at(ps: PowerSeries, pt: PointData, offset: Fraction) -> tuple[Prefactor, LazyNF]:
-    """sum(c_l t0^(offset - l), l >= 1) as a prefactor-scaled descending stream.
+def eval_series_at(ps: PowerSeries, pt: PointData, offset: Fraction, shift=SurrealNF.zero()) -> tuple[Prefactor, LazyNF]:
+    """w^shift * sum(c_l t0^(offset - l), l >= 1) as a prefactor-scaled
+    descending stream, for a purely infinite ``shift`` whose exponents are
+    all at least 1 (a group's e^(mu t0) less its real part).
 
     The leader coefficient b = t0_lead_coef enters each term as b^(offset - l)
     = b^offset * b^-l; the possibly irrational b^offset factors out as the
@@ -240,12 +243,13 @@ def eval_series_at(ps: PowerSeries, pt: PointData, offset: Fraction) -> tuple[Pr
 
         sum(c_l b^-l binom(p (offset - l), m - p l) x^(m - p l), l = 1..m // p).
 
-    Each l keeps one running term, an integer numerator over a denominator D
-    that all live terms share, so a leader costs one gcd: its coefficient is
-    Fraction(sum of numerators, D).  From leader m - 1 to m every term gains
-    (p offset - m + 1) x / (j + 1), j its binomial order, and D gains
-    q_d x_d m (p offset = q_n / q_d, x = x_n / x_d), so a numerator n becomes
-    n (q_n - (m - 1) q_d) x_n m // (j + 1).  The division is exact: a term's
+    Each l keeps one live term, the leader m_l it entered at and an integer
+    numerator over a denominator D that all live terms share, so a leader
+    costs one gcd: its coefficient is Fraction(sum of numerators, D).  From
+    leader m - 1 to m every term gains (p offset - m + 1) x / j, j = m - m_l
+    its binomial order after the step, and D gains q_d x_d m (p offset =
+    q_n / q_d, x = x_n / x_d), so a numerator n becomes
+    n (q_n - (m - 1) q_d) x_n m // j.  The division is exact: a term's
     value has a denominator dividing den(c_l b^-l) (q_d x_d)^j j!, which
     divides D.  A new term whose den(c_l b^-l) does not divide D scales D
     and the live numerators by the missing factor; D restarts at 1 whenever
@@ -253,29 +257,31 @@ def eval_series_at(ps: PowerSeries, pt: PointData, offset: Fraction) -> tuple[Pr
     series is finite and every binomial has terminated; a zero leader of an
     unbounded series is a search step that found nothing, and the stream
     keeps the budget for such steps.
+
+    A leader's exponent is the shift's terms followed by its rational
+    exponent, which lies below all of them, so no normal forms are added.
     """
     pref = Prefactor.rational_power(pt.t0_lead_coef, offset)
-    return pref, LazyNF(lambda: _series_leaders(ps, pt, offset))
+    return pref, LazyNF(lambda: _series_leaders(ps, pt, offset, shift.terms))
 
 
-def _series_leaders(ps: PowerSeries, pt: PointData, offset: Fraction) -> Iterator:
+def _series_leaders(ps: PowerSeries, pt: PointData, offset: Fraction, head: tuple) -> Iterator:
     b, x = pt.t0_lead_coef, pt.s / pt.r
     # s = 0 is the same recurrence with p = 1, x = 0 and exponents scaled by e1
     p, unit = (int(pt.t0_lead_exp), 1) if x else (1, pt.t0_lead_exp)
     top = p * offset  # term l's binomial upper index is top - p l
     qn, qd, xn, xd = top.numerator, top.denominator, x.numerator, x.denominator
-    running = []  # [j + 1, numerator over den] per live l, j its binomial order
+    zero = SurrealNF.zero()
+    live = []  # (the leader l entered at, its numerator over den) per live l
     den = 1
     for m in count(p):
-        # from leader m - 1 to m every term gains (top - m + 1) x / (j + 1)
+        # from leader m - 1 to m every term gains (top - m + 1) x / (m - its entry)
         f = (qn - (m - 1) * qd) * xn * m
-        if f and running:
+        if f and live:
             den *= qd * xd * m
-            for t in running:
-                t[1] = t[1] * f // t[0]
-                t[0] += 1
+            live = [(m0, n * f // (m - m0)) for m0, n in live]
         else:
-            running, den = [], 1  # x = 0, or every binomial ends here
+            live, den = [], 1  # x = 0, or every binomial ends here
         l, rem = divmod(m, p)
         if rem == 0 and (ps.length is None or l <= ps.length):
             c = ps.coeff(l)
@@ -284,27 +290,34 @@ def _series_leaders(ps: PowerSeries, pt: PointData, offset: Fraction) -> Iterato
                 g = v.denominator // gcd(v.denominator, den)
                 if g != 1:
                     den *= g
-                    for t in running:
-                        t[1] *= g
-                running.append([1, v.numerator * (den // v.denominator)])
-        elif ps.length is not None and l >= ps.length and not running:
+                    live = [(m0, n * g) for m0, n in live]
+                live.append((m, v.numerator * (den // v.denominator)))
+        elif ps.length is not None and l >= ps.length and not live:
             return
-        total = sum(t[1] for t in running)
+        total = sum(n for _, n in live)
         if total:
-            yield (SurrealNF.from_rational(unit * (top - m)), Fraction(total, den))
+            e = unit * (top - m)  # below every exponent of the shift's head
+            yield (SurrealNF(head + ((zero, e),) if e else head, _normalized=True), Fraction(total, den))
         elif ps.length is None:
             yield _NOTHING
 
 
 def tau_eval_group(mu: Fraction, offset: Fraction, ps: PowerSeries, pt: PointData) -> ValueGroup:
-    """One grid group x^offset e^(mu x) y(x) at the point's critical time."""
-    series_pref, series_stream = eval_series_at(ps, pt, offset)
+    """One grid group x^offset e^(mu x) y(x) at the point's critical time.
+
+    e^(mu t0) = w^E e^q is read off the rational coefficients of mu t0 at
+    w^p, ..., w^0 (the tilt's, times mu b): q is the one at w^0, and E maps
+    the others through ``exp_purely_infinite``.  The series stream carries E
+    in its leaders' exponents, and e^q joins its prefactor.
+    """
     if mu == 0:
-        return ValueGroup(series_pref, series_stream)
-    # mu * t0 has exponents p, p - 1, ..., 0, so exp(mu * t0) = w^E e^q
-    lead = SurrealNF.monomial(SurrealNF.from_rational(pt.t0_lead_exp), mu * pt.t0_lead_coef)
-    infinite, real, _ = decompose(lead * (one() + pt.u))
-    return ValueGroup(Prefactor.of(1, e=real) * series_pref, series_stream.shift(exp_purely_infinite(infinite)))
+        return ValueGroup(*eval_series_at(ps, pt, offset))
+    coefs = [mu * pt.t0_lead_coef]
+    coefs += [coefs[0] * c for _, c in pt.u.terms]
+    real = coefs.pop() if pt.u.terms else Fraction(0)
+    infinite = SurrealNF([(SurrealNF.from_rational(pt.t0_lead_exp - j), c) for j, c in enumerate(coefs)], _normalized=True)
+    series_pref, series_stream = eval_series_at(ps, pt, offset, exp_purely_infinite(infinite))
+    return ValueGroup(Prefactor.of(1, e=real) * series_pref, series_stream)
 
 
 def tau_eval(
@@ -317,10 +330,7 @@ def tau_eval(
 ) -> SurrealValue:
     """Evaluate a T1 transseries (in its critical time) at nu = r*w + s."""
     pt = analyze_point(nu, crit_coef=crit_coef, crit_power=crit_power)
-    value = SurrealValue.zero()
-    for grp in groups_of(ts):
-        vg = tau_eval_group(grp.mu, grp.offset, grp.series, pt)
-        value = value + SurrealValue([vg])
+    groups = [tau_eval_group(grp.mu, grp.offset, grp.series, pt) for grp in groups_of(ts)]
     lp = ts.log
     if not lp.is_zero():
         if pt.u.is_zero() and pt.t0_lead_exp == 1 and Fraction(crit_coef) == 1:
@@ -330,15 +340,14 @@ def tau_eval(
         # log(t0) = log w + ln(r), log w = w^(1/w); polynomials in t0 are exact normal forms
         log_omega = SurrealNF.monomial(SurrealNF.monomial(SurrealNF.from_rational(-1)))
         pvals = _poly_at(lp.P, t0)
-        value = value + SurrealValue.from_nf(pvals * log_omega)
+        groups.append(ValueGroup(Prefactor.one(), LazyNF.from_nf(pvals * log_omega)))
         if pt.t0_lead_coef != 1:
-            value = value + SurrealValue([ValueGroup(ln_prefactor(pt.t0_lead_coef), LazyNF.from_nf(pvals))])
-        value = value + SurrealValue.from_nf(_poly_at(lp.Q, t0))
+            groups.append(ValueGroup(ln_prefactor(pt.t0_lead_coef), LazyNF.from_nf(pvals)))
+        groups.append(ValueGroup(Prefactor.one(), LazyNF.from_nf(_poly_at(lp.Q, t0))))
     if ln2pi_coef:
-        value = value + SurrealValue(
-            [ValueGroup(Prefactor.of(1, ln2pi=1), LazyNF.from_nf(SurrealNF.from_rational(ln2pi_coef)))]
-        )
-    return value.merged()
+        groups.append(ValueGroup(Prefactor.of(1, ln2pi=1), LazyNF.from_nf(SurrealNF.from_rational(ln2pi_coef))))
+    # an empty group takes no place in the merged order, as in a sum built group by group
+    return SurrealValue([g for g in groups if g.stream.term(0) is not None]).merged()
 
 
 def _poly_at(coeffs, t0: SurrealNF) -> SurrealNF:

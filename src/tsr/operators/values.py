@@ -56,10 +56,6 @@ class SurrealValue(_Value):
     groups: list[ValueGroup] = field(default_factory=list)
 
     @classmethod
-    def from_nf(cls, a: SurrealNF) -> "SurrealValue":
-        return cls([ValueGroup(Prefactor.one(), LazyNF.from_nf(a))])
-
-    @classmethod
     def zero(cls) -> "SurrealValue":
         return cls([])
 

@@ -1,8 +1,9 @@
 """One memoized lazy stream: an append-only list grown on demand.
 
-Power-series coefficients, normal-form terms, powers of a tilt and Taylor
-polynomials are each a :class:`Stream` over an iterator factory.  Items are
-immutable values, so one stream may be shared between threads.
+Power-series coefficients, normal-form terms, ``exp_poly_taylor``'s q_k and
+``exp_of_taylor``'s Taylor terms are each a :class:`Stream` over an iterator
+factory.  Items are immutable values, so one stream may be shared between
+threads.
 """
 
 from __future__ import annotations

@@ -121,18 +121,6 @@ class SurrealNF:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "SurrealNF":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only natural powers")
-        out = one()
-        base = self
-        while n:
-            if n & 1:
-                out = nf_mul(out, base)
-            base = nf_mul(base, base) if n > 1 else base
-            n >>= 1
-        return out
-
     def __str__(self) -> str:
         from .render import render_nf
 

@@ -6,7 +6,9 @@ schedule, an enumeration of candidate exponents (descending) together with
 the index from which each exponent's coefficient has stabilized; stability
 is spot-checked a few indices past the schedule, and an observed change
 raises :class:`NotStabilizedError`.  ``exp_infinitesimal`` sums exp(z) as a
-Conway sum, the reference for ``tau.exp_grid``'s one-pass recurrence.
+Conway sum, the reference for ``tau.exp_grid``'s one-pass recurrence, and
+``nf_power`` takes a natural power by repeated products, the reference for
+the tau-map's binomial tilt.  ``nf_value`` wraps a normal form as a value.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from math import factorial
 from typing import Callable, Iterable
 
 from tsr.errors import TsrError
+from tsr.operators import Prefactor, SurrealValue, ValueGroup
 from tsr.operators.tau import conway_sum
-from tsr.surreal import LazyNF, SurrealNF
+from tsr.surreal import LazyNF, SurrealNF, nf_mul, one
 
 
 class NotStabilizedError(TsrError):
@@ -74,3 +77,16 @@ def nf_from_json_obj(obj) -> SurrealNF:
 def exp_infinitesimal(z: SurrealNF) -> LazyNF:
     """exp(z) = sum z^k / k! for strictly infinitesimal z (see ``conway_sum``)."""
     return conway_sum(lambda k: Fraction(1, factorial(k)), z)
+
+
+def nf_power(a: SurrealNF, n: int) -> SurrealNF:
+    """a^n for a natural n, as n normal-form products."""
+    out = one()
+    for _ in range(n):
+        out = nf_mul(out, a)
+    return out
+
+
+def nf_value(a: SurrealNF) -> SurrealValue:
+    """a as a value: one group with the prefactor 1."""
+    return SurrealValue([ValueGroup(Prefactor.one(), LazyNF.from_nf(a))])

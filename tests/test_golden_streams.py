@@ -27,6 +27,10 @@ CASES = (
     + [("eval", "gamma", "omega", "--terms", n) for n in ("12", "14", "16", "20", "24", "32")]
     + [("eval", "erfi_integral", p, "--terms", "8") for p in ("2*w+1", "w-3")]
     + [("integrate", "erfi_integrand", "2", "w-3", "--terms", "8")]
+    # a two-term tilt at p = 2, a tilt s/r = 5/21 that is not dyadic, and a
+    # fractional critical power at s = 0
+    + [("eval", "erfi_integral", p, "--terms", "32") for p in ("2*w+1", "w-3")]
+    + [("eval", "ei", "3*w+5/7", "--terms", "24"), ("eval", "airy_ai", "4*w", "--terms", "8")]
 )
 
 

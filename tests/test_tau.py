@@ -3,14 +3,15 @@ and the exponential of an infinitesimal stream on its exponent grid."""
 
 from fractions import Fraction as F
 from itertools import count
-from math import factorial
+from math import factorial, sqrt
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsr.errors import UndecidableSupport, UnsupportedPointError
-from tsr.operators import SurrealValue, analyze_point, catalog, exp_surreal_value, extend, monomial_entry, tau_eval
+from tsr.operators import analyze_point, catalog, exp_surreal_value, extend, monomial_entry, tau_eval
 from tsr.operators import tau
 from tsr.operators.tau import conway_sum, eval_series_at, exp_grid, tau_eval_group
 from tsr.surreal import GT, LazyNF, SurrealNF, decompose, nf_cmp, omega, one, parse_nf
@@ -18,7 +19,7 @@ from tsr.surreal import normal_form
 from tsr.transseries import PowerSeries, ts_parse
 from tsr.stream import DEFAULT_ORDER_SCAN
 from conftest import time_budget
-from reference.surreal import exp_infinitesimal
+from reference.surreal import exp_infinitesimal, nf_power, nf_value
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -136,6 +137,50 @@ def test_leader_stream_matches_window_algorithm(point, ps, offset, n):
     assert pref == eval_series_at(ps, pt, offset)[0]
 
 
+@PROPERTY
+@given(points())
+def test_tilt_is_the_power_of_the_shifted_point(point):
+    # u = (1 + s/(r w))^p - 1, an integer p when s != 0, and 0 when s = 0
+    nu, coef, power = point
+    pt = analyze_point(nu, crit_coef=coef, crit_power=power)
+    if pt.s:
+        want = nf_power(one() + SurrealNF.monomial(SurrealNF.from_rational(-1), pt.s / pt.r), int(power)) - one()
+    else:
+        want = SurrealNF.zero()
+    assert pt.u == want
+
+
+def test_shifted_leaders_add_no_normal_forms(monkeypatch):
+    # e^(mu t0)'s shift is built into each leader's exponent, so pulling the
+    # terms of Ei at a shifted point sums no normal forms
+    (group,) = extend(catalog()["ei"], parse_nf("3*w+2"), 32).merged().groups
+    calls = []
+    real = normal_form.nf_add
+    monkeypatch.setattr(normal_form, "nf_add", lambda a, b: calls.append(1) or real(a, b))
+    assert len(group.stream.terms(32)) == 32
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,sign,scale", [("airy_ai", -1, F(1, 2)), ("airy_bi", 1, F(1))])
+@pytest.mark.parametrize("r", [F(1, 4), F(9, 4)], ids=str)
+def test_airy_at_a_rational_critical_coefficient(name, sign, scale, r):
+    # zeta = 2/3 (r w)^(3/2) has the rational coefficient 2/3 r^(3/2), and
+    # Ai ~ e^-zeta x^(-1/4) / (2 sqrt(pi)), Bi ~ e^zeta x^(-1/4) / sqrt(pi)
+    (group,) = extend(catalog()[name], parse_nf(f"{r}*w"), 4).merged().groups
+    e, c = group.stream.term(0)
+    root = F(int(sqrt(r.numerator)), int(sqrt(r.denominator)))
+    zeta = SurrealNF.monomial(SurrealNF.from_rational(F(3, 2)), F(2, 3) * root**3)
+    assert e == sign * zeta + SurrealNF.from_rational(F(-1, 4))
+    want = scale * mp.power(mp.mpf(r.numerator) / r.denominator, -0.25) / mp.sqrt(mp.pi)
+    assert mp.almosteq(group.prefactor.numeric() * mp.mpf(c.numerator) / c.denominator, want, 1e-12)
+
+
+def test_an_irrational_critical_coefficient_is_refused():
+    # 2^(3/2) is irrational, so zeta at 2w has no rational coefficient
+    with pytest.raises(UnsupportedPointError, match="is irrational; unsupported leader coefficient"):
+        extend(catalog()["airy_ai"], parse_nf("2*w"))
+
+
 def binomial_leaders(ps: PowerSeries, pt, offset: F, terms: int) -> list:
     """The first ``terms`` nonzero coefficients of w^(p offset - m), m >= p,
     as the binomial sum sum(c_l b^-l binom(p (offset - l), m - p l) x^(m - p l))
@@ -216,7 +261,7 @@ def test_group_exponential_is_one_monomial(point, mu, ps, offset, n):
     pt = analyze_point(nu, crit_coef=coef, crit_power=power)
     mu_t0 = SurrealNF.monomial(SurrealNF.from_rational(pt.t0_lead_exp), mu * pt.t0_lead_coef) * (one() + pt.u)
     assert decompose(mu_t0)[2].is_zero()
-    (exp_group,) = exp_surreal_value(SurrealValue.from_nf(mu_t0)).groups
+    (exp_group,) = exp_surreal_value(nf_value(mu_t0)).groups
     (lead,) = exp_group.stream.terms(2)
     series_pref, series_stream = eval_series_at(ps, pt, offset)
     got = tau_eval_group(mu, offset, ps, pt)
@@ -231,6 +276,13 @@ def test_critical_time_must_be_positive_infinite(power):
         analyze_point(omega(), crit_power=power)
     with pytest.raises(UnsupportedPointError, match="critical power"):
         tau_eval(ts_parse("exp(x)/x"), omega(), crit_power=power)
+
+
+def test_an_empty_group_takes_no_place_in_the_order():
+    # the cancelled e^(-x) group shares its tag 2^(3/2) with the e^(-3x)
+    # group; the value lists its groups as a sum built group by group would
+    ts = ts_parse("exp(-x)*x^(1/2) - exp(-x)*x^(1/2) + exp(-2*x) + exp(-3*x)*x^(1/2)")
+    assert tau_eval(ts, parse_nf("2*w")).render(4) == "w^(-4*w) + 2^(3/2)*(1/2*w^(-6*w+1/2))"
 
 
 def test_finite_series_stream_ends():

@@ -25,6 +25,7 @@ from tsr.operators import (
 from tsr.operators.laws import as_number
 from tsr.resummation import QuadratureConfig
 from tsr.surreal import parse_nf
+from reference.surreal import nf_value
 
 CFG = QuadratureConfig(precision=30)
 KINDS = (mp.mpf, SurrealValue, NumericTaylor, DecoratedValue)
@@ -39,7 +40,7 @@ def _integrate(name, a, b, terms=4):
 
 
 def _decorated(point, offset):
-    return DecoratedValue(SurrealValue.from_nf(parse_nf(point)), mp.mpf(offset))
+    return DecoratedValue(nf_value(parse_nf(point)), mp.mpf(offset))
 
 
 #: results at real, finite and infinite points; constants of every kind among them
