@@ -1,24 +1,24 @@
-"""The worked function catalog: transseries, Borel kernels, oracles.
+"""The worked function catalog: transseries, Borel kernels, Taylor facilities.
 
-Each entry pairs a stored transseries (in its critical time) with an
-independent high-precision oracle on the reals and an exact derivative
-facility for Taylor extensions at finite points.  The elementary entries
-c x^n e^(mu x^p) (exp, exp_neg, the Ei and erfi integrands, exp_neg_over_x
-and the monomials) come from one builder, ``elementary_entry``, which
-derives all three from phi = mu x^p and q = c x^n.  The Ei and
-erfi-integral entries shift their integrand entry's Taylor facility, and
-their oracles sum the convergent series, DLMF 6.6.1 and 7.6.4 (O(x) terms for
-Ei, O(x^2) for erfi; past the working bits each sums its asymptotic series,
-DLMF 6.12.2 and 7.12, instead), and the Airy oracles sum their Maclaurin
-series (DLMF 9.4, O(|z|^(3/2)) terms), all in integers and raw
-``mpmath.libmp`` arithmetic at an explicit working precision; none uses
-quadrature or mpmath's own Ei, erfi or Airy functions, which serve as
-references in the tests.  The log Gamma Taylor terms k >= 1, which Gamma's
-share, are rows 1..K of the shifted Euler-Maclaurin sum whose row 0 is
-Binet's function, the Borel sum of ``#stirling`` (``special.loggamma_taylor``
-and ``special.binet``); term 0 of each, the log Gamma and Gamma oracles,
-stays mpmath's loggamma and gamma, so that the oracles check both rows
-independently.  The Borel
+Each entry pairs a stored transseries (in its critical time) with a
+derivative facility for Taylor extensions at finite points, whose term 0
+at a real x is the entry's high-precision oracle f(x), independent of the
+transseries.  The elementary entries c x^n e^(mu x^p) (exp, exp_neg, the
+Ei and erfi integrands, exp_neg_over_x and the monomials) come from one
+builder, ``elementary_entry``, which derives both from mu, p and
+q = c x^n.  The Ei and erfi-integral entries shift their integrand entry's
+Taylor facility, and their term 0 sums the convergent series, DLMF 6.6.1
+and 7.6.4 (O(x) terms for Ei, O(x^2) for erfi; past the working bits each
+sums its asymptotic series, DLMF 6.12.2 and 7.12, instead), and the Airy
+facilities sum the Maclaurin series (DLMF 9.4, O(|z|^(3/2)) terms), all in
+integers and raw ``mpmath.libmp`` arithmetic at an explicit working
+precision; none uses quadrature or mpmath's own Ei, erfi or Airy
+functions, which serve as references in the tests.  The log Gamma Taylor
+terms k >= 1, which Gamma's share, are rows 1..K of the shifted
+Euler-Maclaurin sum whose row 0 is Binet's function, the Borel sum of
+``#stirling`` (``special.loggamma_taylor`` and ``special.binet``); term 0
+of each, the log Gamma and Gamma oracles, stays mpmath's loggamma and
+gamma, so that the oracles check both rows independently.  The Borel
 kernels travel with the series: each entry is built from the registered
 ``#name`` series of ``tsr.coefficients``, whose closed-form kernel its resummation reads.
 Entries whose transseries would need an irrational global scale carry it as
@@ -57,7 +57,6 @@ TaylorTerm = tuple  # ("exact", Prefactor, Fraction) | ("num", mpf)
 class CatalogFunction:
     name: str
     transseries: Optional[TransseriesT1]
-    oracle: Callable
     taylor_term: Callable  # (x0, k) -> TaylorTerm; x0 Fraction or mpf
     crit_coef: Fraction = Fraction(1)
     crit_power: Fraction = Fraction(1)
@@ -71,6 +70,10 @@ class CatalogFunction:
     taylor_degree: Optional[int] = None  # every Taylor series ends at this degree (polynomials)
 
     # -- numerics ---------------------------------------------------------
+
+    def oracle(self, x):
+        """f(x) at a real x and the working precision: the Taylor term 0."""
+        return self.taylor_term(_c2mp(x), 0)[1]
 
     def resolver(self, series: PowerSeries) -> KernelEntry:
         """The series' kernel, or a Pade fit without one (``eb_sum`` sums a
@@ -134,10 +137,12 @@ class CatalogFunction:
 
 # -- oracles --------------------------------------------------------------------
 #
-# The Ei, erfi-integral and Airy oracles sum convergent series in integers
-# and raw ``mpmath.libmp`` arithmetic at an explicit working precision, the
-# caller's ``mp.mp.prec`` plus guard bits, and round once to the caller's
-# precision.
+# An entry's oracle is its Taylor facility's term 0.  The functions here are
+# term 0 of the facilities that do not sum it themselves: the antiderivative
+# (Ei, erfi integral), log Gamma and Gamma ones.  The Ei, erfi-integral and Airy
+# values sum convergent series in integers and raw ``mpmath.libmp``
+# arithmetic at an explicit working precision, the caller's ``mp.mp.prec``
+# plus guard bits, and round once to the caller's precision.
 # They never write the global precision, so threads may call them at once;
 # the memos, Airy's (y, y') per (kind, point, precision) and its values at
 # 0 per (kind, ``special.precision_class``), and the log Gamma Taylor terms
@@ -312,16 +317,6 @@ def _airy_raw(kind: str, z, prec: int):
     return val, libmp.mpf_div(dval, z, wp)
 
 
-def airy_ai_oracle(z):
-    prec = mp.mp.prec
-    return mp.make_mpf(libmp.mpf_pos(_airy_raw("ai", _c2mp(z)._mpf_, prec)[0], prec, _RND))
-
-
-def airy_bi_oracle(z):
-    prec = mp.mp.prec
-    return mp.make_mpf(libmp.mpf_pos(_airy_raw("bi", _c2mp(z)._mpf_, prec)[0], prec, _RND))
-
-
 def loggamma_oracle(x):
     x = _c2mp(x)
     if x <= 0:
@@ -343,37 +338,12 @@ def term_value(t: TaylorTerm):
     return t[1].numeric() * mp.mpf(t[2].numerator) / t[2].denominator
 
 
-def _laurent_diff(q: dict) -> dict:
-    """d/dx of sum(c_j x^j) as a sparse dict."""
-    out = {}
-    for j, c in q.items():
-        if j != 0:
-            out[j - 1] = out.get(j - 1, Fraction(0)) + j * c
-    return out
-
-
-def _laurent_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for j, c in b.items():
-        out[j] = out.get(j, Fraction(0)) + c
-    return {j: c for j, c in out.items() if c}
-
-
-def _laurent_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for i, c in a.items():
-        out = _laurent_add(out, {i + j: c * d for j, d in b.items()})
-    return out
-
-
-def _laurent_eval(q: dict, x0: Fraction) -> Fraction:
-    return sum((c * x0**j for j, c in q.items()), Fraction(0))
-
-
 def exp_poly_taylor(rate: Fraction, p: int, q0: dict) -> Callable:
-    """Taylor facility of f = e^phi * q0, phi = rate x^p and q0 a Laurent polynomial.
+    """Taylor facility of f = e^phi * q0, phi = rate x^p and q0 a Laurent
+    polynomial {j: c_j}.
 
-    f^(k) = e^phi * q_k with q_(k+1) = q_k' + phi' * q_k.  A term is exact at
+    f^(k) = e^phi * q_k with q_(k+1) = q_k' + p rate x^(p-1) q_k, stepped on
+    the dicts, the terms of q_k' first.  A term is exact at
     a Fraction x0; a negative power of q_k at x0 = 0, or a non-finite x0, is
     a DomainError.  Elsewhere x0 is read once as a raw mpf at the working
     precision, and e^phi is the midpoint of ``_exp_rate``'s enclosure of
@@ -381,14 +351,15 @@ def exp_poly_taylor(rate: Fraction, p: int, q0: dict) -> Callable:
     product and the division by k! are raw ``libmp`` operations, each
     rounded as the mpf operators round it.
     """
-    phi = {p: rate}
-    dphi = _laurent_diff(phi)
 
     def polys():
         q = q0
         while True:
             yield q
-            q = _laurent_add(_laurent_diff(q), _laurent_mul(dphi, q))
+            nxt = {j - 1: j * c for j, c in q.items() if j}
+            for j, c in q.items():
+                nxt[j + p - 1] = nxt.get(j + p - 1, 0) + p * rate * c
+            q = {j: c for j, c in nxt.items() if c}
 
     qs = Stream(polys)
 
@@ -397,7 +368,8 @@ def exp_poly_taylor(rate: Fraction, p: int, q0: dict) -> Callable:
         if not x0 and (low := min(q, default=0)) < 0:
             raise DomainError(f"x^({low}) has no value at x = 0")
         if isinstance(x0, Fraction):
-            return ("exact", Prefactor.of(1, e=_laurent_eval(phi, x0)), _laurent_eval(q, x0) / factorial(k))
+            value = sum((c * x0**j for j, c in q.items()), Fraction(0))
+            return ("exact", Prefactor.of(1, e=rate * x0**p), value / factorial(k))
         prec = mp.mp.prec
         x = libmp.mpf_pos(x0._mpf_, prec, _RND) if isinstance(x0, mp.mpf) else mp.mpf(x0)._mpf_
         if not x[1] and x[2]:
@@ -420,7 +392,7 @@ def exp_poly_taylor(rate: Fraction, p: int, q0: dict) -> Callable:
     return taylor
 
 
-def shifted_taylor(derivative: Callable, oracle: Callable, exact_value: Optional[Callable]) -> Callable:
+def antiderivative_taylor(derivative: Callable, oracle: Callable, exact_value: Optional[Callable]) -> Callable:
     """Taylor facility of an antiderivative F from that of F' (a shift by one).
 
     F^(k)(x0)/k! = (F')^(k-1)(x0)/(k-1)! / k for k >= 1; F(x0) itself is
@@ -441,7 +413,8 @@ def shifted_taylor(derivative: Callable, oracle: Callable, exact_value: Optional
 
 def _airy_taylor(kind: str):
     # the k-th coefficient at x0, from the unrounded (y, y') there (summed once
-    # per point and precision, see ``_airy_raw``), rounded once
+    # per point and precision, see ``_airy_raw``), rounded once; term 0 is
+    # Ai(x0) or Bi(x0), the oracle
     def taylor(x0, k) -> TaylorTerm:
         prec = mp.mp.prec
         z = _c2mp(x0)._mpf_
@@ -460,7 +433,7 @@ def _loggamma_terms(x, prec: int, K: int) -> tuple:
 
 
 def _loggamma_taylor(x0, k) -> TaylorTerm:
-    # term 0 is the oracle's; terms 1..K are summed once per point and
+    # term 0 is mpmath's loggamma; terms 1..K are summed once per point and
     # precision, K the least power of two >= k, and at least 16
     x0m = _c2mp(x0)
     if k == 0:
@@ -500,16 +473,16 @@ def exp_of_taylor(inner: Callable, oracle: Callable) -> Callable:
 def elementary_entry(name: str, n: int, rate=0, p: int = 1, c=1, **links) -> CatalogFunction:
     """The entry c x^n e^(rate x^p), every view derived from phi = rate x^p
     and q = c x^n: the transseries, one group c t^(n/p) e^(rate t) in the
-    critical time t = x^p (a log-part polynomial when rate = 0), the oracle
-    and the Taylor facility e^phi q_k (``exp_poly_taylor``).  ``links`` sets
-    the entry's other fields (exact value, domain, antiderivative, reflection)."""
+    critical time t = x^p (a log-part polynomial when rate = 0), and the
+    Taylor facility e^phi q_k (``exp_poly_taylor``), whose term 0 is the
+    oracle.  ``links`` sets the entry's other fields (exact value, domain,
+    antiderivative, reflection)."""
     rate, c = Fraction(rate), Fraction(c)
     taylor = exp_poly_taylor(rate, p, {n: c})
     return CatalogFunction(
         name=name,
         transseries=assemble([Group(rate, Fraction(n, p) + 1, PowerSeries.from_coeffs([c]))]),
         crit_power=Fraction(p),
-        oracle=lambda x: taylor(_c2mp(x), 0)[1],
         taylor_term=taylor,
         taylor_degree=None if rate else n,
         **links,
@@ -520,8 +493,7 @@ def _ei_entry(integrand: CatalogFunction) -> CatalogFunction:
     return CatalogFunction(
         name="ei",
         transseries=assemble([Group(1, 0, named_series("ei"))]),
-        oracle=ei_oracle,
-        taylor_term=shifted_taylor(integrand.taylor_term, ei_oracle, None),
+        taylor_term=antiderivative_taylor(integrand.taylor_term, ei_oracle, None),
         domain_c=0.0,
     )
 
@@ -532,8 +504,7 @@ def _erfi_integral_entry(integrand: CatalogFunction) -> CatalogFunction:
         name="erfi_integral",
         transseries=assemble([Group(1, Fraction(1, 2), named_series("erfi"))]),
         crit_power=Fraction(2),
-        oracle=erfi_integral_oracle,
-        taylor_term=shifted_taylor(integrand.taylor_term, erfi_integral_oracle, at_zero),
+        taylor_term=antiderivative_taylor(integrand.taylor_term, erfi_integral_oracle, at_zero),
         domain_c=None,
         exact_value=at_zero,
     )
@@ -546,18 +517,15 @@ def _airy_entry(kind: str) -> CatalogFunction:
         pref = Prefactor.of(Fraction(1, 2), pi=Fraction(-1, 2)) * Prefactor.rational_power(
             Fraction(2, 3), Fraction(1, 6)
         )
-        oracle = airy_ai_oracle
     else:
         ts = assemble([Group(1, Fraction(5, 6), series)])
         pref = Prefactor.of(1, pi=Fraction(-1, 2)) * Prefactor.rational_power(Fraction(2, 3), Fraction(1, 6))
-        oracle = airy_bi_oracle
     return CatalogFunction(
         name=f"airy_{kind}",
         transseries=ts,
         crit_coef=Fraction(2, 3),
         crit_power=Fraction(3, 2),
         prefactor=pref,
-        oracle=oracle,
         taylor_term=_airy_taylor(kind),
         domain_c=None,
     )
@@ -572,7 +540,6 @@ def _loggamma_entry() -> CatalogFunction:
         name="loggamma",
         transseries=ts,
         ln2pi_coef=Fraction(1, 2),
-        oracle=loggamma_oracle,
         taylor_term=_loggamma_taylor,
         domain_c=0.0,
     )
@@ -582,7 +549,6 @@ def _gamma_entry() -> CatalogFunction:
     return CatalogFunction(
         name="gamma",
         transseries=None,
-        oracle=gamma_oracle,
         taylor_term=exp_of_taylor(_loggamma_taylor, gamma_oracle),
         domain_c=0.0,
         compose_exp_of="loggamma",

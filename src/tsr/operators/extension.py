@@ -24,7 +24,7 @@ from ..resummation.kernels import _c2mp
 from ..stream import DEFAULT_ORDER_SCAN
 from ..surreal import LazyNF, SurrealNF, decompose, nf_cmp, one
 from ..transseries import TransseriesT1, ts_antidiff
-from .catalog import CatalogFunction, catalog, shifted_taylor, term_value
+from .catalog import CatalogFunction, antiderivative_taylor, catalog, term_value
 from .prefactor import Prefactor
 from .tau import conway_sum, exp_grid, exp_purely_infinite, tau_eval
 from .values import NumericTaylor, SurrealValue, ValueGroup
@@ -123,9 +123,10 @@ def exp_surreal_value(v: SurrealValue) -> SurrealValue:
     stream plus ln-tagged constants (the log Gamma shape).
 
     The stream's purely infinite head maps to a monomial w^E, its real part
-    to the tag e^r, and its infinitesimal tail z to exp_grid(z): one pass of
-    the exp recurrence on z's exponent grid, which needs z's exponents
-    rational (as log Gamma's Stirling tail at w is).
+    to the tag e^r, and its infinitesimal tail z to exp_grid(z, E): one pass
+    of the exp recurrence on z's exponent grid, with E in each exponent,
+    which needs z's exponents rational (as log Gamma's Stirling tail at w
+    is).
     """
     main: Optional[LazyNF] = None
     pref = Prefactor.one()
@@ -167,7 +168,7 @@ def exp_surreal_value(v: SurrealValue) -> SurrealValue:
     if real:
         pref = pref * Prefactor.of(1, e=real)
 
-    return SurrealValue([ValueGroup(pref, exp_grid(main.drop(i)).shift(lead))])
+    return SurrealValue([ValueGroup(pref, exp_grid(main.drop(i), lead))])
 
 
 # -- antidifferentiation and the integral ----------------------------------------
@@ -198,8 +199,7 @@ def antidiff_no(f: CatalogFunction) -> CatalogFunction:
     anti_entry = CatalogFunction(
         name=f"antidiff({f.name})",
         transseries=anti_ts,
-        oracle=oracle,
-        taylor_term=shifted_taylor(f.taylor_term, oracle, None),
+        taylor_term=antiderivative_taylor(f.taylor_term, oracle, None),
         domain_c=f.domain_c,
     )
     return anti_entry

@@ -26,7 +26,8 @@ group's prefactor.
 Two exact sums of infinitesimals live here.  ``exp_grid`` takes a
 lazy stream with rational exponents, all multiples of one step m = w^step,
 and runs the recurrence n b_n = sum(j c_j b_(n-j)) on that grid in one pass
-(Gamma at w is the exp of log Gamma's Stirling tail there).  ``conway_sum``
+(Gamma at w is the exp of log Gamma's Stirling tail there), with a
+monomial w^lead in each exponent as the leaders carry w^E.  ``conway_sum``
 sums c_k z^k for a finite normal form z of any exponents by normal-form
 products (the exact Taylor sums at finite points).
 """
@@ -40,7 +41,7 @@ from math import comb, gcd
 from typing import Callable, Iterator, Optional
 
 from ..errors import UnsupportedPointError
-from ..surreal import GT, LT, LazyNF, SurrealNF, nf_cmp, one
+from ..surreal import GT, LT, LazyNF, SurrealNF, decompose, nf_cmp, one
 from ..transseries.grid import TransseriesT1, groups_of
 from ..transseries.series import PowerSeries
 from .prefactor import Prefactor, _exact_root, ln_prefactor
@@ -113,15 +114,18 @@ def conway_sum(coeff: Callable[[int], Fraction], z: SurrealNF, *, length: Option
     return LazyNF(gen)
 
 
-def exp_grid(z: LazyNF) -> LazyNF:
-    """exp(z) for a lazily given strictly infinitesimal z, in one pass.
+def exp_grid(z: LazyNF, lead: SurrealNF = SurrealNF.zero()) -> LazyNF:
+    """w^lead exp(z) for a lazily given strictly infinitesimal z, in one pass.
 
     With step the first exponent of z, z = sum(c_j m^j, j >= 1) on the grid
     m = w^step, and exp(z) = sum(b_n m^n) with b_0 = 1 and
 
         n b_n = sum(j c_j b_(n-j), j = 1..n)
 
-    (exp(z)' = z' exp(z) under m d/dm), in Fractions.  b_n is final once
+    (exp(z)' = z' exp(z) under m d/dm), in Fractions.  ``lead`` has no
+    infinitesimal terms (Gamma's w^E, E from ``exp_purely_infinite``), so
+    the exponent of b_n is lead's infinite terms followed by its rational
+    part plus n step, and no normal forms are added.  b_n is final once
     c_1..c_n are known: once z is pulled to a term at or below m^n, or to its
     end.  A later exponent off the grid refines the step to the rational gcd
     and re-indexes the pulled c_j and the b_n so far; the new term lies below
@@ -132,8 +136,10 @@ def exp_grid(z: LazyNF) -> LazyNF:
     polynomial in m is no polynomial.
     """
 
+    head, base, _ = decompose(lead)
+
     def gen() -> Iterator:
-        yield (SurrealNF.zero(), Fraction(1))
+        yield (lead, Fraction(1))
         terms = iter(z)
         first = next(terms, None)
         if first is None:
@@ -162,7 +168,8 @@ def exp_grid(z: LazyNF) -> LazyNF:
             bn = sum((v * b[n - j] for j, v in jc if j <= n), Fraction(0)) / n
             b.append(bn)
             if bn:
-                yield (SurrealNF.from_rational(n * step), bn)
+                e = base + n * step
+                yield (SurrealNF(head.terms + ((SurrealNF.zero(), e),) if e else head.terms, _normalized=True), bn)
             elif not ended:
                 yield _NOTHING
 
@@ -333,14 +340,14 @@ def tau_eval(
     groups = [tau_eval_group(grp.mu, grp.offset, grp.series, pt) for grp in groups_of(ts)]
     lp = ts.log
     if not lp.is_zero():
-        if pt.u.is_zero() and pt.t0_lead_exp == 1 and Fraction(crit_coef) == 1:
-            t0 = SurrealNF.monomial(one(), pt.t0_lead_coef)
-        else:
-            raise UnsupportedPointError("log parts are only evaluated in the plain time variable")
-        # log(t0) = log w + ln(r), log w = w^(1/w); polynomials in t0 are exact normal forms
-        log_omega = SurrealNF.monomial(SurrealNF.monomial(SurrealNF.from_rational(-1)))
+        if lp.P and pt.u.terms:
+            raise UnsupportedPointError("a log part's P log t at s != 0 needs log(1 + s/(r w)), which is not evaluated")
+        # t0 = r1 w^(e1) (1 + u); polynomials in t0 are exact normal forms
+        t0 = SurrealNF.monomial(SurrealNF.from_rational(pt.t0_lead_exp), pt.t0_lead_coef) * (one() + pt.u)
+        # at u = 0, log t0 = e1 log w + ln(r1) with log w = w^(1/w)
+        log_t0 = SurrealNF.monomial(SurrealNF.monomial(SurrealNF.from_rational(-1)), pt.t0_lead_exp)
         pvals = _poly_at(lp.P, t0)
-        groups.append(ValueGroup(Prefactor.one(), LazyNF.from_nf(pvals * log_omega)))
+        groups.append(ValueGroup(Prefactor.one(), LazyNF.from_nf(pvals * log_t0)))
         if pt.t0_lead_coef != 1:
             groups.append(ValueGroup(ln_prefactor(pt.t0_lead_coef), LazyNF.from_nf(pvals)))
         groups.append(ValueGroup(Prefactor.one(), LazyNF.from_nf(_poly_at(lp.Q, t0))))

@@ -5,7 +5,7 @@ decreasing exponent order, memoized as demanded.
 
 Order is checked where terms are generated: a stream built from a generator
 compares each exponent with the one before.  A stream derived from checked
-terms (``from_nf``, ``scale``, ``shift``, ``drop`` and the merge of a sum)
+terms (``from_nf``, ``scale``, ``drop`` and the merge of a sum)
 keeps their order and maps them without comparing them again.
 
 The stream keeps one search budget for every generator and every sum: a
@@ -70,10 +70,6 @@ class LazyNF:
         if not c:
             return LazyNF.from_nf(SurrealNF.zero())
         return LazyNF._derived(lambda: ((e, c * r) for e, r in self))
-
-    def shift(self, offset: SurrealNF) -> "LazyNF":
-        """Multiply by the monomial w^offset."""
-        return LazyNF._derived(lambda: ((e + offset, r) for e, r in self))
 
     def drop(self, n: int) -> "LazyNF":
         """The stream after its first n terms."""

@@ -231,7 +231,7 @@ def test_recurrence_series_concurrent_pull():
 def test_real_line_oracles_thread_safe():
     import mpmath as mp
 
-    from tsr.operators.catalog import airy_ai_oracle, airy_bi_oracle, catalog, ei_oracle, erfi_integral_oracle
+    from tsr.operators.catalog import catalog, ei_oracle, erfi_integral_oracle
 
     # the five elementary entries' oracles and their first derivatives
     elementary = [
@@ -245,8 +245,8 @@ def test_real_line_oracles_thread_safe():
         for oracle, shift in (
             (ei_oracle, mp.mpf(1) / 64),
             (erfi_integral_oracle, -5),
-            (airy_ai_oracle, -3),
-            (airy_bi_oracle, -3),
+            (catalog()["airy_ai"].oracle, -3),
+            (catalog()["airy_bi"].oracle, -3),
             *((fn, -mp.mpf(319) / 64) for fn in elementary),
         )
     ]

@@ -2,7 +2,8 @@
 
 The corpus in ``golden/taylor_terms.json`` pins ``taylor_term(x0, k)`` for
 k = 0..12 of exp, exp_neg, ei_integrand, ei, erfi_integrand, erfi_integral,
-exp_neg_over_x, airy_ai and the antiderivative of exp_neg_over_x, at
+exp_neg_over_x, airy_ai, airy_bi, loggamma, gamma and the antiderivative of
+exp_neg_over_x, at
 Fraction points and at the same points as 30-digit mpf.  Exact terms are
 compared with ``==``; numeric terms within 4 ulp at 30 digits, stored as raw
 ``(sign, man, exp, bc)`` tuples.  Regenerate it (only when an output change
@@ -37,6 +38,9 @@ ENTRIES = {
     "erfi_integral": WITH_ZERO,
     "exp_neg_over_x": POSITIVE,
     "airy_ai": REAL,
+    "airy_bi": REAL,
+    "loggamma": POSITIVE,
+    "gamma": POSITIVE,
     "antidiff(exp_neg_over_x)": POSITIVE,
 }
 CASES = [(name, kind, x0) for name, points in ENTRIES.items() for kind in ("fraction", "mpf") for x0 in points]

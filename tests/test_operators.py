@@ -354,7 +354,6 @@ class TestIntegrate:
         entry = CatalogFunction(
             name="inv_square",
             transseries=assemble([Group(F(0), F(0), PowerSeries.from_coeffs([F(0), F(1)]))]),
-            oracle=lambda x: 1 / mp.mpf(x) ** 2,
             taylor_term=lambda x0, k: ("num", (-1) ** k * mp.mpf(float(x0)) ** (-2 - k) * (k + 1)),
             domain_c=0.0,
         )

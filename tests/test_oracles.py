@@ -17,8 +17,6 @@ from tsr.cli import run
 from tsr.errors import DomainError
 from tsr.operators import antidiff_no, extend
 from tsr.operators.catalog import (
-    airy_ai_oracle,
-    airy_bi_oracle,
     catalog,
     ei_oracle,
     elementary_entry,
@@ -80,8 +78,8 @@ def test_oracles_agree_with_mpmath(precision, ei_xs, erfi_xs, airy_zs):
             assert got == 0 if q == 0 else _ulps(got, ref) <= 1, q
         for q in airy_zs:
             z = _mpf(q)
-            for oracle, ref, name in ((airy_ai_oracle, mp.airyai, "airy_ai"), (airy_bi_oracle, mp.airybi, "airy_bi")):
-                assert _ulps(oracle(z), _reference(ref, z)) <= 1, q
+            for name, ref in (("airy_ai", mp.airyai), ("airy_bi", mp.airybi)):
+                assert _ulps(catalog()[name].oracle(z), _reference(ref, z)) <= 1, q
                 derivative = catalog()[name].taylor_term(z, 1)[1]
                 assert _ulps(derivative, _reference(lambda s: ref(s, derivative=1), z)) <= 1, q
 
@@ -119,10 +117,10 @@ def test_airy_taylor_terms_share_one_sum_per_point():
 def _assert_airy_within_an_ulp(z, names=("airy_ai", "airy_bi")):
     """Ai, Bi and their derivatives (the first Taylor terms) at the mpf z
     within 1 ulp of mpmath's, at the context precision."""
-    for oracle, ref, name in ((airy_ai_oracle, mp.airyai, "airy_ai"), (airy_bi_oracle, mp.airybi, "airy_bi")):
+    for name, ref in (("airy_ai", mp.airyai), ("airy_bi", mp.airybi)):
         if name not in names:
             continue
-        assert _ulps(oracle(z), _reference(ref, z)) <= 1, (name, z)
+        assert _ulps(catalog()[name].oracle(z), _reference(ref, z)) <= 1, (name, z)
         derivative = catalog()[name].taylor_term(z, 1)[1]
         assert _ulps(derivative, _reference(lambda s: ref(s, derivative=1), z)) <= 1, (name, z)
 
@@ -172,9 +170,9 @@ def test_airy_integer_sum_stopping_at_the_peak(dps, z):
 def test_airy_past_the_work_bound_is_a_domain_error(z, dps):
     # the series' terms times its working bits past 2^30: refused before
     # any term is summed, at 10000 digits for a smaller |z|
-    for oracle in (airy_ai_oracle, airy_bi_oracle):
+    for name in ("airy_ai", "airy_bi"):
         with mp.workdps(dps), pytest.raises(DomainError, match="work bound"):
-            oracle(mp.mpf(z))
+            catalog()[name].oracle(mp.mpf(z))
 
 
 @pytest.mark.parametrize("z", [400, -400])
@@ -182,7 +180,7 @@ def test_airy_ai_within_the_work_bound(z):
     # the largest points the step-by-step oracle before the series was timed
     # at still get values
     with mp.workdps(15):
-        assert _ulps(airy_ai_oracle(z), _reference(mp.airyai, z)) <= 2
+        assert _ulps(catalog()["airy_ai"].oracle(z), _reference(mp.airyai, z)) <= 2
 
 
 #: the nearest doubles to the seventh zero of Bi and the third of Ai
@@ -205,7 +203,7 @@ def test_airy_oracles_within_their_rounding_of_mpmath(dps, z, name):
     # unit of its last place; on z < 0, where the sum is good to its guard
     # bits of the modulus |z|^(-1/4) / sqrt(pi) (DLMF 9.8) and a value near
     # a zero is smaller, also within 2^-(prec+10) of the modulus
-    oracle = {"airy_ai": airy_ai_oracle, "airy_bi": airy_bi_oracle}[name]
+    oracle = catalog()[name].oracle
     with mp.workdps(dps):
         got, prec = oracle(z), mp.mp.prec
     with mp.workdps(dps + 20):

@@ -150,6 +150,20 @@ def test_tilt_is_the_power_of_the_shifted_point(point):
     assert pt.u == want
 
 
+@PROPERTY
+@given(points(), st.integers(0, 5))
+def test_a_monomial_at_a_point_is_its_power(point, n):
+    # x^n lives in the log part's Q, evaluated at t0 = nu for every point
+    nu, _, _ = point
+    assert extend(monomial_entry(n), nu).exact_nf(n + 2) == nf_power(nu, n)
+
+
+def test_a_log_term_at_a_shifted_point_is_refused():
+    # P log t at t0 = w - 3 would need log(1 + s/(r w))
+    with pytest.raises(UnsupportedPointError, match=r"log\(1 \+ s/\(r w\)\)"):
+        extend(catalog()["loggamma"], parse_nf("w-3"))
+
+
 def test_shifted_leaders_add_no_normal_forms(monkeypatch):
     # e^(mu t0)'s shift is built into each leader's exponent, so pulling the
     # terms of Ei at a shifted point sums no normal forms
@@ -158,6 +172,17 @@ def test_shifted_leaders_add_no_normal_forms(monkeypatch):
     real = normal_form.nf_add
     monkeypatch.setattr(normal_form, "nf_add", lambda a, b: calls.append(1) or real(a, b))
     assert len(group.stream.terms(32)) == 32
+    assert calls == []
+
+
+def test_gamma_at_omega_adds_no_normal_forms(monkeypatch):
+    # exp_grid writes Gamma's w^E into each term's exponent, so pulling the
+    # terms of the exp of log Gamma's tail sums no normal forms
+    (group,) = extend(catalog()["gamma"], omega(), 14).merged().groups
+    calls = []
+    real = normal_form.nf_add
+    monkeypatch.setattr(normal_form, "nf_add", lambda a, b: calls.append(1) or real(a, b))
+    assert len(group.stream.terms(14)) == 14
     assert calls == []
 
 
